@@ -3,9 +3,10 @@
 //! effect, against `CurrencyServe` or `DurableEngine`.
 
 use crate::gen::{engine_options, feed_reads, IngestFeed, FEED_LIVE_CAP};
-use crate::measure::{elapsed_ns, peak_rss_mib, quantile_f64, Tracer};
+use crate::measure::{elapsed_ns, peak_rss_mib, quantile_f64, SpeedProbe, Tracer};
 use crate::report::{
     publish_rest, refused, registry_layers, repeat_setup, span_layers, Client, Outcome, RunCfg,
+    ONE_OFF_PROBES,
 };
 use currency_bench::scenarios::large_spec;
 use currency_core::wire::encode_spec;
@@ -31,13 +32,17 @@ struct Shape {
     /// Length of one measurement round.
     round: Duration,
     setup_reps: usize,
+    /// How closely the workload's speed follows the host's, as
+    /// [`SpeedProbe`] defines it.
+    sensitivity: f64,
 }
 
 const SERVE: Shape = Shape {
     entities: 10_000,
     tombstones: 64,
-    round: Duration::from_secs(3),
+    round: Duration::from_secs(1),
     setup_reps: 5,
+    sensitivity: 0.6,
 };
 
 const DURABLE: Shape = Shape {
@@ -45,6 +50,7 @@ const DURABLE: Shape = Shape {
     tombstones: 256,
     round: Duration::from_millis(250),
     setup_reps: 7,
+    sensitivity: 1.3,
 };
 
 impl Shape {
@@ -238,6 +244,7 @@ fn feed_params(out: &mut Outcome, shape: &Shape, reps: usize) {
     out.param("feed_live_cap", FEED_LIVE_CAP);
     out.param("reads_per_delta", 3);
     out.param("setup_reps", reps);
+    out.param("sensitivity", shape.sensitivity);
 }
 
 // ---------------------------------------------------------------- serve
@@ -334,7 +341,7 @@ fn serve_setup() -> ((CurrencyServe, ServeHandle), f64) {
 pub fn serve_ingest(cfg: &RunCfg) -> Outcome {
     let mut out = Outcome::new("serve_ingest", cfg);
     let reps = if cfg.trace { 1 } else { SERVE.setup_reps };
-    let ((serve, handle), setups) = repeat_setup(reps, serve_setup);
+    let ((serve, handle), setups) = repeat_setup(reps, SERVE.sensitivity, serve_setup);
     feed_params(&mut out, &SERVE, reps);
     let shadow = SnapshotReader::new(serve.snapshot());
     let mut door = ServeDoor {
@@ -344,7 +351,7 @@ pub fn serve_ingest(cfg: &RunCfg) -> Outcome {
         log: Vec::new(),
     };
     let mut feed = IngestFeed::new(SERVE.entities, cfg.seed);
-    let mut client = Client::new(SERVE.round);
+    let mut client = Client::new(SERVE.round, SERVE.sensitivity);
     let mut tr = Tracer::default();
     let before = door.serve.stats();
     let tally = drive(&mut door, &mut feed, cfg, &mut out, &mut client, &mut tr);
@@ -500,7 +507,7 @@ pub fn durable_ingest(cfg: &RunCfg, scratch: &Path) -> Outcome {
     let mut out = Outcome::new("durable_ingest", cfg);
     let reps = if cfg.trace { 1 } else { DURABLE.setup_reps };
     let dir = scratch.join(format!("store-{}", std::process::id()));
-    let (store, setups) = repeat_setup(reps, || durable_setup(&dir));
+    let (store, setups) = repeat_setup(reps, DURABLE.sensitivity, || durable_setup(&dir));
     feed_params(&mut out, &DURABLE, reps);
     let opts = store_options();
     out.param("store_rotate_bytes", opts.snapshot_rotate_bytes);
@@ -515,7 +522,7 @@ pub fn durable_ingest(cfg: &RunCfg, scratch: &Path) -> Outcome {
         wal_deltas: 0,
     };
     let mut feed = IngestFeed::new(DURABLE.entities, cfg.seed);
-    let mut client = Client::new(DURABLE.round);
+    let mut client = Client::new(DURABLE.round, DURABLE.sensitivity);
     let mut tr = Tracer::default();
     let tally = drive(&mut door, &mut feed, cfg, &mut out, &mut client, &mut tr);
     let peak = peak_rss_mib();
@@ -544,7 +551,8 @@ pub fn durable_ingest(cfg: &RunCfg, scratch: &Path) -> Outcome {
         tr.end(open_span);
     }
     let first = reopened.as_ref().map(|s| s.cps());
-    let recover_s = start.elapsed().as_secs_f64();
+    let recover_s = start.elapsed().as_secs_f64()
+        / SpeedProbe::new(DURABLE.sensitivity).slowdown_of(ONE_OFF_PROBES);
     match &reopened {
         Ok(store) => {
             let rec = store.recovery();

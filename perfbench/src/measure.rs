@@ -67,6 +67,75 @@ pub fn quantile_f64(values: &[f64], q: f64) -> f64 {
     }
 }
 
+/// The speed probe's unit of work on the reference host, a 2-core
+/// Intel Xeon VM at 2.1 GHz in a quiet stretch, in nanoseconds.
+pub const REFERENCE_UNIT_NS: f64 = 90_000.0;
+
+/// Steps in one probe unit.
+const PROBE_STEPS: u32 = 20_000;
+
+/// A gauge of how fast the host runs the benchmark right now: a fixed
+/// unit of bench-owned work, data-dependent loads and branches over a
+/// 64 KiB table, timed after an untimed pass that brings the table into
+/// cache.  No change to the program can speed it up or slow it down.
+///
+/// A shared host slows every workload when it slows the probe, but not
+/// by the same share: compute-bound work follows it closely, work bound
+/// by memory traffic less.  So each workload states its `sensitivity`,
+/// the slope of its log rate over the probe's log slowdown across the
+/// rounds of runs on the reference host, and the probe reports its
+/// slowdown raised to that power.
+pub struct SpeedProbe {
+    table: Vec<u32>,
+    salt: u64,
+    sensitivity: f64,
+}
+
+impl SpeedProbe {
+    pub fn new(sensitivity: f64) -> SpeedProbe {
+        SpeedProbe {
+            table: vec![0; 1 << 14],
+            salt: 1,
+            sensitivity,
+        }
+    }
+
+    fn pass(&mut self) -> usize {
+        let mask = self.table.len() - 1;
+        self.salt += 2;
+        let (mut x, mut i) = (self.salt, 0usize);
+        for _ in 0..PROBE_STEPS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = self.table[i];
+            if v & 3 == 0 {
+                self.table[i] = v.wrapping_add(x as u32);
+            } else {
+                self.table[(i + 1) & mask] ^= v;
+            }
+            i = (v as usize ^ (x as usize >> 11)) & mask;
+        }
+        i
+    }
+
+    /// The workload's slowdown against the reference host, as one probe
+    /// unit gauges it: the unit's time over [`REFERENCE_UNIT_NS`], raised
+    /// to the workload's sensitivity.
+    pub fn slowdown(&mut self) -> f64 {
+        std::hint::black_box(self.pass());
+        let start = Instant::now();
+        std::hint::black_box(self.pass());
+        (elapsed_ns(start) as f64 / REFERENCE_UNIT_NS).powf(self.sensitivity)
+    }
+
+    /// The median slowdown over `n` probe units.
+    pub fn slowdown_of(&mut self, n: usize) -> f64 {
+        let units: Vec<f64> = (0..n.max(1)).map(|_| self.slowdown()).collect();
+        quantile_f64(&units, 0.5)
+    }
+}
+
 pub fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -334,6 +403,12 @@ mod tests {
         assert_eq!(s.p50(), 50.0);
         assert_eq!(s.p99(), 99.0);
         assert_eq!(Samples::default().p99(), 0.0);
+    }
+
+    #[test]
+    fn speed_probe_reports_a_positive_slowdown() {
+        assert!(SpeedProbe::new(1.0).slowdown_of(3) > 0.0);
+        assert_eq!(SpeedProbe::new(0.0).slowdown_of(3), 1.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Run configuration, client-side latency bookkeeping, and the metric
 //! tables the result line is built from.
 
-use crate::measure::{elapsed_ns, json_num, json_str, quantile_f64, Samples, Tracer};
+use crate::measure::{elapsed_ns, json_num, json_str, quantile_f64, Samples, SpeedProbe, Tracer};
 use currency_obs::{MetricsSnapshot, SeriesValue};
 use currency_serve::ServeStats;
 use std::time::{Duration, Instant};
@@ -23,8 +23,8 @@ pub const END_TO_END: &[(&str, &str)] = &[
 
 /// The per-layer metrics of `BENCHMARK.json`.  A layer a workload does
 /// not run reports 0.  The last eight are end-to-end figures left
-/// unbounded: they apply to one workload only, or spread too widely from
-/// run to run on a shared host to hold a bound.
+/// unbounded: most apply to one or two workloads, `failed_frac` is 0 on
+/// a correct run, and the latencies locate what the bounded rates catch.
 pub const PER_LAYER: &[(&str, &str)] = &[
     ("serve.hit_ns.p50", "ns"),
     ("serve.hit_ns.p99", "ns"),
@@ -86,10 +86,10 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("failed_frac", "ratio"),
 ];
 
-/// One round in this many is a quiet round.
-const QUIET_SHARE: usize = 8;
+/// The host's speed is probed at most this often, between operations.
+const PROBE_EVERY: Duration = Duration::from_millis(5);
 
-/// The figures computed per round, in order.
+/// The figures computed per round, in order; the first is the rate.
 const ROUND_FIGURES: [&str; 8] = [
     "read_qps",
     "read_p99_us",
@@ -102,12 +102,16 @@ const ROUND_FIGURES: [&str; 8] = [
 ];
 
 /// Client-side view of one run, in rounds of a fixed length.  The open
-/// round collects the latencies of untraced operations; closing it keeps
-/// only its figures.  A run reports each figure as its median over the
-/// quiet rounds: the eighth of the rounds that completed the most
-/// operations per second.  The host's intermittent slow stretches then
-/// move the result far less than they move one pooled figure, while a
-/// change to the code slows every round alike.
+/// round collects the latencies of untraced operations and, every
+/// [`PROBE_EVERY`], the host's slowdown from a [`SpeedProbe`] run
+/// between operations (its time is left out of the round).  Closing a
+/// round keeps only its figures, scaled to the reference host's speed by
+/// the round's median slowdown: rates multiplied by it, latencies
+/// divided by it.  A run reports each figure as its median over the
+/// rounds.  The shared host's speed swings by up to a half from one
+/// second to the next; the probe slows with it, so the scaled figures
+/// hold still while a change to the program moves them as much as the
+/// raw ones.
 pub struct Client {
     pub hit: Samples,
     pub miss: Samples,
@@ -115,17 +119,22 @@ pub struct Client {
     pub reads: u64,
     pub writes: u64,
     pub total_reads: u64,
-    /// Closed rounds: operations per second, and the figures.
-    closed: Vec<(f64, [Option<f64>; 8])>,
+    /// Closed rounds: raw operations per second, slowdown, and the
+    /// scaled figures.
+    closed: Vec<(f64, f64, [Option<f64>; 8])>,
     counts: [usize; 3],
     round_ns: u64,
     round_start: Instant,
+    probe: SpeedProbe,
+    slowdowns: Vec<f64>,
+    last_probe: Instant,
     pub untraced_ops: Samples,
     pub traced_ops: Samples,
 }
 
 impl Client {
-    pub fn new(round: Duration) -> Client {
+    /// `sensitivity` is the workload's, as [`SpeedProbe`] defines it.
+    pub fn new(round: Duration, sensitivity: f64) -> Client {
         Client {
             hit: Samples::default(),
             miss: Samples::default(),
@@ -137,6 +146,9 @@ impl Client {
             counts: [0; 3],
             round_ns: u64::try_from(round.as_nanos()).unwrap_or(u64::MAX),
             round_start: Instant::now(),
+            probe: SpeedProbe::new(sensitivity),
+            slowdowns: Vec::new(),
+            last_probe: Instant::now(),
             untraced_ops: Samples::default(),
             traced_ops: Samples::default(),
         }
@@ -145,24 +157,39 @@ impl Client {
     /// Start the first round now.
     pub fn start(&mut self) {
         self.round_start = Instant::now();
+        self.last_probe = self.round_start;
+    }
+
+    /// Probe the host's speed; the probe's time is taken out of the
+    /// open round.
+    fn probe(&mut self) {
+        let t = Instant::now();
+        self.slowdowns.push(self.probe.slowdown());
+        self.round_start += t.elapsed();
+        self.last_probe = Instant::now();
     }
 
     fn close(&mut self, wall_ns: u64) {
+        if self.slowdowns.is_empty() {
+            self.probe();
+        }
+        let slow = quantile_f64(&self.slowdowns, 0.5);
         let mut reads = Samples::default();
         reads.extend(&self.hit);
         reads.extend(&self.miss);
-        let lat = |s: &Samples, q: f64| (s.len() > 0).then(|| s.quantile(q) / 1e3);
+        let lat = |s: &Samples, q: f64| (s.len() > 0).then(|| s.quantile(q) / 1e3 / slow);
         let secs = wall_ns.max(1) as f64 / 1e9;
         self.closed.push((
             (self.reads + self.writes) as f64 / secs,
+            slow,
             [
-                Some(self.reads as f64 / secs),
+                Some(self.reads as f64 / secs * slow),
                 lat(&reads, 0.99),
                 lat(&self.miss, 0.5),
                 lat(&self.miss, 0.99),
                 lat(&self.write, 0.5),
                 lat(&self.write, 0.99),
-                Some(self.writes as f64 / secs),
+                Some(self.writes as f64 / secs * slow),
                 lat(&self.hit, 0.5),
             ],
         ));
@@ -172,11 +199,16 @@ impl Client {
         self.total_reads += self.reads;
         (self.hit, self.miss, self.write) = Default::default();
         (self.reads, self.writes) = (0, 0);
+        self.slowdowns.clear();
         self.round_start = Instant::now();
     }
 
-    /// Close the open round once it has run its length.
+    /// Between operations: probe the host when due, and close the open
+    /// round once it has run its length.
     pub fn tick(&mut self) {
+        if self.last_probe.elapsed() >= PROBE_EVERY {
+            self.probe();
+        }
         let ns = elapsed_ns(self.round_start);
         if ns >= self.round_ns {
             self.close(ns);
@@ -196,19 +228,17 @@ impl Client {
 
     /// The latency and rate metrics (plus `read_hit_p50_us`).
     pub fn report(&self, out: &mut Outcome) {
-        let mut quiet: Vec<&(f64, [Option<f64>; 8])> = self.closed.iter().collect();
-        quiet.sort_by(|a, b| b.0.total_cmp(&a.0));
-        quiet.truncate(self.closed.len().div_ceil(QUIET_SHARE));
         for (i, name) in ROUND_FIGURES.into_iter().enumerate() {
-            let values: Vec<f64> = quiet.iter().filter_map(|r| r.1[i]).collect();
+            let values: Vec<f64> = self.closed.iter().filter_map(|r| r.2[i]).collect();
             out.e2e(name, quantile_f64(&values, 0.5));
         }
         let rates: Vec<String> = self.closed.iter().map(|r| format!("{:.0}", r.0)).collect();
         out.note(format!("round operations per second: {}", rates.join(" ")));
+        let slow: Vec<String> = self.closed.iter().map(|r| format!("{:.2}", r.1)).collect();
+        out.note(format!("round slowdown: {}", slow.join(" ")));
         out.note(format!(
-            "samples: {} rounds, {} quiet; hits {}, misses {}, writes {}",
+            "samples: {} rounds; hits {}, misses {}, writes {}",
             self.closed.len(),
-            self.closed.len().div_ceil(QUIET_SHARE),
             self.counts[0],
             self.counts[1],
             self.counts[2],
@@ -461,15 +491,24 @@ pub fn refused(stats: &ServeStats) -> u64 {
     stats.shed + stats.timeouts + stats.rate_limited + stats.breaker_rejects + stats.stale_served
 }
 
+/// Probe units behind the slowdown a one-off timing is scaled by.
+pub const ONE_OFF_PROBES: usize = 5;
+
 /// Run `setup` `reps` times, releasing each result before the next one
-/// is built; returns the last result and every set-up time in seconds.
-pub fn repeat_setup<T>(reps: usize, mut setup: impl FnMut() -> (T, f64)) -> (T, Vec<f64>) {
+/// is built; returns the last result and every set-up time in seconds,
+/// scaled to the reference host's speed by probes right after it.
+pub fn repeat_setup<T>(
+    reps: usize,
+    sensitivity: f64,
+    mut setup: impl FnMut() -> (T, f64),
+) -> (T, Vec<f64>) {
+    let mut probe = SpeedProbe::new(sensitivity);
     let mut times = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps.max(1) {
         drop(last.take());
         let (value, secs) = setup();
-        times.push(secs);
+        times.push(secs / probe.slowdown_of(ONE_OFF_PROBES));
         last = Some(value);
     }
     (last.expect("at least one set-up"), times)

@@ -18,6 +18,9 @@ const ENTITIES: usize = 32;
 const SETUP_REPS: usize = 101;
 /// Length of one measurement round.
 const ROUND: Duration = Duration::from_millis(250);
+/// How closely the workload's speed follows the host's, as
+/// [`crate::measure::SpeedProbe`] defines it.
+const SENSITIVITY: f64 = 1.2;
 /// Every this many windows, keep the window's snapshot and answers for
 /// the reference check after the run.
 const SAMPLE_EVERY: u64 = 16;
@@ -100,7 +103,7 @@ fn shadow_answer(
 pub fn run(cfg: &RunCfg) -> Outcome {
     let mut out = Outcome::new("serve_read", cfg);
     let reps = if cfg.trace { 1 } else { SETUP_REPS };
-    let ((serve, mut handle), setups) = repeat_setup(reps, setup);
+    let ((serve, mut handle), setups) = repeat_setup(reps, SENSITIVITY, setup);
     let base = amortized_spec(ENTITIES);
     let mut stream = ReadStream::new(&base, cfg.seed);
     out.param("entities", ENTITIES);
@@ -110,8 +113,9 @@ pub fn run(cfg: &RunCfg) -> Outcome {
     out.param("write_cadence_requests", WINDOW_READS + 1);
     out.param("setup_reps", reps);
     out.param("round_s", ROUND.as_secs_f64());
+    out.param("sensitivity", SENSITIVITY);
 
-    let mut client = Client::new(ROUND);
+    let mut client = Client::new(ROUND, SENSITIVITY);
     let mut tr = Tracer::default();
     let mut shadow = SnapshotReader::new(serve.snapshot());
     let mut samples: Vec<Sample> = Vec::new();
