@@ -319,6 +319,12 @@ struct CompactScale {
     reference_ns: f64,
     byte_identical: bool,
     parity: bool,
+    /// `SnapshotEngine::compact` (the serving writer's full compaction)
+    /// on the same dirty specification.
+    serve_compact_ns: f64,
+    /// The serving writer's compacted specification is wire-byte-identical
+    /// to the reference sweep's.
+    serve_identical: bool,
 }
 
 fn parse_args() -> Args {
@@ -583,18 +589,28 @@ fn main() {
                 .apply(&scenarios::update_remove_delta(rel, id))
                 .unwrap();
         }
-        // Three sweeps over the same dirty specification: the core-layer
-        // reference (`Specification::compact`, the monolithic oracle),
-        // the budgeted incremental drain on a twin engine, and the
-        // engine-level `compact()` that serving actually calls.  The
-        // drain must stay under the per-step pause bound, reclaim
-        // exactly what the reference does, and leave the specification
-        // wire-byte-identical to it.
+        // Four sweeps over the same dirty specification: the core-layer
+        // reference (`Specification::compact`, the oracle), the budgeted
+        // incremental drain on a twin engine, the serving writer's full
+        // `SnapshotEngine::compact()` (what `CurrencyServe::compact`
+        // runs), and `CurrencyEngine::compact()` below.  The drain must
+        // stay under the per-step pause bound, reclaim exactly what the
+        // reference does, and leave the specification wire-byte-identical
+        // to it; the serving compaction must be byte-identical too and
+        // finish within the same pause bound.
         let dirty = engine.spec().clone();
         let mut ref_spec = dirty.clone();
         let t = Instant::now();
         let ref_report = ref_spec.compact();
         let reference_ns = t.elapsed().as_nanos() as f64;
+        let mut serve_writer =
+            SnapshotEngine::with_value_rels(dirty.clone(), &[], &opts).expect("valid dirty spec");
+        let t = Instant::now();
+        let serve_step = serve_writer.compact().unwrap();
+        let serve_compact_ns = t.elapsed().as_nanos() as f64;
+        let serve_identical = serve_step.reclaimed == ref_report.reclaimed
+            && wire::encode_spec(serve_writer.spec()) == wire::encode_spec(&ref_spec);
+        drop(serve_writer);
         let mut inc =
             CurrencyEngine::with_value_rels_owned(dirty, &[], &opts).expect("valid dirty spec");
         let budget = CompactBudget {
@@ -630,9 +646,12 @@ fn main() {
             reference_ns,
             byte_identical,
             parity,
+            serve_compact_ns,
+            serve_identical,
         });
-        // The engine-level sweep drains the same slice machinery, so it
-        // is cheap at every scale and in every mode — price it always.
+        // `CurrencyEngine::compact()` drains the same slice machinery as
+        // one unbounded step, so it is cheap at every scale and in every
+        // mode — price it always.
         let compact = Some(measure_once(|| {
             std::hint::black_box(engine.compact().unwrap().reclaimed);
         }));
@@ -687,7 +706,8 @@ fn main() {
             "    {{\"entities\": {}, \"churn\": {}, \"steps\": {}, \"reclaimed\": {}, \
              \"max_step_ns\": {:.0}, \"drain_ns\": {:.0}, \
              \"drain_ns_per_reclaimed\": {per_reclaimed:.0}, \"reference_ns\": {:.0}, \
-             \"byte_identical\": {}, \"reclaimed_parity\": {}}}",
+             \"byte_identical\": {}, \"reclaimed_parity\": {}, \
+             \"serve_compact_ns\": {:.0}, \"serve_byte_identical\": {}}}",
             cs.entities,
             cs.churn,
             cs.steps,
@@ -696,7 +716,9 @@ fn main() {
             cs.drain_ns,
             cs.reference_ns,
             cs.byte_identical,
-            cs.parity
+            cs.parity,
+            cs.serve_compact_ns,
+            cs.serve_identical
         );
         json.push_str(if ix == 0 { ",\n" } else { "\n" });
     }
@@ -710,6 +732,11 @@ fn main() {
     };
     let compact_identical = compact_scales.iter().all(|c| c.byte_identical);
     let compact_parity = compact_scales.iter().all(|c| c.parity);
+    let serve_compact_max_ns = compact_scales
+        .iter()
+        .map(|c| c.serve_compact_ns)
+        .fold(0f64, f64::max);
+    let serve_compact_identical = compact_scales.iter().all(|c| c.serve_identical);
     let _ = writeln!(
         json,
         "  ], \"budget_slots\": {COMPACT_STEP_SLOTS}, \
@@ -1398,6 +1425,8 @@ fn main() {
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
     let compact_exact_ok = compact_identical && compact_parity;
+    let serve_compact_ok = serve_compact_identical
+        && serve_compact_max_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let durable_overhead_ok = durable_over_apply <= DURABLE_OVERHEAD_FACTOR;
     let obs_noop_ok = obs_noop_over <= OBS_NOOP_FACTOR;
     let obs_traced_ok = obs_traced_over <= OBS_TRACED_FACTOR;
@@ -1433,6 +1462,7 @@ fn main() {
         && compact_pause_ok
         && compact_flat_ok
         && compact_exact_ok
+        && serve_compact_ok
         && durable_overhead_ok
         && obs_noop_ok
         && obs_traced_ok
@@ -1464,6 +1494,9 @@ fn main() {
          \"compact_flat_factor\": {COMPACT_FLAT_FACTOR:.1}, \
          \"compact_byte_identical\": {compact_identical}, \
          \"compact_reclaimed_parity\": {compact_parity}, \
+         \"serve_compact_max_ns\": {serve_compact_max_ns:.0}, \
+         \"serve_compact_byte_identical\": {serve_compact_identical}, \
+         \"serve_compact_ok\": {serve_compact_ok}, \
          \"durable_over_apply\": {durable_over_apply:.2}, \
          \"durable_overhead_factor\": {DURABLE_OVERHEAD_FACTOR:.1}, \
          \"obs_noop_over_disabled\": {obs_noop_over:.3}, \
@@ -1556,6 +1589,14 @@ fn main() {
                  reference (byte_identical: {compact_identical}, reclaimed parity: \
                  {compact_parity}) — slice semantics drifted from \
                  Specification::compact"
+            );
+        }
+        if !serve_compact_ok {
+            eprintln!(
+                "REGRESSION: the serving writer's compact() took {:.1} ms (bound \
+                 {COMPACT_MAX_PAUSE_MS} ms, byte_identical: {serve_compact_identical}) — \
+                 SnapshotEngine::compact drifted from the step path",
+                serve_compact_max_ns / 1e6
             );
         }
         if !durable_overhead_ok {

@@ -10,9 +10,9 @@ use crate::value::TupleId;
 /// What [`Specification::compact`] reclaimed, and how to translate
 /// externally held tuple ids onto the compacted id space.
 ///
-/// Equality compares the full translation tables — the durability layer
-/// logs compaction reports and verifies on recovery that replaying the
-/// same history reproduces the same remap.
+/// This is the output of the reference sweep that the step path
+/// ([`CompactStepReport`]) is differentially tested against; equality
+/// compares the full translation tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactReport {
     /// Total tombstone slots reclaimed across all instances.
@@ -312,7 +312,9 @@ impl Specification {
     /// invalidated** — translate through the returned
     /// [`CompactReport::remap`] tables.  Cached reasoning state built
     /// over the old ids (compiled encodings, partitions) must be
-    /// rebuilt; `CurrencyEngine::compact` does that automatically.
+    /// rebuilt.  The engines compact through the slice executor
+    /// ([`Specification::compact_slice`]) instead; this sweep is the
+    /// independent reference their drains must match byte for byte.
     pub fn compact(&mut self) -> CompactReport {
         let mut report = CompactReport {
             reclaimed: 0,

@@ -16,9 +16,9 @@
 //!   currency orders), denial constraints, copy functions;
 //! * [`encode_delta`] / [`decode_delta`] — every [`DeltaOp`] kind, with
 //!   explicit wire tags;
-//! * [`encode_compact_report`] / [`decode_compact_report`] — the
-//!   translation tables a compaction produces, logged so post-compaction
-//!   replay stays id-correct.
+//! * [`encode_compact_step`] / [`decode_compact_step`] — the slices a
+//!   compaction step executed, logged so post-compaction replay stays
+//!   id-correct.
 //!
 //! ## Stability contract
 //!
@@ -45,7 +45,7 @@ use crate::denial::{CmpOp, DenialConstraint, Predicate, Term};
 use crate::error::CurrencyError;
 use crate::instance::Tuple;
 use crate::schema::{AttrId, Catalog, RelId, RelationSchema};
-use crate::spec::{CompactReport, CompactSlice, CompactStepReport, Specification};
+use crate::spec::{CompactSlice, CompactStepReport, Specification};
 use crate::value::{Eid, TupleId, Value};
 use std::fmt;
 
@@ -740,64 +740,6 @@ pub fn get_delta(r: &mut WireReader<'_>) -> Result<SpecDelta, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// CompactReport.
-// ---------------------------------------------------------------------
-
-/// Encode a compaction report's translation tables.
-pub fn encode_compact_report(report: &CompactReport) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    put_compact_report(&mut w, report);
-    w.into_bytes()
-}
-
-/// Encode a compaction report into an existing writer.
-pub fn put_compact_report(w: &mut WireWriter, report: &CompactReport) {
-    w.put_u64(report.reclaimed as u64);
-    w.put_len(report.remap.len());
-    for table in &report.remap {
-        w.put_len(table.len());
-        for entry in table {
-            match entry {
-                Some(id) => {
-                    w.put_bool(true);
-                    w.put_u32(id.0);
-                }
-                None => w.put_bool(false),
-            }
-        }
-    }
-}
-
-/// Decode a compaction report (rejects trailing bytes).
-pub fn decode_compact_report(bytes: &[u8]) -> Result<CompactReport, WireError> {
-    let mut r = WireReader::new(bytes);
-    let report = get_compact_report(&mut r)?;
-    r.expect_empty()?;
-    Ok(report)
-}
-
-/// Decode a compaction report from a reader.
-pub fn get_compact_report(r: &mut WireReader<'_>) -> Result<CompactReport, WireError> {
-    let reclaimed = r.get_u64("reclaimed count")? as usize;
-    let nrels = r.get_len("remap table count")?;
-    let mut remap = Vec::with_capacity(nrels);
-    for _ in 0..nrels {
-        let n = r.get_len("remap table length")?;
-        let mut table = Vec::with_capacity(n);
-        for _ in 0..n {
-            let present = r.get_bool("remap entry presence")?;
-            table.push(if present {
-                Some(TupleId(r.get_u32("remap entry")?))
-            } else {
-                None
-            });
-        }
-        remap.push(table);
-    }
-    Ok(CompactReport { reclaimed, remap })
-}
-
-// ---------------------------------------------------------------------
 // CompactStepReport (incremental-compaction slices).
 // ---------------------------------------------------------------------
 
@@ -994,18 +936,23 @@ mod tests {
     }
 
     #[test]
-    fn compact_report_round_trip() {
+    fn compact_step_round_trip() {
         let mut spec = rich_spec();
-        let report = spec.compact();
-        assert_eq!(report.reclaimed, 1);
-        let decoded = decode_compact_report(&encode_compact_report(&report)).unwrap();
-        assert_eq!(decoded.reclaimed, report.reclaimed);
-        assert_eq!(decoded.remap, report.remap);
-        // Identity report (no tombstones) round-trips too.
-        let empty = spec.compact();
-        let decoded = decode_compact_report(&encode_compact_report(&empty)).unwrap();
-        assert_eq!(decoded.reclaimed, 0);
-        assert!(decoded.remap.iter().all(|t| t.is_empty()));
+        let mut step = CompactStepReport::default();
+        while let Some(slice) = spec.compact_slice(u32::MAX as usize) {
+            step.reclaimed += slice.reclaimed as usize;
+            step.slices.push(slice);
+        }
+        step.done = true;
+        assert_eq!(step.reclaimed, 1);
+        let decoded = decode_compact_step(&encode_compact_step(&step)).unwrap();
+        assert_eq!(decoded, step);
+        // The empty (nothing-to-reclaim) step round-trips too.
+        let empty = CompactStepReport::default();
+        assert_eq!(
+            decode_compact_step(&encode_compact_step(&empty)).unwrap(),
+            empty
+        );
     }
 
     #[test]

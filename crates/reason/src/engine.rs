@@ -33,11 +33,11 @@
 //!   component-local delta followed by a [`CurrencyEngine::cps`] costs
 //!   one component compile and one component solve — O(dirty region),
 //!   independent of how many components the engine holds;
-//! * **compact on demand** — retraction tombstones accumulate one dead
+//! * **compact in steps** — retraction tombstones accumulate one dead
 //!   tuple slot each ([`currency_core::TemporalInstance::remove_tuple`]);
-//!   [`CurrencyEngine::compact`] reclaims them all, remapping tuple ids
-//!   densely and rebuilding the compiled state (a full rebuild, priced
-//!   accordingly — call it at maintenance points, not per delta).
+//!   [`CurrencyEngine::compact_step`] reclaims them in bounded slices,
+//!   remapping tuple ids and recompiling only the components whose tuples
+//!   moved.  [`CurrencyEngine::compact`] is the same step with no bound.
 //!
 //! The monolithic one-shot path (`Encoding::new` over the whole
 //! specification) remains available as the `*_monolithic` functions in
@@ -51,8 +51,8 @@ use crate::obs::EngineObs;
 use crate::partition::{Partition, RefreshPlan};
 use crate::{CompactBudget, Options};
 use currency_core::{
-    AttrId, CompactReport, CompactSlice, CompactStepReport, Completion, Eid, NormalInstance,
-    RelCompletion, RelId, SpecDelta, Specification, Tuple, TupleId, Value,
+    AttrId, CompactSlice, CompactStepReport, Completion, Eid, NormalInstance, RelCompletion, RelId,
+    SpecDelta, Specification, Tuple, TupleId, Value,
 };
 use currency_obs::SpanGuard;
 use currency_query::{Database, Query};
@@ -81,17 +81,13 @@ pub struct EngineStats {
     /// Components whose cached state survived a delta, summed across all
     /// applied deltas.
     pub components_reused: usize,
-    /// Compactions performed over the engine's lifetime
-    /// ([`CurrencyEngine::compact`]), whether explicit or triggered by
-    /// the [`Options::auto_compact_tombstones`] policy.
-    pub compactions: usize,
-    /// Bounded compaction steps performed over the engine's lifetime
-    /// ([`CurrencyEngine::compact_step`]), whether explicit or triggered
-    /// by the [`Options::auto_compact_budget`] policy.  Steps that found
+    /// Compaction steps performed over the engine's lifetime
+    /// ([`CurrencyEngine::compact_step`] and [`CurrencyEngine::compact`],
+    /// whether explicit or triggered by the
+    /// [`Options::auto_compact_tombstones`] policy).  Steps that found
     /// nothing to reclaim are not counted.
     pub compact_steps: usize,
-    /// Tombstone tuple slots reclaimed across all compactions and
-    /// compaction steps.
+    /// Tombstone tuple slots reclaimed across all compaction steps.
     pub slots_reclaimed: usize,
     /// Times this engine was restored from a durability log
     /// ([`CurrencyEngine::note_recovery`]; `currency-store` calls it once
@@ -114,18 +110,12 @@ pub struct ApplyReport {
     pub cells_touched: usize,
     /// Ids assigned to tuples the delta inserted, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
-    /// The compaction the [`Options::auto_compact_tombstones`] policy
-    /// triggered after this delta, if any.  **When set, every externally
-    /// held tuple id is invalidated** — including this report's own
-    /// `inserted` ids, which stay in pre-compaction form: translate them
-    /// through [`CompactReport::new_id`] (`None` means the delta itself
-    /// retracted the tuple again before the compaction ran).
-    pub compacted: Option<CompactReport>,
-    /// The bounded compaction step the [`Options::auto_compact_budget`]
-    /// policy ran after this delta, if any.  Unlike [`Self::compacted`]
-    /// it invalidates only the tuple ids its slices actually remapped:
+    /// The bounded compaction step the
+    /// [`Options::auto_compact_tombstones`] policy ran after this delta,
+    /// if any.  It invalidates only the tuple ids its slices remapped:
     /// translate held ids (this report's `inserted` list included)
-    /// through [`CompactStepReport::new_id`].
+    /// through [`CompactStepReport::new_id`] (`None` means the tuple's
+    /// slot was reclaimed).
     pub compact_step: Option<CompactStepReport>,
 }
 
@@ -257,7 +247,63 @@ pub(crate) const COMBINATION_CHECK: u64 = 1024;
 /// budget is consumed in slices of at most this many slots, so the
 /// wall-clock deadline of [`CurrencyEngine::compact_step`] is consulted
 /// at least once per `SLICE_QUANTUM` slots scanned.
-const SLICE_QUANTUM: usize = 1024;
+pub(crate) const SLICE_QUANTUM: usize = 1024;
+
+/// Execute one compaction step's slices on `spec`: slices of at most
+/// `quantum` slots until `max_slots` are scanned, `deadline` passes, or
+/// the specification is drained.  The deadline is checked between
+/// slices and at least one slice always runs, so progress is
+/// guaranteed.  Both writers run their steps through this.
+pub(crate) fn run_slices(
+    spec: &mut Specification,
+    max_slots: usize,
+    quantum: usize,
+    deadline: Option<std::time::Instant>,
+) -> CompactStepReport {
+    let mut step = CompactStepReport::default();
+    let max_slots = max_slots.max(1);
+    let mut scanned = 0usize;
+    while scanned < max_slots {
+        if let Some(d) = deadline {
+            if !step.slices.is_empty() && std::time::Instant::now() >= d {
+                break;
+            }
+        }
+        let Some(slice) = spec.compact_slice(quantum.min(max_slots - scanned)) else {
+            break; // drained mid-step
+        };
+        // `max(1)` keeps a degenerate zero-width slice from stalling the
+        // loop (cannot happen today — a slice always scans at least one
+        // slot — but the loop must not rely on that invariant for
+        // termination).
+        scanned += ((slice.end - slice.start) as usize).max(1);
+        step.reclaimed += slice.reclaimed as usize;
+        step.slices.push(slice);
+    }
+    step.done = spec.total_tombstones() == 0;
+    step
+}
+
+/// The cells a compaction step's slices remapped a tuple into — the
+/// dirty region both writers rebuild after a step.  Moved tuples keep
+/// their slots through the step's later slices (later slices only write
+/// at or above this slice's final write position), so `tuple(new)` is
+/// the tuple the table names.  Dead slots need no cell: retraction
+/// already rebuilt their cells when it removed them from their entity
+/// groups, and reclaiming the slot renames no live id.
+pub(crate) fn remapped_cells(
+    spec: &Specification,
+    slices: &[CompactSlice],
+) -> BTreeSet<(RelId, Eid)> {
+    let mut touched = BTreeSet::new();
+    for slice in slices {
+        let inst = spec.instance(slice.rel);
+        for new_id in slice.remap.iter().flatten() {
+            touched.insert((slice.rel, inst.tuple(*new_id).eid));
+        }
+    }
+    touched
+}
 
 /// Fold the certain-answer intersection over every realizable combination
 /// of current instances (the common tail of the engine's and the
@@ -321,7 +367,6 @@ pub struct CurrencyEngine<'a> {
     updates_applied: usize,
     components_rebuilt: usize,
     components_reused: usize,
-    compactions: usize,
     compact_steps: usize,
     slots_reclaimed: usize,
     recoveries: usize,
@@ -391,7 +436,6 @@ impl<'a> CurrencyEngine<'a> {
             updates_applied: 0,
             components_rebuilt: 0,
             components_reused: 0,
-            compactions: 0,
             compact_steps: 0,
             slots_reclaimed: 0,
             recoveries: 0,
@@ -477,28 +521,18 @@ impl<'a> CurrencyEngine<'a> {
             components_reused: plan.reused(),
             cells_touched: effects.touched_cells.len(),
             inserted: effects.inserted,
-            compacted: None,
             compact_step: None,
         };
         // Auto-compaction policy: once retraction tombstones accumulate
-        // past the configured threshold, reclaim them here rather than
-        // letting the id space grow until someone remembers to call
+        // past the configured threshold, each apply runs one slot-bounded
+        // step rather than letting the id space grow until someone calls
         // `compact()`.  The remap rides along in the report so callers
         // can translate the ids they hold (the `inserted` list included).
-        // With a budget configured, each apply over the threshold runs
-        // one slot-bounded step instead of a stop-the-world pass — the
-        // pause bound deliberately does not apply here, so the step is a
-        // pure function of the specification and the options and a log
-        // replay reproduces it exactly.
-        if fire_auto && self.opts.auto_compact_tombstones > 0 {
-            let tombstones: usize = self.spec.instances().iter().map(|i| i.tombstones()).sum();
-            if tombstones >= self.opts.auto_compact_tombstones {
-                if let Some(budget) = self.opts.auto_compact_budget {
-                    report.compact_step = Some(self.compact_step_slots(budget.max_slots_per_step)?);
-                } else {
-                    report.compacted = Some(self.compact()?);
-                }
-            }
+        // The pause bound deliberately does not apply here, so the step
+        // is a pure function of the specification and the options and a
+        // log replay reproduces it exactly.
+        if fire_auto && self.opts.auto_compact_due(&self.spec) {
+            report.compact_step = Some(self.compact_step_slots(self.opts.auto_compact_slots())?);
         }
         Ok(report)
     }
@@ -579,75 +613,29 @@ impl<'a> CurrencyEngine<'a> {
         Ok(plan)
     }
 
-    /// Reclaim every tombstone slot of the specification and rebuild the
-    /// compiled state over the remapped tuple ids.
+    /// Reclaim every tombstone slot of the specification: one compaction
+    /// step with no slot bound and no deadline.
     ///
     /// Long churn streams grow one dead tuple slot per retraction (ids
     /// must stay stable between compactions); this hands the memory back
-    /// and re-densifies the id space.  Internally the sweep runs through
-    /// the same slice executor as [`CurrencyEngine::compact_step`] with
-    /// an unbounded scan — one full-width slice per relation — so only
-    /// the components whose tuples actually moved are re-derived and
-    /// recompiled; a trailing dead block truncates without rebuilding
-    /// anything.  The result is byte-identical to the core reference
-    /// sweep ([`Specification::compact`]), which stays the independently
-    /// implemented oracle the incremental path is differentially tested
-    /// against.  With no tombstones this is a no-op: nothing is rebuilt
-    /// and borrowed specifications are not cloned.
+    /// and re-densifies the id space.  The sweep runs one full-width
+    /// slice per relation through the same slice executor as
+    /// [`CurrencyEngine::compact_step`], so only the components whose
+    /// tuples actually moved are re-derived and recompiled, and a
+    /// trailing dead block truncates without rebuilding anything.  The
+    /// result is byte-identical to the core reference sweep
+    /// ([`Specification::compact`]), which stays the independently
+    /// implemented oracle the step path is differentially tested
+    /// against.  It counts as one step in [`EngineStats::compact_steps`].
+    /// With no tombstones this is a no-op: nothing is rebuilt and
+    /// borrowed specifications are not cloned.
     ///
     /// Externally held [`TupleId`]s are invalidated; translate them
-    /// through the returned [`CompactReport`] (whose per-relation tables
-    /// match the reference sweep's entry for entry).
-    pub fn compact(&mut self) -> Result<CompactReport, ReasonError> {
-        let tombstones: usize = self.spec.instances().iter().map(|i| i.tombstones()).sum();
-        if tombstones == 0 {
-            // Identity report (empty tables = unchanged ids): nothing is
-            // rebuilt, nothing proportional to the spec is allocated, and
-            // a borrowed specification is not cloned.
-            return Ok(CompactReport {
-                reclaimed: 0,
-                remap: Vec::new(),
-            });
-        }
-        // Pre-sweep shape, for synthesizing the monolithic report: slot
-        // count and whether each relation participates (a relation with
-        // no tombstones keeps the empty = identity table convention).
-        let shape: Vec<(RelId, usize, bool)> = self
-            .spec
-            .instances()
-            .iter()
-            .map(|i| (i.rel(), i.len(), i.tombstones() > 0))
-            .collect();
-        // Drain with an unbounded scan: slots are u32-indexed, so a
-        // u32::MAX window always reaches the end of the relation (and
-        // cannot overflow the bounds arithmetic).
-        let mut step = CompactStepReport::default();
-        {
-            let spec = self.spec.to_mut();
-            while let Some(slice) = spec.compact_slice(u32::MAX as usize) {
-                step.reclaimed += slice.reclaimed as usize;
-                step.slices.push(slice);
-            }
-        }
-        step.done = true;
-        self.rebuild_for_slices(&step.slices)?;
-        let remap = shape
-            .iter()
-            .map(|&(rel, slots, touched)| {
-                if !touched {
-                    return Vec::new();
-                }
-                (0..slots as u32)
-                    .map(|old| step.new_id(rel, TupleId(old)))
-                    .collect()
-            })
-            .collect();
-        self.compactions += 1;
-        self.slots_reclaimed += step.reclaimed;
-        Ok(CompactReport {
-            reclaimed: step.reclaimed,
-            remap,
-        })
+    /// through [`CompactStepReport::new_id`].
+    pub fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
+        // Slots are u32-indexed, so a u32::MAX window always reaches the
+        // end of the relation (and cannot overflow the bounds arithmetic).
+        self.compact_step_inner(usize::MAX, u32::MAX as usize, None)
     }
 
     /// Run **one bounded compaction step**: reclaim tombstone slots in
@@ -656,15 +644,14 @@ impl<'a> CurrencyEngine<'a> {
     /// then rebuild only the components whose tuples the step actually
     /// remapped.
     ///
-    /// This is the incremental counterpart of
-    /// [`CurrencyEngine::compact`]: each step is O(slots scanned) plus
-    /// the dirty-region rebuild, the specification is fully valid and
-    /// queryable between steps, and a drained sequence of steps leaves
-    /// the specification byte-identical to what one stop-the-world
-    /// `compact()` would have produced.  Components none of whose tuples
-    /// moved keep their cached encodings, learnt clauses and
-    /// satisfiability verdicts exactly as [`CurrencyEngine::apply`] does
-    /// for clean components.
+    /// [`CurrencyEngine::compact`] is the same step with no bound: each
+    /// step is O(slots scanned) plus the dirty-region rebuild, the
+    /// specification is fully valid and queryable between steps, and a
+    /// drained sequence of steps leaves the specification byte-identical
+    /// to the reference sweep ([`Specification::compact`]).  Components
+    /// none of whose tuples moved keep their cached encodings, learnt
+    /// clauses and satisfiability verdicts exactly as
+    /// [`CurrencyEngine::apply`] does for clean components.
     ///
     /// Only the tuple ids listed in the returned report's slices are
     /// invalidated; translate held ids through
@@ -682,58 +669,38 @@ impl<'a> CurrencyEngine<'a> {
         budget: &CompactBudget,
     ) -> Result<CompactStepReport, ReasonError> {
         let deadline = std::time::Instant::now() + budget.max_pause;
-        self.compact_step_inner(budget.max_slots_per_step, Some(deadline))
+        self.compact_step_inner(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))
     }
 
     /// [`CurrencyEngine::compact_step`] bounded by slot count only — a
     /// deterministic function of the specification, with no wall-clock
-    /// dependence.  This is what the [`Options::auto_compact_budget`]
+    /// dependence.  This is what the [`Options::auto_compact_tombstones`]
     /// policy runs after an apply, and what durability wrappers use when
     /// a replayed log ends mid-compaction.
     pub fn compact_step_slots(
         &mut self,
         max_slots: usize,
     ) -> Result<CompactStepReport, ReasonError> {
-        self.compact_step_inner(max_slots, None)
+        self.compact_step_inner(max_slots, SLICE_QUANTUM, None)
     }
 
+    /// One step through [`run_slices`], then the dirty-region rebuild.
     fn compact_step_inner(
         &mut self,
         max_slots: usize,
+        quantum: usize,
         deadline: Option<std::time::Instant>,
     ) -> Result<CompactStepReport, ReasonError> {
-        let mut step = CompactStepReport::default();
         if self.spec.total_tombstones() == 0 {
             // Nothing to reclaim: no Cow promotion, no rebuild, no
             // counter movement.
-            step.done = true;
-            return Ok(step);
+            return Ok(CompactStepReport {
+                done: true,
+                ..CompactStepReport::default()
+            });
         }
         let clock = self.obs.clock();
-        let max_slots = max_slots.max(1);
-        {
-            let spec = self.spec.to_mut();
-            let mut scanned = 0usize;
-            while scanned < max_slots {
-                if let Some(d) = deadline {
-                    if !step.slices.is_empty() && std::time::Instant::now() >= d {
-                        break;
-                    }
-                }
-                let quantum = SLICE_QUANTUM.min(max_slots - scanned);
-                let Some(slice) = spec.compact_slice(quantum) else {
-                    break; // drained mid-step
-                };
-                // `max(1)` keeps a degenerate zero-width slice from
-                // stalling the loop (cannot happen today — a slice always
-                // scans at least one slot — but the loop must not rely on
-                // that invariant for termination).
-                scanned += ((slice.end - slice.start) as usize).max(1);
-                step.reclaimed += slice.reclaimed as usize;
-                step.slices.push(slice);
-            }
-            step.done = spec.total_tombstones() == 0;
-        }
+        let step = run_slices(self.spec.to_mut(), max_slots, quantum, deadline);
         self.finish_step(&step)?;
         if let Some(start) = clock {
             self.obs
@@ -781,33 +748,12 @@ impl<'a> CurrencyEngine<'a> {
         if step.slices.is_empty() {
             return Ok(());
         }
-        self.rebuild_for_slices(&step.slices)?;
-        self.compact_steps += 1;
-        self.slots_reclaimed += step.reclaimed;
-        Ok(())
-    }
-
-    /// The compiled-state rebuild shared by [`CurrencyEngine::compact`]
-    /// and the step paths: re-derive and recompile exactly the components
-    /// owning a cell some slice remapped a tuple into.
-    fn rebuild_for_slices(&mut self, slices: &[CompactSlice]) -> Result<(), ReasonError> {
-        // Touched cells: the post-move home of every remapped tuple.
-        // Moved tuples keep their slots through the step's later slices
-        // (later slices only write at or above this slice's final write
-        // position), so `tuple(new)` is the tuple the table names.  Dead
-        // slots need no cell: retraction already rebuilt their cells when
-        // it removed them from their entity groups, and reclaiming the
-        // slot renames no live id.
-        let mut touched: BTreeSet<(RelId, Eid)> = BTreeSet::new();
-        for slice in slices {
-            let inst = self.spec.instance(slice.rel);
-            for new_id in slice.remap.iter().flatten() {
-                touched.insert((slice.rel, inst.tuple(*new_id).eid));
-            }
-        }
+        let touched = remapped_cells(&self.spec, &step.slices);
         if !touched.is_empty() {
             self.rebuild_touched(&touched, 0)?;
         }
+        self.compact_steps += 1;
+        self.slots_reclaimed += step.reclaimed;
         Ok(())
     }
 
@@ -854,7 +800,6 @@ impl<'a> CurrencyEngine<'a> {
             updates_applied: self.updates_applied,
             components_rebuilt: self.components_rebuilt,
             components_reused: self.components_reused,
-            compactions: self.compactions,
             compact_steps: self.compact_steps,
             slots_reclaimed: self.slots_reclaimed,
             recoveries: self.recoveries,
@@ -1614,13 +1559,14 @@ mod tests {
         }
         assert_eq!(engine.dcip(r).unwrap(), fresh.dcip(r).unwrap());
         let stats = engine.stats();
-        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.compact_steps, 1, "compact() is one step");
         assert_eq!(stats.slots_reclaimed, 5);
         // Nothing left to reclaim: no rebuild, no counter bump.
         let noop = engine.compact().unwrap();
         assert_eq!(noop.reclaimed, 0);
+        assert!(noop.done && noop.slices.is_empty());
         assert_eq!(noop.new_id(r, TupleId(2)), Some(TupleId(2)));
-        assert_eq!(engine.stats().compactions, 1);
+        assert_eq!(engine.stats().compact_steps, 1);
     }
 
     #[test]
@@ -1696,13 +1642,14 @@ mod tests {
             let mut delta = SpecDelta::new();
             delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(50 + step)]));
             let report = engine.apply(&delta).unwrap();
-            assert!(report.compacted.is_none(), "inserts leave no tombstones");
+            assert!(report.compact_step.is_none(), "inserts leave no tombstones");
             let (rel, id) = report.inserted[0];
             let mut retract = SpecDelta::new();
             retract.remove_tuple(rel, id);
             let report = engine.apply(&retract).unwrap();
-            if let Some(compact) = &report.compacted {
+            if let Some(compact) = &report.compact_step {
                 compactions_seen += 1;
+                assert!(compact.done, "the default budget drains a small spec");
                 assert_eq!(compact.reclaimed, 3, "threshold batch reclaimed");
                 assert_eq!(
                     compact.new_id(rel, id),
@@ -1714,7 +1661,7 @@ mod tests {
         }
         assert_eq!(compactions_seen, 1, "churn crossed the threshold once");
         let stats = engine.stats();
-        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.compact_steps, 1);
         assert_eq!(stats.slots_reclaimed, 3);
         let tombstones: usize = engine
             .spec()
@@ -1754,7 +1701,15 @@ mod tests {
             churn(&mut whole, r, eid, 3);
             churn(&mut sliced, r, eid, 3);
         }
-        let monolithic = whole.compact().unwrap();
+        let mut reference = whole.spec().clone();
+        let reference_report = reference.compact();
+        let unbounded = whole.compact().unwrap();
+        assert_eq!(unbounded.reclaimed, reference_report.reclaimed);
+        assert_eq!(
+            currency_core::wire::encode_spec(whole.spec()),
+            currency_core::wire::encode_spec(&reference),
+            "the unbounded step matches the core reference sweep"
+        );
         // Drain in 2-slot steps; the engine stays fully queryable (and
         // correct) between every pair of steps.
         let mut reclaimed = 0;
@@ -1770,7 +1725,7 @@ mod tests {
             assert!(steps < 100, "steps must terminate");
         }
         assert!(steps > 1, "the drain genuinely ran in several steps");
-        assert_eq!(reclaimed, monolithic.reclaimed);
+        assert_eq!(reclaimed, unbounded.reclaimed);
         assert_eq!(
             currency_core::wire::encode_spec(sliced.spec()),
             currency_core::wire::encode_spec(whole.spec()),
@@ -1781,7 +1736,7 @@ mod tests {
             whole.stats().slots_reclaimed
         );
         assert!(sliced.stats().compact_steps > 1);
-        assert_eq!(sliced.stats().compactions, 0);
+        assert_eq!(whole.stats().compact_steps, 1);
         for u in 0..6u32 {
             for v in 0..6u32 {
                 let q = CurrencyOrderQuery::single(r, A, TupleId(u), TupleId(v));
@@ -1832,10 +1787,6 @@ mod tests {
             let mut retract = SpecDelta::new();
             retract.remove_tuple(rel, id);
             let report = engine.apply(&retract).unwrap();
-            assert!(
-                report.compacted.is_none(),
-                "budget mode never stops the world"
-            );
             if let Some(s) = &report.compact_step {
                 steps_seen += 1;
                 // The slot bound caps each step's scan work; reclaim
@@ -1850,7 +1801,6 @@ mod tests {
             assert!(engine.cps().unwrap());
         }
         assert!(steps_seen >= 1, "the churn crossed the threshold");
-        assert_eq!(engine.stats().compactions, 0);
         assert_eq!(engine.stats().compact_steps, steps_seen);
         // Verdicts match a fresh engine over the current specification.
         let fresh = CurrencyEngine::new(engine.spec(), &Options::default()).unwrap();

@@ -98,8 +98,8 @@ pub use partition::{Partition, RefreshPlan};
 pub use preserve::{bcp, cpp, ecp, maximum_extension, ExtensionSlot, PreservationProblem};
 pub use preserve_sp::{bcp_sp, cpp_sp};
 pub use shard::{
-    ShardError, ShardPlan, ShardedApplyReport, ShardedCompactReport, ShardedCompactStepReport,
-    ShardedEngine, ShardedStats, SpecImport,
+    ShardError, ShardPlan, ShardedApplyReport, ShardedCompactStepReport, ShardedEngine,
+    ShardedStats, SpecImport,
 };
 pub use snapshot::{EngineSnapshot, PublishReport, SnapshotCell, SnapshotEngine, SnapshotReader};
 pub use sp_ptime::{ccqa_sp, certain_answers_sp, poss_instance};
@@ -165,8 +165,8 @@ pub enum TransitivityMode {
 }
 
 /// Pause budget for one incremental-compaction step
-/// ([`engine::CurrencyEngine::compact_step`] and the
-/// [`Options::auto_compact_budget`] policy).
+/// ([`engine::CurrencyEngine::compact_step`] and the auto-compaction
+/// policy, see [`Options::auto_compact_budget`]).
 ///
 /// A *step* executes canonical compaction slices
 /// ([`currency_core::Specification::compact_slice`]) until either bound
@@ -228,41 +228,32 @@ pub struct Options {
     /// default).  The monolithic `*_monolithic` reference paths always
     /// ground eagerly and are differentially tested against both modes.
     pub transitivity: TransitivityMode,
-    /// Auto-compaction threshold: once the specification's accumulated
-    /// retraction tombstones reach this count,
-    /// [`engine::CurrencyEngine::apply`] triggers
-    /// [`engine::CurrencyEngine::compact`] itself after applying the
-    /// delta (the compaction is surfaced through
-    /// [`engine::ApplyReport::compacted`], since it invalidates every
-    /// externally held tuple id).  `0` (the default) disables the policy;
+    /// Auto-compaction threshold: while the specification's accumulated
+    /// retraction tombstones are at or above this count, every
+    /// [`engine::CurrencyEngine::apply`] runs **one bounded compaction
+    /// step** after applying the delta (surfaced through
+    /// [`engine::ApplyReport::compact_step`], whose translation table
+    /// covers the tuple ids the step remapped).  Reclamation thus
+    /// interleaves with the delta stream and no single apply pauses for
+    /// O(specification).  `0` (the default) disables the policy;
     /// retraction-heavy streams then grow one dead id slot per removal
-    /// until an explicit `compact()` call.
+    /// until an explicit `compact()` or `compact_step()` call.
     ///
     /// Replay determinism: engines recovered from a durability log
     /// (`currency-store`) must be reopened with the same threshold, or
-    /// log replay would compact at different points than the original
-    /// run and de-synchronize tuple ids (the recovery path detects this
-    /// and fails cleanly rather than diverging silently).
+    /// log replay would expect steps at different points than the
+    /// original run took them (the recovery path detects this and fails
+    /// cleanly rather than diverging silently).
     pub auto_compact_tombstones: usize,
-    /// Incremental auto-compaction: when set (together with a nonzero
-    /// [`Options::auto_compact_tombstones`] threshold), crossing the
-    /// threshold no longer triggers one stop-the-world
-    /// [`engine::CurrencyEngine::compact`] — instead each
-    /// [`engine::CurrencyEngine::apply`] call runs **one bounded
-    /// compaction step** of at most
-    /// [`CompactBudget::max_slots_per_step`] scanned slots (surfaced
-    /// through [`engine::ApplyReport::compact_step`]), so reclamation
-    /// interleaves with the delta stream and no single apply pauses for
-    /// O(specification).
+    /// Slot bound of each auto step: at most
+    /// [`CompactBudget::max_slots_per_step`] slots are scanned per step.
+    /// `None` (the default) means [`CompactBudget::default`].
     ///
     /// The auto path deliberately ignores [`CompactBudget::max_pause`]:
     /// a wall-clock cutoff would make the step's slice boundaries depend
     /// on machine speed and break log-replay determinism.  Explicit
     /// [`engine::CurrencyEngine::compact_step`] calls honor both bounds
     /// (the durability layer logs whatever slices actually ran).
-    ///
-    /// `None` (the default) keeps the monolithic auto-compaction
-    /// behavior unchanged.
     pub auto_compact_budget: Option<CompactBudget>,
     /// Per-SAT-call work budget (unbounded by default).  Checked by every
     /// engine/snapshot solve path; exhaustion surfaces as
@@ -275,6 +266,23 @@ pub struct Options {
     /// and the CCQA/current-instance odometer re-checks it between
     /// combination batches.
     pub deadline: Option<std::time::Instant>,
+}
+
+impl Options {
+    /// Whether the auto-compaction policy takes a step after a delta
+    /// that left `spec` in its current state (see
+    /// [`Options::auto_compact_tombstones`]).
+    pub fn auto_compact_due(&self, spec: &currency_core::Specification) -> bool {
+        self.auto_compact_tombstones > 0 && spec.total_tombstones() >= self.auto_compact_tombstones
+    }
+
+    /// Slots one auto-compaction step may scan (see
+    /// [`Options::auto_compact_budget`]).
+    pub fn auto_compact_slots(&self) -> usize {
+        self.auto_compact_budget
+            .unwrap_or_default()
+            .max_slots_per_step
+    }
 }
 
 impl Default for Options {

@@ -40,8 +40,9 @@
 //! are thus a *pure function of shard-local state* — after a crash,
 //! recovery reproduces them exactly without persisting any translation
 //! table.  Compaction renumbers shard-local ids exactly like the
-//! unsharded engine renumbers its ids; [`ShardedCompactReport::new_id`]
-//! translates, and only the compacted shard's ids move.
+//! unsharded engine renumbers its ids;
+//! [`ShardedCompactStepReport::new_id`] translates, and only the
+//! compacted shard's ids move.
 //!
 //! ## Scatter-gather queries
 //!
@@ -67,8 +68,8 @@ use crate::error::ReasonError;
 use crate::obs::EngineObs;
 use crate::{CompactBudget, Options};
 use currency_core::{
-    AttrId, CompactReport, CompactStepReport, CurrencyError, DeltaOp, DeltaRouting, Eid, RelId,
-    SpecDelta, Specification, TupleId, Value,
+    AttrId, CompactStepReport, CurrencyError, DeltaOp, DeltaRouting, Eid, RelId, SpecDelta,
+    Specification, TupleId, Value,
 };
 use currency_obs::MetricsSnapshot;
 use currency_query::Query;
@@ -565,13 +566,10 @@ pub struct ShardedApplyReport {
     pub cells_touched: usize,
     /// **Global** ids assigned to inserted tuples, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
-    /// Auto-compactions triggered by the delta, per shard, with the
-    /// shard-local remap (translate via [`global_id`] over the shard's
-    /// entries).
-    pub compacted: Vec<(usize, CompactReport)>,
-    /// Bounded auto-compaction steps ([`Options::auto_compact_budget`])
-    /// triggered by the delta, per shard, in **shard-local** ids
-    /// (translate via [`global_id`] over the shard's entries).
+    /// Bounded auto-compaction steps
+    /// ([`Options::auto_compact_tombstones`]) triggered by the delta,
+    /// per shard, in **shard-local** ids (translate via [`global_id`]
+    /// over the shard's entries).
     pub compact_steps: Vec<(usize, CompactStepReport)>,
 }
 
@@ -588,43 +586,15 @@ impl ShardedApplyReport {
                 .iter()
                 .map(|&(rel, local)| (rel, global_id(n, shard, local))),
         );
-        if let Some(c) = report.compacted {
-            self.compacted.push((shard, c));
-        }
         if let Some(s) = report.compact_step {
             self.compact_steps.push((shard, s));
         }
     }
 }
 
-/// The result of compacting every shard (see [`ShardedEngine::compact`]):
-/// one shard-local [`CompactReport`] per shard.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardedCompactReport {
-    /// Shard count (for id translation).
-    pub shards: usize,
-    /// Per-shard reports, in shard order.
-    pub per_shard: Vec<CompactReport>,
-}
-
-impl ShardedCompactReport {
-    /// Total tombstone slots reclaimed across all shards.
-    pub fn reclaimed(&self) -> usize {
-        self.per_shard.iter().map(|r| r.reclaimed).sum()
-    }
-
-    /// Translate an old **global** id (`None` if the tuple was removed
-    /// and its slot reclaimed).
-    pub fn new_id(&self, rel: RelId, old: TupleId) -> Option<TupleId> {
-        let (s, l) = locate(self.shards, old);
-        self.per_shard[s]
-            .new_id(rel, l)
-            .map(|nl| global_id(self.shards, s, nl))
-    }
-}
-
-/// The result of one bounded compaction step across every shard (see
-/// [`ShardedEngine::compact_step`]): one shard-local
+/// The result of one compaction step across every shard (see
+/// [`ShardedEngine::compact_step`] and [`ShardedEngine::compact`]): one
+/// shard-local
 /// [`CompactStepReport`] per shard.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardedCompactStepReport {
@@ -680,7 +650,6 @@ pub fn sharded_stats(engines: &[&CurrencyEngine<'_>]) -> ShardedStats {
         total.updates_applied += s.updates_applied;
         total.components_rebuilt += s.components_rebuilt;
         total.components_reused += s.components_reused;
-        total.compactions += s.compactions;
         total.compact_steps += s.compact_steps;
         total.slots_reclaimed += s.slots_reclaimed;
         total.recoveries += s.recoveries;
@@ -919,23 +888,16 @@ impl ShardedEngine {
         Ok(report)
     }
 
-    /// Compact every shard, one at a time — each pause is shard-local,
-    /// never global.  Shard-local ids are renumbered; translate global
-    /// ids through the returned report.
-    pub fn compact(&mut self) -> Result<ShardedCompactReport, ShardError> {
-        let mut per_shard = Vec::with_capacity(self.shards());
-        for shard in 0..self.engines.len() {
-            per_shard.push(self.compact_shard(shard)?);
-        }
-        Ok(ShardedCompactReport {
-            shards: self.shards(),
-            per_shard,
-        })
+    /// Compact every shard fully, one at a time — each pause is
+    /// shard-local, never global.  Shard-local ids are renumbered;
+    /// translate global ids through the returned report.
+    pub fn compact(&mut self) -> Result<ShardedCompactStepReport, ShardError> {
+        self.step_each_shard(|engine| engine.compact())
     }
 
-    /// Compact one shard (the others keep serving untouched).  The
+    /// Compact one shard fully (the others keep serving untouched).  The
     /// returned report is in **shard-local** ids.
-    pub fn compact_shard(&mut self, shard: usize) -> Result<CompactReport, ShardError> {
+    pub fn compact_shard(&mut self, shard: usize) -> Result<CompactStepReport, ShardError> {
         self.engines[shard]
             .compact()
             .map_err(|source| ShardError::Shard { shard, source })
@@ -951,14 +913,7 @@ impl ShardedEngine {
         &mut self,
         budget: &CompactBudget,
     ) -> Result<ShardedCompactStepReport, ShardError> {
-        let mut per_shard = Vec::with_capacity(self.shards());
-        for shard in 0..self.engines.len() {
-            per_shard.push(self.compact_step_shard(shard, budget)?);
-        }
-        Ok(ShardedCompactStepReport {
-            shards: self.shards(),
-            per_shard,
-        })
+        self.step_each_shard(|engine| engine.compact_step(budget))
     }
 
     /// Run one bounded compaction step on one shard (the others keep
@@ -972,6 +927,21 @@ impl ShardedEngine {
         self.engines[shard]
             .compact_step(budget)
             .map_err(|source| ShardError::Shard { shard, source })
+    }
+
+    /// Run `step` on every shard in order.
+    fn step_each_shard(
+        &mut self,
+        mut step: impl FnMut(&mut CurrencyEngine<'static>) -> Result<CompactStepReport, ReasonError>,
+    ) -> Result<ShardedCompactStepReport, ShardError> {
+        let mut per_shard = Vec::with_capacity(self.engines.len());
+        for (shard, engine) in self.engines.iter_mut().enumerate() {
+            per_shard.push(step(engine).map_err(|source| ShardError::Shard { shard, source })?);
+        }
+        Ok(ShardedCompactStepReport {
+            shards: per_shard.len(),
+            per_shard,
+        })
     }
 
     /// **CPS** — scatter-gather conjunction with early exit.

@@ -43,16 +43,14 @@ use crate::cop::CurrencyOrderQuery;
 use crate::encode::{Bounds, Encoding};
 use crate::engine::{
     check_product_budget, effective_threads, for_each_combination, intersect_certain_answers,
-    run_indexed, ComponentModels, EngineStats,
+    remapped_cells, run_indexed, run_slices, ComponentModels, EngineStats, SLICE_QUANTUM,
 };
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
 use crate::partition::Partition;
 use crate::{CompactBudget, Options, SolveLimits};
 use currency_core::NormalInstance;
-use currency_core::{
-    CompactReport, CompactStepReport, Eid, RelId, SpecDelta, Specification, TupleId, Value,
-};
+use currency_core::{CompactStepReport, Eid, RelId, SpecDelta, Specification, TupleId, Value};
 use currency_obs::{SpanGuard, TraceEvent, TraceKind};
 use currency_query::Query;
 use currency_sat::SolverStats;
@@ -78,7 +76,6 @@ struct LifetimeCounters {
     updates_applied: usize,
     components_rebuilt: usize,
     components_reused: usize,
-    compactions: usize,
     compact_steps: usize,
     slots_reclaimed: usize,
 }
@@ -153,7 +150,6 @@ impl EngineSnapshot {
             updates_applied: self.lifetime.updates_applied,
             components_rebuilt: self.lifetime.components_rebuilt,
             components_reused: self.lifetime.components_reused,
-            compactions: self.lifetime.compactions,
             compact_steps: self.lifetime.compact_steps,
             slots_reclaimed: self.lifetime.slots_reclaimed,
             ..EngineStats::default()
@@ -442,14 +438,10 @@ pub struct PublishReport {
     pub cells_touched: usize,
     /// Ids assigned to tuples the delta inserted, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
-    /// The compaction the [`Options::auto_compact_tombstones`] policy
-    /// triggered after this delta, if any (ids in `inserted` stay in
-    /// pre-compaction form; translate via [`CompactReport::new_id`]).
-    pub compacted: Option<CompactReport>,
-    /// The bounded compaction step the [`Options::auto_compact_budget`]
-    /// policy ran after this delta, if any.  Only the ids its slices
-    /// remapped are invalidated; translate via
-    /// [`CompactStepReport::new_id`].
+    /// The bounded compaction step the
+    /// [`Options::auto_compact_tombstones`] policy ran after this delta,
+    /// if any.  Only the ids its slices remapped are invalidated;
+    /// translate via [`CompactStepReport::new_id`].
     pub compact_step: Option<CompactStepReport>,
 }
 
@@ -570,20 +562,14 @@ impl SnapshotEngine {
             components_reused: plan.reused(),
             cells_touched: effects.touched_cells.len(),
             inserted: effects.inserted,
-            compacted: None,
             compact_step: None,
         };
-        if self.opts.auto_compact_tombstones > 0 {
-            let tombstones: usize = self.spec.instances().iter().map(|i| i.tombstones()).sum();
-            if tombstones >= self.opts.auto_compact_tombstones {
-                if let Some(budget) = self.opts.auto_compact_budget {
-                    // One slot-bounded step per apply; the delta and the
-                    // step publish as a single epoch.
-                    report.compact_step = Some(self.compact_step_inner(budget.max_slots_per_step)?);
-                } else {
-                    report.compacted = Some(self.compact_inner()?);
-                }
-            }
+        if self.opts.auto_compact_due(&self.spec) {
+            // One slot-bounded step per apply; the delta and the step
+            // publish as a single epoch.
+            let max_slots = self.opts.auto_compact_slots();
+            report.compact_step =
+                Some(self.compact_step_bounded(max_slots, SLICE_QUANTUM, None)?);
         }
         self.publish();
         report.epoch = self.epoch;
@@ -663,39 +649,19 @@ impl SnapshotEngine {
         Ok(plan)
     }
 
-    /// Reclaim every tombstone slot and publish the rebuilt state (a
-    /// full rebuild, priced accordingly — see
+    /// Reclaim every tombstone slot and publish the result as one new
+    /// epoch: one compaction step with no slot bound and no deadline (see
     /// [`CurrencyEngine::compact`](crate::engine::CurrencyEngine::compact)).
-    /// With no tombstones this is a no-op: nothing is rebuilt and no new
-    /// epoch is published.
-    pub fn compact(&mut self) -> Result<CompactReport, ReasonError> {
-        let report = self.compact_inner()?;
-        if report.reclaimed > 0 {
+    /// Only the slots owning a remapped tuple are recompiled; every clean
+    /// slot's `Arc` carries into the next snapshot unchanged.  With no
+    /// tombstones this is a no-op: nothing is rebuilt and no new epoch is
+    /// published.
+    pub fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
+        let step = self.compact_step_bounded(usize::MAX, u32::MAX as usize, None)?;
+        if !step.slices.is_empty() {
             self.publish();
         }
-        Ok(report)
-    }
-
-    fn compact_inner(&mut self) -> Result<CompactReport, ReasonError> {
-        let tombstones: usize = self.spec.instances().iter().map(|i| i.tombstones()).sum();
-        if tombstones == 0 {
-            return Ok(CompactReport {
-                reclaimed: 0,
-                remap: Vec::new(),
-            });
-        }
-        let report = Arc::make_mut(&mut self.spec).compact();
-        self.partition = Arc::new(Partition::of(self.spec.as_ref()));
-        self.slots = build_slots(
-            self.spec.as_ref(),
-            &self.value_rels,
-            &self.opts,
-            &self.partition,
-        )?;
-        self.unsat = self.slots.iter().filter(|s| !s.sat).count();
-        self.counters.compactions += 1;
-        self.counters.slots_reclaimed += report.reclaimed;
-        Ok(report)
+        Ok(step)
     }
 
     /// Run one bounded compaction step and publish the result as a new
@@ -711,62 +677,35 @@ impl SnapshotEngine {
         budget: &CompactBudget,
     ) -> Result<CompactStepReport, ReasonError> {
         let deadline = Instant::now() + budget.max_pause;
-        let step = self.compact_step_bounded(budget.max_slots_per_step, Some(deadline))?;
+        let step =
+            self.compact_step_bounded(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))?;
         if !step.slices.is_empty() {
             self.publish();
         }
         Ok(step)
     }
 
-    /// The deterministic (slot-bounded only) step the auto policy runs;
+    /// One step through [`run_slices`], then the dirty-region rebuild;
     /// the caller publishes.
-    fn compact_step_inner(&mut self, max_slots: usize) -> Result<CompactStepReport, ReasonError> {
-        self.compact_step_bounded(max_slots, None)
-    }
-
     fn compact_step_bounded(
         &mut self,
         max_slots: usize,
+        quantum: usize,
         deadline: Option<Instant>,
     ) -> Result<CompactStepReport, ReasonError> {
-        let mut step = CompactStepReport::default();
-        let tombstones: usize = self.spec.instances().iter().map(|i| i.tombstones()).sum();
-        if tombstones == 0 {
-            step.done = true;
-            return Ok(step);
+        if self.spec.total_tombstones() == 0 {
+            return Ok(CompactStepReport {
+                done: true,
+                ..CompactStepReport::default()
+            });
         }
         let clock = self.obs.clock();
-        let max_slots = max_slots.max(1);
-        {
-            let spec = Arc::make_mut(&mut self.spec);
-            let mut scanned = 0usize;
-            while scanned < max_slots {
-                if let Some(d) = deadline {
-                    if !step.slices.is_empty() && Instant::now() >= d {
-                        break;
-                    }
-                }
-                let quantum = SNAPSHOT_SLICE_QUANTUM.min(max_slots - scanned);
-                let Some(slice) = spec.compact_slice(quantum) else {
-                    break;
-                };
-                scanned += ((slice.end - slice.start) as usize).max(1);
-                step.reclaimed += slice.reclaimed as usize;
-                step.slices.push(slice);
-            }
-            step.done = spec.total_tombstones() == 0;
-        }
+        let step = run_slices(Arc::make_mut(&mut self.spec), max_slots, quantum, deadline);
         if !step.slices.is_empty() {
             // Rebuild (and re-solve) only the slots owning a remapped
             // tuple; every clean slot's `Arc` carries into the next
             // snapshot unchanged.
-            let mut touched: BTreeSet<(RelId, Eid)> = BTreeSet::new();
-            for slice in &step.slices {
-                let inst = self.spec.instance(slice.rel);
-                for new_id in slice.remap.iter().flatten() {
-                    touched.insert((slice.rel, inst.tuple(*new_id).eid));
-                }
-            }
+            let touched = remapped_cells(&self.spec, &step.slices);
             if !touched.is_empty() {
                 self.rebuild_touched(&touched, 0)?;
             }
@@ -855,10 +794,6 @@ impl SnapshotEngine {
     }
 }
 
-/// Internal scan granularity of one compaction slice (the writer's
-/// deadline is consulted at least once per this many slots scanned).
-const SNAPSHOT_SLICE_QUANTUM: usize = 1024;
-
 /// The placeholder a [`SnapshotCell`] holds for the instant between
 /// field construction and the constructor's first publish.
 fn empty_spec() -> Specification {
@@ -882,8 +817,7 @@ fn compile_slot(
 }
 
 /// Compile and solve every slot of `partition` (parallel under
-/// `opts.threads`) — construction and post-compaction rebuild share this
-/// so the two can never drift.
+/// `opts.threads`) at construction.
 fn build_slots(
     spec: &Specification,
     value_rels: &[RelId],
@@ -1268,9 +1202,40 @@ mod tests {
         assert_eq!(engine.compact().unwrap().reclaimed, 0);
         assert_eq!(engine.epoch(), epoch);
         let stats = engine.stats();
-        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.compact_steps, 1, "compact() is one step");
         assert_eq!(stats.slots_reclaimed, 3);
         assert_eq!(stats.updates_applied, 6);
+    }
+
+    #[test]
+    fn compact_moves_live_tuples_like_the_reference_sweep() {
+        let (mut spec, r) = multi_entity_spec();
+        spec.add_constraint(monotone(r)).unwrap();
+        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        // Retract entity 0's first tuple: every later tuple must move.
+        let mut delta = SpecDelta::new();
+        delta.remove_tuple(r, TupleId(0));
+        engine.apply(&delta).unwrap();
+        let mut reference = engine.spec().clone();
+        let reference_report = reference.compact();
+        let pinned = engine.reader();
+        let epoch = engine.epoch();
+        let step = engine.compact().unwrap();
+        assert!(step.done);
+        assert_eq!(engine.epoch(), epoch + 1, "one published epoch");
+        assert_eq!(step.reclaimed, reference_report.reclaimed);
+        assert_eq!(
+            currency_core::wire::encode_spec(engine.spec()),
+            currency_core::wire::encode_spec(&reference)
+        );
+        for old in 0..pinned.snapshot().spec().instance(r).len() as u32 {
+            assert_eq!(
+                step.new_id(r, TupleId(old)),
+                reference_report.new_id(r, TupleId(old))
+            );
+        }
+        let mut reader = engine.reader();
+        assert_matches_engine(&mut reader, r);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use stats::ServeStats;
 
 use breaker::{Admit, Breaker};
 use cache::AnswerCache;
-use currency_core::{CompactReport, CompactStepReport, RelId, SpecDelta, Specification, Value};
+use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
 use currency_obs::{MetricsRegistry, Recorder};
 use currency_query::Query;
 use currency_reason::snapshot::{EngineSnapshot, PublishReport, SnapshotEngine, SnapshotReader};
@@ -375,8 +375,9 @@ impl CurrencyServe {
             .apply(delta)
     }
 
-    /// Compact the writer's specification (see [`SnapshotEngine::compact`]).
-    pub fn compact(&self) -> Result<CompactReport, ReasonError> {
+    /// Compact the writer's specification fully and publish it as one
+    /// new epoch (see [`SnapshotEngine::compact`]).
+    pub fn compact(&self) -> Result<CompactStepReport, ReasonError> {
         self.writer
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

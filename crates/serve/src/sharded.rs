@@ -28,11 +28,11 @@
 //! structure-only delta broadcasts to every shard.
 
 use crate::{CurrencyServe, ServeError, ServeHandle, ServeOptions, ServeStats};
-use currency_core::{RelId, SpecDelta, Specification, Value};
+use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
 use currency_query::Query;
 use currency_reason::shard::{
-    localize, locate, split_spec, RoutedDelta, ShardError, ShardPlan, ShardedCompactReport,
-    ShardedCompactStepReport, SpecImport,
+    localize, locate, split_spec, RoutedDelta, ShardError, ShardPlan, ShardedCompactStepReport,
+    SpecImport,
 };
 use currency_reason::snapshot::PublishReport;
 use currency_reason::{CertainAnswers, CompactBudget, CurrencyOrderQuery, Options, ReasonError};
@@ -233,26 +233,11 @@ impl ShardedServe {
         Ok(publish)
     }
 
-    /// Compact every shard's writer, one at a time — each pause is
+    /// Compact every shard's writer fully, one at a time — each pause is
     /// shard-local, and each shard's readers keep serving their pinned
     /// snapshots throughout.
-    pub fn compact(&self) -> Result<ShardedCompactReport, ShardedServeError> {
-        let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        if writer.poisoned {
-            return Err(ShardedServeError::Poisoned);
-        }
-        let mut per_shard = Vec::with_capacity(self.serves.len());
-        for (shard, serve) in self.serves.iter().enumerate() {
-            per_shard.push(
-                serve
-                    .compact()
-                    .map_err(|source| ShardedServeError::Shard { shard, source })?,
-            );
-        }
-        Ok(ShardedCompactReport {
-            shards: self.serves.len(),
-            per_shard,
-        })
+    pub fn compact(&self) -> Result<ShardedCompactStepReport, ShardedServeError> {
+        self.step_each_shard(CurrencyServe::compact)
     }
 
     /// Run one bounded compaction step on every shard's writer, one at
@@ -263,17 +248,22 @@ impl ShardedServe {
         &self,
         budget: &CompactBudget,
     ) -> Result<ShardedCompactStepReport, ShardedServeError> {
+        self.step_each_shard(|serve| serve.compact_step(budget))
+    }
+
+    /// Run `step` on every shard in order under the writer lock.
+    fn step_each_shard(
+        &self,
+        mut step: impl FnMut(&CurrencyServe) -> Result<CompactStepReport, ReasonError>,
+    ) -> Result<ShardedCompactStepReport, ShardedServeError> {
         let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if writer.poisoned {
             return Err(ShardedServeError::Poisoned);
         }
         let mut per_shard = Vec::with_capacity(self.serves.len());
         for (shard, serve) in self.serves.iter().enumerate() {
-            per_shard.push(
-                serve
-                    .compact_step(budget)
-                    .map_err(|source| ShardedServeError::Shard { shard, source })?,
-            );
+            per_shard
+                .push(step(serve).map_err(|source| ShardedServeError::Shard { shard, source })?);
         }
         Ok(ShardedCompactStepReport {
             shards: self.serves.len(),

@@ -16,10 +16,16 @@
 //! and only then feeds it to the in-memory engine — **log-then-apply**,
 //! so every state the engine ever reaches is reconstructible from disk
 //! (up to the group-commit window; see [`StoreOptions::group_commit`]).
-//! [`DurableEngine::compact`] appends the [`CompactReport`]'s remap
-//! tables as a log record, so replaying the suffix applies the *same* id
-//! translation at the same point and every later record's tuple ids
-//! resolve correctly.
+//!
+//! ## Compaction
+//!
+//! Every compaction is a logged step.  An explicit
+//! [`DurableEngine::compact_step`], an explicit [`DurableEngine::compact`]
+//! (one unbounded step) and each step the
+//! [`Options::auto_compact_tombstones`] policy takes inside an apply are
+//! all appended as one [`Record::CompactStep`] holding the step's slices.
+//! Replaying the suffix re-executes the *same* slices at the same point,
+//! so every later record's tuple ids resolve correctly.
 //!
 //! ## Recovery
 //!
@@ -27,9 +33,12 @@
 //! checksum (older generations are fallbacks), rebuilds a
 //! [`CurrencyEngine`] from it, and replays the log suffix — each delta
 //! re-validated through the normal [`SpecDelta::validate`] path and
-//! applied through the normal [`CurrencyEngine::apply`] path, each
-//! compaction record re-executed and **verified** against the logged
-//! remap tables.  A torn log tail (the footprint of a crash mid-append)
+//! applied through [`CurrencyEngine::apply_replayed`] (the auto policy
+//! does not fire on replay), each step record re-executed verbatim and
+//! **verified** against the logged slices.  Replay also reconstructs the
+//! auto policy's decision after every delta: a delta that left the
+//! tombstone count at or above the threshold must be followed by an auto
+//! step record.  A torn log tail (the footprint of a crash mid-append)
 //! is truncated away; checksum damage anywhere else is a refusal, never
 //! a silently wrong specification.  What recovery did is reported in
 //! [`DurableEngine::recovery`] and counted into
@@ -52,7 +61,7 @@ use crate::snapshot::{
 };
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{Record, Wal};
-use currency_core::{CompactReport, CompactStepReport, SpecDelta, Specification};
+use currency_core::{CompactStepReport, SpecDelta, Specification};
 use currency_obs::MetricsRegistry;
 use currency_query::Query;
 use currency_reason::{
@@ -88,7 +97,7 @@ pub struct StoreOptions {
     /// the ones that were written — so for a log nothing else ever
     /// touches, re-validation only re-proves what the checksum proved.
     /// The replay's structural defenses all stay on: sequence contiguity,
-    /// compaction-remap verification, and the engine's own `apply`
+    /// compaction-step verification, and the engine's own `apply`
     /// (which still rejects a truly inconsistent record).  Default
     /// `false` — the validating path remains the paranoid default; turn
     /// this on for recovery-latency-sensitive reopens of trusted
@@ -118,10 +127,13 @@ pub struct RecoveryReport {
     pub snapshots_skipped: usize,
     /// Delta records replayed from the log suffix.
     pub deltas_replayed: usize,
-    /// Compaction records re-executed (and verified) from the suffix.
+    /// Always 0: every compaction is logged as a step and counted in
+    /// [`RecoveryReport::compact_steps_replayed`].  Kept so existing
+    /// replay accounting (`deltas + compacts + steps`) stays valid.
     pub compacts_replayed: usize,
-    /// Bounded compaction *step* records re-executed (slice by slice,
-    /// and verified) from the suffix.
+    /// Compaction step records re-executed (slice by slice, and
+    /// verified) from the suffix, plus an auto step backfilled at the
+    /// end of the log.
     pub compact_steps_replayed: usize,
     /// Records skipped because the snapshot already covered them (the
     /// residue of a rotation interrupted between snapshot and log
@@ -227,10 +239,13 @@ impl DurableEngine {
     ///
     /// `engine_opts` must match the options the log was written under —
     /// [`Options::auto_compact_tombstones`] in particular decides *where*
-    /// compactions fire along the delta stream, and replaying under a
-    /// different policy would de-synchronize tuple ids.  The logged
-    /// compaction records verify this and fail with
-    /// [`StoreError::ReplayDiverged`] instead of recovering wrongly.
+    /// auto steps fire along the delta stream.  Replay checks that an
+    /// auto step record follows exactly the deltas that crossed the
+    /// threshold and fails with [`StoreError::ReplayDiverged`] instead of
+    /// recovering wrongly.  What each step moved comes from the log, not
+    /// from [`Options::auto_compact_budget`]; the budget matters only when
+    /// the log ends between a delta and its step, and open runs that step
+    /// itself and logs it.
     pub fn open(
         dir: &Path,
         engine_opts: &Options,
@@ -313,20 +328,9 @@ impl DurableEngine {
             ..RecoveryReport::default()
         };
         let mut seq = snapshot_seq;
-        // With a compaction budget configured, replayed deltas must not
-        // *initiate* compaction steps: the log records the steps the
-        // original run actually took (as `CompactStep` records whose
-        // slices replay re-executes verbatim), so firing the policy a
-        // second time would compact twice.  The monolithic path keeps
-        // its ride-along semantics: the replayed apply reproduces the
-        // compaction and the marker record verifies it.
-        let budget_mode = engine_opts.auto_compact_budget.is_some();
-        // The auto-compaction a replayed delta triggered, awaiting its
-        // verification record.
-        let mut pending_auto: Option<CompactReport> = None;
-        // Budget mode: the previous replayed delta crossed the
-        // auto-compaction threshold, so the original run took a bounded
-        // step right after it — its record must be next.
+        // The previous replayed delta crossed the auto-compaction
+        // threshold, so the original run took a step right after it — its
+        // record must be next.
         let mut pending_step = false;
         for record in opened.records {
             recovery_replayed.add(1);
@@ -354,23 +358,12 @@ impl DurableEngine {
                     ),
                 });
             }
-            // An auto-compaction triggered by the previous replayed delta
-            // must be matched by its marker as the very next record (the
-            // writer appends the two back to back).  Any other record
-            // here means the original run did *not* compact at that point
-            // — the reopening options' auto-compaction policy differs —
-            // and every id in the remaining suffix would resolve against
-            // the wrong id space.  (A compaction left unconsumed at
-            // end-of-log is the crashed-between-delta-and-marker case;
-            // its marker is backfilled after the loop.)
-            if pending_auto.is_some() && !matches!(record, Record::Compact { auto: true, .. }) {
-                return Err(StoreError::ReplayDiverged {
-                    seq: record.seq(),
-                    detail: "replayed delta triggered an auto-compaction the log \
-                             has no marker for"
-                        .to_string(),
-                });
-            }
+            // Any record other than the auto step here means the original
+            // run did *not* step at that point — the reopening options'
+            // threshold differs — and every id in the remaining suffix
+            // would resolve against the wrong id space.  (A step left
+            // unlogged at end-of-log is the crashed-between-delta-and-step
+            // case; it is backfilled after the loop.)
             if pending_step && !matches!(record, Record::CompactStep { auto: true, .. }) {
                 return Err(StoreError::ReplayDiverged {
                     seq: record.seq(),
@@ -392,79 +385,22 @@ impl DurableEngine {
                             .validate(engine.spec())
                             .map_err(|source| StoreError::ReplayInvalid { seq, source })?;
                     }
-                    let report = if budget_mode {
-                        engine.apply_replayed(&delta)?
-                    } else {
-                        engine.apply(&delta)?
-                    };
-                    pending_auto = report.compacted;
-                    if budget_mode && engine_opts.auto_compact_tombstones > 0 {
-                        // Reconstruct the original run's policy decision:
-                        // it stepped iff the post-delta tombstone count
-                        // crossed the threshold.
-                        pending_step =
-                            engine.spec().total_tombstones() >= engine_opts.auto_compact_tombstones;
-                    }
+                    // Replayed deltas must not *initiate* steps: the log
+                    // records the steps the original run took.
+                    engine.apply_replayed(&delta)?;
+                    pending_step = engine_opts.auto_compact_due(engine.spec());
                     recovery.deltas_replayed += 1;
                 }
-                Record::Compact { seq, auto, report } => {
-                    if auto && budget_mode {
-                        // The log was written under the monolithic auto
-                        // policy; replaying it with a budget would put
-                        // every later record in the wrong id space.
+                Record::CompactStep { seq, auto, step } => {
+                    if auto && !pending_step {
                         return Err(StoreError::ReplayDiverged {
                             seq,
-                            detail: "log records a stop-the-world auto-compaction, \
-                                     but the store was reopened with a compaction \
-                                     budget"
+                            detail: "log records an auto compaction step the \
+                                     replayed delta did not trigger"
                                 .to_string(),
                         });
                     }
-                    let actual = if auto {
-                        pending_auto
-                            .take()
-                            .ok_or_else(|| StoreError::ReplayDiverged {
-                                seq,
-                                detail: "log records an auto-compaction the replayed \
-                                     delta did not trigger"
-                                    .to_string(),
-                            })?
-                    } else {
-                        engine.compact()?
-                    };
-                    if actual != report {
-                        return Err(StoreError::ReplayDiverged {
-                            seq,
-                            detail: format!(
-                                "compaction remap mismatch: replay reclaimed {} \
-                                 slot(s), the log records {}",
-                                actual.reclaimed, report.reclaimed
-                            ),
-                        });
-                    }
-                    recovery.compacts_replayed += 1;
-                }
-                Record::CompactStep { seq, auto, step } => {
-                    if auto {
-                        if !budget_mode {
-                            return Err(StoreError::ReplayDiverged {
-                                seq,
-                                detail: "log records an auto compaction step, but \
-                                         the store was reopened without a \
-                                         compaction budget"
-                                    .to_string(),
-                            });
-                        }
-                        if !pending_step {
-                            return Err(StoreError::ReplayDiverged {
-                                seq,
-                                detail: "log records an auto compaction step the \
-                                         replayed delta did not trigger"
-                                    .to_string(),
-                            });
-                        }
-                        pending_step = false;
-                    }
+                    pending_step = false;
                     // Re-execute the logged slices verbatim — the step's
                     // bounds capture exactly what ran, wall-clock budget
                     // included, so replay needs no policy reconstruction.
@@ -510,29 +446,14 @@ impl DurableEngine {
         }
         let mut wal = opened.wal;
         wal.bind_metrics(&metrics);
-        if let Some(report) = pending_auto.take() {
-            // The original run crashed between the final delta and its
-            // auto-compaction marker.  The compaction itself was
-            // reproduced by the replay above; backfill the marker now so
-            // the log is self-consistent — otherwise any record appended
-            // after this open would sit where the marker belongs, and
-            // every *later* open would refuse with `ReplayDiverged`.
-            seq += 1;
-            wal.append_compact(seq, true, &report)?;
-            wal.flush()?;
-            recovery.compacts_replayed += 1;
-        }
         if pending_step {
             // The original run crashed between the final delta and its
-            // auto step record.  Unlike the monolithic case the step was
-            // *not* reproduced during replay (budget-mode applies
-            // suppress the policy), so run the deterministic
-            // slot-bounded step now — exactly what the original apply
-            // did in memory — and backfill its record.
-            let budget = engine_opts
-                .auto_compact_budget
-                .expect("pending_step is only set in budget mode");
-            let step = engine.compact_step_slots(budget.max_slots_per_step)?;
+            // auto step record.  Run the deterministic slot-bounded step
+            // now — exactly what the original apply did in memory — and
+            // backfill its record; otherwise the next appended record
+            // would sit where the step belongs and every *later* open
+            // would refuse with `ReplayDiverged`.
+            let step = engine.compact_step_slots(engine_opts.auto_compact_slots())?;
             seq += 1;
             wal.append_compact_step(seq, true, &step)?;
             wal.flush()?;
@@ -595,16 +516,8 @@ impl DurableEngine {
             // The log holds a delta the engine never applied.
             Err(e) => return self.poison("apply after log append failed", e.into()),
         };
-        if let Some(compact) = &report.compacted {
-            // The auto-compaction policy fired inside `apply`: log its
-            // remap so replay can verify it reproduces the same one.
-            self.seq += 1;
-            if let Err(e) = self.wal.append_compact(self.seq, true, compact) {
-                return self.poison("auto-compaction marker append failed", e);
-            }
-        }
         if let Some(step) = &report.compact_step {
-            // The budgeted auto policy ran one bounded step inside
+            // The auto policy ran one bounded step inside
             // `apply`: log its slices so replay re-executes them in
             // place (logged even when the step found nothing, so the
             // record stream matches the policy decision replay
@@ -620,25 +533,13 @@ impl DurableEngine {
         Ok(report)
     }
 
-    /// Compact the engine ([`CurrencyEngine::compact`]), logging the
-    /// remap record that keeps post-compaction replay id-correct.  The
-    /// tombstone-free no-op logs nothing.  Failure handling matches
-    /// [`DurableEngine::apply`]: a failure after the engine compacted
-    /// poisons the store.
-    pub fn compact(&mut self) -> Result<CompactReport, StoreError> {
+    /// Compact the engine fully ([`CurrencyEngine::compact`], one
+    /// unbounded step), logging it as one [`Record::CompactStep`] exactly
+    /// like [`DurableEngine::compact_step`] does.
+    pub fn compact(&mut self) -> Result<CompactStepReport, StoreError> {
         self.check_poison()?;
-        let report = self.engine.compact()?;
-        if report.reclaimed > 0 {
-            self.seq += 1;
-            if let Err(e) = self.wal.append_compact(self.seq, false, &report) {
-                // The engine's ids moved but the log never heard of it.
-                return self.poison("compaction record append failed", e);
-            }
-            if let Err(e) = self.maybe_rotate() {
-                return self.poison("snapshot rotation failed", e);
-            }
-        }
-        Ok(report)
+        let step = self.engine.compact()?;
+        self.log_step(step)
     }
 
     /// Run one bounded compaction step
@@ -656,6 +557,12 @@ impl DurableEngine {
     ) -> Result<CompactStepReport, StoreError> {
         self.check_poison()?;
         let step = self.engine.compact_step(budget)?;
+        self.log_step(step)
+    }
+
+    /// Log an explicit step the engine just ran.  A step that ran no
+    /// slice logs nothing.
+    fn log_step(&mut self, step: CompactStepReport) -> Result<CompactStepReport, StoreError> {
         if !step.slices.is_empty() {
             self.seq += 1;
             if let Err(e) = self.wal.append_compact_step(self.seq, false, &step) {
@@ -1047,6 +954,7 @@ mod tests {
         durable.apply(&retract).unwrap();
         let compact = durable.compact().unwrap();
         assert_eq!(compact.reclaimed, 1);
+        assert!(compact.done);
         // Post-compaction: an order edge between two remapped ids.
         let last = TupleId(durable.spec().instance(r).len() as u32 - 1);
         let group = durable
@@ -1061,58 +969,20 @@ mod tests {
         drop(durable);
         let recovered = DurableEngine::open(&dir, &opts, fast()).unwrap();
         assert_eq!(encode_spec(recovered.spec()), live_bytes);
-        assert_eq!(recovered.recovery().compacts_replayed, 1);
+        // The explicit full compaction was logged as one step record.
+        assert_eq!(recovered.recovery().compact_steps_replayed, 1);
+        assert_eq!(recovered.recovery().compacts_replayed, 0);
         assert_eq!(recovered.recovery().deltas_replayed, 3);
         assert!(recovered.cps().unwrap());
     }
 
     #[test]
-    fn auto_compaction_is_logged_and_verified_on_replay() {
-        let dir = tmpdir("auto-compact");
-        let (spec, r) = seed_spec();
-        let opts = Options {
-            auto_compact_tombstones: 2,
-            ..Options::default()
-        };
-        let mut durable = DurableEngine::create(&dir, spec, &opts, fast()).unwrap();
-        let mut auto_seen = 0;
-        for step in 0..3 {
-            let report = durable.apply(&insert(r, 0, 500 + step)).unwrap();
-            let (rel, id) = report.inserted[0];
-            let mut retract = SpecDelta::new();
-            retract.remove_tuple(rel, id);
-            if durable.apply(&retract).unwrap().compacted.is_some() {
-                auto_seen += 1;
-            }
-        }
-        assert_eq!(auto_seen, 1, "threshold crossed once in three rounds");
-        let live_bytes = encode_spec(durable.spec());
-        drop(durable);
-        // Same options: replay reproduces the auto-compaction and its
-        // verification record passes.
-        let recovered = DurableEngine::open(&dir, &opts, fast()).unwrap();
-        assert_eq!(encode_spec(recovered.spec()), live_bytes);
-        assert_eq!(recovered.recovery().compacts_replayed, 1);
-        assert_eq!(recovered.stats().compactions, 1);
-        drop(recovered);
-        // Different auto-compaction policy: the verification record
-        // detects the divergence instead of recovering a wrong id space.
-        let err = DurableEngine::open(&dir, &Options::default(), fast());
-        assert!(
-            matches!(err, Err(StoreError::ReplayDiverged { .. })),
-            "policy mismatch must fail cleanly, got {:?}",
-            err.map(|d| d.recovery().deltas_replayed)
-        );
-    }
-
-    #[test]
     fn replay_refuses_an_auto_compaction_the_log_never_recorded() {
-        // The mirror image of the marker-without-compaction case: the
-        // log was written with auto-compaction OFF, and the store is
+        // The log was written with auto-compaction OFF, and the store is
         // reopened with a threshold the replayed churn crosses.  Replay
-        // then compacts where the original run did not — every later
-        // record's tuple ids would resolve against the wrong id space —
-        // so recovery must refuse, not proceed.
+        // then expects a step where the original run took none — every
+        // later record's tuple ids would resolve against the wrong id
+        // space — so recovery must refuse, not proceed.
         let dir = tmpdir("auto-unrecorded");
         let (spec, r) = seed_spec();
         let mut durable = DurableEngine::create(&dir, spec, &Options::default(), fast()).unwrap();
@@ -1122,7 +992,7 @@ mod tests {
             let mut retract = SpecDelta::new();
             retract.remove_tuple(rel, id);
             let report = durable.apply(&retract).unwrap();
-            assert!(report.compacted.is_none(), "policy off while writing");
+            assert!(report.compact_step.is_none(), "policy off while writing");
         }
         drop(durable);
         let strict = Options {
@@ -1153,53 +1023,6 @@ mod tests {
             pos += 8 + len;
         }
         starts
-    }
-
-    #[test]
-    fn crash_between_delta_and_auto_marker_backfills_instead_of_bricking() {
-        // A crash after the delta flush but before its auto-compaction
-        // marker leaves the marker missing at end-of-log.  Recovery must
-        // reproduce the compaction AND backfill the marker — otherwise
-        // the next appended record sits where the marker belongs and
-        // every later open fails ReplayDiverged forever.
-        let dir = tmpdir("marker-gap");
-        let (spec, r) = seed_spec();
-        let opts = Options {
-            auto_compact_tombstones: 2,
-            ..Options::default()
-        };
-        let mut durable = DurableEngine::create(&dir, spec, &opts, fast()).unwrap();
-        let mut marker_seen = false;
-        for step in 0..2 {
-            let report = durable.apply(&insert(r, 0, 800 + step)).unwrap();
-            let (rel, id) = report.inserted[0];
-            let mut retract = SpecDelta::new();
-            retract.remove_tuple(rel, id);
-            marker_seen |= durable.apply(&retract).unwrap().compacted.is_some();
-        }
-        assert!(marker_seen, "threshold crossed during the churn");
-        let seq_before = durable.seq();
-        drop(durable);
-        // Chop the final frame (the auto marker) off the log: the
-        // crash-between-appends footprint.
-        let wal = dir.join("wal.log");
-        let bytes = std::fs::read(&wal).unwrap();
-        let last = *frame_starts(&bytes).last().unwrap();
-        std::fs::write(&wal, &bytes[..last]).unwrap();
-        // First reopen: the replayed churn re-triggers the compaction and
-        // the marker is backfilled at the same sequence number.
-        let mut recovered = DurableEngine::open(&dir, &opts, fast()).unwrap();
-        assert_eq!(recovered.recovery().compacts_replayed, 1);
-        assert_eq!(recovered.seq(), seq_before, "marker seq restored");
-        recovered.apply(&insert(r, 1, 900)).unwrap();
-        let live = encode_spec(recovered.spec());
-        drop(recovered);
-        // Second reopen is the regression: it must find the backfilled
-        // marker where it belongs and recover, not brick.
-        let again = DurableEngine::open(&dir, &opts, fast())
-            .expect("store must stay openable after the backfill");
-        assert_eq!(encode_spec(again.spec()), live);
-        assert!(again.cps().unwrap());
     }
 
     #[test]
@@ -1443,15 +1266,10 @@ mod tests {
         let mut steps_seen = 0;
         for step in 0..4 {
             let report = durable.apply(&insert(r, 0, 500 + step)).unwrap();
-            assert!(
-                report.compacted.is_none(),
-                "budget mode never stops the world"
-            );
             let (rel, id) = report.inserted[0];
             let mut retract = SpecDelta::new();
             retract.remove_tuple(rel, id);
             let report = durable.apply(&retract).unwrap();
-            assert!(report.compacted.is_none());
             if report.compact_step.is_some() {
                 steps_seen += 1;
             }
@@ -1465,50 +1283,26 @@ mod tests {
         assert_eq!(encode_spec(recovered.spec()), live_bytes);
         assert_eq!(recovered.recovery().compact_steps_replayed, steps_seen);
         assert_eq!(recovered.stats().compact_steps, steps_seen);
-        assert_eq!(recovered.stats().compactions, 0);
         assert!(recovered.cps().unwrap());
         drop(recovered);
-        // Reopening the budget-mode log under the monolithic auto policy
-        // must refuse: the replayed apply would compact stop-the-world
-        // where the original run took one bounded step.
-        let monolithic = Options {
+        // The log, not the budget, decides what each step moved: the
+        // same threshold under the default slot budget recovers the same
+        // state.
+        let default_budget = Options {
             auto_compact_tombstones: 2,
             ..Options::default()
         };
+        let recovered = DurableEngine::open(&dir, &default_budget, fast()).unwrap();
+        assert_eq!(encode_spec(recovered.spec()), live_bytes);
+        drop(recovered);
+        // With the policy off, the logged auto steps were never
+        // triggered by any replayed delta: refuse.
         assert!(
             matches!(
-                DurableEngine::open(&dir, &monolithic, fast()),
+                DurableEngine::open(&dir, &Options::default(), fast()),
                 Err(StoreError::ReplayDiverged { .. })
             ),
-            "budget-mode log + monolithic reopen must diverge"
-        );
-    }
-
-    #[test]
-    fn monolithic_log_refuses_a_budgeted_reopen() {
-        let dir = tmpdir("budget-mismatch");
-        let (spec, r) = seed_spec();
-        let monolithic = Options {
-            auto_compact_tombstones: 2,
-            ..Options::default()
-        };
-        let mut durable = DurableEngine::create(&dir, spec, &monolithic, fast()).unwrap();
-        let mut auto_seen = false;
-        for step in 0..3 {
-            let report = durable.apply(&insert(r, 0, 600 + step)).unwrap();
-            let (rel, id) = report.inserted[0];
-            let mut retract = SpecDelta::new();
-            retract.remove_tuple(rel, id);
-            auto_seen |= durable.apply(&retract).unwrap().compacted.is_some();
-        }
-        assert!(auto_seen, "a stop-the-world auto-compaction was logged");
-        drop(durable);
-        assert!(
-            matches!(
-                DurableEngine::open(&dir, &budget_opts(2), fast()),
-                Err(StoreError::ReplayDiverged { .. })
-            ),
-            "monolithic log + budgeted reopen must diverge"
+            "auto steps in the log + policy off on reopen must diverge"
         );
     }
 
@@ -1573,10 +1367,11 @@ mod tests {
 
     #[test]
     fn crash_between_delta_and_auto_step_record_backfills() {
-        // Budget-mode twin of the auto-marker backfill: a crash after
-        // the delta flush but before its step record leaves the step
-        // missing at end-of-log.  Recovery must run the deterministic
-        // slot-bounded step and backfill its record.
+        // A crash after the delta flush but before its step record
+        // leaves the step missing at end-of-log.  Recovery must run the
+        // deterministic slot-bounded step and backfill its record —
+        // otherwise the next appended record sits where the step belongs
+        // and every later open fails ReplayDiverged forever.
         let dir = tmpdir("step-gap");
         let (spec, r) = seed_spec();
         let opts = budget_opts(2);

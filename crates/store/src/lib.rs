@@ -11,7 +11,7 @@
 //! persistence spine underneath, built from three pieces:
 //!
 //! * **[`wal`]** — an append-only write-ahead log of every applied delta
-//!   (and every compaction's id-remap tables), length-prefixed and
+//!   (and every compaction step's slices), length-prefixed and
 //!   CRC-framed, with group-commit buffering and torn-tail detection on
 //!   open;
 //! * **[`snapshot`]** — versioned, checksummed full-state snapshots in

@@ -44,13 +44,13 @@
 use crate::durable::{DurableEngine, RecoveryReport, StoreOptions};
 use crate::error::StoreError;
 use crate::vfs::{RealVfs, Vfs};
-use currency_core::{RelId, SpecDelta, Specification, Value};
+use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
 use currency_obs::MetricsSnapshot;
 use currency_query::Query;
 use currency_reason::shard::{
     localize, scatter_ccqa, scatter_certain_answers, scatter_cop, scatter_cps, scatter_dcip,
     sharded_stats, split_spec, RoutedDelta, ShardError, ShardPlan, ShardedApplyReport,
-    ShardedCompactReport, ShardedCompactStepReport, ShardedStats, SpecImport,
+    ShardedCompactStepReport, ShardedStats, SpecImport,
 };
 use currency_reason::{CertainAnswers, CompactBudget, CurrencyEngine, CurrencyOrderQuery, Options};
 use std::fmt;
@@ -428,22 +428,10 @@ impl ShardedStore {
         Ok(report)
     }
 
-    /// Compact every shard, one at a time — each pause (and each logged
-    /// remap record) is shard-local, never global.
-    pub fn compact(&mut self) -> Result<ShardedCompactReport, ShardedStoreError> {
-        self.check_poison()?;
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            per_shard.push(
-                self.shards[shard]
-                    .compact()
-                    .map_err(|source| ShardedStoreError::Shard { shard, source })?,
-            );
-        }
-        Ok(ShardedCompactReport {
-            shards: self.shards.len(),
-            per_shard,
-        })
+    /// Compact every shard fully, one at a time — each pause (and each
+    /// logged step record) is shard-local, never global.
+    pub fn compact(&mut self) -> Result<ShardedCompactStepReport, ShardedStoreError> {
+        self.step_each_shard(DurableEngine::compact)
     }
 
     /// Run one bounded compaction step on every shard, one at a time —
@@ -454,17 +442,22 @@ impl ShardedStore {
         &mut self,
         budget: &CompactBudget,
     ) -> Result<ShardedCompactStepReport, ShardedStoreError> {
+        self.step_each_shard(|shard| shard.compact_step(budget))
+    }
+
+    /// Run `step` on every shard in order.
+    fn step_each_shard(
+        &mut self,
+        mut step: impl FnMut(&mut DurableEngine) -> Result<CompactStepReport, StoreError>,
+    ) -> Result<ShardedCompactStepReport, ShardedStoreError> {
         self.check_poison()?;
         let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            per_shard.push(
-                self.shards[shard]
-                    .compact_step(budget)
-                    .map_err(|source| ShardedStoreError::Shard { shard, source })?,
-            );
+        for (shard, engine) in self.shards.iter_mut().enumerate() {
+            per_shard
+                .push(step(engine).map_err(|source| ShardedStoreError::Shard { shard, source })?);
         }
         Ok(ShardedCompactStepReport {
-            shards: self.shards.len(),
+            shards: per_shard.len(),
             per_shard,
         })
     }

@@ -27,6 +27,10 @@
 //!   payload) is wrong.  Bytes were altered after being fully written —
 //!   that is not a crash artifact, and open refuses the file with
 //!   [`StoreError::Corrupt`] rather than guess at the damage.
+//! * **unknown record kind** — the frame is intact but its tag names no
+//!   record this build speaks (tag 1, the retired stop-the-world
+//!   compaction record, or a newer writer's).  Open refuses it with
+//!   [`StoreError::Wire`] carrying the tag, never misreading the body.
 //!
 //! ## Group commit
 //!
@@ -42,8 +46,8 @@
 use crate::crc::crc32;
 use crate::error::{io_err, StoreError};
 use crate::vfs::{RealVfs, Vfs, VfsFile};
-use currency_core::wire::{self, WireReader, WireWriter, WIRE_VERSION};
-use currency_core::{CompactReport, CompactStepReport, SpecDelta};
+use currency_core::wire::{self, WireError, WireReader, WireWriter, WIRE_VERSION};
+use currency_core::{CompactStepReport, SpecDelta};
 use currency_obs::{Counter, Histogram, MetricsRegistry};
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
@@ -65,7 +69,9 @@ const FRAME_HEADER_LEN: usize = 8;
 const MAX_FRAME_LEN: u32 = 1 << 30;
 
 const TAG_RECORD_DELTA: u8 = 0;
-const TAG_RECORD_COMPACT: u8 = 1;
+// Tag 1 is reserved and never reused: it carried the retired
+// stop-the-world compaction record (a full remap table), which no build
+// writes any more.  A log holding one is refused as an unknown record.
 const TAG_RECORD_COMPACT_STEP: u8 = 2;
 
 /// One logged operation.
@@ -79,22 +85,9 @@ pub enum Record {
         /// The delta.
         delta: SpecDelta,
     },
-    /// A compaction's remap tables, logged so post-compaction replay
-    /// stays id-correct: every delta after this record speaks the
-    /// compacted id space.
-    Compact {
-        /// Monotonic sequence number.
-        seq: u64,
-        /// `true` if the [`currency_reason::Options::auto_compact_tombstones`]
-        /// policy triggered it from inside the preceding delta's apply
-        /// (replay then *verifies* the rides-along compaction instead of
-        /// issuing a second one).
-        auto: bool,
-        /// The translation tables the compaction produced.
-        report: CompactReport,
-    },
-    /// One **bounded compaction step**'s slices, logged after the step
-    /// ran: every delta after this record speaks the post-step id space.
+    /// One **compaction step**'s slices, logged after the step ran:
+    /// every delta after this record speaks the post-step id space.  An
+    /// explicit full `compact()` is one unbounded step.
     /// Replay re-executes the logged slice bounds verbatim (and verifies
     /// the outcome), so a recovered engine passes through the exact
     /// intermediate states of the original run — a crash between steps
@@ -102,7 +95,7 @@ pub enum Record {
     CompactStep {
         /// Monotonic sequence number.
         seq: u64,
-        /// `true` if the [`currency_reason::Options::auto_compact_budget`]
+        /// `true` if the [`currency_reason::Options::auto_compact_tombstones`]
         /// policy ran it from inside the preceding delta's apply.
         auto: bool,
         /// The step's slices and totals.
@@ -114,16 +107,13 @@ impl Record {
     /// The record's sequence number.
     pub fn seq(&self) -> u64 {
         match self {
-            Record::Delta { seq, .. }
-            | Record::Compact { seq, .. }
-            | Record::CompactStep { seq, .. } => *seq,
+            Record::Delta { seq, .. } | Record::CompactStep { seq, .. } => *seq,
         }
     }
 
     fn encode(&self) -> Vec<u8> {
         match self {
             Record::Delta { seq, delta } => encode_delta_payload(*seq, delta),
-            Record::Compact { seq, auto, report } => encode_compact_payload(*seq, *auto, report),
             Record::CompactStep { seq, auto, step } => {
                 encode_compact_step_payload(*seq, *auto, step)
             }
@@ -137,18 +127,13 @@ impl Record {
                 seq: r.get_u64("record seq")?,
                 delta: wire::get_delta(&mut r)?,
             },
-            TAG_RECORD_COMPACT => Record::Compact {
-                seq: r.get_u64("record seq")?,
-                auto: r.get_bool("compact auto flag")?,
-                report: wire::get_compact_report(&mut r)?,
-            },
             TAG_RECORD_COMPACT_STEP => Record::CompactStep {
                 seq: r.get_u64("record seq")?,
                 auto: r.get_bool("compact step auto flag")?,
                 step: wire::get_compact_step(&mut r)?,
             },
             tag => {
-                return Err(StoreError::Wire(currency_core::wire::WireError::BadTag {
+                return Err(StoreError::Wire(WireError::BadTag {
                     what: "log record",
                     tag,
                 }))
@@ -166,16 +151,6 @@ fn encode_delta_payload(seq: u64, delta: &SpecDelta) -> Vec<u8> {
     w.put_u8(TAG_RECORD_DELTA);
     w.put_u64(seq);
     wire::put_delta(&mut w, delta);
-    w.into_bytes()
-}
-
-/// A compaction record's payload, encoded from a borrow.
-fn encode_compact_payload(seq: u64, auto: bool, report: &CompactReport) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(TAG_RECORD_COMPACT);
-    w.put_u64(seq);
-    w.put_bool(auto);
-    wire::put_compact_report(&mut w, report);
     w.into_bytes()
 }
 
@@ -334,6 +309,13 @@ impl Wal {
                 });
             }
             let record = Record::decode(payload).map_err(|e| match e {
+                // An intact frame of a record kind this build does not
+                // speak is not damage: refuse it by its tag.
+                StoreError::Wire(
+                    w @ WireError::BadTag {
+                        what: "log record", ..
+                    },
+                ) => StoreError::Wire(w),
                 StoreError::Wire(w) => StoreError::Corrupt {
                     path: path.to_path_buf(),
                     offset: pos as u64,
@@ -390,16 +372,6 @@ impl Wal {
     /// into an owned [`Record`] on the hot path).
     pub fn append_delta(&mut self, seq: u64, delta: &SpecDelta) -> Result<(), StoreError> {
         self.append_payload(encode_delta_payload(seq, delta))
-    }
-
-    /// Append a compaction record encoded straight from the borrow.
-    pub fn append_compact(
-        &mut self,
-        seq: u64,
-        auto: bool,
-        report: &CompactReport,
-    ) -> Result<(), StoreError> {
-        self.append_payload(encode_compact_payload(seq, auto, report))
     }
 
     /// Append a compaction step record encoded straight from the borrow.
@@ -612,28 +584,32 @@ mod tests {
     }
 
     #[test]
-    fn compact_records_round_trip() {
-        let path = tmp("compact");
-        let mut wal = Wal::create(&path, 1, false).unwrap();
-        let report = CompactReport {
-            reclaimed: 2,
-            remap: vec![vec![Some(TupleId(0)), None, Some(TupleId(1))], vec![]],
-        };
-        wal.append(&Record::Compact {
-            seq: 1,
-            auto: true,
-            report: report.clone(),
-        })
-        .unwrap();
-        wal.flush().unwrap();
-        let opened = Wal::open(&path, 1, false).unwrap();
-        match &opened.records[..] {
-            [Record::Compact {
-                seq: 1,
-                auto: true,
-                report: r,
-            }] => assert_eq!(*r, report),
-            other => panic!("unexpected records {other:?}"),
+    fn retired_compact_record_tag_is_refused_not_misread() {
+        let path = tmp("retired-tag");
+        fill(&path, 1);
+        // Hand-write an intact frame carrying tag 1 — the retired
+        // stop-the-world compaction record — with a plausible body.
+        let mut w = WireWriter::new();
+        w.put_u8(1);
+        w.put_u64(2);
+        w.put_bool(true);
+        w.put_u64(0);
+        w.put_len(0);
+        let payload = w.into_bytes();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+        match Wal::open(&path, 1, false) {
+            Err(StoreError::Wire(WireError::BadTag {
+                what: "log record",
+                tag: 1,
+            })) => {}
+            other => panic!(
+                "expected the retired tag to be refused, got {:?}",
+                other.map(|o| o.records)
+            ),
         }
     }
 

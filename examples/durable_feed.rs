@@ -40,7 +40,8 @@ fn main() {
     }
     let opts = Options {
         // Retraction tombstones are reclaimed automatically once four
-        // accumulate — the compaction is logged and re-verified on replay.
+        // accumulate: each apply at the threshold runs one bounded
+        // compaction step, logged and re-executed on replay.
         auto_compact_tombstones: 4,
         ..Options::default()
     };
@@ -101,9 +102,9 @@ fn main() {
     let mut engine = DurableEngine::open(&dir, &opts, store_opts).expect("recoverable store");
     let rec = *engine.recovery();
     println!(
-        "[tick 5] ✓ reopened: snapshot covers seq {}, replayed {} delta(s) + {} compaction(s), \
-         torn tail {} byte(s)",
-        rec.snapshot_seq, rec.deltas_replayed, rec.compacts_replayed, rec.torn_tail_bytes
+        "[tick 5] ✓ reopened: snapshot covers seq {}, replayed {} delta(s) + {} compaction \
+         step(s), torn tail {} byte(s)",
+        rec.snapshot_seq, rec.deltas_replayed, rec.compact_steps_replayed, rec.torn_tail_bytes
     );
     assert_eq!(engine.seq(), seq, "no acknowledged record was lost");
     assert_eq!(
@@ -116,7 +117,8 @@ fn main() {
     // The stream continues on the recovered engine: churn enough to
     // trip the auto-compaction policy.
     println!("\n[tick 6] churn: four insert+retract rounds (auto-compaction threshold is 4)");
-    let mut compactions = 0;
+    let mut steps = 0;
+    let mut reclaimed = 0;
     for round in 0..4 {
         let mut delta = SpecDelta::new();
         delta.insert_tuple(
@@ -127,18 +129,13 @@ fn main() {
         let (rel, id) = report.inserted[0];
         let mut retract = SpecDelta::new();
         retract.remove_tuple(rel, id);
-        if engine
-            .apply(&retract)
-            .expect("admissible")
-            .compacted
-            .is_some()
-        {
-            compactions += 1;
+        if let Some(step) = engine.apply(&retract).expect("admissible").compact_step {
+            steps += 1;
+            reclaimed += step.reclaimed;
         }
     }
     println!(
-        "  {} auto-compaction(s) fired and were logged with their remap tables",
-        compactions
+        "  {steps} auto compaction step(s) reclaimed {reclaimed} slot(s), each logged with its slices"
     );
 
     // Closing audit: a second recovery must agree with the live engine —
@@ -148,6 +145,11 @@ fn main() {
     drop(engine);
     let recovered = DurableEngine::open(&dir, &opts, store_opts).expect("recoverable store");
     assert_eq!(encode_spec(recovered.spec()), live);
+    println!(
+        "reopened again: replayed {} delta(s) + {} compaction step(s)",
+        recovered.recovery().deltas_replayed,
+        recovered.recovery().compact_steps_replayed
+    );
     let fresh = CurrencyEngine::new(recovered.spec(), &opts).expect("valid spec");
     assert_eq!(
         recovered.cps().expect("in budget"),
@@ -166,9 +168,9 @@ fn main() {
     }
     let stats = recovered.stats();
     println!(
-        "\nlifetime (this process): {} recoveries, {} deltas replayed, {} compactions; \
+        "\nlifetime (this process): {} recoveries, {} deltas replayed, {} compaction steps; \
          final audit: recovered == never-restarted on CPS + all-pairs COP ✓",
-        stats.recoveries, stats.deltas_replayed, stats.compactions
+        stats.recoveries, stats.deltas_replayed, stats.compact_steps
     );
     drop(recovered);
     std::fs::remove_dir_all(&dir).expect("cleanup");

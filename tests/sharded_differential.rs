@@ -385,8 +385,12 @@ fn differential_round(seed: u64, shards: usize) {
             .sum::<usize>()
     );
     assert_eq!(
-        stats.total.compactions,
-        stats.per_shard.iter().map(|s| s.compactions).sum::<usize>()
+        stats.total.compact_steps,
+        stats
+            .per_shard
+            .iter()
+            .map(|s| s.compact_steps)
+            .sum::<usize>()
     );
 }
 

@@ -380,7 +380,8 @@ proptest! {
         let dir = tmpdir(&format!("diff-{seed}"));
         let spec = random_spec(&config(seed));
         // A slice of the seed space exercises the auto-compaction policy
-        // and tight snapshot rotation through the restarts.
+        // (logged step records) and tight snapshot rotation through the
+        // restarts.
         let opts = Options {
             auto_compact_tombstones: if seed % 3 == 0 { 2 } else { 0 },
             ..Options::default()
@@ -418,7 +419,7 @@ proptest! {
         // newest snapshot was replayed.
         let rec = durable.recovery();
         prop_assert_eq!(
-            rec.deltas_replayed + rec.compacts_replayed + rec.snapshot_seq as usize,
+            rec.deltas_replayed + rec.compact_steps_replayed + rec.snapshot_seq as usize,
             durable.seq() as usize,
             "seed {}", seed
         );
