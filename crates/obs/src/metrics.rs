@@ -5,9 +5,9 @@
 //! monotone accumulations read only at exposition time, so no ordering
 //! stronger than the atomicity of each word is needed.  Handles are
 //! `Arc`s handed out by [`MetricsRegistry`]; registering the same
-//! `(name, labels)` pair twice returns the existing handle, which is
-//! what lets a wrapper layer re-bind an inner subsystem onto its own
-//! registry without double-counting.
+//! `(name, labels)` pair twice returns the existing handle, so every
+//! layer of a stack can register on the one registry its engine owns
+//! without double-counting.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -574,6 +574,20 @@ impl MetricsSnapshot {
         })
     }
 
+    /// Every histogram series of family `name` merged into one (empty
+    /// when the family is absent) — e.g. the latency of all query kinds
+    /// and shards together.
+    pub fn merged_histogram(&self, name: &str) -> HistogramSnapshot {
+        let mut out = HistogramSnapshot::default();
+        let family = self.families.iter().filter(|f| f.name == name);
+        for series in family.flat_map(|f| &f.series) {
+            if let SeriesValue::Histogram(h) = &series.value {
+                out.merge(h);
+            }
+        }
+        out
+    }
+
     /// Render in the Prometheus text exposition format: one
     /// `# HELP` / `# TYPE` header per family, `name{labels} value`
     /// per sample, histograms as cumulative `_bucket{le="..."}` lines
@@ -911,6 +925,9 @@ mod tests {
             Some(SeriesValue::Counter(32)) => {}
             other => panic!("shard 1 counter: {other:?}"),
         }
+        let lat = merged.merged_histogram("lat_ns");
+        assert_eq!((lat.count(), lat.sum, lat.max), (2, 42, 32));
+        assert_eq!(merged.merged_histogram("absent_ns").count(), 0);
         let text = merged.render_prometheus();
         // One family header even though two registries contributed.
         assert_eq!(text.matches("# TYPE hits_total counter").count(), 1);

@@ -364,14 +364,9 @@ pub struct CurrencyEngine<'a> {
     /// O(dirty region) aggregate-consistency cache (see [`CpsCache`]).
     cps_cache: Mutex<CpsCache>,
     opts: Options,
-    updates_applied: usize,
-    components_rebuilt: usize,
-    components_reused: usize,
-    compact_steps: usize,
-    slots_reclaimed: usize,
-    recoveries: usize,
-    deltas_replayed: usize,
-    /// Metric handles + trace recorder (see [`EngineObs`]).
+    /// Metric handles + trace recorder (see [`EngineObs`]); also the
+    /// only store of the lifetime counts [`CurrencyEngine::stats`]
+    /// reports.
     obs: EngineObs,
 }
 
@@ -433,13 +428,6 @@ impl<'a> CurrencyEngine<'a> {
             components,
             cps_cache,
             opts: *opts,
-            updates_applied: 0,
-            components_rebuilt: 0,
-            components_reused: 0,
-            compact_steps: 0,
-            slots_reclaimed: 0,
-            recoveries: 0,
-            deltas_replayed: 0,
             obs: EngineObs::new(),
         })
     }
@@ -449,8 +437,8 @@ impl<'a> CurrencyEngine<'a> {
         &self.obs
     }
 
-    /// Mutable access for wiring: bind the handles onto a shared
-    /// registry, attach a trace recorder, or switch metrics off.
+    /// Mutable access for wiring: attach a trace recorder or switch
+    /// the histograms off.
     pub fn obs_mut(&mut self) -> &mut EngineObs {
         &mut self.obs
     }
@@ -511,10 +499,9 @@ impl<'a> CurrencyEngine<'a> {
         drop(validate_span);
         self.obs.lap(clock, &self.obs.apply_validate_ns);
         let plan = self.rebuild_touched(&effects.touched_cells, parent)?;
-        self.updates_applied += 1;
+        self.obs.applies_total.inc();
         if let Some(start) = clock {
             self.obs.apply_ns.record(start.elapsed().as_nanos() as u64);
-            self.obs.applies_total.inc();
         }
         let mut report = ApplyReport {
             components_rebuilt: plan.rebuilt(),
@@ -608,8 +595,8 @@ impl<'a> CurrencyEngine<'a> {
             cache.unsolved.insert(slot);
         }
         debug_assert_eq!(self.components.len(), plan.slots, "slot arrays aligned");
-        self.components_rebuilt += plan.rebuilt();
-        self.components_reused += plan.reused();
+        self.obs.components_rebuilt.add(plan.rebuilt() as u64);
+        self.obs.components_reused.add(plan.reused() as u64);
         Ok(plan)
     }
 
@@ -752,14 +739,15 @@ impl<'a> CurrencyEngine<'a> {
         if !touched.is_empty() {
             self.rebuild_touched(&touched, 0)?;
         }
-        self.compact_steps += 1;
-        self.slots_reclaimed += step.reclaimed;
+        self.obs.compact_steps.inc();
+        self.obs.slots_reclaimed.add(step.reclaimed as u64);
         Ok(())
     }
 
     /// Record a completed log recovery in the engine's lifetime counters
-    /// (surfaced as [`EngineStats::recoveries`] /
-    /// [`EngineStats::deltas_replayed`]).
+    /// (`currency_engine_recoveries_total` and
+    /// `currency_engine_deltas_replayed_total`, surfaced as
+    /// [`EngineStats::recoveries`] / [`EngineStats::deltas_replayed`]).
     ///
     /// Called by durability wrappers (`currency-store`'s `DurableEngine`)
     /// after rebuilding an engine from a snapshot and replaying the log
@@ -767,8 +755,8 @@ impl<'a> CurrencyEngine<'a> {
     /// also count toward [`EngineStats::updates_applied`], so the two
     /// counters together distinguish replayed from live traffic.
     pub fn note_recovery(&mut self, deltas_replayed: usize) {
-        self.recoveries += 1;
-        self.deltas_replayed += deltas_replayed;
+        self.obs.recoveries.inc();
+        self.obs.deltas_replayed.add(deltas_replayed as u64);
     }
 
     /// The specification the engine currently answers for (including every
@@ -787,24 +775,14 @@ impl<'a> CurrencyEngine<'a> {
         &self.opts
     }
 
-    /// Aggregate solver counters (sizes plus CDCL statistics).
+    /// Aggregate counters: sizes and CDCL statistics from the component
+    /// solvers, lifetime counts read from the engine's registry
+    /// ([`EngineObs`]).
     pub fn stats(&self) -> EngineStats {
         let mut stats = EngineStats {
             components: self.partition.len(),
-            cells: self
-                .partition
-                .components()
-                .iter()
-                .map(|c| c.cells.len())
-                .sum(),
-            updates_applied: self.updates_applied,
-            components_rebuilt: self.components_rebuilt,
-            components_reused: self.components_reused,
-            compact_steps: self.compact_steps,
-            slots_reclaimed: self.slots_reclaimed,
-            recoveries: self.recoveries,
-            deltas_replayed: self.deltas_replayed,
-            ..EngineStats::default()
+            cells: self.partition.cell_count(),
+            ..self.obs.stats()
         };
         for ix in 0..self.components.len() {
             let st = self.component(ix);
@@ -1849,6 +1827,22 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.recoveries, 2);
         assert_eq!(stats.deltas_replayed, 20);
+    }
+
+    #[test]
+    fn disabled_metrics_still_count_lifetime_stats() {
+        let (spec, r) = multi_entity_spec();
+        let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
+        engine.obs_mut().set_enabled(false);
+        churn(&mut engine, r, 0, 2);
+        engine.compact().unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.updates_applied, 4);
+        assert_eq!(stats.compact_steps, 1);
+        assert_eq!(stats.slots_reclaimed, 2);
+        // The counts are the registry's; the histograms stayed off.
+        assert_eq!(engine.obs().applies_total.get(), 4);
+        assert_eq!(engine.obs().apply_ns.count(), 0);
     }
 
     #[test]

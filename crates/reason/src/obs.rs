@@ -3,21 +3,25 @@
 //! snapshot writer [`SnapshotEngine`](crate::snapshot::SnapshotEngine))
 //! records through.
 //!
-//! Every engine owns an [`EngineObs`] bound to a private
-//! [`MetricsRegistry`] by default, so instrumentation is always-on and
-//! self-contained; wrapper layers (a durable store, a serving front
-//! door, a sharded fan-out) call [`EngineObs::bind_metrics`] to re-home
-//! the handles onto their own registry, which is what makes one merged
-//! exposition per stack possible without threading registries through
-//! [`Options`](crate::Options) (which is `Copy` by design).
+//! Every engine creates one [`EngineObs`] on its own
+//! [`MetricsRegistry`] and keeps it for its whole life.  Wrapper layers
+//! (a durable store, a serving front door) register their series on
+//! that same registry ([`EngineObs::registry`]), so each stack has one
+//! registry and one scrape shows all of it — without threading
+//! registries through [`Options`](crate::Options) (which is `Copy` by
+//! design).
 //!
-//! Metrics are recorded whenever [`EngineObs::enabled`] — a handful of
-//! relaxed atomic adds per apply, benchmarked ≤ 1.02× the disabled
-//! path.  Trace spans additionally require an attached
-//! [`Recorder`] whose `enabled()` is true (the default
+//! The lifetime counters (`*_total`) are the only place the engine's
+//! counts are stored: [`EngineStats`] reads them, so they are bumped
+//! whether or not metrics are [`EngineObs::enabled`].
+//! The phase histograms and their clock reads are recorded only while
+//! enabled — a handful of relaxed atomic adds per apply, benchmarked
+//! ≤ 1.02× the disabled path.  Trace spans additionally require an
+//! attached [`Recorder`] whose `enabled()` is true (the default
 //! [`NoopRecorder`] keeps span emission compiled out of the hot path
 //! behind one branch).
 
+use crate::EngineStats;
 use currency_obs::{Counter, Gauge, Histogram, MetricsRegistry, NoopRecorder, Recorder};
 use currency_sat::SolverStats;
 use std::sync::Arc;
@@ -27,9 +31,9 @@ use std::time::Instant;
 ///
 /// The handle set names the phases of the apply path (validate /
 /// refresh / recompile / solve), the per-solve
-/// [`SolverStats`] deltas, the bounded-compaction pause, and the
-/// snapshot publication epoch.  All durations are nanoseconds
-/// (`_ns`-suffixed families).
+/// [`SolverStats`] deltas, the bounded-compaction pause, the engine's
+/// lifetime counters, and the snapshot publication epoch.  All
+/// durations are nanoseconds (`_ns`-suffixed families).
 pub struct EngineObs {
     registry: Arc<MetricsRegistry>,
     recorder: Arc<dyn Recorder>,
@@ -53,9 +57,20 @@ pub struct EngineObs {
     pub solver_lemmas: Arc<Histogram>,
     /// Wall-clock pause of one bounded compaction step.
     pub compact_step_pause_ns: Arc<Histogram>,
-    /// Applies, as a counter (the exposition twin of
-    /// [`EngineStats::updates_applied`](crate::EngineStats)).
+    /// Deltas applied ([`EngineStats::updates_applied`]).
     pub applies_total: Arc<Counter>,
+    /// Components recompiled across all applies and compaction steps.
+    pub components_rebuilt: Arc<Counter>,
+    /// Components whose compiled state survived a delta.
+    pub components_reused: Arc<Counter>,
+    /// Compaction steps that reclaimed at least one slot.
+    pub compact_steps: Arc<Counter>,
+    /// Tombstone tuple slots reclaimed across all compaction steps.
+    pub slots_reclaimed: Arc<Counter>,
+    /// Times the engine was restored from a durability log.
+    pub recoveries: Arc<Counter>,
+    /// Deltas re-applied from log suffixes across all recoveries.
+    pub deltas_replayed: Arc<Counter>,
     /// Epoch of the most recently published snapshot (snapshot
     /// engines only; stays 0 on live engines).
     pub snapshot_epoch: Arc<Gauge>,
@@ -77,88 +92,105 @@ impl Default for EngineObs {
 }
 
 impl EngineObs {
-    /// A fresh bundle on a private registry, metrics on, tracing off.
+    /// A fresh bundle on its own registry, metrics on, tracing off.
     pub fn new() -> EngineObs {
-        EngineObs::on_registry(&Arc::new(MetricsRegistry::new()))
-    }
-
-    /// A bundle whose handles live on `registry`.
-    fn on_registry(registry: &Arc<MetricsRegistry>) -> EngineObs {
+        let registry = Arc::new(MetricsRegistry::new());
+        let histogram = |name, help| registry.histogram(name, help, &[]);
+        let counter = |name, help| registry.counter(name, help, &[]);
         EngineObs {
-            registry: registry.clone(),
             recorder: Arc::new(NoopRecorder),
             enabled: true,
-            apply_ns: registry.histogram(
+            apply_ns: histogram(
                 "currency_engine_apply_ns",
                 "Whole-apply duration in nanoseconds (validate through rebuild)",
-                &[],
             ),
-            apply_validate_ns: registry.histogram(
+            apply_validate_ns: histogram(
                 "currency_engine_apply_validate_ns",
                 "Delta validation + specification mutation, nanoseconds",
-                &[],
             ),
-            apply_refresh_ns: registry.histogram(
+            apply_refresh_ns: histogram(
                 "currency_engine_apply_refresh_ns",
                 "Incremental partition refresh over the dirty region, nanoseconds",
-                &[],
             ),
-            apply_recompile_ns: registry.histogram(
+            apply_recompile_ns: histogram(
                 "currency_engine_apply_recompile_ns",
                 "Recompilation of rebuilt component slots, nanoseconds",
-                &[],
             ),
-            solve_ns: registry.histogram(
+            solve_ns: histogram(
                 "currency_engine_solve_ns",
                 "Individual component solve duration, nanoseconds",
-                &[],
             ),
-            solver_conflicts: registry.histogram(
+            solver_conflicts: histogram(
                 "currency_engine_solver_conflicts",
                 "CDCL conflicts burned by one component solve",
-                &[],
             ),
-            solver_propagations: registry.histogram(
+            solver_propagations: histogram(
                 "currency_engine_solver_propagations",
                 "Literals propagated by one component solve",
-                &[],
             ),
-            solver_lemmas: registry.histogram(
+            solver_lemmas: histogram(
                 "currency_engine_solver_lemmas",
                 "Theory lemmas installed by one component solve",
-                &[],
             ),
-            compact_step_pause_ns: registry.histogram(
+            compact_step_pause_ns: histogram(
                 "currency_engine_compact_step_pause_ns",
                 "Wall-clock pause of one bounded compaction step, nanoseconds",
-                &[],
             ),
-            applies_total: registry.counter(
+            applies_total: counter(
                 "currency_engine_applies_total",
                 "Deltas applied to the engine",
-                &[],
+            ),
+            components_rebuilt: counter(
+                "currency_engine_components_rebuilt_total",
+                "Components recompiled by applies and compaction steps",
+            ),
+            components_reused: counter(
+                "currency_engine_components_reused_total",
+                "Components whose compiled state survived a delta",
+            ),
+            compact_steps: counter(
+                "currency_engine_compact_steps_total",
+                "Compaction steps that reclaimed at least one slot",
+            ),
+            slots_reclaimed: counter(
+                "currency_engine_slots_reclaimed_total",
+                "Tombstone tuple slots reclaimed by compaction",
+            ),
+            recoveries: counter(
+                "currency_engine_recoveries_total",
+                "Times the engine was restored from a durability log",
+            ),
+            deltas_replayed: counter(
+                "currency_engine_deltas_replayed_total",
+                "Deltas re-applied from log suffixes across all recoveries",
             ),
             snapshot_epoch: registry.gauge(
                 "currency_engine_snapshot_epoch",
                 "Epoch of the most recently published snapshot",
                 &[],
             ),
+            registry,
         }
     }
 
-    /// Re-home every handle onto `registry` (idempotent: registering
-    /// the same name + labels twice shares the series).  Counts
-    /// recorded before the re-bind stay on the old registry; wrappers
-    /// bind at construction time, before traffic.  The recorder and
-    /// the enabled switch survive the re-bind.
-    pub fn bind_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
-        let mut fresh = EngineObs::on_registry(registry);
-        fresh.recorder = self.recorder.clone();
-        fresh.enabled = self.enabled;
-        *self = fresh;
+    /// The lifetime counters as an [`EngineStats`] with every size
+    /// field zero; each engine adds its own sizes.
+    pub(crate) fn stats(&self) -> EngineStats {
+        let get = |c: &Counter| c.get() as usize;
+        EngineStats {
+            updates_applied: get(&self.applies_total),
+            components_rebuilt: get(&self.components_rebuilt),
+            components_reused: get(&self.components_reused),
+            compact_steps: get(&self.compact_steps),
+            slots_reclaimed: get(&self.slots_reclaimed),
+            recoveries: get(&self.recoveries),
+            deltas_replayed: get(&self.deltas_replayed),
+            ..EngineStats::default()
+        }
     }
 
-    /// The registry the handles currently live on.
+    /// The registry the handles live on — the one registry of the
+    /// stack this engine sits in.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
@@ -174,14 +206,14 @@ impl EngineObs {
         &self.recorder
     }
 
-    /// Switch metric recording on/off.  Off skips the clock reads too,
-    /// making the engine's hot paths byte-for-byte the uninstrumented
-    /// baseline the overhead benchmarks compare against.
+    /// Switch histogram recording on/off.  Off skips the clock reads
+    /// too, leaving only the lifetime counter adds the stats are read
+    /// from — the baseline the overhead benchmarks compare against.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
-    /// Whether metrics are being recorded.
+    /// Whether the histograms are being recorded.
     pub fn enabled(&self) -> bool {
         self.enabled
     }

@@ -483,6 +483,11 @@ impl Partition {
         self.live
     }
 
+    /// Number of `(relation, entity)` cells across all components.
+    pub(crate) fn cell_count(&self) -> usize {
+        self.components.iter().map(|c| c.cells.len()).sum()
+    }
+
     /// Number of slots, vacant included — the exclusive upper bound on
     /// slot indices ([`Partition::components`]`.len()`).
     pub fn slots(&self) -> usize {

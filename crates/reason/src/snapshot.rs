@@ -51,13 +51,12 @@ use crate::partition::Partition;
 use crate::{CompactBudget, Options, SolveLimits};
 use currency_core::NormalInstance;
 use currency_core::{CompactStepReport, Eid, RelId, SpecDelta, Specification, TupleId, Value};
-use currency_obs::{SpanGuard, TraceEvent, TraceKind};
+use currency_obs::{Counter, MetricsRegistry, SpanGuard, TraceEvent, TraceKind};
 use currency_query::Query;
 use currency_sat::SolverStats;
 use currency_sat::{Enumeration, SolveResult};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -68,16 +67,6 @@ use std::time::Instant;
 struct SlotView {
     enc: Arc<Encoding>,
     sat: bool,
-}
-
-/// Lifetime counters the writer stamps into each published snapshot.
-#[derive(Clone, Copy, Debug, Default)]
-struct LifetimeCounters {
-    updates_applied: usize,
-    components_rebuilt: usize,
-    components_reused: usize,
-    compact_steps: usize,
-    slots_reclaimed: usize,
 }
 
 /// An immutable, shareable view of a compiled specification at one epoch.
@@ -95,7 +84,6 @@ pub struct EngineSnapshot {
     slots: Vec<SlotView>,
     consistent: bool,
     opts: Options,
-    lifetime: LifetimeCounters,
 }
 
 impl EngineSnapshot {
@@ -133,33 +121,6 @@ impl EngineSnapshot {
     /// field read.
     pub fn cps(&self) -> bool {
         self.consistent
-    }
-
-    /// Aggregate counters, readable lock-free while any number of
-    /// readers and the writer are active: the per-slot encodings are
-    /// immutable, so scraping their sizes never blocks a query.
-    pub fn stats(&self) -> EngineStats {
-        let mut stats = EngineStats {
-            components: self.partition.len(),
-            cells: self
-                .partition
-                .components()
-                .iter()
-                .map(|c| c.cells.len())
-                .sum(),
-            updates_applied: self.lifetime.updates_applied,
-            components_rebuilt: self.lifetime.components_rebuilt,
-            components_reused: self.lifetime.components_reused,
-            compact_steps: self.lifetime.compact_steps,
-            slots_reclaimed: self.lifetime.slots_reclaimed,
-            ..EngineStats::default()
-        };
-        for slot in &self.slots {
-            stats.vars += slot.enc.num_vars();
-            stats.clauses += slot.enc.num_clauses();
-            stats.sat += slot.enc.solver_stats();
-        }
-        stats
     }
 
     /// **DCIP** — do all completions agree on the current instance of
@@ -377,30 +338,27 @@ pub struct SnapshotCell {
     /// Poison recoveries on `load`/`store`: the recovery is safe (the
     /// protected value is an `Arc` a panic cannot tear) but it means a
     /// reader died mid-operation, so it is counted instead of swallowed —
-    /// `currency-serve` surfaces it as `ServeStats::degraded_events`.
-    degraded: AtomicU64,
+    /// as `currency_degraded_events_total{source="snapshot_cell"}` on the
+    /// writer's registry, which `currency-serve` also surfaces as
+    /// `ServeStats::degraded_events`.
+    degraded: Arc<Counter>,
 }
 
 impl SnapshotCell {
-    fn new(snap: Arc<EngineSnapshot>) -> SnapshotCell {
+    fn new(snap: Arc<EngineSnapshot>, registry: &MetricsRegistry) -> SnapshotCell {
         SnapshotCell {
             current: Mutex::new(snap),
-            degraded: AtomicU64::new(0),
+            degraded: registry.counter(
+                "currency_degraded_events_total",
+                "Poisoned-lock recoveries absorbed by the serving stack",
+                &[("source", "snapshot_cell")],
+            ),
         }
     }
 
     /// The most recently published snapshot (an `Arc` bump).
     pub fn load(&self) -> Arc<EngineSnapshot> {
-        self.current
-            .lock()
-            .unwrap_or_else(|poisoned| {
-                // Clear the flag so one crash is one event, not one per
-                // subsequent load.
-                self.current.clear_poison();
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                poisoned.into_inner()
-            })
-            .clone()
+        self.lock().clone()
     }
 
     /// The epoch of the most recently published snapshot.
@@ -413,15 +371,21 @@ impl SnapshotCell {
     /// isolation, but a climbing count means queries are crashing —
     /// operators should see it, not have it recovered silently.
     pub fn degraded_events(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
+        self.degraded.get()
     }
 
     fn store(&self, next: Arc<EngineSnapshot>) {
-        *self.current.lock().unwrap_or_else(|poisoned| {
+        *self.lock() = next;
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Arc<EngineSnapshot>> {
+        self.current.lock().unwrap_or_else(|poisoned| {
+            // Clear the flag so one crash is one event, not one per
+            // subsequent load.
             self.current.clear_poison();
-            self.degraded.fetch_add(1, Ordering::Relaxed);
+            self.degraded.inc();
             poisoned.into_inner()
-        }) = next;
+        })
     }
 }
 
@@ -465,8 +429,9 @@ pub struct SnapshotEngine {
     epoch: u64,
     opts: Options,
     cell: Arc<SnapshotCell>,
-    counters: LifetimeCounters,
-    /// Metric handles + trace recorder (see [`EngineObs`]).
+    /// Metric handles + trace recorder (see [`EngineObs`]); also the
+    /// only store of the lifetime counts [`SnapshotEngine::stats`]
+    /// reports.
     obs: EngineObs,
 }
 
@@ -491,6 +456,7 @@ impl SnapshotEngine {
         let slots = build_slots(&spec, &value_rels, opts, &partition)?;
         let unsat = slots.iter().filter(|s| !s.sat).count();
         let vacant = Arc::new(Encoding::vacant(&value_rels, opts.transitivity));
+        let obs = EngineObs::new();
         let mut engine = SnapshotEngine {
             spec: Arc::new(spec),
             value_rels,
@@ -500,18 +466,19 @@ impl SnapshotEngine {
             unsat,
             epoch: 0,
             opts: *opts,
-            cell: Arc::new(SnapshotCell::new(Arc::new(EngineSnapshot {
-                epoch: 0,
-                spec: Arc::new(empty_spec()),
-                value_rels: Arc::new(Vec::new()),
-                partition: Arc::new(Partition::of(&empty_spec())),
-                slots: Vec::new(),
-                consistent: true,
-                opts: *opts,
-                lifetime: LifetimeCounters::default(),
-            }))),
-            counters: LifetimeCounters::default(),
-            obs: EngineObs::new(),
+            cell: Arc::new(SnapshotCell::new(
+                Arc::new(EngineSnapshot {
+                    epoch: 0,
+                    spec: Arc::new(empty_spec()),
+                    value_rels: Arc::new(Vec::new()),
+                    partition: Arc::new(Partition::of(&empty_spec())),
+                    slots: Vec::new(),
+                    consistent: true,
+                    opts: *opts,
+                }),
+                obs.registry(),
+            )),
+            obs,
         };
         engine.publish();
         Ok(engine)
@@ -522,8 +489,8 @@ impl SnapshotEngine {
         &self.obs
     }
 
-    /// Mutable access for wiring: bind the handles onto a shared
-    /// registry, attach a trace recorder, or switch metrics off.
+    /// Mutable access for wiring: attach a trace recorder or switch
+    /// the histograms off.
     pub fn obs_mut(&mut self) -> &mut EngineObs {
         &mut self.obs
     }
@@ -551,10 +518,9 @@ impl SnapshotEngine {
         drop(validate_span);
         self.obs.lap(clock, &self.obs.apply_validate_ns);
         let plan = self.rebuild_touched(&effects.touched_cells, parent)?;
-        self.counters.updates_applied += 1;
+        self.obs.applies_total.inc();
         if let Some(start) = clock {
             self.obs.apply_ns.record(start.elapsed().as_nanos() as u64);
-            self.obs.applies_total.inc();
         }
         let mut report = PublishReport {
             epoch: 0, // filled in after the publish below
@@ -644,8 +610,8 @@ impl SnapshotEngine {
             }
         }
         debug_assert_eq!(self.slots.len(), plan.slots, "slot arrays aligned");
-        self.counters.components_rebuilt += plan.rebuilt();
-        self.counters.components_reused += plan.reused();
+        self.obs.components_rebuilt.add(plan.rebuilt() as u64);
+        self.obs.components_reused.add(plan.reused() as u64);
         Ok(plan)
     }
 
@@ -709,8 +675,8 @@ impl SnapshotEngine {
             if !touched.is_empty() {
                 self.rebuild_touched(&touched, 0)?;
             }
-            self.counters.compact_steps += 1;
-            self.counters.slots_reclaimed += step.reclaimed;
+            self.obs.compact_steps.inc();
+            self.obs.slots_reclaimed.add(step.reclaimed as u64);
         }
         if let Some(start) = clock {
             self.obs
@@ -745,7 +711,6 @@ impl SnapshotEngine {
             slots: self.slots.clone(),
             consistent: !self.partition.has_ground_falsum && self.unsat == 0,
             opts: self.opts,
-            lifetime: self.counters,
         });
         self.cell.store(snap);
     }
@@ -787,10 +752,21 @@ impl SnapshotEngine {
         &self.opts
     }
 
-    /// Aggregate counters of the current state (readable without locks;
-    /// equals the published snapshot's [`EngineSnapshot::stats`]).
+    /// Aggregate counters: sizes and CDCL statistics of the writer's
+    /// current slots (equal to the published snapshot's), lifetime
+    /// counts read from the writer's registry ([`EngineObs`]).
     pub fn stats(&self) -> EngineStats {
-        self.snapshot().stats()
+        let mut stats = EngineStats {
+            components: self.partition.len(),
+            cells: self.partition.cell_count(),
+            ..self.obs.stats()
+        };
+        for slot in &self.slots {
+            stats.vars += slot.enc.num_vars();
+            stats.clauses += slot.enc.num_clauses();
+            stats.sat += slot.enc.solver_stats();
+        }
+        stats
     }
 }
 

@@ -10,10 +10,10 @@
 //! a full shard needs room (stale-epoch entries are evicted first).
 
 use crate::{ServeAnswer, ServeRequest};
+use currency_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 type Shard = HashMap<ServeRequest, (u64, ServeAnswer)>;
 
@@ -28,14 +28,16 @@ pub(crate) struct AnswerCache {
     capacity_per_shard: usize,
     hasher: RandomState,
     /// Poisoned-shard recoveries: each is a reader that crashed under a
-    /// shard lock and was absorbed without losing the cache.
-    degraded: AtomicU64,
+    /// shard lock and was absorbed without losing the cache
+    /// (`currency_degraded_events_total{source="answer_cache"}`).
+    degraded: Arc<Counter>,
 }
 
 impl AnswerCache {
     /// `capacity == 0` disables caching entirely (every lookup misses,
-    /// inserts are dropped).
-    pub(crate) fn new(capacity: usize, shards: usize) -> AnswerCache {
+    /// inserts are dropped).  The degraded-event counter registers on
+    /// `registry`.
+    pub(crate) fn new(capacity: usize, shards: usize, registry: &MetricsRegistry) -> AnswerCache {
         let shards = shards.max(1);
         AnswerCache {
             shards: if capacity == 0 {
@@ -45,7 +47,11 @@ impl AnswerCache {
             },
             capacity_per_shard: capacity.div_ceil(shards).max(1),
             hasher: RandomState::new(),
-            degraded: AtomicU64::new(0),
+            degraded: registry.counter(
+                "currency_degraded_events_total",
+                "Poisoned-lock recoveries absorbed by the serving stack",
+                &[("source", "answer_cache")],
+            ),
         }
     }
 
@@ -94,7 +100,7 @@ impl AnswerCache {
 
     /// Poisoned-shard recoveries absorbed so far.
     pub(crate) fn degraded_events(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
+        self.degraded.get()
     }
 
     /// Test hook: the raw shard locks, for poisoning them on purpose.
@@ -116,7 +122,7 @@ impl AnswerCache {
             // One crashed reader, one degraded event: clear the poison so
             // healthy operation resumes without re-counting.
             self.shards[ix].clear_poison();
-            self.degraded.fetch_add(1, Ordering::Relaxed);
+            self.degraded.inc();
             poisoned.into_inner()
         })
     }
@@ -131,9 +137,13 @@ mod tests {
         ServeRequest::Dcip(RelId(rel))
     }
 
+    fn new_cache(capacity: usize, shards: usize) -> AnswerCache {
+        AnswerCache::new(capacity, shards, &MetricsRegistry::new())
+    }
+
     #[test]
     fn epoch_mismatch_misses_but_retains_for_stale_serve() {
-        let cache = AnswerCache::new(16, 2);
+        let cache = new_cache(16, 2);
         cache.insert(&req(0), 1, ServeAnswer::Bool(true));
         assert_eq!(cache.get(&req(0), 1), Some(ServeAnswer::Bool(true)));
         assert_eq!(cache.get(&req(0), 2), None, "new epoch invalidates");
@@ -148,7 +158,7 @@ mod tests {
 
     #[test]
     fn full_shard_evicts_stale_entries_first() {
-        let cache = AnswerCache::new(4, 1);
+        let cache = new_cache(4, 1);
         for r in 0..4 {
             cache.insert(&req(r), 1, ServeAnswer::Bool(true));
         }
@@ -161,7 +171,7 @@ mod tests {
 
     #[test]
     fn full_shard_of_current_entries_evicts_one() {
-        let cache = AnswerCache::new(2, 1);
+        let cache = new_cache(2, 1);
         cache.insert(&req(0), 1, ServeAnswer::Bool(true));
         cache.insert(&req(1), 1, ServeAnswer::Bool(true));
         cache.insert(&req(2), 1, ServeAnswer::Bool(true));
@@ -171,7 +181,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = AnswerCache::new(0, 4);
+        let cache = new_cache(0, 4);
         cache.insert(&req(0), 1, ServeAnswer::Bool(true));
         assert_eq!(cache.get(&req(0), 1), None);
         assert_eq!(cache.get_any(&req(0)), None);
@@ -180,7 +190,7 @@ mod tests {
 
     #[test]
     fn poisoned_shard_keeps_serving_and_counts_one_degraded_event() {
-        let cache = AnswerCache::new(8, 1);
+        let cache = new_cache(8, 1);
         cache.insert(&req(0), 1, ServeAnswer::Bool(true));
         // A thread dies while holding the (only) shard lock...
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -203,7 +213,7 @@ mod tests {
 
     #[test]
     fn overwrite_same_request_updates_epoch() {
-        let cache = AnswerCache::new(8, 1);
+        let cache = new_cache(8, 1);
         cache.insert(&req(0), 1, ServeAnswer::Bool(true));
         cache.insert(&req(0), 2, ServeAnswer::Bool(false));
         assert_eq!(cache.get(&req(0), 2), Some(ServeAnswer::Bool(false)));

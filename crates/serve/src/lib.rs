@@ -20,8 +20,9 @@
 //!   private [`SnapshotReader`] solver scratch (no shared locks) and
 //!   then cached for every other handle.
 //! * Admission is controlled by an optional lock-free token-bucket
-//!   [`RateLimit`], and every counter ([`ServeStats`]) is an atomic, so
-//!   stats scrapes never block queries — and vice versa.
+//!   [`RateLimit`], and every counter is an atomic on the stack's one
+//!   metrics registry ([`ServeStats`] is a view over it), so stats
+//!   scrapes never block queries — and vice versa.
 //!
 //! ## Bounded work
 //!
@@ -87,10 +88,10 @@ use currency_reason::{
 };
 use obs::{kind_index, ServeObs};
 use rate_limit::TokenBucket;
-use stats::{Counters, InflightGuard};
+use stats::InflightGuard;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -267,7 +268,9 @@ struct ServeShared {
     cache: AnswerCache,
     limiter: Option<TokenBucket>,
     breaker: Breaker,
-    counters: Counters,
+    /// Queries currently being evaluated: admission state the
+    /// in-flight cap is enforced on ([`InflightGuard`]), not a counter.
+    inflight: AtomicU64,
     obs: ServeObs,
     slow_queries: Mutex<VecDeque<SlowQuery>>,
     slow_query_threshold: Option<Duration>,
@@ -322,22 +325,22 @@ impl CurrencyServe {
 
     /// Stand up the serving layer over an already-built writer (e.g. one
     /// constructed with [`SnapshotEngine::with_value_rels`]).
-    pub fn from_engine(mut engine: SnapshotEngine, opts: &ServeOptions) -> CurrencyServe {
-        // One registry for the whole stack: the writer engine's phase
-        // timings land next to the serve-side series, so a single
-        // scrape covers both.
-        let registry = Arc::new(MetricsRegistry::new());
-        engine.obs_mut().bind_metrics(&registry);
+    pub fn from_engine(engine: SnapshotEngine, opts: &ServeOptions) -> CurrencyServe {
+        // One registry for the whole stack, owned by the writer engine:
+        // the serve-side series land next to its phase timings and
+        // counters (including any it recorded before this call), so a
+        // single scrape covers both.
+        let registry = engine.obs().registry().clone();
         let shared = Arc::new(ServeShared {
             cell: engine.cell(),
-            cache: AnswerCache::new(opts.cache_capacity, opts.cache_shards),
+            cache: AnswerCache::new(opts.cache_capacity, opts.cache_shards, &registry),
             limiter: opts.rate_limit.map(TokenBucket::new),
             breaker: Breaker::new(
                 opts.breaker_threshold,
                 opts.breaker_backoff,
                 opts.breaker_max_backoff,
             ),
-            counters: Counters::default(),
+            inflight: AtomicU64::new(0),
             obs: ServeObs::new(registry),
             slow_queries: Mutex::new(VecDeque::new()),
             slow_query_threshold: opts.slow_query_threshold,
@@ -405,35 +408,35 @@ impl CurrencyServe {
         self.shared.cell.load().epoch()
     }
 
-    /// Scrape the serving counters — lock-free, valid while queries are
-    /// in flight and the writer is publishing.
+    /// Read the serving counters from the registry — lock-free, valid
+    /// while queries are in flight and the writer is publishing.
     pub fn stats(&self) -> ServeStats {
-        let c = &self.shared.counters;
+        let obs = &self.shared.obs;
+        let [cache_hits, cache_misses, stale_served] =
+            [&obs.cache_hits, &obs.cache_misses, &obs.stale_served].map(|c| c.get());
         ServeStats {
             epoch: self.shared.cell.load().epoch(),
-            queries: c.queries.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            rate_limited: c.rate_limited.load(Ordering::Relaxed),
-            inflight: c.inflight.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            timeouts: c.timeouts.load(Ordering::Relaxed),
-            stale_served: c.stale_served.load(Ordering::Relaxed),
-            breaker_trips: c.breaker_trips.load(Ordering::Relaxed),
-            breaker_rejects: c.breaker_rejects.load(Ordering::Relaxed),
+            queries: cache_hits + cache_misses + stale_served,
+            cache_hits,
+            cache_misses,
+            rate_limited: obs.rate_limited.get(),
+            inflight: self.shared.inflight.load(Ordering::Relaxed),
+            shed: obs.shed.get(),
+            timeouts: obs.timeouts.get(),
+            stale_served,
+            breaker_trips: obs.breaker_trips.get(),
+            breaker_rejects: obs.breaker_rejects.get(),
             breakers_open: self.shared.breaker.open_count(),
             degraded_events: self.shared.cache.degraded_events()
                 + self.shared.cell.degraded_events(),
             cached_entries: self.shared.cache.len(),
-            latency_ns_total: c.latency_ns_total.load(Ordering::Relaxed),
-            latency_ns_max: c.latency_ns_max.load(Ordering::Relaxed),
         }
     }
 
-    /// The serving stack's metric registry: serve-side series (latency
-    /// histograms per query kind, cache hit/miss counters, degradation
-    /// counters) plus the writer engine's phase timings, all in one
-    /// place.
+    /// The serving stack's one metric registry, owned by the writer
+    /// engine: serve-side series (latency histograms per query kind,
+    /// cache hit/miss counters, degradation counters) next to the
+    /// writer's phase timings and lifetime counters.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.shared.obs.registry()
     }
@@ -527,17 +530,14 @@ impl ServeHandle {
         let kind = kind_index(req);
         if let Some(limiter) = &shared.limiter {
             if !limiter.try_acquire() {
-                shared.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
                 shared.obs.rate_limited.inc();
                 return Err(ServeError::RateLimited);
             }
         }
         // Overload shedding: fail fast before pinning a snapshot or
         // touching a solver, so a saturated service stays responsive.
-        let Some(_inflight) =
-            InflightGuard::try_enter(&shared.counters.inflight, shared.max_inflight)
+        let Some(_inflight) = InflightGuard::try_enter(&shared.inflight, shared.max_inflight)
         else {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             shared.obs.shed.inc();
             return Err(ServeError::Overloaded);
         };
@@ -547,22 +547,14 @@ impl ServeHandle {
         // A fresh cache hit costs no solve: it bypasses the breaker and
         // the deadline entirely.
         if let Some(ans) = shared.cache.get(req, epoch) {
-            shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-            shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.obs.cache_hits.inc();
-            let ns = saturating_elapsed_ns(start);
-            shared.counters.record_latency(ns);
-            shared.obs.latency_ns[kind].record(ns);
+            shared.obs.latency_ns[kind].record(saturating_elapsed_ns(start));
             return Ok(ans);
         }
         match shared.breaker.admit(req) {
             Admit::Allow => {}
             Admit::Probe => shared.obs.event("breaker.half_open", 0),
             Admit::Reject => {
-                shared
-                    .counters
-                    .breaker_rejects
-                    .fetch_add(1, Ordering::Relaxed);
                 shared.obs.breaker_rejects.inc();
                 return match self.serve_stale(&shared, req, start) {
                     Some(stale) => Ok(stale),
@@ -579,23 +571,14 @@ impl ServeHandle {
                     shared.obs.event("breaker.closed", 0);
                 }
                 shared.cache.insert(req, epoch, ans.clone());
-                shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-                shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                 shared.obs.cache_misses.inc();
-                let ns = saturating_elapsed_ns(start);
-                shared.counters.record_latency(ns);
-                shared.obs.latency_ns[kind].record(ns);
+                shared.obs.latency_ns[kind].record(saturating_elapsed_ns(start));
                 shared.note_slow(req, epoch, start.elapsed(), None);
                 Ok(ans)
             }
             Err(err @ ReasonError::Interrupted { .. }) => {
-                shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 shared.obs.timeouts.inc();
                 if shared.breaker.record_timeout(req) {
-                    shared
-                        .counters
-                        .breaker_trips
-                        .fetch_add(1, Ordering::Relaxed);
                     shared.obs.breaker_trips.inc();
                     shared.obs.event("breaker.open", 0);
                 }
@@ -635,15 +618,11 @@ impl ServeHandle {
         start: Instant,
     ) -> Option<ServeAnswer> {
         let (stale_epoch, answer) = shared.cache.get_any(req)?;
-        shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-        shared.counters.stale_served.fetch_add(1, Ordering::Relaxed);
         shared.obs.stale_served.inc();
         let lag = self.reader.epoch().saturating_sub(stale_epoch);
         shared.obs.epoch_lag.set(lag);
         shared.obs.event("serve.stale", lag);
-        let ns = saturating_elapsed_ns(start);
-        shared.counters.record_latency(ns);
-        shared.obs.latency_ns[kind_index(req)].record(ns);
+        shared.obs.latency_ns[kind_index(req)].record(saturating_elapsed_ns(start));
         Some(ServeAnswer::Stale {
             epoch: stale_epoch,
             answer: Box::new(answer),
@@ -866,6 +845,26 @@ mod tests {
     }
 
     #[test]
+    fn writer_counts_from_before_the_front_door_survive() {
+        let (spec, r) = spec();
+        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        let mut delta = SpecDelta::new();
+        delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
+        engine.apply(&delta).unwrap();
+        engine.apply(&delta).unwrap();
+        let serve = CurrencyServe::from_engine(engine, &ServeOptions::default());
+        serve.apply(&delta).unwrap();
+        let snap = serve.metrics().snapshot();
+        assert!(matches!(
+            snap.find("currency_engine_applies_total", &[]),
+            Some(currency_obs::SeriesValue::Counter(3))
+        ));
+        let writer = serve.writer.lock().unwrap();
+        assert_eq!(writer.stats().updates_applied, 3);
+        assert!(Arc::ptr_eq(writer.obs().registry(), serve.metrics()));
+    }
+
+    #[test]
     fn equal_queries_built_independently_share_one_entry() {
         let (serve, r) = serve(&ServeOptions::default());
         let mut h = serve.handle();
@@ -1071,6 +1070,32 @@ mod tests {
         assert_eq!(stats.shed, shed_or_ok.1);
         assert_eq!(stats.inflight, 0, "gauge settles to zero");
         assert!(shed_or_ok.0 > 0, "some queries are served under overload");
+    }
+
+    #[test]
+    fn full_inflight_cap_sheds_exactly_one_query() {
+        let opts = ServeOptions {
+            max_inflight: 2,
+            ..ServeOptions::default()
+        };
+        let (serve, _) = serve(&opts);
+        let mut h = serve.handle();
+        // Take both slots on the shared gauge, as two solving queries
+        // would: the next arrival must shed, deterministically.
+        let gauge = &serve.shared.inflight;
+        let a = InflightGuard::try_enter(gauge, 2).expect("slot 1");
+        let b = InflightGuard::try_enter(gauge, 2).expect("slot 2");
+        assert_eq!(h.cps(), Err(ServeError::Overloaded));
+        assert_eq!(serve.stats().shed, 1);
+        assert_eq!(serve.stats().queries, 0, "a shed query is not answered");
+        let snap = serve.metrics().snapshot();
+        assert!(matches!(
+            snap.find("currency_serve_shed_total", &[]),
+            Some(currency_obs::SeriesValue::Counter(1))
+        ));
+        drop((a, b));
+        assert!(h.cps().unwrap(), "released slots admit the query");
+        assert_eq!(serve.stats().shed, 1);
     }
 
     #[test]

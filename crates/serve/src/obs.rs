@@ -1,11 +1,12 @@
 //! Metric handles and trace plumbing for the serving layer.
 //!
-//! Every [`crate::CurrencyServe`] owns one [`ServeObs`]: a
-//! [`MetricsRegistry`] holding the serve-side series (latency histograms
-//! per query kind, cache hit/miss counters, degradation counters, the
-//! epoch-lag gauge) *plus* the writer engine's series — the writer's
-//! [`currency_reason::EngineObs`] is re-bound into the same registry at
-//! construction, so one scrape shows the whole stack.
+//! Every [`crate::CurrencyServe`] owns one [`ServeObs`]: the serve-side
+//! series (latency histograms per query kind, cache hit/miss counters,
+//! degradation counters, the epoch-lag gauge), registered on the
+//! writer engine's own [`MetricsRegistry`] — the registry the
+//! [`currency_reason::EngineObs`] created with the engine — so one
+//! scrape shows the whole stack.  These counters are the only store of
+//! the serve counts: [`crate::ServeStats`] is read from them.
 //!
 //! Rare, structurally interesting moments (breaker transitions,
 //! stale-serve degradations) are additionally emitted as structured
@@ -68,6 +69,7 @@ impl ServeObs {
                 &[("query_kind", kind)],
             )
         });
+        let counter = |name, help| registry.counter(name, help, &[]);
         ServeObs {
             latency_ns,
             cache_hits: registry.counter(
@@ -80,35 +82,29 @@ impl ServeObs {
                 "Queries that went to a solver",
                 &[("shard", "0")],
             ),
-            stale_served: registry.counter(
+            stale_served: counter(
                 "currency_serve_stale_served_total",
                 "Degraded answers served from an older epoch's cache entry",
-                &[],
             ),
-            shed: registry.counter(
+            shed: counter(
                 "currency_serve_shed_total",
                 "Queries shed by the in-flight cap before any solving",
-                &[],
             ),
-            timeouts: registry.counter(
+            timeouts: counter(
                 "currency_serve_timeouts_total",
                 "Solves interrupted by the per-request deadline",
-                &[],
             ),
-            rate_limited: registry.counter(
+            rate_limited: counter(
                 "currency_serve_rate_limited_total",
                 "Queries rejected by the rate limiter",
-                &[],
             ),
-            breaker_trips: registry.counter(
+            breaker_trips: counter(
                 "currency_serve_breaker_trips_total",
                 "Circuit-breaker open transitions (re-opens included)",
-                &[],
             ),
-            breaker_rejects: registry.counter(
+            breaker_rejects: counter(
                 "currency_serve_breaker_rejects_total",
                 "Queries rejected by an open circuit breaker",
-                &[],
             ),
             epoch_lag: registry.gauge(
                 "currency_serve_epoch_lag",

@@ -106,7 +106,7 @@ pub struct ShardedServeStats {
     /// Each shard's counters, in shard order.
     pub per_shard: Vec<ServeStats>,
     /// Field-wise sum across shards (`epoch` sums to total publications
-    /// across all shards; `latency_ns_max` is the max, not the sum).
+    /// across all shards).
     pub total: ServeStats,
 }
 
@@ -278,13 +278,10 @@ impl ShardedServe {
     }
 
     /// Per-shard + aggregate serving counters, lock-free.  Sums
-    /// saturate: `latency_ns_total` in particular accumulates
-    /// nanoseconds across every shard and every answered query, and a
-    /// long-lived deployment overflowing `u64` must pin at the ceiling
-    /// rather than wrap to a tiny number mid-scrape.  (The
-    /// `currency_serve_latency_ns` histogram in
-    /// [`ShardedServe::metrics_text`] is the overflow-proof replacement
-    /// for the deprecated total/max fields.)
+    /// saturate, exactly as the counter series of
+    /// [`ShardedServe::metrics_snapshot`] do, so the total always equals
+    /// the merged scrape.  Latency lives in the merged
+    /// `currency_serve_latency_ns` histograms.
     pub fn stats(&self) -> ShardedServeStats {
         let per_shard: Vec<ServeStats> = self.serves.iter().map(|s| s.stats()).collect();
         let mut total = ServeStats::default();
@@ -303,8 +300,6 @@ impl ShardedServe {
             total.breakers_open = total.breakers_open.saturating_add(s.breakers_open);
             total.degraded_events = total.degraded_events.saturating_add(s.degraded_events);
             total.cached_entries = total.cached_entries.saturating_add(s.cached_entries);
-            total.latency_ns_total = total.latency_ns_total.saturating_add(s.latency_ns_total);
-            total.latency_ns_max = total.latency_ns_max.max(s.latency_ns_max);
         }
         ShardedServeStats { per_shard, total }
     }

@@ -1,47 +1,23 @@
-//! Lock-free serving counters and their scraped snapshot.
+//! The scraped view of a service's counters, and the in-flight gauge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters, every one an atomic: they are bumped on the query hot
-/// path and scraped by monitoring **while queries are in flight**, so no
-/// counter may sit behind a lock a reader could be holding.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) queries: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
-    pub(crate) rate_limited: AtomicU64,
-    pub(crate) inflight: AtomicU64,
-    pub(crate) shed: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-    pub(crate) stale_served: AtomicU64,
-    pub(crate) breaker_trips: AtomicU64,
-    pub(crate) breaker_rejects: AtomicU64,
-    pub(crate) latency_ns_total: AtomicU64,
-    pub(crate) latency_ns_max: AtomicU64,
-}
-
-impl Counters {
-    pub(crate) fn record_latency(&self, ns: u64) {
-        self.latency_ns_total.fetch_add(ns, Ordering::Relaxed);
-        self.latency_ns_max.fetch_max(ns, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time scrape of a service's counters.
+/// A point-in-time view of a service's counters.
 ///
-/// Taken without acquiring any lock: the counters are atomics and the
-/// engine-side numbers come from the immutable published snapshot, so a
-/// scrape is safe (and non-blocking) while readers query and the writer
-/// publishes.  The counters are read individually, so a scrape taken
-/// mid-query may be off by the queries completing around it — fine for
-/// monitoring, which is what this is for.
+/// Every count is read from the stack's one metrics registry (the
+/// `currency_serve_*` and `currency_degraded_events_total` series of
+/// [`crate::CurrencyServe::metrics`]), so the stats and a Prometheus
+/// scrape can never disagree about what happened.  The counters are
+/// relaxed atomics read individually: a view taken mid-query may be off
+/// by the queries completing around it — fine for monitoring, which is
+/// what this is for.  Latency lives only in the
+/// `currency_serve_latency_ns` histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeStats {
     /// Epoch of the currently published snapshot.
     pub epoch: u64,
-    /// Queries answered (hits + misses + stale serves; excludes
-    /// rejections).
+    /// Queries answered: `cache_hits + cache_misses + stale_served`
+    /// (rejections excluded).
     pub queries: u64,
     /// Queries answered from the epoch-keyed cache at the live epoch.
     pub cache_hits: u64,
@@ -72,18 +48,6 @@ pub struct ServeStats {
     pub degraded_events: u64,
     /// Entries currently resident in the answer cache (any epoch).
     pub cached_entries: usize,
-    /// Total evaluation wall time across answered queries, nanoseconds.
-    ///
-    /// **Deprecated** in favor of the `currency_serve_latency_ns`
-    /// histogram (per-query-kind buckets, percentiles, overflow-proof
-    /// shard merging — see [`crate::CurrencyServe::metrics`]); still
-    /// populated for compatibility.  Sums across shards saturate.
-    pub latency_ns_total: u64,
-    /// Worst single answered-query wall time, nanoseconds.
-    ///
-    /// **Deprecated** in favor of the `currency_serve_latency_ns`
-    /// histogram's exact max; still populated for compatibility.
-    pub latency_ns_max: u64,
 }
 
 impl ServeStats {
@@ -96,11 +60,6 @@ impl ServeStats {
             self.cache_hits as f64 / self.queries as f64
         }
     }
-
-    /// Mean evaluation wall time per answered query, nanoseconds.
-    pub fn mean_latency_ns(&self) -> u64 {
-        self.latency_ns_total.checked_div(self.queries).unwrap_or(0)
-    }
 }
 
 /// RAII in-flight marker: increments on construction, decrements on drop
@@ -109,34 +68,18 @@ impl ServeStats {
 pub(crate) struct InflightGuard<'a>(&'a AtomicU64);
 
 impl<'a> InflightGuard<'a> {
-    pub(crate) fn enter(gauge: &'a AtomicU64) -> InflightGuard<'a> {
-        gauge.fetch_add(1, Ordering::Relaxed);
-        InflightGuard(gauge)
-    }
-
     /// Enter only if fewer than `cap` queries are in flight (`cap == 0`
     /// means unlimited).  The compare-exchange loop makes the check and
     /// the increment one atomic step, so a burst of arrivals can never
     /// overshoot the cap.
     pub(crate) fn try_enter(gauge: &'a AtomicU64, cap: usize) -> Option<InflightGuard<'a>> {
-        if cap == 0 {
-            return Some(InflightGuard::enter(gauge));
-        }
-        let mut current = gauge.load(Ordering::Relaxed);
-        loop {
-            if current >= cap as u64 {
-                return None;
-            }
-            match gauge.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(InflightGuard(gauge)),
-                Err(seen) => current = seen,
-            }
-        }
+        let cap = if cap == 0 { u64::MAX } else { cap as u64 };
+        gauge
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .ok()?;
+        Some(InflightGuard(gauge))
     }
 }
 
@@ -151,17 +94,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_rate_and_mean_handle_zero() {
-        let s = ServeStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.mean_latency_ns(), 0);
+    fn hit_rate_handles_zero() {
+        assert_eq!(ServeStats::default().hit_rate(), 0.0);
     }
 
     #[test]
     fn inflight_guard_decrements_on_unwind() {
         let gauge = AtomicU64::new(0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = InflightGuard::enter(&gauge);
+            let _g = InflightGuard::try_enter(&gauge, 0);
             assert_eq!(gauge.load(Ordering::Relaxed), 1);
             panic!("mid-query crash");
         }));

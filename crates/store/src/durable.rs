@@ -168,10 +168,6 @@ pub struct DurableEngine {
     /// consistent state the durable files define.  A *rejected* delta
     /// (validation failure before anything is written) never poisons.
     poisoned: Option<String>,
-    /// The store's metric registry: WAL timings, engine phase timings,
-    /// and recovery progress all land here (see
-    /// [`DurableEngine::metrics`]).
-    metrics: Arc<MetricsRegistry>,
 }
 
 impl DurableEngine {
@@ -216,10 +212,8 @@ impl DurableEngine {
             store_opts.sync_data,
         )?;
         write_snapshot_with(&*vfs, dir, 0, &spec, store_opts.sync_data)?;
-        let mut engine = CurrencyEngine::new_owned(spec, engine_opts)?;
-        let metrics = Arc::new(MetricsRegistry::new());
-        wal.bind_metrics(&metrics);
-        engine.obs_mut().bind_metrics(&metrics);
+        let engine = CurrencyEngine::new_owned(spec, engine_opts)?;
+        wal.bind_metrics(engine.obs().registry());
         Ok(DurableEngine {
             dir: dir.to_path_buf(),
             vfs,
@@ -230,7 +224,6 @@ impl DurableEngine {
             snapshot_seq: 0,
             recovery: RecoveryReport::default(),
             poisoned: None,
-            metrics,
         })
     }
 
@@ -305,11 +298,10 @@ impl DurableEngine {
             store_opts.sync_data,
         )?;
         let mut engine = CurrencyEngine::new_owned(spec, engine_opts)?;
-        let metrics = Arc::new(MetricsRegistry::new());
-        engine.obs_mut().bind_metrics(&metrics);
         // Recovery progress gauges: total is known up front, replayed
         // advances record by record, so a concurrent scrape (or a
         // post-mortem snapshot) shows how far the replay got.
+        let metrics = engine.obs().registry();
         let recovery_total = metrics.gauge(
             "currency_recovery_records_total",
             "Log records found at open (replay target)",
@@ -445,7 +437,7 @@ impl DurableEngine {
             });
         }
         let mut wal = opened.wal;
-        wal.bind_metrics(&metrics);
+        wal.bind_metrics(engine.obs().registry());
         if pending_step {
             // The original run crashed between the final delta and its
             // auto step record.  Run the deterministic slot-bounded step
@@ -470,7 +462,6 @@ impl DurableEngine {
             snapshot_seq,
             recovery,
             poisoned: None,
-            metrics,
         })
     }
 
@@ -680,17 +671,18 @@ impl DurableEngine {
         self.engine.stats()
     }
 
-    /// The store's metric registry: engine apply phase timings, WAL
-    /// append/flush/fsync histograms, and the recovery progress gauges
-    /// all live here.  Hand the same registry to other components (or
+    /// The store's one metric registry, owned by its engine: engine
+    /// phase timings and lifetime counters, WAL append/flush/fsync
+    /// histograms, and the recovery progress gauges all live here.
+    /// Hand the same registry to other components (or
     /// snapshot-and-merge several stores') for a single exposition.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        self.engine.obs().registry()
     }
 
     /// Current metrics in Prometheus text exposition format.
     pub fn metrics_text(&self) -> String {
-        self.metrics.snapshot().render_prometheus()
+        self.metrics().render_prometheus()
     }
 }
 

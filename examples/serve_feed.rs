@@ -136,18 +136,25 @@ fn main() {
     }
 
     let stats = serve.stats();
+    // Latency lives in the registry: one histogram per query kind,
+    // merged here into one distribution.
+    let latency = serve
+        .metrics()
+        .snapshot()
+        .merged_histogram("currency_serve_latency_ns");
     println!(
         "\nwriter published {} epochs; {READER_THREADS} readers completed {} query rounds",
         stats.epoch, total_rounds
     );
     println!(
         "served {} queries: {} cache hits / {} misses (hit rate {:.0}%), \
-         mean latency {}µs, {} entries resident",
+         mean latency {}µs (max {}µs), {} entries resident",
         stats.queries,
         stats.cache_hits,
         stats.cache_misses,
         stats.hit_rate() * 100.0,
-        stats.mean_latency_ns() / 1_000,
+        latency.sum.checked_div(latency.count()).unwrap_or(0) / 1_000,
+        latency.max / 1_000,
         stats.cached_entries
     );
 

@@ -4,20 +4,27 @@
 //! and the writer publishes — and the series the layers promise
 //! (serve latency buckets, engine apply phase timings, WAL flush
 //! timings, per-shard cache hit rates, recovery progress) must actually
-//! be there with non-trivial values.
+//! be there with non-trivial values.  Every count the stats structs
+//! report must also equal its series: the registry is their only store.
 
 use data_currency::model::{
     AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelId, RelationSchema, SpecDelta, Specification,
     Term, Tuple, TupleId, Value,
 };
-use data_currency::obs::{MetricsSnapshot, RingRecorder, SeriesValue, TraceKind};
-use data_currency::reason::CurrencyOrderQuery;
-use data_currency::reason::Options;
-use data_currency::serve::{CurrencyServe, ServeOptions, ServeRequest, ShardedServe};
+use data_currency::obs::{
+    MetricsSnapshot, Recorder, RingRecorder, SeriesValue, TraceEvent, TraceKind,
+};
+use data_currency::reason::{
+    CurrencyEngine, CurrencyOrderQuery, EngineStats, Options, SnapshotEngine,
+};
+use data_currency::serve::{
+    CurrencyServe, RateLimit, ServeError, ServeOptions, ServeRequest, ServeStats, ShardedServe,
+};
 use data_currency::store::{DurableEngine, StoreOptions};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const A: AttrId = AttrId(0);
@@ -287,10 +294,180 @@ fn sharded_serve_merges_per_shard_cache_series() {
             other => panic!("shard {shard} hit counter missing: {other:?}"),
         }
     }
-    // The deprecated aggregate fields stay populated alongside.
     let stats = sharded.stats();
     assert!(stats.total.queries >= 4);
-    assert!(stats.total.latency_ns_total > 0);
+    assert_eq!(
+        snap.merged_histogram("currency_serve_latency_ns").count(),
+        stats.total.queries,
+        "one latency sample per answered query, across shards"
+    );
+}
+
+/// Sum of every series of counter family `name` (all label sets).
+fn counter_sum(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.families
+        .iter()
+        .filter(|f| f.name == name)
+        .flat_map(|f| &f.series)
+        .map(|s| match s.value {
+            SeriesValue::Counter(n) => n,
+            ref other => panic!("{name} is not a counter: {other:?}"),
+        })
+        .sum()
+}
+
+/// Every count of `stats` against its series in `snap`.
+fn assert_serve_stats_match(stats: &ServeStats, snap: &MetricsSnapshot) {
+    let pairs = [
+        (stats.cache_hits, "currency_serve_cache_hits_total"),
+        (stats.cache_misses, "currency_serve_cache_misses_total"),
+        (stats.stale_served, "currency_serve_stale_served_total"),
+        (stats.shed, "currency_serve_shed_total"),
+        (stats.timeouts, "currency_serve_timeouts_total"),
+        (stats.rate_limited, "currency_serve_rate_limited_total"),
+        (stats.breaker_trips, "currency_serve_breaker_trips_total"),
+        (
+            stats.breaker_rejects,
+            "currency_serve_breaker_rejects_total",
+        ),
+        (stats.degraded_events, "currency_degraded_events_total"),
+    ];
+    for (stat, series) in pairs {
+        assert_eq!(stat, counter_sum(snap, series), "{series}");
+    }
+    assert_eq!(
+        snap.merged_histogram("currency_serve_latency_ns").count(),
+        stats.queries,
+        "summed latency _count"
+    );
+}
+
+/// Parks the thread that emits `serve.stale` until released: the stale
+/// serve keeps its in-flight slot meanwhile, so a concurrent query meets
+/// a full cap deterministically.
+struct GateOnStale {
+    entered: Barrier,
+    release: Barrier,
+}
+
+impl Recorder for GateOnStale {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: TraceEvent) {
+        if event.name == "serve.stale" {
+            self.entered.wait();
+            self.release.wait();
+        }
+    }
+}
+
+#[test]
+fn serve_stats_equal_the_scrape() {
+    let (spec, r) = spec(3);
+    let opts = ServeOptions {
+        max_inflight: 1,
+        rate_limit: Some(RateLimit {
+            burst: 6,
+            per_sec: 0,
+        }),
+        ..ServeOptions::default()
+    };
+    let serve = CurrencyServe::new(spec, &Options::default(), &opts).unwrap();
+    let gate = Arc::new(GateOnStale {
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    serve.set_recorder(gate.clone());
+    let mut h = serve.handle();
+    let cop = ServeRequest::Cop(CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)));
+    h.query(&cop).unwrap(); // miss
+    h.query(&cop).unwrap(); // hit
+    h.cps().unwrap(); // miss
+    serve.apply(&insert(r, 0, 99)).unwrap(); // both answers go stale
+    std::thread::scope(|s| {
+        let mut stale_h = serve.handle();
+        let stale = s.spawn(move || stale_h.query_within(&cop, Some(Duration::ZERO)));
+        // The zero-budget COP times out and degrades to stale, parked in
+        // the recorder while holding the only slot.
+        gate.entered.wait();
+        assert_eq!(h.cps(), Err(ServeError::Overloaded));
+        gate.release.wait();
+        assert!(stale.join().unwrap().unwrap().is_stale());
+    });
+    h.cps().unwrap(); // miss at the new epoch: the sixth token
+    assert_eq!(h.cps(), Err(ServeError::RateLimited));
+    let stats = serve.stats();
+    assert_eq!(
+        (
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.stale_served,
+            stats.timeouts,
+            stats.shed,
+            stats.rate_limited
+        ),
+        (1, 3, 1, 1, 1, 1)
+    );
+    assert_eq!(stats.queries, 5);
+    assert_serve_stats_match(&stats, &serve.metrics().snapshot());
+
+    // The sharded front door: its totals equal the merged scrape.
+    let (spec, r) = spec_pair();
+    let sharded =
+        ShardedServe::new(&spec, 2, &Options::default(), &ServeOptions::default()).unwrap();
+    let mut h = sharded.handle();
+    for _ in 0..3 {
+        assert!(h.cps().unwrap());
+        assert!(h.dcip(r).unwrap());
+    }
+    let stats = sharded.stats();
+    assert!(stats.total.cache_hits > 0 && stats.total.cache_misses > 0);
+    assert_serve_stats_match(&stats.total, &sharded.metrics_snapshot());
+}
+
+/// The lifetime counts of `stats` against the engine series in `snap`.
+fn assert_engine_stats_match(stats: &EngineStats, snap: &MetricsSnapshot) {
+    let pairs = [
+        (stats.updates_applied, "currency_engine_applies_total"),
+        (
+            stats.components_rebuilt,
+            "currency_engine_components_rebuilt_total",
+        ),
+        (stats.compact_steps, "currency_engine_compact_steps_total"),
+        (
+            stats.slots_reclaimed,
+            "currency_engine_slots_reclaimed_total",
+        ),
+    ];
+    for (stat, series) in pairs {
+        assert_eq!(stat as u64, counter_sum(snap, series), "{series}");
+    }
+}
+
+#[test]
+fn engine_stats_equal_the_scrape() {
+    let (spec, r) = spec(3);
+    let mut retract = SpecDelta::new();
+    retract.remove_tuple(r, TupleId(0));
+    let mut live = CurrencyEngine::new_owned(spec.clone(), &Options::default()).unwrap();
+    let mut writer = SnapshotEngine::new(spec, &Options::default()).unwrap();
+    live.apply(&insert(r, 1, 99)).unwrap();
+    live.apply(&retract).unwrap();
+    live.compact().unwrap();
+    writer.apply(&insert(r, 1, 99)).unwrap();
+    writer.apply(&retract).unwrap();
+    writer.compact().unwrap();
+    for (stats, snap) in [
+        (live.stats(), live.obs().registry().snapshot()),
+        (writer.stats(), writer.obs().registry().snapshot()),
+    ] {
+        assert_eq!((stats.updates_applied, stats.compact_steps), (2, 1));
+        assert_eq!(stats.slots_reclaimed, 1);
+        assert!(stats.components_rebuilt >= 2);
+        assert_engine_stats_match(&stats, &snap);
+    }
 }
 
 #[test]
