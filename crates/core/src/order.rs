@@ -7,6 +7,7 @@
 //! semantics (paper §2) and the PTIME fixpoint algorithm (paper Theorem
 //! 6.1) are built from.
 
+use crate::cow::{Paged, PagedMap};
 use crate::value::TupleId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -16,9 +17,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The stored pair set is not automatically transitively closed; call
 /// [`OrderRelation::transitive_closure`] to materialize the closure.  An
 /// order is *valid* if its closure is irreflexive (equivalently: acyclic).
+///
+/// The pair set is a [`PagedMap`], so a cloned order shares its pages
+/// with the original until one of them writes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OrderRelation {
-    pairs: BTreeSet<(TupleId, TupleId)>,
+    pairs: PagedMap<(TupleId, TupleId), ()>,
 }
 
 impl OrderRelation {
@@ -29,12 +33,12 @@ impl OrderRelation {
 
     /// Record `lesser ≺ greater`.  Returns `true` if the pair is new.
     pub fn add(&mut self, lesser: TupleId, greater: TupleId) -> bool {
-        self.pairs.insert((lesser, greater))
+        self.pairs.insert((lesser, greater), ()).is_none()
     }
 
     /// `true` iff the pair `lesser ≺ greater` is stored (no closure).
     pub fn contains(&self, lesser: TupleId, greater: TupleId) -> bool {
-        self.pairs.contains(&(lesser, greater))
+        self.pairs.contains_key(&(lesser, greater))
     }
 
     /// Number of stored pairs.
@@ -49,7 +53,7 @@ impl OrderRelation {
 
     /// Iterate over the stored `(lesser, greater)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, TupleId)> + '_ {
-        self.pairs.iter().copied()
+        self.pairs.keys().copied()
     }
 
     /// Iterate over the stored pairs whose *lesser* side is `lesser`.
@@ -60,26 +64,39 @@ impl OrderRelation {
     pub fn pairs_from(&self, lesser: TupleId) -> impl Iterator<Item = (TupleId, TupleId)> + '_ {
         self.pairs
             .range((lesser, TupleId(u32::MIN))..=(lesser, TupleId(u32::MAX)))
-            .copied()
+            .map(|(&pair, _)| pair)
     }
 
     /// Remove the pair `lesser ≺ greater`.  Returns `true` if it was stored.
     pub fn remove(&mut self, lesser: TupleId, greater: TupleId) -> bool {
-        self.pairs.remove(&(lesser, greater))
+        self.pairs.remove(&(lesser, greater)).is_some()
     }
 
     /// Remove every pair mentioning `t` (on either side).  Returns the
     /// number of pairs dropped.  Used when a tuple is removed from its
     /// instance: its order facts go with it.
-    pub fn remove_involving(&mut self, t: TupleId) -> usize {
-        let before = self.pairs.len();
-        self.pairs.retain(|&(a, b)| a != t && b != t);
-        before - self.pairs.len()
+    ///
+    /// `peers` must list every tuple `t` can share a pair with (its
+    /// entity group — orders only relate same-entity tuples), so the
+    /// removal costs O(peers) lookups instead of a scan of the order.
+    /// Only the owning instance knows the group is complete, so this
+    /// stays crate-private.
+    pub(crate) fn remove_involving(&mut self, t: TupleId, peers: &[TupleId]) -> usize {
+        let dropped = peers
+            .iter()
+            .chain(std::iter::once(&t))
+            .map(|&p| usize::from(self.remove(p, t)) + usize::from(p != t && self.remove(t, p)))
+            .sum();
+        debug_assert!(
+            !self.iter().any(|(a, b)| a == t || b == t),
+            "a pair with {t:?} survived: `peers` was incomplete"
+        );
+        dropped
     }
 
     /// `true` iff every pair of `self` appears in `other` (⊆ on raw pairs).
     pub fn subset_of(&self, other: &OrderRelation) -> bool {
-        self.pairs.is_subset(&other.pairs)
+        self.iter().all(|(a, b)| other.contains(a, b))
     }
 
     /// Rewrite every stored id through a translation table (old id →
@@ -87,13 +104,14 @@ impl OrderRelation {
     /// Every stored id must survive the remap — removal already sheds a
     /// tuple's pairs, so a compacting instance never holds dead ids here.
     pub fn remap(&mut self, remap: &[Option<TupleId>]) {
-        self.pairs = std::mem::take(&mut self.pairs)
-            .into_iter()
+        self.pairs = self
+            .iter()
             .map(|(a, b)| {
-                (
+                let pair = (
                     remap[a.index()].expect("ordered ids are live"),
                     remap[b.index()].expect("ordered ids are live"),
-                )
+                );
+                (pair, ())
             })
             .collect();
     }
@@ -105,11 +123,11 @@ impl OrderRelation {
     /// construction (it is the number of stale versions of one entity).
     pub fn transitive_closure(&self) -> OrderRelation {
         let mut succ: BTreeMap<TupleId, BTreeSet<TupleId>> = BTreeMap::new();
-        for &(a, b) in &self.pairs {
+        for (a, b) in self.iter() {
             succ.entry(a).or_default().insert(b);
         }
-        let mut closed = self.pairs.clone();
-        let mut work: Vec<(TupleId, TupleId)> = self.pairs.iter().copied().collect();
+        let mut closed: BTreeSet<(TupleId, TupleId)> = self.iter().collect();
+        let mut work: Vec<(TupleId, TupleId)> = self.iter().collect();
         while let Some((a, b)) = work.pop() {
             // a ≺ b and b ≺ c gives a ≺ c.
             if let Some(cs) = succ.get(&b) {
@@ -124,7 +142,7 @@ impl OrderRelation {
                 }
             }
         }
-        OrderRelation { pairs: closed }
+        closed.into_iter().collect()
     }
 
     /// A tuple on a cycle of the closure, if any (`None` means acyclic).
@@ -133,11 +151,11 @@ impl OrderRelation {
     /// mutual pair `(u, v), (v, u)` witnesses inconsistency.
     pub fn find_cycle(&self) -> Option<TupleId> {
         let closed = self.transitive_closure();
-        for &(a, b) in &closed.pairs {
+        for (a, b) in closed.iter() {
             if a == b {
                 return Some(a);
             }
-            if closed.pairs.contains(&(b, a)) {
+            if closed.contains(b, a) {
                 return Some(a);
             }
         }
@@ -152,19 +170,16 @@ impl OrderRelation {
     /// Restrict to pairs whose both endpoints belong to `members`.
     pub fn restrict_to(&self, members: &[TupleId]) -> OrderRelation {
         let set: BTreeSet<TupleId> = members.iter().copied().collect();
-        OrderRelation {
-            pairs: self
-                .pairs
-                .iter()
-                .copied()
-                .filter(|(a, b)| set.contains(a) && set.contains(b))
-                .collect(),
-        }
+        self.iter()
+            .filter(|(a, b)| set.contains(a) && set.contains(b))
+            .collect()
     }
 
     /// Merge another relation's pairs into this one.
     pub fn extend_from(&mut self, other: &OrderRelation) {
-        self.pairs.extend(other.pairs.iter().copied());
+        for (a, b) in other.iter() {
+            self.add(a, b);
+        }
     }
 
     /// The *sinks* among `members`: tuples with no successor inside
@@ -178,12 +193,7 @@ impl OrderRelation {
         members
             .iter()
             .copied()
-            .filter(|&m| {
-                !self
-                    .pairs
-                    .iter()
-                    .any(|&(a, b)| a == m && b != m && set.contains(&b))
-            })
+            .filter(|&m| !self.pairs_from(m).any(|(_, b)| b != m && set.contains(&b)))
             .collect()
     }
 }
@@ -191,8 +201,14 @@ impl OrderRelation {
 impl FromIterator<(TupleId, TupleId)> for OrderRelation {
     fn from_iter<I: IntoIterator<Item = (TupleId, TupleId)>>(iter: I) -> OrderRelation {
         OrderRelation {
-            pairs: iter.into_iter().collect(),
+            pairs: iter.into_iter().map(|pair| (pair, ())).collect(),
         }
+    }
+}
+
+impl Paged for OrderRelation {
+    fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
+        self.pairs.for_each_page(visit);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Specifications: the top-level bundle of the data-currency model.
 
 use crate::copy::CopyFunction;
+use crate::cow::Paged;
 use crate::denial::DenialConstraint;
 use crate::error::CurrencyError;
 use crate::schema::{AttrId, Catalog, RelId};
@@ -133,6 +134,11 @@ impl CompactStepReport {
 /// see [`crate::Completion`] and the solvers in `currency-reason`.  `S` is
 /// *consistent* iff `Mod(S) ≠ ∅`; deciding that is the paper's CPS problem
 /// (Σᵖ₂-complete in general).
+///
+/// Cloning is cheap: the instances and copy functions keep their bulk
+/// in paged copy-on-write containers ([`crate::cow`]), so a clone
+/// copies the catalog, the constraints and the page tables, and shares
+/// every page until one side writes it.
 #[derive(Clone, Debug)]
 pub struct Specification {
     catalog: Catalog,
@@ -450,6 +456,17 @@ impl Specification {
             cf.validate(i, self.instance(sig.target), self.instance(sig.source))?;
         }
         Ok(())
+    }
+}
+
+impl Paged for Specification {
+    fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
+        for inst in &self.instances {
+            inst.for_each_page(visit);
+        }
+        for cf in &self.copies {
+            cf.for_each_page(visit);
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Temporal instances: relations with partial currency orders.
 
+use crate::cow::{Paged, PagedMap, PagedVec};
 use crate::error::CurrencyError;
 use crate::instance::{NormalInstance, Tuple};
 use crate::order::OrderRelation;
@@ -32,19 +33,26 @@ use std::collections::BTreeMap;
 /// reclaims the tombstone slots by remapping the surviving ids densely —
 /// an explicitly invalidating operation every id holder must mirror
 /// (see [`crate::Specification::compact`]).
+///
+/// ## Sharing
+///
+/// Tuples, tombstone flags, entity groups and orders live in paged
+/// copy-on-write containers ([`crate::cow`]): a clone shares every page
+/// with the original, and a later write copies only the pages it
+/// touches.
 #[derive(Clone, Debug)]
 pub struct TemporalInstance {
     rel: RelId,
     rel_name: String,
     arity: usize,
-    tuples: Vec<Tuple>,
+    tuples: PagedVec<Tuple>,
     /// `removed[i]` — tuple `i` is a tombstone (see struct docs).
-    removed: Vec<bool>,
+    removed: PagedVec<bool>,
     /// Number of `true` entries in `removed` (kept so liveness stats and
     /// the compaction no-op check are O(1)).
     tombstones: usize,
     orders: Vec<OrderRelation>,
-    groups: BTreeMap<Eid, Vec<TupleId>>,
+    groups: PagedMap<Eid, Vec<TupleId>>,
     /// Lowest tombstoned slot index (`usize::MAX` when there are none).
     /// Pure sweep-acceleration state for the incremental compactor —
     /// never serialized, always recomputable from `removed`.
@@ -82,11 +90,11 @@ impl TemporalInstance {
             rel,
             rel_name: schema.name().to_string(),
             arity: schema.arity(),
-            tuples: Vec::new(),
-            removed: Vec::new(),
+            tuples: PagedVec::new(),
+            removed: PagedVec::new(),
             tombstones: 0,
             orders: vec![OrderRelation::new(); schema.arity()],
-            groups: BTreeMap::new(),
+            groups: PagedMap::new(),
             min_tombstone: usize::MAX,
             sweep_block: None,
         }
@@ -139,7 +147,7 @@ impl TemporalInstance {
             });
         }
         let id = TupleId(self.tuples.len() as u32);
-        self.groups.entry(t.eid).or_default().push(id);
+        self.groups.get_or_insert_with(t.eid, Vec::new).push(id);
         self.tuples.push(t);
         self.removed.push(false);
         Ok(id)
@@ -166,11 +174,15 @@ impl TemporalInstance {
         let eid = self.tuples[id.index()].eid;
         let group = self.groups.get_mut(&eid).expect("tuple was grouped");
         group.retain(|&t| t != id);
+        // Orders relate same-entity tuples only, so the group's members
+        // are the only possible partners of `id`.
+        for o in &mut self.orders {
+            if !o.is_empty() {
+                o.remove_involving(id, group);
+            }
+        }
         if group.is_empty() {
             self.groups.remove(&eid);
-        }
-        for o in &mut self.orders {
-            o.remove_involving(id);
         }
         Ok(())
     }
@@ -202,9 +214,10 @@ impl TemporalInstance {
     pub fn tuples(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
         self.tuples
             .iter()
+            .zip(self.removed.iter())
             .enumerate()
-            .filter(|&(i, _)| !self.removed[i])
-            .map(|(i, t)| (TupleId(i as u32), t))
+            .filter(|&(_, (_, &dead))| !dead)
+            .map(|(i, (t, _))| (TupleId(i as u32), t))
     }
 
     /// The tuple ids of an entity, in insertion order.
@@ -314,19 +327,13 @@ impl TemporalInstance {
                 next += 1;
             }
         }
-        let removed = std::mem::take(&mut self.removed);
-        self.tuples = std::mem::take(&mut self.tuples)
-            .into_iter()
-            .zip(removed)
-            .filter(|(_, dead)| !dead)
-            .map(|(t, _)| t)
-            .collect();
-        self.removed = vec![false; self.tuples.len()];
+        self.tuples = self.tuples().map(|(_, t)| t.clone()).collect();
+        self.removed = std::iter::repeat_n(false, self.tuples.len()).collect();
         let reclaimed = slots - self.tuples.len();
         self.tombstones = 0;
         // Entity groups hold live ids only; the remap is monotonic, so
         // in-group insertion order survives.
-        for group in self.groups.values_mut() {
+        for (_, group) in self.groups.iter_mut() {
             for id in group.iter_mut() {
                 *id = remap[id.index()].expect("grouped ids are live");
             }
@@ -398,7 +405,7 @@ impl TemporalInstance {
         if w0 > s0 || s0 > e0 || e0 > len {
             return Err(bad_bounds());
         }
-        if self.removed[w0..s0].iter().any(|&dead| !dead) {
+        if (w0..s0).any(|i| !self.removed[i]) {
             return Err(bad_bounds());
         }
 
@@ -498,7 +505,10 @@ impl TemporalInstance {
                 } else {
                     // Degenerate all-live scan (unreachable through
                     // canonical bounds): recompute the hint exactly.
-                    self.removed.iter().position(|&d| d).unwrap_or(usize::MAX)
+                    self.removed
+                        .iter()
+                        .position(|&dead| dead)
+                        .unwrap_or(usize::MAX)
                 };
             }
             self.sweep_block = (w < e0).then_some((w as u32, e0 as u32));
@@ -510,6 +520,17 @@ impl TemporalInstance {
             remap,
             reclaimed,
         })
+    }
+}
+
+impl Paged for TemporalInstance {
+    fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
+        self.tuples.for_each_page(visit);
+        self.removed.for_each_page(visit);
+        self.groups.for_each_page(visit);
+        for order in &self.orders {
+            order.for_each_page(visit);
+        }
     }
 }
 

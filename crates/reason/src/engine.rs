@@ -48,7 +48,7 @@ use crate::cop::CurrencyOrderQuery;
 use crate::encode::{Bounds, Encoding};
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
-use crate::partition::{Partition, RefreshPlan};
+use crate::partition::{Partition, RefreshPlan, RefreshScratch};
 use crate::{CompactBudget, Options};
 use currency_core::{
     AttrId, CompactSlice, CompactStepReport, Completion, Eid, NormalInstance, RelCompletion, RelId,
@@ -358,7 +358,9 @@ pub struct CurrencyEngine<'a> {
     spec: Cow<'a, Specification>,
     value_rels: Vec<RelId>,
     partition: Partition,
-    /// Per-slot compiled state, aligned with [`Partition::components`]
+    /// Buffers lent to every [`Partition::refresh`].
+    refresh_scratch: RefreshScratch,
+    /// Per-slot compiled state, aligned with the partition's slots
     /// (vacant slots hold a trivially satisfiable [`Encoding::vacant`]).
     components: Vec<Mutex<ComponentState>>,
     /// O(dirty region) aggregate-consistency cache (see [`CpsCache`]).
@@ -425,6 +427,7 @@ impl<'a> CurrencyEngine<'a> {
             spec,
             value_rels: value_rels.to_vec(),
             partition,
+            refresh_scratch: RefreshScratch::default(),
             components,
             cps_cache,
             opts: *opts,
@@ -539,7 +542,8 @@ impl<'a> CurrencyEngine<'a> {
         let clock = self.obs.clock();
         let plan = {
             let _span = SpanGuard::enter(&*recorder, "engine.refresh", parent_span);
-            self.partition.refresh(self.spec.as_ref(), touched)
+            self.partition
+                .refresh(self.spec.as_ref(), touched, &mut self.refresh_scratch)
         };
         let clock = self.obs.lap(clock, &self.obs.apply_refresh_ns);
         // Compile the rebuilt slots (in parallel when the fleet warrants
@@ -556,7 +560,7 @@ impl<'a> CurrencyEngine<'a> {
                 Ok(Encoding::for_component(
                     spec,
                     value_rels,
-                    &partition.components()[rebuilt[k]],
+                    partition.component(rebuilt[k]),
                     transitivity,
                 ))
             })?
@@ -1166,7 +1170,7 @@ fn compile_components(
         Ok(Encoding::for_component(
             spec,
             value_rels,
-            &partition.components()[ix],
+            partition.component(ix),
             opts.transitivity,
         ))
     })?;

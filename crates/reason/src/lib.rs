@@ -94,7 +94,7 @@ pub use error::ReasonError;
 pub use explain::{explain_inconsistency, InconsistencyCore, SpecComponent};
 pub use fixpoint::{po_infinity, CertainOrders};
 pub use obs::EngineObs;
-pub use partition::{Partition, RefreshPlan};
+pub use partition::{Partition, RefreshPlan, RefreshScratch};
 pub use preserve::{bcp, cpp, ecp, maximum_extension, ExtensionSlot, PreservationProblem};
 pub use preserve_sp::{bcp_sp, cpp_sp};
 pub use shard::{

@@ -74,6 +74,10 @@ pub struct EngineObs {
     /// Epoch of the most recently published snapshot (snapshot
     /// engines only; stays 0 on live engines).
     pub snapshot_epoch: Arc<Gauge>,
+    /// Copy-on-write pages the snapshot writer copied because a
+    /// published snapshot still shared them (snapshot engines only;
+    /// stays 0 on live engines, whose pages are never shared).
+    pub pages_copied: Arc<Counter>,
 }
 
 impl std::fmt::Debug for EngineObs {
@@ -168,6 +172,10 @@ impl EngineObs {
                 "currency_engine_snapshot_epoch",
                 "Epoch of the most recently published snapshot",
                 &[],
+            ),
+            pages_copied: counter(
+                "currency_snapshot_pages_copied_total",
+                "Copy-on-write pages the snapshot writer copied off published snapshots",
             ),
             registry,
         }

@@ -45,9 +45,20 @@
 //! dirty region's cells only.  Refresh cost therefore scales with the
 //! dirty region, not with the specification — the returned
 //! [`RefreshPlan`] lists just the rebuilt and freed slots.
+//!
+//! ## Sharing
+//!
+//! The slot array, the cell → slot index and the falsum cells are paged
+//! copy-on-write containers ([`currency_core::cow`]), and each slot holds
+//! its component behind an `Arc`.  A cloned partition therefore shares
+//! every page with the original, and a refresh on the clone copies only
+//! the pages its dirty region writes — which is what lets the serving
+//! writer publish a partition per delta without copying it.
 
+use currency_core::cow::{Paged, PagedMap, PagedVec};
 use currency_core::{Eid, GroundRule, OrderEdge, RelId, Specification};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A ground denial rule tagged with the relation it speaks about.
 #[derive(Clone, Debug)]
@@ -88,34 +99,33 @@ pub struct Component {
 
 /// The entity partition of a specification, stored in stable slots.
 ///
-/// [`Partition::components`] is a slot array: a slot either holds a live
-/// component or is *vacant* (empty cell set, tracked on a free-list).
-/// Slot indices are the identity the engine caches against — a refresh
-/// never moves a clean component.
+/// The slots ([`Partition::component`], `0..`[`Partition::slots`]) each
+/// hold a live component or are *vacant* (empty cell set, tracked on a
+/// free-list).  Slot indices are the identity the engine caches against
+/// — a refresh never moves a clean component.
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// The slot array; vacant slots hold an empty [`Component`].
-    components: Vec<Component>,
+    components: PagedVec<Arc<Component>>,
     /// Vacant slot indices, reused (LIFO) before the array grows.
     free: Vec<usize>,
     /// Number of live (non-vacant) components.
     live: usize,
-    index: HashMap<(RelId, Eid), usize>,
+    index: PagedMap<(RelId, Eid), usize>,
     /// Cells whose grounding produced a premise-free falsum rule (an
     /// unconditional contradiction local to that cell).
-    falsum_cells: BTreeSet<(RelId, Eid)>,
+    falsum_cells: PagedMap<(RelId, Eid), ()>,
     /// `true` if grounding produced a premise-free falsum rule — the
     /// specification is inconsistent regardless of any order choice.
     pub has_ground_falsum: bool,
-    /// Reusable buffers for [`Partition::refresh`], so steady-state
-    /// deltas allocate nothing proportional to past refreshes.
-    scratch: Scratch,
 }
 
 /// Scratch buffers reused across [`Partition::refresh`] calls (cleared,
-/// never shrunk — capacity amortizes across the delta stream).
-#[derive(Clone, Debug, Default)]
-struct Scratch {
+/// never shrunk — capacity amortizes across the delta stream).  The
+/// writer owns them and lends them to each refresh, so a cloned or
+/// published partition carries no scratch.
+#[derive(Debug, Default)]
+pub struct RefreshScratch {
     dirty_slots: Vec<usize>,
     dirty_cells: Vec<(RelId, Eid)>,
     region: Vec<(RelId, Eid)>,
@@ -222,23 +232,24 @@ impl Partition {
             .flat_map(|inst| inst.entities().map(move |eid| (inst.rel(), eid)))
             .collect();
         let mut partition = Partition {
-            components: Vec::new(),
+            components: PagedVec::new(),
             free: Vec::new(),
             live: 0,
-            index: HashMap::with_capacity(cells.len()),
-            falsum_cells: BTreeSet::new(),
+            index: PagedMap::new(),
+            falsum_cells: PagedMap::new(),
             has_ground_falsum: false,
-            scratch: Scratch::default(),
         };
         let mut cell_ids = HashMap::with_capacity(cells.len());
         let fresh = partition.derive_region(spec, &cells, RegionScope::Full, &mut cell_ids);
-        for (slot, comp) in fresh.iter().enumerate() {
-            for &cell in &comp.cells {
-                partition.index.insert(cell, slot);
-            }
-        }
+        let mut index: Vec<((RelId, Eid), usize)> = fresh
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, comp)| comp.cells.iter().map(move |&cell| (cell, slot)))
+            .collect();
+        index.sort_unstable();
+        partition.index = index.into_iter().collect();
         partition.live = fresh.len();
-        partition.components = fresh;
+        partition.components = fresh.into_iter().map(Arc::new).collect();
         // `cell_ids` is full-spec-sized here; deliberately NOT kept as
         // refresh scratch — steady-state regions are tiny, and retaining
         // O(cells) of dead capacity per partition would defeat the point.
@@ -270,13 +281,14 @@ impl Partition {
     /// and then both its cells are in `touched`.
     ///
     /// The returned [`RefreshPlan`] lists the rebuilt and freed slots so
-    /// the engine can patch exactly that cached state.
+    /// the engine can patch exactly that cached state.  `scratch` is the
+    /// caller's reusable buffer set.
     pub fn refresh(
         &mut self,
         spec: &Specification,
         touched: &BTreeSet<(RelId, Eid)>,
+        scratch: &mut RefreshScratch,
     ) -> RefreshPlan {
-        let mut scratch = std::mem::take(&mut self.scratch);
         scratch.dirty_slots.clear();
         scratch.dirty_cells.clear();
         scratch.region.clear();
@@ -312,9 +324,9 @@ impl Partition {
         for cell in &scratch.dirty_cells {
             self.falsum_cells.remove(cell);
         }
-        let Scratch {
+        let RefreshScratch {
             region, cell_ids, ..
-        } = &mut scratch;
+        } = scratch;
         let fresh = self.derive_region(spec, region, RegionScope::Cells(region), cell_ids);
 
         // Patch the index for the region only; clean entries survive.
@@ -325,7 +337,7 @@ impl Partition {
         // free-list first (most recently vacated first), appends on
         // overflow.
         for &slot in &scratch.dirty_slots {
-            self.components[slot] = Component::default();
+            self.components[slot] = Arc::default();
             self.free.push(slot);
             self.live -= 1;
         }
@@ -333,11 +345,11 @@ impl Partition {
         for comp in fresh {
             let slot = match self.free.pop() {
                 Some(slot) => {
-                    self.components[slot] = comp;
+                    self.components[slot] = Arc::new(comp);
                     slot
                 }
                 None => {
-                    self.components.push(comp);
+                    self.components.push(Arc::new(comp));
                     self.components.len() - 1
                 }
             };
@@ -353,7 +365,6 @@ impl Partition {
             .copied()
             .filter(|&slot| self.components[slot].cells.is_empty())
             .collect();
-        self.scratch = scratch;
         self.has_ground_falsum = !self.falsum_cells.is_empty();
         RefreshPlan {
             reused_components: self.live - rebuilt.len(),
@@ -399,7 +410,7 @@ impl Partition {
                     if rule.premises.is_empty() && rule.conclusion.is_none() {
                         // Premise-free falsum: an unconditional
                         // contradiction local to this cell.
-                        self.falsum_cells.insert(cell);
+                        self.falsum_cells.insert(cell, ());
                         continue;
                     }
                     rules.push((
@@ -470,12 +481,11 @@ impl Partition {
         components
     }
 
-    /// The component slots, in stable slot order.  Vacant slots hold an
-    /// empty component (no cells); most callers filter on
-    /// `!cells.is_empty()` or never see them (cell-driven lookups cannot
-    /// reach a vacant slot).
-    pub fn components(&self) -> &[Component] {
-        &self.components
+    /// The component in `slot` (`slot < `[`Partition::slots`]).  A
+    /// vacant slot holds an empty component (no cells); cell-driven
+    /// lookups never reach one.
+    pub fn component(&self, slot: usize) -> &Component {
+        &self.components[slot]
     }
 
     /// Number of **live** components (vacant slots excluded).
@@ -489,7 +499,7 @@ impl Partition {
     }
 
     /// Number of slots, vacant included — the exclusive upper bound on
-    /// slot indices ([`Partition::components`]`.len()`).
+    /// slot indices for [`Partition::component`].
     pub fn slots(&self) -> usize {
         self.components.len()
     }
@@ -516,6 +526,14 @@ impl Partition {
             .collect();
         out.sort_unstable();
         out
+    }
+}
+
+impl Paged for Partition {
+    fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
+        self.components.for_each_page(visit);
+        self.index.for_each_page(visit);
+        self.falsum_cells.for_each_page(visit);
     }
 }
 
@@ -582,7 +600,7 @@ mod tests {
         spec.add_constraint(dc).unwrap();
         let p = Partition::of(&spec);
         assert_eq!(p.len(), 3);
-        let total_rules: usize = p.components().iter().map(|c| c.rules.len()).sum();
+        let total_rules: usize = (0..p.slots()).map(|s| p.component(s).rules.len()).sum();
         assert_eq!(total_rules, 3, "one ground rule per entity");
     }
 
@@ -622,7 +640,7 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.component_of(d, Eid(1)), p.component_of(s, Eid(7)));
         assert_ne!(p.component_of(d, Eid(1)), p.component_of(d, Eid(9)));
-        let merged = &p.components()[p.component_of(d, Eid(1)).unwrap()];
+        let merged = p.component(p.component_of(d, Eid(1)).unwrap());
         assert_eq!(merged.obligations.len(), 2, "both obligation directions");
     }
 
@@ -660,18 +678,14 @@ mod tests {
         let fresh = Partition::of(spec);
         assert_eq!(p.len(), fresh.len(), "component count");
         assert_eq!(p.has_ground_falsum, fresh.has_ground_falsum);
-        let mut a: Vec<_> = p
-            .components()
-            .iter()
-            .filter(|c| !c.cells.is_empty())
-            .cloned()
-            .collect();
-        let mut b: Vec<_> = fresh
-            .components()
-            .iter()
-            .filter(|c| !c.cells.is_empty())
-            .cloned()
-            .collect();
+        let live = |p: &Partition| -> Vec<Component> {
+            (0..p.slots())
+                .map(|s| p.component(s))
+                .filter(|c| !c.cells.is_empty())
+                .cloned()
+                .collect()
+        };
+        let (mut a, mut b) = (live(p), live(&fresh));
         let key = |c: &Component| c.cells.iter().next().copied();
         a.sort_by_key(key);
         b.sort_by_key(key);
@@ -720,13 +734,13 @@ mod tests {
             .push_tuple(Tuple::new(Eid(2), vec![Value::int(7)]))
             .unwrap();
         let touched: BTreeSet<(RelId, Eid)> = [(r, Eid(2))].into();
-        let plan = p.refresh(&spec, &touched);
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert_eq!(plan.rebuilt(), 1);
         assert_eq!(plan.reused(), 3);
         assert_eq!(p.len(), 4);
         // The rebuilt component carries the new entity-2 rules.
         let cix = p.component_of(r, Eid(2)).unwrap();
-        assert!(p.components()[cix].rules.len() > 1);
+        assert!(p.component(cix).rules.len() > 1);
         assert_refresh_matches_fresh(&p, &spec);
     }
 
@@ -767,7 +781,7 @@ mod tests {
         // merging (D, e1) with (S, e7).
         spec.copy_mut(0).set_mapping(d2, s2);
         let touched: BTreeSet<(RelId, Eid)> = [(d, Eid(1)), (s, Eid(7))].into();
-        let plan = p.refresh(&spec, &touched);
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert_eq!(p.len(), 2);
         assert_eq!(plan.rebuilt(), 1, "merged region is one component");
         assert_eq!(plan.reused(), 1, "bystander untouched");
@@ -809,7 +823,7 @@ mod tests {
         spec.instance_mut(d).remove_tuple(d2).unwrap();
         spec.copy_mut(0).retain_mappings(|t, _| t != d2);
         let touched: BTreeSet<(RelId, Eid)> = [(d, Eid(1)), (s, Eid(7))].into();
-        let plan = p.refresh(&spec, &touched);
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert_eq!(p.len(), 2, "obligations gone: the component splits");
         assert_eq!(plan.rebuilt(), 2);
         assert_ne!(p.component_of(d, Eid(1)), p.component_of(s, Eid(7)));
@@ -849,18 +863,18 @@ mod tests {
             .push_tuple(Tuple::new(Eid(1), vec![Value::int(1), Value::int(5)]))
             .unwrap();
         let touched: BTreeSet<(RelId, Eid)> = [(r, Eid(1))].into();
-        p.refresh(&spec, &touched);
+        p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert!(p.has_ground_falsum);
         assert_refresh_matches_fresh(&p, &spec);
         // Removing the duplicate clears it again.
         spec.instance_mut(r).remove_tuple(t_dup).unwrap();
-        let plan = p.refresh(&spec, &touched);
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert!(!p.has_ground_falsum);
         assert_eq!(plan.rebuilt(), 1);
         assert_refresh_matches_fresh(&p, &spec);
         // Removing the last tuple of the entity drops the cell entirely.
         spec.instance_mut(r).remove_tuple(t0).unwrap();
-        p.refresh(&spec, &touched);
+        p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert_eq!(p.len(), 1);
         assert!(p.component_of(r, Eid(1)).is_none());
         assert_refresh_matches_fresh(&p, &spec);
@@ -907,7 +921,7 @@ mod tests {
         // grow past its high-water mark (freed slots get recycled).
         for round in 0..3 {
             spec.copy_mut(0).set_mapping(d2, s2);
-            let plan = p.refresh(&spec, &touched);
+            let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
             assert_eq!(plan.rebuilt(), 1, "round {round}: merged into one");
             assert_eq!((p.len(), p.slots()), (2, 3), "round {round}");
             assert_eq!(
@@ -917,7 +931,7 @@ mod tests {
             );
             assert_eq!(p.component_of(d, Eid(9)), Some(bystander_slot));
             spec.copy_mut(0).retain_mappings(|t, _| t != d2);
-            let plan = p.refresh(&spec, &touched);
+            let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
             assert_eq!(plan.rebuilt(), 2, "round {round}: split in two");
             assert_eq!((p.len(), p.slots()), (3, 3), "round {round}");
             assert_eq!(p.component_of(d, Eid(9)), Some(bystander_slot));
@@ -945,7 +959,7 @@ mod tests {
             .push_tuple(Tuple::new(Eid(3), vec![Value::int(42)]))
             .unwrap();
         let touched: BTreeSet<(RelId, Eid)> = [(r, Eid(3))].into();
-        let plan = p.refresh(&spec, &touched);
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
         assert_eq!(plan.rebuilt, vec![before[3].unwrap()], "slot recycled");
         assert!(plan.freed.is_empty());
         assert_eq!(plan.slots, 6);

@@ -18,10 +18,12 @@
 //!   plus per-slot recompilation), re-solves exactly the rebuilt slots,
 //!   and publishes the next snapshot under a bumped epoch.  Clean slots
 //!   are carried over as shared `Arc`s — consecutive snapshots share
-//!   every encoding outside the dirty region.  (Publishing also
-//!   copy-on-writes the spec and partition metadata for isolation; that
-//!   is a flat copy with no solver state, cheap next to a component
-//!   compile.)
+//!   every encoding outside the dirty region.  The specification, the
+//!   partition and the slot vector are paged copy-on-write containers
+//!   ([`currency_core::cow`]), so the writer's working copy shares every
+//!   page with the snapshot it last published: a delta copies the page
+//!   tables plus only the pages its dirty region writes (counted in
+//!   [`PublishReport::pages_copied`]), never the specification.
 //! * [`SnapshotCell`] — the hand-rolled arc-swap the writer publishes
 //!   through: a `Mutex<Arc<EngineSnapshot>>` whose `load()` is
 //!   lock-then-clone-the-`Arc`, held for nanoseconds and recoverable
@@ -47,8 +49,9 @@ use crate::engine::{
 };
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
-use crate::partition::Partition;
+use crate::partition::{Partition, RefreshScratch};
 use crate::{CompactBudget, Options, SolveLimits};
+use currency_core::cow::{pages_copied, PagedVec};
 use currency_core::NormalInstance;
 use currency_core::{CompactStepReport, Eid, RelId, SpecDelta, Specification, TupleId, Value};
 use currency_obs::{Counter, MetricsRegistry, SpanGuard, TraceEvent, TraceKind};
@@ -81,7 +84,7 @@ pub struct EngineSnapshot {
     spec: Arc<Specification>,
     value_rels: Arc<Vec<RelId>>,
     partition: Arc<Partition>,
-    slots: Vec<SlotView>,
+    slots: PagedVec<SlotView>,
     consistent: bool,
     opts: Options,
 }
@@ -402,6 +405,10 @@ pub struct PublishReport {
     pub cells_touched: usize,
     /// Ids assigned to tuples the delta inserted, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
+    /// Copy-on-write pages this delta (and its auto-compaction step)
+    /// copied off the previously published snapshot: O(dirty region),
+    /// independent of the specification's size.
+    pub pages_copied: u64,
     /// The bounded compaction step the
     /// [`Options::auto_compact_tombstones`] policy ran after this delta,
     /// if any.  Only the ids its slices remapped are invalidated;
@@ -421,7 +428,10 @@ pub struct SnapshotEngine {
     spec: Arc<Specification>,
     value_rels: Arc<Vec<RelId>>,
     partition: Arc<Partition>,
-    slots: Vec<SlotView>,
+    /// Buffers lent to every [`Partition::refresh`] (kept out of the
+    /// partition so published partitions carry none).
+    refresh_scratch: RefreshScratch,
+    slots: PagedVec<SlotView>,
     /// Shared trivially-satisfiable encoding for vacated slots.
     vacant: Arc<Encoding>,
     /// Count of slots whose encoding is unsatisfiable.
@@ -453,7 +463,9 @@ impl SnapshotEngine {
         spec.validate()?;
         let value_rels = Arc::new(value_rels.to_vec());
         let partition = Partition::of(&spec);
-        let slots = build_slots(&spec, &value_rels, opts, &partition)?;
+        let slots: PagedVec<SlotView> = build_slots(&spec, &value_rels, opts, &partition)?
+            .into_iter()
+            .collect();
         let unsat = slots.iter().filter(|s| !s.sat).count();
         let vacant = Arc::new(Encoding::vacant(&value_rels, opts.transitivity));
         let obs = EngineObs::new();
@@ -461,6 +473,7 @@ impl SnapshotEngine {
             spec: Arc::new(spec),
             value_rels,
             partition: Arc::new(partition),
+            refresh_scratch: RefreshScratch::default(),
             slots,
             vacant,
             unsat,
@@ -472,7 +485,7 @@ impl SnapshotEngine {
                     spec: Arc::new(empty_spec()),
                     value_rels: Arc::new(Vec::new()),
                     partition: Arc::new(Partition::of(&empty_spec())),
-                    slots: Vec::new(),
+                    slots: PagedVec::new(),
                     consistent: true,
                     opts: *opts,
                 }),
@@ -502,17 +515,22 @@ impl SnapshotEngine {
     /// touched component slots are recompiled (in parallel under
     /// [`Options::threads`]) and re-solved; every clean slot's `Arc` is
     /// carried into the next snapshot unchanged, so consecutive
-    /// snapshots share all compiled state outside the dirty region.  On
-    /// error nothing is mutated and nothing is published.
+    /// snapshots share all compiled state outside the dirty region.  The
+    /// specification and partition are shared with the published
+    /// snapshot page by page, so the delta copies only the pages it
+    /// writes ([`PublishReport::pages_copied`]).  On error nothing is
+    /// mutated and nothing is published.
     pub fn apply(&mut self, delta: &SpecDelta) -> Result<PublishReport, ReasonError> {
+        let copied_before = pages_copied();
         let recorder = self.obs.recorder().clone();
         let apply_span = SpanGuard::enter(&*recorder, "engine.apply", 0);
         let parent = apply_span.as_ref().map_or(0, SpanGuard::id);
         let clock = self.obs.clock();
         let validate_span = SpanGuard::enter(&*recorder, "engine.validate", parent);
         // The published snapshot shares our spec `Arc`, so `make_mut`
-        // copies it on write; validate first so a rejected delta costs
-        // no copy.
+        // copies its top level and page tables (the pages themselves are
+        // copied one by one as the delta writes them); validate first so
+        // a rejected delta copies nothing.
         delta.validate(&self.spec)?;
         let effects = Arc::make_mut(&mut self.spec).apply_delta(delta)?;
         drop(validate_span);
@@ -528,6 +546,7 @@ impl SnapshotEngine {
             components_reused: plan.reused(),
             cells_touched: effects.touched_cells.len(),
             inserted: effects.inserted,
+            pages_copied: 0, // filled in before the publish below
             compact_step: None,
         };
         if self.opts.auto_compact_due(&self.spec) {
@@ -537,6 +556,8 @@ impl SnapshotEngine {
             report.compact_step =
                 Some(self.compact_step_bounded(max_slots, SLICE_QUANTUM, None)?);
         }
+        report.pages_copied = pages_copied() - copied_before;
+        self.obs.pages_copied.add(report.pages_copied);
         self.publish();
         report.epoch = self.epoch;
         Ok(report)
@@ -555,7 +576,11 @@ impl SnapshotEngine {
         let clock = self.obs.clock();
         let plan = {
             let _span = SpanGuard::enter(&*recorder, "engine.refresh", parent_span);
-            Arc::make_mut(&mut self.partition).refresh(self.spec.as_ref(), touched)
+            Arc::make_mut(&mut self.partition).refresh(
+                self.spec.as_ref(),
+                touched,
+                &mut self.refresh_scratch,
+            )
         };
         let clock = self.obs.lap(clock, &self.obs.apply_refresh_ns);
         // Compile *and solve* the rebuilt slots before patching any
@@ -573,7 +598,7 @@ impl SnapshotEngine {
                 Ok(compile_slot(
                     spec,
                     value_rels,
-                    &partition.components()[rebuilt[k]],
+                    partition.component(rebuilt[k]),
                     transitivity,
                 ))
             })?
@@ -623,7 +648,9 @@ impl SnapshotEngine {
     /// tombstones this is a no-op: nothing is rebuilt and no new epoch is
     /// published.
     pub fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
+        let copied_before = pages_copied();
         let step = self.compact_step_bounded(usize::MAX, u32::MAX as usize, None)?;
+        self.obs.pages_copied.add(pages_copied() - copied_before);
         if !step.slices.is_empty() {
             self.publish();
         }
@@ -643,8 +670,10 @@ impl SnapshotEngine {
         budget: &CompactBudget,
     ) -> Result<CompactStepReport, ReasonError> {
         let deadline = Instant::now() + budget.max_pause;
+        let copied_before = pages_copied();
         let step =
             self.compact_step_bounded(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))?;
+        self.obs.pages_copied.add(pages_copied() - copied_before);
         if !step.slices.is_empty() {
             self.publish();
         }
@@ -761,7 +790,7 @@ impl SnapshotEngine {
             cells: self.partition.cell_count(),
             ..self.obs.stats()
         };
-        for slot in &self.slots {
+        for slot in self.slots.iter() {
             stats.vars += slot.enc.num_vars();
             stats.clauses += slot.enc.num_clauses();
             stats.sat += slot.enc.solver_stats();
@@ -777,7 +806,12 @@ fn empty_spec() -> Specification {
 }
 
 /// Compile one component and solve it immediately, so the published
-/// encoding carries its verdict, learnt clauses and lazy lemmas.
+/// encoding carries its verdict, learnt clauses and lazy lemmas.  What
+/// gets published is a clone: exactly sized, with the build's doubling
+/// buffers freed together.  Published encodings are only read and
+/// cloned from then on and live among encodings built at other times,
+/// so packing them keeps the heap from fragmenting on a long delta
+/// stream.
 fn compile_slot(
     spec: &Specification,
     value_rels: &[RelId],
@@ -787,7 +821,7 @@ fn compile_slot(
     let mut enc = Encoding::for_component(spec, value_rels, component, transitivity);
     let sat = enc.solve() == SolveResult::Sat;
     SlotView {
-        enc: Arc::new(enc),
+        enc: Arc::new(enc.clone()),
         sat,
     }
 }
@@ -805,11 +839,17 @@ fn build_slots(
         Ok(compile_slot(
             spec,
             value_rels,
-            &partition.components()[ix],
+            partition.component(ix),
             transitivity,
         ))
     })
 }
+
+/// Slots a reader keeps private scratch encodings for.  A reader about
+/// to exceed it empties its scratch and starts over, so a long-lived
+/// reader that visits every component of a large specification holds
+/// at most this many encoding clones.
+const READER_SCRATCH_SLOTS: usize = 256;
 
 /// One entry of a reader's private solver scratch: a clone of a slot's
 /// encoding, stamped with the epoch it was cloned at.
@@ -827,7 +867,8 @@ struct ScratchSlot {
 /// shared state is ever locked or written.  [`SnapshotReader::pin`]
 /// moves the reader to a newer snapshot; stale scratch entries are
 /// refreshed lazily in place (`Encoding::clone_from` reuses their
-/// buffers) the next time their slot is queried.
+/// buffers) the next time their slot is queried.  Scratch holds at
+/// most 256 slots; a reader about to exceed that empties it first.
 pub struct SnapshotReader {
     snap: Arc<EngineSnapshot>,
     scratch: HashMap<usize, ScratchSlot>,
@@ -975,6 +1016,9 @@ impl SnapshotReader {
     /// in place, reusing its buffers) from the pinned snapshot on
     /// demand.
     fn scratch_mut(&mut self, slot: usize) -> &mut Encoding {
+        if self.scratch.len() >= READER_SCRATCH_SLOTS && !self.scratch.contains_key(&slot) {
+            self.scratch.clear();
+        }
         let epoch = self.snap.epoch;
         match self.scratch.entry(slot) {
             Entry::Occupied(entry) => {
@@ -1108,6 +1152,42 @@ mod tests {
         assert!(fresh.cop(&q23).unwrap());
     }
 
+    /// The bench's large-scale shape: `entities` target entities of ten
+    /// increasing readings, each mirrored by a copied source reading, and
+    /// a monotone constraint on the target.  One component per entity.
+    fn large_spec(entities: u64) -> (Specification, RelId) {
+        let mut cat = Catalog::new();
+        let t = cat.add(RelationSchema::new("T", &["V"]));
+        let s = cat.add(RelationSchema::new("S", &["V"]));
+        let mut spec = Specification::new(cat);
+        let sig = currency_core::CopySignature::new(t, vec![A], s, vec![A]).unwrap();
+        let mut cf = currency_core::CopyFunction::new(sig);
+        for e in 0..entities {
+            for v in 0..10 {
+                let reading = || Tuple::new(Eid(e), vec![Value::int(v)]);
+                let tt = spec.instance_mut(t).push_tuple(reading()).unwrap();
+                let ts = spec.instance_mut(s).push_tuple(reading()).unwrap();
+                cf.set_mapping(tt, ts);
+            }
+        }
+        spec.add_constraint(monotone(t)).unwrap();
+        spec.add_copy(cf).unwrap();
+        (spec, t)
+    }
+
+    /// Addresses of every copy-on-write page a snapshot holds.
+    fn pages(snap: &EngineSnapshot) -> std::collections::HashSet<*const ()> {
+        use currency_core::cow::Paged;
+        let mut out = std::collections::HashSet::new();
+        let mut visit = |page| {
+            out.insert(page);
+        };
+        snap.spec.for_each_page(&mut visit);
+        snap.partition.for_each_page(&mut visit);
+        snap.slots.for_each_page(&mut visit);
+        out
+    }
+
     #[test]
     fn consecutive_snapshots_share_clean_slots() {
         let (mut spec, r) = multi_entity_spec();
@@ -1122,10 +1202,37 @@ mod tests {
         let shared = before
             .slots
             .iter()
-            .zip(&after.slots)
+            .zip(after.slots.iter())
             .filter(|(b, a)| Arc::ptr_eq(&b.enc, &a.enc))
             .count();
         assert_eq!(shared, 2, "only the dirty component was recompiled");
+
+        // Page level, at two spec sizes: a single-entity insert copies
+        // the same pages at 1k and 4k entities, and every page it did not
+        // copy is shared with the previous snapshot.
+        let mut copied = Vec::new();
+        for entities in [1_000, 4_000] {
+            let (spec, t) = large_spec(entities);
+            let mut engine =
+                SnapshotEngine::with_value_rels(spec, &[], &Options::default()).unwrap();
+            let before = engine.snapshot();
+            let mut delta = SpecDelta::new();
+            delta.insert_tuple(t, Tuple::new(Eid(0), vec![Value::int(1_000_000)]));
+            let report = engine.apply(&delta).unwrap();
+            let after = engine.snapshot();
+            let unshared = pages(&after).difference(&pages(&before)).count();
+            assert_eq!(
+                unshared as u64, report.pages_copied,
+                "{entities} entities: a page the delta did not copy stayed shared"
+            );
+            assert!(engine.snapshot().cps());
+            copied.push(report.pages_copied);
+        }
+        assert!(copied[0] > 0, "the dirty region lives on copied pages");
+        assert_eq!(
+            copied[0], copied[1],
+            "pages copied is O(dirty), not O(spec)"
+        );
     }
 
     #[test]
@@ -1150,6 +1257,23 @@ mod tests {
         assert_eq!(reader.scratch_clones(), 1, "no fresh allocation");
         assert_eq!(reader.scratch_refreshes(), 1, "refreshed in place");
         assert_matches_engine(&mut reader, r);
+    }
+
+    #[test]
+    fn reader_scratch_stays_bounded() {
+        let entities = READER_SCRATCH_SLOTS as u32 + 44;
+        let (spec, t) = large_spec(u64::from(entities));
+        let engine = SnapshotEngine::with_value_rels(spec, &[], &Options::default()).unwrap();
+        let mut reader = SnapshotReader::new(engine.snapshot());
+        // `large_spec` stores entity e's ten readings at ids 10e..10e+9.
+        for e in 0..entities {
+            let q = CurrencyOrderQuery::single(t, A, TupleId(10 * e), TupleId(10 * e + 9));
+            assert!(reader.cop(&q).unwrap(), "entity {e}");
+            assert!(reader.scratch.len() <= READER_SCRATCH_SLOTS);
+        }
+        // Emptied once, when the 257th slot arrived.
+        assert_eq!(reader.scratch.len(), 44);
+        assert_eq!(reader.scratch_clones(), u64::from(entities));
     }
 
     #[test]
