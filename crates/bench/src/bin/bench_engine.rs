@@ -700,7 +700,9 @@ fn main() {
     // partition and slot pages with the writer, so the pair copies only
     // the pages it dirties; its cost must stay flat as the spec grows.
     // The two scales race in paired, order-alternated rounds so drift
-    // lands on both sides.
+    // lands on both sides.  The time cannot see a small O(spec) term, so
+    // the count of pages and page-table chunks a pair copies must also
+    // be the same at both scales.
     // ------------------------------------------------------------------
     eprintln!(
         "serve_large: entities = {large_base} vs {} (paired)",
@@ -1499,6 +1501,7 @@ fn main() {
     let update_ok = rebuilt_per_delta <= UPDATE_REBUILT_LIMIT;
     let large_flat_ok = large_ratio <= LARGE_FLAT_FACTOR;
     let serve_large_flat_ok = serve_large_ratio <= LARGE_FLAT_FACTOR;
+    let serve_large_pages_flat_ok = serve_pages_copied[0] == serve_pages_copied[1];
     let large_rebuilt_ok = large_rebuilt_per_delta <= UPDATE_REBUILT_LIMIT;
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
@@ -1537,6 +1540,7 @@ fn main() {
         && update_ok
         && large_flat_ok
         && serve_large_flat_ok
+        && serve_large_pages_flat_ok
         && large_rebuilt_ok
         && compact_pause_ok
         && compact_flat_ok
@@ -1568,6 +1572,7 @@ fn main() {
          \"large_flat_factor\": {LARGE_FLAT_FACTOR:.1}, \
          \"serve_large_ratio_4x_over_1x\": {serve_large_ratio:.2}, \
          \"serve_large_flat_ok\": {serve_large_flat_ok}, \
+         \"serve_large_pages_flat_ok\": {serve_large_pages_flat_ok}, \
          \"large_rebuilt_per_delta\": {large_rebuilt_per_delta}, \
          \"compact_max_step_ns\": {compact_max_step_ns:.0}, \
          \"compact_max_pause_ms\": {COMPACT_MAX_PAUSE_MS}, \
@@ -1649,6 +1654,14 @@ fn main() {
                 "REGRESSION: the serving writer's per-delta apply grew \
                  {serve_large_ratio:.2}× from 1× to 4× spec size (limit \
                  {LARGE_FLAT_FACTOR}×) — publishing copies more than the dirty pages"
+            );
+        }
+        if !serve_large_pages_flat_ok {
+            eprintln!(
+                "REGRESSION: a serving-writer insert+retract pair copied {} pages at 1× \
+                 but {} at 4× spec size — publishing copies an O(spec) share of the \
+                 page tables",
+                serve_pages_copied[0], serve_pages_copied[1]
             );
         }
         if !large_rebuilt_ok {

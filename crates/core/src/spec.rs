@@ -137,8 +137,8 @@ impl CompactStepReport {
 ///
 /// Cloning is cheap: the instances and copy functions keep their bulk
 /// in paged copy-on-write containers ([`crate::cow`]), so a clone
-/// copies the catalog, the constraints and the page tables, and shares
-/// every page until one side writes it.
+/// copies the catalog, the constraints and one pointer per chunk of
+/// pages, and shares every chunk and page until one side writes it.
 #[derive(Clone, Debug)]
 pub struct Specification {
     catalog: Catalog,

@@ -74,9 +74,9 @@ pub struct EngineObs {
     /// Epoch of the most recently published snapshot (snapshot
     /// engines only; stays 0 on live engines).
     pub snapshot_epoch: Arc<Gauge>,
-    /// Copy-on-write pages the snapshot writer copied because a
-    /// published snapshot still shared them (snapshot engines only;
-    /// stays 0 on live engines, whose pages are never shared).
+    /// Copy-on-write pages and chunks the snapshot writer copied
+    /// because a published snapshot still shared them (snapshot engines
+    /// only; stays 0 on live engines, whose pages are never shared).
     pub pages_copied: Arc<Counter>,
 }
 
@@ -175,7 +175,7 @@ impl EngineObs {
             ),
             pages_copied: counter(
                 "currency_snapshot_pages_copied_total",
-                "Copy-on-write pages the snapshot writer copied off published snapshots",
+                "Copy-on-write pages and chunks the snapshot writer copied off published snapshots",
             ),
             registry,
         }

@@ -21,9 +21,11 @@
 //!   every encoding outside the dirty region.  The specification, the
 //!   partition and the slot vector are paged copy-on-write containers
 //!   ([`currency_core::cow`]), so the writer's working copy shares every
-//!   page with the snapshot it last published: a delta copies the page
-//!   tables plus only the pages its dirty region writes (counted in
-//!   [`PublishReport::pages_copied`]), never the specification.
+//!   page with the snapshot it last published: a delta copies the
+//!   containers' top levels (one pointer per chunk of 128 pages) plus
+//!   only the chunks and pages its dirty region writes (counted in
+//!   [`PublishReport::pages_copied`]), never the specification and never
+//!   a whole page table.
 //! * [`SnapshotCell`] — the hand-rolled arc-swap the writer publishes
 //!   through: a `Mutex<Arc<EngineSnapshot>>` whose `load()` is
 //!   lock-then-clone-the-`Arc`, held for nanoseconds and recoverable
@@ -405,9 +407,10 @@ pub struct PublishReport {
     pub cells_touched: usize,
     /// Ids assigned to tuples the delta inserted, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
-    /// Copy-on-write pages this delta (and its auto-compaction step)
-    /// copied off the previously published snapshot: O(dirty region),
-    /// independent of the specification's size.
+    /// Copy-on-write pages and chunks this delta (and its
+    /// auto-compaction step) copied off the previously published
+    /// snapshot: O(dirty region), independent of the specification's
+    /// size.
     pub pages_copied: u64,
     /// The bounded compaction step the
     /// [`Options::auto_compact_tombstones`] policy ran after this delta,
@@ -517,9 +520,10 @@ impl SnapshotEngine {
     /// carried into the next snapshot unchanged, so consecutive
     /// snapshots share all compiled state outside the dirty region.  The
     /// specification and partition are shared with the published
-    /// snapshot page by page, so the delta copies only the pages it
-    /// writes ([`PublishReport::pages_copied`]).  On error nothing is
-    /// mutated and nothing is published.
+    /// snapshot chunk by chunk and page by page, so the delta copies only
+    /// the chunks and pages it writes ([`PublishReport::pages_copied`]),
+    /// never a page table.  On error nothing is mutated and nothing is
+    /// published.
     pub fn apply(&mut self, delta: &SpecDelta) -> Result<PublishReport, ReasonError> {
         let copied_before = pages_copied();
         let recorder = self.obs.recorder().clone();
@@ -528,9 +532,9 @@ impl SnapshotEngine {
         let clock = self.obs.clock();
         let validate_span = SpanGuard::enter(&*recorder, "engine.validate", parent);
         // The published snapshot shares our spec `Arc`, so `make_mut`
-        // copies its top level and page tables (the pages themselves are
-        // copied one by one as the delta writes them); validate first so
-        // a rejected delta copies nothing.
+        // copies its top level and one pointer per chunk (chunks and
+        // pages are copied one by one as the delta writes them);
+        // validate first so a rejected delta copies nothing.
         delta.validate(&self.spec)?;
         let effects = Arc::make_mut(&mut self.spec).apply_delta(delta)?;
         drop(validate_span);

@@ -17,7 +17,10 @@
 //!
 //! One seed in [`PADDED_EVERY`] pads the source relation with enough
 //! single-tuple entities that the instances, the partition and the slot
-//! vector each span several pages.
+//! vector each span several pages.  A second case streams the same kind
+//! of writes through the bench's large shape at [`LARGE_ENTITIES`]
+//! entities, where every instance and copy map spans more than one
+//! chunk of pages, so the page-table level is shared and copied too.
 //!
 //! `SEEDS` seeds in release (the 10k-seed differential), fewer under the
 //! debug profile.  The seed range starts at `CHAOS_SEED` (default
@@ -26,8 +29,8 @@
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::cow::PAGE_SIZE;
 use data_currency::model::{
-    wire, AttrId, CmpOp, DenialConstraint, Eid, RelId, SpecDelta, Specification, Term, Tuple,
-    TupleId, Value,
+    wire, AttrId, Catalog, CmpOp, CopyFunction, CopySignature, DenialConstraint, Eid, RelId,
+    RelationSchema, SpecDelta, Specification, Term, Tuple, TupleId, Value,
 };
 use data_currency::query::SpQuery;
 use data_currency::reason::snapshot::{EngineSnapshot, SnapshotReader};
@@ -47,6 +50,14 @@ const PADDED_EVERY: u64 = 16;
 
 /// Writes (deltas or compaction steps) per seed.
 const STEPS: usize = 8;
+
+/// Entities of the large case: ten readings each makes 20k tuples per
+/// relation, past the 16 384 elements one chunk of pages spans.
+const LARGE_ENTITIES: u64 = 2_000;
+
+/// Seeds and writes per seed of the large case.
+const LARGE_SEEDS: u64 = if cfg!(debug_assertions) { 1 } else { 4 };
+const LARGE_STEPS: usize = if cfg!(debug_assertions) { 24 } else { 64 };
 
 const T: RelId = RelId(0);
 const SRC: RelId = RelId(1);
@@ -210,5 +221,130 @@ fn every_published_epoch_stays_frozen() {
             );
             assert_answers_like_fresh(snap, seed, snap.epoch());
         }
+    }
+}
+
+/// The bench's large shape: `entities` target entities of ten increasing
+/// readings, each copied from a mirrored source reading, and a monotone
+/// constraint on the target.
+fn large_spec(entities: u64) -> Specification {
+    let mut cat = Catalog::new();
+    let t = cat.add(RelationSchema::new("T", &["V"]));
+    let s = cat.add(RelationSchema::new("S", &["V"]));
+    let mut spec = Specification::new(cat);
+    let sig = CopySignature::new(t, vec![AttrId(0)], s, vec![AttrId(0)]).expect("signature");
+    let mut cf = CopyFunction::new(sig);
+    for e in 0..entities {
+        for v in 0..10 {
+            let reading = || Tuple::new(Eid(e), vec![Value::int(v)]);
+            let tt = spec.instance_mut(t).push_tuple(reading()).expect("arity");
+            let ts = spec.instance_mut(s).push_tuple(reading()).expect("arity");
+            cf.set_mapping(tt, ts);
+        }
+    }
+    let dc = DenialConstraint::builder(t, 2)
+        .when_cmp(
+            Term::attr(0, AttrId(0)),
+            CmpOp::Gt,
+            Term::attr(1, AttrId(0)),
+        )
+        .then_order(1, AttrId(0), 0)
+        .build()
+        .expect("valid constraint");
+    spec.add_constraint(dc).expect("constraint applies");
+    spec.add_copy(cf).expect("copying condition holds");
+    spec
+}
+
+/// One admissible delta on a random entity of the large shape.
+fn large_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
+    let inst = spec.instance(T);
+    let eid = Eid(rng.gen_range(0..LARGE_ENTITIES));
+    let group = inst.entity_group(eid);
+    let source_group = spec.instance(SRC).entity_group(eid);
+    let mut delta = SpecDelta::new();
+    match rng.gen_range(0..10u32) {
+        0..=3 => {
+            delta.insert_tuple(T, Tuple::new(eid, vec![Value::int(rng.gen_range(0..20))]));
+        }
+        4 | 5 if group.len() > 1 => {
+            delta.remove_tuple(T, group[rng.gen_range(0..group.len())]);
+        }
+        6 if !source_group.is_empty() => {
+            delta.remove_tuple(SRC, source_group[rng.gen_range(0..source_group.len())]);
+        }
+        7 | 8 => {
+            // Mirror an unmapped reading into the source and map it.
+            let unmapped = group
+                .iter()
+                .copied()
+                .find(|&t| spec.copies()[0].mapping(t).is_none());
+            if let Some(target) = unmapped {
+                let source = TupleId(spec.instance(SRC).len() as u32);
+                delta
+                    .insert_tuple(SRC, inst.tuple(target).clone())
+                    .extend_copy(0, target, source);
+            }
+        }
+        _ => {
+            // An order fact the monotone constraint already implies.
+            let value = |t: TupleId| inst.tuple(t).values[0].clone();
+            let pair = group.iter().find_map(|&u| {
+                group.iter().find_map(|&v| {
+                    (value(u) < value(v) && !inst.order(AttrId(0)).contains(u, v)).then_some((u, v))
+                })
+            });
+            if let Some((u, v)) = pair {
+                delta.add_order_edge(T, AttrId(0), u, v);
+            }
+        }
+    }
+    if delta.is_empty() {
+        delta.insert_tuple(T, Tuple::new(eid, vec![Value::int(0)]));
+    }
+    delta
+}
+
+#[test]
+fn large_spec_epochs_stay_frozen_across_chunks() {
+    let base = large_spec(LARGE_ENTITIES);
+    assert!(base.instance(T).len() > PAGE_SIZE * PAGE_SIZE);
+    let budget = CompactBudget {
+        max_pause: Duration::from_secs(60),
+        max_slots_per_step: 64,
+    };
+    let first = first_seed();
+    for seed in first..first + LARGE_SEEDS {
+        let mut writer =
+            SnapshotEngine::with_value_rels(base.clone(), &[], &Options::default()).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut retained = vec![(writer.snapshot(), wire::encode_spec(writer.spec()))];
+        for _ in 0..LARGE_STEPS {
+            let epoch = writer.epoch();
+            if rng.gen_range(0..6u32) == 0 {
+                writer.compact_step(&budget).expect("compaction step");
+            } else {
+                let delta = large_delta(writer.spec(), &mut rng);
+                writer
+                    .apply(&delta)
+                    .expect("generated deltas are admissible");
+            }
+            if writer.epoch() != epoch {
+                retained.push((writer.snapshot(), wire::encode_spec(writer.spec())));
+            }
+        }
+        for (snap, bytes) in &retained {
+            assert!(
+                wire::encode_spec(snap.spec()) == *bytes,
+                "seed {seed}: epoch {} changed after publication",
+                snap.epoch()
+            );
+        }
+        let (last, _) = retained.last().expect("the first epoch is retained");
+        let fresh = CurrencyEngine::new(last.spec(), &Options::default()).unwrap();
+        assert_eq!(
+            SnapshotReader::new(last.clone()).cps(),
+            fresh.cps().unwrap()
+        );
     }
 }
