@@ -29,8 +29,9 @@ use currency_core::{wire, Eid, SpecDelta, Specification, Tuple, Value};
 use currency_datagen::random::{random_spec, RandomSpecConfig};
 use currency_obs::{HistogramSnapshot, RingRecorder};
 use currency_reason::{
-    certain_answers_exact_monolithic, cop_exact_monolithic, CompactBudget, CurrencyEngine, Options,
-    ReasonError, ShardedEngine, SnapshotEngine, SolveLimits, TransitivityMode,
+    certain_answers_exact_monolithic, cop_exact_monolithic, CompactBudget, CurrencyEngine,
+    EngineStats, Options, ReasonError, ShardedEngine, SnapshotEngine, SolveLimits,
+    TransitivityMode,
 };
 use currency_serve::{CurrencyServe, ServeError, ServeOptions, ServeRequest, ServeStats};
 use currency_store::{DurableEngine, ShardedStore, StoreOptions};
@@ -74,6 +75,16 @@ const UPDATE_ENTITIES: usize = 128;
 /// whole-mapping grouping, full cache sweep) pushes it toward 4× and
 /// trips this with margin to spare for runner noise.
 const LARGE_FLAT_FACTOR: f64 = 2.0;
+
+/// Footprint guard for `--check`: heap bytes of one published
+/// `large_spec` component encoding ([`EngineStats::encoding_bytes`] over
+/// the component count; every component of that spec has the same
+/// shape).  Unit propagation decides such a component at level zero, so
+/// it stores no clauses and must hold no watch tables: about 4 KiB of
+/// per-variable state and order-variable index.  Empty watch lists for
+/// its 90 variables alone would add 8.4 KiB.  Computed from capacities,
+/// so deterministic; it must also be the same figure at 1× and 4× scale.
+const LARGE_COMPONENT_BYTES_LIMIT: usize = 8 * 1024;
 
 /// Insert+retract pairs per paired round of the serving-writer large
 /// section: enough work per round that timer and scheduler jitter stay
@@ -721,6 +732,13 @@ fn main() {
         serve_large_writer(large_base),
         serve_large_writer(large_base * 4),
     );
+    // The published encodings before any delta: all of one shape, so the
+    // mean is each component's footprint.
+    let per_component = |st: EngineStats| st.encoding_bytes / st.components.max(1);
+    let component_bytes = [
+        per_component(serve_1x.0.stats()),
+        per_component(serve_4x.0.stats()),
+    ];
     let insert = scenarios::large_insert_delta();
     let serve_pairs = |(writer, copied): &mut (SnapshotEngine, u64)| {
         for _ in 0..SERVE_LARGE_PAIRS_PER_ROUND {
@@ -747,12 +765,15 @@ fn main() {
         json,
         "  \"serve_large\": {{\"entities\": [{large_base}, {}], \
          \"serve_per_delta_ns\": [{:.0}, {:.0}], \
-         \"max_pages_copied_per_pair\": [{}, {}], \"ratio_4x_over_1x\": {serve_large_ratio:.2}}},",
+         \"max_pages_copied_per_pair\": [{}, {}], \"ratio_4x_over_1x\": {serve_large_ratio:.2}, \
+         \"encoding_bytes_per_component\": [{}, {}]}},",
         large_base * 4,
         serve_per_delta(&serve_1x_pairs),
         serve_per_delta(&serve_4x_pairs),
         serve_pages_copied[0],
         serve_pages_copied[1],
+        component_bytes[0],
+        component_bytes[1],
     );
 
     // ------------------------------------------------------------------
@@ -1503,6 +1524,9 @@ fn main() {
     let serve_large_flat_ok = serve_large_ratio <= LARGE_FLAT_FACTOR;
     let serve_large_pages_flat_ok = serve_pages_copied[0] == serve_pages_copied[1];
     let large_rebuilt_ok = large_rebuilt_per_delta <= UPDATE_REBUILT_LIMIT;
+    let component_bytes_1x = component_bytes[0];
+    let component_bytes_ok = component_bytes_1x <= LARGE_COMPONENT_BYTES_LIMIT
+        && component_bytes_1x == component_bytes[1];
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
     let compact_exact_ok = compact_identical && compact_parity;
@@ -1542,6 +1566,7 @@ fn main() {
         && serve_large_flat_ok
         && serve_large_pages_flat_ok
         && large_rebuilt_ok
+        && component_bytes_ok
         && compact_pause_ok
         && compact_flat_ok
         && compact_exact_ok
@@ -1574,6 +1599,9 @@ fn main() {
          \"serve_large_flat_ok\": {serve_large_flat_ok}, \
          \"serve_large_pages_flat_ok\": {serve_large_pages_flat_ok}, \
          \"large_rebuilt_per_delta\": {large_rebuilt_per_delta}, \
+         \"large_component_bytes\": {component_bytes_1x}, \
+         \"large_component_bytes_limit\": {LARGE_COMPONENT_BYTES_LIMIT}, \
+         \"large_component_bytes_ok\": {component_bytes_ok}, \
          \"compact_max_step_ns\": {compact_max_step_ns:.0}, \
          \"compact_max_pause_ms\": {COMPACT_MAX_PAUSE_MS}, \
          \"compact_step_flat_ratio\": {compact_step_flat_ratio:.2}, \
@@ -1668,6 +1696,14 @@ fn main() {
             eprintln!(
                 "REGRESSION: a single-tuple delta on the large spec recompiled \
                  {large_rebuilt_per_delta} components (limit {UPDATE_REBUILT_LIMIT})"
+            );
+        }
+        if !component_bytes_ok {
+            eprintln!(
+                "REGRESSION: a published large-spec component holds {} bytes at 1× and \
+                 {} at 4× spec size (limit {LARGE_COMPONENT_BYTES_LIMIT}, equal at both) — \
+                 solver state is no longer sized to the clauses it stores",
+                component_bytes[0], component_bytes[1]
             );
         }
         if !compact_pause_ok {

@@ -57,7 +57,7 @@ use currency_sat::{
     enumerate_projected, Enumeration, Limits, Lit, ModelSource, SolveOutcome, SolveResult, Solver,
     Var,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Conflict installment size for deadline-bounded solves: small enough
@@ -115,6 +115,10 @@ pub enum ValueChoice {
     Choice(Vec<(Value, usize)>),
 }
 
+/// The pair an order variable stands for: `(rel, attr, u, v)` with
+/// `u < v`.
+type OrderKey = (RelId, AttrId, TupleId, TupleId);
+
 /// One entity group whose transitivity is enforced lazily: the tuples of
 /// a `(relation, attribute, entity)` cell with ≥ 3 members (smaller
 /// groups have no triangles).
@@ -147,8 +151,10 @@ pub struct Encoding {
     /// without the closure-refinement loop could decode a non-transitive
     /// order.
     solver: Solver,
-    /// `(rel, attr, u, v)` with `u < v` → order variable (`true` ⇔ `u ≺ v`).
-    order_vars: HashMap<(RelId, AttrId, TupleId, TupleId), Var>,
+    /// `((rel, attr, u, v), var)` with `u < v`: the order variable of the
+    /// pair (`true` ⇔ `u ≺ v`).  Sorted by key once construction has
+    /// allocated every variable, and read by binary search.
+    order_vars: Vec<(OrderKey, Var)>,
     /// Current-value representation per encoded cell.
     value_choices: BTreeMap<(RelId, Eid, AttrId), ValueChoice>,
     /// Projection variables for All-SAT over current instances.
@@ -263,7 +269,7 @@ impl Encoding {
     pub fn vacant(value_rels: &[RelId], mode: TransitivityMode) -> Encoding {
         Encoding {
             solver: Solver::new(),
-            order_vars: HashMap::new(),
+            order_vars: Vec::new(),
             value_choices: BTreeMap::new(),
             value_projection: Vec::new(),
             value_rels: value_rels.to_vec(),
@@ -305,7 +311,7 @@ impl Encoding {
     ) -> Encoding {
         let mut enc = Encoding {
             solver: Solver::new(),
-            order_vars: HashMap::new(),
+            order_vars: Vec::new(),
             value_choices: BTreeMap::new(),
             value_projection: Vec::new(),
             value_rels: value_rels.to_vec(),
@@ -479,8 +485,42 @@ impl Encoding {
             (greater, lesser, false)
         };
         self.order_vars
-            .get(&(rel, attr, a, b))
-            .map(|v| v.lit(positive))
+            .binary_search_by_key(&(rel, attr, a, b), |&(key, _)| key)
+            .ok()
+            .map(|ix| self.order_vars[ix].1.lit(positive))
+    }
+
+    /// Heap bytes this encoding holds, computed from capacities: capacity
+    /// × element size for vectors (the solver's included, see
+    /// [`Solver::heap_bytes`]) and len × entry size for maps and sets.
+    /// The heap behind a [`Value`] is not counted.  Deterministic, so a
+    /// footprint budget can be checked without an allocator hook.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        let choices: usize = self
+            .value_choices
+            .values()
+            .map(|c| match c {
+                ValueChoice::Fixed(_) => 0,
+                ValueChoice::Choice(options) => bytes(options),
+            })
+            .sum();
+        let lazy_tuples: usize = self.lazy_groups.iter().map(|g| bytes(&g.tuples)).sum();
+        self.solver.heap_bytes()
+            + bytes(&self.order_vars)
+            + self.value_choices.len() * size_of::<((RelId, Eid, AttrId), ValueChoice)>()
+            + choices
+            + bytes(&self.value_projection)
+            + bytes(&self.value_rels)
+            + self
+                .scope
+                .as_ref()
+                .map_or(0, |cells| cells.len() * size_of::<(RelId, Eid)>())
+            + bytes(&self.lazy_groups)
+            + lazy_tuples
     }
 
     /// The transitivity grounding strategy this encoding was built with.
@@ -953,15 +993,22 @@ impl Encoding {
     }
 
     fn alloc_order_vars(&mut self, spec: &Specification, referenced: &BTreeSet<(RelId, AttrId)>) {
-        for (rel, attr, group) in self.referenced_groups(spec, referenced) {
+        let groups = self.referenced_groups(spec, referenced);
+        let pairs = groups
+            .iter()
+            .map(|(_, _, g)| g.len() * g.len().saturating_sub(1) / 2)
+            .sum();
+        self.order_vars.reserve_exact(pairs);
+        for (rel, attr, group) in groups {
             for i in 0..group.len() {
                 for j in (i + 1)..group.len() {
                     let (u, v) = (group[i].min(group[j]), group[i].max(group[j]));
                     let var = self.solver.new_var();
-                    self.order_vars.insert((rel, attr, u, v), var);
+                    self.order_vars.push(((rel, attr, u, v), var));
                 }
             }
         }
+        self.order_vars.sort_unstable_by_key(|&(key, _)| key);
     }
 
     fn add_transitivity(&mut self, spec: &Specification, referenced: &BTreeSet<(RelId, AttrId)>) {

@@ -73,6 +73,10 @@ pub struct EngineStats {
     pub vars: usize,
     /// Total clauses (original + learnt) across component solvers.
     pub clauses: usize,
+    /// Heap bytes of the compiled component encodings, summed over the
+    /// slots ([`crate::encode::Encoding::heap_bytes`]): the compiled footprint,
+    /// which falls when a compaction frees slots.
+    pub encoding_bytes: usize,
     /// Deltas applied over the engine's lifetime
     /// ([`CurrencyEngine::apply`]).
     pub updates_applied: usize,
@@ -792,6 +796,7 @@ impl<'a> CurrencyEngine<'a> {
             let st = self.component(ix);
             stats.vars += st.enc.num_vars();
             stats.clauses += st.enc.num_clauses();
+            stats.encoding_bytes += st.enc.heap_bytes();
             stats.sat += st.enc.solver_stats();
         }
         stats

@@ -647,6 +647,7 @@ pub fn sharded_stats(engines: &[&CurrencyEngine<'_>]) -> ShardedStats {
         total.cells += s.cells;
         total.vars += s.vars;
         total.clauses += s.clauses;
+        total.encoding_bytes += s.encoding_bytes;
         total.updates_applied += s.updates_applied;
         total.components_rebuilt += s.components_rebuilt;
         total.components_reused += s.components_reused;

@@ -797,6 +797,7 @@ impl SnapshotEngine {
         for slot in self.slots.iter() {
             stats.vars += slot.enc.num_vars();
             stats.clauses += slot.enc.num_clauses();
+            stats.encoding_bytes += slot.enc.heap_bytes();
             stats.sat += slot.enc.solver_stats();
         }
         stats

@@ -41,6 +41,11 @@ impl ActivityHeap {
         }
     }
 
+    /// Heap bytes held: entry capacity × entry size.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(f64, Var)>()
+    }
+
     /// Push a (possibly duplicate) entry for `v` at activity `act`.
     pub(crate) fn push(&mut self, v: Var, act: f64) {
         self.entries.push((act, v));

@@ -175,8 +175,9 @@ struct Clause {
 
 /// Hand-rolled so that `Vec<Clause>::clone_from` (which is element-wise)
 /// reuses each destination clause's literal buffer instead of
-/// re-allocating it — the dominant allocation cost when refreshing a
-/// scratch solver from a shared one.
+/// re-allocating it.  That matters only for solvers that store many
+/// clauses; a component decided at level zero stores none, and its
+/// refresh cost is the per-variable arrays.
 impl Clone for Clause {
     fn clone(&self) -> Self {
         Clause {
@@ -229,12 +230,21 @@ pub struct Solver {
     clauses: Vec<Clause>,
     /// `watches[l.code()]` = watchers of clauses (length ≥ 3) currently
     /// watching literal `l`; consulted when `l` becomes false.
+    ///
+    /// Both watch tables stay empty until the first clause is stored, so
+    /// a solver whose clauses all reduce to level-zero units holds no
+    /// per-literal lists at all.  From then on each has exactly one list
+    /// per literal (`2 × num_vars`).
     watches: Vec<Vec<Watcher>>,
     /// `bin_watches[l.code()]` = watchers of binary clauses containing
     /// `l`; `blocker` is the other literal.  Binary clauses are never
     /// deleted, so these lists only change on clause addition and during
     /// database compaction (index remapping).
     bin_watches: Vec<Vec<Watcher>>,
+    /// Scratch buffer in which [`Solver::add_clause`] sorts, dedups and
+    /// simplifies incoming literals.  Not solver state: clones start
+    /// without it.
+    add_buf: Vec<Lit>,
     assign: Vec<LBool>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
@@ -268,15 +278,18 @@ pub struct Solver {
 ///
 /// The impl is hand-rolled for `clone_from`: refreshing an existing
 /// scratch solver from a shared one reuses every buffer the scratch
-/// already owns (clause literal vectors, watch lists, trail, heap), so a
-/// reader that re-pins a new snapshot epoch pays memcpys instead of a
-/// fresh allocation per clause and per watch list.
+/// already owns (per-variable arrays, trail, heap, and the clause and
+/// watch buffers of a solver that stores clauses), so a reader that
+/// re-pins a new snapshot epoch pays memcpys instead of fresh
+/// allocations.  A solver without stored clauses has no watch tables, so
+/// its refresh copies the per-variable arrays and nothing else.
 impl Clone for Solver {
     fn clone(&self) -> Self {
         Solver {
             clauses: self.clauses.clone(),
             watches: self.watches.clone(),
             bin_watches: self.bin_watches.clone(),
+            add_buf: Vec::new(),
             assign: self.assign.clone(),
             level: self.level.clone(),
             reason: self.reason.clone(),
@@ -390,12 +403,48 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.bin_watches.push(Vec::new());
-        self.bin_watches.push(Vec::new());
+        if !self.watches.is_empty() {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+            self.bin_watches.push(Vec::new());
+            self.bin_watches.push(Vec::new());
+        }
         self.heap.push(v, 0.0);
         v
+    }
+
+    /// Heap bytes this solver holds, computed from capacities: capacity ×
+    /// element size for every vector, including the clauses' literal
+    /// buffers and the watch lists.  Deterministic, so it can gate a
+    /// footprint budget without an allocator hook.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let clause_lits: usize = self.clauses.iter().map(|c| bytes(&c.lits)).sum();
+        let watch_lists: usize = self
+            .watches
+            .iter()
+            .chain(&self.bin_watches)
+            .map(bytes)
+            .sum();
+        bytes(&self.clauses)
+            + clause_lits
+            + bytes(&self.watches)
+            + bytes(&self.bin_watches)
+            + watch_lists
+            + bytes(&self.add_buf)
+            + bytes(&self.assign)
+            + bytes(&self.level)
+            + bytes(&self.reason)
+            + bytes(&self.activity)
+            + bytes(&self.phase)
+            + bytes(&self.seen)
+            + bytes(&self.trail)
+            + bytes(&self.trail_lim)
+            + self.heap.heap_bytes()
+            + bytes(&self.lbd_stamp)
+            + bytes(&self.model)
     }
 
     #[inline]
@@ -415,12 +464,24 @@ impl Solver {
     /// are dropped, and literals already false at level zero are removed.
     /// May be called between `solve` calls (used for blocking clauses during
     /// model enumeration); any partial assignment is undone first.
+    ///
+    /// The simplification runs in a buffer the solver reuses, so only a
+    /// clause the solver keeps costs an allocation.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if !self.ok {
             return false;
         }
         self.cancel_until(0);
-        let mut cl: Vec<Lit> = lits.to_vec();
+        let mut cl = std::mem::take(&mut self.add_buf);
+        cl.clear();
+        cl.extend_from_slice(lits);
+        let ok = self.add_simplified(&mut cl);
+        self.add_buf = cl;
+        ok
+    }
+
+    /// The body of [`Solver::add_clause`] over its scratch buffer.
+    fn add_simplified(&mut self, cl: &mut Vec<Lit>) -> bool {
         cl.sort_unstable();
         cl.dedup();
         // Tautology check: sorted order places l and ¬l adjacently.
@@ -452,7 +513,7 @@ impl Solver {
             }
             _ => {
                 self.attach_clause(Clause {
-                    lits: cl,
+                    lits: cl.to_vec(),
                     learnt: false,
                     lbd: 0,
                     activity: 0.0,
@@ -471,8 +532,14 @@ impl Solver {
     }
 
     /// Store a simplified clause of length ≥ 2 and hook up its watchers.
+    /// The first stored clause creates the watch tables.
     fn attach_clause(&mut self, cl: Clause) -> u32 {
         debug_assert!(cl.lits.len() >= 2);
+        if self.watches.is_empty() {
+            let lits = 2 * self.num_vars();
+            self.watches.resize_with(lits, Vec::new);
+            self.bin_watches.resize_with(lits, Vec::new);
+        }
         let idx = self.clauses.len() as u32;
         if cl.learnt {
             self.num_learnts += 1;
@@ -620,7 +687,9 @@ impl Solver {
                 debug_assert!(enq);
             } else {
                 // Every variable assigned without conflict: model found.
-                self.model = self.assign.iter().map(|&a| a == LBool::True).collect();
+                self.model.clear();
+                self.model
+                    .extend(self.assign.iter().map(|&a| a == LBool::True));
                 self.cancel_until(0);
                 return SolveOutcome::Sat;
             }
@@ -677,6 +746,12 @@ impl Solver {
 
     /// Unit propagation; returns a conflicting clause index if one arises.
     fn propagate(&mut self) -> Option<u32> {
+        if self.watches.is_empty() {
+            // No stored clauses: nothing can be implied or conflict.
+            self.stats.propagations += (self.trail.len() - self.qhead) as u64;
+            self.qhead = self.trail.len();
+            return None;
+        }
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -1063,9 +1138,18 @@ impl Solver {
         self.reduce_db();
     }
 
+    /// Length of the watch tables: 0 before the first stored clause,
+    /// `2 × num_vars` after it.
+    #[cfg(test)]
+    pub(crate) fn watch_table_len(&self) -> usize {
+        self.watches.len()
+    }
+
     /// Verify the watch-list invariants; returns a description of the
     /// first violation found.
     ///
+    /// * both watch tables are empty (and then no clause is stored) or
+    ///   hold exactly one list per literal (`2 × num_vars`);
     /// * every clause of length ≥ 3 is watched exactly twice, under its
     ///   first two literals, with a blocker drawn from the clause;
     /// * every binary clause appears in `bin_watches` under both literals
@@ -1076,6 +1160,17 @@ impl Solver {
     ///   in slot 0.
     #[doc(hidden)]
     pub fn debug_check_invariants(&self) -> Result<(), String> {
+        let lits = 2 * self.num_vars();
+        let tables = (self.watches.len(), self.bin_watches.len());
+        if tables != (0, 0) && tables != (lits, lits) {
+            return Err(format!("watch tables {tables:?} for {lits} literals"));
+        }
+        if tables.0 == 0 && !self.clauses.is_empty() {
+            return Err(format!(
+                "{} clauses stored without watch tables",
+                self.clauses.len()
+            ));
+        }
         let mut long_watches: Vec<Vec<Lit>> = vec![Vec::new(); self.clauses.len()];
         for (code, ws) in self.watches.iter().enumerate() {
             for w in ws {

@@ -245,6 +245,12 @@ fn cloned_solver_is_independent() {
 /// reliably generates conflicts (and thus learnt clauses) for its size.
 fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
     let mut s = Solver::new();
+    add_pigeonhole(&mut s, pigeons, holes);
+    s
+}
+
+/// Add a fresh pigeonhole instance to `s`, over new variables.
+fn add_pigeonhole(s: &mut Solver, pigeons: usize, holes: usize) {
     let p: Vec<Vec<Var>> = (0..pigeons)
         .map(|_| (0..holes).map(|_| s.new_var()).collect())
         .collect();
@@ -260,7 +266,6 @@ fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
             }
         }
     }
-    s
 }
 
 #[test]
@@ -390,6 +395,184 @@ fn lemma_counter_tracks_add_lemma() {
     s.debug_check_invariants().unwrap();
 }
 
+// ---------------------------------------------------------------------------
+// Watch tables exist only once a clause is stored.
+// ---------------------------------------------------------------------------
+
+/// A solver whose clauses all reduce at level zero: units, clauses
+/// satisfied by them, clauses that shrink to units, and tautologies.
+fn units_only(n: usize) -> Solver {
+    let mut s = Solver::new();
+    let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+    for (i, &x) in vars.iter().enumerate() {
+        if i % 2 == 0 {
+            assert!(s.add_clause(&[x.lit(i % 4 == 0)]));
+        } else {
+            // Its neighbour is already false here, so this is a unit.
+            let prev = vars[i - 1].lit((i - 1) % 4 != 0);
+            assert!(s.add_clause(&[prev, x.pos(), prev]));
+        }
+    }
+    assert!(s.add_clause(&[vars[0].pos(), vars[1].neg(), vars[2].pos()]));
+    assert!(s.add_clause(&[vars[3].pos(), vars[3].neg()]));
+    s
+}
+
+/// Probe every single-literal assumption and return the verdicts.
+fn entailment_profile(s: &mut Solver) -> Vec<SolveResult> {
+    (0..s.num_vars())
+        .flat_map(|i| [v(i).pos(), v(i).neg()])
+        .map(|l| s.solve_with_assumptions(&[l]))
+        .collect()
+}
+
+#[test]
+fn units_only_instance_holds_no_watch_tables() {
+    let mut s = units_only(12);
+    assert_eq!(s.num_clauses(), 0);
+    assert_eq!(s.watch_table_len(), 0);
+    s.debug_check_invariants().unwrap();
+    assert_eq!(s.solve(), SolveResult::Sat);
+    for i in 0..12 {
+        let want = if i % 2 == 0 { i % 4 == 0 } else { true };
+        assert_eq!(s.model_value(v(i)), want, "v{i}");
+    }
+    assert_eq!(s.stats().propagations, 12, "every unit is propagated once");
+    // Entailment probes: an assumption against a unit is refuted, one
+    // that agrees with it is satisfiable, and nothing is learnt.
+    let profile = entailment_profile(&mut s);
+    for (code, verdict) in profile.into_iter().enumerate() {
+        let lit = Lit::from_code(code);
+        let want = if s.model_value(lit.var()) == lit.is_pos() {
+            SolveResult::Sat
+        } else {
+            SolveResult::Unsat
+        };
+        assert_eq!(verdict, want, "{lit:?}");
+    }
+    assert_eq!(s.watch_table_len(), 0);
+    // Clause intake that stores nothing retains nothing: the simplifying
+    // buffer is reused, so the footprint does not move.
+    let before = s.heap_bytes();
+    for i in 0..100 {
+        assert!(s.add_clause(&[v(i % 12).pos(), v(i % 12).neg(), v((i + 1) % 12).pos()]));
+        assert!(s.add_clause(&[v(0).pos(), v(i % 12).pos()]));
+    }
+    assert_eq!(s.heap_bytes(), before);
+    assert_eq!(s.watch_table_len(), 0);
+    // Contradicting a unit makes the instance unsatisfiable for good.
+    assert!(!s.add_clause(&[v(0).neg()]));
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    s.debug_check_invariants().unwrap();
+}
+
+#[test]
+fn watch_tables_appear_on_first_stored_clause_and_cover_later_vars() {
+    let mut s = units_only(6);
+    let heap_without = s.heap_bytes();
+    assert_eq!(s.watch_table_len(), 0);
+    let (a, b) = (s.new_var(), s.new_var());
+    assert_eq!(
+        s.watch_table_len(),
+        0,
+        "new_var adds no lists before a clause"
+    );
+    assert!(s.add_clause(&[a.neg(), b.pos()]));
+    assert_eq!(s.num_clauses(), 1);
+    assert_eq!(s.watch_table_len(), 2 * 8);
+    assert!(s.heap_bytes() > heap_without);
+    s.debug_check_invariants().unwrap();
+    // Variables added after the first clause get their lists at once.
+    let (c, d) = (s.new_var(), s.new_var());
+    assert_eq!(s.watch_table_len(), 2 * 10);
+    s.debug_check_invariants().unwrap();
+    assert!(s.add_clause(&[b.neg(), c.neg(), d.pos()]));
+    assert!(s.add_clause(&[c.pos(), d.pos()]));
+    s.debug_check_invariants().unwrap();
+    // a → b, and b ∧ c → d, and c ∨ d: assuming a and ¬d is refuted.
+    assert_eq!(
+        s.solve_with_assumptions(&[a.pos(), d.neg()]),
+        SolveResult::Unsat
+    );
+    assert_eq!(s.solve_with_assumptions(&[a.pos()]), SolveResult::Sat);
+    assert!(s.model_value(b) && s.model_value(d));
+    // Units on stored clauses' literals propagate through the tables to
+    // a level-zero conflict.
+    assert!(s.add_clause(&[a.pos()]));
+    assert!(!s.add_clause(&[d.neg()]));
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    s.debug_check_invariants().unwrap();
+}
+
+#[test]
+fn learnt_clauses_and_reductions_keep_table_invariants() {
+    let mut s = units_only(10);
+    add_pigeonhole(&mut s, 6, 5);
+    assert_eq!(s.watch_table_len(), 2 * s.num_vars());
+    s.set_max_learnts(8);
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    assert!(s.stats().learnt_deleted > 0, "{:?}", s.stats());
+    s.debug_check_invariants().unwrap();
+
+    // A satisfiable variant keeps learnt clauses around to reduce.
+    let mut s = units_only(10);
+    add_pigeonhole(&mut s, 5, 5);
+    assert_eq!(s.solve(), SolveResult::Sat);
+    s.debug_check_invariants().unwrap();
+    s.set_max_learnts(0);
+    s.force_reduce();
+    s.debug_check_invariants().unwrap();
+    assert_eq!(s.watch_table_len(), 2 * s.num_vars());
+    let extra = s.new_var();
+    assert_eq!(s.watch_table_len(), 2 * s.num_vars());
+    assert!(s.add_clause(&[extra.pos(), v(10).pos(), v(11).pos()]));
+    assert_eq!(s.solve(), SolveResult::Sat);
+    s.debug_check_invariants().unwrap();
+}
+
+#[test]
+fn clone_and_clone_from_cross_watch_table_states() {
+    let mut bare = units_only(8);
+    let mut full = units_only(8);
+    add_pigeonhole(&mut full, 4, 4);
+    assert_eq!(full.solve(), SolveResult::Sat);
+    let bare_profile = entailment_profile(&mut bare);
+    let full_profile = entailment_profile(&mut full);
+
+    // Without tables → with tables, by clone and by clone_from.
+    let mut grown = bare.clone();
+    grown.clone_from(&full);
+    assert_eq!(grown.watch_table_len(), 2 * full.num_vars());
+    grown.debug_check_invariants().unwrap();
+    assert_eq!(entailment_profile(&mut grown), full_profile);
+    let mut copied = full.clone();
+    copied.debug_check_invariants().unwrap();
+    assert_eq!(entailment_profile(&mut copied), full_profile);
+
+    // With tables → without tables.
+    let mut shrunk = full.clone();
+    shrunk.clone_from(&bare);
+    assert_eq!(shrunk.watch_table_len(), 0);
+    assert_eq!(shrunk.num_clauses(), 0);
+    shrunk.debug_check_invariants().unwrap();
+    assert_eq!(entailment_profile(&mut shrunk), bare_profile);
+    let mut plain = bare.clone();
+    assert_eq!(plain.watch_table_len(), 0);
+    assert_eq!(entailment_profile(&mut plain), bare_profile);
+
+    // The copies stay usable, and work on them never leaks back.
+    let (x, y) = (shrunk.new_var(), shrunk.new_var());
+    assert!(shrunk.add_clause(&[x.pos(), y.neg()]));
+    assert_eq!(shrunk.watch_table_len(), 2 * shrunk.num_vars());
+    shrunk.debug_check_invariants().unwrap();
+    let y = grown.new_var();
+    assert!(grown.add_clause(&[y.neg(), v(8).pos(), v(9).pos()]));
+    grown.debug_check_invariants().unwrap();
+    assert_eq!(bare.watch_table_len(), 0);
+    assert_eq!(entailment_profile(&mut bare), bare_profile);
+    assert_eq!(entailment_profile(&mut full), full_profile);
+}
+
 #[test]
 fn stats_aggregation_covers_new_counters() {
     let mut x = crate::SolverStats {
@@ -476,6 +659,55 @@ fn cdcl_agrees_with_dpll_on_random_3sat() {
             ),
         }
     }
+}
+
+#[test]
+fn cdcl_agrees_with_dpll_after_unit_prefixes() {
+    // The same sweep with level-zero units added first: a solver spends
+    // that prefix without watch tables and must create them mid-intake,
+    // or never, when every clause is satisfied or shrinks to a unit.
+    let mut rng = XorShift(0x5eed_cafe_f00d_0002);
+    let mut tableless = 0;
+    for round in 0..300 {
+        let num_vars = 3 + (round % 8);
+        let num_units = rng.below(num_vars as u64 + 1) as usize;
+        let num_clauses = rng.below(5 * num_vars as u64) as usize;
+        let mut clauses: Vec<Vec<Lit>> = (0..num_units)
+            .map(|_| {
+                vec![Var::from_index(rng.below(num_vars as u64) as usize).lit(rng.below(2) == 0)]
+            })
+            .collect();
+        clauses.extend(random_3sat(&mut rng, num_vars, num_clauses));
+        let oracle = solve_dpll(num_vars, &clauses);
+        let mut s = Solver::new();
+        for _ in 0..num_vars {
+            s.new_var();
+        }
+        for (k, c) in clauses.iter().enumerate() {
+            s.add_clause(c);
+            if k + 1 == num_units {
+                assert_eq!(s.watch_table_len(), 0, "round {round}: units only");
+            }
+        }
+        s.debug_check_invariants().unwrap();
+        if s.watch_table_len() == 0 {
+            tableless += 1;
+        }
+        let got = s.solve();
+        match (&oracle, got) {
+            (Some(_), SolveResult::Sat) => {
+                let model: Vec<bool> = (0..num_vars).map(|i| s.model_value(v(i))).collect();
+                assert!(evaluate(&clauses, &model), "round {round}: non-model");
+            }
+            (None, SolveResult::Unsat) => {}
+            _ => panic!(
+                "solver disagreement in round {round}: oracle={:?} cdcl={got:?}\nclauses={clauses:?}",
+                oracle.is_some(),
+            ),
+        }
+        s.debug_check_invariants().unwrap();
+    }
+    assert!(tableless > 0, "some rounds must never store a clause");
 }
 
 #[test]

@@ -454,11 +454,25 @@ fn engine_stats_equal_the_scrape() {
     let mut live = CurrencyEngine::new_owned(spec.clone(), &Options::default()).unwrap();
     let mut writer = SnapshotEngine::new(spec, &Options::default()).unwrap();
     live.apply(&insert(r, 1, 99)).unwrap();
-    live.apply(&retract).unwrap();
-    live.compact().unwrap();
     writer.apply(&insert(r, 1, 99)).unwrap();
+    let peak = [live.stats().encoding_bytes, writer.stats().encoding_bytes];
+    live.apply(&retract).unwrap();
     writer.apply(&retract).unwrap();
+    let retracted = [live.stats().encoding_bytes, writer.stats().encoding_bytes];
+    live.compact().unwrap();
     writer.compact().unwrap();
+    // The compiled footprint is in the same scrape: it is below its peak
+    // once the retracted tuple's slot is freed, and the compaction's
+    // rebuild of every remapped component does not grow it back.
+    let compacted = [live.stats().encoding_bytes, writer.stats().encoding_bytes];
+    for k in 0..2 {
+        assert!(peak[k] > 0, "engine {k}");
+        assert!(
+            compacted[k] < peak[k],
+            "engine {k}: {compacted:?} vs {peak:?}"
+        );
+        assert!(compacted[k] <= retracted[k], "engine {k}");
+    }
     for (stats, snap) in [
         (live.stats(), live.obs().registry().snapshot()),
         (writer.stats(), writer.obs().registry().snapshot()),
