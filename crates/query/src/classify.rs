@@ -1,8 +1,9 @@
 //! Structural classification of queries into the paper's language tower.
 
-use crate::ast::{Formula, Query};
+use crate::ast::{Formula, QVar, Query};
 use crate::sp::as_sp;
 use currency_core::CmpOp;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// The query-language tower of the paper: `SP ⊂ CQ ⊂ UCQ ⊂ ∃FO⁺ ⊂ FO`.
@@ -75,6 +76,60 @@ pub fn classify(q: &Query) -> QueryClass {
         return QueryClass::ExistsPositiveFo;
     }
     QueryClass::Fo
+}
+
+/// The witnesses one answer row of `f` needs, and the free variables an
+/// atom of `f` binds; `None` under negation or `∀`.
+///
+/// An atom counts one, a comparison zero; `∧` sums, `∨` takes the
+/// maximum (and binds only what every disjunct binds), `∃` passes its
+/// count through.  A variable no atom binds ranges over the active
+/// domain, so one domain element witnesses it: it counts one where it
+/// is quantified, or at the top of the query when it is free.
+fn witnesses(f: &Formula) -> Option<(usize, BTreeSet<QVar>)> {
+    match f {
+        Formula::Atom(_) => Some((1, f.free_vars())),
+        Formula::Cmp { .. } => Some((0, BTreeSet::new())),
+        Formula::And(fs) => fs
+            .iter()
+            .try_fold((0, BTreeSet::new()), |(n, mut bound), g| {
+                let (m, b) = witnesses(g)?;
+                bound.extend(b);
+                Some((n + m, bound))
+            }),
+        Formula::Or(fs) => {
+            let mut parts = fs.iter().map(witnesses);
+            let first = parts.next().unwrap_or(Some((0, BTreeSet::new())))?;
+            parts.try_fold(first, |(n, bound), part| {
+                let (m, b) = part?;
+                Some((n.max(m), bound.intersection(&b).copied().collect()))
+            })
+        }
+        Formula::Exists(vs, g) => {
+            let (n, mut bound) = witnesses(g)?;
+            let free = g.free_vars();
+            let ranged = vs
+                .iter()
+                .filter(|v| free.contains(v) && !bound.contains(v))
+                .count();
+            bound.retain(|v| !vs.contains(v));
+            Some((n + ranged, bound))
+        }
+        Formula::Not(_) | Formula::Forall(_, _) => None,
+    }
+}
+
+/// `true` if one tuple (or one active-domain value) witnesses every
+/// answer of `q`: a positive query in which no conjunction joins two
+/// atoms — SP queries, unions of single-atom disjuncts, selections.
+///
+/// Over a database split into independent parts (entity shards whose
+/// completions combine freely), such a query's certain answers are the
+/// union of the parts' certain answers.  Any other query can have an
+/// answer whose witnesses lie in two parts, so the union may miss it.
+pub fn is_single_witness(q: &Query) -> bool {
+    witnesses(q.body())
+        .is_some_and(|(n, bound)| n + q.body().free_vars().difference(&bound).count() <= 1)
 }
 
 #[cfg(test)]
@@ -175,6 +230,73 @@ mod tests {
             ]),
         );
         assert_eq!(classify(&q), QueryClass::Fo);
+    }
+
+    #[test]
+    fn single_witness_admits_sp_and_unions_of_single_atoms() {
+        let mut b = QueryBuilder::new();
+        let (x, y) = (b.var(), b.var());
+        let sp = b.build(
+            vec![x],
+            Formula::Exists(
+                vec![y],
+                Box::new(Formula::And(vec![
+                    atom(R, vec![Term::Var(x), Term::Var(y)]),
+                    Formula::Cmp {
+                        left: Term::Var(y),
+                        op: CmpOp::Eq,
+                        right: Term::val(1),
+                    },
+                ])),
+            ),
+        );
+        assert!(is_single_witness(&sp));
+        let mut b = QueryBuilder::new();
+        let x = b.var();
+        let union = b.build(
+            vec![x],
+            Formula::Or(vec![
+                atom(R, vec![Term::Var(x)]),
+                atom(S, vec![Term::Var(x)]),
+            ]),
+        );
+        assert!(is_single_witness(&union));
+    }
+
+    #[test]
+    fn single_witness_refuses_joins_negation_and_domain_products() {
+        let mut b = QueryBuilder::new();
+        let x = b.var();
+        let join = b.build(
+            vec![x],
+            Formula::And(vec![
+                atom(R, vec![Term::val("a"), Term::Var(x)]),
+                atom(R, vec![Term::val("b"), Term::Var(x)]),
+            ]),
+        );
+        assert!(!is_single_witness(&join));
+        let mut b = QueryBuilder::new();
+        let x = b.var();
+        let negation = b.build(
+            vec![x],
+            Formula::And(vec![
+                atom(R, vec![Term::Var(x)]),
+                Formula::Not(Box::new(atom(S, vec![Term::Var(x)]))),
+            ]),
+        );
+        assert!(!is_single_witness(&negation));
+        // `y` is padded from the active domain in the `R(x)` disjunct:
+        // the answer (x, y) pairs a tuple with a value from anywhere.
+        let mut b = QueryBuilder::new();
+        let (x, y) = (b.var(), b.var());
+        let product = b.build(
+            vec![x, y],
+            Formula::Or(vec![
+                atom(R, vec![Term::Var(x)]),
+                atom(S, vec![Term::Var(y)]),
+            ]),
+        );
+        assert!(!is_single_witness(&product));
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod parser;
 mod sp;
 
 pub use ast::{Atom, Formula, QVar, Query, QueryBuilder, Term};
-pub use classify::{classify, QueryClass};
+pub use classify::{classify, is_single_witness, QueryClass};
 pub use currency_core::CmpOp;
 pub use eval::{Database, EvalError};
 pub use parser::{parse_query, ParseError};

@@ -98,7 +98,7 @@ pub use partition::{Partition, RefreshPlan, RefreshScratch};
 pub use preserve::{bcp, cpp, ecp, maximum_extension, ExtensionSlot, PreservationProblem};
 pub use preserve_sp::{bcp_sp, cpp_sp};
 pub use shard::{
-    ShardError, ShardPlan, ShardedApplyReport, ShardedCompactStepReport, ShardedEngine,
+    ShardError, ShardPlan, Sharded, ShardedApplyReport, ShardedCompactStepReport, ShardedEngine,
     ShardedStats, SpecImport,
 };
 pub use snapshot::{EngineSnapshot, PublishReport, SnapshotCell, SnapshotEngine, SnapshotReader};

@@ -1,4 +1,4 @@
-//! Entity-sharded scale-out: N independent engines behind one front door.
+//! Entity-sharded scale-out: N independent nodes behind one front door.
 //!
 //! The partition module proves the load-bearing fact this module builds
 //! on: **ground rules are entity-local** — a denial constraint grounded
@@ -23,15 +23,18 @@
 //!   has never seen route by hash.  After recovery the plan is re-derived
 //!   from shard contents ([`ShardPlan::from_shards`]), so live and
 //!   recovered routing agree for every entity that still has live tuples.
-//! * **Delta routing** ([`localize`], policy `reject`): a delta whose
+//! * **Delta routing** ([`Router::apply`], policy `reject`): a delta whose
 //!   entity anchors ([`SpecDelta::routing`]) span more than one shard is
 //!   **rejected** with [`ShardError::CrossShard`] — split the batch and
-//!   resubmit.  Structure-only deltas (constraints, new copy functions)
-//!   are broadcast to every shard: constraints ground entity-locally, and
-//!   a new copy function's mappings are filtered per shard.  A copy
-//!   mapping whose endpoints live in different shards is rejected with
-//!   [`ShardError::CrossShardCopy`] — co-location is decided at
-//!   assignment time and new cross-shard links are not re-homed.
+//!   resubmit.  The tuple ids it references must live in that shard
+//!   too.  Structure-only deltas (constraints, new copy functions) are
+//!   broadcast to every shard: constraints ground entity-locally, and a
+//!   new copy function's mappings are filtered per shard.  A new copy
+//!   function mapping entities in different shards is rejected with
+//!   [`ShardError::CrossShardCopy`] (an extension's endpoints are
+//!   anchors, so it gets [`ShardError::CrossShard`]) — co-location is
+//!   decided at assignment time and new cross-shard links are not
+//!   re-homed.
 //!
 //! ## Global tuple ids
 //!
@@ -44,37 +47,52 @@
 //! [`ShardedCompactStepReport::new_id`] translates, and only the
 //! compacted shard's ids move.
 //!
+//! ## One implementation behind every front door
+//!
+//! [`Router::apply`] is the one routed apply (localize, validate and
+//! broadcast, poison on a part-way broadcast, commit placements) and
+//! [`Router::step`] the one per-shard compaction loop, both over
+//! [`ShardNode`]s.  A step failing on shard `k` returns the reports of
+//! shards `0..k` ([`ShardError::StepFailed`]), so the ids they remapped
+//! stay translatable.  [`Scatter`] is the one scatter-gather, over
+//! [`ShardReader`]s.  [`ShardedEngine`] is [`Sharded`] over engines;
+//! `currency-store`'s `ShardedStore` is [`Sharded`] over durable
+//! engines plus a directory; `currency-serve`'s `ShardedServe` keeps a
+//! [`Router`] behind its writer lock and reads through a [`Scatter`].
+//!
 //! ## Scatter-gather queries
 //!
-//! CPS is the all-shards conjunction with early exit on the first unsat
-//! shard ([`scatter_cps`]).  COP routes each pair to the shard owning
-//! both tuples (pairs spanning shards relate different entities, which
-//! are never certainly ordered).  Certain answers / CCQA are the union
-//! across shards: with independent shards, a row is certain in the whole
-//! specification iff it is certain in some shard — exact for every query
-//! whose individual answers are witnessed inside one shard (in
-//! particular all single-atom queries, the entity-local class the
-//! differential suite sweeps); queries joining *across* copy-closures
-//! would additionally need cross-shard products and are out of scope.
-//! The paper's vacuous-truth conventions are preserved globally: one
-//! unsat shard makes the whole specification inconsistent, so COP/DCIP
-//! answer `true` and certain answers report
-//! [`CertainAnswers::Inconsistent`].
+//! CPS is the all-shards conjunction with early exit.  COP routes each
+//! pair to the shard owning both tuples (pairs spanning shards relate
+//! different entities, never certainly ordered).  DCIP is the
+//! conjunction.  One unsat shard makes the whole specification
+//! inconsistent, so COP/DCIP answer `true` and certain answers report
+//! [`CertainAnswers::Inconsistent`] (the paper's vacuous truth).
+//!
+//! Certain answers / CCQA are the union of the per-shard ones.  Shards'
+//! completions combine freely, so a row is certain iff some shard
+//! certifies it — **provided one tuple witnesses each answer**
+//! ([`currency_query::is_single_witness`]: positive, no conjunction
+//! joining two atoms).  `Q(y) :- R("a", y) ∧ R("b", y)` over
+//! `("a", paris)` and `("b", paris)` placed apart is certain, yet no
+//! shard holds both witnesses; such queries get
+//! [`ReasonError::UnsupportedQuery`], never the union.  A one-shard
+//! split answers every query.
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::engine::{ApplyReport, CurrencyEngine, EngineStats};
 use crate::error::ReasonError;
-use crate::obs::EngineObs;
 use crate::{CompactBudget, Options};
 use currency_core::{
-    AttrId, CompactStepReport, CurrencyError, DeltaOp, DeltaRouting, Eid, RelId, SpecDelta,
-    Specification, TupleId, Value,
+    AttrId, CompactStepReport, CopyFunction, CurrencyError, DeltaOp, DeltaRouting, Eid, RelId,
+    SpecDelta, Specification, TupleId, Value,
 };
-use currency_obs::MetricsSnapshot;
-use currency_query::Query;
+use currency_obs::{MetricsRegistry, MetricsSnapshot};
+use currency_query::{is_single_witness, Query};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Deref;
 
 /// SplitMix64 finalizer: the entity → shard hash.  Fixed for all time —
 /// it is part of the on-disk placement contract of sharded stores.
@@ -100,16 +118,16 @@ pub fn locate(shards: usize, global: TupleId) -> (usize, TupleId) {
     )
 }
 
-/// A failure of the sharded layer (routing or a shard engine).
+/// A failure of the sharded layer: routing, or shard node error `E`.
 #[derive(Debug)]
-pub enum ShardError {
+pub enum ShardError<E = ReasonError> {
     /// A delta's entity anchors span more than one shard.  Policy:
     /// rejected, never re-homed — split the batch and resubmit.
     CrossShard {
         /// The shards the anchors resolve to (at least two).
         shards: BTreeSet<usize>,
     },
-    /// A new copy mapping links entities placed in different shards.
+    /// A new copy function maps entities placed in different shards.
     /// Co-location is decided at assignment time; later links must stay
     /// inside one shard.
     CrossShardCopy {
@@ -126,16 +144,27 @@ pub enum ShardError {
     Poisoned,
     /// The delta is inadmissible (unknown tuple/copy, arity, cycles, …).
     Invalid(CurrencyError),
-    /// A shard engine failed.
+    /// A shard node failed.
     Shard {
         /// The failing shard.
         shard: usize,
-        /// The underlying engine error.
-        source: ReasonError,
+        /// The underlying node error.
+        source: E,
+    },
+    /// A compaction step failed on shard `shard` after shards
+    /// `0..shard` had stepped.  Their reports are in `completed`:
+    /// translate the ids they remapped through it.
+    StepFailed {
+        /// The failing shard.
+        shard: usize,
+        /// The underlying node error.
+        source: E,
+        /// The reports of the shards that stepped.
+        completed: ShardedCompactStepReport,
     },
 }
 
-impl fmt::Display for ShardError {
+impl<E: fmt::Display> fmt::Display for ShardError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::CrossShard { shards } => {
@@ -154,27 +183,34 @@ impl fmt::Display for ShardError {
             ),
             ShardError::Poisoned => write!(
                 f,
-                "a broadcast apply failed part-way; the sharded engine refuses \
+                "a broadcast apply failed part-way; the sharded front door refuses \
                  further mutation"
             ),
             ShardError::Invalid(e) => write!(f, "inadmissible delta: {e}"),
             ShardError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
+            ShardError::StepFailed { shard, source, .. } => write!(
+                f,
+                "compaction step failed on shard {shard} after shards 0..{shard} stepped: \
+                 {source}"
+            ),
         }
     }
 }
 
-impl std::error::Error for ShardError {
+impl<E: std::error::Error + 'static> std::error::Error for ShardError<E> {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::Invalid(e) => Some(e),
-            ShardError::Shard { source, .. } => Some(source),
+            ShardError::Shard { source, .. } | ShardError::StepFailed { source, .. } => {
+                Some(source)
+            }
             _ => None,
         }
     }
 }
 
-impl From<CurrencyError> for ShardError {
-    fn from(e: CurrencyError) -> ShardError {
+impl<E> From<CurrencyError> for ShardError<E> {
+    fn from(e: CurrencyError) -> ShardError<E> {
         ShardError::Invalid(e)
     }
 }
@@ -349,25 +385,12 @@ pub fn split_spec(spec: &Specification, plan: &ShardPlan) -> (Vec<Specification>
     }
     for cf in spec.copies() {
         let sig = cf.signature();
-        let mut per_shard: Vec<currency_core::CopyFunction> = (0..n)
-            .map(|_| currency_core::CopyFunction::new(sig.clone()))
-            .collect();
-        for (t, s) in cf.mappings() {
-            let (ts, tl) = locate(
-                n,
-                import
-                    .new_id(sig.target, t)
-                    .expect("mapped tuples are live"),
-            );
-            let (ss, sl) = locate(
-                n,
-                import
-                    .new_id(sig.source, s)
-                    .expect("mapped tuples are live"),
-            );
-            debug_assert_eq!(ts, ss, "copy closures are co-located by the plan");
-            per_shard[ts].set_mapping(tl, sl);
-        }
+        let global = |rel, id| import.new_id(rel, id).expect("mapped tuples are live");
+        let mappings = cf
+            .mappings()
+            .map(|(t, s)| (global(sig.target, t), global(sig.source, s)));
+        let per_shard = split_copy::<ReasonError>(cf, n, mappings)
+            .expect("copy closures are co-located by the plan");
         for (shard, cf_local) in shards.iter_mut().zip(per_shard) {
             shard
                 .add_copy(cf_local)
@@ -377,9 +400,32 @@ pub fn split_spec(spec: &Specification, plan: &ShardPlan) -> (Vec<Specification>
     (shards, import)
 }
 
+/// One copy function per shard, holding the mappings (global ids) of
+/// `cf`'s signature in shard-local ids.  A mapping whose endpoints lie
+/// in different shards is refused.
+fn split_copy<E>(
+    cf: &CopyFunction,
+    n: usize,
+    mappings: impl IntoIterator<Item = (TupleId, TupleId)>,
+) -> Result<Vec<CopyFunction>, ShardError<E>> {
+    let mut per_shard: Vec<CopyFunction> = (0..n)
+        .map(|_| CopyFunction::new(cf.signature().clone()))
+        .collect();
+    for (t, s) in mappings {
+        let ((ts, tl), (ss, sl)) = (locate(n, t), locate(n, s));
+        if ts != ss {
+            return Err(ShardError::CrossShardCopy {
+                target: (t, ts),
+                source: (s, ss),
+            });
+        }
+        per_shard[ts].set_mapping(tl, sl);
+    }
+    Ok(per_shard)
+}
+
 /// A delta rewritten into shard-local id spaces (see [`localize`]).
-#[derive(Clone, Debug)]
-pub enum RoutedDelta {
+enum RoutedDelta {
     /// The delta carried no operations.
     Empty,
     /// All operations anchor in one shard.
@@ -396,14 +442,15 @@ pub enum RoutedDelta {
     },
 }
 
-/// A localized delta plus the entity placements to commit into the
-/// [`ShardPlan`] *after* the apply succeeds.
-#[derive(Clone, Debug)]
-pub struct Localized {
+/// A localized delta plus its inserts, whose entity placements are
+/// committed into the [`ShardPlan`] *after* the apply succeeds.
+struct Localized {
     /// The rewritten delta.
-    pub routed: RoutedDelta,
-    /// `(entity, shard)` placements created by the delta's inserts.
-    pub placements: Vec<(Eid, usize)>,
+    routed: RoutedDelta,
+    /// `(relation, global id, entity)` of each insert, in operation
+    /// order: the k-th insert into (shard s, rel r) lands at local id
+    /// `len(s, r) + k`, which is the id the shard assigns.
+    inserts: Vec<(RelId, TupleId, Eid)>,
 }
 
 /// Route `delta` (global ids) against `plan` and rewrite it into
@@ -411,25 +458,24 @@ pub struct Localized {
 /// (for resolving ids and predicting insert positions).  Enforces the
 /// module's routing policy: single-shard entity deltas, broadcast
 /// structure deltas, everything else rejected.
-pub fn localize(
+fn localize<E>(
     delta: &SpecDelta,
     plan: &ShardPlan,
     specs: &[&Specification],
-) -> Result<Localized, ShardError> {
+) -> Result<Localized, ShardError<E>> {
     let n = plan.shards();
     debug_assert_eq!(n, specs.len());
     if delta.is_empty() {
         return Ok(Localized {
             routed: RoutedDelta::Empty,
-            placements: Vec::new(),
+            inserts: Vec::new(),
         });
     }
     // Predict the global ids of this delta's own inserts so later ops of
-    // the same delta can reference them: the k-th insert into (shard s,
-    // rel r) lands at local id len(s, r) + k.
+    // the same delta can reference them.
     let mut pending: HashMap<(RelId, TupleId), Eid> = HashMap::new();
     let mut extra: HashMap<(usize, RelId), u32> = HashMap::new();
-    let mut placements: Vec<(Eid, usize)> = Vec::new();
+    let mut inserts: Vec<(RelId, TupleId, Eid)> = Vec::new();
     for op in delta.ops() {
         if let DeltaOp::InsertTuple { rel, tuple } = op {
             let s = plan.shard_of(tuple.eid);
@@ -437,7 +483,7 @@ pub fn localize(
             let local = TupleId(specs[s].instance(*rel).len() as u32 + *slot);
             *slot += 1;
             pending.insert((*rel, global_id(n, s, local)), tuple.eid);
-            placements.push((tuple.eid, s));
+            inserts.push((*rel, global_id(n, s, local), tuple.eid));
         }
     }
     let copy_rels: Vec<(RelId, RelId)> = specs[0]
@@ -459,55 +505,43 @@ pub fn localize(
         DeltaRouting::Empty => RoutedDelta::Empty,
         DeltaRouting::Mixed(_) => return Err(ShardError::MixedDelta),
         DeltaRouting::Entities(eids) => {
-            let shards: BTreeSet<usize> = eids.iter().map(|&e| plan.shard_of(e)).collect();
-            if shards.len() != 1 {
-                return Err(ShardError::CrossShard { shards });
-            }
-            let shard = *shards.iter().next().expect("non-empty anchor set");
+            // Every referenced id must live in the anchors' one shard,
+            // too: an entity whose tuples were all retracted before a
+            // recovery routes by hash, not to the shard its old ids name.
+            let mut shards: BTreeSet<usize> = eids.iter().map(|&e| plan.shard_of(e)).collect();
+            let mut to_local = |g: TupleId| {
+                let (s, l) = locate(n, g);
+                shards.insert(s);
+                l
+            };
             let mut local = SpecDelta::new();
             for op in delta.ops() {
                 match op {
-                    DeltaOp::InsertTuple { rel, tuple } => {
-                        local.insert_tuple(*rel, tuple.clone());
-                    }
+                    DeltaOp::InsertTuple { rel, tuple } => local.insert_tuple(*rel, tuple.clone()),
                     DeltaOp::RemoveTuple { rel, tuple } => {
-                        local.remove_tuple(*rel, locate(n, *tuple).1);
+                        local.remove_tuple(*rel, to_local(*tuple))
                     }
                     DeltaOp::AddOrderEdge {
                         rel,
                         attr,
                         lesser,
                         greater,
-                    } => {
-                        local.add_order_edge(
-                            *rel,
-                            *attr,
-                            locate(n, *lesser).1,
-                            locate(n, *greater).1,
-                        );
-                    }
+                    } => local.add_order_edge(*rel, *attr, to_local(*lesser), to_local(*greater)),
                     DeltaOp::ExtendCopy {
                         copy,
                         target,
                         source,
-                    } => {
-                        let (ts, tl) = locate(n, *target);
-                        let (ss, sl) = locate(n, *source);
-                        if ts != ss {
-                            return Err(ShardError::CrossShardCopy {
-                                target: (*target, ts),
-                                source: (*source, ss),
-                            });
-                        }
-                        local.extend_copy(*copy, tl, sl);
-                    }
+                    } => local.extend_copy(*copy, to_local(*target), to_local(*source)),
                     DeltaOp::AddConstraint(_) | DeltaOp::AddCopy(_) => {
                         unreachable!("Entities class has no structure ops")
                     }
-                }
+                };
+            }
+            if shards.len() != 1 {
+                return Err(ShardError::CrossShard { shards });
             }
             RoutedDelta::Single {
-                shard,
+                shard: *shards.iter().next().expect("non-empty anchor set"),
                 delta: local,
             }
         }
@@ -521,22 +555,9 @@ pub fn localize(
                         }
                     }
                     DeltaOp::AddCopy(cf) => {
-                        let sig = cf.signature();
-                        let mut per_shard: Vec<currency_core::CopyFunction> = (0..n)
-                            .map(|_| currency_core::CopyFunction::new(sig.clone()))
-                            .collect();
-                        for (t, s) in cf.mappings() {
-                            let (ts, tl) = locate(n, t);
-                            let (ss, sl) = locate(n, s);
-                            if ts != ss {
-                                return Err(ShardError::CrossShardCopy {
-                                    target: (t, ts),
-                                    source: (s, ss),
-                                });
-                            }
-                            per_shard[ts].set_mapping(tl, sl);
-                        }
-                        for (d, cf_local) in deltas.iter_mut().zip(per_shard) {
+                        for (d, cf_local) in
+                            deltas.iter_mut().zip(split_copy(cf, n, cf.mappings())?)
+                        {
                             d.add_copy(cf_local);
                         }
                     }
@@ -546,84 +567,99 @@ pub fn localize(
             RoutedDelta::Broadcast { deltas }
         }
     };
-    Ok(Localized { routed, placements })
+    Ok(Localized { routed, inserts })
 }
 
-/// What a sharded apply did (the scatter-gather counterpart of
-/// [`ApplyReport`]).
-#[derive(Clone, Debug, Default)]
-pub struct ShardedApplyReport {
+/// One shard's writable node: what [`Router`] needs to route, apply and
+/// compact a shard.  Implemented by [`CurrencyEngine`], by
+/// `currency-store`'s durable engine and by `&CurrencyServe`.
+pub trait ShardNode {
+    /// The node's error.
+    type Error;
+    /// What one [`ShardNode::apply`] reports.
+    type Report;
+    /// A read handle on the node's current specification (a borrow, or
+    /// the serving writer's published `Arc`).
+    type Spec<'a>: Deref<Target = Specification>
+    where
+        Self: 'a;
+
+    /// The node's current specification.
+    fn spec(&self) -> Self::Spec<'_>;
+    /// Apply a delta in the shard's local id space.
+    fn apply(&mut self, delta: &SpecDelta) -> Result<Self::Report, Self::Error>;
+    /// Compact the shard fully (one unbounded step).
+    fn compact(&mut self) -> Result<CompactStepReport, Self::Error>;
+    /// Run one bounded compaction step.
+    fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, Self::Error>;
+    /// The node's metrics registry.
+    fn metrics(&self) -> &MetricsRegistry;
+}
+
+/// One shard's reader: what [`Scatter`] asks each shard.  Implemented
+/// by `&CurrencyEngine` and by `currency-serve`'s handle, whose answers
+/// go through its cache, breaker and deadline.
+pub trait ShardReader {
+    /// The reader's error; a refused query surfaces as
+    /// [`ReasonError::UnsupportedQuery`] through it.
+    type Error: From<ReasonError>;
+
+    /// **CPS** on this shard.
+    fn cps(&mut self) -> Result<bool, Self::Error>;
+    /// **COP** on this shard, over shard-local ids.
+    fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, Self::Error>;
+    /// **DCIP** on this shard.
+    fn dcip(&mut self, rel: RelId) -> Result<bool, Self::Error>;
+    /// Certain current answers on this shard.
+    fn certain_answers(&mut self, query: &Query) -> Result<CertainAnswers, Self::Error>;
+}
+
+/// What a sharded apply did.
+#[derive(Clone, Debug)]
+pub struct ShardedApplyReport<R = ApplyReport> {
     /// The shard an entity-routed delta landed in (`None` for broadcast
     /// or empty deltas).
     pub shard: Option<usize>,
     /// `true` when the delta was structure-only and reached every shard.
     pub broadcast: bool,
-    /// Components recompiled, summed across touched shards.
-    pub components_rebuilt: usize,
-    /// Components reused untouched, summed across touched shards.
-    pub components_reused: usize,
-    /// `(relation, entity)` cells touched, summed across touched shards.
-    pub cells_touched: usize,
     /// **Global** ids assigned to inserted tuples, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
-    /// Bounded auto-compaction steps
-    /// ([`Options::auto_compact_tombstones`]) triggered by the delta,
-    /// per shard, in **shard-local** ids (translate via [`global_id`]
-    /// over the shard's entries).
-    pub compact_steps: Vec<(usize, CompactStepReport)>,
+    /// Each touched shard's own report, in shard order and
+    /// **shard-local** ids (translate via [`global_id`]).
+    pub per_shard: Vec<(usize, R)>,
 }
 
-impl ShardedApplyReport {
-    /// Fold one shard's [`ApplyReport`] into this aggregate, translating
-    /// its inserted ids to global (`n` = shard count).
-    pub fn absorb(&mut self, shard: usize, n: usize, report: ApplyReport) {
-        self.components_rebuilt += report.components_rebuilt;
-        self.components_reused += report.components_reused;
-        self.cells_touched += report.cells_touched;
-        self.inserted.extend(
-            report
-                .inserted
-                .iter()
-                .map(|&(rel, local)| (rel, global_id(n, shard, local))),
-        );
-        if let Some(s) = report.compact_step {
-            self.compact_steps.push((shard, s));
-        }
-    }
-}
-
-/// The result of one compaction step across every shard (see
-/// [`ShardedEngine::compact_step`] and [`ShardedEngine::compact`]): one
-/// shard-local
-/// [`CompactStepReport`] per shard.
+/// The result of one compaction step across the shards (see
+/// [`Router::step`]): one shard-local [`CompactStepReport`] per shard
+/// that stepped, in shard order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardedCompactStepReport {
     /// Shard count (for id translation).
     pub shards: usize,
-    /// Per-shard step reports, in shard order.
+    /// Per-shard step reports, in shard order.  Shorter than `shards`
+    /// only inside [`ShardError::StepFailed`].
     pub per_shard: Vec<CompactStepReport>,
 }
 
 impl ShardedCompactStepReport {
-    /// Total tombstone slots reclaimed across all shards this step.
-    pub fn reclaimed(&self) -> usize {
-        self.per_shard.iter().map(|r| r.reclaimed).sum()
-    }
-
     /// `true` when every shard is fully drained (no tombstones left
     /// anywhere).
     pub fn done(&self) -> bool {
-        self.per_shard.iter().all(|r| r.done)
+        self.per_shard.len() == self.shards && self.per_shard.iter().all(|r| r.done)
     }
 
     /// Translate an old **global** id through this step's slices
     /// (`None` if some slice reclaimed the tuple's slot; ids the step
-    /// never scanned come back unchanged).
+    /// never scanned, including every id of a shard that did not step,
+    /// come back unchanged).
     pub fn new_id(&self, rel: RelId, old: TupleId) -> Option<TupleId> {
         let (s, l) = locate(self.shards, old);
-        self.per_shard[s]
-            .new_id(rel, l)
-            .map(|nl| global_id(self.shards, s, nl))
+        match self.per_shard.get(s) {
+            Some(report) => report
+                .new_id(rel, l)
+                .map(|nl| global_id(self.shards, s, nl)),
+            None => Some(old),
+        }
     }
 }
 
@@ -638,156 +674,23 @@ pub struct ShardedStats {
     pub total: EngineStats,
 }
 
-/// Assemble a [`ShardedStats`] view over `engines`.
-pub fn sharded_stats(engines: &[&CurrencyEngine<'_>]) -> ShardedStats {
-    let per_shard: Vec<EngineStats> = engines.iter().map(|e| e.stats()).collect();
-    let mut total = EngineStats::default();
-    for s in &per_shard {
-        total.components += s.components;
-        total.cells += s.cells;
-        total.vars += s.vars;
-        total.clauses += s.clauses;
-        total.encoding_bytes += s.encoding_bytes;
-        total.updates_applied += s.updates_applied;
-        total.components_rebuilt += s.components_rebuilt;
-        total.components_reused += s.components_reused;
-        total.compact_steps += s.compact_steps;
-        total.slots_reclaimed += s.slots_reclaimed;
-        total.recoveries += s.recoveries;
-        total.deltas_replayed += s.deltas_replayed;
-        total.sat += s.sat;
-    }
-    ShardedStats { per_shard, total }
-}
-
-/// **CPS across shards**: the all-shards conjunction, early-exiting on
-/// the first unsat shard (shards are independent, so one empty shard
-/// model set empties the product).
-pub fn scatter_cps(engines: &[&CurrencyEngine<'_>]) -> Result<bool, ReasonError> {
-    for e in engines {
-        if !e.cps()? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// **COP across shards**: vacuously true when some shard is unsat;
-/// otherwise each pair routes to the shard owning both tuples, and pairs
-/// spanning shards relate different entities — never certain.
-pub fn scatter_cop(
-    engines: &[&CurrencyEngine<'_>],
-    ot: &CurrencyOrderQuery,
-) -> Result<bool, ReasonError> {
-    let n = engines.len();
-    if !scatter_cps(engines)? {
-        return Ok(true); // Mod(S) = ∅: vacuously certain
-    }
-    let mut per: Vec<Vec<(AttrId, TupleId, TupleId)>> = vec![Vec::new(); n];
-    for &(attr, lesser, greater) in &ot.pairs {
-        let (ls, ll) = locate(n, lesser);
-        let (gs, gl) = locate(n, greater);
-        if ls != gs {
-            return Ok(false); // different shards ⇒ different entities
-        }
-        per[ls].push((attr, ll, gl));
-    }
-    for (s, pairs) in per.into_iter().enumerate() {
-        if pairs.is_empty() {
-            continue;
-        }
-        let local = CurrencyOrderQuery { rel: ot.rel, pairs };
-        if !engines[s].cop(&local)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// **Certain answers across shards**: the union of per-shard certain
-/// answers ([`CertainAnswers::Inconsistent`] when any shard is unsat).
-/// Exact for queries whose individual answers are witnessed inside one
-/// shard — see the module docs.
-pub fn scatter_certain_answers(
-    engines: &[&CurrencyEngine<'_>],
-    query: &Query,
-) -> Result<CertainAnswers, ReasonError> {
-    if !scatter_cps(engines)? {
-        return Ok(CertainAnswers::Inconsistent);
-    }
-    let mut rows: BTreeSet<Vec<Value>> = BTreeSet::new();
-    for e in engines {
-        match e.certain_answers(query)? {
-            // A shard can only report inconsistency if it changed under
-            // our feet; stay conservative.
-            CertainAnswers::Inconsistent => return Ok(CertainAnswers::Inconsistent),
-            CertainAnswers::Answers(r) => rows.extend(r),
-        }
-    }
-    Ok(CertainAnswers::Answers(rows.into_iter().collect()))
-}
-
-/// **CCQA across shards**: membership in [`scatter_certain_answers`].
-pub fn scatter_ccqa(
-    engines: &[&CurrencyEngine<'_>],
-    query: &Query,
-    tuple: &[Value],
-) -> Result<bool, ReasonError> {
-    Ok(scatter_certain_answers(engines, query)?.contains(tuple))
-}
-
-/// **DCIP across shards**: vacuously true when some shard is unsat;
-/// otherwise all shards must individually be deterministic (the global
-/// current instance is the disjoint union of per-shard ones).
-pub fn scatter_dcip(engines: &[&CurrencyEngine<'_>], rel: RelId) -> Result<bool, ReasonError> {
-    if !scatter_cps(engines)? {
-        return Ok(true);
-    }
-    for e in engines {
-        if !e.dcip(rel)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// N independent [`CurrencyEngine`]s behind one front door: deterministic
-/// entity routing, per-shard incremental applies, per-shard (never
-/// global) compaction pauses, scatter-gather queries.  See the module
-/// docs for the routing policy and global id scheme.
-pub struct ShardedEngine {
+/// The routing state of a sharded front door: the placement plan and
+/// the poison flag a part-way broadcast sets.  It owns no node, so a
+/// front door may keep its nodes elsewhere (the serving layer keeps the
+/// router behind its writer lock and the nodes outside it).
+#[derive(Debug)]
+pub struct Router {
     plan: ShardPlan,
-    engines: Vec<CurrencyEngine<'static>>,
-    import: SpecImport,
     poisoned: bool,
 }
 
-impl ShardedEngine {
-    /// Decompose `spec` into `shards` sub-specifications (copy closures
-    /// co-located) and compile one engine per shard.  Original tuple ids
-    /// are reassigned; translate them through [`ShardedEngine::import`].
-    pub fn new(spec: &Specification, shards: usize, opts: &Options) -> Result<Self, ShardError> {
-        let plan = ShardPlan::from_spec(shards, spec);
-        let (specs, import) = split_spec(spec, &plan);
-        let engines = specs
-            .into_iter()
-            .enumerate()
-            .map(|(shard, sp)| {
-                CurrencyEngine::new_owned(sp, opts)
-                    .map_err(|source| ShardError::Shard { shard, source })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedEngine {
+impl Router {
+    /// A router over `plan`.
+    pub fn new(plan: ShardPlan) -> Router {
+        Router {
             plan,
-            engines,
-            import,
             poisoned: false,
-        })
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.engines.len()
+        }
     }
 
     /// The routing plan.
@@ -795,84 +698,47 @@ impl ShardedEngine {
         &self.plan
     }
 
-    /// The original → global tuple id translation of the construction.
-    /// Valid until the first compaction touches the relevant shard.
-    pub fn import(&self) -> &SpecImport {
-        &self.import
-    }
-
-    /// Shard `k`'s engine (shard-local ids!).
-    pub fn engine(&self, shard: usize) -> &CurrencyEngine<'static> {
-        &self.engines[shard]
-    }
-
-    /// Mutable access to shard `k`'s observability bundle — for
-    /// attaching a trace recorder or switching metrics per shard.
-    pub fn obs_mut(&mut self, shard: usize) -> &mut EngineObs {
-        self.engines[shard].obs_mut()
-    }
-
-    /// A merged metrics snapshot across all shards: every shard's
-    /// registry decorated with its `shard` label, then folded into one
-    /// family set (histograms merge bucket-wise).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::merged(self.engines.iter().enumerate().map(|(k, e)| {
-            e.obs()
-                .registry()
-                .snapshot()
-                .with_label("shard", &k.to_string())
-        }))
-    }
-
-    /// The merged per-shard metrics in the Prometheus text exposition
-    /// format.
-    pub fn metrics_text(&self) -> String {
-        self.metrics_snapshot().render_prometheus()
-    }
-
-    fn engine_refs(&self) -> Vec<&CurrencyEngine<'static>> {
-        self.engines.iter().collect()
-    }
-
-    /// The **global** id the next insert for `eid` into `rel` will be
-    /// assigned (stable as long as no other delta lands in between).
-    pub fn next_id(&self, rel: RelId, eid: Eid) -> TupleId {
-        let s = self.plan.shard_of(eid);
-        let local = TupleId(self.engines[s].spec().instance(rel).len() as u32);
-        global_id(self.shards(), s, local)
-    }
-
-    /// Route and apply one delta (global ids).  Entity deltas land in
-    /// exactly one shard; structure deltas broadcast (validated on every
-    /// shard before any shard mutates — an apply-phase failure after
-    /// that poisons the engine, since shards may disagree on structure).
-    pub fn apply(&mut self, delta: &SpecDelta) -> Result<ShardedApplyReport, ShardError> {
+    /// Route one delta (global ids) and apply it to `nodes` (one per
+    /// shard, in shard order).  Entity deltas land in exactly one shard;
+    /// structure deltas are validated on every shard and then broadcast.
+    /// An apply failure after the first shard took a broadcast poisons
+    /// the router, since shards may now disagree on structure.
+    pub fn apply<N: ShardNode>(
+        &mut self,
+        nodes: &mut [N],
+        delta: &SpecDelta,
+    ) -> Result<ShardedApplyReport<N::Report>, ShardError<N::Error>> {
         if self.poisoned {
             return Err(ShardError::Poisoned);
         }
-        let n = self.shards();
-        let specs: Vec<&Specification> = self.engines.iter().map(|e| e.spec()).collect();
-        let localized = localize(delta, &self.plan, &specs)?;
-        drop(specs);
-        let mut report = ShardedApplyReport::default();
+        let n = nodes.len();
+        let localized = {
+            let specs: Vec<N::Spec<'_>> = nodes.iter().map(N::spec).collect();
+            let specs: Vec<&Specification> = specs.iter().map(|s| &**s).collect();
+            localize(delta, &self.plan, &specs)?
+        };
+        let mut report = ShardedApplyReport {
+            shard: None,
+            broadcast: matches!(localized.routed, RoutedDelta::Broadcast { .. }),
+            inserted: Vec::with_capacity(localized.inserts.len()),
+            per_shard: Vec::new(),
+        };
         match localized.routed {
             RoutedDelta::Empty => {}
             RoutedDelta::Single { shard, delta } => {
-                let r = self.engines[shard]
+                let r = nodes[shard]
                     .apply(&delta)
                     .map_err(|source| ShardError::Shard { shard, source })?;
                 report.shard = Some(shard);
-                report.absorb(shard, n, r);
+                report.per_shard.push((shard, r));
             }
             RoutedDelta::Broadcast { deltas } => {
-                for (shard, d) in deltas.iter().enumerate() {
-                    d.validate(self.engines[shard].spec())
-                        .map_err(ShardError::Invalid)?;
+                for (node, d) in nodes.iter().zip(&deltas) {
+                    d.validate(&node.spec())?;
                 }
-                report.broadcast = true;
                 for (shard, d) in deltas.iter().enumerate() {
-                    match self.engines[shard].apply(d) {
-                        Ok(r) => report.absorb(shard, n, r),
+                    match nodes[shard].apply(d) {
+                        Ok(r) => report.per_shard.push((shard, r)),
                         Err(source) => {
                             // Some shards have the structure, some do not:
                             // fail stop.
@@ -883,96 +749,425 @@ impl ShardedEngine {
                 }
             }
         }
-        for (eid, shard) in localized.placements {
-            self.plan.place(eid, shard);
+        for (rel, id, eid) in localized.inserts {
+            self.plan.place(eid, locate(n, id).0);
+            report.inserted.push((rel, id));
         }
         Ok(report)
     }
 
-    /// Compact every shard fully, one at a time — each pause is
-    /// shard-local, never global.  Shard-local ids are renumbered;
-    /// translate global ids through the returned report.
-    pub fn compact(&mut self) -> Result<ShardedCompactStepReport, ShardError> {
-        self.step_each_shard(|engine| engine.compact())
-    }
-
-    /// Compact one shard fully (the others keep serving untouched).  The
-    /// returned report is in **shard-local** ids.
-    pub fn compact_shard(&mut self, shard: usize) -> Result<CompactStepReport, ShardError> {
-        self.engines[shard]
-            .compact()
-            .map_err(|source| ShardError::Shard { shard, source })
-    }
-
-    /// Run one bounded compaction step on **every** shard, one shard at
-    /// a time — each shard's pause is independent and budget-bounded, so
-    /// the longest stall any single entity's queries see is one shard's
-    /// step, never a fleet-wide sweep.  Shards drain at their own pace;
-    /// the aggregate is done when [`ShardedCompactStepReport::done`]
-    /// reports every shard drained.
-    pub fn compact_step(
-        &mut self,
-        budget: &CompactBudget,
-    ) -> Result<ShardedCompactStepReport, ShardError> {
-        self.step_each_shard(|engine| engine.compact_step(budget))
-    }
-
-    /// Run one bounded compaction step on one shard (the others keep
-    /// serving untouched).  The returned report is in **shard-local**
-    /// ids.
-    pub fn compact_step_shard(
-        &mut self,
-        shard: usize,
-        budget: &CompactBudget,
-    ) -> Result<CompactStepReport, ShardError> {
-        self.engines[shard]
-            .compact_step(budget)
-            .map_err(|source| ShardError::Shard { shard, source })
-    }
-
-    /// Run `step` on every shard in order.
-    fn step_each_shard(
-        &mut self,
-        mut step: impl FnMut(&mut CurrencyEngine<'static>) -> Result<CompactStepReport, ReasonError>,
-    ) -> Result<ShardedCompactStepReport, ShardError> {
-        let mut per_shard = Vec::with_capacity(self.engines.len());
-        for (shard, engine) in self.engines.iter_mut().enumerate() {
-            per_shard.push(step(engine).map_err(|source| ShardError::Shard { shard, source })?);
+    /// Run one compaction `step` on every node, one shard at a time:
+    /// each pause is shard-local, never global, and shards drain at
+    /// their own pace.  A failure on shard `k` returns the reports of
+    /// shards `0..k` in [`ShardError::StepFailed`].
+    pub fn step<N: ShardNode>(
+        &self,
+        nodes: &mut [N],
+        mut step: impl FnMut(&mut N) -> Result<CompactStepReport, N::Error>,
+    ) -> Result<ShardedCompactStepReport, ShardError<N::Error>> {
+        if self.poisoned {
+            return Err(ShardError::Poisoned);
         }
-        Ok(ShardedCompactStepReport {
-            shards: per_shard.len(),
-            per_shard,
+        let mut completed = ShardedCompactStepReport {
+            shards: nodes.len(),
+            per_shard: Vec::with_capacity(nodes.len()),
+        };
+        for (shard, node) in nodes.iter_mut().enumerate() {
+            match step(node) {
+                Ok(r) => completed.per_shard.push(r),
+                Err(source) => {
+                    return Err(ShardError::StepFailed {
+                        shard,
+                        source,
+                        completed,
+                    })
+                }
+            }
+        }
+        Ok(completed)
+    }
+}
+
+/// Split `spec` along copy closures ([`ShardPlan::from_spec`],
+/// [`split_spec`]) and `build` one node per sub-specification, in shard
+/// order.
+pub fn build_shards<N, E>(
+    spec: &Specification,
+    shards: usize,
+    mut build: impl FnMut(usize, Specification) -> Result<N, E>,
+) -> Result<(Router, Vec<N>, SpecImport), E> {
+    let plan = ShardPlan::from_spec(shards, spec);
+    let (specs, import) = split_spec(spec, &plan);
+    let nodes = specs
+        .into_iter()
+        .enumerate()
+        .map(|(shard, sub)| build(shard, sub))
+        .collect::<Result<_, _>>()?;
+    Ok((Router::new(plan), nodes, import))
+}
+
+/// Every shard's registry, each series labelled `shard="<k>"`, merged
+/// into one snapshot: counters sum (saturating), gauges take the max,
+/// histograms merge bucket-wise.
+pub fn merged_metrics<'a>(
+    registries: impl IntoIterator<Item = &'a MetricsRegistry>,
+) -> MetricsSnapshot {
+    MetricsSnapshot::merged(
+        registries
+            .into_iter()
+            .enumerate()
+            .map(|(k, r)| r.snapshot().with_label("shard", &k.to_string())),
+    )
+}
+
+/// One reader per shard, queried scatter-gather (see the module docs).
+#[derive(Clone, Debug)]
+pub struct Scatter<R> {
+    shards: Vec<R>,
+}
+
+impl<R> Scatter<R> {
+    /// Scatter over `shards` (one reader per shard, in shard order).
+    pub fn new(shards: Vec<R>) -> Scatter<R> {
+        Scatter { shards }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard `k`'s reader, for shard-local queries in the shard's own
+    /// id space.
+    pub fn shard_mut(&mut self, shard: usize) -> &mut R {
+        &mut self.shards[shard]
+    }
+}
+
+impl<R: ShardReader> Scatter<R> {
+    /// **CPS**: the all-shards conjunction, early-exiting on the first
+    /// unsat shard (one empty shard model set empties the product).
+    pub fn cps(&mut self) -> Result<bool, R::Error> {
+        for r in &mut self.shards {
+            if !r.cps()? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// **COP** over global tuple ids: vacuously true when some shard is
+    /// unsat; otherwise each pair routes to the shard owning both
+    /// tuples, and pairs spanning shards relate different entities —
+    /// never certain.
+    pub fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, R::Error> {
+        let n = self.shards.len();
+        if !self.cps()? {
+            return Ok(true); // Mod(S) = ∅: vacuously certain
+        }
+        let mut per: Vec<Vec<(AttrId, TupleId, TupleId)>> = vec![Vec::new(); n];
+        for &(attr, lesser, greater) in &ot.pairs {
+            let (ls, ll) = locate(n, lesser);
+            let (gs, gl) = locate(n, greater);
+            if ls != gs {
+                return Ok(false); // different shards ⇒ different entities
+            }
+            per[ls].push((attr, ll, gl));
+        }
+        for (r, pairs) in self.shards.iter_mut().zip(per) {
+            if !pairs.is_empty() && !r.cop(&CurrencyOrderQuery { rel: ot.rel, pairs })? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// **DCIP**: vacuously true when some shard is unsat; otherwise all
+    /// shards must be deterministic (the global current instance is the
+    /// disjoint union of the per-shard ones).
+    pub fn dcip(&mut self, rel: RelId) -> Result<bool, R::Error> {
+        if !self.cps()? {
+            return Ok(true);
+        }
+        for r in &mut self.shards {
+            if !r.dcip(rel)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// **Certain answers**: the union of per-shard certain answers
+    /// ([`CertainAnswers::Inconsistent`] when any shard is unsat).
+    /// Across more than one shard, a query outside the single-witness
+    /// class ([`is_single_witness`]) is refused with
+    /// [`ReasonError::UnsupportedQuery`]: its union can miss answers.
+    pub fn certain_answers(&mut self, query: &Query) -> Result<CertainAnswers, R::Error> {
+        if self.shards.len() > 1 && !is_single_witness(query) {
+            return Err(ReasonError::UnsupportedQuery {
+                detail: format!(
+                    "certain answers across {} shards are exact only when one tuple \
+                     witnesses each answer (a positive query joining no two atoms)",
+                    self.shards.len()
+                ),
+            }
+            .into());
+        }
+        if !self.cps()? {
+            return Ok(CertainAnswers::Inconsistent);
+        }
+        let mut rows: BTreeSet<Vec<Value>> = BTreeSet::new();
+        for r in &mut self.shards {
+            match r.certain_answers(query)? {
+                // A shard can only report inconsistency if it changed
+                // under our feet; stay conservative.
+                CertainAnswers::Inconsistent => return Ok(CertainAnswers::Inconsistent),
+                CertainAnswers::Answers(a) => rows.extend(a),
+            }
+        }
+        Ok(CertainAnswers::Answers(rows.into_iter().collect()))
+    }
+
+    /// **CCQA**: membership in [`Scatter::certain_answers`] (refused
+    /// alike).
+    pub fn ccqa(&mut self, query: &Query, tuple: &[Value]) -> Result<bool, R::Error> {
+        Ok(self.certain_answers(query)?.contains(tuple))
+    }
+}
+
+/// N independent nodes behind one front door: deterministic entity
+/// routing, per-shard applies, per-shard (never global) compaction
+/// pauses and, over engine-backed nodes, scatter-gather queries.  See
+/// the module docs for the routing policy and global id scheme.
+pub struct Sharded<N> {
+    router: Router,
+    nodes: Vec<N>,
+    import: SpecImport,
+}
+
+/// N independent [`CurrencyEngine`]s behind one front door.
+pub type ShardedEngine = Sharded<CurrencyEngine<'static>>;
+
+impl ShardedEngine {
+    /// Decompose `spec` into `shards` sub-specifications (copy closures
+    /// co-located) and compile one engine per shard.  Original tuple ids
+    /// are reassigned; translate them through [`Sharded::import`].
+    pub fn new(spec: &Specification, shards: usize, opts: &Options) -> Result<Self, ShardError> {
+        Sharded::build(spec, shards, |shard, sub| {
+            CurrencyEngine::new_owned(sub, opts)
+                .map_err(|source| ShardError::Shard { shard, source })
+        })
+    }
+}
+
+impl<N: ShardNode> Sharded<N> {
+    /// Split `spec` and `build` one node per shard ([`build_shards`]).
+    pub fn build<E>(
+        spec: &Specification,
+        shards: usize,
+        build: impl FnMut(usize, Specification) -> Result<N, E>,
+    ) -> Result<Self, E> {
+        let (router, nodes, import) = build_shards(spec, shards, build)?;
+        Ok(Sharded {
+            router,
+            nodes,
+            import,
         })
     }
 
-    /// **CPS** — scatter-gather conjunction with early exit.
+    /// Reassemble recovered nodes (shard `k` at index `k`).  The plan is
+    /// re-derived from their contents ([`ShardPlan::from_shards`]) and
+    /// the import is empty: recovered nodes speak global ids already.
+    pub fn recover(nodes: Vec<N>) -> Self {
+        let plan = {
+            let specs: Vec<N::Spec<'_>> = nodes.iter().map(N::spec).collect();
+            ShardPlan::from_shards(nodes.len(), specs.iter().map(|s| &**s))
+        };
+        Sharded {
+            router: Router::new(plan),
+            nodes,
+            import: SpecImport::default(),
+        }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The routing plan.
+    pub fn plan(&self) -> &ShardPlan {
+        self.router.plan()
+    }
+
+    /// The original → global tuple id translation of the split (empty
+    /// for recovered nodes).  Valid until the first compaction touches
+    /// the relevant shard.
+    pub fn import(&self) -> &SpecImport {
+        &self.import
+    }
+
+    /// Shard `k`'s node (shard-local ids!).
+    pub fn shard(&self, shard: usize) -> &N {
+        &self.nodes[shard]
+    }
+
+    /// Shard `k`'s node, mutably, for per-shard upkeep such as flushing
+    /// a log or attaching a trace recorder.  A delta applied through it
+    /// bypasses routing: use [`Sharded::apply`] for deltas.
+    pub fn shard_mut(&mut self, shard: usize) -> &mut N {
+        &mut self.nodes[shard]
+    }
+
+    /// The **global** id the next insert for `eid` into `rel` will be
+    /// assigned (stable as long as no other delta lands in between).
+    pub fn next_id(&self, rel: RelId, eid: Eid) -> TupleId {
+        let s = self.plan().shard_of(eid);
+        let local = TupleId(self.nodes[s].spec().instance(rel).len() as u32);
+        global_id(self.shards(), s, local)
+    }
+
+    /// Route and apply one delta (global ids) — see [`Router::apply`].
+    pub fn apply(
+        &mut self,
+        delta: &SpecDelta,
+    ) -> Result<ShardedApplyReport<N::Report>, ShardError<N::Error>> {
+        self.router.apply(&mut self.nodes, delta)
+    }
+
+    /// Compact every shard fully, one at a time — see [`Router::step`].
+    /// Shard-local ids are renumbered; translate global ids through the
+    /// returned report.
+    pub fn compact(&mut self) -> Result<ShardedCompactStepReport, ShardError<N::Error>> {
+        self.router.step(&mut self.nodes, N::compact)
+    }
+
+    /// Run one bounded compaction step on every shard, one at a time —
+    /// see [`Router::step`].  The aggregate is done when
+    /// [`ShardedCompactStepReport::done`] reports every shard drained.
+    pub fn compact_step(
+        &mut self,
+        budget: &CompactBudget,
+    ) -> Result<ShardedCompactStepReport, ShardError<N::Error>> {
+        self.router
+            .step(&mut self.nodes, |node| node.compact_step(budget))
+    }
+
+    /// Every shard's metrics merged into one snapshot, each series
+    /// labelled `shard="<k>"` ([`merged_metrics`]).
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        merged_metrics(self.nodes.iter().map(N::metrics))
+    }
+
+    /// The merged per-shard metrics in the Prometheus text exposition
+    /// format.
+    pub fn metrics_text(&self) -> String {
+        self.metrics_snapshot().render_prometheus()
+    }
+}
+
+impl<N: AsRef<CurrencyEngine<'static>>> Sharded<N> {
+    fn scatter(&self) -> Scatter<&CurrencyEngine<'static>> {
+        Scatter::new(self.nodes.iter().map(AsRef::as_ref).collect())
+    }
+
+    /// **CPS** — see [`Scatter::cps`].
     pub fn cps(&self) -> Result<bool, ReasonError> {
-        scatter_cps(&self.engine_refs())
+        self.scatter().cps()
     }
 
-    /// **COP** over global tuple ids.
+    /// **COP** over global tuple ids — see [`Scatter::cop`].
     pub fn cop(&self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
-        scatter_cop(&self.engine_refs(), ot)
+        self.scatter().cop(ot)
     }
 
-    /// **DCIP** — all shards individually deterministic.
+    /// **DCIP** — see [`Scatter::dcip`].
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        scatter_dcip(&self.engine_refs(), rel)
+        self.scatter().dcip(rel)
     }
 
-    /// **Certain answers** — union across shards (module docs list the
-    /// exactness class).
+    /// **Certain answers** — see [`Scatter::certain_answers`] for the
+    /// queries it refuses.
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        scatter_certain_answers(&self.engine_refs(), query)
+        self.scatter().certain_answers(query)
     }
 
     /// **CCQA** — membership in the certain answers.
     pub fn ccqa(&self, query: &Query, tuple: &[Value]) -> Result<bool, ReasonError> {
-        scatter_ccqa(&self.engine_refs(), query, tuple)
+        self.scatter().ccqa(query, tuple)
     }
 
     /// Per-shard + aggregate statistics, lock-free.
     pub fn stats(&self) -> ShardedStats {
-        sharded_stats(&self.engine_refs())
+        let per_shard: Vec<EngineStats> = self.nodes.iter().map(|n| n.as_ref().stats()).collect();
+        let mut total = EngineStats::default();
+        for s in &per_shard {
+            total.components += s.components;
+            total.cells += s.cells;
+            total.vars += s.vars;
+            total.clauses += s.clauses;
+            total.encoding_bytes += s.encoding_bytes;
+            total.updates_applied += s.updates_applied;
+            total.components_rebuilt += s.components_rebuilt;
+            total.components_reused += s.components_reused;
+            total.compact_steps += s.compact_steps;
+            total.slots_reclaimed += s.slots_reclaimed;
+            total.recoveries += s.recoveries;
+            total.deltas_replayed += s.deltas_replayed;
+            total.sat += s.sat;
+        }
+        ShardedStats { per_shard, total }
+    }
+}
+
+impl<'a> AsRef<CurrencyEngine<'a>> for CurrencyEngine<'a> {
+    fn as_ref(&self) -> &CurrencyEngine<'a> {
+        self
+    }
+}
+
+impl ShardNode for CurrencyEngine<'static> {
+    type Error = ReasonError;
+    type Report = ApplyReport;
+    type Spec<'a> = &'a Specification;
+
+    fn spec(&self) -> &Specification {
+        CurrencyEngine::spec(self)
+    }
+
+    fn apply(&mut self, delta: &SpecDelta) -> Result<ApplyReport, ReasonError> {
+        CurrencyEngine::apply(self, delta)
+    }
+
+    fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
+        CurrencyEngine::compact(self)
+    }
+
+    fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, ReasonError> {
+        CurrencyEngine::compact_step(self, budget)
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        self.obs().registry()
+    }
+}
+
+impl ShardReader for &CurrencyEngine<'_> {
+    type Error = ReasonError;
+
+    fn cps(&mut self) -> Result<bool, ReasonError> {
+        CurrencyEngine::cps(self)
+    }
+
+    fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
+        CurrencyEngine::cop(self, ot)
+    }
+
+    fn dcip(&mut self, rel: RelId) -> Result<bool, ReasonError> {
+        CurrencyEngine::dcip(self, rel)
+    }
+
+    fn certain_answers(&mut self, query: &Query) -> Result<CertainAnswers, ReasonError> {
+        CurrencyEngine::certain_answers(self, query)
     }
 }

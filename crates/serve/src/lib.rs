@@ -72,9 +72,7 @@ mod sharded;
 mod stats;
 
 pub use rate_limit::RateLimit;
-pub use sharded::{
-    ShardedPublish, ShardedServe, ShardedServeError, ShardedServeHandle, ShardedServeStats,
-};
+pub use sharded::{ShardedServe, ShardedServeHandle, ShardedServeStats};
 pub use stats::ServeStats;
 
 use breaker::{Admit, Breaker};

@@ -28,43 +28,46 @@
 //! [`ShardedStore::open_sequential`] keeps the one-at-a-time path for
 //! comparison benchmarks (and for deterministic-op-order chaos
 //! schedules).  The routing plan is *not* persisted: it is re-derived
-//! from the recovered shard contents ([`ShardPlan::from_shards`]), which
+//! from the recovered shard contents ([`Sharded::recover`]), which
 //! agrees with the live plan for every entity that still has live
 //! tuples.
 //!
-//! Writes route exactly as in [`currency_reason::shard`]: an
-//! entity-anchored delta lands in one shard's log, a structure-only
-//! delta is broadcast to every shard's log.  A broadcast that fails
-//! part-way (some shards logged it, some did not) poisons the *front
-//! door* — per-shard recovery still works, but the shards' structure may
-//! disagree until the operator resolves the partial batch, so the
-//! sharded store refuses further mutation
-//! ([`ShardedStoreError::Poisoned`]).
+//! Everything but the directory is [`Sharded`] over durable engines
+//! (the store dereferences to it): routing, applies, compaction steps
+//! and scatter-gather queries are [`currency_reason::shard`]'s one
+//! implementation.  An entity-anchored delta lands in one shard's log, a
+//! structure-only delta is broadcast to every shard's log.  A broadcast
+//! that fails part-way (some shards logged it, some did not) poisons the
+//! *front door* — per-shard recovery still works, but the shards'
+//! structure may disagree until the operator resolves the partial batch,
+//! so the sharded store refuses further mutation
+//! ([`ShardError::Poisoned`](currency_reason::shard::ShardError::Poisoned)).
 
 use crate::durable::{DurableEngine, RecoveryReport, StoreOptions};
 use crate::error::StoreError;
 use crate::vfs::{RealVfs, Vfs};
-use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
-use currency_obs::MetricsSnapshot;
-use currency_query::Query;
-use currency_reason::shard::{
-    localize, scatter_ccqa, scatter_certain_answers, scatter_cop, scatter_cps, scatter_dcip,
-    sharded_stats, split_spec, RoutedDelta, ShardError, ShardPlan, ShardedApplyReport,
-    ShardedCompactStepReport, ShardedStats, SpecImport,
-};
-use currency_reason::{CertainAnswers, CompactBudget, CurrencyEngine, CurrencyOrderQuery, Options};
+use currency_core::{CompactStepReport, SpecDelta, Specification};
+use currency_obs::MetricsRegistry;
+use currency_reason::shard::{ShardNode, Sharded};
+use currency_reason::{ApplyReport, CompactBudget, CurrencyEngine, Options};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic first line of the `shards.meta` file.
 const META_MAGIC: &str = "currency-sharded-store v1";
 
-/// A failure of the sharded durability layer.
+/// A failure to create, open or flush a sharded store.  Applies and
+/// compaction steps fail with the shared `ShardError<StoreError>`,
+/// queries with `ReasonError`.
 #[derive(Debug)]
 pub enum ShardedStoreError {
-    /// The delta violated the routing policy (cross-shard, mixed).
-    Routing(ShardError),
+    /// The store directory itself failed: `shards.meta` is missing or
+    /// unreadable ([`StoreError::Io`]) or malformed
+    /// ([`StoreError::Corrupt`]), or [`ShardedStore::create`] found a
+    /// store there already ([`StoreError::AlreadyExists`]).
+    Dir(StoreError),
     /// One shard's store failed.
     Shard {
         /// The failing shard.
@@ -72,56 +75,13 @@ pub enum ShardedStoreError {
         /// The underlying store error.
         source: StoreError,
     },
-    /// The `shards.meta` file is missing or malformed.
-    Meta {
-        /// The file involved.
-        path: PathBuf,
-        /// What is wrong with it.
-        detail: String,
-    },
-    /// A filesystem operation outside any one shard failed.
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The OS error.
-        source: std::io::Error,
-    },
-    /// [`ShardedStore::create`] refused to overwrite an existing store.
-    AlreadyExists {
-        /// The directory involved.
-        dir: PathBuf,
-    },
-    /// A broadcast apply failed after some shards had already logged it;
-    /// the shards' structure may disagree, so the front door is
-    /// fail-stop until the store is reopened and the partial batch
-    /// resolved.
-    Poisoned {
-        /// The original failure.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ShardedStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardedStoreError::Routing(e) => write!(f, "routing: {e}"),
+            ShardedStoreError::Dir(e) => write!(f, "sharded store: {e}"),
             ShardedStoreError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
-            ShardedStoreError::Meta { path, detail } => {
-                write!(f, "{}: {detail}", path.display())
-            }
-            ShardedStoreError::Io { path, source } => {
-                write!(f, "I/O error on {}: {source}", path.display())
-            }
-            ShardedStoreError::AlreadyExists { dir } => write!(
-                f,
-                "{} already holds a sharded store (open it instead of creating)",
-                dir.display()
-            ),
-            ShardedStoreError::Poisoned { detail } => write!(
-                f,
-                "sharded store is poisoned by a partial broadcast ({detail}); \
-                 reopen it to recover the durable per-shard states"
-            ),
         }
     }
 }
@@ -129,17 +89,14 @@ impl fmt::Display for ShardedStoreError {
 impl std::error::Error for ShardedStoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ShardedStoreError::Routing(e) => Some(e),
-            ShardedStoreError::Shard { source, .. } => Some(source),
-            ShardedStoreError::Io { source, .. } => Some(source),
-            _ => None,
+            ShardedStoreError::Dir(e) | ShardedStoreError::Shard { source: e, .. } => Some(e),
         }
     }
 }
 
-impl From<ShardError> for ShardedStoreError {
-    fn from(e: ShardError) -> ShardedStoreError {
-        ShardedStoreError::Routing(e)
+impl From<StoreError> for ShardedStoreError {
+    fn from(e: StoreError) -> ShardedStoreError {
+        ShardedStoreError::Dir(e)
     }
 }
 
@@ -153,53 +110,36 @@ fn meta_path(dir: &Path) -> PathBuf {
 }
 
 /// Read and parse `shards.meta`, returning the shard count.
-fn read_meta(vfs: &dyn Vfs, dir: &Path) -> Result<usize, ShardedStoreError> {
+fn read_meta(vfs: &dyn Vfs, dir: &Path) -> Result<usize, StoreError> {
     let path = meta_path(dir);
-    let mut file = vfs
-        .open_read_write(&path)
-        .map_err(|source| ShardedStoreError::Io {
-            path: path.clone(),
-            source,
-        })?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|source| ShardedStoreError::Io {
-            path: path.clone(),
-            source,
-        })?;
-    let text = String::from_utf8(bytes).map_err(|_| ShardedStoreError::Meta {
+    let io = |source| StoreError::Io {
         path: path.clone(),
-        detail: "not UTF-8".to_string(),
-    })?;
+        source,
+    };
+    let corrupt = |detail: String| StoreError::Corrupt {
+        path: path.clone(),
+        offset: 0,
+        detail,
+    };
+    let mut file = vfs.open_read_write(&path).map_err(io)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(io)?;
+    let text = String::from_utf8(bytes).map_err(|_| corrupt("not UTF-8".to_string()))?;
     let mut lines = text.lines();
     if lines.next() != Some(META_MAGIC) {
-        return Err(ShardedStoreError::Meta {
-            path,
-            detail: format!("bad magic (expected {META_MAGIC:?})"),
-        });
+        return Err(corrupt(format!("bad magic (expected {META_MAGIC:?})")));
     }
-    let shards = lines
+    lines
         .next()
         .and_then(|l| l.strip_prefix("shards "))
         .and_then(|n| n.parse::<usize>().ok())
-        .filter(|&n| n >= 1);
-    match shards {
-        Some(n) => Ok(n),
-        None => Err(ShardedStoreError::Meta {
-            path,
-            detail: "missing or malformed `shards <N>` line".to_string(),
-        }),
-    }
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| corrupt("missing or malformed `shards <N>` line".to_string()))
 }
 
-fn write_meta(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    shards: usize,
-    sync: bool,
-) -> Result<(), ShardedStoreError> {
+fn write_meta(vfs: &dyn Vfs, dir: &Path, shards: usize, sync: bool) -> Result<(), StoreError> {
     let path = meta_path(dir);
-    let io = |source| ShardedStoreError::Io {
+    let io = |source| StoreError::Io {
         path: path.clone(),
         source,
     };
@@ -208,7 +148,7 @@ fn write_meta(
         .map_err(io)?;
     if sync {
         file.sync_all().map_err(io)?;
-        vfs.sync_dir(dir).map_err(|source| ShardedStoreError::Io {
+        vfs.sync_dir(dir).map_err(|source| StoreError::Io {
             path: dir.to_path_buf(),
             source,
         })?;
@@ -217,13 +157,12 @@ fn write_meta(
 }
 
 /// N [`DurableEngine`] shards behind one scatter-gather front door (see
-/// module docs for the directory layout and failure model).
+/// module docs for the directory layout and failure model).  Routing,
+/// applies, compaction and queries come from the [`Sharded`] it
+/// dereferences to.
 pub struct ShardedStore {
     dir: PathBuf,
-    plan: ShardPlan,
-    shards: Vec<DurableEngine>,
-    import: SpecImport,
-    poisoned: Option<String>,
+    sharded: Sharded<DurableEngine>,
 }
 
 impl ShardedStore {
@@ -258,38 +197,30 @@ impl ShardedStore {
         engine_opts: &Options,
         store_opts: StoreOptions,
     ) -> Result<ShardedStore, ShardedStoreError> {
-        vfs.create_dir_all(dir).map_err(|e| ShardedStoreError::Io {
+        vfs.create_dir_all(dir).map_err(|source| StoreError::Io {
             path: dir.to_path_buf(),
-            source: e,
+            source,
         })?;
         if read_meta(&*vfs, dir).is_ok() {
-            return Err(ShardedStoreError::AlreadyExists {
+            return Err(StoreError::AlreadyExists {
                 dir: dir.to_path_buf(),
-            });
+            }
+            .into());
         }
-        let plan = ShardPlan::from_spec(shards, spec);
-        let (specs, import) = split_spec(spec, &plan);
-        let engines = specs
-            .into_iter()
-            .enumerate()
-            .map(|(k, sub)| {
-                DurableEngine::create_with_vfs(
-                    vfs.clone(),
-                    &shard_dir(dir, k),
-                    sub,
-                    engine_opts,
-                    store_opts,
-                )
-                .map_err(|source| ShardedStoreError::Shard { shard: k, source })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        write_meta(&*vfs, dir, plan.shards(), store_opts.sync_data)?;
+        let sharded = Sharded::build(spec, shards, |shard, sub| {
+            DurableEngine::create_with_vfs(
+                vfs.clone(),
+                &shard_dir(dir, shard),
+                sub,
+                engine_opts,
+                store_opts,
+            )
+            .map_err(|source| ShardedStoreError::Shard { shard, source })
+        })?;
+        write_meta(&*vfs, dir, sharded.shards(), store_opts.sync_data)?;
         Ok(ShardedStore {
             dir: dir.to_path_buf(),
-            plan,
-            shards: engines,
-            import,
-            poisoned: None,
+            sharded,
         })
     }
 
@@ -327,199 +258,35 @@ impl ShardedStore {
         parallel: bool,
     ) -> Result<ShardedStore, ShardedStoreError> {
         let n = read_meta(&*vfs, dir)?;
+        let open = |k: usize| {
+            DurableEngine::open_with_vfs(vfs.clone(), &shard_dir(dir, k), engine_opts, store_opts)
+                .map_err(|source| ShardedStoreError::Shard { shard: k, source })
+        };
         let engines: Vec<Result<DurableEngine, ShardedStoreError>> = if parallel {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .map(|k| {
-                        let vfs = vfs.clone();
-                        let dir = shard_dir(dir, k);
-                        scope.spawn(move || {
-                            DurableEngine::open_with_vfs(vfs, &dir, engine_opts, store_opts)
-                                .map_err(|source| ShardedStoreError::Shard { shard: k, source })
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = (0..n).map(|k| scope.spawn(move || open(k))).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("shard open thread never panics"))
                     .collect()
             })
         } else {
-            (0..n)
-                .map(|k| {
-                    DurableEngine::open_with_vfs(
-                        vfs.clone(),
-                        &shard_dir(dir, k),
-                        engine_opts,
-                        store_opts,
-                    )
-                    .map_err(|source| ShardedStoreError::Shard { shard: k, source })
-                })
-                .collect()
+            (0..n).map(open).collect()
         };
-        let engines = engines.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let plan = ShardPlan::from_shards(n, engines.iter().map(|e| e.spec()));
         Ok(ShardedStore {
             dir: dir.to_path_buf(),
-            plan,
-            shards: engines,
-            import: SpecImport::default(),
-            poisoned: None,
-        })
-    }
-
-    fn check_poison(&self) -> Result<(), ShardedStoreError> {
-        match &self.poisoned {
-            None => Ok(()),
-            Some(detail) => Err(ShardedStoreError::Poisoned {
-                detail: detail.clone(),
-            }),
-        }
-    }
-
-    /// Route one delta (global ids) and apply it durably: an
-    /// entity-anchored delta becomes one shard's log-then-apply, a
-    /// structure-only delta is broadcast to every shard (validated
-    /// everywhere before any shard logs it; a part-way failure after
-    /// that poisons the front door — see module docs).
-    pub fn apply(&mut self, delta: &SpecDelta) -> Result<ShardedApplyReport, ShardedStoreError> {
-        self.check_poison()?;
-        let n = self.shards.len();
-        let specs: Vec<&Specification> = self.shards.iter().map(|s| s.spec()).collect();
-        let localized = localize(delta, &self.plan, &specs)?;
-        drop(specs);
-        let mut report = ShardedApplyReport::default();
-        match localized.routed {
-            RoutedDelta::Empty => {}
-            RoutedDelta::Single { shard, delta } => {
-                let r = self.shards[shard]
-                    .apply(&delta)
-                    .map_err(|source| ShardedStoreError::Shard { shard, source })?;
-                report.shard = Some(shard);
-                report.absorb(shard, n, r);
-            }
-            RoutedDelta::Broadcast { deltas } => {
-                for (shard, d) in deltas.iter().enumerate() {
-                    d.validate(self.shards[shard].spec()).map_err(|source| {
-                        ShardedStoreError::Shard {
-                            shard,
-                            source: source.into(),
-                        }
-                    })?;
-                }
-                report.broadcast = true;
-                for (shard, d) in deltas.iter().enumerate() {
-                    match self.shards[shard].apply(d) {
-                        Ok(r) => report.absorb(shard, n, r),
-                        Err(source) => {
-                            if shard > 0 {
-                                self.poisoned =
-                                    Some(format!("broadcast failed at shard {shard}: {source}"));
-                            }
-                            return Err(ShardedStoreError::Shard { shard, source });
-                        }
-                    }
-                }
-            }
-        }
-        for (eid, shard) in localized.placements {
-            self.plan.place(eid, shard);
-        }
-        Ok(report)
-    }
-
-    /// Compact every shard fully, one at a time — each pause (and each
-    /// logged step record) is shard-local, never global.
-    pub fn compact(&mut self) -> Result<ShardedCompactStepReport, ShardedStoreError> {
-        self.step_each_shard(DurableEngine::compact)
-    }
-
-    /// Run one bounded compaction step on every shard, one at a time —
-    /// each pause (and each logged step record) is shard-local, never
-    /// global, and every shard drains at its own pace across repeated
-    /// calls.
-    pub fn compact_step(
-        &mut self,
-        budget: &CompactBudget,
-    ) -> Result<ShardedCompactStepReport, ShardedStoreError> {
-        self.step_each_shard(|shard| shard.compact_step(budget))
-    }
-
-    /// Run `step` on every shard in order.
-    fn step_each_shard(
-        &mut self,
-        mut step: impl FnMut(&mut DurableEngine) -> Result<CompactStepReport, StoreError>,
-    ) -> Result<ShardedCompactStepReport, ShardedStoreError> {
-        self.check_poison()?;
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for (shard, engine) in self.shards.iter_mut().enumerate() {
-            per_shard
-                .push(step(engine).map_err(|source| ShardedStoreError::Shard { shard, source })?);
-        }
-        Ok(ShardedCompactStepReport {
-            shards: per_shard.len(),
-            per_shard,
+            sharded: Sharded::recover(engines.into_iter().collect::<Result<_, _>>()?),
         })
     }
 
     /// Flush every shard's group-commit buffer.
     pub fn flush(&mut self) -> Result<(), ShardedStoreError> {
-        for (shard, s) in self.shards.iter_mut().enumerate() {
-            s.flush()
+        for shard in 0..self.shards() {
+            self.shard_mut(shard)
+                .flush()
                 .map_err(|source| ShardedStoreError::Shard { shard, source })?;
         }
         Ok(())
-    }
-
-    fn engine_refs(&self) -> Vec<&CurrencyEngine<'static>> {
-        self.shards.iter().map(|s| s.engine()).collect()
-    }
-
-    /// **CPS** across shards (all-shards AND, early exit).
-    pub fn cps(&self) -> Result<bool, StoreError> {
-        Ok(scatter_cps(&self.engine_refs())?)
-    }
-
-    /// **COP** across shards, over global tuple ids.
-    pub fn cop(&self, query: &CurrencyOrderQuery) -> Result<bool, StoreError> {
-        Ok(scatter_cop(&self.engine_refs(), query)?)
-    }
-
-    /// **DCIP** across shards.
-    pub fn dcip(&self, rel: RelId) -> Result<bool, StoreError> {
-        Ok(scatter_dcip(&self.engine_refs(), rel)?)
-    }
-
-    /// Certain current answers — union across shards.
-    pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, StoreError> {
-        Ok(scatter_certain_answers(&self.engine_refs(), query)?)
-    }
-
-    /// **CCQA** — membership in the certain answers.
-    pub fn ccqa(&self, query: &Query, tuple: &[Value]) -> Result<bool, StoreError> {
-        Ok(scatter_ccqa(&self.engine_refs(), query, tuple)?)
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard `k`'s durable engine (shard-local ids!).
-    pub fn shard(&self, shard: usize) -> &DurableEngine {
-        &self.shards[shard]
-    }
-
-    /// The routing plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The original → global id translation of [`ShardedStore::create`]
-    /// (empty after an `open` — recovered stores speak global ids
-    /// already).
-    pub fn import(&self) -> &SpecImport {
-        &self.import
     }
 
     /// The store directory.
@@ -529,28 +296,54 @@ impl ShardedStore {
 
     /// What each shard's opening recovery did, in shard order.
     pub fn recoveries(&self) -> Vec<RecoveryReport> {
-        self.shards.iter().map(|s| *s.recovery()).collect()
+        (0..self.shards())
+            .map(|k| *self.shard(k).recovery())
+            .collect()
+    }
+}
+
+impl Deref for ShardedStore {
+    type Target = Sharded<DurableEngine>;
+
+    fn deref(&self) -> &Sharded<DurableEngine> {
+        &self.sharded
+    }
+}
+
+impl DerefMut for ShardedStore {
+    fn deref_mut(&mut self) -> &mut Sharded<DurableEngine> {
+        &mut self.sharded
+    }
+}
+
+impl AsRef<CurrencyEngine<'static>> for DurableEngine {
+    fn as_ref(&self) -> &CurrencyEngine<'static> {
+        self.engine()
+    }
+}
+
+impl ShardNode for DurableEngine {
+    type Error = StoreError;
+    type Report = ApplyReport;
+    type Spec<'a> = &'a Specification;
+
+    fn spec(&self) -> &Specification {
+        DurableEngine::spec(self)
     }
 
-    /// Per-shard + aggregate engine statistics, lock-free.
-    pub fn stats(&self) -> ShardedStats {
-        sharded_stats(&self.engine_refs())
+    fn apply(&mut self, delta: &SpecDelta) -> Result<ApplyReport, StoreError> {
+        DurableEngine::apply(self, delta)
     }
 
-    /// Every shard's metrics, merged into one snapshot with each series
-    /// labeled `shard="<k>"` — counters sum, gauges take the max,
-    /// histograms merge bucket-wise.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::merged(
-            self.shards
-                .iter()
-                .enumerate()
-                .map(|(k, s)| s.metrics().snapshot().with_label("shard", &k.to_string())),
-        )
+    fn compact(&mut self) -> Result<CompactStepReport, StoreError> {
+        DurableEngine::compact(self)
     }
 
-    /// The merged metrics in Prometheus text exposition format.
-    pub fn metrics_text(&self) -> String {
-        self.metrics_snapshot().render_prometheus()
+    fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, StoreError> {
+        DurableEngine::compact_step(self, budget)
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        DurableEngine::metrics(self)
     }
 }

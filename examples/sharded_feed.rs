@@ -22,7 +22,7 @@ use data_currency::model::{
     Tuple, Value,
 };
 use data_currency::reason::{CurrencyOrderQuery, Options, ShardError};
-use data_currency::store::{ShardedStore, ShardedStoreError, StoreOptions};
+use data_currency::store::{ShardedStore, StoreOptions};
 
 const BALANCE: AttrId = AttrId(0);
 const CUSTOMERS: u64 = 32;
@@ -109,7 +109,7 @@ fn main() {
     bad.insert_tuple(crm, Tuple::new(Eid(a), vec![Value::int(1)]))
         .insert_tuple(crm, Tuple::new(Eid(b), vec![Value::int(2)]));
     match store.apply(&bad) {
-        Err(ShardedStoreError::Routing(ShardError::CrossShard { shards })) => {
+        Err(ShardError::CrossShard { shards }) => {
             println!("  ✗ customers {a} and {b} span shards {shards:?} — split the batch");
         }
         other => panic!("expected CrossShard rejection, got {:?}", other.map(|_| ())),

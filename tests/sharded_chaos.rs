@@ -21,15 +21,19 @@
 //! Both use sequential recovery for the final reopen where determinism
 //! matters; the parallel path is byte-compared against sequential in
 //! `tests/sharded_recovery.rs`.
+//!
+//! A third, deterministic test fails one shard's compaction-step record
+//! write and checks that the shards which already stepped hand back
+//! their id translations with the error.
 
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::wire::encode_spec;
-use data_currency::model::{AttrId, Eid, RelId, SpecDelta, Tuple, TupleId, Value};
-use data_currency::reason::shard::{global_id, locate};
-use data_currency::reason::Options;
-use data_currency::store::{
-    ChaosPlan, ChaosVfs, Fault, ShardedStore, ShardedStoreError, StoreError, StoreOptions,
+use data_currency::model::{
+    AttrId, Catalog, Eid, RelId, RelationSchema, SpecDelta, Specification, Tuple, TupleId, Value,
 };
+use data_currency::reason::shard::{global_id, locate};
+use data_currency::reason::{Options, ShardError, ShardPlan};
+use data_currency::store::{ChaosPlan, ChaosVfs, Fault, ShardedStore, StoreError, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -236,7 +240,7 @@ fn targeted_round(seed: u64) {
                 assert!(i != victim_idx, "targeted apply must fail (seed {seed})");
                 shadow.apply(delta).expect("shadow mirrors acked applies");
             }
-            Err(ShardedStoreError::Shard { shard, .. }) => {
+            Err(ShardError::Shard { shard, .. }) => {
                 assert_eq!(i, victim_idx, "fault hit the wrong apply (seed {seed})");
                 assert_eq!(
                     shard, victim_shard,
@@ -261,7 +265,7 @@ fn targeted_round(seed: u64) {
         let mut probe = SpecDelta::new();
         probe.insert_tuple(T, Tuple::new(eid, vec![Value::int(0); arity]));
         match store.apply(&probe) {
-            Err(ShardedStoreError::Shard { shard, source }) => {
+            Err(ShardError::Shard { shard, source }) => {
                 assert_eq!(shard, victim_shard);
                 assert!(
                     matches!(source, StoreError::Poisoned { .. }),
@@ -427,4 +431,100 @@ fn pinned_seed_sharded_chaos() {
         .unwrap_or(20_260_808u64);
     targeted_round(seed);
     targeted_round(seed.wrapping_add(1));
+}
+
+/// Two shards, one entity each, each with a retracted first reading:
+/// create, retract, and return the store (the workload both runs of
+/// [`failed_step_returns_completed_shards_reports`] share).
+fn two_shard_tombstones(vfs: Arc<ChaosVfs>, dir: &Path) -> ShardedStore {
+    let mut catalog = Catalog::new();
+    catalog.add(RelationSchema::new("T", &["A"]));
+    let mut spec = Specification::new(catalog);
+    let plan = ShardPlan::from_spec(2, &spec);
+    let e1 = (1..64)
+        .map(Eid)
+        .find(|&e| plan.shard_of(e) != plan.shard_of(Eid(0)))
+        .expect("splitmix64 splits 64 eids over 2 shards");
+    let (e0, e1) = if plan.shard_of(Eid(0)) == 0 {
+        (Eid(0), e1)
+    } else {
+        (e1, Eid(0))
+    };
+    for eid in [e0, e1] {
+        for v in [0, 1] {
+            spec.instance_mut(T)
+                .push_tuple(Tuple::new(eid, vec![Value::int(v)]))
+                .unwrap();
+        }
+    }
+    let mut store = ShardedStore::create_with_vfs(
+        vfs,
+        dir,
+        &spec,
+        2,
+        &Options::default(),
+        StoreOptions::default(),
+    )
+    .expect("fault-free create");
+    for shard in 0..2 {
+        let mut delta = SpecDelta::new();
+        delta.remove_tuple(T, global_id(2, shard, TupleId(0)));
+        store.apply(&delta).expect("fault-free retract");
+    }
+    store
+}
+
+/// A compaction step that fails on shard 1 (its step-record write) must
+/// still return shard 0's report: shard 0's ids moved and were logged,
+/// and the caller translates them through it.
+#[test]
+fn failed_step_returns_completed_shards_reports() {
+    // Dry run: locate the first write inside shard 1's step.
+    let dry_dir = tmpdir("step-dry");
+    let probe = Arc::new(ChaosVfs::new(ChaosPlan::new()));
+    let mut dry = two_shard_tombstones(probe.clone(), &dry_dir);
+    dry.shard_mut(0).compact().expect("fault-free step");
+    let start = probe.ops();
+    dry.shard_mut(1).compact().expect("fault-free step");
+    let target = probe
+        .trace()
+        .iter()
+        .find(|&&(op, kind)| op >= start && kind == "write_all")
+        .map(|&(op, _)| op)
+        .expect("a step that reclaims a slot logs its record");
+    drop(dry);
+
+    let dir = tmpdir("step-run");
+    let vfs = Arc::new(ChaosVfs::new(ChaosPlan::new().fail_at(target, Fault::Io)));
+    let mut store = two_shard_tombstones(vfs.clone(), &dir);
+    // Shard 0's live reading sits at local id 1 behind its tombstone.
+    let (live, retracted) = (global_id(2, 0, TupleId(1)), global_id(2, 0, TupleId(0)));
+    let on_shard_1 = global_id(2, 1, TupleId(1));
+    match store.compact() {
+        Err(ShardError::StepFailed {
+            shard: 1,
+            source,
+            completed,
+        }) => {
+            assert!(matches!(source, StoreError::Io { .. }), "got {source}");
+            assert_eq!(completed.per_shard.len(), 1, "only shard 0 stepped");
+            assert!(!completed.done());
+            let moved = completed.new_id(T, live).expect("live tuples survive");
+            let (shard, local) = locate(2, moved);
+            assert_eq!((shard, local), (0, TupleId(0)), "shard 0 renumbered");
+            let kept = store.shard(0).spec().instance(T).tuple(local);
+            assert_eq!(kept.values, vec![Value::int(1)]);
+            assert_eq!(completed.new_id(T, retracted), None, "slot reclaimed");
+            assert_eq!(completed.new_id(T, on_shard_1), Some(on_shard_1));
+        }
+        other => panic!(
+            "expected StepFailed on shard 1, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    assert_eq!(vfs.injected(), 1);
+    drop(store);
+    for d in [&dry_dir, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

@@ -1,8 +1,11 @@
-//! Differential testing of the entity-sharded engine: for every shard
-//! count N ∈ {1, 2, 4, 8}, a [`ShardedEngine`] fed the same seeded
-//! update stream as a single unsharded [`CurrencyEngine`] must agree on
-//! CPS, all-pairs COP, certain current answers, CCQA membership, and
-//! DCIP — before and after the stream, and after sharded compaction.
+//! Differential testing of the entity-sharded front doors: for every
+//! shard count N ∈ {1, 2, 4, 8}, a [`ShardedEngine`] and a
+//! [`ShardedServe`] (read through its scatter-gather handle) fed the same
+//! seeded update stream as a single unsharded [`CurrencyEngine`] must
+//! agree with it on CPS, all-pairs COP, certain current answers, CCQA
+//! membership, and DCIP — before and after the stream, and after sharded
+//! compaction.  A join, whose per-shard union can miss answers, must be
+//! refused by both sharded front doors whenever N > 1.
 //!
 //! The stream generator is the same one the unsharded update suite uses
 //! (`tests/engine_updates.rs`); its deltas speak the unsharded id space,
@@ -19,11 +22,14 @@ use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::{
     AttrId, CopyFunction, DeltaOp, Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value,
 };
-use data_currency::query::{Query, SpQuery};
+use data_currency::query::{parse_query, Query, SpQuery};
 use data_currency::reason::shard::locate;
 use data_currency::reason::{
-    CurrencyEngine, CurrencyOrderQuery, Options, ShardError, ShardPlan, ShardedEngine,
+    CertainAnswers, CurrencyEngine, CurrencyOrderQuery, Options, ReasonError, ShardError,
+    ShardPlan, Sharded, ShardedEngine,
 };
+use data_currency::serve::{ServeError, ServeOptions, ShardedServe, ShardedServeHandle};
+use data_currency::store::{ShardedStore, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -123,12 +129,15 @@ fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
     delta
 }
 
-/// An unsharded engine and a sharded engine kept in lockstep, plus the
+/// An unsharded engine, a sharded engine and a sharded serving stack
+/// (with one scatter-gather handle) kept in lockstep, plus the
 /// unsharded → sharded-global tuple id translation (one map per
-/// relation).
+/// relation; both sharded front doors split alike).
 struct Mirror {
     unsharded: CurrencyEngine<'static>,
     sharded: ShardedEngine,
+    serve: ShardedServe,
+    handle: ShardedServeHandle,
     map: Vec<HashMap<TupleId, TupleId>>,
 }
 
@@ -136,6 +145,9 @@ impl Mirror {
     fn new(spec: &Specification, shards: usize, opts: &Options) -> Mirror {
         let unsharded = CurrencyEngine::new_owned(spec.clone(), opts).expect("valid spec");
         let sharded = ShardedEngine::new(spec, shards, opts).expect("valid spec");
+        let serve =
+            ShardedServe::new(spec, shards, opts, &ServeOptions::default()).expect("valid spec");
+        let handle = serve.handle();
         let mut map: Vec<HashMap<TupleId, TupleId>> = Vec::new();
         for (r, inst) in spec.instances().iter().enumerate() {
             let rel = RelId(r as u32);
@@ -150,6 +162,8 @@ impl Mirror {
         Mirror {
             unsharded,
             sharded,
+            serve,
+            handle,
             map,
         }
     }
@@ -225,8 +239,15 @@ impl Mirror {
     /// routing policy rejects it).  Returns whether it was applied.
     fn step(&mut self, delta: &SpecDelta, seed: u64, step: usize) -> bool {
         let translated = self.translate(delta);
+        let served = self.serve.apply(&translated);
         match self.sharded.apply(&translated) {
             Ok(sh) => {
+                let served = served.expect("both sharded front doors accept alike");
+                assert_eq!(
+                    (served.shard, served.broadcast, &served.inserted),
+                    (sh.shard, sh.broadcast, &sh.inserted),
+                    "sharded front doors routed apart (seed {seed} step {step})"
+                );
                 let un = self.unsharded.apply(delta).expect("admissible by draw");
                 assert_eq!(
                     un.inserted.len(),
@@ -243,6 +264,13 @@ impl Mirror {
                 true
             }
             Err(ShardError::CrossShard { .. }) | Err(ShardError::CrossShardCopy { .. }) => {
+                assert!(
+                    matches!(
+                        served,
+                        Err(ShardError::CrossShard { .. }) | Err(ShardError::CrossShardCopy { .. })
+                    ),
+                    "sharded front doors routed apart (seed {seed} step {step})"
+                );
                 // Documented policy: the batch is rejected whole, never
                 // re-homed.  With one shard nothing can ever cross.
                 assert!(
@@ -255,14 +283,15 @@ impl Mirror {
         }
     }
 
-    /// Full agreement check: CPS, all-pairs COP over `T`, certain
-    /// answers on both relations, a CCQA probe, and DCIP.
-    fn assert_agreement(&self, seed: u64, stage: &str) {
+    /// Full agreement check on both sharded front doors: CPS, all-pairs
+    /// COP over `T`, certain answers on both relations, a CCQA probe,
+    /// DCIP, and the join refusal.
+    fn assert_agreement(&mut self, seed: u64, stage: &str) {
         let n = self.sharded.shards();
         let cps = self.unsharded.cps().expect("in budget");
         assert_eq!(
-            cps,
-            self.sharded.cps().unwrap(),
+            (cps, cps),
+            (self.sharded.cps().unwrap(), self.handle.cps().unwrap()),
             "CPS diverged (seed {seed}, N={n}, {stage})"
         );
         let inst = self.unsharded.spec().instance(T);
@@ -273,9 +302,13 @@ impl Mirror {
                     let (gu, gv) = (self.map[0][&TupleId(u)], self.map[0][&TupleId(v)]);
                     let qu = CurrencyOrderQuery::single(T, attr, TupleId(u), TupleId(v));
                     let qg = CurrencyOrderQuery::single(T, attr, gu, gv);
+                    let un = self.unsharded.cop(&qu).unwrap();
                     assert_eq!(
-                        self.unsharded.cop(&qu).unwrap(),
-                        self.sharded.cop(&qg).unwrap(),
+                        (un, un),
+                        (
+                            self.sharded.cop(&qg).unwrap(),
+                            self.handle.cop(&qg).unwrap()
+                        ),
                         "COP diverged (seed {seed}, N={n}, {stage}, {u} ≺ {v})"
                     );
                 }
@@ -285,33 +318,73 @@ impl Mirror {
             let arity = self.unsharded.spec().instance(rel).arity();
             let q = value_query(rel, arity);
             let un = self.unsharded.certain_answers(&q).expect("in budget");
-            let sh = self.sharded.certain_answers(&q).unwrap();
             assert_eq!(
-                un, sh,
+                (&un, &un),
+                (
+                    &self.sharded.certain_answers(&q).unwrap(),
+                    &self.handle.certain_answers(&q).unwrap()
+                ),
                 "certain answers diverged (seed {seed}, N={n}, {stage}, rel {rel:?})"
             );
             // CCQA membership: a real row and a row that cannot occur.
-            if let Some(rows) = un.rows() {
-                if let Some(row) = rows.first() {
-                    assert!(
-                        self.sharded.ccqa(&q, row).unwrap(),
-                        "CCQA lost a certain row (seed {seed}, N={n}, {stage})"
-                    );
-                }
+            if let Some(row) = un.rows().and_then(|rows| rows.first()) {
+                assert!(
+                    self.sharded.ccqa(&q, row).unwrap() && self.handle.ccqa(&q, row).unwrap(),
+                    "CCQA lost a certain row (seed {seed}, N={n}, {stage})"
+                );
             }
             let bogus = vec![Value::int(99); arity];
+            let un = self.unsharded.ccqa(&q, &bogus).unwrap();
             assert_eq!(
-                self.unsharded.ccqa(&q, &bogus).unwrap(),
-                self.sharded.ccqa(&q, &bogus).unwrap(),
+                (un, un),
+                (
+                    self.sharded.ccqa(&q, &bogus).unwrap(),
+                    self.handle.ccqa(&q, &bogus).unwrap()
+                ),
                 "CCQA diverged on absent row (seed {seed}, N={n}, {stage})"
             );
         }
+        let un = self.unsharded.dcip(T).unwrap();
         assert_eq!(
-            self.unsharded.dcip(T).unwrap(),
-            self.sharded.dcip(T).unwrap(),
+            (un, un),
+            (self.sharded.dcip(T).unwrap(), self.handle.dcip(T).unwrap()),
             "DCIP diverged (seed {seed}, N={n}, {stage})"
         );
+        // A join of the two relations: exact on one shard, refused on
+        // more (a per-shard union could miss a cross-shard answer).
+        let join = parse_query(self.unsharded.spec().catalog(), "Q(x) :- T(x) and Src(x)")
+            .expect("valid query");
+        let sharded = self.sharded.certain_answers(&join);
+        let served = self.handle.certain_answers(&join);
+        if n == 1 {
+            let un = self.unsharded.certain_answers(&join).expect("in budget");
+            assert_eq!(
+                (&un, &un),
+                (&sharded.unwrap(), &served.unwrap()),
+                "join diverged on one shard (seed {seed}, {stage})"
+            );
+        } else {
+            assert_refused(sharded, served);
+        }
     }
+}
+
+/// Both sharded readers refused a query with the typed refusal.
+fn assert_refused(
+    sharded: Result<CertainAnswers, ReasonError>,
+    served: Result<CertainAnswers, ServeError>,
+) {
+    assert!(
+        matches!(sharded, Err(ReasonError::UnsupportedQuery { .. })),
+        "sharded engine answered a query it must refuse: {sharded:?}"
+    );
+    assert!(
+        matches!(
+            served,
+            Err(ServeError::Reason(ReasonError::UnsupportedQuery { .. }))
+        ),
+        "sharded serve answered a query it must refuse: {served:?}"
+    );
 }
 
 /// One full differential round for one seed and one shard count.
@@ -327,9 +400,10 @@ fn differential_round(seed: u64, shards: usize) {
         if mirror.step(&delta, seed, step) {
             shadow.apply_delta(&delta).expect("admissible by draw");
             // CPS stays in agreement after every applied delta.
+            let un = mirror.unsharded.cps().unwrap();
             assert_eq!(
-                mirror.unsharded.cps().unwrap(),
-                mirror.sharded.cps().unwrap(),
+                (un, un),
+                (mirror.sharded.cps().unwrap(), mirror.handle.cps().unwrap()),
                 "CPS diverged mid-stream (seed {seed}, N={shards}, step {step})"
             );
         }
@@ -346,27 +420,40 @@ fn differential_round(seed: u64, shards: usize) {
         .map(|(id, t)| (id, t.clone()))
         .collect();
     let report = mirror.sharded.compact().expect("compaction succeeds");
+    assert_eq!(
+        mirror.serve.compact().expect("compaction succeeds"),
+        report,
+        "sharded front doors compacted apart (seed {seed}, N={shards})"
+    );
     for (old, tuple) in live {
         let g = mirror.map[0][&old];
         let ng = report.new_id(T, g).expect("live tuples survive compaction");
         let (s, l) = locate(shards, ng);
-        let kept = mirror.sharded.engine(s).spec().instance(T).tuple(l);
+        let kept = mirror.sharded.shard(s).spec().instance(T).tuple(l);
         assert_eq!(kept.eid, tuple.eid, "compaction moved a tuple's entity");
         assert_eq!(
             kept.values, tuple.values,
             "compaction moved a tuple's values"
         );
     }
-    assert_eq!(
-        mirror.unsharded.cps().unwrap(),
-        mirror.sharded.cps().unwrap(),
-        "CPS diverged after compaction (seed {seed}, N={shards})"
-    );
     let q = value_query(T, mirror.unsharded.spec().instance(T).arity());
-    assert_eq!(
+    let un = (
+        mirror.unsharded.cps().unwrap(),
         mirror.unsharded.certain_answers(&q).unwrap(),
-        mirror.sharded.certain_answers(&q).unwrap(),
-        "certain answers diverged after compaction (seed {seed}, N={shards})"
+    );
+    assert_eq!(
+        (&un, &un),
+        (
+            &(
+                mirror.sharded.cps().unwrap(),
+                mirror.sharded.certain_answers(&q).unwrap()
+            ),
+            &(
+                mirror.handle.cps().unwrap(),
+                mirror.handle.certain_answers(&q).unwrap()
+            )
+        ),
+        "CPS or certain answers diverged after compaction (seed {seed}, N={shards})"
     );
 
     // Stats aggregate exactly field-wise.
@@ -392,6 +479,25 @@ fn differential_round(seed: u64, shards: usize) {
             .map(|s| s.compact_steps)
             .sum::<usize>()
     );
+}
+
+/// Seeds of the pinned sweep: the full 10k in release, a slice under
+/// debug.
+const SEEDS: u64 = if cfg!(debug_assertions) { 100 } else { 10_000 };
+
+/// The CI anchor: `SEEDS` consecutive seeds starting at `CHAOS_SEED`
+/// (pinned by default, so a run is reproducible), every shard count.
+#[test]
+fn pinned_seed_range_sharded_differential() {
+    let first = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20_260_808u64);
+    for seed in first..first + SEEDS {
+        for shards in SHARD_COUNTS {
+            differential_round(seed, shards);
+        }
+    }
 }
 
 /// Rebuild `spec` with every instance's tuples inserted in reverse
@@ -480,7 +586,7 @@ proptest! {
     }
 }
 
-/// Two entities that hash to different shards under N=8 (found by
+/// Two entities that hash to different shards under `plan` (found by
 /// scanning — the hash is fixed, so this is deterministic).
 fn split_pair(plan: &ShardPlan) -> (Eid, Eid) {
     let a = Eid(0);
@@ -525,7 +631,7 @@ fn cross_shard_delta_is_rejected() {
     // Rejection is atomic: both tuples are still live.
     assert_eq!(
         engine
-            .engine(engine.plan().shard_of(eids.0))
+            .shard(engine.plan().shard_of(eids.0))
             .spec()
             .instance(T)
             .live_len(),
@@ -533,7 +639,7 @@ fn cross_shard_delta_is_rejected() {
     );
     assert_eq!(
         engine
-            .engine(engine.plan().shard_of(eids.1))
+            .shard(engine.plan().shard_of(eids.1))
             .spec()
             .instance(T)
             .live_len(),
@@ -588,6 +694,123 @@ fn constraints_broadcast_to_every_shard() {
     assert!(report.broadcast);
     assert_eq!(report.shard, None);
     for k in 0..engine.shards() {
-        assert_eq!(engine.engine(k).spec().constraints().len(), 1);
+        assert_eq!(engine.shard(k).spec().constraints().len(), 1);
     }
+}
+
+/// The cross-shard join: ("a", paris) and ("b", paris) are two entities
+/// a 2-way split places apart.  `Q(y) :- R("a", y) ∧ R("b", y)` is
+/// certainly `paris`, but no shard holds both witnesses, so the union
+/// of per-shard answers is `[]`.  Every sharded front door refuses the
+/// query instead; a one-shard split answers it exactly.
+#[test]
+fn cross_shard_join_is_refused_not_answered_empty() {
+    let mut catalog = data_currency::model::Catalog::new();
+    let r = catalog.add(data_currency::model::RelationSchema::new(
+        "R",
+        &["name", "city"],
+    ));
+    let mut spec = Specification::new(catalog);
+    let (a, b) = split_pair(&ShardPlan::from_spec(2, &spec));
+    for (eid, name) in [(a, "a"), (b, "b")] {
+        spec.instance_mut(r)
+            .push_tuple(Tuple::new(eid, vec![Value::str(name), Value::str("paris")]))
+            .unwrap();
+    }
+    let q = parse_query(spec.catalog(), "Q(y) :- R('a', y) and R('b', y)").unwrap();
+    let opts = Options::default();
+    let paris = CertainAnswers::Answers(vec![vec![Value::str("paris")]]);
+    let unsharded = CurrencyEngine::new(&spec, &opts).unwrap();
+    assert_eq!(unsharded.certain_answers(&q).unwrap(), paris);
+
+    let engine = ShardedEngine::new(&spec, 2, &opts).unwrap();
+    assert_ne!(engine.plan().shard_of(a), engine.plan().shard_of(b));
+    let serve = ShardedServe::new(&spec, 2, &opts, &ServeOptions::default()).unwrap();
+    let mut handle = serve.handle();
+    assert_refused(engine.certain_answers(&q), handle.certain_answers(&q));
+    let row = [Value::str("paris")];
+    assert!(matches!(
+        engine.ccqa(&q, &row),
+        Err(ReasonError::UnsupportedQuery { .. })
+    ));
+    assert!(matches!(
+        handle.ccqa(&q, &row),
+        Err(ServeError::Reason(ReasonError::UnsupportedQuery { .. }))
+    ));
+    let dir = std::env::temp_dir().join(format!("currency-shjoin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_opts = StoreOptions {
+        sync_data: false,
+        ..StoreOptions::default()
+    };
+    let store = ShardedStore::create(&dir, &spec, 2, &opts, store_opts).unwrap();
+    assert!(matches!(
+        store.certain_answers(&q),
+        Err(ReasonError::UnsupportedQuery { .. })
+    ));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let single = ShardedEngine::new(&spec, 1, &opts).unwrap();
+    assert_eq!(single.certain_answers(&q).unwrap(), paris);
+}
+
+/// After a recovery, an entity whose tuples were all retracted routes by
+/// hash again.  A copy source placed with its target, not by its own
+/// hash, then routes to a shard other than the one its old ids name.  A
+/// delta naming such an id is rejected; it must not reach the same
+/// local id in the hashed shard, where another entity's tuple sits.
+#[test]
+fn stale_id_of_a_rehashed_entity_is_rejected() {
+    let opts = Options::default();
+    let mut catalog = data_currency::model::Catalog::new();
+    let t = catalog.add(data_currency::model::RelationSchema::new("T", &["A"]));
+    let src = catalog.add(data_currency::model::RelationSchema::new("Src", &["A"]));
+    let mut spec = Specification::new(catalog);
+    let probe = ShardPlan::from_spec(2, &spec);
+    let (a, b) = split_pair(&probe);
+    let c = (b.0 + 1..b.0 + 64)
+        .map(Eid)
+        .find(|&e| probe.shard_of(e) == probe.shard_of(b))
+        .expect("splitmix64 fills both of 2 shards");
+    let ta = spec
+        .instance_mut(t)
+        .push_tuple(Tuple::new(a, vec![Value::int(1)]))
+        .unwrap();
+    let sb = spec
+        .instance_mut(src)
+        .push_tuple(Tuple::new(b, vec![Value::int(1)]))
+        .unwrap();
+    spec.instance_mut(src)
+        .push_tuple(Tuple::new(c, vec![Value::int(2)]))
+        .unwrap();
+    let sig =
+        data_currency::model::CopySignature::new(t, vec![AttrId(0)], src, vec![AttrId(0)]).unwrap();
+    let mut cf = CopyFunction::new(sig);
+    cf.set_mapping(ta, sb);
+    spec.add_copy(cf).unwrap();
+
+    let mut engine = ShardedEngine::new(&spec, 2, &opts).unwrap();
+    let home = engine.plan().shard_of(a);
+    assert_eq!(engine.plan().shard_of(b), home, "b is placed with a");
+    let gb = engine.import().new_id(src, sb).unwrap();
+    let mut retract = SpecDelta::new();
+    retract.remove_tuple(src, gb);
+    engine.apply(&retract).unwrap();
+
+    let engines = (0..2)
+        .map(|k| CurrencyEngine::new_owned(engine.shard(k).spec().clone(), &opts).unwrap())
+        .collect();
+    let mut recovered = Sharded::recover(engines);
+    let hashed = recovered.plan().shard_of(b);
+    assert_ne!(hashed, home, "b routes by hash after recovery");
+    match recovered.apply(&retract) {
+        Err(ShardError::CrossShard { shards }) => assert_eq!(shards.len(), 2),
+        other => panic!("expected CrossShard, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(
+        recovered.shard(hashed).spec().instance(src).live_len(),
+        1,
+        "c's tuple is untouched"
+    );
 }

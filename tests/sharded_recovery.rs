@@ -19,7 +19,7 @@ use data_currency::model::wire::encode_spec;
 use data_currency::model::{AttrId, Eid, RelId, SpecDelta, Tuple, TupleId, Value};
 use data_currency::reason::shard::{global_id, locate};
 use data_currency::reason::Options;
-use data_currency::store::{ShardedStore, ShardedStoreError, StoreOptions};
+use data_currency::store::{ShardedStore, ShardedStoreError, StoreError, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -241,7 +241,7 @@ fn create_refuses_existing_store() {
     let dir = tmpdir("exists");
     let _store = ShardedStore::create(&dir, &spec, 2, &opts, StoreOptions::default()).unwrap();
     match ShardedStore::create(&dir, &spec, 2, &opts, StoreOptions::default()) {
-        Err(ShardedStoreError::AlreadyExists { .. }) => {}
+        Err(ShardedStoreError::Dir(StoreError::AlreadyExists { .. })) => {}
         other => panic!("expected AlreadyExists, got {:?}", other.map(|_| ())),
     }
     let _ = std::fs::remove_dir_all(&dir);
