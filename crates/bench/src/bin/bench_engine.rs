@@ -86,6 +86,15 @@ const LARGE_FLAT_FACTOR: f64 = 2.0;
 /// so deterministic; it must also be the same figure at 1× and 4× scale.
 const LARGE_COMPONENT_BYTES_LIMIT: usize = 8 * 1024;
 
+/// Footprint guard for `--check`: partition heap bytes per live
+/// `large_spec` component ([`EngineStats::partition_bytes`] over the
+/// component count).  A component keeps only its two cells — a slot
+/// pointer, its `Arc`'d cell set and two index entries, about 128 B —
+/// while storing its ground rules and obligations took about 7.3 KiB.
+/// Computed from sizes, so deterministic; it must also be the same
+/// figure at 1× and 4× scale.
+const LARGE_PARTITION_BYTES_LIMIT: usize = 1024;
+
 /// Insert+retract pairs per paired round of the serving-writer large
 /// section: enough work per round that timer and scheduler jitter stay
 /// small next to it.
@@ -739,6 +748,11 @@ fn main() {
         per_component(serve_1x.0.stats()),
         per_component(serve_4x.0.stats()),
     ];
+    let partition_per_component = |st: EngineStats| st.partition_bytes / st.components.max(1);
+    let partition_bytes = [
+        partition_per_component(serve_1x.0.stats()),
+        partition_per_component(serve_4x.0.stats()),
+    ];
     let insert = scenarios::large_insert_delta();
     let serve_pairs = |(writer, copied): &mut (SnapshotEngine, u64)| {
         for _ in 0..SERVE_LARGE_PAIRS_PER_ROUND {
@@ -766,7 +780,8 @@ fn main() {
         "  \"serve_large\": {{\"entities\": [{large_base}, {}], \
          \"serve_per_delta_ns\": [{:.0}, {:.0}], \
          \"max_pages_copied_per_pair\": [{}, {}], \"ratio_4x_over_1x\": {serve_large_ratio:.2}, \
-         \"encoding_bytes_per_component\": [{}, {}]}},",
+         \"encoding_bytes_per_component\": [{}, {}], \
+         \"partition_bytes_per_component\": [{}, {}]}},",
         large_base * 4,
         serve_per_delta(&serve_1x_pairs),
         serve_per_delta(&serve_4x_pairs),
@@ -774,6 +789,8 @@ fn main() {
         serve_pages_copied[1],
         component_bytes[0],
         component_bytes[1],
+        partition_bytes[0],
+        partition_bytes[1],
     );
 
     // ------------------------------------------------------------------
@@ -1527,6 +1544,9 @@ fn main() {
     let component_bytes_1x = component_bytes[0];
     let component_bytes_ok = component_bytes_1x <= LARGE_COMPONENT_BYTES_LIMIT
         && component_bytes_1x == component_bytes[1];
+    let partition_bytes_1x = partition_bytes[0];
+    let large_partition_bytes_ok = partition_bytes_1x <= LARGE_PARTITION_BYTES_LIMIT
+        && partition_bytes_1x == partition_bytes[1];
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
     let compact_exact_ok = compact_identical && compact_parity;
@@ -1567,6 +1587,7 @@ fn main() {
         && serve_large_pages_flat_ok
         && large_rebuilt_ok
         && component_bytes_ok
+        && large_partition_bytes_ok
         && compact_pause_ok
         && compact_flat_ok
         && compact_exact_ok
@@ -1602,6 +1623,9 @@ fn main() {
          \"large_component_bytes\": {component_bytes_1x}, \
          \"large_component_bytes_limit\": {LARGE_COMPONENT_BYTES_LIMIT}, \
          \"large_component_bytes_ok\": {component_bytes_ok}, \
+         \"large_partition_bytes\": {partition_bytes_1x}, \
+         \"large_partition_bytes_limit\": {LARGE_PARTITION_BYTES_LIMIT}, \
+         \"large_partition_bytes_ok\": {large_partition_bytes_ok}, \
          \"compact_max_step_ns\": {compact_max_step_ns:.0}, \
          \"compact_max_pause_ms\": {COMPACT_MAX_PAUSE_MS}, \
          \"compact_step_flat_ratio\": {compact_step_flat_ratio:.2}, \
@@ -1704,6 +1728,14 @@ fn main() {
                  {} at 4× spec size (limit {LARGE_COMPONENT_BYTES_LIMIT}, equal at both) — \
                  solver state is no longer sized to the clauses it stores",
                 component_bytes[0], component_bytes[1]
+            );
+        }
+        if !large_partition_bytes_ok {
+            eprintln!(
+                "REGRESSION: the partition holds {} bytes per large-spec component at 1× \
+                 and {} at 4× spec size (limit {LARGE_PARTITION_BYTES_LIMIT}, equal at \
+                 both) — components store more than their cells",
+                partition_bytes[0], partition_bytes[1]
             );
         }
         if !compact_pause_ok {

@@ -557,26 +557,10 @@ impl CopyFunction {
         source: &TemporalInstance,
         keep: impl Fn(Eid, Eid) -> bool,
     ) -> Vec<(OrderEdge, OrderEdge)> {
-        if let Some(ix) = &self.index {
-            let mut out = Vec::new();
-            for (&(te, se), pairs) in ix.groups.iter() {
-                if keep(te, se) {
-                    self.emit_group_obligations(pairs, &mut out);
-                }
-            }
-            return out;
-        }
-        let mut groups: BTreeMap<(Eid, Eid), BTreeSet<(TupleId, TupleId)>> = BTreeMap::new();
-        for (&t, &s) in self.map.iter() {
-            groups
-                .entry((target.tuple(t).eid, source.tuple(s).eid))
-                .or_default()
-                .insert((t, s));
-        }
         let mut out = Vec::new();
-        for ((te, se), pairs) in groups {
+        for (&(te, se), pairs) in self.groups(target, source).all() {
             if keep(te, se) {
-                self.emit_group_obligations(&pairs, &mut out);
+                self.emit_group_obligations(pairs, &mut out);
             }
         }
         out
@@ -630,13 +614,22 @@ impl CopyFunction {
     ) {
         // Upper bound: |pairs|² ordered pairs × correlated attributes.
         out.reserve(pairs.len() * pairs.len() * self.sig.width());
+        self.for_each_group_obligation(pairs, &mut |s, t| out.push((s, t)));
+    }
+
+    /// Stream one group's obligations to `f` in emission order.
+    fn for_each_group_obligation(
+        &self,
+        pairs: &BTreeSet<(TupleId, TupleId)>,
+        f: &mut impl FnMut(OrderEdge, OrderEdge),
+    ) {
         for &(t1, s1) in pairs {
             for &(t2, s2) in pairs {
                 if t1 == t2 || s1 == s2 {
                     continue;
                 }
                 for (ta, sa) in self.sig.target_attrs.iter().zip(&self.sig.source_attrs) {
-                    out.push((
+                    f(
                         OrderEdge {
                             attr: *sa,
                             lesser: s1,
@@ -647,10 +640,44 @@ impl CopyFunction {
                             lesser: t1,
                             greater: t2,
                         },
-                    ));
+                    );
                 }
             }
         }
+    }
+
+    /// `true` if a group yields at least one obligation: it holds two
+    /// mappings with distinct sources and the signature correlates at
+    /// least one attribute.  Stops at the first source that differs from
+    /// the group's first, so it never enumerates the mapping pairs.
+    fn group_links(&self, pairs: &BTreeSet<(TupleId, TupleId)>) -> bool {
+        let mut sources = pairs.iter().map(|&(_, s)| s);
+        self.sig.width() > 0
+            && sources
+                .next()
+                .is_some_and(|first| sources.any(|s| s != first))
+    }
+
+    /// The function's `(target entity, source entity)` groups, for
+    /// streaming reads ([`CopyGroups`]).  Free with a fresh index; with a
+    /// stale one the mapping set is grouped once here, so build one view
+    /// per batch of lookups rather than one per lookup.
+    pub fn groups<'c>(
+        &'c self,
+        target: &TemporalInstance,
+        source: &TemporalInstance,
+    ) -> CopyGroups<'c> {
+        let grouped = self.index.is_none().then(|| {
+            let mut groups = GroupMap::new();
+            for (&t, &s) in self.map.iter() {
+                groups
+                    .entry((target.tuple(t).eid, source.tuple(s).eid))
+                    .or_default()
+                    .insert((t, s));
+            }
+            groups
+        });
+        CopyGroups { cf: self, grouped }
     }
 
     /// Check ≺-compatibility against completed-order oracles.
@@ -670,6 +697,114 @@ impl CopyFunction {
                 !source_precedes(se.attr, se.lesser, se.greater)
                     || target_precedes(te.attr, te.lesser, te.greater)
             })
+    }
+}
+
+/// Mapped `(target, source)` pairs grouped by `(target entity, source
+/// entity)`.
+type GroupMap = BTreeMap<(Eid, Eid), BTreeSet<(TupleId, TupleId)>>;
+
+/// A read view of a copy function's `(target entity, source entity)`
+/// groups ([`CopyFunction::groups`]): the entity index when it is fresh,
+/// or a grouping of the mapping set made once when the view was built.
+///
+/// The view streams what the incremental engine needs per component:
+/// which groups link their two cells (have an obligation), and the
+/// obligations of one target entity's groups — in the order
+/// [`CopyFunction::compatibility_obligations`] lists them, with no
+/// intermediate vector.
+#[derive(Debug)]
+pub struct CopyGroups<'c> {
+    cf: &'c CopyFunction,
+    /// `Some` when the function's index was stale at construction.
+    grouped: Option<GroupMap>,
+}
+
+impl CopyGroups<'_> {
+    /// Every group, in key order.
+    fn all(&self) -> impl Iterator<Item = (&(Eid, Eid), &BTreeSet<(TupleId, TupleId)>)> + '_ {
+        let (indexed, grouped) = match &self.grouped {
+            Some(groups) => (None, Some(groups.iter())),
+            None => {
+                let ix = self.cf.index.as_ref().expect("fresh index");
+                (Some(ix.groups.iter()), None)
+            }
+        };
+        indexed
+            .into_iter()
+            .flatten()
+            .chain(grouped.into_iter().flatten())
+    }
+
+    /// The groups of target entity `te`, in ascending source-entity
+    /// order.
+    fn target_groups(
+        &self,
+        te: Eid,
+    ) -> impl Iterator<Item = (&(Eid, Eid), &BTreeSet<(TupleId, TupleId)>)> + '_ {
+        let keys = (te, Eid(u64::MIN))..=(te, Eid(u64::MAX));
+        let (indexed, grouped) = match &self.grouped {
+            Some(groups) => (None, Some(groups.range(keys))),
+            None => {
+                let ix = self.cf.index.as_ref().expect("fresh index");
+                (Some(ix.groups.range(keys)), None)
+            }
+        };
+        indexed
+            .into_iter()
+            .flatten()
+            .chain(grouped.into_iter().flatten())
+    }
+
+    /// Stream the obligations of every group of target entity `te` to
+    /// `f(source_edge, target_edge)`, groups in ascending source-entity
+    /// order — the subsequence of
+    /// [`CopyFunction::compatibility_obligations`] whose target edge lies
+    /// in `te`.
+    pub fn for_each_obligation_of_target(&self, te: Eid, mut f: impl FnMut(OrderEdge, OrderEdge)) {
+        for (_, pairs) in self.target_groups(te) {
+            self.cf.for_each_group_obligation(pairs, &mut f);
+        }
+    }
+
+    /// Report to `f(te, se)` every group with at least one obligation
+    /// whose target entity is in `targets` or whose source entity is in
+    /// `sources` (both sorted); `None` reports every linking group.  A
+    /// group may be reported more than once.  With a fresh index only
+    /// the groups of the listed entities are visited.
+    pub fn for_each_linking_group(
+        &self,
+        region: Option<(&[Eid], &[Eid])>,
+        mut f: impl FnMut(Eid, Eid),
+    ) {
+        let mut visit = |key: &(Eid, Eid), pairs: &BTreeSet<(TupleId, TupleId)>| {
+            if self.cf.group_links(pairs) {
+                f(key.0, key.1);
+            }
+        };
+        match (region, &self.grouped) {
+            (None, _) => self.all().for_each(|(k, p)| visit(k, p)),
+            (Some((targets, sources)), Some(_)) => {
+                for (key, pairs) in self.all() {
+                    if targets.binary_search(&key.0).is_ok()
+                        || sources.binary_search(&key.1).is_ok()
+                    {
+                        visit(key, pairs);
+                    }
+                }
+            }
+            (Some((targets, sources)), None) => {
+                let ix = self.cf.index.as_ref().expect("fresh index");
+                for &te in targets {
+                    self.target_groups(te).for_each(|(k, p)| visit(k, p));
+                }
+                for se in sources {
+                    for key in ix.source_groups.get(se).into_iter().flatten() {
+                        visit(key, ix.groups.get(key).expect("indexed group key"));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -917,6 +1052,74 @@ mod tests {
             stale.obligations_for_region(&tgt, &src, &BTreeSet::from([Eid(1)]), &BTreeSet::new()),
             only_e1
         );
+    }
+
+    /// The streamed views list what the vector forms list, in the same
+    /// order, with a fresh and with a stale index; a group links its
+    /// cells exactly when it yields an obligation.
+    #[test]
+    fn copy_groups_stream_what_the_vectors_list() {
+        let schema_t = RelationSchema::new("T", &["A"]);
+        let mut tgt = TemporalInstance::new(RelId(0), &schema_t);
+        let schema_s = RelationSchema::new("S", &["A"]);
+        let mut src = TemporalInstance::new(RelId(1), &schema_s);
+        let mut rho = CopyFunction::new(addr_sig());
+        // (1 → 7): two mappings, distinct sources — links.  (1 → 8): one
+        // mapping — no obligation.  (2 → 9): two mappings onto one
+        // source tuple — no obligation.  (3 → 7): three mappings — links.
+        let layout: [(u64, u64, &[i64]); 4] = [
+            (1, 7, &[0, 1]),
+            (1, 8, &[5]),
+            (2, 9, &[4, 4]),
+            (3, 7, &[2, 3, 6]),
+        ];
+        for (te, se, values) in layout {
+            let mut last_source = None;
+            for &v in values {
+                let t = tgt
+                    .push_tuple(Tuple::new(Eid(te), vec![Value::int(v)]))
+                    .unwrap();
+                let s = match last_source {
+                    Some(s) if te == 2 => s,
+                    _ => src
+                        .push_tuple(Tuple::new(Eid(se), vec![Value::int(v)]))
+                        .unwrap(),
+                };
+                last_source = Some(s);
+                rho.insert_mapping(t, s, Eid(te), Eid(se));
+            }
+        }
+        let mut stale = rho.clone();
+        stale.set_mapping(TupleId(0), TupleId(0)); // no-op write, stales it
+        for cf in [&rho, &stale] {
+            let groups = cf.groups(&tgt, &src);
+            let mut streamed = Vec::new();
+            for te in tgt.entities() {
+                groups.for_each_obligation_of_target(te, |s, t| streamed.push((s, t)));
+            }
+            assert_eq!(streamed, cf.compatibility_obligations(&tgt, &src));
+            let mut linked = Vec::new();
+            groups.for_each_linking_group(None, |te, se| linked.push((te, se)));
+            assert_eq!(linked, [(Eid(1), Eid(7)), (Eid(3), Eid(7))]);
+            // Region: target entity 2 and source entity 7.
+            let mut region = Vec::new();
+            groups.for_each_linking_group(Some((&[Eid(2)], &[Eid(7)])), |te, se| {
+                region.push((te, se))
+            });
+            region.sort();
+            region.dedup();
+            assert_eq!(region, [(Eid(1), Eid(7)), (Eid(3), Eid(7))]);
+        }
+        // No correlated attribute: nothing links.
+        let mut blind =
+            CopyFunction::new(CopySignature::new(RelId(0), vec![], RelId(1), vec![]).unwrap());
+        blind.insert_mapping(TupleId(0), TupleId(0), Eid(1), Eid(7));
+        blind.insert_mapping(TupleId(1), TupleId(1), Eid(1), Eid(7));
+        let mut linked = 0;
+        blind
+            .groups(&tgt, &src)
+            .for_each_linking_group(None, |_, _| linked += 1);
+        assert_eq!(linked, 0);
     }
 
     #[test]

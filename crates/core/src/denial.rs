@@ -32,7 +32,6 @@ use crate::error::CurrencyError;
 use crate::schema::{AttrId, RelId};
 use crate::temporal::TemporalInstance;
 use crate::value::{Eid, TupleId, Value};
-use std::collections::BTreeSet;
 
 /// Index of a universally quantified tuple variable within a constraint.
 pub type VarId = usize;
@@ -206,11 +205,12 @@ impl DenialConstraint {
     pub fn ground(&self, inst: &TemporalInstance) -> Vec<GroundRule> {
         debug_assert_eq!(inst.rel(), self.rel);
         let grounder = self.entity_grounder();
-        let mut rules: BTreeSet<GroundRule> = BTreeSet::new();
-        for (_eid, group) in inst.entity_groups() {
-            grounder.ground_group(inst, group, &mut rules);
+        let mut buf = GroundBuffer::default();
+        for eid in inst.entities() {
+            grounder.ground_entity_into(inst, eid, &mut buf);
         }
-        rules.into_iter().collect()
+        buf.sort_dedup_from(0);
+        buf.to_rules()
     }
 
     /// Ground the constraint against a **single entity** of the instance.
@@ -226,9 +226,9 @@ impl DenialConstraint {
 
     /// A reusable per-entity grounder: the constraint's value atoms are
     /// analyzed once (unary filters vs multi-variable atoms), after which
-    /// each [`EntityGrounder::ground_entity`] call pays only for its own
-    /// entity's backtracking — the entry point the incremental partition
-    /// uses to re-derive a dirty region's rules.
+    /// each [`EntityGrounder::ground_entity_into`] call pays only for its
+    /// own entity's backtracking — the entry point the component compiler
+    /// grounds a component's cells through.
     pub fn entity_grounder(&self) -> EntityGrounder<'_> {
         let (unary, rest) = self.split_value_atoms();
         EntityGrounder {
@@ -269,67 +269,43 @@ impl DenialConstraint {
         (unary, rest)
     }
 
-    // (Per-group backtracking lives on [`EntityGrounder`].)
-
-    fn ground_rec(
-        &self,
-        inst: &TemporalInstance,
-        candidates: &[Vec<TupleId>],
-        rest: &[Vec<&Predicate>],
-        assignment: &mut Vec<TupleId>,
-        rules: &mut BTreeSet<GroundRule>,
-    ) {
-        let depth = assignment.len();
-        if depth == self.num_vars {
-            self.emit_rule(assignment, rules);
-            return;
-        }
-        for &tid in &candidates[depth] {
-            assignment.push(tid);
-            let pairs: Vec<(VarId, TupleId)> = assignment.iter().copied().enumerate().collect();
-            let ok = rest[depth]
-                .iter()
-                .all(|p| self.eval_cmp_partial(p, inst, &pairs));
-            if ok {
-                self.ground_rec(inst, candidates, rest, assignment, rules);
-            }
-            assignment.pop();
-        }
-    }
-
-    /// Evaluate a value atom under a partial assignment; callers guarantee
-    /// every variable the atom mentions is bound.
-    fn eval_cmp_partial(
+    /// Evaluate a value atom; `tuple_of` resolves every variable the atom
+    /// mentions (callers guarantee they are bound).  Values are compared
+    /// in place, never cloned.
+    fn eval_cmp(
         &self,
         p: &Predicate,
         inst: &TemporalInstance,
-        bound: &[(VarId, TupleId)],
+        tuple_of: impl Fn(VarId) -> TupleId,
     ) -> bool {
-        let lookup = |v: VarId| -> TupleId {
-            bound
-                .iter()
-                .find(|(w, _)| *w == v)
-                .map(|(_, t)| *t)
-                .expect("variable bound before atom evaluation")
-        };
         match p {
             Predicate::Cmp { left, op, right } => {
-                let lv = match left {
-                    Term::Attr(v, a) => inst.tuple(lookup(*v)).value(*a).clone(),
-                    Term::Const(c) => c.clone(),
-                };
-                let rv = match right {
-                    Term::Attr(v, a) => inst.tuple(lookup(*v)).value(*a).clone(),
-                    Term::Const(c) => c.clone(),
-                };
-                op.eval(&lv, &rv)
+                fn value<'v>(
+                    t: &'v Term,
+                    inst: &'v TemporalInstance,
+                    tuple_of: &impl Fn(VarId) -> TupleId,
+                ) -> &'v Value {
+                    match t {
+                        Term::Attr(v, a) => inst.tuple(tuple_of(*v)).value(*a),
+                        Term::Const(c) => c,
+                    }
+                }
+                op.eval(value(left, inst, &tuple_of), value(right, inst, &tuple_of))
             }
             Predicate::Order { .. } => true,
         }
     }
 
-    fn emit_rule(&self, assignment: &[TupleId], rules: &mut BTreeSet<GroundRule>) {
-        let mut premises = Vec::new();
+    /// Append the rule of one complete assignment to `premises`/`rules`,
+    /// unless a reflexive premise makes it vacuous.  Premises are sorted
+    /// and deduplicated in place.
+    fn emit_rule(
+        &self,
+        assignment: &[TupleId],
+        premises: &mut Vec<OrderEdge>,
+        rules: &mut Vec<FlatRule>,
+    ) {
+        let start = premises.len();
         for p in &self.premises {
             if let Predicate::Order {
                 lesser,
@@ -341,6 +317,7 @@ impl DenialConstraint {
                 if l == g {
                     // Premise `t ≺ t` is false by irreflexivity: the whole
                     // instantiation is vacuously satisfied.
+                    premises.truncate(start);
                     return;
                 }
                 premises.push(OrderEdge {
@@ -361,10 +338,18 @@ impl DenialConstraint {
                 greater: g,
             })
         };
-        premises.sort_unstable();
-        premises.dedup();
-        rules.insert(GroundRule {
-            premises,
+        premises[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..premises.len() {
+            if kept == start || premises[kept - 1] != premises[i] {
+                premises[kept] = premises[i];
+                kept += 1;
+            }
+        }
+        premises.truncate(kept);
+        rules.push(FlatRule {
+            start: start as u32,
+            end: kept as u32,
             conclusion,
         });
     }
@@ -395,8 +380,111 @@ impl DenialConstraint {
     }
 }
 
+/// One rule held in a [`GroundBuffer`]: a premise range into the
+/// buffer's shared premise vector, plus the conclusion.
+#[derive(Clone, Copy, Debug)]
+struct FlatRule {
+    start: u32,
+    end: u32,
+    conclusion: Option<OrderEdge>,
+}
+
+/// Reusable output and work buffers for streamed grounding
+/// ([`EntityGrounder::ground_entity_into`]).
+///
+/// Rules are stored flat — every rule's premises live in one shared
+/// vector — so grounding allocates nothing once the buffers have grown
+/// to the largest entity seen.  [`GroundBuffer::sort_dedup_from`] orders
+/// a run of rules exactly as [`GroundRule`]'s `Ord` does, which is the
+/// order [`DenialConstraint::ground`] returns.
+#[derive(Clone, Debug, Default)]
+pub struct GroundBuffer {
+    premises: Vec<OrderEdge>,
+    rules: Vec<FlatRule>,
+    /// Per-variable candidate lists of the entity being grounded.
+    candidates: Vec<Vec<TupleId>>,
+    /// The partial assignment of the backtracking search.
+    assignment: Vec<TupleId>,
+}
+
+impl GroundBuffer {
+    /// Drop every buffered rule, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.premises.clear();
+        self.rules.clear();
+    }
+
+    /// Number of buffered rules.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// `true` if no rule is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// Rule `i`: its (sorted, duplicate-free) premises and its
+    /// conclusion (`None` = falsum).
+    pub fn rule(&self, i: usize) -> (&[OrderEdge], Option<OrderEdge>) {
+        let r = &self.rules[i];
+        (
+            &self.premises[r.start as usize..r.end as usize],
+            r.conclusion,
+        )
+    }
+
+    /// Append a rule.
+    pub fn push(&mut self, premises: &[OrderEdge], conclusion: Option<OrderEdge>) {
+        let start = self.premises.len() as u32;
+        self.premises.extend_from_slice(premises);
+        self.rules.push(FlatRule {
+            start,
+            end: self.premises.len() as u32,
+            conclusion,
+        });
+    }
+
+    /// Remove rule `i`, shifting the later rules down.
+    pub fn remove(&mut self, i: usize) {
+        self.rules.remove(i);
+    }
+
+    /// Sort the rules from index `from` on into [`GroundRule`] order and
+    /// drop duplicates among them; earlier rules are left alone.
+    pub fn sort_dedup_from(&mut self, from: usize) {
+        let GroundBuffer {
+            premises, rules, ..
+        } = self;
+        let key = |r: &FlatRule| (&premises[r.start as usize..r.end as usize], r.conclusion);
+        rules[from..].sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        let mut kept = from;
+        for i in from..rules.len() {
+            if kept == from || key(&rules[kept - 1]) != key(&rules[i]) {
+                rules[kept] = rules[i];
+                kept += 1;
+            }
+        }
+        rules.truncate(kept);
+    }
+
+    /// The buffered rules as owned [`GroundRule`]s, in buffer order.
+    pub fn to_rules(&self) -> Vec<GroundRule> {
+        (0..self.len())
+            .map(|i| {
+                let (premises, conclusion) = self.rule(i);
+                GroundRule {
+                    premises: premises.to_vec(),
+                    conclusion,
+                }
+            })
+            .collect()
+    }
+}
+
 /// A [`DenialConstraint`] with its value atoms pre-analyzed for repeated
 /// per-entity grounding (see [`DenialConstraint::entity_grounder`]).
+#[derive(Clone, Debug)]
 pub struct EntityGrounder<'c> {
     dc: &'c DenialConstraint,
     /// Unary filters per tuple variable.
@@ -406,42 +494,73 @@ pub struct EntityGrounder<'c> {
 }
 
 impl EntityGrounder<'_> {
+    /// The constraint this grounder grounds.
+    pub fn constraint(&self) -> &DenialConstraint {
+        self.dc
+    }
+
     /// Ground the constraint against a single entity of the instance
     /// (equals the corresponding slice of [`DenialConstraint::ground`]).
     pub fn ground_entity(&self, inst: &TemporalInstance, eid: Eid) -> Vec<GroundRule> {
-        debug_assert_eq!(inst.rel(), self.dc.rel);
-        let mut rules: BTreeSet<GroundRule> = BTreeSet::new();
-        self.ground_group(inst, inst.entity_group(eid), &mut rules);
-        rules.into_iter().collect()
+        let mut buf = GroundBuffer::default();
+        self.ground_entity_into(inst, eid, &mut buf);
+        buf.sort_dedup_from(0);
+        buf.to_rules()
     }
 
-    /// Backtracking grounding over one entity group.
-    fn ground_group(
+    /// Append the rules of one entity to `buf`, unsorted and possibly
+    /// with duplicates: follow with [`GroundBuffer::sort_dedup_from`] to
+    /// get [`EntityGrounder::ground_entity`]'s sequence.  Allocates only
+    /// while `buf` grows.
+    pub fn ground_entity_into(&self, inst: &TemporalInstance, eid: Eid, buf: &mut GroundBuffer) {
+        debug_assert_eq!(inst.rel(), self.dc.rel);
+        let group = inst.entity_group(eid);
+        let num_vars = self.dc.num_vars;
+        let mut candidates = std::mem::take(&mut buf.candidates);
+        candidates.resize_with(num_vars.max(candidates.len()), Vec::new);
+        // Per-variable candidate lists after unary filtering.
+        for (v, list) in candidates.iter_mut().enumerate().take(num_vars) {
+            list.clear();
+            list.extend(group.iter().copied().filter(|&tid| {
+                self.unary[v]
+                    .iter()
+                    .all(|p| self.dc.eval_cmp(p, inst, |_| tid))
+            }));
+        }
+        if candidates[..num_vars].iter().all(|c| !c.is_empty()) {
+            let mut assignment = std::mem::take(&mut buf.assignment);
+            assignment.clear();
+            self.ground_rec(inst, &candidates[..num_vars], &mut assignment, buf);
+            buf.assignment = assignment;
+        }
+        buf.candidates = candidates;
+    }
+
+    /// Backtracking over the candidate lists; multi-variable atoms are
+    /// checked as soon as their deepest variable is bound.
+    fn ground_rec(
         &self,
         inst: &TemporalInstance,
-        group: &[TupleId],
-        rules: &mut BTreeSet<GroundRule>,
+        candidates: &[Vec<TupleId>],
+        assignment: &mut Vec<TupleId>,
+        buf: &mut GroundBuffer,
     ) {
-        // Per-variable candidate lists after unary filtering.
-        let candidates: Vec<Vec<TupleId>> = (0..self.dc.num_vars)
-            .map(|v| {
-                group
-                    .iter()
-                    .copied()
-                    .filter(|&tid| {
-                        self.unary[v]
-                            .iter()
-                            .all(|p| self.dc.eval_cmp_partial(p, inst, &[(v, tid)]))
-                    })
-                    .collect()
-            })
-            .collect();
-        if candidates.iter().any(|c| c.is_empty()) {
+        let depth = assignment.len();
+        if depth == self.dc.num_vars {
+            self.dc
+                .emit_rule(assignment, &mut buf.premises, &mut buf.rules);
             return;
         }
-        let mut assignment: Vec<TupleId> = Vec::with_capacity(self.dc.num_vars);
-        self.dc
-            .ground_rec(inst, &candidates, &self.rest, &mut assignment, rules);
+        for &tid in &candidates[depth] {
+            assignment.push(tid);
+            let ok = self.rest[depth]
+                .iter()
+                .all(|p| self.dc.eval_cmp(p, inst, |w| assignment[w]));
+            if ok {
+                self.ground_rec(inst, candidates, assignment, buf);
+            }
+            assignment.pop();
+        }
     }
 }
 
@@ -664,6 +783,50 @@ mod tests {
         merged.sort();
         assert_eq!(full, merged);
         assert!(dc.ground_entity(&d, Eid(9)).is_empty(), "unknown entity");
+    }
+
+    /// One buffer reused across entities: each entity's sorted run equals
+    /// its `ground_entity` list, and the runs together sort into
+    /// `ground`.
+    #[test]
+    fn streamed_grounding_matches_the_vector_forms() {
+        let d = inst_with(&[
+            (1, 10, 0),
+            (1, 20, 1),
+            (1, 20, 0),
+            (2, 5, 0),
+            (2, 7, 1),
+            (3, 1, 1),
+        ]);
+        let correlated = DenialConstraint::builder(RelId(0), 2)
+            .when_order(0, A, 1)
+            .then_order(0, B, 1)
+            .build()
+            .unwrap();
+        for dc in [monotone_a(), correlated] {
+            let grounder = dc.entity_grounder();
+            let mut buf = GroundBuffer::default();
+            for round in 0..2 {
+                buf.clear();
+                for eid in d.entities() {
+                    let from = buf.len();
+                    grounder.ground_entity_into(&d, eid, &mut buf);
+                    buf.sort_dedup_from(from);
+                    let run: Vec<GroundRule> = (from..buf.len())
+                        .map(|i| {
+                            let (premises, conclusion) = buf.rule(i);
+                            GroundRule {
+                                premises: premises.to_vec(),
+                                conclusion,
+                            }
+                        })
+                        .collect();
+                    assert_eq!(run, dc.ground_entity(&d, eid), "round {round}, {eid:?}");
+                }
+                buf.sort_dedup_from(0);
+                assert_eq!(buf.to_rules(), dc.ground(&d), "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -87,12 +87,12 @@ mod value;
 pub mod wire;
 
 pub use completion::{Completion, RelCompletion};
-pub use copy::{CopyFunction, CopySignature};
+pub use copy::{CopyFunction, CopyGroups, CopySignature};
 pub use current::{current_instance, current_tuple, lst};
 pub use delta::{DeltaEffects, DeltaOp, DeltaRouting, SpecDelta};
 pub use denial::{
-    CmpOp, DenialBuilder, DenialConstraint, EntityGrounder, GroundRule, OrderEdge, Predicate, Term,
-    VarId,
+    CmpOp, DenialBuilder, DenialConstraint, EntityGrounder, GroundBuffer, GroundRule, OrderEdge,
+    Predicate, Term, VarId,
 };
 pub use error::CurrencyError;
 pub use instance::{NormalInstance, Tuple};

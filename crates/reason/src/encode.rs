@@ -46,18 +46,20 @@
 //! distinct `LST` outcomes.
 
 use crate::error::ReasonError;
-use crate::partition::{Component, GroundRuleAt, ObligationAt};
+use crate::partition::Component;
 use crate::TransitivityMode;
 use crate::{Options, SolveLimits, Spent};
 use currency_core::{
-    AttrId, Completion, CurrencyError, Eid, NormalInstance, RelCompletion, RelId, Specification,
-    Tuple, TupleId, Value,
+    AttrId, Completion, CopyGroups, CurrencyError, Eid, EntityGrounder, GroundBuffer,
+    NormalInstance, OrderEdge, RelCompletion, RelId, Specification, TemporalInstance, Tuple,
+    TupleId, Value,
 };
 use currency_sat::{
     enumerate_projected, Enumeration, Limits, Lit, ModelSource, SolveOutcome, SolveResult, Solver,
     Var,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Conflict installment size for deadline-bounded solves: small enough
@@ -104,7 +106,7 @@ impl Bounds {
 
 /// How the current value of one `(relation, entity, attribute)` cell is
 /// represented in the encoding.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValueChoice {
     /// Every completion yields this value (single tuple, or all tuples of
     /// the entity agree on the attribute).
@@ -117,7 +119,7 @@ pub enum ValueChoice {
 
 /// The pair an order variable stands for: `(rel, attr, u, v)` with
 /// `u < v`.
-type OrderKey = (RelId, AttrId, TupleId, TupleId);
+pub type OrderKey = (RelId, AttrId, TupleId, TupleId);
 
 /// One entity group whose transitivity is enforced lazily: the tuples of
 /// a `(relation, attribute, entity)` cell with ≥ 3 members (smaller
@@ -133,7 +135,7 @@ struct LazyGroup {
 ///
 /// An encoding covers either the whole specification
 /// ([`Encoding::new`]) or one entity component of it
-/// ([`Encoding::for_component`]): the scoped form contains exactly the
+/// ([`ComponentCompiler::compile`]): the scoped form contains exactly the
 /// order variables, clauses, and value indicators of its component's
 /// `(relation, entity)` cells, and its decode methods report rows and
 /// chains for those cells only.
@@ -161,12 +163,17 @@ pub struct Encoding {
     value_projection: Vec<Var>,
     /// Relations whose current values are encoded.
     value_rels: Vec<RelId>,
-    /// `(relation, entity)` cells covered; `None` = the whole spec.
-    scope: Option<BTreeSet<(RelId, Eid)>>,
+    /// The component whose cells this encoding covers, shared with the
+    /// partition; `None` = the whole spec.
+    scope: Option<Arc<Component>>,
     /// Transitivity grounding strategy.
     mode: TransitivityMode,
     /// Closure-checked groups (empty in eager mode).
     lazy_groups: Vec<LazyGroup>,
+    /// A premise-free falsum rule was grounded in this component: an
+    /// unconditional contradiction, kept out of the clauses and reported
+    /// to the writer instead (see [`Encoding::has_ground_falsum`]).
+    ground_falsum: bool,
 }
 
 /// Cloning an encoding clones the whole cached solver (learnt clauses and
@@ -188,6 +195,7 @@ impl Clone for Encoding {
             scope: self.scope.clone(),
             mode: self.mode,
             lazy_groups: self.lazy_groups.clone(),
+            ground_falsum: self.ground_falsum,
         }
     }
 
@@ -200,6 +208,7 @@ impl Clone for Encoding {
         self.scope.clone_from(&source.scope);
         self.mode = source.mode;
         self.lazy_groups.clone_from(&source.lazy_groups);
+        self.ground_falsum = source.ground_falsum;
     }
 }
 
@@ -210,7 +219,7 @@ impl Encoding {
     ///
     /// This is the whole-specification reference path (used by the
     /// `*_monolithic` functions); engines prefer
-    /// [`Encoding::for_component`] with a caller-chosen
+    /// [`ComponentCompiler::compile`] with a caller-chosen
     /// [`TransitivityMode`].  Fails if the specification is structurally
     /// invalid ([`Specification::validate`]).
     pub fn new(spec: &Specification, value_rels: &[RelId]) -> Result<Encoding, CurrencyError> {
@@ -224,26 +233,27 @@ impl Encoding {
         mode: TransitivityMode,
     ) -> Result<Encoding, CurrencyError> {
         spec.validate()?;
-        // Ground every constraint and obligation once, exactly as the
-        // partition does for components, so the construction below is
-        // shared verbatim with the scoped path.
-        let mut rules: Vec<GroundRuleAt> = Vec::new();
+        // Ground every constraint over the whole relation (one sorted,
+        // deduplicated run per constraint) and list every obligation.  A
+        // premise-free falsum stays in the run and becomes the empty
+        // clause.
+        let mut scratch = CompileScratch::default();
         for dc in spec.constraints() {
             let inst = spec.instance(dc.rel());
-            for rule in dc.ground(inst) {
-                rules.push(GroundRuleAt {
-                    rel: dc.rel(),
-                    rule,
-                });
+            let grounder = dc.entity_grounder();
+            let from = scratch.rules.len();
+            for eid in inst.entities() {
+                grounder.ground_entity_into(inst, eid, &mut scratch.rules);
             }
+            scratch.rules.sort_dedup_from(from);
+            scratch.rule_runs.push((dc.rel(), scratch.rules.len()));
         }
-        let mut obligations: Vec<ObligationAt> = Vec::new();
         for cf in spec.copies() {
             let sig = cf.signature();
             let target = spec.instance(sig.target);
             let source = spec.instance(sig.source);
             for (src_edge, tgt_edge) in cf.compatibility_obligations(target, source) {
-                obligations.push(ObligationAt {
+                scratch.obligations.push(Obligation {
                     source_rel: sig.source,
                     source_edge: src_edge,
                     target_rel: sig.target,
@@ -251,13 +261,13 @@ impl Encoding {
                 });
             }
         }
-        Ok(Encoding::build(
+        Ok(Encoding::assemble(
             spec,
             value_rels,
             None,
-            &rules,
-            &obligations,
             mode,
+            false,
+            &mut scratch,
         ))
     }
 
@@ -273,41 +283,25 @@ impl Encoding {
             value_choices: BTreeMap::new(),
             value_projection: Vec::new(),
             value_rels: value_rels.to_vec(),
-            scope: Some(BTreeSet::new()),
+            scope: Some(crate::partition::vacant()),
             mode,
             lazy_groups: Vec::new(),
+            ground_falsum: false,
         }
     }
 
-    /// Compile one entity component of `spec` (see [`crate::partition`]).
-    ///
-    /// The component carries its ground rules and obligations, so no
-    /// grounding work is repeated per component.  The caller is expected
-    /// to have validated the specification once.
-    pub fn for_component(
+    /// The shared construction pass over the ground rules and
+    /// obligations buffered in `scratch`: order variables, transitivity,
+    /// initial orders, one clause per rule and per obligation, then the
+    /// value indicators.  Every compile path fills the buffers its own
+    /// way and ends here.
+    pub(crate) fn assemble(
         spec: &Specification,
         value_rels: &[RelId],
-        component: &Component,
+        scope: Option<Arc<Component>>,
         mode: TransitivityMode,
-    ) -> Encoding {
-        Encoding::build(
-            spec,
-            value_rels,
-            Some(component.cells.clone()),
-            &component.rules,
-            &component.obligations,
-            mode,
-        )
-    }
-
-    /// The shared construction pass over pre-grounded artifacts.
-    fn build(
-        spec: &Specification,
-        value_rels: &[RelId],
-        scope: Option<BTreeSet<(RelId, Eid)>>,
-        rules: &[GroundRuleAt],
-        obligations: &[ObligationAt],
-        mode: TransitivityMode,
+        ground_falsum: bool,
+        scratch: &mut CompileScratch,
     ) -> Encoding {
         let mut enc = Encoding {
             solver: Solver::new(),
@@ -318,56 +312,54 @@ impl Encoding {
             scope,
             mode,
             lazy_groups: Vec::new(),
+            ground_falsum,
         };
-        let referenced = enc.referenced_attrs(spec, rules, obligations);
-        enc.alloc_order_vars(spec, &referenced);
+        // A handle of our own on the scope, so the passes below can walk
+        // its cells while mutating the encoding.
+        let scope = enc.scope.clone();
+        let cells = scope.as_deref().map(|c| &c.cells);
+        enc.referenced_attrs(spec, cells, scratch);
+        enc.alloc_vars(spec, cells, scratch);
         match mode {
-            TransitivityMode::Eager => enc.add_transitivity(spec, &referenced),
-            TransitivityMode::Lazy => enc.collect_lazy_groups(spec, &referenced),
+            TransitivityMode::Eager => enc.add_transitivity(spec, cells, &scratch.referenced),
+            TransitivityMode::Lazy => enc.collect_lazy_groups(spec, cells, &scratch.referenced),
         }
-        enc.add_initial_orders(spec);
-        for r in rules {
-            enc.add_ground_rule(r.rel, &r.rule);
-        }
-        for ob in obligations {
-            enc.add_obligation(
-                ob.source_rel,
-                &ob.source_edge,
-                ob.target_rel,
-                &ob.target_edge,
-            );
-        }
+        enc.add_initial_orders(spec, cells);
+        enc.add_ground_rules(scratch);
+        enc.add_obligations(scratch);
         for &rel in value_rels {
-            enc.add_value_indicators(spec, rel);
+            enc.add_value_indicators(spec, cells, rel, scratch);
         }
         enc
     }
 
     /// The `(relation, attribute)` pairs actually constrained within this
-    /// encoding's scope.  Only these get order variables: an attribute no
-    /// initial order, rule, obligation, or value indicator touches admits
-    /// every total order, so allocating its `O(n²)` pair variables (and,
-    /// eagerly, its `O(n³)` triangle clauses) would be pure waste.
+    /// encoding's scope, sorted into `scratch.referenced`.  Only these get
+    /// order variables: an attribute no initial order, rule, obligation,
+    /// or value indicator touches admits every total order, so allocating
+    /// its `O(n²)` pair variables (and, eagerly, its `O(n³)` triangle
+    /// clauses) would be pure waste.
     fn referenced_attrs(
         &self,
         spec: &Specification,
-        rules: &[GroundRuleAt],
-        obligations: &[ObligationAt],
-    ) -> BTreeSet<(RelId, AttrId)> {
-        let mut refd: BTreeSet<(RelId, AttrId)> = BTreeSet::new();
+        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        scratch: &mut CompileScratch,
+    ) {
+        let mut refd = std::mem::take(&mut scratch.referenced);
+        refd.clear();
         // Initial orders: a scoped encoding range-scans its own groups'
         // outgoing pairs (both endpoints of a pair share the entity, so
         // checking lessers covers every pair) instead of walking every
         // relation's full pair set — rebuild cost must scale with the
         // component, not the specification.
-        match &self.scope {
+        match cells {
             None => {
                 for inst in spec.instances() {
                     let rel = inst.rel();
                     for a in 0..inst.arity() {
                         let attr = AttrId(a as u32);
                         if !inst.order(attr).is_empty() {
-                            refd.insert((rel, attr));
+                            mark(&mut refd, (rel, attr));
                         }
                     }
                 }
@@ -377,7 +369,7 @@ impl Encoding {
                     let inst = spec.instance(rel);
                     for a in 0..inst.arity() {
                         let attr = AttrId(a as u32);
-                        if refd.contains(&(rel, attr)) {
+                        if is_marked(&refd, (rel, attr)) {
                             continue;
                         }
                         if inst
@@ -385,32 +377,32 @@ impl Encoding {
                             .iter()
                             .any(|&t| inst.order(attr).pairs_from(t).next().is_some())
                         {
-                            refd.insert((rel, attr));
+                            mark(&mut refd, (rel, attr));
                         }
                     }
                 }
             }
         }
-        for r in rules {
-            for edge in r.rule.premises.iter().chain(r.rule.conclusion.as_ref()) {
-                refd.insert((r.rel, edge.attr));
+        for (rel, premises, conclusion) in scratch.rules() {
+            for edge in premises.iter().chain(conclusion.as_ref()) {
+                mark(&mut refd, (rel, edge.attr));
             }
         }
-        for ob in obligations {
-            refd.insert((ob.source_rel, ob.source_edge.attr));
-            refd.insert((ob.target_rel, ob.target_edge.attr));
+        for ob in &scratch.obligations {
+            mark(&mut refd, (ob.source_rel, ob.source_edge.attr));
+            mark(&mut refd, (ob.target_rel, ob.target_edge.attr));
         }
         // Value indicators need the order relation of any attribute on
         // which some in-scope entity group disagrees (max indicators
         // quantify over the group's pairs).
-        for (rel, _, group) in self.groups_in_scope(spec) {
+        for_each_group(spec, cells, |rel, _, group| {
             if group.len() < 2 || !self.value_rels.contains(&rel) {
-                continue;
+                return;
             }
             let inst = spec.instance(rel);
             for a in 0..inst.arity() {
                 let attr = AttrId(a as u32);
-                if refd.contains(&(rel, attr)) {
+                if is_marked(&refd, (rel, attr)) {
                     continue;
                 }
                 let first = inst.tuple(group[0]).value(attr);
@@ -418,34 +410,11 @@ impl Encoding {
                     .iter()
                     .any(|&t| inst.tuple(t).value(attr) != first)
                 {
-                    refd.insert((rel, attr));
+                    mark(&mut refd, (rel, attr));
                 }
             }
-        }
-        refd
-    }
-
-    /// The `(rel, eid, group)` cells this encoding covers: a component
-    /// encoding walks its own (few) scope cells, the unscoped form every
-    /// entity group — construction cost then scales with the component,
-    /// not the specification (the engine builds one encoding *per*
-    /// component, so a full-spec scan here would make engine construction
-    /// O(components × spec)).
-    fn groups_in_scope<'s>(
-        &'s self,
-        spec: &'s Specification,
-    ) -> Box<dyn Iterator<Item = (RelId, Eid, &'s [TupleId])> + 's> {
-        match &self.scope {
-            Some(cells) => Box::new(
-                cells
-                    .iter()
-                    .map(move |&(rel, eid)| (rel, eid, spec.instance(rel).entity_group(eid))),
-            ),
-            None => Box::new(spec.instances().iter().flat_map(|inst| {
-                inst.entity_groups()
-                    .map(move |(eid, group)| (inst.rel(), eid, group))
-            })),
-        }
+        });
+        scratch.referenced = refd;
     }
 
     /// This encoding's entities of `rel`.  A scoped encoding walks its own
@@ -456,15 +425,8 @@ impl Encoding {
         &'s self,
         spec: &'s Specification,
         rel: RelId,
-    ) -> Box<dyn Iterator<Item = Eid> + 's> {
-        match &self.scope {
-            Some(cells) => Box::new(
-                cells
-                    .range((rel, Eid(u64::MIN))..=(rel, Eid(u64::MAX)))
-                    .map(|&(_, eid)| eid),
-            ),
-            None => Box::new(spec.instance(rel).entities()),
-        }
+    ) -> impl Iterator<Item = Eid> + 's {
+        entities_of(spec, self.scope.as_deref().map(|c| &c.cells), rel)
     }
 
     /// The literal asserting `lesser ≺_attr greater`, if the pair is
@@ -493,8 +455,11 @@ impl Encoding {
     /// Heap bytes this encoding holds, computed from capacities: capacity
     /// × element size for vectors (the solver's included, see
     /// [`Solver::heap_bytes`]) and len × entry size for maps and sets.
-    /// The heap behind a [`Value`] is not counted.  Deterministic, so a
-    /// footprint budget can be checked without an allocator hook.
+    /// The heap behind a [`Value`] is not counted, and neither is the
+    /// scope: its cells belong to the partition's component, which the
+    /// encoding only shares ([`crate::Partition::heap_bytes`] counts
+    /// them).  Deterministic, so a footprint budget can be checked
+    /// without an allocator hook.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         fn bytes<T>(v: &Vec<T>) -> usize {
@@ -515,10 +480,6 @@ impl Encoding {
             + choices
             + bytes(&self.value_projection)
             + bytes(&self.value_rels)
-            + self
-                .scope
-                .as_ref()
-                .map_or(0, |cells| cells.len() * size_of::<(RelId, Eid)>())
             + bytes(&self.lazy_groups)
             + lazy_tuples
     }
@@ -970,87 +931,113 @@ impl Encoding {
     // Construction passes
     // ------------------------------------------------------------------
 
-    /// The in-scope `(rel, attr, group)` triples of referenced attributes
-    /// — the O(cells × arity) worklist the quadratic/cubic construction
-    /// passes iterate so they can mutate `self` without holding the
-    /// `groups_in_scope` borrow.
-    fn referenced_groups(
-        &self,
+    /// Allocate the order variables of every referenced `(relation,
+    /// attribute)` pair of every in-scope group, after reserving the
+    /// solver for them and for the value indicators to come.
+    fn alloc_vars(
+        &mut self,
         spec: &Specification,
-        referenced: &BTreeSet<(RelId, AttrId)>,
-    ) -> Vec<(RelId, AttrId, Vec<TupleId>)> {
-        let mut out = Vec::new();
-        for (rel, _, group) in self.groups_in_scope(spec) {
-            let arity = spec.instance(rel).arity();
-            for a in 0..arity {
-                let attr = AttrId(a as u32);
-                if referenced.contains(&(rel, attr)) {
-                    out.push((rel, attr, group.to_vec()));
-                }
-            }
-        }
-        out
-    }
-
-    fn alloc_order_vars(&mut self, spec: &Specification, referenced: &BTreeSet<(RelId, AttrId)>) {
-        let groups = self.referenced_groups(spec, referenced);
-        let pairs = groups
-            .iter()
-            .map(|(_, _, g)| g.len() * g.len().saturating_sub(1) / 2)
-            .sum();
-        self.order_vars.reserve_exact(pairs);
-        for (rel, attr, group) in groups {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let (u, v) = (group[i].min(group[j]), group[i].max(group[j]));
-                    let var = self.solver.new_var();
-                    self.order_vars.push(((rel, attr, u, v), var));
-                }
-            }
-        }
-        self.order_vars.sort_unstable_by_key(|&(key, _)| key);
-    }
-
-    fn add_transitivity(&mut self, spec: &Specification, referenced: &BTreeSet<(RelId, AttrId)>) {
-        // Iterate an owned O(cells) group list, not groups_in_scope
-        // directly: the cubic clause stream is added straight to the
-        // solver instead of being buffered alongside the borrow.
-        for (rel, attr, group) in self.referenced_groups(spec, referenced) {
+        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        scratch: &mut CompileScratch,
+    ) {
+        let referenced = &scratch.referenced;
+        let mut pairs = 0;
+        for_each_group(spec, cells, |rel, _, group| {
             let n = group.len();
-            for i in 0..n {
-                for j in 0..n {
-                    for k in 0..n {
-                        if i == j || j == k || i == k {
-                            continue;
-                        }
-                        let (x, y, z) = (group[i], group[j], group[k]);
-                        let xy = self.order_lit(rel, attr, x, y).expect("same entity");
-                        let yz = self.order_lit(rel, attr, y, z).expect("same entity");
-                        let xz = self.order_lit(rel, attr, x, z).expect("same entity");
-                        self.solver.add_clause(&[!xy, !yz, xz]);
+            let attrs = referenced.iter().filter(|&&(r, _)| r == rel).count();
+            pairs += attrs * (n * n.saturating_sub(1) / 2);
+        });
+        let mut indicators = 0;
+        for &rel in &self.value_rels {
+            let inst = spec.instance(rel);
+            for (_, group) in groups_of(spec, cells, rel) {
+                for a in 0..inst.arity() {
+                    let distinct =
+                        sort_by_value(inst, group, AttrId(a as u32), &mut scratch.by_value);
+                    if distinct > 1 {
+                        indicators += group.len() + distinct;
                     }
                 }
             }
         }
+        self.order_vars.reserve_exact(pairs);
+        self.solver.reserve_vars(pairs + indicators);
+        for_each_group(spec, cells, |rel, _, group| {
+            for a in 0..spec.instance(rel).arity() {
+                let attr = AttrId(a as u32);
+                if !is_marked(referenced, (rel, attr)) {
+                    continue;
+                }
+                for i in 0..group.len() {
+                    for j in (i + 1)..group.len() {
+                        let (u, v) = (group[i].min(group[j]), group[i].max(group[j]));
+                        let var = self.solver.new_var();
+                        self.order_vars.push(((rel, attr, u, v), var));
+                    }
+                }
+            }
+        });
+        self.order_vars.sort_unstable_by_key(|&(key, _)| key);
+    }
+
+    fn add_transitivity(
+        &mut self,
+        spec: &Specification,
+        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        referenced: &[(RelId, AttrId)],
+    ) {
+        for_each_group(spec, cells, |rel, _, group| {
+            for a in 0..spec.instance(rel).arity() {
+                let attr = AttrId(a as u32);
+                if !is_marked(referenced, (rel, attr)) {
+                    continue;
+                }
+                let n = group.len();
+                for i in 0..n {
+                    for j in 0..n {
+                        for k in 0..n {
+                            if i == j || j == k || i == k {
+                                continue;
+                            }
+                            let (x, y, z) = (group[i], group[j], group[k]);
+                            let xy = self.order_lit(rel, attr, x, y).expect("same entity");
+                            let yz = self.order_lit(rel, attr, y, z).expect("same entity");
+                            let xz = self.order_lit(rel, attr, x, z).expect("same entity");
+                            self.solver.add_clause(&[!xy, !yz, xz]);
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// Record the groups whose closure the lazy refinement loop checks.
     fn collect_lazy_groups(
         &mut self,
         spec: &Specification,
-        referenced: &BTreeSet<(RelId, AttrId)>,
+        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        referenced: &[(RelId, AttrId)],
     ) {
-        self.lazy_groups = self
-            .referenced_groups(spec, referenced)
+        for_each_group(spec, cells, |rel, _, group| {
             // Groups of < 3 tuples have no triangles to violate.
-            .into_iter()
-            .filter(|(_, _, tuples)| tuples.len() >= 3)
-            .map(|(rel, attr, tuples)| LazyGroup { rel, attr, tuples })
-            .collect();
+            if group.len() < 3 {
+                return;
+            }
+            for a in 0..spec.instance(rel).arity() {
+                let attr = AttrId(a as u32);
+                if is_marked(referenced, (rel, attr)) {
+                    self.lazy_groups.push(LazyGroup {
+                        rel,
+                        attr,
+                        tuples: group.to_vec(),
+                    });
+                }
+            }
+        });
     }
 
-    fn add_initial_orders(&mut self, spec: &Specification) {
-        match self.scope.clone() {
+    fn add_initial_orders(&mut self, spec: &Specification, cells: Option<&BTreeSet<(RelId, Eid)>>) {
+        match cells {
             None => {
                 for inst in spec.instances() {
                     let rel = inst.rel();
@@ -1068,7 +1055,7 @@ impl Encoding {
             // Scoped: range-scan each scope group's outgoing pairs rather
             // than filtering every relation's full pair set.
             Some(cells) => {
-                for (rel, eid) in cells {
+                for &(rel, eid) in cells {
                     let inst = spec.instance(rel);
                     for a in 0..inst.arity() {
                         let attr = AttrId(a as u32);
@@ -1086,77 +1073,77 @@ impl Encoding {
         }
     }
 
-    /// Add the clause of one ground denial rule:
+    /// Add the clause of every buffered ground rule:
     /// `¬p₁ ∨ … ∨ ¬pₘ ∨ c` (falsum conclusions drop `c`).
-    fn add_ground_rule(&mut self, rel: RelId, rule: &currency_core::GroundRule) {
-        let mut clause: Vec<Lit> = Vec::with_capacity(rule.premises.len() + 1);
-        for p in &rule.premises {
-            let l = self
-                .order_lit(rel, p.attr, p.lesser, p.greater)
-                .expect("ground premises are same-entity, irreflexive, in scope");
-            clause.push(!l);
+    fn add_ground_rules(&mut self, scratch: &mut CompileScratch) {
+        let mut clause = std::mem::take(&mut scratch.clause);
+        for (rel, premises, conclusion) in scratch.rules() {
+            clause.clear();
+            for p in premises {
+                let l = self
+                    .order_lit(rel, p.attr, p.lesser, p.greater)
+                    .expect("ground premises are same-entity, irreflexive, in scope");
+                clause.push(!l);
+            }
+            if let Some(c) = conclusion {
+                let l = self
+                    .order_lit(rel, c.attr, c.lesser, c.greater)
+                    .expect("ground conclusion is same-entity and in scope");
+                clause.push(l);
+            }
+            self.solver.add_clause(&clause);
         }
-        if let Some(c) = &rule.conclusion {
-            let l = self
-                .order_lit(rel, c.attr, c.lesser, c.greater)
-                .expect("ground conclusion is same-entity and in scope");
-            clause.push(l);
-        }
-        self.solver.add_clause(&clause);
+        scratch.clause = clause;
     }
 
-    /// Add the binary implication of one copy-compatibility obligation:
-    /// `s₁≺s₂ → t₁≺t₂`.
-    fn add_obligation(
+    /// Add the binary implication of every buffered copy-compatibility
+    /// obligation: `s₁≺s₂ → t₁≺t₂`.
+    fn add_obligations(&mut self, scratch: &CompileScratch) {
+        for ob in &scratch.obligations {
+            let (s, t) = (&ob.source_edge, &ob.target_edge);
+            let sl = self
+                .order_lit(ob.source_rel, s.attr, s.lesser, s.greater)
+                .expect("obligation endpoints share an entity in scope");
+            let tl = self
+                .order_lit(ob.target_rel, t.attr, t.lesser, t.greater)
+                .expect("obligation endpoints share an entity in scope");
+            self.solver.add_clause(&[!sl, tl]);
+        }
+    }
+
+    fn add_value_indicators(
         &mut self,
-        source_rel: RelId,
-        src_edge: &currency_core::OrderEdge,
-        target_rel: RelId,
-        tgt_edge: &currency_core::OrderEdge,
+        spec: &Specification,
+        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        rel: RelId,
+        scratch: &mut CompileScratch,
     ) {
-        let sl = self
-            .order_lit(source_rel, src_edge.attr, src_edge.lesser, src_edge.greater)
-            .expect("obligation endpoints share an entity in scope");
-        let tl = self
-            .order_lit(target_rel, tgt_edge.attr, tgt_edge.lesser, tgt_edge.greater)
-            .expect("obligation endpoints share an entity in scope");
-        self.solver.add_clause(&[!sl, tl]);
-    }
-
-    fn add_value_indicators(&mut self, spec: &Specification, rel: RelId) {
+        let CompileScratch {
+            clause,
+            by_value,
+            max_vars,
+            ..
+        } = scratch;
         let inst = spec.instance(rel);
-        // Collect groups first to avoid borrowing `inst` across mutations;
-        // a scoped encoding walks its own (few) cells via a range scan
-        // instead of filtering every entity of the relation.
-        let groups: Vec<(Eid, Vec<TupleId>)> = self
-            .entities_in_scope(spec, rel)
-            .map(|eid| (eid, inst.entity_group(eid).to_vec()))
-            .collect();
-        for (eid, group) in groups {
+        for (eid, group) in groups_of(spec, cells, rel) {
             for a in 0..inst.arity() {
                 let attr = AttrId(a as u32);
-                // Distinct values of the attribute within the group, with
-                // the tuples holding each value.
-                let mut by_value: BTreeMap<Value, Vec<TupleId>> = BTreeMap::new();
-                for &t in &group {
-                    by_value
-                        .entry(inst.tuple(t).value(attr).clone())
-                        .or_default()
-                        .push(t);
-                }
-                if by_value.len() == 1 {
-                    let v = by_value.into_keys().next().expect("one value");
+                // The group's positions sorted by value (ties in group
+                // order): each run of equal values is one candidate.
+                let value_of = |pos: usize| inst.tuple(group[pos]).value(attr);
+                if sort_by_value(inst, group, attr, by_value) == 1 {
                     self.value_choices
-                        .insert((rel, eid, attr), ValueChoice::Fixed(v));
+                        .insert((rel, eid, attr), ValueChoice::Fixed(value_of(0).clone()));
                     continue;
                 }
                 // Max indicators m_t ⇔ ⋀_{t'≠t} t' ≺ t.
-                let mut max_var: BTreeMap<TupleId, Var> = BTreeMap::new();
-                for &t in &group {
+                max_vars.clear();
+                for &t in group {
                     let m = self.solver.new_var();
-                    max_var.insert(t, m);
-                    let mut closure_clause: Vec<Lit> = vec![m.pos()];
-                    for &u in &group {
+                    max_vars.push(m);
+                    clause.clear();
+                    clause.push(m.pos());
+                    for &u in group {
                         if u == t {
                             continue;
                         }
@@ -1164,33 +1151,342 @@ impl Encoding {
                         // m → u ≺ t
                         self.solver.add_clause(&[m.neg(), below]);
                         // collect for (⋀ u≺t) → m
-                        closure_clause.push(!below);
+                        clause.push(!below);
                     }
-                    self.solver.add_clause(&closure_clause);
+                    self.solver.add_clause(clause);
                 }
-                // Value indicators y_v ⇔ ⋁_{t[A]=v} m_t.
+                // Value indicators y_v ⇔ ⋁_{t[A]=v} m_t, values ascending.
                 let mut options: Vec<(Value, usize)> = Vec::new();
-                for (value, holders) in by_value {
+                let mut run = 0;
+                while run < by_value.len() {
+                    let value = value_of(by_value[run]);
+                    let end = run
+                        + by_value[run..]
+                            .iter()
+                            .take_while(|&&pos| value_of(pos) == value)
+                            .count();
                     let y = self.solver.new_var();
                     let ix = self.value_projection.len();
                     self.value_projection.push(y);
-                    options.push((value, ix));
-                    let mut def: Vec<Lit> = vec![y.neg()];
-                    for &t in &holders {
-                        let m = max_var[&t];
+                    options.push((value.clone(), ix));
+                    clause.clear();
+                    clause.push(y.neg());
+                    for &pos in &by_value[run..end] {
+                        let m = max_vars[pos];
                         // m_t → y
                         self.solver.add_clause(&[m.neg(), y.pos()]);
-                        def.push(m.pos());
+                        clause.push(m.pos());
                     }
                     // y → ⋁ m_t
-                    self.solver.add_clause(&def);
+                    self.solver.add_clause(clause);
+                    run = end;
                 }
                 self.value_choices
                     .insert((rel, eid, attr), ValueChoice::Choice(options));
             }
         }
-        // Cells of entities with uniform values across every attribute are
-        // inserted above; nothing else to do.
+    }
+
+    /// `true` if grounding this component produced a premise-free falsum
+    /// rule — an unconditional contradiction local to one of its cells.
+    /// The rule has no clause here (the component's CNF may well be
+    /// satisfiable); the writers count such components and report the
+    /// specification inconsistent while any exists.
+    pub fn has_ground_falsum(&self) -> bool {
+        self.ground_falsum
+    }
+}
+
+/// Mark `key` in a sorted, duplicate-free list.
+fn mark(list: &mut Vec<(RelId, AttrId)>, key: (RelId, AttrId)) {
+    if let Err(at) = list.binary_search(&key) {
+        list.insert(at, key);
+    }
+}
+
+fn is_marked(list: &[(RelId, AttrId)], key: (RelId, AttrId)) -> bool {
+    list.binary_search(&key).is_ok()
+}
+
+/// Fill `out` with the positions `0..group.len()` sorted by the tuples'
+/// `attr` value (ties in group order) and return the number of distinct
+/// values.
+fn sort_by_value(
+    inst: &TemporalInstance,
+    group: &[TupleId],
+    attr: AttrId,
+    out: &mut Vec<usize>,
+) -> usize {
+    out.clear();
+    out.extend(0..group.len());
+    let value_of = |pos: usize| inst.tuple(group[pos]).value(attr);
+    out.sort_by(|&a, &b| value_of(a).cmp(value_of(b)));
+    let boundaries = out
+        .windows(2)
+        .filter(|w| value_of(w[0]) != value_of(w[1]))
+        .count();
+    boundaries + usize::from(!group.is_empty())
+}
+
+/// The entities of `rel` an encoding covers: a component's own cells of
+/// `rel` (a range scan), or every entity of the relation.
+fn entities_of<'s>(
+    spec: &'s Specification,
+    cells: Option<&'s BTreeSet<(RelId, Eid)>>,
+    rel: RelId,
+) -> impl Iterator<Item = Eid> + 's {
+    let (scoped, whole) = match cells {
+        Some(cells) => (
+            Some(
+                cells
+                    .range((rel, Eid(u64::MIN))..=(rel, Eid(u64::MAX)))
+                    .map(|&(_, eid)| eid),
+            ),
+            None,
+        ),
+        None => (None, Some(spec.instance(rel).entities())),
+    };
+    scoped
+        .into_iter()
+        .flatten()
+        .chain(whole.into_iter().flatten())
+}
+
+/// [`entities_of`] with each entity's group.
+fn groups_of<'s>(
+    spec: &'s Specification,
+    cells: Option<&'s BTreeSet<(RelId, Eid)>>,
+    rel: RelId,
+) -> impl Iterator<Item = (Eid, &'s [TupleId])> + 's {
+    let inst = spec.instance(rel);
+    entities_of(spec, cells, rel).map(move |eid| (eid, inst.entity_group(eid)))
+}
+
+/// Visit every `(relation, entity, group)` an encoding covers, relations
+/// ascending and entities ascending within each — the order variables
+/// are allocated in.  Construction cost then scales with the component,
+/// not the specification (the engine builds one encoding *per*
+/// component, so a full-spec scan here would make engine construction
+/// O(components × spec)).
+fn for_each_group<'s>(
+    spec: &'s Specification,
+    cells: Option<&'s BTreeSet<(RelId, Eid)>>,
+    mut f: impl FnMut(RelId, Eid, &'s [TupleId]),
+) {
+    for inst in spec.instances() {
+        for (eid, group) in groups_of(spec, cells, inst.rel()) {
+            f(inst.rel(), eid, group);
+        }
+    }
+}
+
+/// One copy-compatibility obligation buffered for compilation: *if* the
+/// completed source order contains `source_edge`, *then* the completed
+/// target order must contain `target_edge`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Obligation {
+    pub(crate) source_rel: RelId,
+    pub(crate) source_edge: OrderEdge,
+    pub(crate) target_rel: RelId,
+    pub(crate) target_edge: OrderEdge,
+}
+
+/// Buffers a component compile borrows, reused across compiles
+/// (cleared, never shrunk).  A writer owns one and lends it to every
+/// compile it runs inline; each extra worker of a parallel batch gets
+/// its own.  A compiled encoding keeps none of it.
+#[derive(Debug, Default)]
+pub struct CompileScratch {
+    /// The component's ground rules: one sorted, deduplicated run per
+    /// `(constraint, cell)`.
+    pub(crate) rules: GroundBuffer,
+    /// `(relation, end)` per constraint: the rules before `end` (and
+    /// after the previous run's end) speak about `relation`.
+    pub(crate) rule_runs: Vec<(RelId, usize)>,
+    /// The component's copy obligations, in clause order.
+    pub(crate) obligations: Vec<Obligation>,
+    /// Referenced `(relation, attribute)` pairs, sorted.
+    referenced: Vec<(RelId, AttrId)>,
+    /// The clause under construction.
+    clause: Vec<Lit>,
+    /// Value-indicator buckets: group positions sorted by value.
+    by_value: Vec<usize>,
+    /// Max-indicator variable per group position.
+    max_vars: Vec<Var>,
+}
+
+impl CompileScratch {
+    /// Drop the buffered rules and obligations of the previous compile.
+    pub(crate) fn clear(&mut self) {
+        self.rules.clear();
+        self.rule_runs.clear();
+        self.obligations.clear();
+    }
+
+    /// Every buffered rule with the relation it speaks about, in clause
+    /// order: `(relation, premises, conclusion)`.
+    fn rules(&self) -> impl Iterator<Item = (RelId, &[OrderEdge], Option<OrderEdge>)> + '_ {
+        let mut from = 0;
+        self.rule_runs.iter().flat_map(move |&(rel, end)| {
+            let run = from..end;
+            from = end;
+            run.map(move |i| {
+                let (premises, conclusion) = self.rules.rule(i);
+                (rel, premises, conclusion)
+            })
+        })
+    }
+}
+
+/// Compiles components of one specification: grounds each component's
+/// denial rules and copy obligations for its cells straight into its
+/// solver ([`ComponentCompiler::compile`]).
+///
+/// Build one per batch of components compiled against the same
+/// specification — it holds one [`EntityGrounder`] per constraint (the
+/// value-atom analysis is paid once per batch) and one [`CopyGroups`]
+/// view per copy function.  It is `Sync`, so the workers of a parallel
+/// batch share it.
+pub struct ComponentCompiler<'s> {
+    spec: &'s Specification,
+    value_rels: &'s [RelId],
+    mode: TransitivityMode,
+    grounders: Vec<EntityGrounder<'s>>,
+    copies: Vec<CopyGroups<'s>>,
+}
+
+impl<'s> ComponentCompiler<'s> {
+    /// A compiler for components of `spec` with value indicators for
+    /// `value_rels`.  The caller is expected to have validated the
+    /// specification.
+    pub fn new(
+        spec: &'s Specification,
+        value_rels: &'s [RelId],
+        mode: TransitivityMode,
+    ) -> ComponentCompiler<'s> {
+        ComponentCompiler {
+            spec,
+            value_rels,
+            mode,
+            grounders: spec
+                .constraints()
+                .iter()
+                .map(|dc| dc.entity_grounder())
+                .collect(),
+            copies: spec
+                .copies()
+                .iter()
+                .map(|cf| {
+                    let sig = cf.signature();
+                    cf.groups(spec.instance(sig.target), spec.instance(sig.source))
+                })
+                .collect(),
+        }
+    }
+
+    /// Compile one component of the specification (see
+    /// [`crate::partition`]): the scoped encoding contains exactly the
+    /// order variables, clauses and value indicators of the component's
+    /// cells, and shares `component` as its scope.
+    ///
+    /// Rules are grounded per constraint and cell into `scratch`, each
+    /// cell's run sorted and deduplicated; a premise-free falsum rule is
+    /// dropped and reported through [`Encoding::has_ground_falsum`].
+    /// Obligations come from the copy groups of the component's target
+    /// cells, in `(target entity, source entity)` order.
+    pub fn compile(&self, component: &Arc<Component>, scratch: &mut CompileScratch) -> Encoding {
+        scratch.clear();
+        let cells = &component.cells;
+        let mut falsum = false;
+        for grounder in &self.grounders {
+            let rel = grounder.constraint().rel();
+            let inst = self.spec.instance(rel);
+            for eid in entities_of(self.spec, Some(cells), rel) {
+                let from = scratch.rules.len();
+                grounder.ground_entity_into(inst, eid, &mut scratch.rules);
+                scratch.rules.sort_dedup_from(from);
+                // A premise-free falsum sorts first in its cell's run.
+                if from < scratch.rules.len() && scratch.rules.rule(from) == (&[][..], None) {
+                    scratch.rules.remove(from);
+                    falsum = true;
+                }
+            }
+            scratch.rule_runs.push((rel, scratch.rules.len()));
+        }
+        for (cf, groups) in self.spec.copies().iter().zip(&self.copies) {
+            let sig = cf.signature();
+            for te in entities_of(self.spec, Some(cells), sig.target) {
+                groups.for_each_obligation_of_target(te, |source_edge, target_edge| {
+                    scratch.obligations.push(Obligation {
+                        source_rel: sig.source,
+                        source_edge,
+                        target_rel: sig.target,
+                        target_edge,
+                    });
+                });
+            }
+        }
+        Encoding::assemble(
+            self.spec,
+            self.value_rels,
+            Some(component.clone()),
+            self.mode,
+            falsum,
+            scratch,
+        )
+    }
+}
+
+/// Everything a freshly compiled encoding consists of, for structural
+/// comparison in differential tests ([`Encoding::shape`]): equal shapes
+/// mean the same variables, the same level-zero assignment and the same
+/// stored clauses in the same order.
+#[cfg(any(test, feature = "oracle"))]
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodingShape {
+    /// Solver variable count.
+    pub num_vars: usize,
+    /// The order-variable table, sorted by pair.
+    pub order_vars: Vec<(OrderKey, Var)>,
+    /// Current-value representation per encoded cell.
+    pub value_choices: Vec<((RelId, Eid, AttrId), ValueChoice)>,
+    /// Value-indicator projection variables.
+    pub value_projection: Vec<Var>,
+    /// The solver's trail (level zero on an unsolved encoding).
+    pub trail: Vec<Lit>,
+    /// The stored clauses in storage order.
+    pub clauses: Vec<Vec<Lit>>,
+    /// Lazily closure-checked groups: `(relation, attribute, tuples)`.
+    pub lazy_groups: Vec<(RelId, AttrId, Vec<TupleId>)>,
+    /// The covered cells (`None` = the whole specification).
+    pub scope: Option<BTreeSet<(RelId, Eid)>>,
+    /// [`Encoding::has_ground_falsum`].
+    pub ground_falsum: bool,
+}
+
+#[cfg(any(test, feature = "oracle"))]
+impl Encoding {
+    /// This encoding's [`EncodingShape`].
+    pub fn shape(&self) -> EncodingShape {
+        EncodingShape {
+            num_vars: self.solver.num_vars(),
+            order_vars: self.order_vars.clone(),
+            value_choices: self
+                .value_choices
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect(),
+            value_projection: self.value_projection.clone(),
+            trail: self.solver.trail().to_vec(),
+            clauses: self.solver.clause_lits().map(<[Lit]>::to_vec).collect(),
+            lazy_groups: self
+                .lazy_groups
+                .iter()
+                .map(|g| (g.rel, g.attr, g.tuples.clone()))
+                .collect(),
+            scope: self.scope.as_ref().map(|c| c.cells.clone()),
+            ground_falsum: self.ground_falsum,
+        }
     }
 }
 

@@ -5,8 +5,9 @@
 //! CPS/COP/DCIP/CCQA/witness queries incrementally:
 //!
 //! * **compile once** — each entity component's CNF is built a single time
-//!   ([`Encoding::for_component`]); constraints are grounded and copy
-//!   obligations enumerated once for the whole specification;
+//!   ([`crate::encode::ComponentCompiler`]), grounding the component's
+//!   constraints and copy obligations for its cells straight into its
+//!   solver;
 //! * **solve incrementally** — consistency verdicts are cached per
 //!   component, entailment queries run as assumption-based calls
 //!   (`solve_with_assumptions`) against only the component a pair
@@ -46,6 +47,7 @@
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::encode::{Bounds, Encoding};
+use crate::encode::{CompileScratch, ComponentCompiler};
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
 use crate::partition::{Partition, RefreshPlan, RefreshScratch};
@@ -77,6 +79,10 @@ pub struct EngineStats {
     /// slots ([`crate::encode::Encoding::heap_bytes`]): the compiled footprint,
     /// which falls when a compaction frees slots.
     pub encoding_bytes: usize,
+    /// Heap bytes of the entity partition
+    /// ([`crate::partition::Partition::heap_bytes`]): its slots, its
+    /// components' cell sets and its cell → slot index.
+    pub partition_bytes: usize,
     /// Deltas applied over the engine's lifetime
     /// ([`CurrencyEngine::apply`]).
     pub updates_applied: usize,
@@ -364,9 +370,15 @@ pub struct CurrencyEngine<'a> {
     partition: Partition,
     /// Buffers lent to every [`Partition::refresh`].
     refresh_scratch: RefreshScratch,
+    /// Buffers lent to every component compile run inline.
+    compile_scratch: CompileScratch,
     /// Per-slot compiled state, aligned with the partition's slots
     /// (vacant slots hold a trivially satisfiable [`Encoding::vacant`]).
     components: Vec<Mutex<ComponentState>>,
+    /// Slots whose encoding grounded a premise-free falsum rule
+    /// ([`Encoding::has_ground_falsum`]): while any exists the
+    /// specification is inconsistent regardless of order choices.
+    falsum_slots: usize,
     /// O(dirty region) aggregate-consistency cache (see [`CpsCache`]).
     cps_cache: Mutex<CpsCache>,
     opts: Options,
@@ -425,14 +437,28 @@ impl<'a> CurrencyEngine<'a> {
     ) -> Result<CurrencyEngine<'s>, ReasonError> {
         spec.validate()?;
         let partition = Partition::of(&spec);
-        let components = compile_components(spec.as_ref(), value_rels, opts, &partition)?;
+        let mut compile_scratch = CompileScratch::default();
+        let compiler = ComponentCompiler::new(spec.as_ref(), value_rels, opts.transitivity);
+        let encodings = run_indexed_with(
+            effective_threads(opts),
+            partition.slots(),
+            &mut compile_scratch,
+            |scratch, ix| Ok(compiler.compile(partition.component(ix), scratch)),
+        )?;
+        let falsum_slots = encodings.iter().filter(|e| e.has_ground_falsum()).count();
+        let components: Vec<Mutex<ComponentState>> = encodings
+            .into_iter()
+            .map(|enc| Mutex::new(ComponentState { enc, status: None }))
+            .collect();
         let cps_cache = Mutex::new(undecided_cache(components.len()));
         Ok(CurrencyEngine {
             spec,
             value_rels: value_rels.to_vec(),
             partition,
             refresh_scratch: RefreshScratch::default(),
+            compile_scratch,
             components,
+            falsum_slots,
             cps_cache,
             opts: *opts,
             obs: EngineObs::new(),
@@ -556,18 +582,16 @@ impl<'a> CurrencyEngine<'a> {
         let transitivity = self.opts.transitivity;
         let compiled = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
-            let spec = self.spec.as_ref();
+            let compiler =
+                ComponentCompiler::new(self.spec.as_ref(), &self.value_rels, transitivity);
             let partition = &self.partition;
-            let value_rels = &self.value_rels;
             let rebuilt = &plan.rebuilt;
-            run_indexed(effective_threads(&self.opts), rebuilt.len(), |k| {
-                Ok(Encoding::for_component(
-                    spec,
-                    value_rels,
-                    partition.component(rebuilt[k]),
-                    transitivity,
-                ))
-            })?
+            run_indexed_with(
+                effective_threads(&self.opts),
+                rebuilt.len(),
+                &mut self.compile_scratch,
+                |scratch, k| Ok(compiler.compile(partition.component(rebuilt[k]), scratch)),
+            )?
         };
         self.obs.lap(clock, &self.obs.apply_recompile_ns);
         // Patch exactly the changed slots (infallible from here on); no
@@ -580,6 +604,7 @@ impl<'a> CurrencyEngine<'a> {
             let slot_mutex = &mut self.components[slot];
             let state = slot_mutex.get_mut().unwrap_or_else(PoisonError::into_inner);
             retire_status(cache, slot, state.status);
+            self.falsum_slots -= usize::from(state.enc.has_ground_falsum());
             *state = ComponentState {
                 enc: Encoding::vacant(&self.value_rels, transitivity),
                 status: Some(true),
@@ -589,10 +614,12 @@ impl<'a> CurrencyEngine<'a> {
             slot_mutex.clear_poison();
         }
         for (&slot, enc) in plan.rebuilt.iter().zip(compiled) {
+            self.falsum_slots += usize::from(enc.has_ground_falsum());
             if slot < self.components.len() {
                 let slot_mutex = &mut self.components[slot];
                 let state = slot_mutex.get_mut().unwrap_or_else(PoisonError::into_inner);
                 retire_status(cache, slot, state.status);
+                self.falsum_slots -= usize::from(state.enc.has_ground_falsum());
                 *state = ComponentState { enc, status: None };
                 slot_mutex.clear_poison();
             } else {
@@ -790,6 +817,7 @@ impl<'a> CurrencyEngine<'a> {
         let mut stats = EngineStats {
             components: self.partition.len(),
             cells: self.partition.cell_count(),
+            partition_bytes: self.partition.heap_bytes(),
             ..self.obs.stats()
         };
         for ix in 0..self.components.len() {
@@ -800,6 +828,15 @@ impl<'a> CurrencyEngine<'a> {
             stats.sat += st.enc.solver_stats();
         }
         stats
+    }
+
+    /// The [`crate::encode::EncodingShape`] of the encoding cached in
+    /// `slot` — for differential tests comparing the engine's compiled
+    /// state against a reference compile.  Compare before any query
+    /// solves the slot: solving extends the trail and learns clauses.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn slot_shape(&self, slot: usize) -> crate::encode::EncodingShape {
+        self.component(slot).enc.shape()
     }
 
     /// Lock one slot's state, surviving mutex poisoning.
@@ -880,7 +917,7 @@ impl<'a> CurrencyEngine<'a> {
     /// after a delta, none at steady state — the call is O(undecided
     /// region), never a sweep of every component.
     pub fn cps(&self) -> Result<bool, ReasonError> {
-        if self.partition.has_ground_falsum {
+        if self.falsum_slots > 0 {
             return Ok(false);
         }
         // Loop until the undecided set is empty *at verdict time*: a
@@ -1162,29 +1199,6 @@ impl<'a> CurrencyEngine<'a> {
     }
 }
 
-/// Compile every slot of `partition` into an unsolved component state
-/// (parallel under `opts.threads`) — shared by engine construction and
-/// post-compaction rebuild so the two can never drift.
-fn compile_components(
-    spec: &Specification,
-    value_rels: &[RelId],
-    opts: &Options,
-    partition: &Partition,
-) -> Result<Vec<Mutex<ComponentState>>, ReasonError> {
-    let encodings = run_indexed(effective_threads(opts), partition.slots(), |ix| {
-        Ok(Encoding::for_component(
-            spec,
-            value_rels,
-            partition.component(ix),
-            opts.transitivity,
-        ))
-    })?;
-    Ok(encodings
-        .into_iter()
-        .map(|enc| Mutex::new(ComponentState { enc, status: None }))
-        .collect())
-}
-
 /// The consistency cache of an engine none of whose slots is decided.
 fn undecided_cache(slots: usize) -> CpsCache {
     CpsCache {
@@ -1211,22 +1225,42 @@ where
     T: Send,
     F: Fn(usize) -> Result<T, ReasonError> + Sync,
 {
+    run_indexed_with(threads, n, &mut (), |(), ix| f(ix))
+}
+
+/// [`run_indexed`] with per-worker state: jobs run inline borrow the
+/// caller's `local`, and each spawned worker gets its own `S::default()`
+/// — how a writer lends its compile scratch to a batch.
+pub(crate) fn run_indexed_with<S, T, F>(
+    threads: usize,
+    n: usize,
+    local: &mut S,
+    f: F,
+) -> Result<Vec<T>, ReasonError>
+where
+    S: Default,
+    T: Send,
+    F: Fn(&mut S, usize) -> Result<T, ReasonError> + Sync,
+{
     // Thread spawn costs dwarf small jobs; only fan out for real fleets.
     const MIN_PARALLEL_JOBS: usize = 16;
     if threads <= 1 || n < MIN_PARALLEL_JOBS {
-        return (0..n).map(&f).collect();
+        return (0..n).map(|ix| f(local, ix)).collect();
     }
     let slots: Vec<Mutex<Option<Result<T, ReasonError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let ix = next.fetch_add(1, Ordering::Relaxed);
-                if ix >= n {
-                    break;
+            scope.spawn(|| {
+                let mut state = S::default();
+                loop {
+                    let ix = next.fetch_add(1, Ordering::Relaxed);
+                    if ix >= n {
+                        break;
+                    }
+                    *slots[ix].lock().expect("result slot") = Some(f(&mut state, ix));
                 }
-                *slots[ix].lock().expect("result slot") = Some(f(ix));
             });
         }
     });

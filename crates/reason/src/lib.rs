@@ -71,6 +71,8 @@ mod error;
 pub mod explain;
 mod fixpoint;
 pub mod obs;
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 pub mod partition;
 mod preserve;
 mod preserve_sp;

@@ -3,36 +3,32 @@
 //! The CNF encoding of a specification (see [`crate::encode`]) only ever
 //! relates order variables of the *same entity group*: currency orders are
 //! per-entity by definition, ground denial rules instantiate tuple
-//! variables within one relation, and copy-compatibility obligations tie a
+//! variables within one entity, and copy-compatibility obligations tie a
 //! source entity's order to a target entity's order.  The encoding is
 //! therefore a disjoint union of independent subproblems over connected
-//! sets of `(relation, entity)` cells, where the connecting edges are:
-//!
-//! * a ground denial rule whose premises/conclusion span several entities
-//!   of its relation (cross-entity denial constraints), and
-//! * a copy-compatibility obligation, linking the source pair's entity to
-//!   the target pair's entity.
+//! sets of `(relation, entity)` cells, where the only connecting edges
+//! are copy groups: a copy function's mappings from one target entity to
+//! one source entity link the two cells as soon as the group yields an
+//! obligation (two mappings with distinct sources).
 //!
 //! [`Partition::of`] computes the connected components with a union–find
-//! over the cells, grounding every constraint and copy function **once**
-//! and distributing the ground artifacts to their components.  The
-//! [`crate::engine::CurrencyEngine`] compiles each component into its own
-//! cached solver and answers queries against only the components they
-//! touch.
+//! over the cells.  A component keeps **only its cells**: nothing is
+//! grounded here.  The linking test reads the copy functions' entity
+//! index ([`currency_core::CopyGroups`]) and never enumerates the
+//! obligations themselves.  The component compiler
+//! ([`crate::encode::ComponentCompiler`]) grounds each component's denial
+//! rules and copy obligations straight into its solver when the
+//! [`crate::engine::CurrencyEngine`] or the serving writer compiles it.
 //!
 //! ## Incremental maintenance
 //!
 //! The partition is *dynamic*: after a [`currency_core::SpecDelta`] is
 //! applied to the specification, [`Partition::refresh`] re-derives only
-//! the **dirty region** — the components owning a touched cell, plus any
-//! component a freshly derived copy obligation links into it.  Grounding
-//! is entity-local ([`currency_core::DenialConstraint::ground_entity`]),
-//! and obligations are enumerated only for the mapping groups the dirty
-//! region's entities participate in
-//! ([`currency_core::CopyFunction::obligations_for_region`], an indexed
-//! lookup — never a scan of a copy's whole mapping set).  The dirty
-//! region is then locally re-partitioned (merges *and* splits both fall
-//! out of re-running the union–find over the region).
+//! the **dirty region** — the components owning a touched cell.  Only
+//! the copy groups of the region's entities are consulted (an indexed
+//! lookup — never a scan of a copy's whole mapping set while the index
+//! is fresh), and the region is locally re-partitioned: merges *and*
+//! splits both fall out of re-running the union–find over the region.
 //!
 //! ## Stable slots
 //!
@@ -48,53 +44,28 @@
 //!
 //! ## Sharing
 //!
-//! The slot array, the cell → slot index and the falsum cells are paged
-//! copy-on-write containers ([`currency_core::cow`]), and each slot holds
-//! its component behind an `Arc`.  A cloned partition therefore shares
-//! every page with the original, and a refresh on the clone copies only
-//! the pages its dirty region writes — which is what lets the serving
-//! writer publish a partition per delta without copying it.
+//! The slot array and the cell → slot index are paged copy-on-write
+//! containers ([`currency_core::cow`]), and each slot holds its
+//! component behind an `Arc` that the slot's compiled encoding shares as
+//! its scope.  A cloned partition therefore shares every page with the
+//! original, and a refresh on the clone copies only the pages its dirty
+//! region writes — which is what lets the serving writer publish a
+//! partition per delta without copying it.
 
 use currency_core::cow::{Paged, PagedMap, PagedVec};
-use currency_core::{Eid, GroundRule, OrderEdge, RelId, Specification};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
-
-/// A ground denial rule tagged with the relation it speaks about.
-#[derive(Clone, Debug)]
-pub struct GroundRuleAt {
-    /// The relation whose tuples the rule's edges relate.
-    pub rel: RelId,
-    /// The ground rule (`⋀ premises → conclusion`).
-    pub rule: GroundRule,
-}
-
-/// A ground copy-compatibility obligation tagged with its relations:
-/// *if* the completed source order contains `source_edge`, *then* the
-/// completed target order must contain `target_edge`.
-#[derive(Clone, Debug)]
-pub struct ObligationAt {
-    /// Relation of the source edge.
-    pub source_rel: RelId,
-    /// The source-order edge.
-    pub source_edge: OrderEdge,
-    /// Relation of the target edge.
-    pub target_rel: RelId,
-    /// The target-order edge.
-    pub target_edge: OrderEdge,
-}
+use currency_core::{Eid, RelId, Specification};
+use std::collections::BTreeSet;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 /// One independent subproblem: a connected set of `(relation, entity)`
-/// cells together with the ground rules and obligations local to it.
-#[derive(Clone, Debug, Default)]
+/// cells.  Its ground rules and obligations are derived from the cells
+/// when the component is compiled, never stored.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Component {
     /// The cells (every tuple of the specification belongs to exactly one
     /// component through its `(relation, entity)` cell).
     pub cells: BTreeSet<(RelId, Eid)>,
-    /// Ground denial rules whose edges live in this component.
-    pub rules: Vec<GroundRuleAt>,
-    /// Copy obligations whose edges live in this component.
-    pub obligations: Vec<ObligationAt>,
 }
 
 /// The entity partition of a specification, stored in stable slots.
@@ -105,19 +76,13 @@ pub struct Component {
 /// — a refresh never moves a clean component.
 #[derive(Clone, Debug)]
 pub struct Partition {
-    /// The slot array; vacant slots hold an empty [`Component`].
+    /// The slot array; vacant slots hold the shared empty [`Component`].
     components: PagedVec<Arc<Component>>,
     /// Vacant slot indices, reused (LIFO) before the array grows.
     free: Vec<usize>,
     /// Number of live (non-vacant) components.
     live: usize,
     index: PagedMap<(RelId, Eid), usize>,
-    /// Cells whose grounding produced a premise-free falsum rule (an
-    /// unconditional contradiction local to that cell).
-    falsum_cells: PagedMap<(RelId, Eid), ()>,
-    /// `true` if grounding produced a premise-free falsum rule — the
-    /// specification is inconsistent regardless of any order choice.
-    pub has_ground_falsum: bool,
 }
 
 /// Scratch buffers reused across [`Partition::refresh`] calls (cleared,
@@ -129,7 +94,18 @@ pub struct RefreshScratch {
     dirty_slots: Vec<usize>,
     dirty_cells: Vec<(RelId, Eid)>,
     region: Vec<(RelId, Eid)>,
-    cell_ids: HashMap<(RelId, Eid), u32>,
+    derive: DeriveScratch,
+}
+
+/// The buffers of one [`Partition::derive_region`] pass.
+#[derive(Debug, Default)]
+struct DeriveScratch {
+    uf: UnionFind,
+    /// Root cell id → index into `fresh` (`u32::MAX` = not seen yet).
+    component_of_root: Vec<u32>,
+    /// The region's target and source entities of one copy function.
+    targets: Vec<Eid>,
+    sources: Vec<Eid>,
 }
 
 /// The outcome of [`Partition::refresh`]: which slots changed.  Sized by
@@ -162,17 +138,19 @@ impl RefreshPlan {
 }
 
 /// Union–find over dense cell ids: union by size, full path compression.
+#[derive(Debug, Default)]
 struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> UnionFind {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-        }
+    /// Reset to `n` singleton sets, reusing the buffers.
+    fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.size.clear();
+        self.size.resize(n, 1);
     }
 
     fn find(&mut self, x: u32) -> u32 {
@@ -207,22 +185,18 @@ impl UnionFind {
     }
 }
 
-/// The scope of a [`Partition::derive_region`] call: either the whole
-/// specification (initial build) or a dirty region's live cells.
-enum RegionScope<'r> {
-    /// Enumerate every copy obligation.
-    Full,
-    /// Enumerate only obligations of groups touching the region (sorted
-    /// cell list, shared with the derive pass).
-    Cells(&'r [(RelId, Eid)]),
+/// The shared empty component every vacant slot holds (cloning it is a
+/// reference-count bump, so vacating a slot allocates nothing).
+pub(crate) fn vacant() -> Arc<Component> {
+    static VACANT: OnceLock<Arc<Component>> = OnceLock::new();
+    VACANT.get_or_init(Arc::default).clone()
 }
 
 impl Partition {
     /// Partition `spec` into independent components.
     ///
-    /// Grounds every denial constraint and enumerates every copy
-    /// function's compatibility obligations exactly once; the caller is
-    /// expected to have validated the specification.
+    /// Links cells through every copy group with an obligation; the
+    /// caller is expected to have validated the specification.
     pub fn of(spec: &Specification) -> Partition {
         // Instances are iterated in relation order and entities in id
         // order, so the collected cell list is sorted.
@@ -231,32 +205,23 @@ impl Partition {
             .iter()
             .flat_map(|inst| inst.entities().map(move |eid| (inst.rel(), eid)))
             .collect();
-        let mut partition = Partition {
-            components: PagedVec::new(),
-            free: Vec::new(),
-            live: 0,
-            index: PagedMap::new(),
-            falsum_cells: PagedMap::new(),
-            has_ground_falsum: false,
-        };
-        let mut cell_ids = HashMap::with_capacity(cells.len());
-        let fresh = partition.derive_region(spec, &cells, RegionScope::Full, &mut cell_ids);
+        // Full-spec-sized buffers: deliberately NOT kept as refresh
+        // scratch — steady-state regions are tiny, and retaining O(cells)
+        // of dead capacity per partition would defeat the point.
+        let mut scratch = DeriveScratch::default();
+        let fresh = derive_region(spec, &cells, true, &mut scratch);
         let mut index: Vec<((RelId, Eid), usize)> = fresh
             .iter()
             .enumerate()
             .flat_map(|(slot, comp)| comp.cells.iter().map(move |&cell| (cell, slot)))
             .collect();
         index.sort_unstable();
-        partition.index = index.into_iter().collect();
-        partition.live = fresh.len();
-        partition.components = fresh.into_iter().map(Arc::new).collect();
-        // `cell_ids` is full-spec-sized here; deliberately NOT kept as
-        // refresh scratch — steady-state regions are tiny, and retaining
-        // O(cells) of dead capacity per partition would defeat the point.
-        // The scratch map re-grows only if a genuinely huge delta lands.
-        drop(cell_ids);
-        partition.has_ground_falsum = !partition.falsum_cells.is_empty();
-        partition
+        Partition {
+            live: fresh.len(),
+            components: fresh.into_iter().map(Arc::new).collect(),
+            free: Vec::new(),
+            index: index.into_iter().collect(),
+        }
     }
 
     /// Re-derive the partition after a delta touched `touched` cells,
@@ -264,21 +229,21 @@ impl Partition {
     /// byte-identical.
     ///
     /// The dirty region is the touched cells plus every cell of a slot
-    /// owning one.  Only the region's rules and obligations are
-    /// re-derived (entity-local grounding, indexed obligation lookup);
-    /// the region is then re-partitioned locally, which realizes merges
-    /// *and* splits.  Dirty slots are vacated and refilled from the
-    /// fresh components (free-list first, appends on overflow), and the
-    /// cell → slot index is patched for the region's cells only — no
-    /// step of a refresh walks the full component or cell set.
+    /// owning one.  Only the copy groups of the region's entities are
+    /// consulted (indexed lookups); the region is then re-partitioned
+    /// locally, which realizes merges *and* splits.  Dirty slots are
+    /// vacated and refilled from the fresh components (free-list first,
+    /// appends on overflow), and the cell → slot index is patched for the
+    /// region's cells only — no step of a refresh walks the full
+    /// component or cell set.
     ///
     /// **Contract** (guaranteed by `DeltaEffects::touched_cells`):
     /// `touched` must contain *both* endpoint cells of every copy mapping
     /// the delta added or removed.  That closes the region without any
-    /// global scan: a pre-existing obligation already has both endpoints
-    /// in one component (that is what the partition means), so an
-    /// obligation can only cross the region boundary if its link is new —
-    /// and then both its cells are in `touched`.
+    /// global scan: a pre-existing link already has both endpoints in one
+    /// component (that is what the partition means), so a link can only
+    /// cross the region boundary if it is new — and then both its cells
+    /// are in `touched`.
     ///
     /// The returned [`RefreshPlan`] lists the rebuilt and freed slots so
     /// the engine can patch exactly that cached state.  `scratch` is the
@@ -319,15 +284,7 @@ impl Partition {
                 .copied()
                 .filter(|&(rel, eid)| !spec.instance(rel).entity_group(eid).is_empty()),
         );
-        // Stale falsum verdicts of the region go; derive_region re-adds
-        // the ones that still hold.
-        for cell in &scratch.dirty_cells {
-            self.falsum_cells.remove(cell);
-        }
-        let RefreshScratch {
-            region, cell_ids, ..
-        } = scratch;
-        let fresh = self.derive_region(spec, region, RegionScope::Cells(region), cell_ids);
+        let fresh = derive_region(spec, &scratch.region, false, &mut scratch.derive);
 
         // Patch the index for the region only; clean entries survive.
         for cell in &scratch.dirty_cells {
@@ -337,24 +294,21 @@ impl Partition {
         // free-list first (most recently vacated first), appends on
         // overflow.
         for &slot in &scratch.dirty_slots {
-            self.components[slot] = Arc::default();
+            self.components[slot] = vacant();
             self.free.push(slot);
             self.live -= 1;
         }
         let mut rebuilt = Vec::with_capacity(fresh.len());
         for comp in fresh {
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.components[slot] = Arc::new(comp);
-                    slot
-                }
-                None => {
-                    self.components.push(Arc::new(comp));
-                    self.components.len() - 1
-                }
-            };
-            for &cell in &self.components[slot].cells {
+            let slot = self.free.pop().unwrap_or(self.components.len());
+            for &cell in &comp.cells {
                 self.index.insert(cell, slot);
+            }
+            let comp = Arc::new(comp);
+            if slot < self.components.len() {
+                self.components[slot] = comp;
+            } else {
+                self.components.push(comp);
             }
             self.live += 1;
             rebuilt.push(slot);
@@ -365,7 +319,6 @@ impl Partition {
             .copied()
             .filter(|&slot| self.components[slot].cells.is_empty())
             .collect();
-        self.has_ground_falsum = !self.falsum_cells.is_empty();
         RefreshPlan {
             reused_components: self.live - rebuilt.len(),
             rebuilt,
@@ -374,117 +327,11 @@ impl Partition {
         }
     }
 
-    /// Derive the components covering `cells` (a sorted, duplicate-free
-    /// list): ground every constraint for the cells' entities (recording
-    /// premise-free falsum cells), collect the scope's copy obligations,
-    /// and union-find the cells into components in deterministic
-    /// first-seen order.
-    ///
-    /// Ground rules are entity-local, so only obligations merge cells.
-    fn derive_region(
-        &mut self,
-        spec: &Specification,
-        cells: &[(RelId, Eid)],
-        scope: RegionScope<'_>,
-        cell_ids: &mut HashMap<(RelId, Eid), u32>,
-    ) -> Vec<Component> {
-        cell_ids.clear();
-        cell_ids.extend(cells.iter().enumerate().map(|(i, &c)| (c, i as u32)));
-        let mut uf = UnionFind::new(cells.len());
-
-        // Entity-local grounding: each cell's rules anchor at the cell.
-        // Iterate the ordered cell list (not the id map) so rule order —
-        // and with it clause order in the compiled encodings — is
-        // deterministic.  One grounder per constraint: its value-atom
-        // analysis is shared across all the cells it grounds for.
-        let mut rules: Vec<(GroundRuleAt, u32)> = Vec::new();
-        for dc in spec.constraints() {
-            let inst = spec.instance(dc.rel());
-            let grounder = dc.entity_grounder();
-            for (cid, &cell) in cells.iter().enumerate() {
-                let cid = cid as u32;
-                if cell.0 != dc.rel() {
-                    continue;
-                }
-                for rule in grounder.ground_entity(inst, cell.1) {
-                    if rule.premises.is_empty() && rule.conclusion.is_none() {
-                        // Premise-free falsum: an unconditional
-                        // contradiction local to this cell.
-                        self.falsum_cells.insert(cell, ());
-                        continue;
-                    }
-                    rules.push((
-                        GroundRuleAt {
-                            rel: dc.rel(),
-                            rule,
-                        },
-                        cid,
-                    ));
-                }
-            }
-        }
-
-        // Copy obligations; union source and target entity cells.  The
-        // scoped form asks each copy for the dirty entities' groups only
-        // (an indexed lookup), so obligation enumeration scales with the
-        // region, not the copy's mapping set.
-        let mut obligations: Vec<(ObligationAt, u32)> = Vec::new();
-        for cf in spec.copies() {
-            let sig = cf.signature();
-            let target = spec.instance(sig.target);
-            let source = spec.instance(sig.source);
-            let obls = match &scope {
-                RegionScope::Full => cf.compatibility_obligations(target, source),
-                RegionScope::Cells(region) => {
-                    let dirty_targets = entities_of(region, sig.target);
-                    let dirty_sources = entities_of(region, sig.source);
-                    cf.obligations_for_region(target, source, &dirty_targets, &dirty_sources)
-                }
-            };
-            for (src_edge, tgt_edge) in obls {
-                let src_cell = cell_ids[&(sig.source, source.tuple(src_edge.lesser).eid)];
-                let tgt_cell = cell_ids[&(sig.target, target.tuple(tgt_edge.lesser).eid)];
-                uf.union(src_cell, tgt_cell);
-                obligations.push((
-                    ObligationAt {
-                        source_rel: sig.source,
-                        source_edge: src_edge,
-                        target_rel: sig.target,
-                        target_edge: tgt_edge,
-                    },
-                    src_cell,
-                ));
-            }
-        }
-
-        // Materialize components in first-seen (deterministic) order.
-        let mut root_to_component: HashMap<u32, usize> = HashMap::new();
-        let mut components: Vec<Component> = Vec::new();
-        for (id, &key) in cells.iter().enumerate() {
-            let root = uf.find(id as u32);
-            let cix = *root_to_component.entry(root).or_insert_with(|| {
-                components.push(Component::default());
-                components.len() - 1
-            });
-            components[cix].cells.insert(key);
-        }
-        for (rule, anchor) in rules {
-            let cix = root_to_component[&uf.find(anchor)];
-            components[cix].rules.push(rule);
-        }
-        for (ob, anchor) in obligations {
-            let cix = root_to_component[&uf.find(anchor)];
-            components[cix].obligations.push(ob);
-        }
-        // Component-local determinism: rules arrive grouped by constraint
-        // then cell (the iteration above), obligations by copy function.
-        components
-    }
-
-    /// The component in `slot` (`slot < `[`Partition::slots`]).  A
-    /// vacant slot holds an empty component (no cells); cell-driven
-    /// lookups never reach one.
-    pub fn component(&self, slot: usize) -> &Component {
+    /// The component in `slot` (`slot < `[`Partition::slots`]), behind
+    /// the `Arc` its compiled encoding shares as its scope.  A vacant
+    /// slot holds an empty component (no cells); cell-driven lookups
+    /// never reach one.
+    pub fn component(&self, slot: usize) -> &Arc<Component> {
         &self.components[slot]
     }
 
@@ -495,7 +342,7 @@ impl Partition {
 
     /// Number of `(relation, entity)` cells across all components.
     pub(crate) fn cell_count(&self) -> usize {
-        self.components.iter().map(|c| c.cells.len()).sum()
+        self.index.len()
     }
 
     /// Number of slots, vacant included — the exclusive upper bound on
@@ -527,25 +374,109 @@ impl Partition {
         out.sort_unstable();
         out
     }
+
+    /// Heap bytes this partition holds, computed from sizes like
+    /// [`crate::encode::Encoding::heap_bytes`]: one slot pointer per slot,
+    /// per live component its `Arc` allocation and len × entry size for
+    /// its cell set, len × entry size for the cell → slot index, and the
+    /// free-list's capacity.  Deterministic, so a footprint budget can be
+    /// checked without an allocator hook.
+    pub fn heap_bytes(&self) -> usize {
+        // An `Arc` allocation holds the two reference counts and the value.
+        const ARC_COUNTS: usize = 2 * size_of::<usize>();
+        let components: usize = self
+            .components
+            .iter()
+            .filter(|c| !c.cells.is_empty())
+            .map(|c| {
+                ARC_COUNTS + size_of::<Component>() + c.cells.len() * size_of::<(RelId, Eid)>()
+            })
+            .sum();
+        self.components.len() * size_of::<Arc<Component>>()
+            + components
+            + self.index.len() * size_of::<((RelId, Eid), usize)>()
+            + self.free.capacity() * size_of::<usize>()
+    }
 }
 
 impl Paged for Partition {
     fn for_each_page(&self, visit: &mut dyn FnMut(*const ())) {
         self.components.for_each_page(visit);
         self.index.for_each_page(visit);
-        self.falsum_cells.for_each_page(visit);
     }
 }
 
-/// The entities of `rel` within a sorted cell list — a range scan, so
-/// region-scoped obligation lookups never walk cells of other relations.
-fn entities_of(cells: &[(RelId, Eid)], rel: RelId) -> BTreeSet<Eid> {
+/// Derive the components covering `cells` (a sorted, duplicate-free
+/// list): union the two cells of every copy group that yields an
+/// obligation, then materialize the components in deterministic
+/// first-seen order.  `full` marks `cells` as the whole specification,
+/// so every group is consulted; otherwise only the groups of the cells'
+/// entities are.
+///
+/// Ground rules are entity-local, so only copy groups merge cells.
+fn derive_region(
+    spec: &Specification,
+    cells: &[(RelId, Eid)],
+    full: bool,
+    scratch: &mut DeriveScratch,
+) -> Vec<Component> {
+    let DeriveScratch {
+        uf,
+        component_of_root,
+        targets,
+        sources,
+    } = scratch;
+    uf.reset(cells.len());
+    // Cell ids are positions in the sorted cell list.
+    let id_of = |cell: (RelId, Eid)| -> u32 {
+        cells
+            .binary_search(&cell)
+            .expect("a linked cell is live and in the region") as u32
+    };
+    for cf in spec.copies() {
+        let sig = cf.signature();
+        let groups = cf.groups(spec.instance(sig.target), spec.instance(sig.source));
+        let region = if full {
+            None
+        } else {
+            entities_of(cells, sig.target, targets);
+            entities_of(cells, sig.source, sources);
+            Some((&targets[..], &sources[..]))
+        };
+        groups.for_each_linking_group(region, |te, se| {
+            uf.union(id_of((sig.target, te)), id_of((sig.source, se)));
+        });
+    }
+
+    // Materialize components in first-seen (deterministic) order.
+    component_of_root.clear();
+    component_of_root.resize(cells.len(), u32::MAX);
+    let mut components: Vec<Component> = Vec::new();
+    for (id, &cell) in cells.iter().enumerate() {
+        let root = uf.find(id as u32) as usize;
+        if component_of_root[root] == u32::MAX {
+            component_of_root[root] = components.len() as u32;
+            components.push(Component::default());
+        }
+        components[component_of_root[root] as usize]
+            .cells
+            .insert(cell);
+    }
+    components
+}
+
+/// The entities of `rel` within a sorted cell list, into `out` — a range
+/// scan, so region-scoped group lookups never walk cells of other
+/// relations.
+fn entities_of(cells: &[(RelId, Eid)], rel: RelId, out: &mut Vec<Eid>) {
+    out.clear();
     let lo = cells.partition_point(|&(r, _)| r < rel);
-    cells[lo..]
-        .iter()
-        .take_while(|&&(r, _)| r == rel)
-        .map(|&(_, eid)| eid)
-        .collect()
+    out.extend(
+        cells[lo..]
+            .iter()
+            .take_while(|&&(r, _)| r == rel)
+            .map(|&(_, eid)| eid),
+    );
 }
 
 #[cfg(test)]
@@ -600,8 +531,9 @@ mod tests {
         spec.add_constraint(dc).unwrap();
         let p = Partition::of(&spec);
         assert_eq!(p.len(), 3);
-        let total_rules: usize = (0..p.slots()).map(|s| p.component(s).rules.len()).sum();
-        assert_eq!(total_rules, 3, "one ground rule per entity");
+        for s in 0..p.slots() {
+            assert_eq!(p.component(s).cells.len(), 1, "one entity per component");
+        }
     }
 
     #[test]
@@ -641,7 +573,7 @@ mod tests {
         assert_eq!(p.component_of(d, Eid(1)), p.component_of(s, Eid(7)));
         assert_ne!(p.component_of(d, Eid(1)), p.component_of(d, Eid(9)));
         let merged = p.component(p.component_of(d, Eid(1)).unwrap());
-        assert_eq!(merged.obligations.len(), 2, "both obligation directions");
+        assert_eq!(merged.cells, [(d, Eid(1)), (s, Eid(7))].into());
     }
 
     #[test]
@@ -672,46 +604,28 @@ mod tests {
     }
 
     /// `refresh` must produce exactly the partition `of` computes from the
-    /// post-delta specification (same cells, rules, obligations per live
-    /// component up to slot order; vacant slots are layout, not content).
+    /// post-delta specification (same cells per live component up to slot
+    /// order; vacant slots are layout, not content), and the index must
+    /// map every cell to the slot holding it.
     fn assert_refresh_matches_fresh(p: &Partition, spec: &Specification) {
         let fresh = Partition::of(spec);
         assert_eq!(p.len(), fresh.len(), "component count");
-        assert_eq!(p.has_ground_falsum, fresh.has_ground_falsum);
-        let live = |p: &Partition| -> Vec<Component> {
-            (0..p.slots())
-                .map(|s| p.component(s))
-                .filter(|c| !c.cells.is_empty())
-                .cloned()
-                .collect()
+        let live = |p: &Partition| -> Vec<BTreeSet<(RelId, Eid)>> {
+            let mut out: Vec<_> = (0..p.slots())
+                .map(|s| p.component(s).cells.clone())
+                .filter(|cells| !cells.is_empty())
+                .collect();
+            out.sort();
+            out
         };
-        let (mut a, mut b) = (live(p), live(&fresh));
-        let key = |c: &Component| c.cells.iter().next().copied();
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cells, y.cells);
-            let mut xr = x
-                .rules
-                .iter()
-                .map(|r| (r.rel, r.rule.clone()))
-                .collect::<Vec<_>>();
-            let mut yr = y
-                .rules
-                .iter()
-                .map(|r| (r.rel, r.rule.clone()))
-                .collect::<Vec<_>>();
-            xr.sort();
-            yr.sort();
-            assert_eq!(xr, yr, "rules of {:?}", x.cells);
-            let ob_key =
-                |o: &ObligationAt| (o.source_rel, o.source_edge, o.target_rel, o.target_edge);
-            let mut xo = x.obligations.iter().map(ob_key).collect::<Vec<_>>();
-            let mut yo = y.obligations.iter().map(ob_key).collect::<Vec<_>>();
-            xo.sort();
-            yo.sort();
-            assert_eq!(xo, yo, "obligations of {:?}", x.cells);
+        assert_eq!(live(p), live(&fresh));
+        for slot in 0..p.slots() {
+            for &(rel, eid) in &p.component(slot).cells {
+                assert_eq!(p.component_of(rel, eid), Some(slot));
+            }
         }
+        assert_eq!(p.cell_count(), fresh.cell_count());
+        assert!(p.heap_bytes() > 0 || p.is_empty());
     }
 
     #[test]
@@ -738,9 +652,8 @@ mod tests {
         assert_eq!(plan.rebuilt(), 1);
         assert_eq!(plan.reused(), 3);
         assert_eq!(p.len(), 4);
-        // The rebuilt component carries the new entity-2 rules.
         let cix = p.component_of(r, Eid(2)).unwrap();
-        assert!(p.component(cix).rules.len() > 1);
+        assert_eq!(plan.rebuilt, vec![cix]);
         assert_refresh_matches_fresh(&p, &spec);
     }
 
@@ -830,8 +743,11 @@ mod tests {
         assert_refresh_matches_fresh(&p, &spec);
     }
 
+    /// Cells come and go with their entity's tuples; a premise-free
+    /// falsum changes nothing here (the compile reports it, not the
+    /// partition).
     #[test]
-    fn refresh_tracks_falsum_cells() {
+    fn refresh_tracks_cells_as_entities_come_and_go() {
         let mut cat = Catalog::new();
         let r = cat.add(RelationSchema::new("R", &["A", "B"]));
         let mut spec = Specification::new(cat);
@@ -856,25 +772,23 @@ mod tests {
             .unwrap();
         spec.add_constraint(dc).unwrap();
         let mut p = Partition::of(&spec);
-        assert!(!p.has_ground_falsum);
-        // A conflicting duplicate in entity 1 triggers the falsum.
+        // A conflicting duplicate in entity 1.
         let t_dup = spec
             .instance_mut(r)
             .push_tuple(Tuple::new(Eid(1), vec![Value::int(1), Value::int(5)]))
             .unwrap();
         let touched: BTreeSet<(RelId, Eid)> = [(r, Eid(1))].into();
-        p.refresh(&spec, &touched, &mut RefreshScratch::default());
-        assert!(p.has_ground_falsum);
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
+        assert_eq!((plan.rebuilt(), plan.reused()), (1, 1));
         assert_refresh_matches_fresh(&p, &spec);
-        // Removing the duplicate clears it again.
         spec.instance_mut(r).remove_tuple(t_dup).unwrap();
         let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
-        assert!(!p.has_ground_falsum);
         assert_eq!(plan.rebuilt(), 1);
         assert_refresh_matches_fresh(&p, &spec);
         // Removing the last tuple of the entity drops the cell entirely.
         spec.instance_mut(r).remove_tuple(t0).unwrap();
-        p.refresh(&spec, &touched, &mut RefreshScratch::default());
+        let plan = p.refresh(&spec, &touched, &mut RefreshScratch::default());
+        assert_eq!((plan.rebuilt(), plan.freed.len()), (0, 1));
         assert_eq!(p.len(), 1);
         assert!(p.component_of(r, Eid(1)).is_none());
         assert_refresh_matches_fresh(&p, &spec);
@@ -974,6 +888,6 @@ mod tests {
         let spec = Specification::new(cat);
         let p = Partition::of(&spec);
         assert!(p.is_empty());
-        assert!(!p.has_ground_falsum);
+        assert_eq!(p.cell_count(), 0);
     }
 }

@@ -1107,6 +1107,7 @@ impl<N: AsRef<CurrencyEngine<'static>>> Sharded<N> {
             total.vars += s.vars;
             total.clauses += s.clauses;
             total.encoding_bytes += s.encoding_bytes;
+            total.partition_bytes += s.partition_bytes;
             total.updates_applied += s.updates_applied;
             total.components_rebuilt += s.components_rebuilt;
             total.components_reused += s.components_reused;

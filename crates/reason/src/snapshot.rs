@@ -45,13 +45,15 @@
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::encode::{Bounds, Encoding};
+use crate::encode::{CompileScratch, ComponentCompiler};
 use crate::engine::{
     check_product_budget, effective_threads, for_each_combination, intersect_certain_answers,
-    remapped_cells, run_indexed, run_slices, ComponentModels, EngineStats, SLICE_QUANTUM,
+    remapped_cells, run_indexed, run_indexed_with, run_slices, ComponentModels, EngineStats,
+    SLICE_QUANTUM,
 };
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
-use crate::partition::{Partition, RefreshScratch};
+use crate::partition::{Component, Partition, RefreshScratch};
 use crate::{CompactBudget, Options, SolveLimits};
 use currency_core::cow::{pages_copied, PagedVec};
 use currency_core::NormalInstance;
@@ -434,11 +436,16 @@ pub struct SnapshotEngine {
     /// Buffers lent to every [`Partition::refresh`] (kept out of the
     /// partition so published partitions carry none).
     refresh_scratch: RefreshScratch,
+    /// Buffers lent to every component compile run inline.
+    compile_scratch: CompileScratch,
     slots: PagedVec<SlotView>,
     /// Shared trivially-satisfiable encoding for vacated slots.
     vacant: Arc<Encoding>,
     /// Count of slots whose encoding is unsatisfiable.
     unsat: usize,
+    /// Count of slots whose encoding grounded a premise-free falsum
+    /// rule ([`Encoding::has_ground_falsum`]).
+    falsum_slots: usize,
     epoch: u64,
     opts: Options,
     cell: Arc<SnapshotCell>,
@@ -466,10 +473,18 @@ impl SnapshotEngine {
         spec.validate()?;
         let value_rels = Arc::new(value_rels.to_vec());
         let partition = Partition::of(&spec);
-        let slots: PagedVec<SlotView> = build_slots(&spec, &value_rels, opts, &partition)?
-            .into_iter()
-            .collect();
+        let mut compile_scratch = CompileScratch::default();
+        let compiler = ComponentCompiler::new(&spec, &value_rels, opts.transitivity);
+        let slots: PagedVec<SlotView> = run_indexed_with(
+            effective_threads(opts),
+            partition.slots(),
+            &mut compile_scratch,
+            |scratch, ix| Ok(compile_slot(&compiler, partition.component(ix), scratch)),
+        )?
+        .into_iter()
+        .collect();
         let unsat = slots.iter().filter(|s| !s.sat).count();
+        let falsum_slots = slots.iter().filter(|s| s.enc.has_ground_falsum()).count();
         let vacant = Arc::new(Encoding::vacant(&value_rels, opts.transitivity));
         let obs = EngineObs::new();
         let mut engine = SnapshotEngine {
@@ -477,9 +492,11 @@ impl SnapshotEngine {
             value_rels,
             partition: Arc::new(partition),
             refresh_scratch: RefreshScratch::default(),
+            compile_scratch,
             slots,
             vacant,
             unsat,
+            falsum_slots,
             epoch: 0,
             opts: *opts,
             cell: Arc::new(SnapshotCell::new(
@@ -591,21 +608,24 @@ impl SnapshotEngine {
         // state: the fallible step cannot leave the writer half-updated,
         // and solving here bakes the verdict (and any lazy lemmas) into
         // the published encoding so readers start warm.
-        let transitivity = self.opts.transitivity;
         let compiled: Vec<SlotView> = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
-            let spec = self.spec.as_ref();
+            let compiler =
+                ComponentCompiler::new(&self.spec, &self.value_rels, self.opts.transitivity);
             let partition = self.partition.as_ref();
-            let value_rels = &self.value_rels;
             let rebuilt = &plan.rebuilt;
-            run_indexed(effective_threads(&self.opts), rebuilt.len(), |k| {
-                Ok(compile_slot(
-                    spec,
-                    value_rels,
-                    partition.component(rebuilt[k]),
-                    transitivity,
-                ))
-            })?
+            run_indexed_with(
+                effective_threads(&self.opts),
+                rebuilt.len(),
+                &mut self.compile_scratch,
+                |scratch, k| {
+                    Ok(compile_slot(
+                        &compiler,
+                        partition.component(rebuilt[k]),
+                        scratch,
+                    ))
+                },
+            )?
         };
         self.obs.lap(clock, &self.obs.apply_recompile_ns);
         if self.obs.enabled() {
@@ -630,6 +650,7 @@ impl SnapshotEngine {
             if !view.sat {
                 self.unsat += 1;
             }
+            self.falsum_slots += usize::from(view.enc.has_ground_falsum());
             if slot < self.slots.len() {
                 self.retire(slot);
                 self.slots[slot] = view;
@@ -742,16 +763,18 @@ impl SnapshotEngine {
             value_rels: self.value_rels.clone(),
             partition: self.partition.clone(),
             slots: self.slots.clone(),
-            consistent: !self.partition.has_ground_falsum && self.unsat == 0,
+            consistent: self.falsum_slots == 0 && self.unsat == 0,
             opts: self.opts,
         });
         self.cell.store(snap);
     }
 
+    /// Take a slot's verdicts out of the writer's counts (the slot is
+    /// about to be replaced).
     fn retire(&mut self, slot: usize) {
-        if !self.slots[slot].sat {
-            self.unsat -= 1;
-        }
+        let view = &self.slots[slot];
+        self.unsat -= usize::from(!view.sat);
+        self.falsum_slots -= usize::from(view.enc.has_ground_falsum());
     }
 
     /// The shared cell readers load snapshots from.
@@ -792,6 +815,7 @@ impl SnapshotEngine {
         let mut stats = EngineStats {
             components: self.partition.len(),
             cells: self.partition.cell_count(),
+            partition_bytes: self.partition.heap_bytes(),
             ..self.obs.stats()
         };
         for slot in self.slots.iter() {
@@ -818,36 +842,16 @@ fn empty_spec() -> Specification {
 /// so packing them keeps the heap from fragmenting on a long delta
 /// stream.
 fn compile_slot(
-    spec: &Specification,
-    value_rels: &[RelId],
-    component: &crate::partition::Component,
-    transitivity: crate::TransitivityMode,
+    compiler: &ComponentCompiler<'_>,
+    component: &Arc<Component>,
+    scratch: &mut CompileScratch,
 ) -> SlotView {
-    let mut enc = Encoding::for_component(spec, value_rels, component, transitivity);
+    let mut enc = compiler.compile(component, scratch);
     let sat = enc.solve() == SolveResult::Sat;
     SlotView {
         enc: Arc::new(enc.clone()),
         sat,
     }
-}
-
-/// Compile and solve every slot of `partition` (parallel under
-/// `opts.threads`) at construction.
-fn build_slots(
-    spec: &Specification,
-    value_rels: &[RelId],
-    opts: &Options,
-    partition: &Partition,
-) -> Result<Vec<SlotView>, ReasonError> {
-    let transitivity = opts.transitivity;
-    run_indexed(effective_threads(opts), partition.slots(), |ix| {
-        Ok(compile_slot(
-            spec,
-            value_rels,
-            partition.component(ix),
-            transitivity,
-        ))
-    })
 }
 
 /// Slots a reader keeps private scratch encodings for.  A reader about

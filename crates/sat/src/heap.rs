@@ -46,6 +46,11 @@ impl ActivityHeap {
         self.entries.capacity() * std::mem::size_of::<(f64, Var)>()
     }
 
+    /// Reserve room for `additional` more entries.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
     /// Push a (possibly duplicate) entry for `v` at activity `act`.
     pub(crate) fn push(&mut self, v: Var, act: f64) {
         self.entries.push((act, v));

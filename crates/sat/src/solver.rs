@@ -413,6 +413,32 @@ impl Solver {
         v
     }
 
+    /// Reserve room for `additional` more variables in every
+    /// per-variable array, so a caller that knows how many variables it
+    /// will allocate grows each array once instead of by doubling.
+    pub fn reserve_vars(&mut self, additional: usize) {
+        self.assign.reserve_exact(additional);
+        self.level.reserve_exact(additional);
+        self.reason.reserve_exact(additional);
+        self.activity.reserve_exact(additional);
+        self.phase.reserve_exact(additional);
+        self.seen.reserve_exact(additional);
+        self.heap.reserve_exact(additional);
+    }
+
+    /// The assignment trail in the order literals were fixed.  Between
+    /// solves of a solver that has not been solved yet this is the level
+    /// zero trail: the unit clauses and what they propagate.
+    pub fn trail(&self) -> &[Lit] {
+        &self.trail
+    }
+
+    /// The literals of every stored clause (length ≥ 2; original clauses
+    /// first, learnt ones after), in storage order.
+    pub fn clause_lits(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        self.clauses.iter().map(|c| c.lits.as_slice())
+    }
+
     /// Heap bytes this solver holds, computed from capacities: capacity ×
     /// element size for every vector, including the clauses' literal
     /// buffers and the watch lists.  Deterministic, so it can gate a

@@ -1,0 +1,277 @@
+//! Encoding identity of the compile-time grounding.
+//!
+//! The engines ground each component's denial rules and copy obligations
+//! while compiling it (`ComponentCompiler`), from buffers reused across
+//! compiles.  The reference (`currency_reason::oracle`) grounds the way
+//! the partition used to: every constraint per cell, every copy's
+//! obligations per region, collected into vectors first.  Both feed the
+//! same CNF construction, so the compiled encodings must be structurally
+//! identical — the same order-variable table, value choices, level-zero
+//! trail and stored clauses in the same order — for every component.
+//!
+//! Each seed builds a specification from the `engine_differential`
+//! generator space, then streams random inserts, retracts, copy
+//! extensions, new constraints (a premise-free falsum among them) and
+//! budgeted compaction steps through a `CurrencyEngine`.  After every
+//! step, for every live slot:
+//!
+//! * the engine's cached encoding (compiled from its own reused scratch,
+//!   never solved — the stream issues no queries),
+//! * a fresh streamed compile (from one scratch shared across the whole
+//!   seed), and
+//! * the reference compile
+//!
+//! must have equal shapes, and the partition's components must be the
+//! reference components (a union–find over every enumerated obligation).
+//!
+//! `SEEDS` seeds in release (the 10k-seed differential), 100 under the
+//! debug profile.  The seed range starts at `CHAOS_SEED` (default
+//! `20260808`), so CI replays one pinned range.
+
+use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use data_currency::model::{
+    AttrId, CmpOp, DenialConstraint, Eid, RelId, SpecDelta, Specification, Term, Tuple, TupleId,
+    Value,
+};
+use data_currency::reason::encode::{CompileScratch, ComponentCompiler};
+use data_currency::reason::oracle::{reference_components, reference_encoding};
+use data_currency::reason::{CompactBudget, CurrencyEngine, Options, TransitivityMode};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+/// Seeds per run: the full 10k sweep in release, a slice under debug.
+const SEEDS: u64 = if cfg!(debug_assertions) { 100 } else { 10_000 };
+
+/// Writes (deltas or compaction steps) per seed.
+const STEPS: usize = 8;
+
+const T: RelId = RelId(0);
+const SRC: RelId = RelId(1);
+
+fn first_seed() -> u64 {
+    std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20_260_808)
+}
+
+/// The `engine_differential` generator space: three entities, one to
+/// three readings each, two attributes, with or without constraints
+/// and a copy function depending on the seed.
+fn spec_for(seed: u64) -> Specification {
+    random_spec(&RandomSpecConfig {
+        entities: 3,
+        tuples_per_entity: (1, 3),
+        attrs: 2,
+        value_pool: 2,
+        order_density: 0.25,
+        monotone_constraints: usize::from(!seed.is_multiple_of(4)),
+        correlated_constraints: (seed % 2) as usize,
+        with_copy: !seed.is_multiple_of(3),
+        seed,
+    })
+}
+
+/// "No reading of `rel` may carry value 1 in attribute 0": a value-only
+/// constraint with a falsum conclusion, so every violating reading
+/// grounds a premise-free falsum on its cell.
+fn value_falsum(rel: RelId) -> DenialConstraint {
+    DenialConstraint::builder(rel, 1)
+        .when_cmp(
+            Term::attr(0, AttrId(0)),
+            CmpOp::Eq,
+            Term::val(Value::int(1)),
+        )
+        .then_false()
+        .build()
+        .expect("valid constraint")
+}
+
+/// Draw one admissible delta against the current specification.
+fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
+    let inst = spec.instance(T);
+    let arity = inst.arity();
+    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
+    let mut delta = SpecDelta::new();
+    match rng.gen_range(0..12u32) {
+        // Insert a fresh reading (possibly for a brand-new entity).
+        0..=3 => {
+            let eid = Eid(rng.gen_range(0..4u64));
+            let values: Vec<Value> = (0..arity)
+                .map(|_| Value::int(rng.gen_range(0..3)))
+                .collect();
+            delta.insert_tuple(T, Tuple::new(eid, values));
+        }
+        // Retract a reading (mappings onto it cascade away).
+        4..=6 if !live.is_empty() => {
+            delta.remove_tuple(T, live[rng.gen_range(0..live.len())]);
+        }
+        // Learn a currency constraint: mostly monotone, sometimes the
+        // premise-free falsum.
+        7 => {
+            if rng.gen_range(0..3u32) == 0 {
+                delta.add_constraint(value_falsum(T));
+            } else {
+                let attr = AttrId(rng.gen_range(0..arity) as u32);
+                let dc = DenialConstraint::builder(T, 2)
+                    .when_cmp(Term::attr(0, attr), CmpOp::Gt, Term::attr(1, attr))
+                    .then_order(1, attr, 0)
+                    .build()
+                    .expect("valid constraint");
+                delta.add_constraint(dc);
+            }
+        }
+        // Extend the copy function: mirror an unmapped target reading
+        // into the source (same values, the generator's shifted entity)
+        // and map it, linking the two cells once a second mapping of the
+        // entity lands.
+        _ => {
+            let unmapped = live
+                .iter()
+                .copied()
+                .find(|&t| spec.copies().len() == 1 && spec.copies()[0].mapping(t).is_none());
+            if let Some(target) = unmapped {
+                let t = inst.tuple(target).clone();
+                let source_id = TupleId(spec.instance(SRC).len() as u32);
+                delta
+                    .insert_tuple(SRC, Tuple::new(Eid(t.eid.0 + 100), t.values.clone()))
+                    .extend_copy(0, target, source_id);
+            } else {
+                delta.insert_tuple(T, Tuple::new(Eid(1), vec![Value::int(1); arity]));
+            }
+        }
+    }
+    if delta.is_empty() {
+        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
+    }
+    delta
+}
+
+/// What a run of rounds exercised, so the sweep can prove it reached
+/// linked components, falsum components and real compaction.
+#[derive(Default)]
+struct Coverage {
+    linked_components: usize,
+    falsum_components: usize,
+    reclaimed: usize,
+}
+
+/// Every live slot: engine encoding, streamed compile and reference
+/// compile agree; the partition is the reference partition.
+fn check(
+    engine: &CurrencyEngine<'_>,
+    scratch: &mut CompileScratch,
+    coverage: &mut Coverage,
+    seed: u64,
+    step: usize,
+) {
+    let spec = engine.spec();
+    let value_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
+    let mode = engine.options().transitivity;
+    let partition = engine.partition();
+    let compiler = ComponentCompiler::new(spec, &value_rels, mode);
+    let mut components = Vec::new();
+    for slot in 0..partition.slots() {
+        let component = partition.component(slot);
+        if component.cells.is_empty() {
+            continue;
+        }
+        components.push(component.cells.clone());
+        let reference = reference_encoding(spec, &value_rels, component, mode).shape();
+        let streamed = compiler.compile(component, scratch).shape();
+        assert_eq!(
+            streamed, reference,
+            "seed {seed} step {step} slot {slot}: streamed compile"
+        );
+        assert_eq!(
+            engine.slot_shape(slot),
+            reference,
+            "seed {seed} step {step} slot {slot}: engine encoding"
+        );
+        coverage.linked_components += usize::from(component.cells.len() > 1);
+        coverage.falsum_components += usize::from(reference.ground_falsum);
+    }
+    components.sort();
+    let expected: Vec<BTreeSet<(RelId, Eid)>> = reference_components(spec);
+    assert_eq!(components, expected, "seed {seed} step {step}: partition");
+}
+
+fn identity_round(seed: u64, coverage: &mut Coverage) {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_c0de);
+    let opts = Options {
+        transitivity: if seed.is_multiple_of(5) {
+            TransitivityMode::Eager
+        } else {
+            TransitivityMode::Lazy
+        },
+        // Tombstones are reclaimed by the explicit steps below only.
+        auto_compact_tombstones: 0,
+        ..Options::default()
+    };
+    let mut engine = CurrencyEngine::new_owned(spec_for(seed), &opts).expect("valid spec");
+    let mut scratch = CompileScratch::default();
+    check(&engine, &mut scratch, coverage, seed, 0);
+    for step in 1..=STEPS {
+        if rng.gen_range(0..4u32) == 0 {
+            let budget = CompactBudget {
+                max_pause: Duration::from_secs(60),
+                max_slots_per_step: rng.gen_range(1..4),
+            };
+            coverage.reclaimed += engine
+                .compact_step(&budget)
+                .expect("compaction step")
+                .reclaimed;
+        } else {
+            let delta = random_delta(engine.spec(), &mut rng);
+            engine.apply(&delta).expect("admissible delta");
+        }
+        check(&engine, &mut scratch, coverage, seed, step);
+    }
+}
+
+/// Run `seeds` and require that they reached every case.
+fn sweep(seeds: std::ops::Range<u64>) {
+    let mut coverage = Coverage::default();
+    for seed in seeds {
+        identity_round(seed, &mut coverage);
+    }
+    assert!(coverage.linked_components > 0, "no copy-linked component");
+    assert!(coverage.falsum_components > 0, "no falsum component");
+    assert!(coverage.reclaimed > 0, "no compaction reclaimed a slot");
+}
+
+/// The CI anchor: `SEEDS` consecutive seeds starting at `CHAOS_SEED`.
+#[test]
+fn pinned_seed_range_encoding_identity() {
+    let first = first_seed();
+    sweep(first..first + SEEDS);
+}
+
+/// The low seeds the `engine_differential` sweeps start from, so the two
+/// suites cover the same specifications.
+#[test]
+fn engine_differential_seeds_compile_identically() {
+    sweep(0..if cfg!(debug_assertions) { 50 } else { 1_000 });
+}
+
+/// The stream really reaches the premise-free falsum: some seed's engine
+/// holds a falsum component, and the identity holds there too.
+#[test]
+fn falsum_components_compile_identically() {
+    let mut spec = spec_for(1);
+    spec.add_constraint(value_falsum(T))
+        .expect("valid constraint");
+    let engine = CurrencyEngine::new_owned(spec, &Options::default()).expect("valid spec");
+    let mut scratch = CompileScratch::default();
+    check(&engine, &mut scratch, &mut Coverage::default(), 1, 0);
+    let partition = engine.partition();
+    let falsum = (0..partition.slots()).any(|slot| engine.slot_shape(slot).ground_falsum);
+    let violating = engine
+        .spec()
+        .instance(T)
+        .tuples()
+        .any(|(_, t)| t.value(AttrId(0)) == &Value::int(1));
+    assert_eq!(falsum, violating);
+}
