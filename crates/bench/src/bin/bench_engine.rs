@@ -30,7 +30,7 @@ use currency_datagen::random::{random_spec, RandomSpecConfig};
 use currency_obs::{HistogramSnapshot, RingRecorder};
 use currency_reason::{
     certain_answers_exact_monolithic, cop_exact_monolithic, CompactBudget, CurrencyEngine,
-    EngineStats, Options, ReasonError, ShardedEngine, SnapshotEngine, SolveLimits,
+    EngineStats, Options, ReasonError, ShardedEngine, SnapshotReader, SolveLimits,
     TransitivityMode,
 };
 use currency_serve::{CurrencyServe, ServeError, ServeOptions, ServeRequest, ServeStats};
@@ -337,8 +337,8 @@ struct CompactScale {
     reference_ns: f64,
     byte_identical: bool,
     parity: bool,
-    /// `SnapshotEngine::compact` (the serving writer's full compaction)
-    /// on the same dirty specification.
+    /// `CurrencyServe::compact` (the serving writer's full compaction,
+    /// published) on the same dirty specification.
     serve_compact_ns: f64,
     /// The serving writer's compacted specification is wire-byte-identical
     /// to the reference sweep's.
@@ -613,9 +613,9 @@ fn main() {
         }
         // Four sweeps over the same dirty specification: the core-layer
         // reference (`Specification::compact`, the oracle), the budgeted
-        // incremental drain on a twin engine, the serving writer's full
-        // `SnapshotEngine::compact()` (what `CurrencyServe::compact`
-        // runs), and `CurrencyEngine::compact()` below.  The drain must
+        // incremental drain on a twin engine, the serving front door's
+        // full `CurrencyServe::compact()`, and `CurrencyEngine::compact()`
+        // below.  The drain must
         // stay under the per-step pause bound, reclaim exactly what the
         // reference does, and leave the specification wire-byte-identical
         // to it; the serving compaction must be byte-identical too and
@@ -625,13 +625,16 @@ fn main() {
         let t = Instant::now();
         let ref_report = ref_spec.compact();
         let reference_ns = t.elapsed().as_nanos() as f64;
-        let mut serve_writer =
-            SnapshotEngine::with_value_rels(dirty.clone(), &[], &opts).expect("valid dirty spec");
+        let serve_writer = CurrencyServe::from_engine(
+            CurrencyEngine::with_value_rels_owned(dirty.clone(), &[], &opts)
+                .expect("valid dirty spec"),
+            &ServeOptions::default(),
+        );
         let t = Instant::now();
         let serve_step = serve_writer.compact().unwrap();
         let serve_compact_ns = t.elapsed().as_nanos() as f64;
         let serve_identical = serve_step.reclaimed == ref_report.reclaimed
-            && wire::encode_spec(serve_writer.spec()) == wire::encode_spec(&ref_spec);
+            && wire::encode_spec(serve_writer.snapshot().spec()) == wire::encode_spec(&ref_spec);
         drop(serve_writer);
         let mut inc =
             CurrencyEngine::with_value_rels_owned(dirty, &[], &opts).expect("valid dirty spec");
@@ -714,9 +717,9 @@ fn main() {
     let large_ratio = large_per_delta[1] / large_per_delta[0];
 
     // ------------------------------------------------------------------
-    // The same insert+retract pair on the serving writer
-    // (`SnapshotEngine::apply`, what every `CurrencyServe` runs) at 1×
-    // and 4×.  Each apply publishes a snapshot that shares the spec,
+    // The same insert+retract pair through the serving front door
+    // (`CurrencyServe::apply`) at 1× and 4×.  Each apply publishes a
+    // snapshot that shares the spec,
     // partition and slot pages with the writer, so the pair copies only
     // the pages it dirties; its cost must stay flat as the spec grows.
     // The two scales race in paired, order-alternated rounds so drift
@@ -728,33 +731,33 @@ fn main() {
         "serve_large: entities = {large_base} vs {} (paired)",
         large_base * 4
     );
+    // The published encodings before any delta are all of one shape, so
+    // the mean is each component's footprint.
+    let per_component = |st: &EngineStats| {
+        [
+            st.encoding_bytes / st.components.max(1),
+            st.partition_bytes / st.components.max(1),
+        ]
+    };
     let serve_large_writer = |entities: usize| {
-        let writer = SnapshotEngine::with_value_rels(
+        let writer = CurrencyEngine::with_value_rels_owned(
             scenarios::large_spec(entities),
             &[],
             &Options::default(),
         )
         .expect("valid spec");
-        (writer, 0u64)
+        let bytes = per_component(&writer.stats());
+        let serve = CurrencyServe::from_engine(writer, &ServeOptions::default());
+        ((serve, 0u64), bytes)
     };
-    let (mut serve_1x, mut serve_4x) = (
+    let ((mut serve_1x, bytes_1x), (mut serve_4x, bytes_4x)) = (
         serve_large_writer(large_base),
         serve_large_writer(large_base * 4),
     );
-    // The published encodings before any delta: all of one shape, so the
-    // mean is each component's footprint.
-    let per_component = |st: EngineStats| st.encoding_bytes / st.components.max(1);
-    let component_bytes = [
-        per_component(serve_1x.0.stats()),
-        per_component(serve_4x.0.stats()),
-    ];
-    let partition_per_component = |st: EngineStats| st.partition_bytes / st.components.max(1);
-    let partition_bytes = [
-        partition_per_component(serve_1x.0.stats()),
-        partition_per_component(serve_4x.0.stats()),
-    ];
+    let component_bytes = [bytes_1x[0], bytes_4x[0]];
+    let partition_bytes = [bytes_1x[1], bytes_4x[1]];
     let insert = scenarios::large_insert_delta();
-    let serve_pairs = |(writer, copied): &mut (SnapshotEngine, u64)| {
+    let serve_pairs = |(writer, copied): &mut (CurrencyServe, u64)| {
         for _ in 0..SERVE_LARGE_PAIRS_PER_ROUND {
             let report = writer.apply(&insert).unwrap();
             let (rel, id) = report.inserted[0];
@@ -1319,8 +1322,8 @@ fn main() {
     eprintln!("robustness: interrupted COP + overload burst");
     let robust_spec = scenarios::amortized_spec(UPDATE_ENTITIES);
     let robust_queries = scenarios::amortized_cop_queries(&robust_spec);
-    let snap = SnapshotEngine::new(robust_spec.clone(), &Options::default()).expect("valid spec");
-    let mut bounded = snap.reader();
+    let mut snap = CurrencyEngine::new(&robust_spec, &Options::default()).expect("valid spec");
+    let mut bounded = SnapshotReader::new(snap.snapshot());
     bounded.set_solve_limits(Some(SolveLimits {
         max_conflicts: Some(1),
         max_props: Some(1),
@@ -1765,7 +1768,7 @@ fn main() {
             eprintln!(
                 "REGRESSION: the serving writer's compact() took {:.1} ms (bound \
                  {COMPACT_MAX_PAUSE_MS} ms, byte_identical: {serve_compact_identical}) — \
-                 SnapshotEngine::compact drifted from the step path",
+                 CurrencyServe::compact drifted from the step path",
                 serve_compact_max_ns / 1e6
             );
         }

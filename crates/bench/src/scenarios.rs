@@ -226,7 +226,7 @@ pub fn big_group_spec(n: usize) -> Specification {
 /// The scaling workload: build an engine over [`big_group_spec`] with the
 /// given transitivity mode, decide CPS, and answer one certain COP query.
 /// Returns the engine so callers can read its stats.
-pub fn big_group_workload(spec: &Specification, mode: TransitivityMode) -> CurrencyEngine<'_> {
+pub fn big_group_workload(spec: &Specification, mode: TransitivityMode) -> CurrencyEngine {
     let opts = Options {
         transitivity: mode,
         threads: 1,

@@ -1,68 +1,82 @@
-//! The entity-partitioned incremental reasoning engine.
+//! The entity-partitioned incremental reasoning engine: the one writer.
 //!
 //! [`CurrencyEngine`] compiles a specification **once** into per-component
-//! cached solvers (see [`crate::partition`]) and answers repeated
+//! solved encodings (see [`crate::partition`]) and answers repeated
 //! CPS/COP/DCIP/CCQA/witness queries incrementally:
 //!
 //! * **compile once** — each entity component's CNF is built a single time
 //!   ([`crate::encode::ComponentCompiler`]), grounding the component's
 //!   constraints and copy obligations for its cells straight into its
-//!   solver;
-//! * **solve incrementally** — consistency verdicts are cached per
-//!   component, entailment queries run as assumption-based calls
-//!   (`solve_with_assumptions`) against only the component a pair
-//!   touches, and learnt clauses accumulate across queries.  With the
-//!   default [`crate::TransitivityMode::Lazy`], transitivity lemmas
-//!   discovered by refinement also persist in each cached component
-//!   solver, so refinement work amortizes across the query stream;
+//!   solver, and solved right away under the engine's
+//!   [`Options::solve_limits`] / deadline, so the verdict, learnt clauses
+//!   and lazy-transitivity lemmas are baked into the slot.  A solve the
+//!   bounds interrupt leaves the slot *undecided* (never unsat, and never
+//!   a failed write); [`CurrencyEngine::cps`] re-tries it;
+//! * **solve incrementally** — the aggregate verdict is a count of
+//!   unsatisfiable slots plus the set of undecided ones, so a CPS at
+//!   steady state is a field read.  Entailment queries (COP) run as
+//!   assumption-based calls against a private copy of only the component
+//!   a pair touches, kept in the engine's one solver scratch, where
+//!   learnt clauses accumulate across queries;
 //! * **enumerate locally** — current-instance enumeration projects onto
 //!   one component's value indicators at a time, so order differences in
 //!   unrelated components never multiply the model count, and All-SAT
-//!   blocking clauses go to a throwaway clone of the component solver;
-//! * **parallelize** — component compilation and component solves fan out
-//!   across threads ([`crate::Options::threads`]);
+//!   blocking clauses go to a throwaway clone of the component encoding;
+//! * **parallelize** — component compilation and solving fan out across
+//!   threads ([`crate::Options::threads`]);
 //! * **update in place** — [`CurrencyEngine::apply`] feeds a
 //!   [`SpecDelta`] through the engine: the owned specification mutates,
 //!   the entity partition is maintained incrementally
 //!   ([`Partition::refresh`]), and **only the touched component slots**
-//!   are recompiled — every clean component keeps its cached solver,
-//!   learnt clauses, lazy-transitivity lemmas and satisfiability verdict,
-//!   *in place*: component slots are stable, so nothing is remapped,
-//!   moved, or even looked at outside the dirty region.  The aggregate
-//!   consistency verdict is maintained the same way (a count of known
-//!   unsatisfiable slots plus the set of undecided ones), so a
-//!   component-local delta followed by a [`CurrencyEngine::cps`] costs
-//!   one component compile and one component solve — O(dirty region),
-//!   independent of how many components the engine holds;
+//!   are recompiled and re-solved — every clean component keeps its
+//!   compiled encoding and verdict *in place*: component slots are
+//!   stable, so nothing is remapped, moved, or even looked at outside the
+//!   dirty region.  A component-local delta followed by a
+//!   [`CurrencyEngine::cps`] costs one component compile and one
+//!   component solve — O(dirty region), independent of how many
+//!   components the engine holds;
 //! * **compact in steps** — retraction tombstones accumulate one dead
 //!   tuple slot each ([`currency_core::TemporalInstance::remove_tuple`]);
 //!   [`CurrencyEngine::compact_step`] reclaims them in bounded slices,
 //!   remapping tuple ids and recompiling only the components whose tuples
-//!   moved.  [`CurrencyEngine::compact`] is the same step with no bound.
+//!   moved.  [`CurrencyEngine::compact`] is the same step with no bound;
+//! * **snapshot** — the specification, the partition and the slot vector
+//!   are paged copy-on-write containers ([`currency_core::cow`]).
+//!   [`CurrencyEngine::snapshot`] freezes them into an immutable
+//!   [`EngineSnapshot`] in O(top level); the next write copies only the
+//!   chunks and pages it dirties ([`ApplyReport::pages_copied`]).  An
+//!   engine nobody snapshots mutates every page in place.  The serving
+//!   front door (`currency-serve`'s `CurrencyServe`) publishes a snapshot
+//!   after every write; the durable store and the sharded engine never
+//!   take one.
 //!
-//! The monolithic one-shot path (`Encoding::new` over the whole
-//! specification) remains available as the `*_monolithic` functions in
-//! the problem modules and is differentially tested against the engine.
+//! Queries run over the same borrowed view of the state as the
+//! snapshots' queries (see [`crate::snapshot`]), so each query path
+//! exists once.  The monolithic one-shot path (`Encoding::new` over the
+//! whole specification) remains available as the `*_monolithic`
+//! functions in the problem modules and is differentially tested against
+//! the engine.
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
-use crate::encode::{Bounds, Encoding};
-use crate::encode::{CompileScratch, ComponentCompiler};
+use crate::encode::{Bounds, CompileScratch, ComponentCompiler, Encoding};
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
-use crate::partition::{Partition, RefreshPlan, RefreshScratch};
+use crate::partition::{Component, Partition, RefreshPlan, RefreshScratch};
+use crate::snapshot::{EngineSnapshot, SlotView, SolverScratch, View};
 use crate::{CompactBudget, Options};
+use currency_core::cow::{pages_copied, PagedVec};
 use currency_core::{
-    AttrId, CompactSlice, CompactStepReport, Completion, Eid, NormalInstance, RelCompletion, RelId,
-    SpecDelta, Specification, Tuple, TupleId, Value,
+    CompactSlice, CompactStepReport, Completion, Eid, NormalInstance, RelId, SpecDelta,
+    Specification, TupleId, Value,
 };
-use currency_obs::SpanGuard;
-use currency_query::{Database, Query};
-use currency_sat::{Enumeration, SolveResult, SolverStats};
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use currency_obs::{SpanGuard, TraceEvent, TraceKind};
+use currency_query::Query;
+use currency_sat::{SolveResult, SolverStats};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Aggregate counters across an engine's component solvers.
 #[derive(Clone, Copy, Debug, Default)]
@@ -105,21 +119,30 @@ pub struct EngineStats {
     pub recoveries: usize,
     /// Deltas re-applied from log suffixes across all recoveries.
     pub deltas_replayed: usize,
-    /// Aggregated CDCL counters.
+    /// Aggregated CDCL counters of the slot encodings.
     pub sat: SolverStats,
 }
 
 /// What one [`CurrencyEngine::apply`] call did.
 #[derive(Clone, Debug)]
 pub struct ApplyReport {
-    /// Components recompiled by this delta.
+    /// The engine's epoch after this delta ([`CurrencyEngine::epoch`]);
+    /// a front door that publishes after every write publishes this
+    /// delta under it.
+    pub epoch: u64,
+    /// Components recompiled (and re-solved) by this delta.
     pub components_rebuilt: usize,
-    /// Components whose cached solver state was carried over untouched.
+    /// Components whose compiled state was carried over untouched.
     pub components_reused: usize,
     /// Number of `(relation, entity)` cells the delta touched.
     pub cells_touched: usize,
     /// Ids assigned to tuples the delta inserted, in operation order.
     pub inserted: Vec<(RelId, TupleId)>,
+    /// Copy-on-write pages and chunks this delta (and its auto-compaction
+    /// step) copied because a snapshot still shared them: O(dirty
+    /// region), independent of the specification's size, and zero on an
+    /// engine nobody snapshots.
+    pub pages_copied: u64,
     /// The bounded compaction step the
     /// [`Options::auto_compact_tombstones`] policy ran after this delta,
     /// if any.  It invalidates only the tuple ids its slices remapped:
@@ -129,153 +152,29 @@ pub struct ApplyReport {
     pub compact_step: Option<CompactStepReport>,
 }
 
-struct ComponentState {
-    enc: Encoding,
-    /// Cached satisfiability of the component (`None` = not yet solved).
-    status: Option<bool>,
-}
-
-/// Incrementally maintained aggregate-consistency cache.
-///
-/// Invariant (per slot, guarded by the slot's own component lock for the
-/// status side and by this cache's lock for the set side): a slot's
-/// `status` is `None` **iff** the slot is in `unsolved`, and `unsat`
-/// counts the slots whose `status` is `Some(false)`.  [`CurrencyEngine::cps`]
-/// is then "drain `unsolved`, check `unsat == 0`" — after a delta only
-/// the rebuilt slots are in `unsolved`, so re-deciding consistency is
-/// O(dirty region), never a sweep of all components.
-#[derive(Debug, Default)]
-struct CpsCache {
-    /// Slots whose satisfiability has not been decided yet.
-    unsolved: BTreeSet<usize>,
-    /// Decided slots that are unsatisfiable.
-    unsat: usize,
-}
-
-/// Retire a slot's old status from the cache (the slot is about to be
-/// replaced or re-solved).
-fn retire_status(cache: &mut CpsCache, slot: usize, status: Option<bool>) {
-    match status {
-        Some(false) => cache.unsat -= 1,
-        Some(true) => {}
-        None => {
-            cache.unsolved.remove(&slot);
-        }
-    }
-}
-
-/// One component's model chains: `(rel, attr, eid, least → most current)`.
-type ComponentChains = Vec<(RelId, AttrId, Eid, Vec<TupleId>)>;
-
-/// One component's contribution to a product enumeration: the component
-/// index, the restricted-projection indices, and the projected models.
-/// Shared with the epoch-published snapshot path ([`crate::snapshot`]),
-/// which enumerates against immutable encodings instead of locked slots.
-pub(crate) struct ComponentModels {
-    pub(crate) comp: usize,
-    pub(crate) indices: Vec<usize>,
-    pub(crate) models: Vec<Vec<bool>>,
-}
-
-/// Guard the composed cross-component product against the model budget.
-pub(crate) fn check_product_budget(
-    per_comp: &[ComponentModels],
-    max_models: usize,
-    what: &'static str,
-) -> Result<(), ReasonError> {
-    let mut product: usize = 1;
-    for cm in per_comp {
-        product = product.saturating_mul(cm.models.len().max(1));
-        if product > max_models {
-            return Err(ReasonError::BudgetExceeded {
-                what,
-                budget: max_models,
-                spent: product,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Run `f` on the decoded rows of every combination of per-component
-/// model choices (odometer over the product); `f` returning `false` stops
-/// the iteration.  With no components, `f` runs once with no rows (the
-/// empty product has one element).  `decode` turns one component's chosen
-/// model into rows — the engine decodes under the component's lock, the
-/// snapshot path against its immutable per-slot encoding.
-///
-/// The odometer itself can run for `max_models` combinations even though
-/// every individual solve finished, so it re-checks `deadline` every
-/// [`COMBINATION_CHECK`] combinations and surfaces
-/// [`ReasonError::Interrupted`] on expiry.
-pub(crate) fn for_each_combination(
-    per_comp: &[ComponentModels],
-    deadline: Option<std::time::Instant>,
-    mut decode: impl FnMut(&ComponentModels, &[bool]) -> Vec<(RelId, Tuple)>,
-    mut f: impl FnMut(Vec<(RelId, Tuple)>) -> bool,
-) -> Result<(), ReasonError> {
-    let mut pick = vec![0usize; per_comp.len()];
-    let mut combos: u64 = 0;
-    loop {
-        if let Some(d) = deadline {
-            if combos.is_multiple_of(COMBINATION_CHECK) && std::time::Instant::now() >= d {
-                return Err(ReasonError::Interrupted {
-                    spent: crate::Spent::default(),
-                });
-            }
-            combos += 1;
-        }
-        let mut rows: Vec<(RelId, Tuple)> = Vec::new();
-        for (k, cm) in per_comp.iter().enumerate() {
-            rows.extend(decode(cm, &cm.models[pick[k]]));
-        }
-        if !f(rows) {
-            return Ok(());
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        loop {
-            if i == per_comp.len() {
-                return Ok(());
-            }
-            pick[i] += 1;
-            if pick[i] < per_comp[i].models.len() {
-                break;
-            }
-            pick[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-/// How often (in combinations) the odometer consults the wall clock.
-/// The first combination always checks, so an already-expired deadline
-/// interrupts before any row is decoded.
-pub(crate) const COMBINATION_CHECK: u64 = 1024;
-
 /// Internal scan granularity of one compaction slice: a step's slot
 /// budget is consumed in slices of at most this many slots, so the
 /// wall-clock deadline of [`CurrencyEngine::compact_step`] is consulted
 /// at least once per `SLICE_QUANTUM` slots scanned.
-pub(crate) const SLICE_QUANTUM: usize = 1024;
+const SLICE_QUANTUM: usize = 1024;
 
 /// Execute one compaction step's slices on `spec`: slices of at most
 /// `quantum` slots until `max_slots` are scanned, `deadline` passes, or
 /// the specification is drained.  The deadline is checked between
 /// slices and at least one slice always runs, so progress is
-/// guaranteed.  Both writers run their steps through this.
-pub(crate) fn run_slices(
+/// guaranteed.
+fn run_slices(
     spec: &mut Specification,
     max_slots: usize,
     quantum: usize,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
 ) -> CompactStepReport {
     let mut step = CompactStepReport::default();
     let max_slots = max_slots.max(1);
     let mut scanned = 0usize;
     while scanned < max_slots {
         if let Some(d) = deadline {
-            if !step.slices.is_empty() && std::time::Instant::now() >= d {
+            if !step.slices.is_empty() && Instant::now() >= d {
                 break;
             }
         }
@@ -295,16 +194,13 @@ pub(crate) fn run_slices(
 }
 
 /// The cells a compaction step's slices remapped a tuple into — the
-/// dirty region both writers rebuild after a step.  Moved tuples keep
-/// their slots through the step's later slices (later slices only write
-/// at or above this slice's final write position), so `tuple(new)` is
-/// the tuple the table names.  Dead slots need no cell: retraction
-/// already rebuilt their cells when it removed them from their entity
-/// groups, and reclaiming the slot renames no live id.
-pub(crate) fn remapped_cells(
-    spec: &Specification,
-    slices: &[CompactSlice],
-) -> BTreeSet<(RelId, Eid)> {
+/// dirty region rebuilt after a step.  Moved tuples keep their slots
+/// through the step's later slices (later slices only write at or above
+/// this slice's final write position), so `tuple(new)` is the tuple the
+/// table names.  Dead slots need no cell: retraction already rebuilt
+/// their cells when it removed them from their entity groups, and
+/// reclaiming the slot renames no live id.
+fn remapped_cells(spec: &Specification, slices: &[CompactSlice]) -> BTreeSet<(RelId, Eid)> {
     let mut touched = BTreeSet::new();
     for slice in slices {
         let inst = spec.instance(slice.rel);
@@ -315,109 +211,107 @@ pub(crate) fn remapped_cells(
     touched
 }
 
-/// Fold the certain-answer intersection over every realizable combination
-/// of current instances (the common tail of the engine's and the
-/// snapshot's `certain_answers`).
-pub(crate) fn intersect_certain_answers(
-    query: &Query,
-    rels: &[RelId],
-    per_comp: &[ComponentModels],
-    deadline: Option<std::time::Instant>,
-    decode: impl FnMut(&ComponentModels, &[bool]) -> Vec<(RelId, Tuple)>,
-) -> Result<CertainAnswers, ReasonError> {
-    let mut certain: Option<BTreeSet<Vec<Value>>> = None;
-    for_each_combination(per_comp, deadline, decode, |rows| {
-        let mut insts: BTreeMap<RelId, NormalInstance> = rels
-            .iter()
-            .map(|&rel| (rel, NormalInstance::new(rel)))
-            .collect();
-        for (rel, t) in rows {
-            insts.get_mut(&rel).expect("requested relation").push(t);
-        }
-        let dbs: Vec<NormalInstance> = insts.into_values().collect();
-        let db = Database::new(&dbs);
-        let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
-        let next = match certain.take() {
-            None => answers,
-            Some(acc) => acc.intersection(&answers).cloned().collect(),
-        };
-        let keep_going = !next.is_empty(); // the intersection can only shrink
-        certain = Some(next);
-        keep_going
-    })?;
-    Ok(CertainAnswers::Answers(
-        certain.unwrap_or_default().into_iter().collect(),
-    ))
+/// Compile one component and solve it under `bounds` right away, so the
+/// slot carries its verdict, learnt clauses and lazy lemmas (an
+/// interrupted solve leaves the verdict undecided).  The slot keeps a
+/// clone: exactly sized, with the build's doubling buffers freed
+/// together.  Slot encodings are only read and cloned from then on and
+/// live among encodings built at other times, so packing them keeps the
+/// heap from fragmenting on a long delta stream.
+fn compile_slot(
+    compiler: &ComponentCompiler<'_>,
+    component: &Arc<Component>,
+    scratch: &mut CompileScratch,
+    bounds: &Bounds,
+    obs: &EngineObs,
+    gen: u64,
+) -> SlotView {
+    let mut enc = compiler.compile(component, scratch);
+    let clock = obs.clock();
+    let outcome = enc.solve_bounded(bounds);
+    // A fresh encoding's absolute counters are the solve's delta.
+    obs.record_solve(clock, &SolverStats::default(), &enc.solver_stats());
+    SlotView {
+        enc: Arc::new(enc.clone()),
+        sat: outcome.ok().map(|r| r == SolveResult::Sat),
+        gen,
+    }
 }
 
-/// The compiled, query-ready form of a specification.
+/// The compiled, query-ready form of a specification, and its only
+/// writer.
 ///
 /// Construction cost is paid once; queries touch only the components they
-/// involve.  All query methods take `&self` — component solvers sit
-/// behind mutexes, so engines are `Sync` and queries on distinct
-/// components proceed in parallel.
-///
-/// The engine holds its specification as a [`Cow`]: compiled from a
-/// borrowed specification it stays zero-copy, and the first
-/// [`CurrencyEngine::apply`] promotes it to an owned copy that mutates in
-/// place from then on — either way the compiled clauses can never drift
-/// from the specification the engine answers for.  Engines meant to live
-/// beyond their construction scope can take ownership up front with
-/// [`CurrencyEngine::new_owned`].
-pub struct CurrencyEngine<'a> {
-    spec: Cow<'a, Specification>,
-    value_rels: Vec<RelId>,
-    partition: Partition,
-    /// Buffers lent to every [`Partition::refresh`].
+/// involve.  All query methods take `&self`: COP solves on a private
+/// copy of the pair's component kept in the engine's one solver scratch
+/// (behind a single lock, so COPs on one engine run one at a time), and
+/// every other query reads the shared slot encodings and enumerates on
+/// throwaway clones.  Concurrent readers take an [`EngineSnapshot`]
+/// ([`CurrencyEngine::snapshot`]) each and query it through their own
+/// [`crate::SnapshotReader`].
+pub struct CurrencyEngine {
+    spec: Arc<Specification>,
+    value_rels: Arc<Vec<RelId>>,
+    partition: Arc<Partition>,
+    /// Buffers lent to every [`Partition::refresh`] (kept out of the
+    /// partition so snapshots carry none).
     refresh_scratch: RefreshScratch,
     /// Buffers lent to every component compile run inline.
     compile_scratch: CompileScratch,
     /// Per-slot compiled state, aligned with the partition's slots
-    /// (vacant slots hold a trivially satisfiable [`Encoding::vacant`]).
-    components: Vec<Mutex<ComponentState>>,
+    /// (vacant slots hold the shared trivially satisfiable `vacant`).
+    slots: PagedVec<SlotView>,
+    vacant: Arc<Encoding>,
+    /// Slots whose encoding is known unsatisfiable.
+    unsat: usize,
     /// Slots whose encoding grounded a premise-free falsum rule
     /// ([`Encoding::has_ground_falsum`]): while any exists the
     /// specification is inconsistent regardless of order choices.
     falsum_slots: usize,
-    /// O(dirty region) aggregate-consistency cache (see [`CpsCache`]).
-    cps_cache: Mutex<CpsCache>,
+    /// Slots whose compile-time solve the bounds interrupted.
+    undecided: BTreeSet<usize>,
+    /// The last compile generation handed to a slot.
+    generation: u64,
+    epoch: u64,
     opts: Options,
+    /// The private solver copies COP (and the re-solve of an undecided
+    /// slot) run on.
+    scratch: Mutex<SolverScratch>,
     /// Metric handles + trace recorder (see [`EngineObs`]); also the
     /// only store of the lifetime counts [`CurrencyEngine::stats`]
     /// reports.
     obs: EngineObs,
 }
 
-impl<'a> CurrencyEngine<'a> {
-    /// Compile `spec` with value indicators for **every** relation, so all
-    /// query kinds (including DCIP/CCQA over any relation) are available.
-    pub fn new(spec: &'a Specification, opts: &Options) -> Result<CurrencyEngine<'a>, ReasonError> {
-        let value_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
-        CurrencyEngine::with_value_rels(spec, &value_rels, opts)
+impl CurrencyEngine {
+    /// Compile a copy of `spec` with value indicators for **every**
+    /// relation, so all query kinds (including DCIP/CCQA over any
+    /// relation) are available.  The copy shares `spec`'s pages until the
+    /// engine writes them.
+    pub fn new(spec: &Specification, opts: &Options) -> Result<CurrencyEngine, ReasonError> {
+        CurrencyEngine::new_owned(spec.clone(), opts)
     }
 
-    /// Compile `spec` with value indicators for `value_rels` only.
+    /// Compile a copy of `spec` with value indicators for `value_rels`
+    /// only.
     ///
     /// DCIP/CCQA queries are then limited to those relations; CPS, COP and
     /// witness queries are always available.  Pass `&[]` for the leanest
     /// engine when only consistency/ordering queries are needed.
     pub fn with_value_rels(
-        spec: &'a Specification,
+        spec: &Specification,
         value_rels: &[RelId],
         opts: &Options,
-    ) -> Result<CurrencyEngine<'a>, ReasonError> {
-        CurrencyEngine::build(Cow::Borrowed(spec), value_rels, opts)
+    ) -> Result<CurrencyEngine, ReasonError> {
+        CurrencyEngine::with_value_rels_owned(spec.clone(), value_rels, opts)
     }
 
     /// [`CurrencyEngine::new`], taking ownership of the specification —
     /// the natural form for a long-lived engine fed by
     /// [`CurrencyEngine::apply`].
-    pub fn new_owned(
-        spec: Specification,
-        opts: &Options,
-    ) -> Result<CurrencyEngine<'static>, ReasonError> {
+    pub fn new_owned(spec: Specification, opts: &Options) -> Result<CurrencyEngine, ReasonError> {
         let value_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
-        CurrencyEngine::build(Cow::Owned(spec), &value_rels, opts)
+        CurrencyEngine::with_value_rels_owned(spec, &value_rels, opts)
     }
 
     /// [`CurrencyEngine::with_value_rels`], taking ownership of the
@@ -426,43 +320,53 @@ impl<'a> CurrencyEngine<'a> {
         spec: Specification,
         value_rels: &[RelId],
         opts: &Options,
-    ) -> Result<CurrencyEngine<'static>, ReasonError> {
-        CurrencyEngine::build(Cow::Owned(spec), value_rels, opts)
-    }
-
-    fn build<'s>(
-        spec: Cow<'s, Specification>,
-        value_rels: &[RelId],
-        opts: &Options,
-    ) -> Result<CurrencyEngine<'s>, ReasonError> {
+    ) -> Result<CurrencyEngine, ReasonError> {
         spec.validate()?;
+        let value_rels = Arc::new(value_rels.to_vec());
         let partition = Partition::of(&spec);
+        let obs = EngineObs::new();
         let mut compile_scratch = CompileScratch::default();
-        let compiler = ComponentCompiler::new(spec.as_ref(), value_rels, opts.transitivity);
-        let encodings = run_indexed_with(
+        let compiler = ComponentCompiler::new(&spec, &value_rels, opts.transitivity);
+        let bounds = Bounds::from_options(opts);
+        let slots: PagedVec<SlotView> = run_indexed_with(
             effective_threads(opts),
             partition.slots(),
             &mut compile_scratch,
-            |scratch, ix| Ok(compiler.compile(partition.component(ix), scratch)),
-        )?;
-        let falsum_slots = encodings.iter().filter(|e| e.has_ground_falsum()).count();
-        let components: Vec<Mutex<ComponentState>> = encodings
-            .into_iter()
-            .map(|enc| Mutex::new(ComponentState { enc, status: None }))
-            .collect();
-        let cps_cache = Mutex::new(undecided_cache(components.len()));
-        Ok(CurrencyEngine {
-            spec,
-            value_rels: value_rels.to_vec(),
-            partition,
+            |scratch, ix| {
+                let component = partition.component(ix);
+                Ok(compile_slot(
+                    &compiler,
+                    component,
+                    scratch,
+                    &bounds,
+                    &obs,
+                    ix as u64 + 1,
+                ))
+            },
+        )?
+        .into_iter()
+        .collect();
+        let mut engine = CurrencyEngine {
+            vacant: Arc::new(Encoding::vacant(&value_rels, opts.transitivity)),
+            spec: Arc::new(spec),
+            value_rels,
+            generation: partition.slots() as u64,
+            partition: Arc::new(partition),
             refresh_scratch: RefreshScratch::default(),
             compile_scratch,
-            components,
-            falsum_slots,
-            cps_cache,
+            slots,
+            unsat: 0,
+            falsum_slots: 0,
+            undecided: BTreeSet::new(),
+            epoch: 1,
             opts: *opts,
-            obs: EngineObs::new(),
-        })
+            scratch: Mutex::default(),
+            obs,
+        };
+        for slot in 0..engine.slots.len() {
+            engine.admit(slot);
+        }
+        Ok(engine)
     }
 
     /// The engine's observability bundle (metric handles, recorder).
@@ -484,18 +388,15 @@ impl<'a> CurrencyEngine<'a> {
     /// specification are unchanged and remain fully usable.  On success
     /// the entity partition is refreshed incrementally
     /// ([`Partition::refresh`]): component slots the delta touched (or
-    /// that a new copy obligation links to a touched one) are recompiled,
-    /// in parallel under [`Options::threads`], and patched **in place** —
-    /// slots are stable, so every clean component's compiled CNF, learnt
-    /// clauses, transitivity lemmas and cached satisfiability verdict
-    /// survive without being moved or remapped.  The aggregate CPS cache
-    /// is likewise patched for the changed slots only, so the next
-    /// [`CurrencyEngine::cps`] call solves exactly the rebuilt
-    /// components.  Everything `apply` does is O(dirty region).
+    /// that a new copy obligation links to a touched one) are recompiled
+    /// and re-solved, in parallel under [`Options::threads`], and patched
+    /// **in place** — slots are stable, so every clean component's
+    /// compiled CNF, learnt clauses, transitivity lemmas and verdict
+    /// survive without being moved or remapped, and so do the scratch
+    /// copies COP solved on.  Everything `apply` does is O(dirty region).
     ///
-    /// A borrowed engine clones the specification on its first `apply`
-    /// (`Cow` promotion); subsequent deltas mutate the owned copy in
-    /// place.
+    /// The write bumps [`CurrencyEngine::epoch`] once (its auto-compaction
+    /// step included).
     pub fn apply(&mut self, delta: &SpecDelta) -> Result<ApplyReport, ReasonError> {
         self.apply_inner(delta, true)
     }
@@ -517,18 +418,19 @@ impl<'a> CurrencyEngine<'a> {
         delta: &SpecDelta,
         fire_auto: bool,
     ) -> Result<ApplyReport, ReasonError> {
+        let copied_before = pages_copied();
         let recorder = self.obs.recorder().clone();
         let apply_span = SpanGuard::enter(&*recorder, "engine.apply", 0);
         let parent = apply_span.as_ref().map_or(0, SpanGuard::id);
         let clock = self.obs.clock();
         let validate_span = SpanGuard::enter(&*recorder, "engine.validate", parent);
-        // A rejected delta on a still-borrowed engine must not pay the
-        // Cow promotion (a full spec clone), so validate first; owned
-        // engines skip this — `apply_delta` validates internally.
-        if matches!(self.spec, Cow::Borrowed(_)) {
-            delta.validate(self.spec.as_ref())?;
+        // While a snapshot shares the spec `Arc`, `make_mut` copies its
+        // top level and one pointer per chunk, so a rejected delta must
+        // be caught first; otherwise `apply_delta` validates by itself.
+        if Arc::strong_count(&self.spec) > 1 {
+            delta.validate(&self.spec)?;
         }
-        let effects = self.spec.to_mut().apply_delta(delta)?;
+        let effects = Arc::make_mut(&mut self.spec).apply_delta(delta)?;
         drop(validate_span);
         self.obs.lap(clock, &self.obs.apply_validate_ns);
         let plan = self.rebuild_touched(&effects.touched_cells, parent)?;
@@ -537,10 +439,12 @@ impl<'a> CurrencyEngine<'a> {
             self.obs.apply_ns.record(start.elapsed().as_nanos() as u64);
         }
         let mut report = ApplyReport {
+            epoch: 0, // filled in below
             components_rebuilt: plan.rebuilt(),
             components_reused: plan.reused(),
             cells_touched: effects.touched_cells.len(),
             inserted: effects.inserted,
+            pages_copied: 0, // filled in below
             compact_step: None,
         };
         // Auto-compaction policy: once retraction tombstones accumulate
@@ -552,17 +456,20 @@ impl<'a> CurrencyEngine<'a> {
         // is a pure function of the specification and the options and a
         // log replay reproduces it exactly.
         if fire_auto && self.opts.auto_compact_due(&self.spec) {
-            report.compact_step = Some(self.compact_step_slots(self.opts.auto_compact_slots())?);
+            let max_slots = self.opts.auto_compact_slots();
+            report.compact_step = Some(self.compact_step_inner(max_slots, SLICE_QUANTUM, None)?);
         }
+        report.pages_copied = self.finish_write(copied_before, true);
+        report.epoch = self.epoch;
         Ok(report)
     }
 
-    /// Recompile and patch exactly the components owning `touched` cells
-    /// — the shared tail of [`CurrencyEngine::apply`] and
-    /// [`CurrencyEngine::compact_step`].  Refreshes the partition over
-    /// the dirty region, compiles the rebuilt slots, then patches the
-    /// changed slots and the aggregate CPS cache in place; every clean
-    /// component keeps its cached encoding untouched.
+    /// Recompile, re-solve and patch exactly the slots owning `touched`
+    /// cells — the shared tail of [`CurrencyEngine::apply`] and every
+    /// compaction step.  Refreshes the partition over the dirty region,
+    /// compiles and solves the rebuilt slots, then patches the changed
+    /// slots and the verdict counts in place; every clean component keeps
+    /// its slot untouched.
     fn rebuild_touched(
         &mut self,
         touched: &BTreeSet<(RelId, Eid)>,
@@ -572,67 +479,98 @@ impl<'a> CurrencyEngine<'a> {
         let clock = self.obs.clock();
         let plan = {
             let _span = SpanGuard::enter(&*recorder, "engine.refresh", parent_span);
-            self.partition
-                .refresh(self.spec.as_ref(), touched, &mut self.refresh_scratch)
+            Arc::make_mut(&mut self.partition).refresh(
+                &self.spec,
+                touched,
+                &mut self.refresh_scratch,
+            )
         };
         let clock = self.obs.lap(clock, &self.obs.apply_refresh_ns);
-        // Compile the rebuilt slots (in parallel when the fleet warrants
-        // it) *before* patching any state, so the fallible step cannot
-        // leave the engine half-updated.
-        let transitivity = self.opts.transitivity;
-        let compiled = {
+        // Compile and solve the rebuilt slots (in parallel when the fleet
+        // warrants it) *before* patching any state, so the fallible step
+        // cannot leave the engine half-updated.
+        let first_gen = self.generation + 1;
+        self.generation += plan.rebuilt.len() as u64;
+        let compiled: Vec<SlotView> = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
             let compiler =
-                ComponentCompiler::new(self.spec.as_ref(), &self.value_rels, transitivity);
-            let partition = &self.partition;
-            let rebuilt = &plan.rebuilt;
+                ComponentCompiler::new(&self.spec, &self.value_rels, self.opts.transitivity);
+            let bounds = Bounds::from_options(&self.opts);
+            let (partition, rebuilt, obs) = (self.partition.as_ref(), &plan.rebuilt, &self.obs);
             run_indexed_with(
                 effective_threads(&self.opts),
                 rebuilt.len(),
                 &mut self.compile_scratch,
-                |scratch, k| Ok(compiler.compile(partition.component(rebuilt[k]), scratch)),
+                |scratch, k| {
+                    let component = partition.component(rebuilt[k]);
+                    let gen = first_gen + k as u64;
+                    Ok(compile_slot(
+                        &compiler, component, scratch, &bounds, obs, gen,
+                    ))
+                },
             )?
         };
         self.obs.lap(clock, &self.obs.apply_recompile_ns);
-        // Patch exactly the changed slots (infallible from here on); no
-        // other slot's mutex is even acquired.
-        let cache = self
-            .cps_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+        // Patch exactly the changed slots (infallible from here on).
         for &slot in &plan.freed {
-            let slot_mutex = &mut self.components[slot];
-            let state = slot_mutex.get_mut().unwrap_or_else(PoisonError::into_inner);
-            retire_status(cache, slot, state.status);
-            self.falsum_slots -= usize::from(state.enc.has_ground_falsum());
-            *state = ComponentState {
-                enc: Encoding::vacant(&self.value_rels, transitivity),
-                status: Some(true),
+            self.retire(slot);
+            self.slots[slot] = SlotView {
+                enc: self.vacant.clone(),
+                sat: Some(true),
+                gen: 0,
             };
-            // The slot holds brand-new state now; a stale poison flag
-            // would make the next lock discard its status for nothing.
-            slot_mutex.clear_poison();
         }
-        for (&slot, enc) in plan.rebuilt.iter().zip(compiled) {
-            self.falsum_slots += usize::from(enc.has_ground_falsum());
-            if slot < self.components.len() {
-                let slot_mutex = &mut self.components[slot];
-                let state = slot_mutex.get_mut().unwrap_or_else(PoisonError::into_inner);
-                retire_status(cache, slot, state.status);
-                self.falsum_slots -= usize::from(state.enc.has_ground_falsum());
-                *state = ComponentState { enc, status: None };
-                slot_mutex.clear_poison();
+        for (&slot, view) in plan.rebuilt.iter().zip(compiled) {
+            if slot < self.slots.len() {
+                self.retire(slot);
+                self.slots[slot] = view;
             } else {
-                debug_assert_eq!(slot, self.components.len(), "appends are contiguous");
-                self.components
-                    .push(Mutex::new(ComponentState { enc, status: None }));
+                debug_assert_eq!(slot, self.slots.len(), "appends are contiguous");
+                self.slots.push(view);
             }
-            cache.unsolved.insert(slot);
+            self.admit(slot);
         }
-        debug_assert_eq!(self.components.len(), plan.slots, "slot arrays aligned");
+        debug_assert_eq!(self.slots.len(), plan.slots, "slot arrays aligned");
         self.obs.components_rebuilt.add(plan.rebuilt() as u64);
         self.obs.components_reused.add(plan.reused() as u64);
         Ok(plan)
+    }
+
+    /// Count a slot's verdicts into the aggregate (the slot was just
+    /// filled).
+    fn admit(&mut self, slot: usize) {
+        let view = &self.slots[slot];
+        match view.sat {
+            Some(false) => self.unsat += 1,
+            Some(true) => {}
+            None => {
+                self.undecided.insert(slot);
+            }
+        }
+        self.falsum_slots += usize::from(view.enc.has_ground_falsum());
+    }
+
+    /// Take a slot's verdicts out of the aggregate (the slot is about to
+    /// be replaced).
+    fn retire(&mut self, slot: usize) {
+        let view = &self.slots[slot];
+        match view.sat {
+            Some(false) => self.unsat -= 1,
+            Some(true) => {}
+            None => {
+                self.undecided.remove(&slot);
+            }
+        }
+        self.falsum_slots -= usize::from(view.enc.has_ground_falsum());
+    }
+
+    /// Close a write: count the pages it copied and, when it changed the
+    /// state, bump the epoch.  Returns the pages copied.
+    fn finish_write(&mut self, copied_before: u64, changed: bool) -> u64 {
+        let copied = pages_copied() - copied_before;
+        self.obs.pages_copied.add(copied);
+        self.epoch += u64::from(changed);
+        copied
     }
 
     /// Reclaim every tombstone slot of the specification: one compaction
@@ -649,15 +587,15 @@ impl<'a> CurrencyEngine<'a> {
     /// ([`Specification::compact`]), which stays the independently
     /// implemented oracle the step path is differentially tested
     /// against.  It counts as one step in [`EngineStats::compact_steps`].
-    /// With no tombstones this is a no-op: nothing is rebuilt and
-    /// borrowed specifications are not cloned.
+    /// With no tombstones this is a no-op: nothing is rebuilt and the
+    /// epoch stays.
     ///
     /// Externally held [`TupleId`]s are invalidated; translate them
     /// through [`CompactStepReport::new_id`].
     pub fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
         // Slots are u32-indexed, so a u32::MAX window always reaches the
         // end of the relation (and cannot overflow the bounds arithmetic).
-        self.compact_step_inner(usize::MAX, u32::MAX as usize, None)
+        self.step(usize::MAX, u32::MAX as usize, None)
     }
 
     /// Run **one bounded compaction step**: reclaim tombstone slots in
@@ -673,7 +611,10 @@ impl<'a> CurrencyEngine<'a> {
     /// to the reference sweep ([`Specification::compact`]).  Components
     /// none of whose tuples moved keep their cached encodings, learnt
     /// clauses and satisfiability verdicts exactly as
-    /// [`CurrencyEngine::apply`] does for clean components.
+    /// [`CurrencyEngine::apply`] does for clean components.  A step that
+    /// reclaimed anything is one write: it bumps the epoch once, so an
+    /// id is valid for precisely the epochs between the steps that
+    /// created and remapped it.
     ///
     /// Only the tuple ids listed in the returned report's slices are
     /// invalidated; translate held ids through
@@ -690,8 +631,8 @@ impl<'a> CurrencyEngine<'a> {
         &mut self,
         budget: &CompactBudget,
     ) -> Result<CompactStepReport, ReasonError> {
-        let deadline = std::time::Instant::now() + budget.max_pause;
-        self.compact_step_inner(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))
+        let deadline = Instant::now() + budget.max_pause;
+        self.step(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))
     }
 
     /// [`CurrencyEngine::compact_step`] bounded by slot count only — a
@@ -703,7 +644,20 @@ impl<'a> CurrencyEngine<'a> {
         &mut self,
         max_slots: usize,
     ) -> Result<CompactStepReport, ReasonError> {
-        self.compact_step_inner(max_slots, SLICE_QUANTUM, None)
+        self.step(max_slots, SLICE_QUANTUM, None)
+    }
+
+    /// One compaction step as a write of its own.
+    fn step(
+        &mut self,
+        max_slots: usize,
+        quantum: usize,
+        deadline: Option<Instant>,
+    ) -> Result<CompactStepReport, ReasonError> {
+        let copied_before = pages_copied();
+        let step = self.compact_step_inner(max_slots, quantum, deadline)?;
+        self.finish_write(copied_before, !step.slices.is_empty());
+        Ok(step)
     }
 
     /// One step through [`run_slices`], then the dirty-region rebuild.
@@ -711,18 +665,18 @@ impl<'a> CurrencyEngine<'a> {
         &mut self,
         max_slots: usize,
         quantum: usize,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<CompactStepReport, ReasonError> {
         if self.spec.total_tombstones() == 0 {
-            // Nothing to reclaim: no Cow promotion, no rebuild, no
-            // counter movement.
+            // Nothing to reclaim: no copy, no rebuild, no counter
+            // movement.
             return Ok(CompactStepReport {
                 done: true,
                 ..CompactStepReport::default()
             });
         }
         let clock = self.obs.clock();
-        let step = run_slices(self.spec.to_mut(), max_slots, quantum, deadline);
+        let step = run_slices(Arc::make_mut(&mut self.spec), max_slots, quantum, deadline);
         self.finish_step(&step)?;
         if let Some(start) = clock {
             self.obs
@@ -747,9 +701,10 @@ impl<'a> CurrencyEngine<'a> {
         &mut self,
         step: &CompactStepReport,
     ) -> Result<CompactStepReport, ReasonError> {
+        let copied_before = pages_copied();
         let mut replayed = CompactStepReport::default();
         if !step.slices.is_empty() {
-            let spec = self.spec.to_mut();
+            let spec = Arc::make_mut(&mut self.spec);
             for logged in &step.slices {
                 let slice =
                     spec.compact_slice_at(logged.rel, logged.write, logged.start, logged.end)?;
@@ -759,6 +714,7 @@ impl<'a> CurrencyEngine<'a> {
         }
         replayed.done = self.spec.total_tombstones() == 0;
         self.finish_step(&replayed)?;
+        self.finish_write(copied_before, !replayed.slices.is_empty());
         Ok(replayed)
     }
 
@@ -794,10 +750,59 @@ impl<'a> CurrencyEngine<'a> {
         self.obs.deltas_replayed.add(deltas_replayed as u64);
     }
 
+    /// Freeze the current state into an immutable [`EngineSnapshot`].
+    ///
+    /// A slot whose compile-time solve the engine's bounds interrupted is
+    /// decided first, without bounds, so every snapshot carries a
+    /// verdict.  Otherwise this is O(top level): the snapshot shares the
+    /// engine's specification, partition and slot pages, and the engine's
+    /// next write copies only the chunks and pages it dirties.  The
+    /// snapshot is stamped with [`CurrencyEngine::epoch`], so two
+    /// snapshots with no write in between share an epoch.
+    pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
+        for slot in std::mem::take(&mut self.undecided) {
+            let view = &mut self.slots[slot];
+            let sat = Arc::make_mut(&mut view.enc).solve() == SolveResult::Sat;
+            view.sat = Some(sat);
+            self.unsat += usize::from(!sat);
+        }
+        if self.obs.enabled() {
+            self.obs.snapshot_epoch.set(self.epoch);
+        }
+        let recorder = self.obs.recorder();
+        if recorder.enabled() {
+            recorder.record(TraceEvent {
+                ts_ns: currency_obs::now_ns(),
+                kind: TraceKind::Event,
+                name: "snapshot.publish",
+                span: 0,
+                parent: 0,
+                value: self.epoch,
+            });
+        }
+        Arc::new(EngineSnapshot::new(
+            self.epoch,
+            self.spec.clone(),
+            self.value_rels.clone(),
+            self.partition.clone(),
+            self.slots.clone(),
+            self.falsum_slots == 0 && self.unsat == 0,
+            self.opts,
+            self.obs.snapshot_epochs_live.clone(),
+        ))
+    }
+
+    /// The engine's epoch: 1 at construction, bumped once per write (an
+    /// apply, or a compaction step that reclaimed anything).  Snapshots
+    /// carry the epoch they were taken at.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// The specification the engine currently answers for (including every
     /// applied delta).
     pub fn spec(&self) -> &Specification {
-        self.spec.as_ref()
+        &self.spec
     }
 
     /// The entity partition the engine solves over.
@@ -810,8 +815,8 @@ impl<'a> CurrencyEngine<'a> {
         &self.opts
     }
 
-    /// Aggregate counters: sizes and CDCL statistics from the component
-    /// solvers, lifetime counts read from the engine's registry
+    /// Aggregate counters: sizes and CDCL statistics from the slot
+    /// encodings, lifetime counts read from the engine's registry
     /// ([`EngineObs`]).
     pub fn stats(&self) -> EngineStats {
         let mut stats = EngineStats {
@@ -820,194 +825,88 @@ impl<'a> CurrencyEngine<'a> {
             partition_bytes: self.partition.heap_bytes(),
             ..self.obs.stats()
         };
-        for ix in 0..self.components.len() {
-            let st = self.component(ix);
-            stats.vars += st.enc.num_vars();
-            stats.clauses += st.enc.num_clauses();
-            stats.encoding_bytes += st.enc.heap_bytes();
-            stats.sat += st.enc.solver_stats();
+        for slot in self.slots.iter() {
+            stats.vars += slot.enc.num_vars();
+            stats.clauses += slot.enc.num_clauses();
+            stats.encoding_bytes += slot.enc.heap_bytes();
+            stats.sat += slot.enc.solver_stats();
         }
         stats
     }
 
     /// The [`crate::encode::EncodingShape`] of the encoding cached in
     /// `slot` — for differential tests comparing the engine's compiled
-    /// state against a reference compile.  Compare before any query
-    /// solves the slot: solving extends the trail and learns clauses.
+    /// state against a reference compile solved the same way.
     #[cfg(any(test, feature = "oracle"))]
     pub fn slot_shape(&self, slot: usize) -> crate::encode::EncodingShape {
-        self.component(slot).enc.shape()
+        self.slots[slot].enc.shape()
     }
 
-    /// Lock one slot's state, surviving mutex poisoning.
+    /// The query view of the current state.
+    fn view(&self) -> View<'_> {
+        View {
+            spec: &self.spec,
+            value_rels: &self.value_rels,
+            partition: &self.partition,
+            slots: &self.slots,
+            opts: self.opts,
+        }
+    }
+
+    /// Lock the solver scratch, surviving mutex poisoning.
     ///
-    /// A query that panics while holding a component lock (a budget
-    /// assertion, a debug invariant) poisons the mutex; without recovery
-    /// every later query on that slot would panic too, which is fatal for
-    /// a long-lived engine.  The component state itself stays coherent
-    /// across such a panic — queries mutate only the solver, whose
-    /// operations keep its invariants — but the cached satisfiability
-    /// verdict is conservatively dropped (and retired from the aggregate
-    /// cache) so the next query re-derives it.
-    fn component(&self, ix: usize) -> MutexGuard<'_, ComponentState> {
-        match self.components[ix].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.components[ix].clear_poison();
-                let mut guard = poisoned.into_inner();
-                if let Some(was_sat) = guard.status.take() {
-                    let mut cache = self.cps_lock();
-                    if !was_sat {
-                        cache.unsat -= 1;
-                    }
-                    cache.unsolved.insert(ix);
-                }
-                guard
-            }
-        }
+    /// A query that panics while holding the lock (a budget assertion, a
+    /// debug invariant) poisons it; without recovery every later COP
+    /// would panic too, which is fatal for a long-lived engine.  A panic
+    /// mid-solve may leave a private copy half-updated, so recovery drops
+    /// every copy: the next query clones afresh from the slots, which no
+    /// query ever writes.
+    fn scratch(&self) -> MutexGuard<'_, SolverScratch> {
+        self.scratch.lock().unwrap_or_else(|poisoned| {
+            self.scratch.clear_poison();
+            let mut guard = poisoned.into_inner();
+            guard.clear();
+            guard
+        })
     }
 
-    /// Lock the aggregate-consistency cache (poisoning cannot corrupt it:
-    /// every mutation is a couple of integer/set updates).
-    fn cps_lock(&self) -> MutexGuard<'_, CpsCache> {
-        self.cps_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Satisfiability of one slot, solved on first demand and cached
-    /// (with the aggregate cache book-kept under the slot's lock, so
-    /// concurrent solvers of the same slot cannot double-count).
-    ///
-    /// The solve runs under [`Options::solve_limits`] / deadline; an
-    /// interrupt leaves `status` as `None` and the slot in the undecided
-    /// set — the cache treats an interrupted slot as *undecided*, never
-    /// unsat — and the cached solver keeps its learnt state, so the next
-    /// attempt resumes warm.
-    fn component_status(&self, ix: usize) -> Result<bool, ReasonError> {
-        let mut st = self.component(ix);
-        if let Some(sat) = st.status {
-            return Ok(sat);
-        }
-        let bounds = Bounds::from_options(&self.opts);
-        let clock = self.obs.clock();
-        let before = if clock.is_some() {
-            st.enc.solver_stats()
-        } else {
-            SolverStats::default()
-        };
-        let outcome = st.enc.solve_bounded(&bounds);
-        // Record before propagating an interrupt: a budget-killed solve
-        // spent real time and conflicts, and the histograms must show
-        // it.
-        self.obs
-            .record_solve(clock, &before, &st.enc.solver_stats());
-        let sat = outcome? == SolveResult::Sat;
-        st.status = Some(sat);
-        let mut cache = self.cps_lock();
-        if cache.unsolved.remove(&ix) && !sat {
-            cache.unsat += 1;
-        }
-        Ok(sat)
-    }
-
-    /// **CPS** — is the specification consistent?  Decides only the slots
-    /// whose satisfiability is not yet known (in parallel when there are
-    /// many): all of them on the first call, exactly the rebuilt slots
-    /// after a delta, none at steady state — the call is O(undecided
-    /// region), never a sweep of every component.
+    /// **CPS** — is the specification consistent?  A field read unless
+    /// a slot's compile-time solve was interrupted: each such slot is
+    /// re-tried on a private copy under [`Options::solve_limits`] /
+    /// deadline (resuming warm from the compile's learnt state), and an
+    /// interrupt surfaces as [`ReasonError::Interrupted`], never as a
+    /// verdict.
     pub fn cps(&self) -> Result<bool, ReasonError> {
-        if self.falsum_slots > 0 {
+        if self.falsum_slots > 0 || self.unsat > 0 {
             return Ok(false);
         }
-        // Loop until the undecided set is empty *at verdict time*: a
-        // concurrent poison recovery can re-insert a slot between the
-        // drain and the check, and "still undecided" must trigger another
-        // drain, never masquerade as a verdict.
-        loop {
-            let pending: Vec<usize> = {
-                let cache = self.cps_lock();
-                if cache.unsolved.is_empty() {
-                    return Ok(cache.unsat == 0);
-                }
-                cache.unsolved.iter().copied().collect()
-            };
-            run_indexed(effective_threads(&self.opts), pending.len(), |k| {
-                self.component_status(pending[k])
-            })?;
+        if self.undecided.is_empty() {
+            return Ok(true);
         }
-    }
-
-    /// **COP** — is every pair of the candidate order certain?  Vacuously
-    /// true when the specification is inconsistent (paper convention);
-    /// otherwise one assumption-based solve per pair, against only the
-    /// pair's component.
-    pub fn cop(&self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
-        if !self.cps()? {
-            return Ok(true); // Mod(S) = ∅: vacuously certain
-        }
-        if ot.rel.index() >= self.spec.instances().len() {
-            return Ok(ot.pairs.is_empty());
-        }
-        let inst = self.spec.instance(ot.rel);
-        for &(attr, lesser, greater) in &ot.pairs {
-            let (Ok(lt), Ok(gt)) = (inst.tuple_checked(lesser), inst.tuple_checked(greater)) else {
-                return Ok(false); // unknown tuple: never certain
-            };
-            if lesser == greater || lt.eid != gt.eid {
-                return Ok(false); // reflexive or cross-entity: never holds
-            }
-            let ix = self
-                .partition
-                .component_of(ot.rel, lt.eid)
-                .expect("every entity has a component");
-            let mut st = self.component(ix);
-            let Some(l) = st.enc.order_lit(ot.rel, attr, lesser, greater) else {
-                return Ok(false);
-            };
-            let bounds = Bounds::from_options(&self.opts);
-            if st.enc.solve_bounded_with_assumptions(&[!l], &bounds)? == SolveResult::Sat {
+        let bounds = Bounds::from_options(&self.opts);
+        let mut scratch = self.scratch();
+        for &slot in &self.undecided {
+            if !scratch.decide(slot, &self.slots[slot], &bounds)? {
                 return Ok(false);
             }
         }
         Ok(true)
     }
 
+    /// **COP** — is every pair of the candidate order certain?  Vacuously
+    /// true when the specification is inconsistent (paper convention);
+    /// otherwise one assumption-based solve per pair, against a private
+    /// copy of only the pair's component.
+    pub fn cop(&self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
+        let consistent = self.cps()?;
+        self.view().cop(ot, consistent, &mut self.scratch())
+    }
+
     /// **DCIP** — do all completions agree on the current instance of
     /// `rel`?  Enumerates at most two rel-projected models per touched
     /// component, on throwaway solver clones.
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        self.require_value_rel(rel)?;
-        if !self.cps()? {
-            return Ok(true); // vacuously deterministic
-        }
-        let touched = self.partition.components_touching(rel);
-        let verdicts = run_indexed(effective_threads(&self.opts), touched.len(), |k| {
-            let ix = touched[k];
-            let st = self.component(ix);
-            let (_, vars) = st.enc.restricted_projection(&[rel]);
-            if vars.is_empty() {
-                return Ok(true); // every completion yields the same rows
-            }
-            let mut enc = st.enc.clone();
-            drop(st);
-            let bounds = Bounds::from_options(&self.opts);
-            let mut count = 0usize;
-            let enumeration =
-                enc.for_each_model_bounded(&vars, self.opts.max_models, &bounds, |_| {
-                    count += 1;
-                    count < 2
-                })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what: "current-instance enumeration (DCIP)",
-                    budget: self.opts.max_models,
-                    spent: n,
-                });
-            }
-            Ok(count < 2)
-        })?;
-        Ok(verdicts.into_iter().all(|deterministic| deterministic))
+        self.view().dcip(rel, || self.cps())
     }
 
     /// **CCQA** — is `tuple` a certain current answer of `query`?
@@ -1025,185 +924,20 @@ impl<'a> CurrencyEngine<'a> {
     /// count and the composed product are bounded by
     /// [`Options::max_models`].
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        let rels: Vec<RelId> = query.body().relations().into_iter().collect();
-        for &rel in &rels {
-            self.require_value_rel(rel)?;
-        }
-        if !self.cps()? {
-            return Ok(CertainAnswers::Inconsistent);
-        }
-        let touched = self.touched_components(&rels);
-        let per_comp = self.enumerate_component_models(
-            &rels,
-            &touched,
-            "current-instance enumeration (CCQA)",
-        )?;
-        intersect_certain_answers(query, &rels, &per_comp, self.opts.deadline, |cm, model| {
-            self.decode_locked(&rels, cm, model)
-        })
-    }
-
-    /// Decode one component's chosen model under the component's lock.
-    fn decode_locked(
-        &self,
-        rels: &[RelId],
-        cm: &ComponentModels,
-        model: &[bool],
-    ) -> Vec<(RelId, Tuple)> {
-        let st = self.component(cm.comp);
-        st.enc
-            .decode_restricted(self.spec.as_ref(), rels, &cm.indices, model)
-    }
-
-    /// The components holding cells of any of `rels`, deduplicated.
-    fn touched_components(&self, rels: &[RelId]) -> Vec<usize> {
-        let mut out: Vec<usize> = rels
-            .iter()
-            .flat_map(|&rel| self.partition.components_touching(rel))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Enumerate each listed component's projected models over `rels`
-    /// (parallel, on throwaway solver clones).  Both the per-component
-    /// model count and the composed product are bounded by
-    /// [`Options::max_models`]; `what` labels the budget error.
-    fn enumerate_component_models(
-        &self,
-        rels: &[RelId],
-        comps: &[usize],
-        what: &'static str,
-    ) -> Result<Vec<ComponentModels>, ReasonError> {
-        let per_comp = run_indexed(effective_threads(&self.opts), comps.len(), |k| {
-            let ix = comps[k];
-            let st = self.component(ix);
-            let (indices, vars) = st.enc.restricted_projection(rels);
-            if vars.is_empty() {
-                // One realizable outcome: the component's fixed rows.
-                return Ok(ComponentModels {
-                    comp: ix,
-                    indices,
-                    models: vec![Vec::new()],
-                });
-            }
-            let mut enc = st.enc.clone();
-            drop(st);
-            let bounds = Bounds::from_options(&self.opts);
-            let mut models: Vec<Vec<bool>> = Vec::new();
-            let enumeration =
-                enc.for_each_model_bounded(&vars, self.opts.max_models, &bounds, |m| {
-                    models.push(m.to_vec());
-                    true
-                })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what,
-                    budget: self.opts.max_models,
-                    spent: n,
-                });
-            }
-            Ok(ComponentModels {
-                comp: ix,
-                indices,
-                models,
-            })
-        })?;
-        check_product_budget(&per_comp, self.opts.max_models, what)?;
-        Ok(per_comp)
+        self.view().certain_answers(query, || self.cps())
     }
 
     /// A witness completion from `Mod(S)`, assembled from per-component
     /// models; `Ok(None)` means the specification is inconsistent.
     pub fn witness_completion(&self) -> Result<Option<Completion>, ReasonError> {
-        if !self.cps()? {
-            return Ok(None);
-        }
-        let chains_per_comp: Vec<ComponentChains> =
-            run_indexed(effective_threads(&self.opts), self.components.len(), |ix| {
-                let mut st = self.component(ix);
-                // Re-solve without assumptions so the model is a plain
-                // completion model (assumption queries may have left the
-                // solver without one); in lazy mode this also re-runs the
-                // closure refinement so the model is transitive.
-                let sat = st.enc.solve();
-                debug_assert_eq!(sat, SolveResult::Sat, "component known satisfiable");
-                Ok(st.enc.model_chains(self.spec.as_ref()))
-            })?;
-        let mut chains: BTreeMap<RelId, Vec<BTreeMap<Eid, Vec<TupleId>>>> = self
-            .spec
-            .instances()
-            .iter()
-            .map(|inst| (inst.rel(), vec![BTreeMap::new(); inst.arity()]))
-            .collect();
-        for (rel, attr, eid, chain) in chains_per_comp.into_iter().flatten() {
-            chains.get_mut(&rel).expect("known relation")[attr.index()].insert(eid, chain);
-        }
-        let rels: Result<Vec<RelCompletion>, _> = self
-            .spec
-            .instances()
-            .iter()
-            .map(|inst| {
-                RelCompletion::new(
-                    inst,
-                    chains.remove(&inst.rel()).expect("chains per relation"),
-                )
-            })
-            .collect();
-        let completion = Completion::new(rels?);
-        debug_assert!(completion.is_consistent_for(self.spec.as_ref()));
-        Ok(Some(completion))
+        let consistent = self.cps()?;
+        self.view().witness_completion(consistent)
     }
 
     /// The realizable current instances of `rel` (up to the model budget),
     /// composed across components.  Exposed for diagnostics and tests.
     pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.require_value_rel(rel)?;
-        if !self.cps()? {
-            return Ok(Vec::new());
-        }
-        let rels = [rel];
-        let touched = self.partition.components_touching(rel);
-        let per_comp =
-            self.enumerate_component_models(&rels, &touched, "current-instance enumeration")?;
-        let mut out: Vec<NormalInstance> = Vec::new();
-        for_each_combination(
-            &per_comp,
-            self.opts.deadline,
-            |cm, model| self.decode_locked(&rels, cm, model),
-            |rows| {
-                let mut inst = NormalInstance::new(rel);
-                for (_, t) in rows {
-                    inst.push(t);
-                }
-                out.push(inst);
-                true
-            },
-        )?;
-        Ok(out)
-    }
-
-    fn require_value_rel(&self, rel: RelId) -> Result<(), ReasonError> {
-        if self.value_rels.contains(&rel) {
-            Ok(())
-        } else {
-            Err(ReasonError::UnsupportedQuery {
-                detail: format!(
-                    "relation {rel:?} has no value indicators in this engine; \
-                     build it with CurrencyEngine::new or include the relation \
-                     in with_value_rels"
-                ),
-            })
-        }
-    }
-}
-
-/// The consistency cache of an engine none of whose slots is decided.
-fn undecided_cache(slots: usize) -> CpsCache {
-    CpsCache {
-        unsolved: (0..slots).collect(),
-        unsat: 0,
+        self.view().current_instances(rel, || self.cps())
     }
 }
 
@@ -1277,7 +1011,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use currency_core::{Catalog, CmpOp, DenialConstraint, RelationSchema, Term, Tuple};
+    use currency_core::{AttrId, Catalog, CmpOp, DenialConstraint, RelationSchema, Term, Tuple};
     use currency_query::{Atom, Formula, QueryBuilder, Term as QTerm};
 
     const A: AttrId = AttrId(0);
@@ -1463,7 +1197,7 @@ mod tests {
         assert_eq!(report.components_reused, 2);
         assert_eq!(report.inserted.len(), 1);
         let new_id = report.inserted[0].1;
-        // The borrowed original is untouched (Cow promotion).
+        // The caller's specification is untouched.
         assert_eq!(spec.instance(r).len(), 6);
         assert_eq!(engine.spec().instance(r).len(), 7);
         // Verdicts match a freshly built engine on the updated spec.
@@ -1624,7 +1358,7 @@ mod tests {
         let (mut spec, r) = multi_entity_spec();
         spec.add_constraint(monotone(r)).unwrap();
         let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
-        let slots_before = engine.components.len();
+        let slots_before = engine.slots.len();
         for step in 0..8 {
             // A brand-new entity appears and disappears: its component
             // slot must be recycled, not leaked.
@@ -1638,9 +1372,9 @@ mod tests {
             assert!(engine.cps().unwrap());
         }
         assert!(
-            engine.components.len() <= slots_before + 1,
+            engine.slots.len() <= slots_before + 1,
             "vacated slots are reused: {} grew past {}",
-            engine.components.len(),
+            engine.slots.len(),
             slots_before + 1
         );
         assert_eq!(engine.partition().len(), 3, "live components steady");
@@ -1699,7 +1433,7 @@ mod tests {
 
     /// Churn helper: `rounds` insert+retract pairs against `eid`,
     /// leaving one tombstone slot per round.
-    fn churn(engine: &mut CurrencyEngine<'_>, r: RelId, eid: u64, rounds: usize) {
+    fn churn(engine: &mut CurrencyEngine, r: RelId, eid: u64, rounds: usize) {
         use currency_core::SpecDelta;
         for step in 0..rounds {
             let mut delta = SpecDelta::new();
@@ -1889,25 +1623,45 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_component_lock_recovers() {
+    fn poisoned_scratch_lock_recovers() {
         let (mut spec, r) = multi_entity_spec();
         spec.add_constraint(monotone(r)).unwrap();
         let engine = CurrencyEngine::new(&spec, &Options::default()).unwrap();
-        // Poison one component's mutex by panicking while holding it.
+        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
+        assert!(engine.cop(&q).unwrap(), "warms one private copy");
+        // Poison the scratch lock by panicking while holding it.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = engine.components[0].lock().unwrap();
+            let _guard = engine.scratch.lock().unwrap();
             panic!("simulated query panic");
         }));
         assert!(result.is_err());
-        assert!(engine.components[0].is_poisoned());
-        // Every query path still works: the lock recovers, the cached
-        // status is re-derived.
+        assert!(engine.scratch.is_poisoned());
+        // Every query path still works: the lock recovers and the private
+        // copies are cloned afresh from the slots.
         assert!(engine.cps().unwrap());
-        assert!(engine
-            .cop(&CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)))
-            .unwrap());
+        assert!(engine.cop(&q).unwrap());
         assert!(engine.witness_completion().unwrap().is_some());
-        assert!(!engine.components[0].is_poisoned(), "poison cleared");
+        assert!(!engine.scratch.is_poisoned(), "poison cleared");
+    }
+
+    #[test]
+    fn snapshot_decides_slots_the_bounds_interrupted() {
+        use crate::SolveLimits;
+        let (mut spec, r) = multi_entity_spec();
+        spec.add_constraint(monotone(r)).unwrap();
+        let bounded = Options {
+            solve_limits: SolveLimits {
+                max_conflicts: Some(0),
+                max_props: Some(0),
+            },
+            ..Options::default()
+        };
+        let mut engine = CurrencyEngine::new(&spec, &bounded).unwrap();
+        assert!(matches!(engine.cps(), Err(ReasonError::Interrupted { .. })));
+        let snap = engine.snapshot();
+        assert!(snap.cps(), "the snapshot decided every slot without bounds");
+        assert_eq!(snap.epoch(), engine.epoch());
+        assert!(engine.cps().unwrap(), "and the engine keeps the verdicts");
     }
 
     #[test]

@@ -38,14 +38,17 @@
 //!   The pre-partitioning whole-specification path is kept as the
 //!   `*_monolithic` functions for differential testing.
 //!
-//!   For read-mostly concurrent serving, [`snapshot`] refactors the same
-//!   compiled state into epoch-published immutable views: a single
-//!   [`SnapshotEngine`] writer applies deltas through the O(dirty region)
-//!   path and publishes [`EngineSnapshot`]s through a [`SnapshotCell`];
-//!   any number of [`SnapshotReader`]s answer CPS/COP/DCIP/CCQA against
-//!   their pinned epoch with per-reader solver scratch and zero shared
-//!   locks.  The `currency-serve` crate builds the caching/rate-limited
-//!   front door on top.
+//!   The engine is the one writer of every front door.  For
+//!   read-mostly concurrent serving, [`CurrencyEngine::snapshot`] freezes
+//!   its compiled state into an immutable [`EngineSnapshot`] in O(top
+//!   level) ([`snapshot`]); a front door publishes snapshots through a
+//!   [`SnapshotCell`], and any number of [`SnapshotReader`]s answer
+//!   CPS/COP/DCIP/CCQA against their pinned epoch with per-reader solver
+//!   scratch and zero shared locks.  The engine and its snapshots share
+//!   one implementation of every query.  The `currency-serve` crate
+//!   builds the caching/rate-limited front door on top; the durable
+//!   store and the sharded engine never take a snapshot, so their writes
+//!   copy no page.
 //! * **Enumeration reference solvers** ([`enumerate`]): brute-force
 //!   iteration over all completions, used as ground truth in differential
 //!   tests and the ablation benchmarks.
@@ -103,7 +106,7 @@ pub use shard::{
     ShardError, ShardPlan, Sharded, ShardedApplyReport, ShardedCompactStepReport, ShardedEngine,
     ShardedStats, SpecImport,
 };
-pub use snapshot::{EngineSnapshot, PublishReport, SnapshotCell, SnapshotEngine, SnapshotReader};
+pub use snapshot::{EngineSnapshot, SnapshotCell, SnapshotReader};
 pub use sp_ptime::{ccqa_sp, certain_answers_sp, poss_instance};
 
 /// Per-call SAT work budget threaded down to `currency-sat`.

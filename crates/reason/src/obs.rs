@@ -1,7 +1,6 @@
-//! Engine-side observability: the metric handles and trace recorder an
-//! engine (live [`CurrencyEngine`](crate::engine::CurrencyEngine) or
-//! snapshot writer [`SnapshotEngine`](crate::snapshot::SnapshotEngine))
-//! records through.
+//! Engine-side observability: the metric handles and trace recorder the
+//! writer ([`CurrencyEngine`](crate::engine::CurrencyEngine)) records
+//! through.
 //!
 //! Every engine creates one [`EngineObs`] on its own
 //! [`MetricsRegistry`] and keeps it for its whole life.  Wrapper layers
@@ -47,7 +46,8 @@ pub struct EngineObs {
     pub apply_refresh_ns: Arc<Histogram>,
     /// Recompilation of the rebuilt component slots.
     pub apply_recompile_ns: Arc<Histogram>,
-    /// Individual component solves (lazy, on first demand).
+    /// Individual component solves (at compile time, under the
+    /// engine's bounds).
     pub solve_ns: Arc<Histogram>,
     /// Conflicts burned by one solve.
     pub solver_conflicts: Arc<Histogram>,
@@ -71,12 +71,15 @@ pub struct EngineObs {
     pub recoveries: Arc<Counter>,
     /// Deltas re-applied from log suffixes across all recoveries.
     pub deltas_replayed: Arc<Counter>,
-    /// Epoch of the most recently published snapshot (snapshot
-    /// engines only; stays 0 on live engines).
+    /// Epoch of the most recently taken snapshot (stays 0 on engines
+    /// nobody snapshots).
     pub snapshot_epoch: Arc<Gauge>,
-    /// Copy-on-write pages and chunks the snapshot writer copied
-    /// because a published snapshot still shared them (snapshot engines
-    /// only; stays 0 on live engines, whose pages are never shared).
+    /// Snapshots alive right now: up when one is taken, down when the
+    /// last holder drops it (stays 0 on engines nobody snapshots).
+    pub snapshot_epochs_live: Arc<Gauge>,
+    /// Copy-on-write pages and chunks the writer copied because a
+    /// snapshot still shared them (stays 0 on engines nobody
+    /// snapshots, whose pages are never shared).
     pub pages_copied: Arc<Counter>,
 }
 
@@ -173,9 +176,14 @@ impl EngineObs {
                 "Epoch of the most recently published snapshot",
                 &[],
             ),
+            snapshot_epochs_live: registry.gauge(
+                "currency_snapshot_epochs_live",
+                "Snapshots still held by a reader or the publish cell",
+                &[],
+            ),
             pages_copied: counter(
                 "currency_snapshot_pages_copied_total",
-                "Copy-on-write pages and chunks the snapshot writer copied off published snapshots",
+                "Copy-on-write pages and chunks the writer copied off published snapshots",
             ),
             registry,
         }

@@ -18,7 +18,7 @@
 //! obligations themselves.  The component compiler
 //! ([`crate::encode::ComponentCompiler`]) grounds each component's denial
 //! rules and copy obligations straight into its solver when the
-//! [`crate::engine::CurrencyEngine`] or the serving writer compiles it.
+//! [`crate::engine::CurrencyEngine`] compiles it.
 //!
 //! ## Incremental maintenance
 //!

@@ -946,7 +946,7 @@ pub struct Sharded<N> {
 }
 
 /// N independent [`CurrencyEngine`]s behind one front door.
-pub type ShardedEngine = Sharded<CurrencyEngine<'static>>;
+pub type ShardedEngine = Sharded<CurrencyEngine>;
 
 impl ShardedEngine {
     /// Decompose `spec` into `shards` sub-specifications (copy closures
@@ -1066,8 +1066,8 @@ impl<N: ShardNode> Sharded<N> {
     }
 }
 
-impl<N: AsRef<CurrencyEngine<'static>>> Sharded<N> {
-    fn scatter(&self) -> Scatter<&CurrencyEngine<'static>> {
+impl<N: AsRef<CurrencyEngine>> Sharded<N> {
+    fn scatter(&self) -> Scatter<&CurrencyEngine> {
         Scatter::new(self.nodes.iter().map(AsRef::as_ref).collect())
     }
 
@@ -1121,13 +1121,13 @@ impl<N: AsRef<CurrencyEngine<'static>>> Sharded<N> {
     }
 }
 
-impl<'a> AsRef<CurrencyEngine<'a>> for CurrencyEngine<'a> {
-    fn as_ref(&self) -> &CurrencyEngine<'a> {
+impl AsRef<CurrencyEngine> for CurrencyEngine {
+    fn as_ref(&self) -> &CurrencyEngine {
         self
     }
 }
 
-impl ShardNode for CurrencyEngine<'static> {
+impl ShardNode for CurrencyEngine {
     type Error = ReasonError;
     type Report = ApplyReport;
     type Spec<'a> = &'a Specification;
@@ -1153,7 +1153,7 @@ impl ShardNode for CurrencyEngine<'static> {
     }
 }
 
-impl ShardReader for &CurrencyEngine<'_> {
+impl ShardReader for &CurrencyEngine {
     type Error = ReasonError;
 
     fn cps(&mut self) -> Result<bool, ReasonError> {

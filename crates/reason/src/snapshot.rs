@@ -1,33 +1,23 @@
-//! Epoch-published snapshot views for concurrent query serving.
+//! Epoch-frozen snapshots for concurrent query serving, and the one
+//! query path every front door answers through.
 //!
-//! The live [`CurrencyEngine`](crate::engine::CurrencyEngine) answers all
-//! queries through per-component mutexes: correct, but a single hot
-//! component serializes every reader that touches it, and a writer
-//! applying deltas contends with all of them.  This module splits the
-//! compiled state into an **immutable, shareable snapshot** so that a
-//! read-mostly fleet never blocks:
+//! The writer ([`CurrencyEngine`]) keeps its specification, partition and
+//! per-slot compiled encodings in copy-on-write containers
+//! ([`currency_core::cow`]).  [`CurrencyEngine::snapshot`] freezes that
+//! state into an immutable, shareable view in O(top level), so a
+//! read-mostly fleet never blocks on the writer:
 //!
 //! * [`EngineSnapshot`] — one epoch's frozen view: the specification, the
 //!   entity partition, and every component's compiled encoding (learnt
 //!   clauses and lazy-transitivity lemmas included, since the writer
-//!   solves each rebuilt component before publishing).  All of it sits
-//!   behind `Arc`s, so a snapshot is a handful of pointer bumps to
-//!   retain and queries on it take `&self` with **zero locks**.
-//! * [`SnapshotEngine`] — the single writer.  `apply` runs the same
-//!   O(dirty region) machinery as the live engine ([`Partition::refresh`]
-//!   plus per-slot recompilation), re-solves exactly the rebuilt slots,
-//!   and publishes the next snapshot under a bumped epoch.  Clean slots
-//!   are carried over as shared `Arc`s — consecutive snapshots share
-//!   every encoding outside the dirty region.  The specification, the
-//!   partition and the slot vector are paged copy-on-write containers
-//!   ([`currency_core::cow`]), so the writer's working copy shares every
-//!   page with the snapshot it last published: a delta copies the
-//!   containers' top levels (one pointer per chunk of 128 pages) plus
-//!   only the chunks and pages its dirty region writes (counted in
-//!   [`PublishReport::pages_copied`]), never the specification and never
-//!   a whole page table.
-//! * [`SnapshotCell`] — the hand-rolled arc-swap the writer publishes
-//!   through: a `Mutex<Arc<EngineSnapshot>>` whose `load()` is
+//!   solves each rebuilt component when it compiles it).  All of it sits
+//!   behind `Arc`s and shared pages, so a snapshot is a handful of
+//!   pointer bumps to retain and queries on it take `&self` with **zero
+//!   locks**.  The writer's next delta copies only the chunks and pages
+//!   its dirty region writes ([`ApplyReport::pages_copied`]); clean slots
+//!   stay shared between consecutive snapshots.
+//! * [`SnapshotCell`] — the hand-rolled arc-swap a serving front door
+//!   publishes through: a `Mutex<Arc<EngineSnapshot>>` whose `load()` is
 //!   lock-then-clone-the-`Arc`, held for nanoseconds and recoverable
 //!   from poisoning, so a crashed reader can neither wedge the publish
 //!   path nor corrupt the published view (snapshots are immutable).
@@ -35,54 +25,530 @@
 //!   solver scratch**: assumption solves (COP) clone the component's
 //!   encoding into private scratch instead of locking a shared solver,
 //!   so N readers never block each other or the writer, and learnt
-//!   clauses still amortize across one reader's query stream.  Re-pinning
-//!   a newer epoch refreshes stale scratch in place
-//!   (`Encoding::clone_from`, which reuses the scratch's buffers).
+//!   clauses still amortize across one reader's query stream.  A scratch
+//!   entry is stamped with its slot's compile generation and refreshed in
+//!   place (`Encoding::clone_from`, which reuses its buffers) only once
+//!   the writer has recompiled that slot.
+//!
+//! DCIP, certain answers, current instances, model enumeration, decode,
+//! the witness and COP are written once, over the borrowed `View` of a
+//! specification, partition, slot vector and options that the writer
+//! and its snapshots share.  COP solves on the one scratch type,
+//! `SolverScratch`: each reader owns one and the writer keeps one behind
+//! a single lock.
 //!
 //! The serving front door (answer cache, rate limiting, stats) lives on
 //! top of this module in the `currency-serve` crate.
+//!
+//! [`CurrencyEngine`]: crate::engine::CurrencyEngine
+//! [`CurrencyEngine::snapshot`]: crate::engine::CurrencyEngine::snapshot
+//! [`ApplyReport::pages_copied`]: crate::engine::ApplyReport::pages_copied
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::encode::{Bounds, Encoding};
-use crate::encode::{CompileScratch, ComponentCompiler};
-use crate::engine::{
-    check_product_budget, effective_threads, for_each_combination, intersect_certain_answers,
-    remapped_cells, run_indexed, run_indexed_with, run_slices, ComponentModels, EngineStats,
-    SLICE_QUANTUM,
-};
+use crate::engine::{effective_threads, run_indexed};
 use crate::error::ReasonError;
-use crate::obs::EngineObs;
-use crate::partition::{Component, Partition, RefreshScratch};
-use crate::{CompactBudget, Options, SolveLimits};
-use currency_core::cow::{pages_copied, PagedVec};
-use currency_core::NormalInstance;
-use currency_core::{CompactStepReport, Eid, RelId, SpecDelta, Specification, TupleId, Value};
-use currency_obs::{Counter, MetricsRegistry, SpanGuard, TraceEvent, TraceKind};
-use currency_query::Query;
-use currency_sat::SolverStats;
+use crate::partition::Partition;
+use crate::{Options, SolveLimits};
+use currency_core::cow::PagedVec;
+use currency_core::{
+    Completion, Eid, NormalInstance, RelCompletion, RelId, Specification, Tuple, TupleId, Value,
+};
+use currency_obs::{Counter, Gauge, MetricsRegistry};
+use currency_query::{Database, Query};
 use currency_sat::{Enumeration, SolveResult};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One component slot of a snapshot: the compiled encoding (already
-/// solved, so its satisfiability and learnt clauses are baked in) plus
-/// the cached verdict.
+/// One component slot of the writer and of every snapshot: the compiled
+/// encoding (solved at compile time, so its learnt clauses are baked
+/// in), its verdict, and the compile generation that produced it.
 #[derive(Clone)]
-struct SlotView {
-    enc: Arc<Encoding>,
-    sat: bool,
+pub(crate) struct SlotView {
+    pub(crate) enc: Arc<Encoding>,
+    /// Satisfiability of the component; `None` while the compile-time
+    /// solve was interrupted by the writer's bounds.  Every slot of a
+    /// snapshot is decided.
+    pub(crate) sat: Option<bool>,
+    /// Writer-wide compile generation of `enc`: scratch copies stamped
+    /// with it stay valid until the writer recompiles the slot.
+    pub(crate) gen: u64,
 }
 
-/// An immutable, shareable view of a compiled specification at one epoch.
+/// One component's contribution to a product enumeration: the component
+/// index, the restricted-projection indices, and the projected models.
+struct ComponentModels {
+    comp: usize,
+    indices: Vec<usize>,
+    models: Vec<Vec<bool>>,
+}
+
+/// How often (in combinations) the odometer consults the wall clock.
+/// The first combination always checks, so an already-expired deadline
+/// interrupts before any row is decoded.
+const COMBINATION_CHECK: u64 = 1024;
+
+/// The borrowed state every query runs over: the writer's and a
+/// snapshot's specification, partition, slots and options.  Each query
+/// path is written here once.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a> {
+    pub(crate) spec: &'a Specification,
+    pub(crate) value_rels: &'a [RelId],
+    pub(crate) partition: &'a Partition,
+    pub(crate) slots: &'a PagedVec<SlotView>,
+    pub(crate) opts: Options,
+}
+
+impl View<'_> {
+    /// **COP** — one assumption solve per pair against `scratch`'s
+    /// private copy of the pair's component.  Vacuously true when the
+    /// specification is inconsistent (paper convention).  The verdict is
+    /// passed in decided: the writer decides it on the same scratch, so
+    /// it must do so before lending the scratch out.
+    pub(crate) fn cop(
+        &self,
+        ot: &CurrencyOrderQuery,
+        consistent: bool,
+        scratch: &mut SolverScratch,
+    ) -> Result<bool, ReasonError> {
+        if !consistent {
+            return Ok(true); // Mod(S) = ∅: vacuously certain
+        }
+        if ot.rel.index() >= self.spec.instances().len() {
+            return Ok(ot.pairs.is_empty());
+        }
+        let inst = self.spec.instance(ot.rel);
+        let bounds = Bounds::from_options(&self.opts);
+        for &(attr, lesser, greater) in &ot.pairs {
+            let (Ok(lt), Ok(gt)) = (inst.tuple_checked(lesser), inst.tuple_checked(greater)) else {
+                return Ok(false); // unknown tuple: never certain
+            };
+            if lesser == greater || lt.eid != gt.eid {
+                return Ok(false); // reflexive or cross-entity: never holds
+            }
+            let ix = self
+                .partition
+                .component_of(ot.rel, lt.eid)
+                .expect("every entity has a component");
+            let enc = scratch.encoding(ix, &self.slots[ix]);
+            let Some(l) = enc.order_lit(ot.rel, attr, lesser, greater) else {
+                return Ok(false);
+            };
+            if enc.solve_bounded_with_assumptions(&[!l], &bounds)? == SolveResult::Sat {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// **DCIP** — do all completions agree on the current instance of
+    /// `rel`?  Enumerates at most two rel-projected models per touched
+    /// component, on throwaway clones of the slot encodings, and stops at
+    /// the first component with two.
+    pub(crate) fn dcip(
+        &self,
+        rel: RelId,
+        consistent: impl FnOnce() -> Result<bool, ReasonError>,
+    ) -> Result<bool, ReasonError> {
+        self.require_value_rel(rel)?;
+        if !consistent()? {
+            return Ok(true); // vacuously deterministic
+        }
+        let bounds = Bounds::from_options(&self.opts);
+        for ix in self.partition.components_touching(rel) {
+            let shared = &self.slots[ix].enc;
+            let (_, vars) = shared.restricted_projection(&[rel]);
+            if vars.is_empty() {
+                continue; // every completion yields the same rows
+            }
+            let mut enc = (**shared).clone();
+            let mut count = 0usize;
+            let enumeration =
+                enc.for_each_model_bounded(&vars, self.opts.max_models, &bounds, |_| {
+                    count += 1;
+                    count < 2
+                })?;
+            if let Enumeration::LimitReached(n) = enumeration {
+                return Err(ReasonError::BudgetExceeded {
+                    what: "current-instance enumeration (DCIP)",
+                    budget: self.opts.max_models,
+                    spent: n,
+                });
+            }
+            if count >= 2 {
+                return Ok(false); // one nondeterministic component decides
+            }
+        }
+        Ok(true)
+    }
+
+    /// The certain current answers of `query`: the intersection of the
+    /// query's answers over every realizable combination of current
+    /// instances.
+    ///
+    /// Realizable instances are enumerated **per component** and composed
+    /// as a product, so the per-component All-SAT never pays for order
+    /// choices in unrelated components.  Both the per-component model
+    /// count and the composed product are bounded by
+    /// [`Options::max_models`].
+    pub(crate) fn certain_answers(
+        &self,
+        query: &Query,
+        consistent: impl FnOnce() -> Result<bool, ReasonError>,
+    ) -> Result<CertainAnswers, ReasonError> {
+        let rels: Vec<RelId> = query.body().relations().into_iter().collect();
+        for &rel in &rels {
+            self.require_value_rel(rel)?;
+        }
+        if !consistent()? {
+            return Ok(CertainAnswers::Inconsistent);
+        }
+        let mut touched: Vec<usize> = rels
+            .iter()
+            .flat_map(|&rel| self.partition.components_touching(rel))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let per_comp = self.enumerate_component_models(
+            &rels,
+            &touched,
+            "current-instance enumeration (CCQA)",
+        )?;
+        let mut certain: Option<BTreeSet<Vec<Value>>> = None;
+        self.for_each_combination(&rels, &per_comp, |rows| {
+            let mut insts: BTreeMap<RelId, NormalInstance> = rels
+                .iter()
+                .map(|&rel| (rel, NormalInstance::new(rel)))
+                .collect();
+            for (rel, t) in rows {
+                insts.get_mut(&rel).expect("requested relation").push(t);
+            }
+            let dbs: Vec<NormalInstance> = insts.into_values().collect();
+            let db = Database::new(&dbs);
+            let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
+            let next = match certain.take() {
+                None => answers,
+                Some(acc) => acc.intersection(&answers).cloned().collect(),
+            };
+            let keep_going = !next.is_empty(); // the intersection can only shrink
+            certain = Some(next);
+            keep_going
+        })?;
+        Ok(CertainAnswers::Answers(
+            certain.unwrap_or_default().into_iter().collect(),
+        ))
+    }
+
+    /// The realizable current instances of `rel` (up to the model
+    /// budget), composed across components.
+    pub(crate) fn current_instances(
+        &self,
+        rel: RelId,
+        consistent: impl FnOnce() -> Result<bool, ReasonError>,
+    ) -> Result<Vec<NormalInstance>, ReasonError> {
+        self.require_value_rel(rel)?;
+        if !consistent()? {
+            return Ok(Vec::new());
+        }
+        let rels = [rel];
+        let touched = self.partition.components_touching(rel);
+        let per_comp =
+            self.enumerate_component_models(&rels, &touched, "current-instance enumeration")?;
+        let mut out: Vec<NormalInstance> = Vec::new();
+        self.for_each_combination(&rels, &per_comp, |rows| {
+            let mut inst = NormalInstance::new(rel);
+            for (_, t) in rows {
+                inst.push(t);
+            }
+            out.push(inst);
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// A witness completion from `Mod(S)`, assembled from per-component
+    /// models solved on throwaway clones; `Ok(None)` means the
+    /// specification is inconsistent.
+    pub(crate) fn witness_completion(
+        &self,
+        consistent: bool,
+    ) -> Result<Option<Completion>, ReasonError> {
+        if !consistent {
+            return Ok(None);
+        }
+        let per_slot = run_indexed(effective_threads(&self.opts), self.slots.len(), |ix| {
+            // Re-solve without assumptions so the model is a plain
+            // completion model; in lazy mode this also re-runs the
+            // closure refinement so the model is transitive.
+            let mut enc = (*self.slots[ix].enc).clone();
+            let sat = enc.solve();
+            debug_assert_eq!(sat, SolveResult::Sat, "component known satisfiable");
+            Ok(enc.model_chains(self.spec))
+        })?;
+        let mut chains: BTreeMap<RelId, Vec<BTreeMap<Eid, Vec<TupleId>>>> = self
+            .spec
+            .instances()
+            .iter()
+            .map(|inst| (inst.rel(), vec![BTreeMap::new(); inst.arity()]))
+            .collect();
+        for (rel, attr, eid, chain) in per_slot.into_iter().flatten() {
+            chains.get_mut(&rel).expect("known relation")[attr.index()].insert(eid, chain);
+        }
+        let rels: Result<Vec<RelCompletion>, _> = self
+            .spec
+            .instances()
+            .iter()
+            .map(|inst| {
+                RelCompletion::new(
+                    inst,
+                    chains.remove(&inst.rel()).expect("chains per relation"),
+                )
+            })
+            .collect();
+        let completion = Completion::new(rels?);
+        debug_assert!(completion.is_consistent_for(self.spec));
+        Ok(Some(completion))
+    }
+
+    /// Enumerate each listed component's projected models over `rels`
+    /// (parallel under [`Options::threads`], on throwaway clones of the
+    /// slot encodings).  Both the per-component model count and the
+    /// composed product are bounded by [`Options::max_models`]; `what`
+    /// labels the budget error.
+    fn enumerate_component_models(
+        &self,
+        rels: &[RelId],
+        comps: &[usize],
+        what: &'static str,
+    ) -> Result<Vec<ComponentModels>, ReasonError> {
+        let max_models = self.opts.max_models;
+        let per_comp = run_indexed(effective_threads(&self.opts), comps.len(), |k| {
+            let ix = comps[k];
+            let shared = &self.slots[ix].enc;
+            let (indices, vars) = shared.restricted_projection(rels);
+            if vars.is_empty() {
+                // One realizable outcome: the component's fixed rows.
+                return Ok(ComponentModels {
+                    comp: ix,
+                    indices,
+                    models: vec![Vec::new()],
+                });
+            }
+            let bounds = Bounds::from_options(&self.opts);
+            let mut enc = (**shared).clone();
+            let mut models: Vec<Vec<bool>> = Vec::new();
+            let enumeration = enc.for_each_model_bounded(&vars, max_models, &bounds, |m| {
+                models.push(m.to_vec());
+                true
+            })?;
+            if let Enumeration::LimitReached(n) = enumeration {
+                return Err(ReasonError::BudgetExceeded {
+                    what,
+                    budget: max_models,
+                    spent: n,
+                });
+            }
+            Ok(ComponentModels {
+                comp: ix,
+                indices,
+                models,
+            })
+        })?;
+        // Guard the composed cross-component product against the budget.
+        let mut product: usize = 1;
+        for cm in &per_comp {
+            product = product.saturating_mul(cm.models.len().max(1));
+            if product > max_models {
+                return Err(ReasonError::BudgetExceeded {
+                    what,
+                    budget: max_models,
+                    spent: product,
+                });
+            }
+        }
+        Ok(per_comp)
+    }
+
+    /// Run `f` on the decoded rows of every combination of per-component
+    /// model choices (odometer over the product); `f` returning `false`
+    /// stops the iteration.  With no components, `f` runs once with no
+    /// rows (the empty product has one element).
+    ///
+    /// The odometer itself can run for `max_models` combinations even
+    /// though every individual solve finished, so it re-checks the
+    /// deadline every [`COMBINATION_CHECK`] combinations and surfaces
+    /// [`ReasonError::Interrupted`] on expiry.
+    fn for_each_combination(
+        &self,
+        rels: &[RelId],
+        per_comp: &[ComponentModels],
+        mut f: impl FnMut(Vec<(RelId, Tuple)>) -> bool,
+    ) -> Result<(), ReasonError> {
+        let mut pick = vec![0usize; per_comp.len()];
+        let mut combos: u64 = 0;
+        loop {
+            if let Some(d) = self.opts.deadline {
+                if combos.is_multiple_of(COMBINATION_CHECK) && Instant::now() >= d {
+                    return Err(ReasonError::Interrupted {
+                        spent: crate::Spent::default(),
+                    });
+                }
+                combos += 1;
+            }
+            let mut rows: Vec<(RelId, Tuple)> = Vec::new();
+            for (k, cm) in per_comp.iter().enumerate() {
+                rows.extend(self.slots[cm.comp].enc.decode_restricted(
+                    self.spec,
+                    rels,
+                    &cm.indices,
+                    &cm.models[pick[k]],
+                ));
+            }
+            if !f(rows) {
+                return Ok(());
+            }
+            // Advance the odometer.
+            let mut i = 0;
+            loop {
+                if i == per_comp.len() {
+                    return Ok(());
+                }
+                pick[i] += 1;
+                if pick[i] < per_comp[i].models.len() {
+                    break;
+                }
+                pick[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    fn require_value_rel(&self, rel: RelId) -> Result<(), ReasonError> {
+        if self.value_rels.contains(&rel) {
+            Ok(())
+        } else {
+            Err(ReasonError::UnsupportedQuery {
+                detail: format!(
+                    "relation {rel:?} has no value indicators in this engine; \
+                     build it with CurrencyEngine::new or include the relation \
+                     in with_value_rels"
+                ),
+            })
+        }
+    }
+}
+
+/// Slots a [`SolverScratch`] keeps private encodings for.  A full
+/// scratch evicts an entry and lends its buffers to the newcomer, so a
+/// long-lived reader that visits every component of a large
+/// specification holds at most this many encoding clones.
+const SCRATCH_SLOTS: usize = 256;
+
+/// One scratch entry: a private clone of a slot's encoding, stamped with
+/// the slot's compile generation, plus the verdict of an undecided
+/// slot once this copy decided it.
+struct ScratchSlot {
+    gen: u64,
+    enc: Encoding,
+    sat: Option<bool>,
+}
+
+/// Private solver copies of component encodings — what COP's assumption
+/// solves (and the writer's re-solves of undecided slots) run on, so
+/// the shared slot encodings are only ever read.  Learnt clauses
+/// accumulate in each copy across queries.  An entry goes stale only
+/// when its slot's compile generation changes; it is then refreshed in
+/// place (`Encoding::clone_from` reuses its buffers).
+#[derive(Default)]
+pub(crate) struct SolverScratch {
+    slots: HashMap<usize, ScratchSlot>,
+    clones: u64,
+    refreshes: u64,
+}
+
+impl SolverScratch {
+    /// The private copy of slot `ix`, cloned or refreshed on demand.
+    pub(crate) fn encoding(&mut self, ix: usize, view: &SlotView) -> &mut Encoding {
+        &mut self.entry(ix, view).enc
+    }
+
+    /// Decide an undecided slot on its private copy under `bounds`; the
+    /// verdict is kept until the slot is recompiled.
+    pub(crate) fn decide(
+        &mut self,
+        ix: usize,
+        view: &SlotView,
+        bounds: &Bounds,
+    ) -> Result<bool, ReasonError> {
+        let entry = self.entry(ix, view);
+        if let Some(sat) = entry.sat {
+            return Ok(sat);
+        }
+        let sat = entry.enc.solve_bounded(bounds)? == SolveResult::Sat;
+        entry.sat = Some(sat);
+        Ok(sat)
+    }
+
+    /// Drop every private copy (after a panic mid-solve may have left
+    /// one half-updated).
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    fn entry(&mut self, ix: usize, view: &SlotView) -> &mut ScratchSlot {
+        if self.slots.len() >= SCRATCH_SLOTS && !self.slots.contains_key(&ix) {
+            // Full: the newcomer takes over an evicted entry's buffers.
+            let evicted = *self
+                .slots
+                .keys()
+                .next()
+                .expect("a full scratch has entries");
+            let mut s = self.slots.remove(&evicted).expect("key just listed");
+            s.enc.clone_from(&view.enc);
+            s.gen = view.gen;
+            s.sat = None;
+            self.clones += 1;
+            return self.slots.entry(ix).or_insert(s);
+        }
+        match self.slots.entry(ix) {
+            Entry::Occupied(entry) => {
+                let s = entry.into_mut();
+                if s.gen != view.gen {
+                    s.enc.clone_from(&view.enc);
+                    s.gen = view.gen;
+                    s.sat = None;
+                    self.refreshes += 1;
+                }
+                s
+            }
+            Entry::Vacant(entry) => {
+                self.clones += 1;
+                entry.insert(ScratchSlot {
+                    gen: view.gen,
+                    enc: (*view.enc).clone(),
+                    sat: None,
+                })
+            }
+        }
+    }
+}
+
+/// An immutable, shareable view of a compiled specification at one epoch
+/// ([`CurrencyEngine::snapshot`](crate::engine::CurrencyEngine::snapshot)).
 ///
 /// Everything a query needs — spec, partition, per-component encodings
 /// with their cached solver state — is frozen behind `Arc`s.  Query
 /// methods that never mutate solver state live here and take `&self`
 /// with no locking; entailment queries (COP) need a mutable solver and
 /// live on [`SnapshotReader`], which keeps private scratch.
+///
+/// Live snapshots are counted by the writer's
+/// `currency_snapshot_epochs_live` gauge: up when one is built, down
+/// when it is dropped.
 pub struct EngineSnapshot {
     epoch: u64,
     spec: Arc<Specification>,
@@ -91,11 +557,43 @@ pub struct EngineSnapshot {
     slots: PagedVec<SlotView>,
     consistent: bool,
     opts: Options,
+    live: Arc<Gauge>,
+}
+
+impl Drop for EngineSnapshot {
+    fn drop(&mut self) {
+        self.live.sub(1);
+    }
 }
 
 impl EngineSnapshot {
-    /// The epoch this snapshot was published under.  Epochs increase by
-    /// one per publication; equal epochs mean identical state, so the
+    /// Freeze a writer's state (every slot decided) under `epoch`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        epoch: u64,
+        spec: Arc<Specification>,
+        value_rels: Arc<Vec<RelId>>,
+        partition: Arc<Partition>,
+        slots: PagedVec<SlotView>,
+        consistent: bool,
+        opts: Options,
+        live: Arc<Gauge>,
+    ) -> EngineSnapshot {
+        live.add(1);
+        EngineSnapshot {
+            epoch,
+            spec,
+            value_rels,
+            partition,
+            slots,
+            consistent,
+            opts,
+            live,
+        }
+    }
+
+    /// The epoch this snapshot was taken at.  The writer bumps its epoch
+    /// once per write, so equal epochs mean identical state and the
     /// epoch is a sound cache-invalidation key.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -123,9 +621,8 @@ impl EngineSnapshot {
         &self.opts
     }
 
-    /// **CPS** — is the specification consistent?  Precomputed by the
-    /// writer (every slot is solved before publication), so this is a
-    /// field read.
+    /// **CPS** — is the specification consistent?  Every slot is decided
+    /// before a snapshot is taken, so this is a field read.
     pub fn cps(&self) -> bool {
         self.consistent
     }
@@ -134,43 +631,7 @@ impl EngineSnapshot {
     /// `rel`?  Enumerates at most two rel-projected models per touched
     /// component on throwaway clones of the shared encodings.
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        self.dcip_with(rel, &self.opts)
-    }
-
-    /// [`EngineSnapshot::dcip`] under a caller-supplied `Options` (the
-    /// [`SnapshotReader`] threads its per-request deadline through here).
-    pub(crate) fn dcip_with(&self, rel: RelId, opts: &Options) -> Result<bool, ReasonError> {
-        self.require_value_rel(rel)?;
-        if !self.consistent {
-            return Ok(true); // vacuously deterministic
-        }
-        let bounds = Bounds::from_options(opts);
-        let touched = self.partition.components_touching(rel);
-        for ix in touched {
-            let shared = &self.slots[ix].enc;
-            let (_, vars) = shared.restricted_projection(&[rel]);
-            if vars.is_empty() {
-                continue; // every completion yields the same rows
-            }
-            let mut enc = (**shared).clone();
-            let mut count = 0usize;
-            let enumeration =
-                enc.for_each_model_bounded(&vars, opts.max_models, &bounds, |_| {
-                    count += 1;
-                    count < 2
-                })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what: "current-instance enumeration (DCIP)",
-                    budget: opts.max_models,
-                    spent: n,
-                });
-            }
-            if count >= 2 {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        self.view(self.opts).dcip(rel, || Ok(self.consistent))
     }
 
     /// **CCQA** — is `tuple` a certain current answer of `query`?
@@ -179,156 +640,27 @@ impl EngineSnapshot {
     }
 
     /// The certain current answers of `query`, composed per component
-    /// exactly like the live engine's — but against the snapshot's
-    /// immutable encodings, with All-SAT blocking clauses confined to
-    /// throwaway clones.
+    /// against the snapshot's immutable encodings, with All-SAT blocking
+    /// clauses confined to throwaway clones.
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        self.certain_answers_with(query, &self.opts)
-    }
-
-    /// [`EngineSnapshot::certain_answers`] under a caller-supplied
-    /// `Options`.
-    pub(crate) fn certain_answers_with(
-        &self,
-        query: &Query,
-        opts: &Options,
-    ) -> Result<CertainAnswers, ReasonError> {
-        let rels: Vec<RelId> = query.body().relations().into_iter().collect();
-        for &rel in &rels {
-            self.require_value_rel(rel)?;
-        }
-        if !self.consistent {
-            return Ok(CertainAnswers::Inconsistent);
-        }
-        let touched = self.touched_components(&rels);
-        let per_comp = self.enumerate_component_models(
-            &rels,
-            &touched,
-            opts,
-            "current-instance enumeration (CCQA)",
-        )?;
-        intersect_certain_answers(query, &rels, &per_comp, opts.deadline, |cm, model| {
-            self.decode(&rels, cm, model)
-        })
+        self.view(self.opts)
+            .certain_answers(query, || Ok(self.consistent))
     }
 
     /// The realizable current instances of `rel` (up to the model
     /// budget), composed across components.
     pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.current_instances_with(rel, &self.opts)
+        self.view(self.opts)
+            .current_instances(rel, || Ok(self.consistent))
     }
 
-    /// [`EngineSnapshot::current_instances`] under a caller-supplied
-    /// `Options`.
-    pub(crate) fn current_instances_with(
-        &self,
-        rel: RelId,
-        opts: &Options,
-    ) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.require_value_rel(rel)?;
-        if !self.consistent {
-            return Ok(Vec::new());
-        }
-        let rels = [rel];
-        let touched = self.partition.components_touching(rel);
-        let per_comp =
-            self.enumerate_component_models(&rels, &touched, opts, "current-instance enumeration")?;
-        let mut out: Vec<NormalInstance> = Vec::new();
-        for_each_combination(
-            &per_comp,
-            opts.deadline,
-            |cm, model| self.decode(&rels, cm, model),
-            |rows| {
-                let mut inst = NormalInstance::new(rel);
-                for (_, t) in rows {
-                    inst.push(t);
-                }
-                out.push(inst);
-                true
-            },
-        )?;
-        Ok(out)
-    }
-
-    fn decode(
-        &self,
-        rels: &[RelId],
-        cm: &ComponentModels,
-        model: &[bool],
-    ) -> Vec<(RelId, currency_core::Tuple)> {
-        self.slots[cm.comp]
-            .enc
-            .decode_restricted(&self.spec, rels, &cm.indices, model)
-    }
-
-    /// The components holding cells of any of `rels`, deduplicated.
-    fn touched_components(&self, rels: &[RelId]) -> Vec<usize> {
-        let mut out: Vec<usize> = rels
-            .iter()
-            .flat_map(|&rel| self.partition.components_touching(rel))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Enumerate each listed component's projected models over `rels`
-    /// (parallel under [`Options::threads`], on throwaway clones of the
-    /// shared encodings — no lock is taken or needed).
-    fn enumerate_component_models(
-        &self,
-        rels: &[RelId],
-        comps: &[usize],
-        opts: &Options,
-        what: &'static str,
-    ) -> Result<Vec<ComponentModels>, ReasonError> {
-        let per_comp = run_indexed(effective_threads(opts), comps.len(), |k| {
-            let ix = comps[k];
-            let shared = &self.slots[ix].enc;
-            let (indices, vars) = shared.restricted_projection(rels);
-            if vars.is_empty() {
-                // One realizable outcome: the component's fixed rows.
-                return Ok(ComponentModels {
-                    comp: ix,
-                    indices,
-                    models: vec![Vec::new()],
-                });
-            }
-            let bounds = Bounds::from_options(opts);
-            let mut enc = (**shared).clone();
-            let mut models: Vec<Vec<bool>> = Vec::new();
-            let enumeration = enc.for_each_model_bounded(&vars, opts.max_models, &bounds, |m| {
-                models.push(m.to_vec());
-                true
-            })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what,
-                    budget: opts.max_models,
-                    spent: n,
-                });
-            }
-            Ok(ComponentModels {
-                comp: ix,
-                indices,
-                models,
-            })
-        })?;
-        check_product_budget(&per_comp, opts.max_models, what)?;
-        Ok(per_comp)
-    }
-
-    fn require_value_rel(&self, rel: RelId) -> Result<(), ReasonError> {
-        if self.value_rels.contains(&rel) {
-            Ok(())
-        } else {
-            Err(ReasonError::UnsupportedQuery {
-                detail: format!(
-                    "relation {rel:?} has no value indicators in this snapshot; \
-                     build the SnapshotEngine with new or include the relation \
-                     in with_value_rels"
-                ),
-            })
+    fn view(&self, opts: Options) -> View<'_> {
+        View {
+            spec: &self.spec,
+            value_rels: &self.value_rels,
+            partition: &self.partition,
+            slots: &self.slots,
+            opts,
         }
     }
 }
@@ -345,14 +677,16 @@ pub struct SnapshotCell {
     /// Poison recoveries on `load`/`store`: the recovery is safe (the
     /// protected value is an `Arc` a panic cannot tear) but it means a
     /// reader died mid-operation, so it is counted instead of swallowed —
-    /// as `currency_degraded_events_total{source="snapshot_cell"}` on the
-    /// writer's registry, which `currency-serve` also surfaces as
+    /// as `currency_degraded_events_total{source="snapshot_cell"}` on
+    /// `registry`, which `currency-serve` also surfaces as
     /// `ServeStats::degraded_events`.
     degraded: Arc<Counter>,
 }
 
 impl SnapshotCell {
-    fn new(snap: Arc<EngineSnapshot>, registry: &MetricsRegistry) -> SnapshotCell {
+    /// A cell holding `snap`, counting its poison recoveries on
+    /// `registry` (the writer's).
+    pub fn new(snap: Arc<EngineSnapshot>, registry: &MetricsRegistry) -> SnapshotCell {
         SnapshotCell {
             current: Mutex::new(snap),
             degraded: registry.counter(
@@ -381,7 +715,8 @@ impl SnapshotCell {
         self.degraded.get()
     }
 
-    fn store(&self, next: Arc<EngineSnapshot>) {
+    /// Publish `next`: every later [`SnapshotCell::load`] returns it.
+    pub fn store(&self, next: Arc<EngineSnapshot>) {
         *self.lock() = next;
     }
 
@@ -396,477 +731,6 @@ impl SnapshotCell {
     }
 }
 
-/// What one [`SnapshotEngine::apply`] published.
-#[derive(Clone, Debug)]
-pub struct PublishReport {
-    /// The epoch the resulting snapshot was published under.
-    pub epoch: u64,
-    /// Components recompiled (and re-solved) by this delta.
-    pub components_rebuilt: usize,
-    /// Components whose compiled `Arc` was carried over untouched.
-    pub components_reused: usize,
-    /// Number of `(relation, entity)` cells the delta touched.
-    pub cells_touched: usize,
-    /// Ids assigned to tuples the delta inserted, in operation order.
-    pub inserted: Vec<(RelId, TupleId)>,
-    /// Copy-on-write pages and chunks this delta (and its
-    /// auto-compaction step) copied off the previously published
-    /// snapshot: O(dirty region), independent of the specification's
-    /// size.
-    pub pages_copied: u64,
-    /// The bounded compaction step the
-    /// [`Options::auto_compact_tombstones`] policy ran after this delta,
-    /// if any.  Only the ids its slices remapped are invalidated;
-    /// translate via [`CompactStepReport::new_id`].
-    pub compact_step: Option<CompactStepReport>,
-}
-
-/// The single writer of an epoch-published engine.
-///
-/// Owns the working copy of the specification, partition and per-slot
-/// encodings; [`SnapshotEngine::apply`] mutates them through the same
-/// O(dirty region) refresh path as the live engine, re-solves exactly
-/// the rebuilt slots, and publishes the next [`EngineSnapshot`] through
-/// the shared [`SnapshotCell`].  Readers hold the cell (via
-/// [`SnapshotEngine::cell`]) and never touch the writer.
-pub struct SnapshotEngine {
-    spec: Arc<Specification>,
-    value_rels: Arc<Vec<RelId>>,
-    partition: Arc<Partition>,
-    /// Buffers lent to every [`Partition::refresh`] (kept out of the
-    /// partition so published partitions carry none).
-    refresh_scratch: RefreshScratch,
-    /// Buffers lent to every component compile run inline.
-    compile_scratch: CompileScratch,
-    slots: PagedVec<SlotView>,
-    /// Shared trivially-satisfiable encoding for vacated slots.
-    vacant: Arc<Encoding>,
-    /// Count of slots whose encoding is unsatisfiable.
-    unsat: usize,
-    /// Count of slots whose encoding grounded a premise-free falsum
-    /// rule ([`Encoding::has_ground_falsum`]).
-    falsum_slots: usize,
-    epoch: u64,
-    opts: Options,
-    cell: Arc<SnapshotCell>,
-    /// Metric handles + trace recorder (see [`EngineObs`]); also the
-    /// only store of the lifetime counts [`SnapshotEngine::stats`]
-    /// reports.
-    obs: EngineObs,
-}
-
-impl SnapshotEngine {
-    /// Compile `spec` with value indicators for every relation and
-    /// publish the epoch-0 snapshot.
-    pub fn new(spec: Specification, opts: &Options) -> Result<SnapshotEngine, ReasonError> {
-        let value_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
-        SnapshotEngine::with_value_rels(spec, &value_rels, opts)
-    }
-
-    /// Compile `spec` with value indicators for `value_rels` only (see
-    /// [`CurrencyEngine::with_value_rels`](crate::engine::CurrencyEngine::with_value_rels)).
-    pub fn with_value_rels(
-        spec: Specification,
-        value_rels: &[RelId],
-        opts: &Options,
-    ) -> Result<SnapshotEngine, ReasonError> {
-        spec.validate()?;
-        let value_rels = Arc::new(value_rels.to_vec());
-        let partition = Partition::of(&spec);
-        let mut compile_scratch = CompileScratch::default();
-        let compiler = ComponentCompiler::new(&spec, &value_rels, opts.transitivity);
-        let slots: PagedVec<SlotView> = run_indexed_with(
-            effective_threads(opts),
-            partition.slots(),
-            &mut compile_scratch,
-            |scratch, ix| Ok(compile_slot(&compiler, partition.component(ix), scratch)),
-        )?
-        .into_iter()
-        .collect();
-        let unsat = slots.iter().filter(|s| !s.sat).count();
-        let falsum_slots = slots.iter().filter(|s| s.enc.has_ground_falsum()).count();
-        let vacant = Arc::new(Encoding::vacant(&value_rels, opts.transitivity));
-        let obs = EngineObs::new();
-        let mut engine = SnapshotEngine {
-            spec: Arc::new(spec),
-            value_rels,
-            partition: Arc::new(partition),
-            refresh_scratch: RefreshScratch::default(),
-            compile_scratch,
-            slots,
-            vacant,
-            unsat,
-            falsum_slots,
-            epoch: 0,
-            opts: *opts,
-            cell: Arc::new(SnapshotCell::new(
-                Arc::new(EngineSnapshot {
-                    epoch: 0,
-                    spec: Arc::new(empty_spec()),
-                    value_rels: Arc::new(Vec::new()),
-                    partition: Arc::new(Partition::of(&empty_spec())),
-                    slots: PagedVec::new(),
-                    consistent: true,
-                    opts: *opts,
-                }),
-                obs.registry(),
-            )),
-            obs,
-        };
-        engine.publish();
-        Ok(engine)
-    }
-
-    /// The writer's observability bundle (metric handles, recorder).
-    pub fn obs(&self) -> &EngineObs {
-        &self.obs
-    }
-
-    /// Mutable access for wiring: attach a trace recorder or switch
-    /// the histograms off.
-    pub fn obs_mut(&mut self) -> &mut EngineObs {
-        &mut self.obs
-    }
-
-    /// Apply a delta and publish the resulting snapshot under a bumped
-    /// epoch.
-    ///
-    /// The refresh is the live engine's O(dirty region) path: only the
-    /// touched component slots are recompiled (in parallel under
-    /// [`Options::threads`]) and re-solved; every clean slot's `Arc` is
-    /// carried into the next snapshot unchanged, so consecutive
-    /// snapshots share all compiled state outside the dirty region.  The
-    /// specification and partition are shared with the published
-    /// snapshot chunk by chunk and page by page, so the delta copies only
-    /// the chunks and pages it writes ([`PublishReport::pages_copied`]),
-    /// never a page table.  On error nothing is mutated and nothing is
-    /// published.
-    pub fn apply(&mut self, delta: &SpecDelta) -> Result<PublishReport, ReasonError> {
-        let copied_before = pages_copied();
-        let recorder = self.obs.recorder().clone();
-        let apply_span = SpanGuard::enter(&*recorder, "engine.apply", 0);
-        let parent = apply_span.as_ref().map_or(0, SpanGuard::id);
-        let clock = self.obs.clock();
-        let validate_span = SpanGuard::enter(&*recorder, "engine.validate", parent);
-        // The published snapshot shares our spec `Arc`, so `make_mut`
-        // copies its top level and one pointer per chunk (chunks and
-        // pages are copied one by one as the delta writes them);
-        // validate first so a rejected delta copies nothing.
-        delta.validate(&self.spec)?;
-        let effects = Arc::make_mut(&mut self.spec).apply_delta(delta)?;
-        drop(validate_span);
-        self.obs.lap(clock, &self.obs.apply_validate_ns);
-        let plan = self.rebuild_touched(&effects.touched_cells, parent)?;
-        self.obs.applies_total.inc();
-        if let Some(start) = clock {
-            self.obs.apply_ns.record(start.elapsed().as_nanos() as u64);
-        }
-        let mut report = PublishReport {
-            epoch: 0, // filled in after the publish below
-            components_rebuilt: plan.rebuilt(),
-            components_reused: plan.reused(),
-            cells_touched: effects.touched_cells.len(),
-            inserted: effects.inserted,
-            pages_copied: 0, // filled in before the publish below
-            compact_step: None,
-        };
-        if self.opts.auto_compact_due(&self.spec) {
-            // One slot-bounded step per apply; the delta and the step
-            // publish as a single epoch.
-            let max_slots = self.opts.auto_compact_slots();
-            report.compact_step =
-                Some(self.compact_step_bounded(max_slots, SLICE_QUANTUM, None)?);
-        }
-        report.pages_copied = pages_copied() - copied_before;
-        self.obs.pages_copied.add(report.pages_copied);
-        self.publish();
-        report.epoch = self.epoch;
-        Ok(report)
-    }
-
-    /// Recompile, re-solve and patch exactly the slots owning `touched`
-    /// cells — the shared tail of [`SnapshotEngine::apply`] and
-    /// [`SnapshotEngine::compact_step`].  Does not publish; the caller
-    /// decides the epoch boundary.
-    fn rebuild_touched(
-        &mut self,
-        touched: &BTreeSet<(RelId, Eid)>,
-        parent_span: u64,
-    ) -> Result<crate::partition::RefreshPlan, ReasonError> {
-        let recorder = self.obs.recorder().clone();
-        let clock = self.obs.clock();
-        let plan = {
-            let _span = SpanGuard::enter(&*recorder, "engine.refresh", parent_span);
-            Arc::make_mut(&mut self.partition).refresh(
-                self.spec.as_ref(),
-                touched,
-                &mut self.refresh_scratch,
-            )
-        };
-        let clock = self.obs.lap(clock, &self.obs.apply_refresh_ns);
-        // Compile *and solve* the rebuilt slots before patching any
-        // state: the fallible step cannot leave the writer half-updated,
-        // and solving here bakes the verdict (and any lazy lemmas) into
-        // the published encoding so readers start warm.
-        let compiled: Vec<SlotView> = {
-            let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
-            let compiler =
-                ComponentCompiler::new(&self.spec, &self.value_rels, self.opts.transitivity);
-            let partition = self.partition.as_ref();
-            let rebuilt = &plan.rebuilt;
-            run_indexed_with(
-                effective_threads(&self.opts),
-                rebuilt.len(),
-                &mut self.compile_scratch,
-                |scratch, k| {
-                    Ok(compile_slot(
-                        &compiler,
-                        partition.component(rebuilt[k]),
-                        scratch,
-                    ))
-                },
-            )?
-        };
-        self.obs.lap(clock, &self.obs.apply_recompile_ns);
-        if self.obs.enabled() {
-            // Each rebuilt slot is a fresh encoding solved during
-            // compilation, so its absolute counters *are* the
-            // per-solve delta.
-            for view in &compiled {
-                let stats: SolverStats = view.enc.solver_stats();
-                self.obs.solver_conflicts.record(stats.conflicts);
-                self.obs.solver_propagations.record(stats.propagations);
-                self.obs.solver_lemmas.record(stats.lemmas_added);
-            }
-        }
-        for &slot in &plan.freed {
-            self.retire(slot);
-            self.slots[slot] = SlotView {
-                enc: self.vacant.clone(),
-                sat: true,
-            };
-        }
-        for (&slot, view) in plan.rebuilt.iter().zip(compiled) {
-            if !view.sat {
-                self.unsat += 1;
-            }
-            self.falsum_slots += usize::from(view.enc.has_ground_falsum());
-            if slot < self.slots.len() {
-                self.retire(slot);
-                self.slots[slot] = view;
-            } else {
-                debug_assert_eq!(slot, self.slots.len(), "appends are contiguous");
-                self.slots.push(view);
-            }
-        }
-        debug_assert_eq!(self.slots.len(), plan.slots, "slot arrays aligned");
-        self.obs.components_rebuilt.add(plan.rebuilt() as u64);
-        self.obs.components_reused.add(plan.reused() as u64);
-        Ok(plan)
-    }
-
-    /// Reclaim every tombstone slot and publish the result as one new
-    /// epoch: one compaction step with no slot bound and no deadline (see
-    /// [`CurrencyEngine::compact`](crate::engine::CurrencyEngine::compact)).
-    /// Only the slots owning a remapped tuple are recompiled; every clean
-    /// slot's `Arc` carries into the next snapshot unchanged.  With no
-    /// tombstones this is a no-op: nothing is rebuilt and no new epoch is
-    /// published.
-    pub fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
-        let copied_before = pages_copied();
-        let step = self.compact_step_bounded(usize::MAX, u32::MAX as usize, None)?;
-        self.obs.pages_copied.add(pages_copied() - copied_before);
-        if !step.slices.is_empty() {
-            self.publish();
-        }
-        Ok(step)
-    }
-
-    /// Run one bounded compaction step and publish the result as a new
-    /// epoch (see
-    /// [`CurrencyEngine::compact_step`](crate::engine::CurrencyEngine::compact_step)
-    /// for the step semantics).  Readers pinned to earlier epochs keep
-    /// answering against their snapshot's pre-step tuple ids; each
-    /// completed step is exactly one published epoch, so an id is valid
-    /// for precisely the epochs between the steps that created and
-    /// remapped it.  A step that reclaimed nothing publishes no epoch.
-    pub fn compact_step(
-        &mut self,
-        budget: &CompactBudget,
-    ) -> Result<CompactStepReport, ReasonError> {
-        let deadline = Instant::now() + budget.max_pause;
-        let copied_before = pages_copied();
-        let step =
-            self.compact_step_bounded(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))?;
-        self.obs.pages_copied.add(pages_copied() - copied_before);
-        if !step.slices.is_empty() {
-            self.publish();
-        }
-        Ok(step)
-    }
-
-    /// One step through [`run_slices`], then the dirty-region rebuild;
-    /// the caller publishes.
-    fn compact_step_bounded(
-        &mut self,
-        max_slots: usize,
-        quantum: usize,
-        deadline: Option<Instant>,
-    ) -> Result<CompactStepReport, ReasonError> {
-        if self.spec.total_tombstones() == 0 {
-            return Ok(CompactStepReport {
-                done: true,
-                ..CompactStepReport::default()
-            });
-        }
-        let clock = self.obs.clock();
-        let step = run_slices(Arc::make_mut(&mut self.spec), max_slots, quantum, deadline);
-        if !step.slices.is_empty() {
-            // Rebuild (and re-solve) only the slots owning a remapped
-            // tuple; every clean slot's `Arc` carries into the next
-            // snapshot unchanged.
-            let touched = remapped_cells(&self.spec, &step.slices);
-            if !touched.is_empty() {
-                self.rebuild_touched(&touched, 0)?;
-            }
-            self.obs.compact_steps.inc();
-            self.obs.slots_reclaimed.add(step.reclaimed as u64);
-        }
-        if let Some(start) = clock {
-            self.obs
-                .compact_step_pause_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
-        Ok(step)
-    }
-
-    /// Bump the epoch and swap the assembled snapshot into the cell.
-    fn publish(&mut self) {
-        self.epoch += 1;
-        if self.obs.enabled() {
-            self.obs.snapshot_epoch.set(self.epoch);
-        }
-        let recorder = self.obs.recorder();
-        if recorder.enabled() {
-            recorder.record(TraceEvent {
-                ts_ns: currency_obs::now_ns(),
-                kind: TraceKind::Event,
-                name: "snapshot.publish",
-                span: 0,
-                parent: 0,
-                value: self.epoch,
-            });
-        }
-        let snap = Arc::new(EngineSnapshot {
-            epoch: self.epoch,
-            spec: self.spec.clone(),
-            value_rels: self.value_rels.clone(),
-            partition: self.partition.clone(),
-            slots: self.slots.clone(),
-            consistent: self.falsum_slots == 0 && self.unsat == 0,
-            opts: self.opts,
-        });
-        self.cell.store(snap);
-    }
-
-    /// Take a slot's verdicts out of the writer's counts (the slot is
-    /// about to be replaced).
-    fn retire(&mut self, slot: usize) {
-        let view = &self.slots[slot];
-        self.unsat -= usize::from(!view.sat);
-        self.falsum_slots -= usize::from(view.enc.has_ground_falsum());
-    }
-
-    /// The shared cell readers load snapshots from.
-    pub fn cell(&self) -> Arc<SnapshotCell> {
-        self.cell.clone()
-    }
-
-    /// The most recently published snapshot.
-    pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        self.cell.load()
-    }
-
-    /// A reader pinned to the current snapshot.
-    pub fn reader(&self) -> SnapshotReader {
-        SnapshotReader::new(self.cell.load())
-    }
-
-    /// The current epoch (equals the published snapshot's).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The specification the writer currently holds (the next snapshot's
-    /// content; equal to the published one between calls).
-    pub fn spec(&self) -> &Specification {
-        &self.spec
-    }
-
-    /// The writer's options.
-    pub fn options(&self) -> &Options {
-        &self.opts
-    }
-
-    /// Aggregate counters: sizes and CDCL statistics of the writer's
-    /// current slots (equal to the published snapshot's), lifetime
-    /// counts read from the writer's registry ([`EngineObs`]).
-    pub fn stats(&self) -> EngineStats {
-        let mut stats = EngineStats {
-            components: self.partition.len(),
-            cells: self.partition.cell_count(),
-            partition_bytes: self.partition.heap_bytes(),
-            ..self.obs.stats()
-        };
-        for slot in self.slots.iter() {
-            stats.vars += slot.enc.num_vars();
-            stats.clauses += slot.enc.num_clauses();
-            stats.encoding_bytes += slot.enc.heap_bytes();
-            stats.sat += slot.enc.solver_stats();
-        }
-        stats
-    }
-}
-
-/// The placeholder a [`SnapshotCell`] holds for the instant between
-/// field construction and the constructor's first publish.
-fn empty_spec() -> Specification {
-    Specification::new(currency_core::Catalog::new())
-}
-
-/// Compile one component and solve it immediately, so the published
-/// encoding carries its verdict, learnt clauses and lazy lemmas.  What
-/// gets published is a clone: exactly sized, with the build's doubling
-/// buffers freed together.  Published encodings are only read and
-/// cloned from then on and live among encodings built at other times,
-/// so packing them keeps the heap from fragmenting on a long delta
-/// stream.
-fn compile_slot(
-    compiler: &ComponentCompiler<'_>,
-    component: &Arc<Component>,
-    scratch: &mut CompileScratch,
-) -> SlotView {
-    let mut enc = compiler.compile(component, scratch);
-    let sat = enc.solve() == SolveResult::Sat;
-    SlotView {
-        enc: Arc::new(enc.clone()),
-        sat,
-    }
-}
-
-/// Slots a reader keeps private scratch encodings for.  A reader about
-/// to exceed it empties its scratch and starts over, so a long-lived
-/// reader that visits every component of a large specification holds
-/// at most this many encoding clones.
-const READER_SCRATCH_SLOTS: usize = 256;
-
-/// One entry of a reader's private solver scratch: a clone of a slot's
-/// encoding, stamped with the epoch it was cloned at.
-struct ScratchSlot {
-    epoch: u64,
-    enc: Encoding,
-}
-
 /// A reader: a pinned snapshot plus per-reader solver scratch.
 ///
 /// Queries that need a mutable solver (COP's assumption solves) clone
@@ -874,15 +738,15 @@ struct ScratchSlot {
 /// first use and keep querying that private copy — learnt clauses
 /// accumulate there, amortizing across the reader's stream, and no
 /// shared state is ever locked or written.  [`SnapshotReader::pin`]
-/// moves the reader to a newer snapshot; stale scratch entries are
-/// refreshed lazily in place (`Encoding::clone_from` reuses their
-/// buffers) the next time their slot is queried.  Scratch holds at
-/// most 256 slots; a reader about to exceed that empties it first.
+/// moves the reader to a newer snapshot; a scratch entry whose slot the
+/// writer recompiled in between is refreshed lazily in place
+/// (`Encoding::clone_from` reuses its buffers) the next time its slot
+/// is queried, and every other entry keeps its learnt clauses.  Scratch
+/// holds at most 256 slots; past that, a new slot takes over an evicted
+/// entry's buffers.
 pub struct SnapshotReader {
     snap: Arc<EngineSnapshot>,
-    scratch: HashMap<usize, ScratchSlot>,
-    scratch_clones: u64,
-    scratch_refreshes: u64,
+    scratch: SolverScratch,
     /// Per-request wall-clock deadline layered over the snapshot's
     /// options for every query until changed.
     deadline: Option<Instant>,
@@ -895,9 +759,7 @@ impl SnapshotReader {
     pub fn new(snap: Arc<EngineSnapshot>) -> SnapshotReader {
         SnapshotReader {
             snap,
-            scratch: HashMap::new(),
-            scratch_clones: 0,
-            scratch_refreshes: 0,
+            scratch: SolverScratch::default(),
             deadline: None,
             solve_limits: None,
         }
@@ -930,9 +792,14 @@ impl SnapshotReader {
         opts
     }
 
+    /// The pinned snapshot's view under the per-request overrides.
+    fn view(&self) -> View<'_> {
+        self.snap.view(self.effective_options())
+    }
+
     /// Re-pin to `snap` (typically a fresh [`SnapshotCell::load`]).
-    /// Scratch survives; entries from older epochs are refreshed on
-    /// their next use.
+    /// Scratch survives; entries whose slot was recompiled since are
+    /// refreshed on their next use.
     pub fn pin(&mut self, snap: Arc<EngineSnapshot>) {
         self.snap = snap;
     }
@@ -947,14 +814,16 @@ impl SnapshotReader {
         &self.snap
     }
 
-    /// Scratch encodings cloned fresh over this reader's lifetime.
+    /// Slot encodings copied into scratch for a slot it did not hold,
+    /// over this reader's lifetime.
     pub fn scratch_clones(&self) -> u64 {
-        self.scratch_clones
+        self.scratch.clones
     }
 
-    /// Stale scratch encodings refreshed in place after an epoch change.
+    /// Stale scratch encodings refreshed in place after the writer
+    /// recompiled their slot.
     pub fn scratch_refreshes(&self) -> u64 {
-        self.scratch_refreshes
+        self.scratch.refreshes
     }
 
     /// **CPS** at the pinned epoch (precomputed; a field read).
@@ -966,40 +835,14 @@ impl SnapshotReader {
     /// against this reader's private scratch clone of the pair's
     /// component.
     pub fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
-        let snap = self.snap.clone();
-        if !snap.consistent {
-            return Ok(true); // Mod(S) = ∅: vacuously certain
-        }
-        if ot.rel.index() >= snap.spec.instances().len() {
-            return Ok(ot.pairs.is_empty());
-        }
-        let inst = snap.spec.instance(ot.rel);
-        for &(attr, lesser, greater) in &ot.pairs {
-            let (Ok(lt), Ok(gt)) = (inst.tuple_checked(lesser), inst.tuple_checked(greater)) else {
-                return Ok(false); // unknown tuple: never certain
-            };
-            if lesser == greater || lt.eid != gt.eid {
-                return Ok(false); // reflexive or cross-entity: never holds
-            }
-            let ix = snap
-                .partition
-                .component_of(ot.rel, lt.eid)
-                .expect("every entity has a component");
-            let bounds = Bounds::from_options(&self.effective_options());
-            let enc = self.scratch_mut(ix);
-            let Some(l) = enc.order_lit(ot.rel, attr, lesser, greater) else {
-                return Ok(false);
-            };
-            if enc.solve_bounded_with_assumptions(&[!l], &bounds)? == SolveResult::Sat {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let opts = self.effective_options();
+        let snap = &self.snap;
+        snap.view(opts).cop(ot, snap.consistent, &mut self.scratch)
     }
 
     /// **DCIP** at the pinned epoch (see [`EngineSnapshot::dcip`]).
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        self.snap.dcip_with(rel, &self.effective_options())
+        self.view().dcip(rel, || Ok(self.snap.consistent))
     }
 
     /// **CCQA** at the pinned epoch (see [`EngineSnapshot::ccqa`]).
@@ -1010,41 +853,15 @@ impl SnapshotReader {
     /// Certain answers at the pinned epoch (see
     /// [`EngineSnapshot::certain_answers`]).
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        self.snap
-            .certain_answers_with(query, &self.effective_options())
+        self.view()
+            .certain_answers(query, || Ok(self.snap.consistent))
     }
 
     /// Realizable current instances at the pinned epoch (see
     /// [`EngineSnapshot::current_instances`]).
     pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.snap
-            .current_instances_with(rel, &self.effective_options())
-    }
-
-    /// This reader's private encoding for `slot`, cloned (or refreshed
-    /// in place, reusing its buffers) from the pinned snapshot on
-    /// demand.
-    fn scratch_mut(&mut self, slot: usize) -> &mut Encoding {
-        if self.scratch.len() >= READER_SCRATCH_SLOTS && !self.scratch.contains_key(&slot) {
-            self.scratch.clear();
-        }
-        let epoch = self.snap.epoch;
-        match self.scratch.entry(slot) {
-            Entry::Occupied(entry) => {
-                let s = entry.into_mut();
-                if s.epoch != epoch {
-                    s.enc.clone_from(&self.snap.slots[slot].enc);
-                    s.epoch = epoch;
-                    self.scratch_refreshes += 1;
-                }
-                &mut s.enc
-            }
-            Entry::Vacant(entry) => {
-                self.scratch_clones += 1;
-                let enc = (*self.snap.slots[slot].enc).clone();
-                &mut entry.insert(ScratchSlot { epoch, enc }).enc
-            }
-        }
+        self.view()
+            .current_instances(rel, || Ok(self.snap.consistent))
     }
 }
 
@@ -1053,7 +870,7 @@ mod tests {
     use super::*;
     use crate::engine::CurrencyEngine;
     use currency_core::{
-        AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelationSchema, Term, Tuple,
+        AttrId, Catalog, CmpOp, DenialConstraint, RelationSchema, SpecDelta, Term,
     };
     use currency_query::{Atom, Formula, QueryBuilder, Term as QTerm};
 
@@ -1081,13 +898,23 @@ mod tests {
             .unwrap()
     }
 
+    /// The three-entity spec under the monotone constraint, compiled.
+    fn monotone_engine() -> (CurrencyEngine, RelId) {
+        let (mut spec, r) = multi_entity_spec();
+        spec.add_constraint(monotone(r)).unwrap();
+        (
+            CurrencyEngine::new_owned(spec, &Options::default()).unwrap(),
+            r,
+        )
+    }
+
     fn value_query(r: RelId) -> Query {
         let mut b = QueryBuilder::new();
         let x = b.var();
         b.build(vec![x], Formula::Atom(Atom::new(r, vec![QTerm::Var(x)])))
     }
 
-    /// Reader answers must equal a live engine's over the same spec.
+    /// Reader answers must equal a fresh engine's over the same spec.
     fn assert_matches_engine(reader: &mut SnapshotReader, r: RelId) {
         let spec = reader.snapshot().spec().clone();
         let engine = CurrencyEngine::new(&spec, &Options::default()).unwrap();
@@ -1113,10 +940,8 @@ mod tests {
 
     #[test]
     fn snapshot_matches_live_engine() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let mut reader = engine.reader();
+        let (mut engine, r) = monotone_engine();
+        let mut reader = SnapshotReader::new(engine.snapshot());
         assert_eq!(reader.epoch(), 1);
         assert_matches_engine(&mut reader, r);
         let stats = engine.stats();
@@ -1126,11 +951,8 @@ mod tests {
 
     #[test]
     fn apply_publishes_and_pinned_readers_keep_their_epoch() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let cell = engine.cell();
-        let mut pinned = SnapshotReader::new(cell.load());
+        let (mut engine, r) = monotone_engine();
+        let mut pinned = SnapshotReader::new(engine.snapshot());
         let epoch_before = pinned.epoch();
         let spec_before = pinned.snapshot().spec_arc();
         // Warm the pinned reader's scratch so the delta cannot reach it.
@@ -1150,14 +972,14 @@ mod tests {
         let engine_before = CurrencyEngine::new(&spec_before, &Options::default()).unwrap();
         assert_eq!(pinned.cps(), engine_before.cps().unwrap());
         // ...while a re-pinned reader sees the new epoch.
-        pinned.pin(cell.load());
+        pinned.pin(engine.snapshot());
         assert_eq!(pinned.epoch(), epoch_before + 1);
         assert!(!pinned.cps(), "conflicting edge refutes entity 0");
         assert!(pinned.cop(&q01).unwrap(), "vacuously certain");
         assert_eq!(pinned.scratch_refreshes(), 0, "cps/vacuous cop never solve");
         // A pair in a reused component must refresh the scratch lazily.
         let q23 = CurrencyOrderQuery::single(r, A, TupleId(2), TupleId(3));
-        let mut fresh = SnapshotReader::new(cell.load());
+        let mut fresh = SnapshotReader::new(engine.snapshot());
         assert!(fresh.cop(&q23).unwrap());
     }
 
@@ -1199,9 +1021,7 @@ mod tests {
 
     #[test]
     fn consecutive_snapshots_share_clean_slots() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        let (mut engine, r) = monotone_engine();
         let before = engine.snapshot();
         let mut delta = SpecDelta::new();
         delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
@@ -1223,7 +1043,7 @@ mod tests {
         for entities in [1_000, 4_000] {
             let (spec, t) = large_spec(entities);
             let mut engine =
-                SnapshotEngine::with_value_rels(spec, &[], &Options::default()).unwrap();
+                CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
             let before = engine.snapshot();
             let mut delta = SpecDelta::new();
             delta.insert_tuple(t, Tuple::new(Eid(0), vec![Value::int(1_000_000)]));
@@ -1234,8 +1054,13 @@ mod tests {
                 unshared as u64, report.pages_copied,
                 "{entities} entities: a page the delta did not copy stayed shared"
             );
-            assert!(engine.snapshot().cps());
+            assert!(after.cps());
             copied.push(report.pages_copied);
+            // With no snapshot alive, the next delta mutates in place.
+            drop((before, after));
+            let mut delta = SpecDelta::new();
+            delta.insert_tuple(t, Tuple::new(Eid(1), vec![Value::int(1_000_000)]));
+            assert_eq!(engine.apply(&delta).unwrap().pages_copied, 0);
         }
         assert!(copied[0] > 0, "the dirty region lives on copied pages");
         assert_eq!(
@@ -1246,11 +1071,8 @@ mod tests {
 
     #[test]
     fn reader_scratch_refreshes_in_place_after_epoch_change() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let cell = engine.cell();
-        let mut reader = SnapshotReader::new(cell.load());
+        let (mut engine, r) = monotone_engine();
+        let mut reader = SnapshotReader::new(engine.snapshot());
         let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
         assert!(reader.cop(&q).unwrap());
         assert_eq!(reader.scratch_clones(), 1);
@@ -1259,7 +1081,7 @@ mod tests {
         delta.insert_tuple(r, Tuple::new(Eid(0), vec![Value::int(30)]));
         let report = engine.apply(&delta).unwrap();
         let new_id = report.inserted[0].1;
-        reader.pin(cell.load());
+        reader.pin(engine.snapshot());
         assert!(reader
             .cop(&CurrencyOrderQuery::single(r, A, TupleId(1), new_id))
             .unwrap());
@@ -1269,27 +1091,47 @@ mod tests {
     }
 
     #[test]
+    fn reader_scratch_survives_deltas_to_other_slots() {
+        let (mut engine, r) = monotone_engine();
+        let mut reader = SnapshotReader::new(engine.snapshot());
+        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
+        assert!(reader.cop(&q).unwrap());
+        // A delta to entity 2 recompiles entity 2's slot only.
+        let mut delta = SpecDelta::new();
+        delta.insert_tuple(r, Tuple::new(Eid(2), vec![Value::int(40)]));
+        engine.apply(&delta).unwrap();
+        reader.pin(engine.snapshot());
+        assert!(reader.cop(&q).unwrap());
+        assert_eq!(reader.cop(&q).unwrap(), engine.cop(&q).unwrap());
+        assert_eq!(reader.scratch_clones(), 1);
+        assert_eq!(
+            reader.scratch_refreshes(),
+            0,
+            "the clean slot kept its copy"
+        );
+    }
+
+    #[test]
     fn reader_scratch_stays_bounded() {
-        let entities = READER_SCRATCH_SLOTS as u32 + 44;
+        let entities = SCRATCH_SLOTS as u32 + 44;
         let (spec, t) = large_spec(u64::from(entities));
-        let engine = SnapshotEngine::with_value_rels(spec, &[], &Options::default()).unwrap();
+        let mut engine =
+            CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
         let mut reader = SnapshotReader::new(engine.snapshot());
         // `large_spec` stores entity e's ten readings at ids 10e..10e+9.
         for e in 0..entities {
             let q = CurrencyOrderQuery::single(t, A, TupleId(10 * e), TupleId(10 * e + 9));
             assert!(reader.cop(&q).unwrap(), "entity {e}");
-            assert!(reader.scratch.len() <= READER_SCRATCH_SLOTS);
+            assert!(reader.scratch.slots.len() <= SCRATCH_SLOTS);
         }
-        // Emptied once, when the 257th slot arrived.
-        assert_eq!(reader.scratch.len(), 44);
+        // Full at 256 slots: each later slot took over an evicted entry.
+        assert_eq!(reader.scratch.slots.len(), SCRATCH_SLOTS);
         assert_eq!(reader.scratch_clones(), u64::from(entities));
     }
 
     #[test]
     fn churn_and_compaction_republish_correctly() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        let (mut engine, r) = monotone_engine();
         // A brand-new entity appears and disappears: the vacated slot is
         // patched with the shared vacant encoding.
         for step in 0..3 {
@@ -1304,9 +1146,9 @@ mod tests {
         }
         let report = engine.compact().unwrap();
         assert_eq!(report.reclaimed, 3);
-        let mut reader = engine.reader();
+        let mut reader = SnapshotReader::new(engine.snapshot());
         assert_matches_engine(&mut reader, r);
-        // No tombstones left: compaction is a no-op and publishes nothing.
+        // No tombstones left: compaction is a no-op and the epoch stays.
         let epoch = engine.epoch();
         assert_eq!(engine.compact().unwrap().reclaimed, 0);
         assert_eq!(engine.epoch(), epoch);
@@ -1318,20 +1160,18 @@ mod tests {
 
     #[test]
     fn compact_moves_live_tuples_like_the_reference_sweep() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        let (mut engine, r) = monotone_engine();
         // Retract entity 0's first tuple: every later tuple must move.
         let mut delta = SpecDelta::new();
         delta.remove_tuple(r, TupleId(0));
         engine.apply(&delta).unwrap();
         let mut reference = engine.spec().clone();
         let reference_report = reference.compact();
-        let pinned = engine.reader();
+        let pinned = SnapshotReader::new(engine.snapshot());
         let epoch = engine.epoch();
         let step = engine.compact().unwrap();
         assert!(step.done);
-        assert_eq!(engine.epoch(), epoch + 1, "one published epoch");
+        assert_eq!(engine.epoch(), epoch + 1, "one write, one epoch");
         assert_eq!(step.reclaimed, reference_report.reclaimed);
         assert_eq!(
             currency_core::wire::encode_spec(engine.spec()),
@@ -1343,15 +1183,14 @@ mod tests {
                 reference_report.new_id(r, TupleId(old))
             );
         }
-        let mut reader = engine.reader();
+        let mut reader = SnapshotReader::new(engine.snapshot());
         assert_matches_engine(&mut reader, r);
     }
 
     #[test]
     fn rejected_delta_mutates_and_publishes_nothing() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        let (mut engine, r) = monotone_engine();
+        let held = engine.snapshot();
         let epoch = engine.epoch();
         let mut delta = SpecDelta::new();
         delta
@@ -1360,15 +1199,17 @@ mod tests {
         assert!(engine.apply(&delta).is_err());
         assert_eq!(engine.epoch(), epoch);
         assert_eq!(engine.spec().instance(r).len(), 6, "no partial mutation");
+        assert!(
+            Arc::ptr_eq(&held.spec, &engine.snapshot().spec),
+            "nothing copied"
+        );
         assert!(engine.snapshot().cps());
     }
 
     #[test]
     fn poisoned_cell_lock_cannot_wedge_publish_or_load() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let cell = engine.cell();
+        let (mut engine, r) = monotone_engine();
+        let cell = SnapshotCell::new(engine.snapshot(), engine.obs().registry());
         // A reader dies while holding the cell lock (the worst possible
         // place): the mutex is poisoned...
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1382,6 +1223,7 @@ mod tests {
         let mut delta = SpecDelta::new();
         delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
         let report = engine.apply(&delta).unwrap();
+        cell.store(engine.snapshot());
         let snap = cell.load();
         assert_eq!(snap.epoch(), report.epoch);
         let mut reader = SnapshotReader::new(snap);
@@ -1391,8 +1233,9 @@ mod tests {
     #[test]
     fn lean_snapshot_rejects_value_queries_politely() {
         let (spec, r) = multi_entity_spec();
-        let engine = SnapshotEngine::with_value_rels(spec, &[], &Options::default()).unwrap();
-        let reader = engine.reader();
+        let mut engine =
+            CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
+        let reader = SnapshotReader::new(engine.snapshot());
         assert!(reader.cps());
         assert!(matches!(
             reader.dcip(r),
@@ -1402,11 +1245,8 @@ mod tests {
 
     #[test]
     fn reader_budget_override_interrupts_then_clears() {
-        use crate::SolveLimits;
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let mut reader = engine.reader();
+        let (mut engine, r) = monotone_engine();
+        let mut reader = SnapshotReader::new(engine.snapshot());
         // A zero-work per-request budget interrupts every solve-backed path
         // with the typed error, never a wrong verdict.
         reader.set_solve_limits(Some(SolveLimits {
@@ -1439,10 +1279,8 @@ mod tests {
 
     #[test]
     fn reader_deadline_override_interrupts_then_clears() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let mut reader = engine.reader();
+        let (mut engine, r) = monotone_engine();
+        let mut reader = SnapshotReader::new(engine.snapshot());
         reader.set_deadline(Some(Instant::now()));
         let q01 = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
         assert!(matches!(
@@ -1459,19 +1297,13 @@ mod tests {
 
     #[test]
     fn reader_escalating_budgets_converge_warm() {
-        use crate::SolveLimits;
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let oracle = {
-            let mut reader = engine.reader();
-            let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-            reader.cop(&q).unwrap()
-        };
+        let (mut engine, r) = monotone_engine();
+        let snap = engine.snapshot();
+        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
+        let oracle = SnapshotReader::new(snap.clone()).cop(&q).unwrap();
         // One reader retries the same query with doubling budgets; scratch
         // encodings persist across attempts, so each retry resumes warm.
-        let mut reader = engine.reader();
-        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
+        let mut reader = SnapshotReader::new(snap);
         let mut budget: u64 = 1;
         loop {
             reader.set_solve_limits(Some(SolveLimits {
@@ -1495,10 +1327,8 @@ mod tests {
 
     #[test]
     fn cell_counts_poison_recoveries_as_degraded_events() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
-        let cell = engine.cell();
+        let (mut engine, r) = monotone_engine();
+        let cell = SnapshotCell::new(engine.snapshot(), engine.obs().registry());
         assert_eq!(cell.degraded_events(), 0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = cell.current.lock().unwrap();
@@ -1512,7 +1342,25 @@ mod tests {
         let mut delta = SpecDelta::new();
         delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
         engine.apply(&delta).unwrap();
+        cell.store(engine.snapshot());
         let _ = cell.load();
         assert_eq!(cell.degraded_events(), 1, "one crash, one event");
+    }
+
+    #[test]
+    fn live_snapshots_are_counted() {
+        let (mut engine, r) = monotone_engine();
+        let live = engine.obs().snapshot_epochs_live.clone();
+        assert_eq!(live.get(), 0, "an engine nobody snapshots holds none");
+        let first = engine.snapshot();
+        let mut delta = SpecDelta::new();
+        delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
+        engine.apply(&delta).unwrap();
+        let second = engine.snapshot();
+        assert_eq!(live.get(), 2);
+        drop(first);
+        assert_eq!(live.get(), 1);
+        drop(second);
+        assert_eq!(live.get(), 0);
     }
 }

@@ -6,10 +6,11 @@
 //!
 //! Built on [`currency_reason::snapshot`]:
 //!
-//! * [`CurrencyServe`] owns the single [`SnapshotEngine`] writer.
-//!   [`CurrencyServe::apply`] applies a delta and publishes the next
-//!   epoch; it contends with **no reader** — readers hold `Arc`s to
-//!   immutable snapshots.
+//! * [`CurrencyServe`] owns the single [`CurrencyEngine`] writer and the
+//!   [`SnapshotCell`] it publishes through.  [`CurrencyServe::apply`]
+//!   applies a delta and publishes the next epoch's
+//!   [`CurrencyEngine::snapshot`]; it contends with **no reader** —
+//!   readers hold `Arc`s to immutable snapshots.
 //! * [`ServeHandle`] is a cheap per-thread handle (clone one per
 //!   reader).  Each query re-pins the latest published snapshot, then
 //!   consults the shared **epoch-keyed answer cache**: answers are
@@ -80,9 +81,10 @@ use cache::AnswerCache;
 use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
 use currency_obs::{MetricsRegistry, Recorder};
 use currency_query::Query;
-use currency_reason::snapshot::{EngineSnapshot, PublishReport, SnapshotEngine, SnapshotReader};
+use currency_reason::snapshot::{EngineSnapshot, SnapshotCell, SnapshotReader};
 use currency_reason::{
-    CertainAnswers, CompactBudget, CurrencyOrderQuery, Options, ReasonError, Spent,
+    ApplyReport, CertainAnswers, CompactBudget, CurrencyEngine, CurrencyOrderQuery, Options,
+    ReasonError, Spent,
 };
 use obs::{kind_index, ServeObs};
 use rate_limit::TokenBucket;
@@ -262,7 +264,7 @@ pub struct SlowQuery {
 
 /// State shared by the service and every handle.
 struct ServeShared {
-    cell: Arc<currency_reason::SnapshotCell>,
+    cell: SnapshotCell,
     cache: AnswerCache,
     limiter: Option<TokenBucket>,
     breaker: Breaker,
@@ -306,7 +308,7 @@ impl ServeShared {
 /// A concurrently servable currency specification: one writer, any
 /// number of [`ServeHandle`] readers, an epoch-keyed answer cache.
 pub struct CurrencyServe {
-    writer: Mutex<SnapshotEngine>,
+    writer: Mutex<CurrencyEngine>,
     shared: Arc<ServeShared>,
 }
 
@@ -317,20 +319,21 @@ impl CurrencyServe {
         engine_opts: &Options,
         opts: &ServeOptions,
     ) -> Result<CurrencyServe, ReasonError> {
-        let engine = SnapshotEngine::new(spec, engine_opts)?;
+        let engine = CurrencyEngine::new_owned(spec, engine_opts)?;
         Ok(CurrencyServe::from_engine(engine, opts))
     }
 
     /// Stand up the serving layer over an already-built writer (e.g. one
-    /// constructed with [`SnapshotEngine::with_value_rels`]).
-    pub fn from_engine(engine: SnapshotEngine, opts: &ServeOptions) -> CurrencyServe {
+    /// constructed with [`CurrencyEngine::with_value_rels_owned`]) and
+    /// publish its current state.
+    pub fn from_engine(mut engine: CurrencyEngine, opts: &ServeOptions) -> CurrencyServe {
         // One registry for the whole stack, owned by the writer engine:
         // the serve-side series land next to its phase timings and
         // counters (including any it recorded before this call), so a
         // single scrape covers both.
         let registry = engine.obs().registry().clone();
         let shared = Arc::new(ServeShared {
-            cell: engine.cell(),
+            cell: SnapshotCell::new(engine.snapshot(), &registry),
             cache: AnswerCache::new(opts.cache_capacity, opts.cache_shards, &registry),
             limiter: opts.rate_limit.map(TokenBucket::new),
             breaker: Breaker::new(
@@ -363,37 +366,44 @@ impl CurrencyServe {
 
     /// Apply a delta and publish the next epoch.  In-flight and future
     /// reads at the old epoch stay valid; cache entries for old epochs
-    /// become unreachable at once.
-    ///
-    /// The writer lock recovers from poisoning: `SnapshotEngine::apply`
-    /// mutates nothing on the error path and publishes only complete
-    /// snapshots, so a writer thread that panicked elsewhere cannot have
-    /// left it half-updated.
-    pub fn apply(&self, delta: &SpecDelta) -> Result<PublishReport, ReasonError> {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .apply(delta)
+    /// become unreachable at once.  The report's `epoch` is the
+    /// published one.
+    pub fn apply(&self, delta: &SpecDelta) -> Result<ApplyReport, ReasonError> {
+        self.write(|engine| engine.apply(delta))
     }
 
     /// Compact the writer's specification fully and publish it as one
-    /// new epoch (see [`SnapshotEngine::compact`]).
+    /// new epoch (see [`CurrencyEngine::compact`]); with nothing to
+    /// reclaim nothing is published.
     pub fn compact(&self) -> Result<CompactStepReport, ReasonError> {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .compact()
+        self.write(CurrencyEngine::compact)
     }
 
     /// Run one bounded compaction step and publish it as a new epoch
-    /// (see [`SnapshotEngine::compact_step`]).  In-flight queries keep
+    /// (see [`CurrencyEngine::compact_step`]).  In-flight queries keep
     /// answering against their pinned pre-step snapshots; the writer is
     /// held for one budget-bounded pause, never a full sweep.
     pub fn compact_step(&self, budget: &CompactBudget) -> Result<CompactStepReport, ReasonError> {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .compact_step(budget)
+        self.write(|engine| engine.compact_step(budget))
+    }
+
+    /// Run one write on the engine and publish its snapshot when the
+    /// write moved the epoch.
+    ///
+    /// The writer lock recovers from poisoning: the engine mutates
+    /// nothing on the error path and only complete snapshots are
+    /// published, so a writer thread that panicked elsewhere cannot have
+    /// left it half-updated.
+    fn write<T>(
+        &self,
+        write: impl FnOnce(&mut CurrencyEngine) -> Result<T, ReasonError>,
+    ) -> Result<T, ReasonError> {
+        let mut engine = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let out = write(&mut engine);
+        if engine.epoch() != self.shared.cell.epoch() {
+            self.shared.cell.store(engine.snapshot());
+        }
+        out
     }
 
     /// The currently published snapshot.
@@ -829,7 +839,7 @@ mod tests {
     #[test]
     fn error_paths_surface_and_display() {
         let (spec, r) = spec();
-        let engine = SnapshotEngine::with_value_rels(spec, &[], &Options::default()).unwrap();
+        let engine = CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
         let serve = CurrencyServe::from_engine(engine, &ServeOptions::default());
         let mut h = serve.handle();
         let err = h.dcip(r).unwrap_err();
@@ -845,7 +855,7 @@ mod tests {
     #[test]
     fn writer_counts_from_before_the_front_door_survive() {
         let (spec, r) = spec();
-        let mut engine = SnapshotEngine::new(spec, &Options::default()).unwrap();
+        let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
         let mut delta = SpecDelta::new();
         delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
         engine.apply(&delta).unwrap();
@@ -1128,5 +1138,59 @@ mod tests {
         assert!(h.cps().is_ok());
         let stats = serve.stats();
         assert!(stats.degraded_events >= 1, "recovery counted");
+    }
+
+    /// `currency_snapshot_epochs_live` on the writer's registry.
+    fn epochs_live(serve: &CurrencyServe) -> u64 {
+        match serve
+            .metrics()
+            .snapshot()
+            .find("currency_snapshot_epochs_live", &[])
+        {
+            Some(currency_obs::SeriesValue::Gauge(v)) => *v,
+            other => panic!("gauge missing: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn live_epochs_gauge_counts_pinned_snapshots() {
+        for idle in [0u64, 1] {
+            let (serve, r) = serve(&ServeOptions::default());
+            // An idle handle pins the epoch it was taken at.
+            let handles: Vec<ServeHandle> = (0..idle).map(|_| serve.handle()).collect();
+            let mut delta = SpecDelta::new();
+            delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
+            for _ in 0..5 {
+                serve.apply(&delta).unwrap();
+            }
+            assert_eq!(epochs_live(&serve), 1 + idle, "{idle} idle handles");
+            drop(handles);
+            assert_eq!(epochs_live(&serve), 1, "only the published epoch is held");
+        }
+    }
+
+    #[test]
+    fn zero_budget_writer_still_publishes_a_decided_snapshot() {
+        let (spec, r) = spec();
+        let zero = Options {
+            solve_limits: currency_reason::SolveLimits {
+                max_conflicts: Some(0),
+                max_props: Some(0),
+            },
+            ..Options::default()
+        };
+        let serve = CurrencyServe::new(spec, &zero, &ServeOptions::default()).unwrap();
+        assert!(
+            serve.snapshot().cps(),
+            "decided without the writer's bounds"
+        );
+        let mut delta = SpecDelta::new();
+        delta.add_order_edge(r, A, TupleId(1), TupleId(0));
+        let report = serve.apply(&delta).unwrap();
+        assert_eq!(report.epoch, serve.epoch());
+        assert!(
+            !serve.snapshot().cps(),
+            "the contradicting edge is decided too"
+        );
     }
 }

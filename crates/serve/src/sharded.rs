@@ -30,8 +30,9 @@ use currency_reason::shard::{
     build_shards, merged_metrics, Router, Scatter, ShardError, ShardNode, ShardReader,
     ShardedApplyReport, ShardedCompactStepReport, SpecImport,
 };
-use currency_reason::snapshot::PublishReport;
-use currency_reason::{CertainAnswers, CompactBudget, CurrencyOrderQuery, Options, ReasonError};
+use currency_reason::{
+    ApplyReport, CertainAnswers, CompactBudget, CurrencyOrderQuery, Options, ReasonError,
+};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per-shard plus aggregate serving statistics, scraped lock-free (one
@@ -114,10 +115,7 @@ impl ShardedServe {
     /// structure-only delta is validated on every shard and then
     /// broadcast.  Applies are serialized by the writer lock; readers
     /// are never blocked.
-    pub fn apply(
-        &self,
-        delta: &SpecDelta,
-    ) -> Result<ShardedApplyReport<PublishReport>, ShardError> {
+    pub fn apply(&self, delta: &SpecDelta) -> Result<ShardedApplyReport<ApplyReport>, ShardError> {
         self.with_writer(|router, serves| router.apply(serves, delta))
     }
 
@@ -182,7 +180,7 @@ impl ShardedServe {
 
 impl ShardNode for &CurrencyServe {
     type Error = ReasonError;
-    type Report = PublishReport;
+    type Report = ApplyReport;
     type Spec<'a>
         = Arc<Specification>
     where
@@ -195,7 +193,7 @@ impl ShardNode for &CurrencyServe {
         self.snapshot().spec_arc()
     }
 
-    fn apply(&mut self, delta: &SpecDelta) -> Result<PublishReport, ReasonError> {
+    fn apply(&mut self, delta: &SpecDelta) -> Result<ApplyReport, ReasonError> {
         CurrencyServe::apply(self, delta)
     }
 

@@ -153,7 +153,7 @@ fn wal_path(dir: &Path) -> PathBuf {
 pub struct DurableEngine {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
-    engine: CurrencyEngine<'static>,
+    engine: CurrencyEngine,
     wal: Wal,
     store_opts: StoreOptions,
     /// Sequence number of the last appended record.
@@ -615,7 +615,7 @@ impl DurableEngine {
     /// The wrapped engine, for queries (mutation must go through
     /// [`DurableEngine::apply`] / [`DurableEngine::compact`], so only a
     /// shared reference is handed out).
-    pub fn engine(&self) -> &CurrencyEngine<'static> {
+    pub fn engine(&self) -> &CurrencyEngine {
         &self.engine
     }
 

@@ -316,8 +316,8 @@ impl DerefMut for ShardedStore {
     }
 }
 
-impl AsRef<CurrencyEngine<'static>> for DurableEngine {
-    fn as_ref(&self) -> &CurrencyEngine<'static> {
+impl AsRef<CurrencyEngine> for DurableEngine {
+    fn as_ref(&self) -> &CurrencyEngine {
         self.engine()
     }
 }

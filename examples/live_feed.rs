@@ -137,7 +137,7 @@ fn main() {
 
 /// Apply one delta and print what the engine had to do for it.
 fn apply_and_report(
-    engine: &mut CurrencyEngine<'static>,
+    engine: &mut CurrencyEngine,
     delta: &SpecDelta,
 ) -> Vec<(data_currency::model::RelId, TupleId)> {
     let report = engine.apply(delta).expect("admissible delta");
@@ -154,7 +154,7 @@ fn apply_and_report(
 
 /// Print the balances certain to appear in the current CRM instance (the
 /// SP projection query `π_balance(Crm)` under certain-answer semantics).
-fn report_certain_balances(engine: &CurrencyEngine<'_>, crm: data_currency::model::RelId) {
+fn report_certain_balances(engine: &CurrencyEngine, crm: data_currency::model::RelId) {
     let arity = engine.spec().instance(crm).arity();
     let q = SpQuery {
         rel: crm,

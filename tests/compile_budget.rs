@@ -5,21 +5,24 @@
 //! its rules, obligations and value indicators into reused buffers.  A
 //! counting global allocator (counting on the current thread only, so
 //! the harness's other threads do not leak into the figure) measures
-//! every allocation `CurrencyEngine::apply` and `SnapshotEngine::apply`
+//! every allocation `CurrencyEngine::apply` and `CurrencyServe::apply`
 //! make per delta, after a warm-up that grows the reused buffers.
 //!
-//! The serving writer's specification shares its pages with the
-//! published snapshot, so its delta also copies the pages it writes.
-//! A copied page clones its elements, and a tuple or an entity group
-//! owns heap, so that copy costs up to one allocation per element of the
-//! page — about 170 to 220 per delta here, independent of the compile.
-//! The test measures that part separately (the same delta applied to a
-//! page-sharing clone of the writer's specification) and holds the
-//! serving writer's remaining allocations to the same budget.
+//! An engine nobody snapshots owns every page it writes, so its deltas
+//! copy no page at all; the test checks that on every delta.  The
+//! serving front door publishes a snapshot after every write, which
+//! shares the writer's pages, so its delta also copies the pages it
+//! writes.  A copied page clones its elements, and a tuple or an entity
+//! group owns heap, so that copy costs up to one allocation per element
+//! of the page — about 170 to 220 per delta here, independent of the
+//! compile.  The test measures that part separately (the same delta
+//! applied to a page-sharing clone of the published specification) and
+//! holds the front door's remaining allocations to the same budget.
 
 use currency_bench::scenarios::large_spec;
 use data_currency::model::{Eid, RelId, SpecDelta, Tuple, TupleId, Value};
-use data_currency::reason::{CurrencyEngine, Options, SnapshotEngine};
+use data_currency::reason::{CurrencyEngine, Options};
+use data_currency::serve::{CurrencyServe, ServeOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -119,8 +122,13 @@ fn currency_engine_apply_stays_within_the_allocation_budget() {
     let mut engine = CurrencyEngine::new_owned(large_spec(ENTITIES), &options()).unwrap();
     let (mean, max) = measure(|delta| {
         let before = allocs();
-        let inserted = engine.apply(delta).unwrap().inserted;
-        (inserted, allocs() - before)
+        let report = engine.apply(delta).unwrap();
+        let spent = allocs() - before;
+        assert_eq!(
+            report.pages_copied, 0,
+            "an engine nobody snapshots copies no page"
+        );
+        (report.inserted, spent)
     });
     println!("CurrencyEngine::apply: {mean:.1} allocations per delta (max {max})");
     assert!(
@@ -130,14 +138,16 @@ fn currency_engine_apply_stays_within_the_allocation_budget() {
 }
 
 #[test]
-fn snapshot_engine_apply_stays_within_the_allocation_budget() {
-    let mut writer = SnapshotEngine::new(large_spec(ENTITIES), &options()).unwrap();
+fn currency_serve_apply_stays_within_the_allocation_budget() {
+    let writer =
+        CurrencyServe::new(large_spec(ENTITIES), &options(), &ServeOptions::default()).unwrap();
     let mut page_copies = 0;
     let (mean, max) = measure(|delta| {
         // The copy-on-write part: the same delta on a clone that shares
-        // every page with the writer's (and so the snapshot's) spec.
+        // every page with the published (and so the writer's) spec.
+        let published = writer.snapshot();
         let before = allocs();
-        let mut shared = writer.spec().clone();
+        let mut shared = published.spec().clone();
         shared.apply_delta(delta).unwrap();
         let copies = allocs() - before;
         drop(shared);
@@ -148,11 +158,11 @@ fn snapshot_engine_apply_stays_within_the_allocation_budget() {
     });
     let page_copies = page_copies as f64 / (WARMUP + DELTAS) as f64;
     println!(
-        "SnapshotEngine::apply: {mean:.1} allocations per delta (max {max}) \
+        "CurrencyServe::apply: {mean:.1} allocations per delta (max {max}) \
          beyond {page_copies:.1} for copy-on-write page copies"
     );
     assert!(
         max <= MAX_ALLOCS_PER_DELTA,
-        "SnapshotEngine::apply: up to {max} allocations per delta (mean {mean:.1}), budget {MAX_ALLOCS_PER_DELTA}"
+        "CurrencyServe::apply: up to {max} allocations per delta (mean {mean:.1}), budget {MAX_ALLOCS_PER_DELTA}"
     );
 }

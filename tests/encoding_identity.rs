@@ -15,11 +15,11 @@
 //! budgeted compaction steps through a `CurrencyEngine`.  After every
 //! step, for every live slot:
 //!
-//! * the engine's cached encoding (compiled from its own reused scratch,
-//!   never solved — the stream issues no queries),
 //! * a fresh streamed compile (from one scratch shared across the whole
-//!   seed), and
-//! * the reference compile
+//!   seed) and the reference compile, both unsolved, and
+//! * the engine's cached encoding (compiled from its own reused scratch
+//!   and solved at compile time) and the reference compile after the
+//!   same solve and the same packing clone
 //!
 //! must have equal shapes, and the partition's components must be the
 //! reference components (a union–find over every enumerated obligation).
@@ -161,7 +161,7 @@ struct Coverage {
 /// Every live slot: engine encoding, streamed compile and reference
 /// compile agree; the partition is the reference partition.
 fn check(
-    engine: &CurrencyEngine<'_>,
+    engine: &CurrencyEngine,
     scratch: &mut CompileScratch,
     coverage: &mut Coverage,
     seed: u64,
@@ -179,15 +179,17 @@ fn check(
             continue;
         }
         components.push(component.cells.clone());
-        let reference = reference_encoding(spec, &value_rels, component, mode).shape();
+        let mut reference_enc = reference_encoding(spec, &value_rels, component, mode);
+        let reference = reference_enc.shape();
         let streamed = compiler.compile(component, scratch).shape();
         assert_eq!(
             streamed, reference,
             "seed {seed} step {step} slot {slot}: streamed compile"
         );
+        reference_enc.solve();
         assert_eq!(
             engine.slot_shape(slot),
-            reference,
+            reference_enc.clone().shape(),
             "seed {seed} step {step} slot {slot}: engine encoding"
         );
         coverage.linked_components += usize::from(component.cells.len() > 1);

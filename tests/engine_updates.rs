@@ -177,7 +177,7 @@ fn cps_by_enumeration(spec: &Specification) -> Option<bool> {
 
 /// Assert the updated engine, a fresh engine, and (when affordable) the
 /// oracle agree on everything for the engine's current specification.
-fn assert_agreement(engine: &CurrencyEngine<'_>, with_oracle: bool, seed: u64, step: usize) {
+fn assert_agreement(engine: &CurrencyEngine, with_oracle: bool, seed: u64, step: usize) {
     let spec = engine.spec();
     let fresh = CurrencyEngine::new(spec, &Options::default()).expect("valid updated spec");
     // CPS.

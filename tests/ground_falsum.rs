@@ -13,9 +13,10 @@ use data_currency::model::{
 };
 use data_currency::reason::{
     cop_exact_monolithic, cps_exact_monolithic, dcip_exact_monolithic, CompactBudget,
-    CurrencyEngine, CurrencyOrderQuery, Options, SnapshotEngine,
+    CurrencyEngine, CurrencyOrderQuery, EngineSnapshot, Options, SnapshotReader,
 };
 use data_currency::serve::{CurrencyServe, ServeOptions};
+use std::sync::Arc;
 
 const A: AttrId = AttrId(0);
 const B: AttrId = AttrId(1);
@@ -67,10 +68,13 @@ fn monolithic(spec: &Specification, r: RelId) -> Answers {
     )
 }
 
-/// The three front doors over one stream of writes.
+/// The three front doors over one stream of writes: an engine queried
+/// directly, a second engine's snapshot after every write, and the
+/// serving front door.
 struct Doors {
-    engine: CurrencyEngine<'static>,
-    writer: SnapshotEngine,
+    engine: CurrencyEngine,
+    writer: CurrencyEngine,
+    snapshot: Arc<EngineSnapshot>,
     serve: CurrencyServe,
 }
 
@@ -80,9 +84,11 @@ impl Doors {
             auto_compact_tombstones: 0,
             ..Options::default()
         };
+        let mut writer = CurrencyEngine::new_owned(spec.clone(), &opts).unwrap();
         Doors {
             engine: CurrencyEngine::new_owned(spec.clone(), &opts).unwrap(),
-            writer: SnapshotEngine::new(spec.clone(), &opts).unwrap(),
+            snapshot: writer.snapshot(),
+            writer,
             serve: CurrencyServe::new(spec.clone(), &opts, &ServeOptions::default()).unwrap(),
         }
     }
@@ -90,6 +96,7 @@ impl Doors {
     fn apply(&mut self, delta: &SpecDelta) {
         self.engine.apply(delta).unwrap();
         self.writer.apply(delta).unwrap();
+        self.snapshot = self.writer.snapshot();
         self.serve.apply(delta).unwrap();
     }
 
@@ -100,6 +107,7 @@ impl Doors {
             self.writer.compact_step(&budget).unwrap().reclaimed,
             self.serve.compact_step(&budget).unwrap().reclaimed,
         ];
+        self.snapshot = self.writer.snapshot();
         assert_eq!(reclaimed, [1, 1, 1]);
     }
 
@@ -113,7 +121,7 @@ impl Doors {
             self.engine.cop(&rev).unwrap(),
             self.engine.dcip(r).unwrap(),
         );
-        let mut reader = self.writer.reader();
+        let mut reader = SnapshotReader::new(self.snapshot.clone());
         let snapshot = (
             reader.cps(),
             reader.cop(&fwd).unwrap(),
@@ -128,7 +136,7 @@ impl Doors {
             handle.dcip(r).unwrap(),
         );
         assert_eq!(engine, expected, "{phase}: CurrencyEngine");
-        assert_eq!(snapshot, expected, "{phase}: SnapshotEngine");
+        assert_eq!(snapshot, expected, "{phase}: EngineSnapshot");
         assert_eq!(served, expected, "{phase}: CurrencyServe handle");
         assert_eq!(
             monolithic(self.engine.spec(), r),
@@ -136,7 +144,7 @@ impl Doors {
             "{phase}: monolithic"
         );
         assert_eq!(
-            monolithic(self.writer.spec(), r),
+            monolithic(self.snapshot.spec(), r),
             expected,
             "{phase}: writer spec"
         );

@@ -13,7 +13,7 @@ use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::{AttrId, RelId, TupleId};
 use data_currency::query::{Query, SpQuery};
 use data_currency::reason::{
-    CurrencyOrderQuery, Options, ReasonError, SnapshotEngine, SnapshotReader, SolveLimits,
+    CurrencyEngine, CurrencyOrderQuery, Options, ReasonError, SnapshotReader, SolveLimits,
 };
 use proptest::prelude::*;
 
@@ -80,10 +80,12 @@ where
 fn soundness_round(seed: u64) -> u32 {
     let spec = random_spec(&config(seed));
     let opts = Options::default();
-    let engine = SnapshotEngine::new(spec, &opts).expect("generated specs are admissible");
+    let mut engine =
+        CurrencyEngine::new_owned(spec, &opts).expect("generated specs are admissible");
+    let snap = engine.snapshot();
 
     // Oracle: a dedicated unbounded reader.
-    let mut oracle = engine.reader();
+    let mut oracle = SnapshotReader::new(snap.clone());
     let inst_len = engine.spec().instance(T).len() as u32;
     let arity = engine.spec().instance(T).arity();
     let q: Query = SpQuery::identity(T, arity).to_query(arity);
@@ -103,7 +105,7 @@ fn soundness_round(seed: u64) -> u32 {
     // The bounded reader is *reused* across escalation rounds and across
     // queries, so a leftover interrupted state from one solve would get
     // every chance to contaminate the next.
-    let mut bounded = engine.reader();
+    let mut bounded = SnapshotReader::new(snap);
     let mut interrupted = 0u32;
     interrupted += escalate(&mut bounded, |r| r.dcip(T), &oracle_dcip, "dcip", seed);
     interrupted += escalate(

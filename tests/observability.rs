@@ -14,9 +14,7 @@ use data_currency::model::{
 use data_currency::obs::{
     MetricsSnapshot, Recorder, RingRecorder, SeriesValue, TraceEvent, TraceKind,
 };
-use data_currency::reason::{
-    CurrencyEngine, CurrencyOrderQuery, EngineStats, Options, SnapshotEngine,
-};
+use data_currency::reason::{CurrencyEngine, CurrencyOrderQuery, EngineStats, Options};
 use data_currency::serve::{
     CurrencyServe, RateLimit, ServeError, ServeOptions, ServeRequest, ServeStats, ShardedServe,
 };
@@ -303,6 +301,47 @@ fn sharded_serve_merges_per_shard_cache_series() {
     );
 }
 
+/// `currency_snapshot_epochs_live` counts the snapshots a front door
+/// holds: none on the durable store, which never takes one, and the
+/// published one per shard of an idle sharded front door.
+#[test]
+fn epochs_live_gauge_per_front_door() {
+    let dir = tmpdir("epochs-live");
+    let (spec, r) = spec(4);
+    let store_opts = StoreOptions {
+        sync_data: false,
+        ..StoreOptions::default()
+    };
+    let mut durable =
+        DurableEngine::create(&dir, spec.clone(), &Options::default(), store_opts).unwrap();
+    for step in 0..4 {
+        durable
+            .apply(&insert(r, step % 4, 100 + step as i64))
+            .unwrap();
+    }
+    match durable
+        .metrics()
+        .snapshot()
+        .find("currency_snapshot_epochs_live", &[])
+    {
+        Some(SeriesValue::Gauge(n)) => assert_eq!(*n, 0, "the store never snapshots"),
+        other => panic!("epochs-live gauge missing: {other:?}"),
+    }
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let sharded =
+        ShardedServe::new(&spec, 2, &Options::default(), &ServeOptions::default()).unwrap();
+    sharded.apply(&insert(r, 0, 99)).unwrap();
+    let snap = sharded.metrics_snapshot();
+    for shard in ["0", "1"] {
+        match snap.find("currency_snapshot_epochs_live", &[("shard", shard)]) {
+            Some(SeriesValue::Gauge(n)) => assert_eq!(*n, 1, "shard {shard}"),
+            other => panic!("shard {shard} epochs-live gauge missing: {other:?}"),
+        }
+    }
+}
+
 /// Sum of every series of counter family `name` (all label sets).
 fn counter_sum(snap: &MetricsSnapshot, name: &str) -> u64 {
     snap.families
@@ -452,15 +491,22 @@ fn engine_stats_equal_the_scrape() {
     let mut retract = SpecDelta::new();
     retract.remove_tuple(r, TupleId(0));
     let mut live = CurrencyEngine::new_owned(spec.clone(), &Options::default()).unwrap();
-    let mut writer = SnapshotEngine::new(spec, &Options::default()).unwrap();
+    // The same engine as a serving writer: every write's snapshot is
+    // taken and held, so each write copies the pages it dirties.
+    let mut writer = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
+    let mut held = vec![writer.snapshot()];
     live.apply(&insert(r, 1, 99)).unwrap();
     writer.apply(&insert(r, 1, 99)).unwrap();
+    held.push(writer.snapshot());
     let peak = [live.stats().encoding_bytes, writer.stats().encoding_bytes];
     live.apply(&retract).unwrap();
     writer.apply(&retract).unwrap();
+    held.push(writer.snapshot());
     let retracted = [live.stats().encoding_bytes, writer.stats().encoding_bytes];
     live.compact().unwrap();
     writer.compact().unwrap();
+    held.push(writer.snapshot());
+    assert_eq!(held.len(), 4);
     // The compiled footprint is in the same scrape: it is below its peak
     // once the retracted tuple's slot is freed, and the compaction's
     // rebuild of every remapped component does not grow it back.

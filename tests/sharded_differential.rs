@@ -134,7 +134,7 @@ fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
 /// unsharded → sharded-global tuple id translation (one map per
 /// relation; both sharded front doors split alike).
 struct Mirror {
-    unsharded: CurrencyEngine<'static>,
+    unsharded: CurrencyEngine,
     sharded: ShardedEngine,
     serve: ShardedServe,
     handle: ShardedServeHandle,

@@ -1,7 +1,7 @@
-//! Epoch isolation of the serving writer's copy-on-write snapshots.
+//! Epoch isolation of the writer's copy-on-write snapshots.
 //!
-//! `SnapshotEngine` shares its specification, partition and slot vector
-//! with every snapshot it publishes, page by page (`currency_core::cow`):
+//! `CurrencyEngine` shares its specification, partition and slot vector
+//! with every snapshot it takes, page by page (`currency_core::cow`):
 //! a write must copy a shared page before touching it.  A page written
 //! in place would silently change an epoch readers already hold.
 //!
@@ -34,9 +34,7 @@ use data_currency::model::{
 };
 use data_currency::query::SpQuery;
 use data_currency::reason::snapshot::{EngineSnapshot, SnapshotReader};
-use data_currency::reason::{
-    CompactBudget, CurrencyEngine, CurrencyOrderQuery, Options, SnapshotEngine,
-};
+use data_currency::reason::{CompactBudget, CurrencyEngine, CurrencyOrderQuery, Options};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -190,15 +188,15 @@ fn every_published_epoch_stays_frozen() {
     };
     let first = first_seed();
     for seed in first..first + SEEDS {
-        let mut writer = SnapshotEngine::new(spec_for(seed), &Options::default()).unwrap();
+        let mut writer = CurrencyEngine::new_owned(spec_for(seed), &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut retained = Vec::new();
-        let mut retain = |writer: &SnapshotEngine| {
+        let mut retain = |writer: &mut CurrencyEngine| {
             let snap = writer.snapshot();
             let bytes = wire::encode_spec(snap.spec());
             retained.push((snap, bytes));
         };
-        retain(&writer);
+        retain(&mut writer);
         for _ in 0..STEPS {
             let epoch = writer.epoch();
             if rng.gen_range(0..4u32) == 0 {
@@ -210,7 +208,7 @@ fn every_published_epoch_stays_frozen() {
                     .expect("generated deltas are admissible");
             }
             if writer.epoch() != epoch {
-                retain(&writer);
+                retain(&mut writer);
             }
         }
         for (snap, bytes) in &retained {
@@ -316,7 +314,7 @@ fn large_spec_epochs_stay_frozen_across_chunks() {
     let first = first_seed();
     for seed in first..first + LARGE_SEEDS {
         let mut writer =
-            SnapshotEngine::with_value_rels(base.clone(), &[], &Options::default()).unwrap();
+            CurrencyEngine::with_value_rels_owned(base.clone(), &[], &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut retained = vec![(writer.snapshot(), wire::encode_spec(writer.spec()))];
         for _ in 0..LARGE_STEPS {

@@ -175,7 +175,7 @@ fn certain_by_enumeration(spec: &Specification, query: &Query) -> Option<Certain
 /// answers.
 fn assert_agreement(
     durable: &DurableEngine,
-    shadow: &CurrencyEngine<'_>,
+    shadow: &CurrencyEngine,
     with_oracle: bool,
     seed: u64,
     step: usize,
