@@ -1,40 +1,17 @@
 //! # currency-bench
 //!
-//! The benchmark harness regenerating the *shape* of the paper's
-//! evaluation — Tables II and III (see `EXPERIMENTS.md` at the workspace
-//! root for the experiment index and recorded results).
+//! The workspace's one benchmark system: the `bench_engine` binary and
+//! the scenarios and measurement helpers it shares with the repository
+//! benchmark (`perfbench/`).
 //!
-//! The paper proves completeness results; their observable footprint is
-//! scaling behaviour.  Each bench target sweeps an instance-size parameter
-//! for one problem and engine pairing:
-//!
-//! | Bench target | Experiment | Series |
-//! |---|---|---|
-//! | `t2_cps` | T2-CPS | exact CPS on Betweenness gadgets (hard) vs `PO∞` fixpoint on constraint-free specs (PTIME) |
-//! | `t2_cop` | T2-COP | exact COP on 3SAT gadgets vs `PO∞` containment |
-//! | `t2_dcip` | T2-DCIP | exact DCIP on 3SAT gadgets vs sink test |
-//! | `t3_ccqa` | T3-CCQA | exact CCQA on 3SAT gadgets (CQ) vs `poss(S)` SP algorithm |
-//! | `t3_cpp` | T3-CPP | exact CPP on ∀∃3CNF gadgets vs PTIME SP check |
-//! | `t3_ecp` | T3-ECP | O(1) decision + maximum-extension construction cost |
-//! | `t3_bcp` | T3-BCP | exact bounded copying vs PTIME SP bounded copying |
-//! | `fig1_quickstart` | F1-QS | Q1–Q4 certain-answer latency on the Fig. 1 database |
-//! | `gadget_validation` | G-VAL | gadget construction + grounding + encoding cost |
-//! | `ablation_solvers` | A-SAT | CDCL-backed exact CPS vs brute-force completion enumeration |
-
-use criterion::Criterion;
-use std::time::Duration;
+//! `bench_engine` writes `BENCH_engine.json` and, under `--check`, fails
+//! on any of its guards.  Its `paper` section regenerates the *shape* of
+//! the paper's evaluation — Tables II and III: each problem's hard regime
+//! on the reduction gadgets next to the PTIME cases of §6 on
+//! constraint-free specifications, Fig. 1's queries, the gadget
+//! constructions, and exact CDCL against completion enumeration.  The
+//! other sections time the engine, the store, the serving front door and
+//! sharding.
 
 pub mod measure;
 pub mod scenarios;
-
-/// Criterion configured for the sweep-style benches of this harness:
-/// small sample counts (the solvers are deterministic; variance comes
-/// from the allocator, not the algorithm) and bounded measurement time so
-/// the full `cargo bench` run finishes in minutes.
-pub fn quick_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(900))
-        .configure_from_args()
-}

@@ -1,11 +1,8 @@
 //! Programmatic wall-clock measurement for the machine-readable bench
-//! binary (`bench_engine`).
-//!
-//! The criterion shim prints human-readable lines; this module returns
-//! the numbers, so `bench_engine` can write `BENCH_engine.json` and the
-//! CI smoke step can enforce thresholds.  The methodology matches the
-//! shim: warm up, pick an iteration count that fills the per-sample
-//! window, take `samples` samples, report the median.
+//! binary (`bench_engine`): each helper returns the numbers, so the
+//! binary can write `BENCH_engine.json`.  [`measure`] warms up, picks an
+//! iteration count that fills the per-sample window, takes `samples`
+//! samples and reports the median.
 
 use std::time::{Duration, Instant};
 

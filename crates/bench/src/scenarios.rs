@@ -1,5 +1,5 @@
-//! Shared benchmark scenarios, used by both the criterion-style bench
-//! targets and the machine-readable `bench_engine` binary.
+//! Shared benchmark scenarios, used by the `bench_engine` binary and the
+//! repository benchmark (`perfbench/`).
 
 use currency_core::{
     AttrId, Catalog, CmpOp, CopyFunction, CopySignature, DenialConstraint, Eid, RelId,

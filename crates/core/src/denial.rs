@@ -25,8 +25,8 @@
 //! constraints whose value atoms pin most variables to one or two
 //! candidates, so the grounder backtracks over per-variable candidate
 //! lists filtered by unary atoms and checks binary atoms as soon as both
-//! endpoints are bound.  This keeps the hardness gadgets (DESIGN.md §5)
-//! within reach.
+//! endpoints are bound.  This keeps the hardness gadgets
+//! (`currency_datagen::gadgets`) within reach.
 
 use crate::error::CurrencyError;
 use crate::schema::{AttrId, RelId};

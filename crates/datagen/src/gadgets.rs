@@ -10,7 +10,8 @@
 //!   oracle answer (`crate::logic`), tying the implementation back to the
 //!   paper's semantics;
 //! * **benchmarking** — they are certified-hard instance families for the
-//!   Table II / Table III scaling experiments (see `EXPERIMENTS.md`).
+//!   Table II / Table III scaling experiments (the `paper` section of
+//!   the `bench_engine` binary in `currency-bench`).
 //!
 //! | Constructor | Paper proof | Problem | Gadget answer |
 //! |---|---|---|---|

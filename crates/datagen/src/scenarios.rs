@@ -119,7 +119,7 @@ pub fn phi2(emp: RelId) -> DenialConstraint {
 /// only moves `single → married → divorced`, so a later stage is a more
 /// current *status* than an earlier one.  Example 3.3's claim that `S₀` is
 /// deterministic for current `Emp` instances needs these (φ₁–φ₄ alone
-/// leave the `status` attribute unordered); see DESIGN.md.
+/// leave the `status` attribute unordered).
 pub fn phi_status(emp: RelId) -> Vec<DenialConstraint> {
     let stage = |earlier: &str, later: &str| {
         DenialConstraint::builder(emp, 2)
@@ -316,7 +316,7 @@ impl Fig1 {
 /// "after importing s′3, the certain last name is Smith in *all*
 /// completions" — the φ₅ analogue on `Emp` itself.  (The paper's example
 /// text derives this from the status-transition semantics of Example
-/// 1.1(2a); we materialize it as an explicit constraint, see DESIGN.md.)
+/// 1.1(2a); we materialize it as an explicit constraint.)
 #[derive(Clone, Debug)]
 pub struct Example41 {
     /// The assembled specification.

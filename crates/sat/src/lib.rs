@@ -29,7 +29,7 @@
 //!
 //! No external SAT crate is used: none is in the project's allowed offline
 //! dependency set, and the engine is small enough to be in-scope substrate
-//! work (see `DESIGN.md` §4).
+//! work (see the README's "Solver hot path" section).
 //!
 //! ## Example
 //!

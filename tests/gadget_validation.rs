@@ -5,7 +5,8 @@
 //! constraint grounding, the SAT encoding, completion semantics, copy
 //! compatibility, query evaluation and the decision procedures all at
 //! once, and ties them to the exact reductions used in the paper's
-//! lower-bound proofs (DESIGN.md experiment G-VAL).
+//! lower-bound proofs.  The `gadget_validation` rows of `bench_engine`'s
+//! `paper` section time the same constructions.
 
 use data_currency::datagen::gadgets;
 use data_currency::datagen::logic;
