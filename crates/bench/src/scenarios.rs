@@ -2,10 +2,10 @@
 //! repository benchmark (`perfbench/`).
 
 use currency_core::{
-    AttrId, Catalog, CmpOp, CopyFunction, CopySignature, DenialConstraint, Eid, RelId,
-    RelationSchema, SpecDelta, Specification, Term, Tuple, TupleId, Value,
+    AttrId, Catalog, CopyFunction, CopySignature, Eid, RelId, RelationSchema, SpecDelta,
+    Specification, Tuple, TupleId, Value,
 };
-use currency_datagen::random::{random_spec, RandomSpecConfig};
+use currency_datagen::random::{monotone, random_spec, RandomSpecConfig};
 use currency_query::{Query, SpQuery};
 use currency_reason::{CurrencyEngine, CurrencyOrderQuery, Options, TransitivityMode};
 use currency_serve::ServeRequest;
@@ -116,15 +116,7 @@ pub fn large_spec(entities: usize) -> Specification {
             cf.set_mapping(tt, ts);
         }
     }
-    let dc = DenialConstraint::builder(t, 2)
-        .when_cmp(
-            Term::attr(0, AttrId(0)),
-            CmpOp::Gt,
-            Term::attr(1, AttrId(0)),
-        )
-        .then_order(1, AttrId(0), 0)
-        .build()
-        .expect("valid constraint");
+    let dc = monotone(t, AttrId(0));
     spec.add_constraint(dc).expect("constraint applies");
     spec.add_copy(cf).expect("copying condition holds");
     spec
@@ -160,15 +152,7 @@ pub fn sharded_spec(entities: usize) -> Specification {
             cf.set_mapping(tt, ts);
         }
     }
-    let dc = DenialConstraint::builder(t, 2)
-        .when_cmp(
-            Term::attr(0, AttrId(0)),
-            CmpOp::Gt,
-            Term::attr(1, AttrId(0)),
-        )
-        .then_order(1, AttrId(0), 0)
-        .build()
-        .expect("valid constraint");
+    let dc = monotone(t, AttrId(0));
     spec.add_constraint(dc).expect("constraint applies");
     spec.add_copy(cf).expect("copying condition holds");
     spec
@@ -210,15 +194,7 @@ pub fn big_group_spec(n: usize) -> Specification {
             .push_tuple(Tuple::new(Eid(1), vec![Value::int(i as i64)]))
             .expect("arity");
     }
-    let dc = DenialConstraint::builder(r, 2)
-        .when_cmp(
-            Term::attr(0, AttrId(0)),
-            CmpOp::Gt,
-            Term::attr(1, AttrId(0)),
-        )
-        .then_order(1, AttrId(0), 0)
-        .build()
-        .expect("valid constraint");
+    let dc = monotone(r, AttrId(0));
     spec.add_constraint(dc).expect("constraint applies");
     spec
 }

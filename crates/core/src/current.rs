@@ -66,7 +66,7 @@ mod tests {
     use super::*;
     use crate::completion::RelCompletion;
     use crate::schema::{Catalog, RelationSchema};
-    use crate::value::{TupleId, Value};
+    use crate::value::Value;
     use std::collections::BTreeMap;
 
     /// Entity 1 has two tuples; attribute orders disagree about which is
@@ -173,8 +173,4 @@ mod tests {
         let rc = RelCompletion::new(inst, vec![chain]).unwrap();
         let _ = current_tuple(inst, &rc, Eid(42));
     }
-
-    // Silence unused warning for TupleId import used only in types above.
-    #[allow(dead_code)]
-    fn _t(_: TupleId) {}
 }

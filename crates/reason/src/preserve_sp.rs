@@ -100,6 +100,11 @@ fn slot_class(spec: &Specification, slot: &ExtensionSlot) -> (usize, Eid) {
 ///   their own (including pairs sharing one source tuple, which pin
 ///   values through a pre-existing third mapping, and pairs spanning
 ///   target entities coupled through a shared source entity);
+/// * **triples within one source entity** — order one target entity
+///   exports into a source entity through a new mapping and another
+///   imports through two, or an import placed between two new mappings
+///   (the shapes the Theorem 6.4 seed sweep found no pair or greedy
+///   chain reaches);
 /// * **saturations** — greedy maximal well-formed action sets, per
 ///   `(copy, target entity)` class and globally, one per starting slot:
 ///   chains of three or more mappings can pin a current value no pair
@@ -141,6 +146,29 @@ fn atomic_extensions(spec: &Specification, sources: &BTreeSet<RelId>) -> Vec<Vec
             let actions: Vec<ExtensionSlot> = group.iter().map(|&i| slots[i].clone()).collect();
             if apply_extension(spec, &actions).is_some() {
                 out.push(actions);
+            }
+        }
+    }
+    // Triples within one source entity: order that one target entity's
+    // mapping exports into the source entity and two mappings of another
+    // import back, or an import pinned between two mappings.
+    let mut by_source_entity: BTreeMap<(usize, Eid), Vec<usize>> = BTreeMap::new();
+    for (i, slot) in slots.iter().enumerate() {
+        let (ExtensionSlot::MapExisting { copy, source, .. }
+        | ExtensionSlot::Import { copy, source, .. }) = *slot;
+        let sig = spec.copies()[copy].signature();
+        let eid = spec.instance(sig.source).tuple(source).eid;
+        by_source_entity.entry((copy, eid)).or_default().push(i);
+    }
+    for group in by_source_entity.values() {
+        for (a, &i) in group.iter().enumerate() {
+            for (b, &j) in group.iter().enumerate().skip(a + 1) {
+                for &l in &group[b + 1..] {
+                    let triple = vec![slots[i].clone(), slots[j].clone(), slots[l].clone()];
+                    if apply_extension(spec, &triple).is_some() {
+                        out.push(triple);
+                    }
+                }
             }
         }
     }

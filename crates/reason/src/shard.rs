@@ -83,6 +83,7 @@ use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::engine::{ApplyReport, CurrencyEngine, EngineStats};
 use crate::error::ReasonError;
+use crate::snapshot::SnapshotReader;
 use crate::{CompactBudget, Options};
 use currency_core::{
     AttrId, CompactStepReport, CopyFunction, CurrencyError, DeltaOp, DeltaRouting, Eid, RelId,
@@ -597,8 +598,9 @@ pub trait ShardNode {
 }
 
 /// One shard's reader: what [`Scatter`] asks each shard.  Implemented
-/// by `&CurrencyEngine` and by `currency-serve`'s handle, whose answers
-/// go through its cache, breaker and deadline.
+/// by `&CurrencyEngine`, by [`SnapshotReader`], by `Scatter` itself and
+/// by `currency-serve`'s handle, whose answers go through its cache,
+/// breaker and deadline.
 pub trait ShardReader {
     /// The reader's error; a refused query surfaces as
     /// [`ReasonError::UnsupportedQuery`] through it.
@@ -1067,7 +1069,8 @@ impl<N: ShardNode> Sharded<N> {
 }
 
 impl<N: AsRef<CurrencyEngine>> Sharded<N> {
-    fn scatter(&self) -> Scatter<&CurrencyEngine> {
+    /// A scatter-gather reader over the shards' engines (global ids).
+    pub fn scatter(&self) -> Scatter<&CurrencyEngine> {
         Scatter::new(self.nodes.iter().map(AsRef::as_ref).collect())
     }
 
@@ -1170,5 +1173,46 @@ impl ShardReader for &CurrencyEngine {
 
     fn certain_answers(&mut self, query: &Query) -> Result<CertainAnswers, ReasonError> {
         CurrencyEngine::certain_answers(self, query)
+    }
+}
+
+impl ShardReader for SnapshotReader {
+    type Error = ReasonError;
+
+    fn cps(&mut self) -> Result<bool, ReasonError> {
+        Ok(SnapshotReader::cps(self))
+    }
+
+    fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
+        SnapshotReader::cop(self, ot)
+    }
+
+    fn dcip(&mut self, rel: RelId) -> Result<bool, ReasonError> {
+        SnapshotReader::dcip(self, rel)
+    }
+
+    fn certain_answers(&mut self, query: &Query) -> Result<CertainAnswers, ReasonError> {
+        SnapshotReader::certain_answers(self, query)
+    }
+}
+
+/// A scatter-gather is itself a reader over global ids.
+impl<R: ShardReader> ShardReader for Scatter<R> {
+    type Error = R::Error;
+
+    fn cps(&mut self) -> Result<bool, R::Error> {
+        Scatter::cps(self)
+    }
+
+    fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, R::Error> {
+        Scatter::cop(self, ot)
+    }
+
+    fn dcip(&mut self, rel: RelId) -> Result<bool, R::Error> {
+        Scatter::dcip(self, rel)
+    }
+
+    fn certain_answers(&mut self, query: &Query) -> Result<CertainAnswers, R::Error> {
+        Scatter::certain_answers(self, query)
     }
 }

@@ -12,15 +12,14 @@
 //!   queries on constraint-free specs.
 
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
-use data_currency::model::{AttrId, RelId, Specification, Value};
-use data_currency::query::{Database, SpCondition, SpQuery};
+use data_currency::model::{AttrId, RelId, Value};
+use data_currency::query::{SpCondition, SpQuery};
 use data_currency::reason::{
     certain_answers_exact, certain_answers_sp, cop_exact, cps_enumerate, cps_exact, cps_ptime,
-    dcip_exact, dcip_ptime, enumerate::for_each_consistent_completion, po_infinity, CertainAnswers,
-    CurrencyOrderQuery, Options,
+    dcip_exact, dcip_ptime, oracle::certain_answers_enumerate, po_infinity, CurrencyOrderQuery,
+    Options,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 const T: RelId = RelId(0);
 
@@ -35,30 +34,6 @@ fn small_config(seed: u64, constrained: bool, with_copy: bool) -> RandomSpecConf
         correlated_constraints: usize::from(constrained) * ((seed % 2) as usize),
         with_copy,
         seed,
-    }
-}
-
-/// Certain answers via the brute-force completion enumerator.
-fn certain_by_enumeration(
-    spec: &Specification,
-    query: &data_currency::query::Query,
-) -> CertainAnswers {
-    let mut acc: Option<BTreeSet<Vec<Value>>> = None;
-    let count = for_each_consistent_completion(spec, 2_000_000, |completion| {
-        let dbs = data_currency::model::lst(spec, completion);
-        let db = Database::new(&dbs);
-        let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
-        acc = Some(match acc.take() {
-            None => answers,
-            Some(prev) => prev.intersection(&answers).cloned().collect(),
-        });
-        true
-    })
-    .expect("enumeration in budget");
-    if count == 0 {
-        CertainAnswers::Inconsistent
-    } else {
-        CertainAnswers::Answers(acc.unwrap_or_default().into_iter().collect())
     }
 }
 
@@ -129,7 +104,7 @@ proptest! {
         let spec = random_spec(&small_config(seed, true, false));
         let q = SpQuery::identity(T, 2).to_query(2);
         let sat = certain_answers_exact(&spec, &q, &Options::default()).unwrap();
-        let brute = certain_by_enumeration(&spec, &q);
+        let brute = certain_answers_enumerate(&spec, &q, 2_000_000).unwrap();
         prop_assert_eq!(sat, brute, "seed {}", seed);
     }
 

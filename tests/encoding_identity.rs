@@ -24,15 +24,14 @@
 //! must have equal shapes, and the partition's components must be the
 //! reference components (a union–find over every enumerated obligation).
 //!
-//! `SEEDS` seeds in release (the 10k-seed differential), 100 under the
-//! debug profile.  The seed range starts at `CHAOS_SEED` (default
-//! `20260808`), so CI replays one pinned range.
+//! 10k seeds in release, 100 under the debug profile, from the shared
+//! generator (`datagen::random::random_delta`) and seed range
+//! (`pinned_seeds`), so CI replays one pinned range.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
-use data_currency::model::{
-    AttrId, CmpOp, DenialConstraint, Eid, RelId, SpecDelta, Specification, Term, Tuple, TupleId,
-    Value,
+use data_currency::datagen::random::{
+    pinned_seeds, random_delta, random_spec, value_falsum, DeltaMix, RandomSpecConfig,
 };
+use data_currency::model::{AttrId, Eid, RelId, Specification, Value};
 use data_currency::reason::encode::{CompileScratch, ComponentCompiler};
 use data_currency::reason::oracle::{reference_components, reference_encoding};
 use data_currency::reason::{CompactBudget, CurrencyEngine, Options, TransitivityMode};
@@ -41,21 +40,25 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-/// Seeds per run: the full 10k sweep in release, a slice under debug.
-const SEEDS: u64 = if cfg!(debug_assertions) { 100 } else { 10_000 };
-
 /// Writes (deltas or compaction steps) per seed.
 const STEPS: usize = 8;
 
 const T: RelId = RelId(0);
-const SRC: RelId = RelId(1);
 
-fn first_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_808)
-}
+/// Inserts over four entities and three values, retractions (mappings
+/// onto them cascade away), learned constraints (one in three the
+/// premise-free falsum) and copy extensions, which link the two cells
+/// once a second mapping of the entity lands.
+const MIX: DeltaMix = DeltaMix {
+    insert: 4,
+    retract: 3,
+    order: 0,
+    constraint: 1,
+    copy: 4,
+    entities: 4,
+    values: 3,
+    falsum: 3,
+};
 
 /// The `engine_differential` generator space: three entities, one to
 /// three readings each, two attributes, with or without constraints
@@ -72,81 +75,6 @@ fn spec_for(seed: u64) -> Specification {
         with_copy: !seed.is_multiple_of(3),
         seed,
     })
-}
-
-/// "No reading of `rel` may carry value 1 in attribute 0": a value-only
-/// constraint with a falsum conclusion, so every violating reading
-/// grounds a premise-free falsum on its cell.
-fn value_falsum(rel: RelId) -> DenialConstraint {
-    DenialConstraint::builder(rel, 1)
-        .when_cmp(
-            Term::attr(0, AttrId(0)),
-            CmpOp::Eq,
-            Term::val(Value::int(1)),
-        )
-        .then_false()
-        .build()
-        .expect("valid constraint")
-}
-
-/// Draw one admissible delta against the current specification.
-fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
-    let inst = spec.instance(T);
-    let arity = inst.arity();
-    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
-    let mut delta = SpecDelta::new();
-    match rng.gen_range(0..12u32) {
-        // Insert a fresh reading (possibly for a brand-new entity).
-        0..=3 => {
-            let eid = Eid(rng.gen_range(0..4u64));
-            let values: Vec<Value> = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..3)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(eid, values));
-        }
-        // Retract a reading (mappings onto it cascade away).
-        4..=6 if !live.is_empty() => {
-            delta.remove_tuple(T, live[rng.gen_range(0..live.len())]);
-        }
-        // Learn a currency constraint: mostly monotone, sometimes the
-        // premise-free falsum.
-        7 => {
-            if rng.gen_range(0..3u32) == 0 {
-                delta.add_constraint(value_falsum(T));
-            } else {
-                let attr = AttrId(rng.gen_range(0..arity) as u32);
-                let dc = DenialConstraint::builder(T, 2)
-                    .when_cmp(Term::attr(0, attr), CmpOp::Gt, Term::attr(1, attr))
-                    .then_order(1, attr, 0)
-                    .build()
-                    .expect("valid constraint");
-                delta.add_constraint(dc);
-            }
-        }
-        // Extend the copy function: mirror an unmapped target reading
-        // into the source (same values, the generator's shifted entity)
-        // and map it, linking the two cells once a second mapping of the
-        // entity lands.
-        _ => {
-            let unmapped = live
-                .iter()
-                .copied()
-                .find(|&t| spec.copies().len() == 1 && spec.copies()[0].mapping(t).is_none());
-            if let Some(target) = unmapped {
-                let t = inst.tuple(target).clone();
-                let source_id = TupleId(spec.instance(SRC).len() as u32);
-                delta
-                    .insert_tuple(SRC, Tuple::new(Eid(t.eid.0 + 100), t.values.clone()))
-                    .extend_copy(0, target, source_id);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(1), vec![Value::int(1); arity]));
-            }
-        }
-    }
-    if delta.is_empty() {
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-    }
-    delta
 }
 
 /// What a run of rounds exercised, so the sweep can prove it reached
@@ -226,7 +154,7 @@ fn identity_round(seed: u64, coverage: &mut Coverage) {
                 .expect("compaction step")
                 .reclaimed;
         } else {
-            let delta = random_delta(engine.spec(), &mut rng);
+            let delta = random_delta(&[engine.spec()], &MIX, &mut rng);
             engine.apply(&delta).expect("admissible delta");
         }
         check(&engine, &mut scratch, coverage, seed, step);
@@ -244,11 +172,11 @@ fn sweep(seeds: std::ops::Range<u64>) {
     assert!(coverage.reclaimed > 0, "no compaction reclaimed a slot");
 }
 
-/// The CI anchor: `SEEDS` consecutive seeds starting at `CHAOS_SEED`.
+/// The CI anchor: the full 10k seeds from `CHAOS_SEED` in release, a
+/// slice under debug.
 #[test]
 fn pinned_seed_range_encoding_identity() {
-    let first = first_seed();
-    sweep(first..first + SEEDS);
+    sweep(pinned_seeds(100, 10_000));
 }
 
 /// The low seeds the `engine_differential` sweeps start from, so the two

@@ -9,17 +9,15 @@
 //! than cells, more than one component overall).
 
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
-use data_currency::model::{AttrId, Eid, RelId, Specification, Value};
+use data_currency::model::{AttrId, Eid, RelId, Value};
 use data_currency::query::Query;
 use data_currency::reason::{
     ccqa_exact, ccqa_exact_monolithic, certain_answers_exact, certain_answers_exact_monolithic,
     cop_exact, cop_exact_monolithic, cps_enumerate, cps_exact, cps_exact_monolithic, dcip_exact,
-    dcip_exact_monolithic, encode::Encoding, enumerate::for_each_consistent_completion,
-    witness_completion, witness_completion_monolithic, CurrencyEngine, CurrencyOrderQuery, Options,
-    TransitivityMode,
+    dcip_exact_monolithic, encode::Encoding, oracle::certain_answers_enumerate, witness_completion,
+    witness_completion_monolithic, CurrencyEngine, CurrencyOrderQuery, Options, TransitivityMode,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 const T: RelId = RelId(0);
 
@@ -56,33 +54,6 @@ fn oracle_config(seed: u64, constrained: bool, with_copy: bool) -> RandomSpecCon
 
 fn value_query(rel: RelId, arity: usize) -> Query {
     data_currency::query::SpQuery::identity(rel, arity).to_query(arity)
-}
-
-/// Certain answers via the brute-force completion enumerator.
-fn certain_by_enumeration(
-    spec: &Specification,
-    query: &Query,
-) -> data_currency::reason::CertainAnswers {
-    use data_currency::query::Database;
-    let mut acc: Option<BTreeSet<Vec<Value>>> = None;
-    let count = for_each_consistent_completion(spec, 2_000_000, |completion| {
-        let dbs = data_currency::model::lst(spec, completion);
-        let db = Database::new(&dbs);
-        let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
-        acc = Some(match acc.take() {
-            None => answers,
-            Some(prev) => prev.intersection(&answers).cloned().collect(),
-        });
-        true
-    })
-    .expect("enumeration in budget");
-    if count == 0 {
-        data_currency::reason::CertainAnswers::Inconsistent
-    } else {
-        data_currency::reason::CertainAnswers::Answers(
-            acc.unwrap_or_default().into_iter().collect(),
-        )
-    }
 }
 
 proptest! {
@@ -162,7 +133,7 @@ proptest! {
         let q = value_query(T, spec.instance(T).arity());
         let opts = Options::default();
         let engine = certain_answers_exact(&spec, &q, &opts).unwrap();
-        let brute = certain_by_enumeration(&spec, &q);
+        let brute = certain_answers_enumerate(&spec, &q, 2_000_000).unwrap();
         prop_assert_eq!(&engine, &brute, "seed {}", seed);
     }
 

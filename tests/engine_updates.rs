@@ -5,27 +5,20 @@
 //! orders (COP over every pair), certain answers, and realizable
 //! current-instance counts.
 //!
-//! Update streams are seeded: each step draws one operation (tuple
-//! insert, tuple removal, order edge, new constraint, or copy extension
-//! with a mirrored source tuple) from the same generator space the other
-//! differential sweeps use.  Order edges are oriented by tuple id, so
-//! initial orders stay acyclic by construction and every generated delta
-//! is admissible.
+//! Update streams are seeded draws of every operation kind from the
+//! shared generator (`datagen::random::random_delta`); the checks are
+//! the shared agreement check (`reason::oracle`).
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
-use data_currency::model::{AttrId, Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value};
-use data_currency::query::{Database, Query, SpQuery};
-use data_currency::reason::{
-    enumerate::for_each_consistent_completion, CertainAnswers, CurrencyEngine, CurrencyOrderQuery,
-    Options,
-};
+use data_currency::datagen::random::{random_delta, random_spec, DeltaMix, RandomSpecConfig};
+use data_currency::model::{Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value};
+use data_currency::query::SpQuery;
+use data_currency::reason::oracle::assert_agreement;
+use data_currency::reason::{CurrencyEngine, Options};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 const T: RelId = RelId(0);
-const SRC: RelId = RelId(1);
 const ORACLE_BUDGET: usize = 2_000_000;
 
 /// Small shapes so the factorial-cost oracle stays in budget even after
@@ -59,166 +52,22 @@ fn wide_config(seed: u64) -> RandomSpecConfig {
     }
 }
 
-fn value_query(rel: RelId, arity: usize) -> Query {
-    SpQuery::identity(rel, arity).to_query(arity)
+fn next_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
+    random_delta(&[spec], &DeltaMix::UPDATES, rng)
 }
 
-/// Draw one admissible delta against the current specification.
-fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
-    let inst = spec.instance(T);
-    let arity = inst.arity();
-    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
-    let mut delta = SpecDelta::new();
-    let pick = rng.gen_range(0..10u32);
-    match pick {
-        // Insert a fresh reading (possibly for a brand-new entity).
-        0..=3 => {
-            let eid = Eid(rng.gen_range(0..3u64));
-            let values: Vec<Value> = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..2)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(eid, values));
-        }
-        // Retract a reading.
-        4..=5 if !live.is_empty() => {
-            let victim = live[rng.gen_range(0..live.len())];
-            delta.remove_tuple(T, victim);
-        }
-        // Learn an initial-order fact (id-oriented, hence acyclic).
-        6..=7 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let mut found = None;
-            'outer: for (i, &u) in live.iter().enumerate() {
-                for &v in &live[i + 1..] {
-                    if inst.tuple(u).eid == inst.tuple(v).eid && !inst.order(attr).contains(u, v) {
-                        found = Some((u, v));
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some((u, v)) = found {
-                delta.add_order_edge(T, attr, u, v);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-            }
-        }
-        // Learn a new currency constraint.
-        8 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let dc = data_currency::model::DenialConstraint::builder(T, 2)
-                .when_cmp(
-                    data_currency::model::Term::attr(0, attr),
-                    data_currency::model::CmpOp::Gt,
-                    data_currency::model::Term::attr(1, attr),
-                )
-                .then_order(1, attr, 0)
-                .build()
-                .expect("valid constraint");
-            delta.add_constraint(dc);
-        }
-        // Extend the copy function: mirror a target tuple into the source
-        // (same values, shifted entity — the generator's own convention)
-        // and record the mapping; both ops ride in one delta.
-        _ => {
-            let unmapped = live
-                .iter()
-                .copied()
-                .find(|&t| spec.copies().len() == 1 && spec.copies()[0].mapping(t).is_none());
-            if let Some(target) = unmapped {
-                let t = inst.tuple(target).clone();
-                let source_id = TupleId(spec.instance(SRC).len() as u32);
-                delta
-                    .insert_tuple(SRC, Tuple::new(Eid(t.eid.0 + 100), t.values.clone()))
-                    .extend_copy(0, target, source_id);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(1), vec![Value::int(1); arity]));
-            }
-        }
-    }
-    if delta.is_empty() {
-        // Retraction drawn against an empty relation: insert instead.
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-    }
-    delta
-}
-
-/// Certain answers via the brute-force completion enumerator; `None` if
-/// the candidate space exceeds the budget.
-fn certain_by_enumeration(spec: &Specification, query: &Query) -> Option<CertainAnswers> {
-    let mut acc: Option<BTreeSet<Vec<Value>>> = None;
-    let count = for_each_consistent_completion(spec, ORACLE_BUDGET, |completion| {
-        let dbs = data_currency::model::lst(spec, completion);
-        let db = Database::new(&dbs);
-        let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
-        acc = Some(match acc.take() {
-            None => answers,
-            Some(prev) => prev.intersection(&answers).cloned().collect(),
-        });
-        true
-    })
-    .ok()?;
-    Some(if count == 0 {
-        CertainAnswers::Inconsistent
-    } else {
-        CertainAnswers::Answers(acc.unwrap_or_default().into_iter().collect())
-    })
-}
-
-/// CPS via the oracle; `None` if out of budget.
-fn cps_by_enumeration(spec: &Specification) -> Option<bool> {
-    let mut found = false;
-    for_each_consistent_completion(spec, ORACLE_BUDGET, |_| {
-        found = true;
-        false
-    })
-    .ok()?;
-    Some(found)
-}
-
-/// Assert the updated engine, a fresh engine, and (when affordable) the
-/// oracle agree on everything for the engine's current specification.
-fn assert_agreement(engine: &CurrencyEngine, with_oracle: bool, seed: u64, step: usize) {
+/// The updated engine agrees with a fresh engine (and, within `oracle`
+/// candidates, the enumeration oracle) on every query, and realizes as
+/// many current instances of `T`.
+fn check(engine: &CurrencyEngine, oracle: usize, seed: u64, step: usize) {
     let spec = engine.spec();
-    let fresh = CurrencyEngine::new(spec, &Options::default()).expect("valid updated spec");
-    // CPS.
-    let cps = engine.cps().expect("in budget");
-    assert_eq!(cps, fresh.cps().unwrap(), "CPS seed {seed} step {step}");
-    if with_oracle {
-        if let Some(oracle) = cps_by_enumeration(spec) {
-            assert_eq!(cps, oracle, "CPS oracle seed {seed} step {step}");
-        }
-    }
-    // COP over every pair of the target relation.
-    let inst = spec.instance(T);
-    for a in 0..inst.arity() {
-        let attr = AttrId(a as u32);
-        for u in 0..inst.len() as u32 {
-            for v in 0..inst.len() as u32 {
-                let q = CurrencyOrderQuery::single(T, attr, TupleId(u), TupleId(v));
-                assert_eq!(
-                    engine.cop(&q).unwrap(),
-                    fresh.cop(&q).unwrap(),
-                    "COP seed {seed} step {step} attr {attr:?} {u} ≺ {v}"
-                );
-            }
-        }
-    }
-    // Certain answers and model counts.
-    let q = value_query(T, inst.arity());
-    let engine_answers = engine.certain_answers(&q).expect("in budget");
-    assert_eq!(
-        engine_answers,
-        fresh.certain_answers(&q).unwrap(),
-        "answers seed {seed} step {step}"
+    assert_agreement(
+        &mut &*engine,
+        spec,
+        oracle,
+        &format!("seed {seed} step {step}"),
     );
-    if with_oracle {
-        if let Some(oracle) = certain_by_enumeration(spec, &q) {
-            assert_eq!(
-                engine_answers, oracle,
-                "answers oracle seed {seed} step {step}"
-            );
-        }
-    }
+    let fresh = CurrencyEngine::new(spec, &Options::default()).expect("valid updated spec");
     assert_eq!(
         engine.current_instances(T).unwrap().len(),
         fresh.current_instances(T).unwrap().len(),
@@ -237,7 +86,7 @@ fn random_churn_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
         delta.remove_tuple(T, victim);
         return delta;
     }
-    random_delta(spec, rng)
+    next_delta(spec, rng)
 }
 
 proptest! {
@@ -249,10 +98,10 @@ proptest! {
         let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
         for step in 0..4usize {
-            let delta = random_delta(engine.spec(), &mut rng);
+            let delta = next_delta(engine.spec(), &mut rng);
             let report = engine.apply(&delta).expect("generated deltas are admissible");
             prop_assert!(report.components_rebuilt + report.components_reused >= 1);
-            assert_agreement(&engine, true, seed, step);
+            check(&engine, ORACLE_BUDGET, seed, step);
         }
         prop_assert_eq!(engine.stats().updates_applied, 4);
     }
@@ -263,9 +112,9 @@ proptest! {
         let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xC2B2_AE35));
         for step in 0..4usize {
-            let delta = random_delta(engine.spec(), &mut rng);
+            let delta = next_delta(engine.spec(), &mut rng);
             engine.apply(&delta).expect("generated deltas are admissible");
-            assert_agreement(&engine, false, seed, step);
+            check(&engine, 0, seed, step);
         }
     }
 
@@ -302,13 +151,13 @@ proptest! {
                     prop_assert_eq!(inst.tombstones(), 0, "seed {}", seed);
                     prop_assert_eq!(inst.len(), inst.live_len(), "seed {}", seed);
                 }
-                assert_agreement(&engine, true, seed, step);
+                check(&engine, ORACLE_BUDGET, seed, step);
             }
         }
         // The compacted engine keeps accepting deltas afterwards.
         let delta = random_churn_delta(engine.spec(), &mut rng);
         engine.apply(&delta).expect("post-compaction delta");
-        assert_agreement(&engine, true, seed, 99);
+        check(&engine, ORACLE_BUDGET, seed, 99);
     }
 
     #[test]
@@ -319,7 +168,7 @@ proptest! {
         let spec = random_spec(&wide_config(seed));
         let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
         let arity = engine.spec().instance(T).arity();
-        let q = value_query(T, arity);
+        let q = SpQuery::identity(T, arity).to_query(arity);
         let _ = engine.cps().unwrap();
         let _ = engine.certain_answers(&q).unwrap();
         // A guaranteed component-local delta: one fresh reading for an
@@ -332,7 +181,7 @@ proptest! {
         // Every other component survived with its caches; the agreement
         // check proves the reuse is sound.
         prop_assert_eq!(report.components_reused, components_before - 1, "seed {}", seed);
-        assert_agreement(&engine, false, seed, 0);
+        check(&engine, 0, seed, 0);
     }
 }
 
@@ -346,7 +195,7 @@ fn update_stream_reaches_every_operation_kind() {
         let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
         for _ in 0..4 {
-            let delta = random_delta(engine.spec(), &mut rng);
+            let delta = next_delta(engine.spec(), &mut rng);
             for op in delta.ops() {
                 use data_currency::model::DeltaOp;
                 match op {

@@ -7,9 +7,9 @@
 //! reading, and again after a compaction step remaps the ids, every
 //! front door must agree with the monolithic path on the real answers.
 
+use data_currency::datagen::random::{monotone, value_falsum};
 use data_currency::model::{
-    AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelId, RelationSchema, SpecDelta, Specification,
-    Term, Tuple, TupleId, Value,
+    AttrId, Catalog, Eid, RelId, RelationSchema, SpecDelta, Specification, Tuple, TupleId, Value,
 };
 use data_currency::reason::{
     cop_exact_monolithic, cps_exact_monolithic, dcip_exact_monolithic, CompactBudget,
@@ -18,7 +18,6 @@ use data_currency::reason::{
 use data_currency::serve::{CurrencyServe, ServeOptions};
 use std::sync::Arc;
 
-const A: AttrId = AttrId(0);
 const B: AttrId = AttrId(1);
 
 /// Entity 2 (ids 0, 1) is the unrelated one: a monotone constraint on
@@ -33,18 +32,8 @@ fn spec() -> (Specification, RelId) {
             .push_tuple(Tuple::new(Eid(eid), vec![Value::int(a), Value::int(b)]))
             .unwrap();
     }
-    let falsum = DenialConstraint::builder(r, 1)
-        .when_cmp(Term::attr(0, A), CmpOp::Eq, Term::val(Value::int(1)))
-        .then_false()
-        .build()
-        .unwrap();
-    let monotone = DenialConstraint::builder(r, 2)
-        .when_cmp(Term::attr(0, B), CmpOp::Gt, Term::attr(1, B))
-        .then_order(1, B, 0)
-        .build()
-        .unwrap();
-    spec.add_constraint(falsum).unwrap();
-    spec.add_constraint(monotone).unwrap();
+    spec.add_constraint(value_falsum(r)).unwrap();
+    spec.add_constraint(monotone(r, B)).unwrap();
     (spec, r)
 }
 

@@ -7,9 +7,9 @@
 //! be there with non-trivial values.  Every count the stats structs
 //! report must also equal its series: the registry is their only store.
 
+use data_currency::datagen::random::monotone;
 use data_currency::model::{
-    AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelId, RelationSchema, SpecDelta, Specification,
-    Term, Tuple, TupleId, Value,
+    AttrId, Catalog, Eid, RelId, RelationSchema, SpecDelta, Specification, Tuple, TupleId, Value,
 };
 use data_currency::obs::{
     MetricsSnapshot, Recorder, RingRecorder, SeriesValue, TraceEvent, TraceKind,
@@ -38,12 +38,7 @@ fn spec(entities: u64) -> (Specification, RelId) {
                 .unwrap();
         }
     }
-    let monotone = DenialConstraint::builder(r, 2)
-        .when_cmp(Term::attr(0, A), CmpOp::Gt, Term::attr(1, A))
-        .then_order(1, A, 0)
-        .build()
-        .unwrap();
-    spec.add_constraint(monotone).unwrap();
+    spec.add_constraint(monotone(r, A)).unwrap();
     (spec, r)
 }
 

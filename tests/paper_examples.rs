@@ -9,7 +9,7 @@
 //! ρ₁ is).
 
 use data_currency::datagen::scenarios::{self, dept_attrs, emp_attrs};
-use data_currency::model::{AttrId, Tuple, Value};
+use data_currency::model::{Tuple, Value};
 use data_currency::reason::{
     ccqa, certain_answers, cop, cpp, cps, dcip, maximum_extension, witness_completion,
     CurrencyOrderQuery, Options, PreservationProblem,
@@ -286,7 +286,3 @@ fn example_4_1_maximum_extension_exists() {
         "the greedy maximum extension imports additional manager records"
     );
 }
-
-// Silence an unused-import lint if the attr module shrinks.
-#[allow(dead_code)]
-fn _touch(_: AttrId) {}

@@ -17,11 +17,8 @@
 //! neither poison the published snapshot nor wedge the writer's publish
 //! path, and the in-flight gauge unwinds cleanly.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
-use data_currency::model::{
-    AttrId, CmpOp, DenialConstraint, Eid, RelId, SpecDelta, Specification, Term, Tuple, TupleId,
-    Value,
-};
+use data_currency::datagen::random::{random_delta, random_spec, DeltaMix, RandomSpecConfig};
+use data_currency::model::{AttrId, RelId, Specification, TupleId};
 use data_currency::query::{Query, SpQuery};
 use data_currency::reason::{CurrencyEngine, CurrencyOrderQuery, Options};
 use data_currency::serve::{CurrencyServe, ServeAnswer, ServeOptions, ServeRequest};
@@ -35,6 +32,12 @@ const T: RelId = RelId(0);
 const READERS: usize = 8;
 const SEEDS: usize = 8;
 const DELTAS_PER_SEED: usize = 125; // × SEEDS = 1_000 deltas total
+
+/// No copy extensions, inserts over four entities.
+const MIX: DeltaMix = DeltaMix {
+    entities: 4,
+    ..DeltaMix::NO_COPY
+};
 
 fn stress_config(seed: u64) -> RandomSpecConfig {
     RandomSpecConfig {
@@ -52,62 +55,6 @@ fn stress_config(seed: u64) -> RandomSpecConfig {
 
 fn value_query(arity: usize) -> Query {
     SpQuery::identity(T, arity).to_query(arity)
-}
-
-/// Draw one admissible delta against the current specification (the
-/// engine_updates generator, minus copy extensions).
-fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
-    let inst = spec.instance(T);
-    let arity = inst.arity();
-    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
-    let mut delta = SpecDelta::new();
-    match rng.gen_range(0..10u32) {
-        0..=4 => {
-            let eid = Eid(rng.gen_range(0..4u64));
-            let values: Vec<Value> = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..2)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(eid, values));
-        }
-        5..=6 if !live.is_empty() => {
-            let victim = live[rng.gen_range(0..live.len())];
-            delta.remove_tuple(T, victim);
-        }
-        7..=8 => {
-            // An id-oriented same-entity order edge stays acyclic.
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let mut found = None;
-            'outer: for (i, &u) in live.iter().enumerate() {
-                for &v in &live[i + 1..] {
-                    if inst.tuple(u).eid == inst.tuple(v).eid && !inst.order(attr).contains(u, v) {
-                        found = Some((u, v));
-                        break 'outer;
-                    }
-                }
-            }
-            match found {
-                Some((u, v)) => {
-                    delta.add_order_edge(T, attr, u, v);
-                }
-                None => {
-                    delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-                }
-            }
-        }
-        _ => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let dc = DenialConstraint::builder(T, 2)
-                .when_cmp(Term::attr(0, attr), CmpOp::Gt, Term::attr(1, attr))
-                .then_order(1, attr, 0)
-                .build()
-                .expect("valid constraint");
-            delta.add_constraint(dc);
-        }
-    }
-    if delta.is_empty() {
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-    }
-    delta
 }
 
 /// One answer as a reader observed it: the request, the epoch the reader
@@ -242,7 +189,7 @@ fn eight_readers_racing_a_writer_match_fresh_engines_at_every_epoch() {
                 for _ in 0..DELTAS_PER_SEED {
                     let delta = {
                         let snap = serve.snapshot();
-                        random_delta(snap.spec(), &mut rng)
+                        random_delta(&[snap.spec()], &MIX, &mut rng)
                     };
                     let report = serve
                         .apply(&delta)
@@ -317,7 +264,7 @@ fn panicking_reader_cannot_poison_snapshots_or_wedge_the_writer() {
     for _ in 0..5 {
         let delta = {
             let snap = serve.snapshot();
-            random_delta(snap.spec(), &mut rng)
+            random_delta(&[snap.spec()], &MIX, &mut rng)
         };
         serve.apply(&delta).expect("publish path not wedged");
     }

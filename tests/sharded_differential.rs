@@ -2,13 +2,15 @@
 //! shard count N ∈ {1, 2, 4, 8}, a [`ShardedEngine`] and a
 //! [`ShardedServe`] (read through its scatter-gather handle) fed the same
 //! seeded update stream as a single unsharded [`CurrencyEngine`] must
-//! agree with it on CPS, all-pairs COP, certain current answers, CCQA
-//! membership, and DCIP — before and after the stream, and after sharded
-//! compaction.  A join, whose per-shard union can miss answers, must be
-//! refused by both sharded front doors whenever N > 1.
+//! pass the shared agreement check (`reason::oracle::Agreement`: CPS,
+//! all-pairs COP, DCIP and certain answers of every relation, against a
+//! fresh engine) and agree with the unsharded engine on CCQA membership
+//! — before and after the stream, and after compaction.  A join, whose
+//! per-shard union can miss answers, must be refused by both sharded
+//! front doors whenever N > 1.
 //!
-//! The stream generator is the same one the unsharded update suite uses
-//! (`tests/engine_updates.rs`); its deltas speak the unsharded id space,
+//! The stream is the shared generator's live-update mix
+//! (`DeltaMix::UPDATES`); its deltas speak the unsharded id space,
 //! so each delta is translated to sharded-global ids through a
 //! maintained id map (seeded from [`ShardedEngine::import`], extended by
 //! zipping the two apply reports' `inserted` lists).  A delta the
@@ -18,21 +20,24 @@
 //! both sides, keeping the two states in lockstep; the policy itself is
 //! pinned by the deterministic tests at the bottom.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use data_currency::datagen::random::{
+    monotone, pinned_seeds, random_delta, random_spec, DeltaMix, RandomSpecConfig,
+};
 use data_currency::model::{
     AttrId, CopyFunction, DeltaOp, Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value,
 };
 use data_currency::query::{parse_query, Query, SpQuery};
+use data_currency::reason::oracle::Agreement;
 use data_currency::reason::shard::locate;
 use data_currency::reason::{
-    CertainAnswers, CurrencyEngine, CurrencyOrderQuery, Options, ReasonError, ShardError,
-    ShardPlan, Sharded, ShardedEngine,
+    CertainAnswers, CurrencyEngine, Options, ReasonError, ShardError, ShardPlan, Sharded,
+    ShardedEngine,
 };
 use data_currency::serve::{ServeError, ServeOptions, ShardedServe, ShardedServeHandle};
 use data_currency::store::{ShardedStore, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 const T: RelId = RelId(0);
@@ -56,77 +61,6 @@ fn config(seed: u64) -> RandomSpecConfig {
 
 fn value_query(rel: RelId, arity: usize) -> Query {
     SpQuery::identity(rel, arity).to_query(arity)
-}
-
-/// Draw one admissible delta against the current (unsharded)
-/// specification — the generator space of `tests/engine_updates.rs`.
-fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
-    let inst = spec.instance(T);
-    let arity = inst.arity();
-    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
-    let mut delta = SpecDelta::new();
-    match rng.gen_range(0..10u32) {
-        0..=3 => {
-            let eid = Eid(rng.gen_range(0..3u64));
-            let values: Vec<Value> = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..2)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(eid, values));
-        }
-        4..=5 if !live.is_empty() => {
-            let victim = live[rng.gen_range(0..live.len())];
-            delta.remove_tuple(T, victim);
-        }
-        6..=7 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let mut found = None;
-            'outer: for (i, &u) in live.iter().enumerate() {
-                for &v in &live[i + 1..] {
-                    if inst.tuple(u).eid == inst.tuple(v).eid && !inst.order(attr).contains(u, v) {
-                        found = Some((u, v));
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some((u, v)) = found {
-                delta.add_order_edge(T, attr, u, v);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-            }
-        }
-        8 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let dc = data_currency::model::DenialConstraint::builder(T, 2)
-                .when_cmp(
-                    data_currency::model::Term::attr(0, attr),
-                    data_currency::model::CmpOp::Gt,
-                    data_currency::model::Term::attr(1, attr),
-                )
-                .then_order(1, attr, 0)
-                .build()
-                .expect("valid constraint");
-            delta.add_constraint(dc);
-        }
-        _ => {
-            let unmapped = live
-                .iter()
-                .copied()
-                .find(|&t| spec.copies().len() == 1 && spec.copies()[0].mapping(t).is_none());
-            if let Some(target) = unmapped {
-                let t = inst.tuple(target).clone();
-                let source_id = TupleId(spec.instance(SRC).len() as u32);
-                delta
-                    .insert_tuple(SRC, Tuple::new(Eid(t.eid.0 + 100), t.values.clone()))
-                    .extend_copy(0, target, source_id);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(1), vec![Value::int(1); arity]));
-            }
-        }
-    }
-    if delta.is_empty() {
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-    }
-    delta
 }
 
 /// An unsharded engine, a sharded engine and a sharded serving stack
@@ -283,77 +217,40 @@ impl Mirror {
         }
     }
 
-    /// Full agreement check on both sharded front doors: CPS, all-pairs
-    /// COP over `T`, certain answers on both relations, a CCQA probe,
-    /// DCIP, and the join refusal.
-    fn assert_agreement(&mut self, seed: u64, stage: &str) {
+    /// Both sharded front doors (ids through the id map) pass the shared
+    /// agreement check, agree with the unsharded engine on a CCQA probe
+    /// of each relation, and refuse a join on more than one shard.
+    fn check(&mut self, seed: u64, stage: &str) {
         let n = self.sharded.shards();
-        let cps = self.unsharded.cps().expect("in budget");
-        assert_eq!(
-            (cps, cps),
-            (self.sharded.cps().unwrap(), self.handle.cps().unwrap()),
-            "CPS diverged (seed {seed}, N={n}, {stage})"
-        );
-        let inst = self.unsharded.spec().instance(T);
-        for a in 0..inst.arity() {
-            let attr = AttrId(a as u32);
-            for u in 0..inst.len() as u32 {
-                for v in 0..inst.len() as u32 {
-                    let (gu, gv) = (self.map[0][&TupleId(u)], self.map[0][&TupleId(v)]);
-                    let qu = CurrencyOrderQuery::single(T, attr, TupleId(u), TupleId(v));
-                    let qg = CurrencyOrderQuery::single(T, attr, gu, gv);
-                    let un = self.unsharded.cop(&qu).unwrap();
-                    assert_eq!(
-                        (un, un),
-                        (
-                            self.sharded.cop(&qg).unwrap(),
-                            self.handle.cop(&qg).unwrap()
-                        ),
-                        "COP diverged (seed {seed}, N={n}, {stage}, {u} ≺ {v})"
-                    );
-                }
-            }
-        }
+        let at = format!("seed {seed}, N={n}, {stage}");
+        let spec = self.unsharded.spec();
+        let agreement = Agreement::of(spec, 0, &at);
+        let map = &self.map;
+        let global = |rel: RelId, id: TupleId| map[rel.index()][&id];
+        agreement.check(&mut self.sharded.scatter(), global, &at);
+        agreement.check(&mut self.handle, global, &at);
+        // CCQA membership: a certain row, if any, and one that cannot
+        // occur.
         for rel in [T, SRC] {
-            let arity = self.unsharded.spec().instance(rel).arity();
+            let arity = spec.instance(rel).arity();
             let q = value_query(rel, arity);
-            let un = self.unsharded.certain_answers(&q).expect("in budget");
-            assert_eq!(
-                (&un, &un),
-                (
-                    &self.sharded.certain_answers(&q).unwrap(),
-                    &self.handle.certain_answers(&q).unwrap()
-                ),
-                "certain answers diverged (seed {seed}, N={n}, {stage}, rel {rel:?})"
-            );
-            // CCQA membership: a real row and a row that cannot occur.
-            if let Some(row) = un.rows().and_then(|rows| rows.first()) {
-                assert!(
-                    self.sharded.ccqa(&q, row).unwrap() && self.handle.ccqa(&q, row).unwrap(),
-                    "CCQA lost a certain row (seed {seed}, N={n}, {stage})"
+            let certain = self.unsharded.certain_answers(&q).expect("in budget");
+            let rows = certain.rows().and_then(|rows| rows.first()).cloned();
+            for row in rows.into_iter().chain([vec![Value::int(99); arity]]) {
+                let un = self.unsharded.ccqa(&q, &row).unwrap();
+                assert_eq!(
+                    (un, un),
+                    (
+                        self.sharded.ccqa(&q, &row).unwrap(),
+                        self.handle.ccqa(&q, &row).unwrap()
+                    ),
+                    "CCQA {row:?}, {at}"
                 );
             }
-            let bogus = vec![Value::int(99); arity];
-            let un = self.unsharded.ccqa(&q, &bogus).unwrap();
-            assert_eq!(
-                (un, un),
-                (
-                    self.sharded.ccqa(&q, &bogus).unwrap(),
-                    self.handle.ccqa(&q, &bogus).unwrap()
-                ),
-                "CCQA diverged on absent row (seed {seed}, N={n}, {stage})"
-            );
         }
-        let un = self.unsharded.dcip(T).unwrap();
-        assert_eq!(
-            (un, un),
-            (self.sharded.dcip(T).unwrap(), self.handle.dcip(T).unwrap()),
-            "DCIP diverged (seed {seed}, N={n}, {stage})"
-        );
         // A join of the two relations: exact on one shard, refused on
         // more (a per-shard union could miss a cross-shard answer).
-        let join = parse_query(self.unsharded.spec().catalog(), "Q(x) :- T(x) and Src(x)")
-            .expect("valid query");
+        let join = parse_query(spec.catalog(), "Q(x) :- T(x) and Src(x)").expect("valid query");
         let sharded = self.sharded.certain_answers(&join);
         let served = self.handle.certain_answers(&join);
         if n == 1 {
@@ -361,7 +258,7 @@ impl Mirror {
             assert_eq!(
                 (&un, &un),
                 (&sharded.unwrap(), &served.unwrap()),
-                "join diverged on one shard (seed {seed}, {stage})"
+                "join diverged on one shard ({at})"
             );
         } else {
             assert_refused(sharded, served);
@@ -392,11 +289,11 @@ fn differential_round(seed: u64, shards: usize) {
     let opts = Options::default();
     let spec = random_spec(&config(seed));
     let mut mirror = Mirror::new(&spec, shards, &opts);
-    mirror.assert_agreement(seed, "initial");
+    mirror.check(seed, "initial");
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
     let mut shadow = spec;
     for step in 0..STREAM_LEN {
-        let delta = random_delta(&shadow, &mut rng);
+        let delta = random_delta(&[&shadow], &DeltaMix::UPDATES, &mut rng);
         if mirror.step(&delta, seed, step) {
             shadow.apply_delta(&delta).expect("admissible by draw");
             // CPS stays in agreement after every applied delta.
@@ -408,10 +305,10 @@ fn differential_round(seed: u64, shards: usize) {
             );
         }
     }
-    mirror.assert_agreement(seed, "post-stream");
+    mirror.check(seed, "post-stream");
 
     // Sharded compaction: shard-local renumbering must preserve every
-    // live tuple (translated through the report) and every verdict.
+    // live tuple (translated through the report).
     let live: Vec<(TupleId, Tuple)> = mirror
         .unsharded
         .spec()
@@ -436,25 +333,17 @@ fn differential_round(seed: u64, shards: usize) {
             "compaction moved a tuple's values"
         );
     }
-    let q = value_query(T, mirror.unsharded.spec().instance(T).arity());
-    let un = (
-        mirror.unsharded.cps().unwrap(),
-        mirror.unsharded.certain_answers(&q).unwrap(),
-    );
-    assert_eq!(
-        (&un, &un),
-        (
-            &(
-                mirror.sharded.cps().unwrap(),
-                mirror.sharded.certain_answers(&q).unwrap()
-            ),
-            &(
-                mirror.handle.cps().unwrap(),
-                mirror.handle.certain_answers(&q).unwrap()
-            )
-        ),
-        "CPS or certain answers diverged after compaction (seed {seed}, N={shards})"
-    );
+    // The unsharded engine compacts too, the id map follows both
+    // reports, and every check holds again.
+    let un_report = mirror.unsharded.compact().expect("compaction succeeds");
+    for (r, ids) in mirror.map.iter_mut().enumerate() {
+        let rel = RelId(r as u32);
+        let moved = |(&u, &g): (&TupleId, &TupleId)| {
+            Some((un_report.new_id(rel, u)?, report.new_id(rel, g)?))
+        };
+        *ids = ids.iter().filter_map(moved).collect();
+    }
+    mirror.check(seed, "post-compaction");
 
     // Stats aggregate exactly field-wise.
     let stats = mirror.sharded.stats();
@@ -481,19 +370,11 @@ fn differential_round(seed: u64, shards: usize) {
     );
 }
 
-/// Seeds of the pinned sweep: the full 10k in release, a slice under
-/// debug.
-const SEEDS: u64 = if cfg!(debug_assertions) { 100 } else { 10_000 };
-
-/// The CI anchor: `SEEDS` consecutive seeds starting at `CHAOS_SEED`
-/// (pinned by default, so a run is reproducible), every shard count.
+/// The CI anchor: 10k seeds from `CHAOS_SEED` in release (a slice
+/// under debug), every shard count.
 #[test]
 fn pinned_seed_range_sharded_differential() {
-    let first = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_808u64);
-    for seed in first..first + SEEDS {
+    for seed in pinned_seeds(100, 10_000) {
         for shards in SHARD_COUNTS {
             differential_round(seed, shards);
         }
@@ -657,15 +538,7 @@ fn mixed_delta_is_rejected() {
     let opts = Options::default();
     let spec = two_entity_spec((Eid(0), Eid(1)));
     let mut engine = ShardedEngine::new(&spec, 4, &opts).unwrap();
-    let dc = data_currency::model::DenialConstraint::builder(T, 2)
-        .when_cmp(
-            data_currency::model::Term::attr(0, AttrId(0)),
-            data_currency::model::CmpOp::Gt,
-            data_currency::model::Term::attr(1, AttrId(0)),
-        )
-        .then_order(1, AttrId(0), 0)
-        .build()
-        .unwrap();
+    let dc = monotone(T, AttrId(0));
     let mut delta = SpecDelta::new();
     delta
         .insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(2)]))
@@ -679,15 +552,7 @@ fn constraints_broadcast_to_every_shard() {
     let opts = Options::default();
     let spec = two_entity_spec((Eid(0), Eid(1)));
     let mut engine = ShardedEngine::new(&spec, 4, &opts).unwrap();
-    let dc = data_currency::model::DenialConstraint::builder(T, 2)
-        .when_cmp(
-            data_currency::model::Term::attr(0, AttrId(0)),
-            data_currency::model::CmpOp::Gt,
-            data_currency::model::Term::attr(1, AttrId(0)),
-        )
-        .then_order(1, AttrId(0), 0)
-        .build()
-        .unwrap();
+    let dc = monotone(T, AttrId(0));
     let mut delta = SpecDelta::new();
     delta.add_constraint(dc);
     let report = engine.apply(&delta).unwrap();

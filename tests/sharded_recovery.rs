@@ -14,15 +14,14 @@
 //! are oriented by ascending global id, which on one shard is ascending
 //! local id — acyclic for free.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use data_currency::datagen::random::{random_delta, random_spec, DeltaMix, RandomSpecConfig};
 use data_currency::model::wire::encode_spec;
-use data_currency::model::{AttrId, Eid, RelId, SpecDelta, Tuple, TupleId, Value};
-use data_currency::reason::shard::{global_id, locate};
+use data_currency::model::{RelId, SpecDelta, Specification, Tuple, Value};
 use data_currency::reason::Options;
 use data_currency::store::{ShardedStore, ShardedStoreError, StoreError, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::path::PathBuf;
 
 const T: RelId = RelId(0);
@@ -49,81 +48,10 @@ fn config(seed: u64) -> RandomSpecConfig {
     }
 }
 
-/// Every live tuple of `rel` as `(global id, entity)`, across shards.
-fn live_globals(store: &ShardedStore, rel: RelId) -> Vec<(TupleId, Eid)> {
-    let n = store.shards();
-    let mut out = Vec::new();
-    for k in 0..n {
-        for (id, t) in store.shard(k).spec().instance(rel).tuples() {
-            out.push((global_id(n, k, id), t.eid));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Draw one admissible delta in the global id space.
-fn random_global_delta(store: &ShardedStore, rng: &mut SmallRng) -> SpecDelta {
-    let n = store.shards();
-    let arity = store.shard(0).spec().instance(T).arity();
-    let live = live_globals(store, T);
-    let mut delta = SpecDelta::new();
-    match rng.gen_range(0..10u32) {
-        0..=4 => {
-            let eid = Eid(rng.gen_range(0..3u64));
-            let values: Vec<Value> = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..2)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(eid, values));
-        }
-        5..=6 if !live.is_empty() => {
-            let (victim, _) = live[rng.gen_range(0..live.len())];
-            delta.remove_tuple(T, victim);
-        }
-        7..=8 => {
-            // A same-entity pair not yet ordered, oriented by ascending
-            // global id (`live` is sorted, so `u < v` holds).
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let mut found = None;
-            'outer: for (i, &(u, eu)) in live.iter().enumerate() {
-                for &(v, ev) in &live[i + 1..] {
-                    if eu != ev {
-                        continue;
-                    }
-                    let (su, lu) = locate(n, u);
-                    let (sv, lv) = locate(n, v);
-                    debug_assert_eq!(su, sv, "one entity, one shard");
-                    let inst = store.shard(su).spec().instance(T);
-                    if !inst.order(attr).contains(lu, lv) {
-                        found = Some((u, v));
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some((u, v)) = found {
-                delta.add_order_edge(T, attr, u, v);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-            }
-        }
-        _ => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let dc = data_currency::model::DenialConstraint::builder(T, 2)
-                .when_cmp(
-                    data_currency::model::Term::attr(0, attr),
-                    data_currency::model::CmpOp::Gt,
-                    data_currency::model::Term::attr(1, attr),
-                )
-                .then_order(1, attr, 0)
-                .build()
-                .expect("valid constraint");
-            delta.add_constraint(dc);
-        }
-    }
-    if delta.is_empty() {
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-    }
-    delta
+/// One admissible delta against the store's shards, in global ids.
+fn next_delta(store: &ShardedStore, rng: &mut SmallRng) -> SpecDelta {
+    let shards: Vec<&Specification> = (0..store.shards()).map(|k| store.shard(k).spec()).collect();
+    random_delta(&shards, &DeltaMix::NO_COPY, rng)
 }
 
 /// Stream deltas into a fresh sharded store, crash it, and recover it
@@ -142,7 +70,7 @@ fn recovery_round(seed: u64) {
     // WAL records each shard will have to replay on reopen.
     let mut logged = vec![0usize; n];
     for _ in 0..STREAM_LEN {
-        let delta = random_global_delta(&store, &mut rng);
+        let delta = next_delta(&store, &mut rng);
         let report = store.apply(&delta).expect("admissible by draw");
         if let Some(s) = report.shard {
             logged[s] += 1;
@@ -153,7 +81,11 @@ fn recovery_round(seed: u64) {
         }
     }
     let pre: Vec<Vec<u8>> = (0..n).map(|k| encode_spec(store.shard(k).spec())).collect();
-    let live = live_globals(&store, T);
+    // The first shard holding a live reading, and its entity.
+    let live = (0..n).find_map(|k| {
+        let mut tuples = store.shard(k).spec().instance(T).tuples();
+        tuples.next().map(|(_, t)| (k, t.eid))
+    });
     drop(store); // crash
 
     let parallel = ShardedStore::open(&dir, &opts, store_opts).expect("parallel recovery");
@@ -201,8 +133,7 @@ fn recovery_round(seed: u64) {
 
     // Routing survives recovery: a new reading for an entity that still
     // has live tuples lands in the shard that already holds it.
-    if let Some(&(g, eid)) = live.first() {
-        let (owner, _) = locate(n, g);
+    if let Some((owner, eid)) = live {
         assert_eq!(
             parallel.plan().shard_of(eid),
             owner,

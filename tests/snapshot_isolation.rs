@@ -11,9 +11,9 @@
 //! every retained snapshot must
 //!
 //! 1. re-encode byte-identically (nothing it shares was written since), and
-//! 2. answer CPS, COP over every same-entity pair and the certain answers
-//!    of the identity query exactly like a fresh `CurrencyEngine`
-//!    compiled over its specification.
+//! 2. answer like a fresh `CurrencyEngine` compiled over its
+//!    specification (the shared agreement check of `reason::oracle`:
+//!    CPS, COP, DCIP and certain answers on every relation).
 //!
 //! One seed in [`PADDED_EVERY`] pads the source relation with enough
 //! single-tuple entities that the instances, the partition and the slot
@@ -22,26 +22,24 @@
 //! entities, where every instance and copy map spans more than one
 //! chunk of pages, so the page-table level is shared and copied too.
 //!
-//! `SEEDS` seeds in release (the 10k-seed differential), fewer under the
-//! debug profile.  The seed range starts at `CHAOS_SEED` (default
-//! `20260808`), so CI replays one pinned range.
+//! 10k seeds in release, fewer under the debug profile, drawn from the
+//! shared generator and seed range (`datagen::random`), so CI replays
+//! one pinned range.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use currency_bench::scenarios::large_spec;
+use data_currency::datagen::random::{
+    pinned_seeds, random_delta, random_spec, DeltaMix, RandomSpecConfig,
+};
 use data_currency::model::cow::PAGE_SIZE;
 use data_currency::model::{
-    wire, AttrId, Catalog, CmpOp, CopyFunction, CopySignature, DenialConstraint, Eid, RelId,
-    RelationSchema, SpecDelta, Specification, Term, Tuple, TupleId, Value,
+    wire, AttrId, Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value,
 };
-use data_currency::query::SpQuery;
-use data_currency::reason::snapshot::{EngineSnapshot, SnapshotReader};
-use data_currency::reason::{CompactBudget, CurrencyEngine, CurrencyOrderQuery, Options};
+use data_currency::reason::oracle::assert_agreement;
+use data_currency::reason::snapshot::SnapshotReader;
+use data_currency::reason::{CompactBudget, CurrencyEngine, Options};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// Seeds per run: the full 10k sweep in release, a slice under debug.
-const SEEDS: u64 = if cfg!(debug_assertions) { 250 } else { 10_000 };
 
 /// Every this many seeds, the source relation is padded past a page.
 const PADDED_EVERY: u64 = 16;
@@ -53,19 +51,17 @@ const STEPS: usize = 8;
 /// relation, past the 16 384 elements one chunk of pages spans.
 const LARGE_ENTITIES: u64 = 2_000;
 
-/// Seeds and writes per seed of the large case.
-const LARGE_SEEDS: u64 = if cfg!(debug_assertions) { 1 } else { 4 };
+/// Writes per seed of the large case.
 const LARGE_STEPS: usize = if cfg!(debug_assertions) { 24 } else { 64 };
 
 const T: RelId = RelId(0);
 const SRC: RelId = RelId(1);
 
-fn first_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_808)
-}
+/// Every operation kind, inserts over four entities.
+const MIX: DeltaMix = DeltaMix {
+    entities: 4,
+    ..DeltaMix::UPDATES
+};
 
 fn spec_for(seed: u64) -> Specification {
     let mut spec = random_spec(&RandomSpecConfig {
@@ -90,104 +86,13 @@ fn spec_for(seed: u64) -> Specification {
     spec
 }
 
-/// One admissible delta against the writer's current specification.
-fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
-    let inst = spec.instance(T);
-    let arity = inst.arity();
-    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
-    let mut delta = SpecDelta::new();
-    match rng.gen_range(0..10u32) {
-        0..=3 => {
-            let values = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..2)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(Eid(rng.gen_range(0..4u64)), values));
-        }
-        4..=5 if live.len() > 1 => {
-            delta.remove_tuple(T, live[rng.gen_range(0..live.len())]);
-        }
-        6..=7 => {
-            // An id-oriented order fact stays acyclic.
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let pair = live.iter().enumerate().find_map(|(i, &u)| {
-                live[i + 1..].iter().find_map(|&v| {
-                    (inst.tuple(u).eid == inst.tuple(v).eid && !inst.order(attr).contains(u, v))
-                        .then_some((u, v))
-                })
-            });
-            if let Some((u, v)) = pair {
-                delta.add_order_edge(T, attr, u, v);
-            }
-        }
-        8 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let dc = DenialConstraint::builder(T, 2)
-                .when_cmp(Term::attr(0, attr), CmpOp::Gt, Term::attr(1, attr))
-                .then_order(1, attr, 0)
-                .build()
-                .expect("valid constraint");
-            delta.add_constraint(dc);
-        }
-        _ => {
-            // Mirror an unmapped target tuple into the source and map it.
-            let unmapped = live.iter().copied().find(|&t| {
-                spec.copies()
-                    .first()
-                    .is_some_and(|cf| cf.mapping(t).is_none())
-            });
-            if let Some(target) = unmapped {
-                let t = inst.tuple(target).clone();
-                let source = TupleId(spec.instance(SRC).len() as u32);
-                delta
-                    .insert_tuple(SRC, Tuple::new(Eid(t.eid.0 + 100), t.values))
-                    .extend_copy(0, target, source);
-            }
-        }
-    }
-    if delta.is_empty() {
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(1); arity]));
-    }
-    delta
-}
-
-/// The retained snapshot answers like a fresh engine over its spec.
-fn assert_answers_like_fresh(snap: &Arc<EngineSnapshot>, seed: u64, epoch: u64) {
-    let spec = snap.spec();
-    let fresh = CurrencyEngine::new(spec, &Options::default()).expect("published specs are valid");
-    let mut reader = SnapshotReader::new(snap.clone());
-    let at = format!("seed {seed} epoch {epoch}");
-    assert_eq!(reader.cps(), fresh.cps().unwrap(), "CPS, {at}");
-    let inst = spec.instance(T);
-    for (_, group) in inst.entity_groups() {
-        for &u in group {
-            for &v in group {
-                for a in 0..inst.arity() {
-                    let q = CurrencyOrderQuery::single(T, AttrId(a as u32), u, v);
-                    assert_eq!(
-                        reader.cop(&q).unwrap(),
-                        fresh.cop(&q).unwrap(),
-                        "COP {u:?} ≺ {v:?} on attr {a}, {at}"
-                    );
-                }
-            }
-        }
-    }
-    let q = SpQuery::identity(T, inst.arity()).to_query(inst.arity());
-    assert_eq!(
-        reader.certain_answers(&q).unwrap(),
-        fresh.certain_answers(&q).unwrap(),
-        "certain answers, {at}"
-    );
-}
-
 #[test]
 fn every_published_epoch_stays_frozen() {
     let budget = CompactBudget {
         max_pause: Duration::from_secs(60),
         max_slots_per_step: 2,
     };
-    let first = first_seed();
-    for seed in first..first + SEEDS {
+    for seed in pinned_seeds(250, 10_000) {
         let mut writer = CurrencyEngine::new_owned(spec_for(seed), &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut retained = Vec::new();
@@ -202,7 +107,7 @@ fn every_published_epoch_stays_frozen() {
             if rng.gen_range(0..4u32) == 0 {
                 writer.compact_step(&budget).expect("compaction step");
             } else {
-                let delta = random_delta(writer.spec(), &mut rng);
+                let delta = random_delta(&[writer.spec()], &MIX, &mut rng);
                 writer
                     .apply(&delta)
                     .expect("generated deltas are admissible");
@@ -217,41 +122,10 @@ fn every_published_epoch_stays_frozen() {
                 "seed {seed}: epoch {} changed after publication",
                 snap.epoch()
             );
-            assert_answers_like_fresh(snap, seed, snap.epoch());
+            let at = format!("seed {seed} epoch {}", snap.epoch());
+            assert_agreement(&mut SnapshotReader::new(snap.clone()), snap.spec(), 0, &at);
         }
     }
-}
-
-/// The bench's large shape: `entities` target entities of ten increasing
-/// readings, each copied from a mirrored source reading, and a monotone
-/// constraint on the target.
-fn large_spec(entities: u64) -> Specification {
-    let mut cat = Catalog::new();
-    let t = cat.add(RelationSchema::new("T", &["V"]));
-    let s = cat.add(RelationSchema::new("S", &["V"]));
-    let mut spec = Specification::new(cat);
-    let sig = CopySignature::new(t, vec![AttrId(0)], s, vec![AttrId(0)]).expect("signature");
-    let mut cf = CopyFunction::new(sig);
-    for e in 0..entities {
-        for v in 0..10 {
-            let reading = || Tuple::new(Eid(e), vec![Value::int(v)]);
-            let tt = spec.instance_mut(t).push_tuple(reading()).expect("arity");
-            let ts = spec.instance_mut(s).push_tuple(reading()).expect("arity");
-            cf.set_mapping(tt, ts);
-        }
-    }
-    let dc = DenialConstraint::builder(t, 2)
-        .when_cmp(
-            Term::attr(0, AttrId(0)),
-            CmpOp::Gt,
-            Term::attr(1, AttrId(0)),
-        )
-        .then_order(1, AttrId(0), 0)
-        .build()
-        .expect("valid constraint");
-    spec.add_constraint(dc).expect("constraint applies");
-    spec.add_copy(cf).expect("copying condition holds");
-    spec
 }
 
 /// One admissible delta on a random entity of the large shape.
@@ -305,14 +179,13 @@ fn large_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
 
 #[test]
 fn large_spec_epochs_stay_frozen_across_chunks() {
-    let base = large_spec(LARGE_ENTITIES);
+    let base = large_spec(LARGE_ENTITIES as usize);
     assert!(base.instance(T).len() > PAGE_SIZE * PAGE_SIZE);
     let budget = CompactBudget {
         max_pause: Duration::from_secs(60),
         max_slots_per_step: 64,
     };
-    let first = first_seed();
-    for seed in first..first + LARGE_SEEDS {
+    for seed in pinned_seeds(1, 4) {
         let mut writer =
             CurrencyEngine::with_value_rels_owned(base.clone(), &[], &Options::default()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);

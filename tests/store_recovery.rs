@@ -16,28 +16,18 @@
 //!   space.  After every restart the recovered engine must agree with
 //!   the never-restarted in-memory engine — and, when affordable, with
 //!   the brute-force completion-enumeration oracle — on CPS, all-pairs
-//!   COP, and certain current answers.
+//!   COP, DCIP and certain current answers of every relation.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use data_currency::datagen::random::{random_delta, random_spec, DeltaMix, RandomSpecConfig};
 use data_currency::model::wire::encode_spec;
-use data_currency::model::{
-    AttrId, CmpOp, DenialConstraint, Eid, RelId, SpecDelta, Specification, Term, Tuple, TupleId,
-    Value,
-};
-use data_currency::query::{Database, Query, SpQuery};
-use data_currency::reason::{
-    enumerate::for_each_consistent_completion, CertainAnswers, CurrencyEngine, CurrencyOrderQuery,
-    Options,
-};
+use data_currency::reason::oracle::Agreement;
+use data_currency::reason::{CurrencyEngine, Options};
 use data_currency::store::{DurableEngine, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 
-const T: RelId = RelId(0);
-const SRC: RelId = RelId(1);
 const ORACLE_BUDGET: usize = 2_000_000;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -74,156 +64,18 @@ fn config(seed: u64) -> RandomSpecConfig {
     }
 }
 
-/// Draw one admissible delta against the current specification (the same
-/// operation mix as the live-update differential suite: inserts,
-/// retractions, id-oriented order edges, learned constraints, and copy
-/// extensions with a mirrored source tuple).
-fn random_delta(spec: &Specification, rng: &mut SmallRng) -> SpecDelta {
-    let inst = spec.instance(T);
-    let arity = inst.arity();
-    let live: Vec<TupleId> = inst.tuples().map(|(id, _)| id).collect();
-    let mut delta = SpecDelta::new();
-    let pick = rng.gen_range(0..10u32);
-    match pick {
-        0..=3 => {
-            let eid = Eid(rng.gen_range(0..3u64));
-            let values: Vec<Value> = (0..arity)
-                .map(|_| Value::int(rng.gen_range(0..2)))
-                .collect();
-            delta.insert_tuple(T, Tuple::new(eid, values));
-        }
-        4..=5 if !live.is_empty() => {
-            let victim = live[rng.gen_range(0..live.len())];
-            delta.remove_tuple(T, victim);
-        }
-        6..=7 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let mut found = None;
-            'outer: for (i, &u) in live.iter().enumerate() {
-                for &v in &live[i + 1..] {
-                    if inst.tuple(u).eid == inst.tuple(v).eid && !inst.order(attr).contains(u, v) {
-                        found = Some((u, v));
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some((u, v)) = found {
-                delta.add_order_edge(T, attr, u, v);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-            }
-        }
-        8 => {
-            let attr = AttrId(rng.gen_range(0..arity) as u32);
-            let dc = DenialConstraint::builder(T, 2)
-                .when_cmp(Term::attr(0, attr), CmpOp::Gt, Term::attr(1, attr))
-                .then_order(1, attr, 0)
-                .build()
-                .expect("valid constraint");
-            delta.add_constraint(dc);
-        }
-        _ => {
-            let unmapped = live
-                .iter()
-                .copied()
-                .find(|&t| spec.copies().len() == 1 && spec.copies()[0].mapping(t).is_none());
-            if let Some(target) = unmapped {
-                let t = inst.tuple(target).clone();
-                let source_id = TupleId(spec.instance(SRC).len() as u32);
-                delta
-                    .insert_tuple(SRC, Tuple::new(Eid(t.eid.0 + 100), t.values.clone()))
-                    .extend_copy(0, target, source_id);
-            } else {
-                delta.insert_tuple(T, Tuple::new(Eid(1), vec![Value::int(1); arity]));
-            }
-        }
-    }
-    if delta.is_empty() {
-        delta.insert_tuple(T, Tuple::new(Eid(0), vec![Value::int(0); arity]));
-    }
-    delta
-}
-
-fn value_query(rel: RelId, arity: usize) -> Query {
-    SpQuery::identity(rel, arity).to_query(arity)
-}
-
-/// Certain answers via the brute-force completion enumerator; `None` if
-/// out of budget.
-fn certain_by_enumeration(spec: &Specification, query: &Query) -> Option<CertainAnswers> {
-    let mut acc: Option<BTreeSet<Vec<Value>>> = None;
-    let count = for_each_consistent_completion(spec, ORACLE_BUDGET, |completion| {
-        let dbs = data_currency::model::lst(spec, completion);
-        let db = Database::new(&dbs);
-        let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
-        acc = Some(match acc.take() {
-            None => answers,
-            Some(prev) => prev.intersection(&answers).cloned().collect(),
-        });
-        true
-    })
-    .ok()?;
-    Some(if count == 0 {
-        CertainAnswers::Inconsistent
-    } else {
-        CertainAnswers::Answers(acc.unwrap_or_default().into_iter().collect())
-    })
-}
-
-/// Assert the recovered durable engine, the never-restarted engine, and
-/// (when affordable) the oracle agree on CPS, all-pairs COP, and certain
-/// answers.
-fn assert_agreement(
-    durable: &DurableEngine,
-    shadow: &CurrencyEngine,
-    with_oracle: bool,
-    seed: u64,
-    step: usize,
-) {
+/// The recovered durable engine holds the never-restarted engine's
+/// specification, and both answer like a fresh engine and the oracle.
+fn check(durable: &DurableEngine, shadow: &CurrencyEngine, seed: u64, step: usize) {
     assert_eq!(
         encode_spec(durable.spec()),
         encode_spec(shadow.spec()),
         "specs diverged: seed {seed} step {step}"
     );
-    let cps = durable.cps().expect("in budget");
-    assert_eq!(cps, shadow.cps().unwrap(), "CPS seed {seed} step {step}");
-    let inst = durable.spec().instance(T);
-    for a in 0..inst.arity() {
-        let attr = AttrId(a as u32);
-        for u in 0..inst.len() as u32 {
-            for v in 0..inst.len() as u32 {
-                let q = CurrencyOrderQuery::single(T, attr, TupleId(u), TupleId(v));
-                assert_eq!(
-                    durable.cop(&q).unwrap(),
-                    shadow.cop(&q).unwrap(),
-                    "COP seed {seed} step {step} {u} ≺ {v}"
-                );
-            }
-        }
-    }
-    let q = value_query(T, inst.arity());
-    let answers = durable.certain_answers(&q).expect("in budget");
-    assert_eq!(
-        answers,
-        shadow.certain_answers(&q).unwrap(),
-        "answers seed {seed} step {step}"
-    );
-    if with_oracle {
-        if let Some(oracle) = certain_by_enumeration(durable.spec(), &q) {
-            assert_eq!(answers, oracle, "answers oracle seed {seed} step {step}");
-        }
-        if let Some(oracle_cps) = {
-            let mut found = false;
-            for_each_consistent_completion(durable.spec(), ORACLE_BUDGET, |_| {
-                found = true;
-                false
-            })
-            .ok()
-            .map(|_| found)
-        } {
-            assert_eq!(cps, oracle_cps, "CPS oracle seed {seed} step {step}");
-        }
-    }
+    let at = format!("seed {seed} step {step}");
+    let agreement = Agreement::of(durable.spec(), ORACLE_BUDGET, &at);
+    agreement.check(&mut durable.engine(), |_, id| id, &at);
+    agreement.check(&mut &*shadow, |_, id| id, &at);
 }
 
 // ---------------------------------------------------------------------
@@ -244,7 +96,7 @@ fn build_injection_fixture(dir: &Path, seed: u64, n: usize) -> (Vec<Vec<u8>>, Ve
     let mut frame_ends = vec![std::fs::metadata(&wal).unwrap().len()];
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xD6E8_FEB8));
     for _ in 0..n {
-        let delta = random_delta(&shadow, &mut rng);
+        let delta = random_delta(&[&shadow], &DeltaMix::UPDATES, &mut rng);
         durable
             .apply(&delta)
             .expect("generated deltas are admissible");
@@ -332,7 +184,7 @@ fn flipping_snapshot_bytes_never_recovers_silently_wrong_state() {
     let mut rng = SmallRng::seed_from_u64(42);
     let mut shadow = durable.spec().clone();
     for _ in 0..3 {
-        let delta = random_delta(&shadow, &mut rng);
+        let delta = random_delta(&[&shadow], &DeltaMix::UPDATES, &mut rng);
         durable.apply(&delta).unwrap();
         shadow.apply_delta(&delta).unwrap();
     }
@@ -398,7 +250,7 @@ proptest! {
         let n = 6usize;
         let restart_at = (seed % (n as u64 + 1)) as usize;
         for step in 0..n {
-            let delta = random_delta(shadow.spec(), &mut rng);
+            let delta = random_delta(&[shadow.spec()], &DeltaMix::UPDATES, &mut rng);
             durable.apply(&delta).expect("generated deltas are admissible");
             shadow.apply(&delta).expect("same delta, same verdict");
             if step == restart_at {
@@ -408,13 +260,13 @@ proptest! {
                 durable = DurableEngine::open(&dir, &opts, store_opts)
                     .expect("clean files recover");
                 prop_assert!(durable.stats().recoveries >= 1);
-                assert_agreement(&durable, &shadow, true, seed, step);
+                check(&durable, &shadow, seed, step);
             }
         }
         // Final restart after the full stream.
         drop(durable);
         let durable = DurableEngine::open(&dir, &opts, store_opts).expect("clean files recover");
-        assert_agreement(&durable, &shadow, true, seed, n);
+        check(&durable, &shadow, seed, n);
         // Recovery bookkeeping is sane: everything not covered by the
         // newest snapshot was replayed.
         let rec = durable.recovery();
