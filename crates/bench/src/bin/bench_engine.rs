@@ -29,7 +29,8 @@
 //!   repeated-query cache run;
 //! * `robustness` — starvation-budget COP and an overload burst;
 //! * `obs` — instrumentation overhead against a disabled engine;
-//! * `scaling` — lazy vs eager transitivity on one large entity group;
+//! * `scaling` — the lazy engine vs one eager whole-specification
+//!   reference encoding on one large entity group;
 //! * `paper` — the paper's Table II/III series (see [`paper_section`]);
 //! * `check` — every guard's inputs and verdict.
 //!
@@ -77,13 +78,14 @@ use currency_datagen::scenarios::{example_4_1, fig1};
 use currency_obs::{HistogramSnapshot, RingRecorder};
 use currency_query::{Query, SpCondition, SpQuery};
 use currency_reason::encode::Encoding;
+use currency_reason::oracle::{
+    certain_answers_exact_monolithic, cop_exact_monolithic, cps_enumerate, TransitivityMode,
+};
 use currency_reason::{
-    bcp, bcp_sp, ccqa_exact, certain_answers, certain_answers_exact,
-    certain_answers_exact_monolithic, certain_answers_sp, cop_exact, cop_exact_monolithic,
-    cop_ptime, cpp, cpp_sp, cps_enumerate, cps_exact, cps_ptime, dcip_exact, dcip_ptime, ecp,
-    maximum_extension, CertainAnswers, CompactBudget, CurrencyEngine, CurrencyOrderQuery,
-    EngineStats, Options, PreservationProblem, ReasonError, ShardedEngine, SnapshotReader,
-    SolveLimits, TransitivityMode,
+    bcp, bcp_sp, ccqa_exact, certain_answers, certain_answers_exact, certain_answers_sp, cop_exact,
+    cop_ptime, cpp, cpp_sp, cps_exact, cps_ptime, dcip_exact, dcip_ptime, ecp, maximum_extension,
+    CertainAnswers, CompactBudget, CurrencyEngine, CurrencyOrderQuery, EngineStats, Options,
+    PreservationProblem, ReasonError, ShardedEngine, SnapshotReader, SolveLimits,
 };
 use currency_serve::{CurrencyServe, ServeError, ServeOptions, ServeRequest, ServeStats};
 use currency_store::{DurableEngine, ShardedStore, StoreOptions};
@@ -704,7 +706,7 @@ impl Paper {
     ) {
         let whole = |spec: &Specification| {
             let rels: Vec<RelId> = (0..spec.instances().len() as u32).map(RelId).collect();
-            Encoding::new(spec, &rels).expect("valid gadget")
+            Encoding::whole_spec(spec, &rels, TransitivityMode::Eager).expect("valid gadget")
         };
         let enc = whole(&build());
         let sat = enc.solver_stats();
@@ -2036,7 +2038,8 @@ fn main() {
     json.push_str("},\n");
 
     // ------------------------------------------------------------------
-    // Lazy vs eager transitivity scaling on one large entity group.
+    // Lazy engine vs the eager whole-specification reference encoding
+    // on one large entity group.
     // ------------------------------------------------------------------
     let group_sweep: &[usize] = if args.fast {
         &[16, 64]
@@ -2054,7 +2057,7 @@ fn main() {
         // iteration's stats are the stats).
         let mut lazy_stats = currency_reason::EngineStats::default();
         let lazy = measure(samples, warmup, window, || {
-            lazy_stats = scenarios::big_group_workload(&spec, TransitivityMode::Lazy).stats();
+            lazy_stats = scenarios::big_group_workload(&spec).stats();
             std::hint::black_box(&lazy_stats);
         });
         if n == 64 {
@@ -2068,15 +2071,11 @@ fn main() {
             None
         } else if n > 64 {
             Some(measure_once(|| {
-                std::hint::black_box(
-                    scenarios::big_group_workload(&spec, TransitivityMode::Eager).stats(),
-                );
+                std::hint::black_box(scenarios::big_group_eager(&spec));
             }))
         } else {
             Some(measure(samples, warmup, window, || {
-                std::hint::black_box(
-                    scenarios::big_group_workload(&spec, TransitivityMode::Eager).stats(),
-                );
+                std::hint::black_box(scenarios::big_group_eager(&spec));
             }))
         };
         let _ = write!(json, "    {{\"group_size\": {n}, \"lazy\": ");

@@ -7,7 +7,9 @@ use currency_core::{
 };
 use currency_datagen::random::{monotone, random_spec, RandomSpecConfig};
 use currency_query::{Query, SpQuery};
-use currency_reason::{CurrencyEngine, CurrencyOrderQuery, Options, TransitivityMode};
+use currency_reason::encode::{Encoding, SolveResult};
+use currency_reason::oracle::TransitivityMode;
+use currency_reason::{CurrencyEngine, CurrencyOrderQuery, Options};
 use currency_serve::ServeRequest;
 
 /// The target relation of the generated workloads.
@@ -199,12 +201,11 @@ pub fn big_group_spec(n: usize) -> Specification {
     spec
 }
 
-/// The scaling workload: build an engine over [`big_group_spec`] with the
-/// given transitivity mode, decide CPS, and answer one certain COP query.
-/// Returns the engine so callers can read its stats.
-pub fn big_group_workload(spec: &Specification, mode: TransitivityMode) -> CurrencyEngine {
+/// The scaling workload: build an engine over [`big_group_spec`], decide
+/// CPS, and answer one certain COP query.  Returns the engine so callers
+/// can read its stats.
+pub fn big_group_workload(spec: &Specification) -> CurrencyEngine {
     let opts = Options {
-        transitivity: mode,
         threads: 1,
         ..Options::default()
     };
@@ -215,6 +216,21 @@ pub fn big_group_workload(spec: &Specification, mode: TransitivityMode) -> Curre
     engine
 }
 
+/// The scaling workload's eager contrast: the same CPS and COP on one
+/// whole-specification reference encoding with every transitivity
+/// triangle grounded up front.  Returns the encoding so callers can
+/// read its counts.
+pub fn big_group_eager(spec: &Specification) -> Encoding {
+    let mut enc = Encoding::whole_spec(spec, &[], TransitivityMode::Eager).expect("valid spec");
+    assert_eq!(enc.solve(), SolveResult::Sat, "spec is consistent");
+    let l = enc
+        .order_lit(T, AttrId(0), TupleId(0), TupleId(1))
+        .expect("a constrained pair");
+    let refuted = enc.solve_with_assumptions(&[!l]);
+    assert_eq!(refuted, SolveResult::Unsat, "0 ≺ 1 is forced");
+    enc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,10 +238,11 @@ mod tests {
     #[test]
     fn big_group_spec_is_consistent_and_scaling_workload_runs() {
         let spec = big_group_spec(8);
-        for mode in [TransitivityMode::Eager, TransitivityMode::Lazy] {
-            let engine = big_group_workload(&spec, mode);
-            assert_eq!(engine.partition().len(), 1, "one entity, one component");
-        }
+        let engine = big_group_workload(&spec);
+        assert_eq!(engine.partition().len(), 1, "one entity, one component");
+        let eager = big_group_eager(&spec);
+        assert_eq!(eager.num_vars(), engine.stats().vars);
+        assert!(eager.num_clauses() > engine.stats().clauses);
     }
 
     #[test]

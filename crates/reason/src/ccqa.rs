@@ -12,15 +12,12 @@
 //! completions, since order differences that do not change any most
 //! current value are collapsed.
 
-use crate::encode::Encoding;
 use crate::engine::CurrencyEngine;
 use crate::error::ReasonError;
 use crate::sp_ptime;
 use crate::Options;
 use currency_core::{Specification, Value};
-use currency_query::{as_sp, Database, Query};
-use currency_sat::Enumeration;
-use std::collections::BTreeSet;
+use currency_query::{as_sp, Query};
 
 /// The certain current answers of a query, or the marker that the
 /// specification is inconsistent (in which case *every* tuple is vacuously
@@ -99,59 +96,6 @@ pub fn certain_answers_exact(
 ) -> Result<CertainAnswers, ReasonError> {
     let rels: Vec<_> = query.body().relations().into_iter().collect();
     CurrencyEngine::with_value_rels(spec, &rels, opts)?.certain_answers(query)
-}
-
-/// Decide CCQA on one monolithic encoding (kept for differential testing).
-pub fn ccqa_exact_monolithic(
-    spec: &Specification,
-    query: &Query,
-    tuple: &[Value],
-    opts: &Options,
-) -> Result<bool, ReasonError> {
-    Ok(certain_answers_exact_monolithic(spec, query, opts)?.contains(tuple))
-}
-
-/// [`certain_answers_exact`] on one monolithic whole-specification
-/// encoding (kept for differential testing).
-pub fn certain_answers_exact_monolithic(
-    spec: &Specification,
-    query: &Query,
-    opts: &Options,
-) -> Result<CertainAnswers, ReasonError> {
-    let rels: Vec<_> = query.body().relations().into_iter().collect();
-    let mut enc = Encoding::new(spec, &rels)?;
-    let projection = enc.value_projection().to_vec();
-    let mut models: Vec<Vec<bool>> = Vec::new();
-    let enumeration = enc.for_each_model(&projection, opts.max_models, |m| {
-        models.push(m.to_vec());
-        true
-    });
-    if let Enumeration::LimitReached(n) = enumeration {
-        return Err(ReasonError::BudgetExceeded {
-            what: "current-instance enumeration (CCQA)",
-            budget: opts.max_models,
-            spent: n,
-        });
-    }
-    if models.is_empty() {
-        return Ok(CertainAnswers::Inconsistent);
-    }
-    let mut certain: Option<BTreeSet<Vec<Value>>> = None;
-    for m in &models {
-        let dbs = enc.decode_current_instances(spec, m);
-        let db = Database::new(&dbs);
-        let answers: BTreeSet<Vec<Value>> = query.eval(&db).into_iter().collect();
-        certain = Some(match certain {
-            None => answers,
-            Some(acc) => acc.intersection(&answers).cloned().collect(),
-        });
-        if certain.as_ref().is_some_and(|c| c.is_empty()) {
-            break; // the intersection can only shrink
-        }
-    }
-    Ok(CertainAnswers::Answers(
-        certain.unwrap_or_default().into_iter().collect(),
-    ))
 }
 
 #[cfg(test)]

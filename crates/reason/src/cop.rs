@@ -7,13 +7,11 @@
 //! Note the paper's convention: when the specification is inconsistent
 //! (`Mod(S) = ∅`), every ordering is vacuously certain.
 
-use crate::encode::Encoding;
 use crate::engine::CurrencyEngine;
 use crate::error::ReasonError;
 use crate::fixpoint::po_infinity;
 use crate::Options;
 use currency_core::{AttrId, RelId, Specification, TupleId};
-use currency_sat::SolveResult;
 
 /// A candidate currency order `Ot` for one relation: the pairs whose
 /// certainty is being asked about.
@@ -54,29 +52,6 @@ pub fn cop(spec: &Specification, ot: &CurrencyOrderQuery) -> Result<bool, Reason
 /// once instead.
 pub fn cop_exact(spec: &Specification, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
     CurrencyEngine::with_value_rels(spec, &[], &Options::default())?.cop(ot)
-}
-
-/// [`cop_exact`] on one monolithic encoding (kept for differential
-/// testing).
-pub fn cop_exact_monolithic(
-    spec: &Specification,
-    ot: &CurrencyOrderQuery,
-) -> Result<bool, ReasonError> {
-    let mut enc = Encoding::new(spec, &[])?;
-    if enc.solve() == SolveResult::Unsat {
-        return Ok(true); // Mod(S) = ∅: vacuously certain
-    }
-    for &(attr, lesser, greater) in &ot.pairs {
-        match enc.order_lit(ot.rel, attr, lesser, greater) {
-            None => return Ok(false), // reflexive or cross-entity: never holds
-            Some(l) => {
-                if enc.solve_with_assumptions(&[!l]) == SolveResult::Sat {
-                    return Ok(false);
-                }
-            }
-        }
-    }
-    Ok(true)
 }
 
 /// Decide COP with the PTIME fixpoint (no denial constraints): certain

@@ -3,14 +3,11 @@
 //! *Is `Mod(S)` nonempty?*  Σᵖ₂-complete in general (NP-complete in data
 //! complexity); PTIME without denial constraints (paper Theorem 6.1).
 
-use crate::encode::Encoding;
 use crate::engine::CurrencyEngine;
-use crate::enumerate::for_each_consistent_completion;
 use crate::error::ReasonError;
 use crate::fixpoint::po_infinity;
 use crate::Options;
 use currency_core::{Completion, Specification};
-use currency_sat::SolveResult;
 
 /// Decide CPS with automatic engine dispatch: the PTIME fixpoint when the
 /// specification has no denial constraints, the SAT-based exact solver
@@ -32,13 +29,6 @@ pub fn cps_exact(spec: &Specification) -> Result<bool, ReasonError> {
     CurrencyEngine::with_value_rels(spec, &[], &Options::default())?.cps()
 }
 
-/// Decide CPS with one monolithic whole-specification encoding (the
-/// pre-partitioning path, kept for differential testing).
-pub fn cps_exact_monolithic(spec: &Specification) -> Result<bool, ReasonError> {
-    let mut enc = Encoding::new(spec, &[])?;
-    Ok(enc.solve() == SolveResult::Sat)
-}
-
 /// Decide CPS with the PTIME fixpoint of paper Theorem 6.1.
 ///
 /// Only complete for specifications without denial constraints; the
@@ -51,17 +41,6 @@ pub fn cps_ptime(spec: &Specification) -> Result<bool, ReasonError> {
     Ok(po_infinity(spec)?.is_some())
 }
 
-/// Decide CPS by brute-force completion enumeration (reference oracle for
-/// differential tests and ablation benchmarks).
-pub fn cps_enumerate(spec: &Specification, limit: usize) -> Result<bool, ReasonError> {
-    let mut found = false;
-    for_each_consistent_completion(spec, limit, |_| {
-        found = true;
-        false // one witness suffices
-    })?;
-    Ok(found)
-}
-
 /// Produce a witness completion from `Mod(S)`, if one exists.
 ///
 /// Uses the SAT engine regardless of constraints (the decoded model *is*
@@ -70,23 +49,10 @@ pub fn witness_completion(spec: &Specification) -> Result<Option<Completion>, Re
     CurrencyEngine::with_value_rels(spec, &[], &Options::default())?.witness_completion()
 }
 
-/// [`witness_completion`] on one monolithic encoding (kept for
-/// differential testing).
-pub fn witness_completion_monolithic(
-    spec: &Specification,
-) -> Result<Option<Completion>, ReasonError> {
-    let mut enc = Encoding::new(spec, &[])?;
-    if enc.solve() == SolveResult::Unsat {
-        return Ok(None);
-    }
-    let completion = enc.decode_completion(spec)?;
-    debug_assert!(completion.is_consistent_for(spec));
-    Ok(Some(completion))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::cps_enumerate;
     use currency_core::{
         AttrId, Catalog, CmpOp, CopyFunction, CopySignature, DenialConstraint, Eid, RelId,
         RelationSchema, Term, Tuple, TupleId, Value,

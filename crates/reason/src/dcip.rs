@@ -7,13 +7,11 @@
 //!
 //! As with COP, an inconsistent specification is vacuously deterministic.
 
-use crate::encode::Encoding;
 use crate::engine::CurrencyEngine;
 use crate::error::ReasonError;
 use crate::fixpoint::po_infinity;
 use crate::Options;
-use currency_core::{AttrId, NormalInstance, RelId, Specification};
-use currency_sat::Enumeration;
+use currency_core::{AttrId, RelId, Specification};
 
 /// Decide DCIP with automatic engine dispatch.
 pub fn dcip(spec: &Specification, rel: RelId, opts: &Options) -> Result<bool, ReasonError> {
@@ -31,46 +29,6 @@ pub fn dcip(spec: &Specification, rel: RelId, opts: &Options) -> Result<bool, Re
 /// queries build the engine once instead.
 pub fn dcip_exact(spec: &Specification, rel: RelId, opts: &Options) -> Result<bool, ReasonError> {
     CurrencyEngine::with_value_rels(spec, &[rel], opts)?.dcip(rel)
-}
-
-/// [`dcip_exact`] on one monolithic encoding (kept for differential
-/// testing).
-pub fn dcip_exact_monolithic(
-    spec: &Specification,
-    rel: RelId,
-    opts: &Options,
-) -> Result<bool, ReasonError> {
-    let mut enc = Encoding::new(spec, &[rel])?;
-    let projection = enc.value_projection().to_vec();
-    // Two distinct projected models of the value indicators decode to two
-    // distinct current instances (an indicator is true iff its value is the
-    // current one), so the enumeration can stop after two models.
-    let mut models: Vec<Vec<bool>> = Vec::new();
-    let enumeration = enc.for_each_model(&projection, opts.max_models, |m| {
-        models.push(m.to_vec());
-        models.len() < 2
-    });
-    if let Enumeration::LimitReached(n) = enumeration {
-        return Err(ReasonError::BudgetExceeded {
-            what: "current-instance enumeration (DCIP)",
-            budget: opts.max_models,
-            spent: n,
-        });
-    }
-    let mut first: Option<NormalInstance> = None;
-    for m in &models {
-        let dbs = enc.decode_current_instances(spec, m);
-        let inst = dbs.into_iter().next().expect("one relation encoded");
-        match &first {
-            None => first = Some(inst),
-            Some(f) => {
-                if !f.set_eq(&inst) {
-                    return Ok(false);
-                }
-            }
-        }
-    }
-    Ok(true)
 }
 
 /// Decide DCIP with the PTIME sink test (no denial constraints).

@@ -12,11 +12,9 @@
 //!   unreferenced attributes admit every total order, so they need no
 //!   variables at all ([`Encoding::order_lit`] returns `None` and every
 //!   consumer already treats that as "unconstrained");
-//! * transitivity is grounded per entity group — eagerly (for each
-//!   ordered triple `(x, y, z)` the clause `x≺y ∧ y≺z → x≺z`) or
-//!   **lazily** (no triangle clauses up front; candidate models are
-//!   checked by a closure walk and only *violated* triangles are added as
-//!   lemmas, see [`TransitivityMode`]);
+//! * transitivity is enforced **lazily** per entity group: no triangle
+//!   clauses up front; candidate models are checked by a closure walk and
+//!   only *violated* triangles are added as lemmas;
 //! * the initial partial orders contribute unit clauses;
 //! * every ground rule of every denial constraint contributes the clause
 //!   `¬p₁ ∨ … ∨ ¬pₘ ∨ c` (falsum conclusions drop `c`);
@@ -25,11 +23,12 @@
 //!
 //! Models of this CNF are exactly the consistent completions of the
 //! specification (`Mod(S)`), so CPS is one [`Encoding::solve`] call and
-//! COP is an entailment query under one assumption.  In lazy mode those
-//! calls loop — solve, closure-check, lemmatize — until the model is
-//! transitive or the instance is refuted; the lemmas are sound
-//! consequences of the eager theory, so both modes decide the same
-//! problems.
+//! COP is an entailment query under one assumption.  Those calls loop —
+//! solve, closure-check, lemmatize — until the model is transitive or the
+//! instance is refuted; the lemmas are sound consequences of the
+//! transitivity axiom.  The reference encodings of the differential
+//! tests (`crate::oracle`, behind the `oracle` feature) can instead
+//! ground every triangle eagerly; both decide the same problems.
 //!
 //! For the current-instance problems (DCIP, CCQA) the encoding can
 //! additionally materialize, per `(relation, entity, attribute)`:
@@ -40,23 +39,24 @@
 //!   value is `v`.
 //!
 //! Projected All-SAT over the value indicators
-//! ([`Encoding::for_each_model`], which re-checks closure per model in
-//! lazy mode) enumerates exactly the realizable current instances,
-//! collapsing the (huge) completion space to the (small) space of
-//! distinct `LST` outcomes.
+//! ([`Encoding::for_each_model`], which re-checks closure per model)
+//! enumerates exactly the realizable current instances, collapsing the
+//! (huge) completion space to the (small) space of distinct `LST`
+//! outcomes.
 
 use crate::error::ReasonError;
+#[cfg(any(test, feature = "oracle"))]
+use crate::oracle::TransitivityMode;
 use crate::partition::Component;
-use crate::TransitivityMode;
 use crate::{Options, SolveLimits, Spent};
 use currency_core::{
-    AttrId, Completion, CopyGroups, CurrencyError, Eid, EntityGrounder, GroundBuffer,
-    NormalInstance, OrderEdge, RelCompletion, RelId, Specification, TemporalInstance, Tuple,
-    TupleId, Value,
+    AttrId, Completion, CopyGroups, CurrencyError, Eid, EntityGrounder, GroundBuffer, OrderEdge,
+    RelCompletion, RelId, Specification, TemporalInstance, Tuple, TupleId, Value,
 };
+/// The verdict of [`Encoding::solve`].
+pub use currency_sat::SolveResult;
 use currency_sat::{
-    enumerate_projected, Enumeration, Limits, Lit, ModelSource, SolveOutcome, SolveResult, Solver,
-    Var,
+    enumerate_projected, Enumeration, Limits, Lit, ModelSource, SolveOutcome, Solver, Var,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -131,27 +131,27 @@ struct LazyGroup {
     tuples: Vec<TupleId>,
 }
 
-/// A specification compiled to CNF (see module docs).
+/// A specification's component compiled to CNF (see module docs).
 ///
-/// An encoding covers either the whole specification
-/// ([`Encoding::new`]) or one entity component of it
-/// ([`ComponentCompiler::compile`]): the scoped form contains exactly the
-/// order variables, clauses, and value indicators of its component's
+/// An encoding covers one entity component of its specification
+/// ([`ComponentCompiler::compile`]): it contains exactly the order
+/// variables, clauses, and value indicators of its component's
 /// `(relation, entity)` cells, and its decode methods report rows and
-/// chains for those cells only.
+/// chains for those cells only.  The whole-specification reference
+/// encoding of the differential tests is the compile of one component
+/// holding every cell.
 ///
 /// Callers must reach satisfiability through [`Encoding::solve`],
 /// [`Encoding::solve_with_assumptions`] or [`Encoding::for_each_model`]
-/// rather than the raw solver: in lazy mode those wrappers run the
-/// refinement loop that makes a `Sat` answer trustworthy.
+/// rather than the raw solver: those wrappers run the refinement loop
+/// that makes a `Sat` answer trustworthy.
 #[derive(Debug)]
 pub struct Encoding {
     /// The solver loaded with the specification's clauses.  Private so
-    /// that satisfiability can only be reached through the mode-aware
+    /// that satisfiability can only be reached through the refining
     /// wrappers ([`Encoding::solve`], [`Encoding::solve_with_assumptions`],
-    /// [`Encoding::for_each_model`]) — in lazy mode a raw solver `Sat`
-    /// without the closure-refinement loop could decode a non-transitive
-    /// order.
+    /// [`Encoding::for_each_model`]) — a raw solver `Sat` without the
+    /// closure-refinement loop could decode a non-transitive order.
     solver: Solver,
     /// `((rel, attr, u, v), var)` with `u < v`: the order variable of the
     /// pair (`true` ⇔ `u ≺ v`).  Sorted by key once construction has
@@ -164,11 +164,9 @@ pub struct Encoding {
     /// Relations whose current values are encoded.
     value_rels: Vec<RelId>,
     /// The component whose cells this encoding covers, shared with the
-    /// partition; `None` = the whole spec.
-    scope: Option<Arc<Component>>,
-    /// Transitivity grounding strategy.
-    mode: TransitivityMode,
-    /// Closure-checked groups (empty in eager mode).
+    /// partition.
+    scope: Arc<Component>,
+    /// Closure-checked groups (empty once every triangle is grounded).
     lazy_groups: Vec<LazyGroup>,
     /// A premise-free falsum rule was grounded in this component: an
     /// unconditional contradiction, kept out of the clauses and reported
@@ -193,7 +191,6 @@ impl Clone for Encoding {
             value_projection: self.value_projection.clone(),
             value_rels: self.value_rels.clone(),
             scope: self.scope.clone(),
-            mode: self.mode,
             lazy_groups: self.lazy_groups.clone(),
             ground_falsum: self.ground_falsum,
         }
@@ -206,100 +203,41 @@ impl Clone for Encoding {
         self.value_projection.clone_from(&source.value_projection);
         self.value_rels.clone_from(&source.value_rels);
         self.scope.clone_from(&source.scope);
-        self.mode = source.mode;
         self.lazy_groups.clone_from(&source.lazy_groups);
         self.ground_falsum = source.ground_falsum;
     }
 }
 
 impl Encoding {
-    /// Compile `spec` with eagerly-grounded transitivity.  `value_rels`
-    /// lists the relations whose current instances must be enumerable
-    /// (pass `&[]` for pure CPS/COP use).
-    ///
-    /// This is the whole-specification reference path (used by the
-    /// `*_monolithic` functions); engines prefer
-    /// [`ComponentCompiler::compile`] with a caller-chosen
-    /// [`TransitivityMode`].  Fails if the specification is structurally
-    /// invalid ([`Specification::validate`]).
-    pub fn new(spec: &Specification, value_rels: &[RelId]) -> Result<Encoding, CurrencyError> {
-        Encoding::with_mode(spec, value_rels, TransitivityMode::Eager)
-    }
-
-    /// Compile `spec` with the given transitivity strategy.
-    pub fn with_mode(
-        spec: &Specification,
-        value_rels: &[RelId],
-        mode: TransitivityMode,
-    ) -> Result<Encoding, CurrencyError> {
-        spec.validate()?;
-        // Ground every constraint over the whole relation (one sorted,
-        // deduplicated run per constraint) and list every obligation.  A
-        // premise-free falsum stays in the run and becomes the empty
-        // clause.
-        let mut scratch = CompileScratch::default();
-        for dc in spec.constraints() {
-            let inst = spec.instance(dc.rel());
-            let grounder = dc.entity_grounder();
-            let from = scratch.rules.len();
-            for eid in inst.entities() {
-                grounder.ground_entity_into(inst, eid, &mut scratch.rules);
-            }
-            scratch.rules.sort_dedup_from(from);
-            scratch.rule_runs.push((dc.rel(), scratch.rules.len()));
-        }
-        for cf in spec.copies() {
-            let sig = cf.signature();
-            let target = spec.instance(sig.target);
-            let source = spec.instance(sig.source);
-            for (src_edge, tgt_edge) in cf.compatibility_obligations(target, source) {
-                scratch.obligations.push(Obligation {
-                    source_rel: sig.source,
-                    source_edge: src_edge,
-                    target_rel: sig.target,
-                    target_edge: tgt_edge,
-                });
-            }
-        }
-        Ok(Encoding::assemble(
-            spec,
-            value_rels,
-            None,
-            mode,
-            false,
-            &mut scratch,
-        ))
-    }
-
     /// The encoding of a vacant component slot: empty scope, no
     /// variables, no clauses, trivially satisfiable.  The engine parks
     /// one of these in a slot the partition has vacated (see
     /// `Partition::refresh`), so slot arrays never need `Option`s and a
     /// stale query against a vacated slot degrades to a no-op.
-    pub fn vacant(value_rels: &[RelId], mode: TransitivityMode) -> Encoding {
+    pub fn vacant(value_rels: &[RelId]) -> Encoding {
         Encoding {
             solver: Solver::new(),
             order_vars: Vec::new(),
             value_choices: BTreeMap::new(),
             value_projection: Vec::new(),
             value_rels: value_rels.to_vec(),
-            scope: Some(crate::partition::vacant()),
-            mode,
+            scope: crate::partition::vacant(),
             lazy_groups: Vec::new(),
             ground_falsum: false,
         }
     }
 
-    /// The shared construction pass over the ground rules and
-    /// obligations buffered in `scratch`: order variables, transitivity,
-    /// initial orders, one clause per rule and per obligation, then the
-    /// value indicators.  Every compile path fills the buffers its own
-    /// way and ends here.
+    /// The construction pass over the ground rules and obligations
+    /// buffered in `scratch`: order variables, transitivity groups (with
+    /// `eager`, every triangle grounded up front instead), initial
+    /// orders, one clause per rule and per obligation, then the value
+    /// indicators.  Every compile fills the buffers its own way and ends
+    /// here.
     pub(crate) fn assemble(
         spec: &Specification,
         value_rels: &[RelId],
-        scope: Option<Arc<Component>>,
-        mode: TransitivityMode,
+        scope: Arc<Component>,
+        eager: bool,
         ground_falsum: bool,
         scratch: &mut CompileScratch,
     ) -> Encoding {
@@ -310,19 +248,18 @@ impl Encoding {
             value_projection: Vec::new(),
             value_rels: value_rels.to_vec(),
             scope,
-            mode,
             lazy_groups: Vec::new(),
             ground_falsum,
         };
         // A handle of our own on the scope, so the passes below can walk
         // its cells while mutating the encoding.
         let scope = enc.scope.clone();
-        let cells = scope.as_deref().map(|c| &c.cells);
+        let cells = &scope.cells;
         enc.referenced_attrs(spec, cells, scratch);
         enc.alloc_vars(spec, cells, scratch);
-        match mode {
-            TransitivityMode::Eager => enc.add_transitivity(spec, cells, &scratch.referenced),
-            TransitivityMode::Lazy => enc.collect_lazy_groups(spec, cells, &scratch.referenced),
+        enc.collect_lazy_groups(spec, cells, &scratch.referenced);
+        if eager {
+            enc.ground_triangles();
         }
         enc.add_initial_orders(spec, cells);
         enc.add_ground_rules(scratch);
@@ -342,44 +279,29 @@ impl Encoding {
     fn referenced_attrs(
         &self,
         spec: &Specification,
-        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        cells: &BTreeSet<(RelId, Eid)>,
         scratch: &mut CompileScratch,
     ) {
         let mut refd = std::mem::take(&mut scratch.referenced);
         refd.clear();
-        // Initial orders: a scoped encoding range-scans its own groups'
-        // outgoing pairs (both endpoints of a pair share the entity, so
-        // checking lessers covers every pair) instead of walking every
-        // relation's full pair set — rebuild cost must scale with the
-        // component, not the specification.
-        match cells {
-            None => {
-                for inst in spec.instances() {
-                    let rel = inst.rel();
-                    for a in 0..inst.arity() {
-                        let attr = AttrId(a as u32);
-                        if !inst.order(attr).is_empty() {
-                            mark(&mut refd, (rel, attr));
-                        }
-                    }
+        // Initial orders: range-scan the scope groups' outgoing pairs
+        // (both endpoints of a pair share the entity, so checking lessers
+        // covers every pair) instead of walking every relation's full
+        // pair set — rebuild cost must scale with the component, not the
+        // specification.
+        for &(rel, eid) in cells {
+            let inst = spec.instance(rel);
+            for a in 0..inst.arity() {
+                let attr = AttrId(a as u32);
+                if is_marked(&refd, (rel, attr)) {
+                    continue;
                 }
-            }
-            Some(cells) => {
-                for &(rel, eid) in cells {
-                    let inst = spec.instance(rel);
-                    for a in 0..inst.arity() {
-                        let attr = AttrId(a as u32);
-                        if is_marked(&refd, (rel, attr)) {
-                            continue;
-                        }
-                        if inst
-                            .entity_group(eid)
-                            .iter()
-                            .any(|&t| inst.order(attr).pairs_from(t).next().is_some())
-                        {
-                            mark(&mut refd, (rel, attr));
-                        }
-                    }
+                if inst
+                    .entity_group(eid)
+                    .iter()
+                    .any(|&t| inst.order(attr).pairs_from(t).next().is_some())
+                {
+                    mark(&mut refd, (rel, attr));
                 }
             }
         }
@@ -395,7 +317,7 @@ impl Encoding {
         // Value indicators need the order relation of any attribute on
         // which some in-scope entity group disagrees (max indicators
         // quantify over the group's pairs).
-        for_each_group(spec, cells, |rel, _, group| {
+        for_each_group(spec, cells, |rel, group| {
             if group.len() < 2 || !self.value_rels.contains(&rel) {
                 return;
             }
@@ -417,16 +339,12 @@ impl Encoding {
         scratch.referenced = refd;
     }
 
-    /// This encoding's entities of `rel`.  A scoped encoding walks its own
-    /// (few) cells via a range scan instead of filtering every entity of
-    /// the relation — decode cost then scales with the component, not the
+    /// This encoding's entities of `rel`: a range scan over its own (few)
+    /// cells instead of a filter over every entity of the relation —
+    /// decode cost then scales with the component, not the
     /// specification.
-    fn entities_in_scope<'s>(
-        &'s self,
-        spec: &'s Specification,
-        rel: RelId,
-    ) -> impl Iterator<Item = Eid> + 's {
-        entities_of(spec, self.scope.as_deref().map(|c| &c.cells), rel)
+    fn entities_in_scope(&self, rel: RelId) -> impl Iterator<Item = Eid> + '_ {
+        entities_of(&self.scope.cells, rel)
     }
 
     /// The literal asserting `lesser ≺_attr greater`, if the pair is
@@ -450,6 +368,13 @@ impl Encoding {
             .binary_search_by_key(&(rel, attr, a, b), |&(key, _)| key)
             .ok()
             .map(|ix| self.order_vars[ix].1.lit(positive))
+    }
+
+    /// The value `l` is fixed to at decision level zero (see
+    /// [`Solver::level0_value`]): a sound consequence of the component's
+    /// clauses, lemmas and learnt clauses, whatever their refinement.
+    pub(crate) fn level0_value(&self, l: Lit) -> Option<bool> {
+        self.solver.level0_value(l)
     }
 
     /// Heap bytes this encoding holds, computed from capacities: capacity
@@ -484,11 +409,6 @@ impl Encoding {
             + lazy_tuples
     }
 
-    /// The transitivity grounding strategy this encoding was built with.
-    pub fn mode(&self) -> TransitivityMode {
-        self.mode
-    }
-
     /// Number of solver variables (order variables plus value-indicator
     /// auxiliaries).
     pub fn num_vars(&self) -> usize {
@@ -506,20 +426,20 @@ impl Encoding {
     }
 
     // ------------------------------------------------------------------
-    // Solving (mode-aware)
+    // Solving (refining)
     // ------------------------------------------------------------------
 
-    /// Check satisfiability, running the lazy refinement loop if needed.
+    /// Check satisfiability, running the lazy refinement loop.
     ///
     /// After `Sat`, the solver's model is guaranteed transitive on every
-    /// encoded group, so decode helpers ([`Encoding::model_chains`],
-    /// [`Encoding::decode_completion`]) are safe in both modes.
+    /// encoded group, so decode helpers ([`Encoding::model_chains`]) are
+    /// safe.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with_assumptions(&[])
     }
 
     /// Check satisfiability under assumed literals, running the lazy
-    /// refinement loop if needed.  Lemmas added by refinement persist in
+    /// refinement loop.  Lemmas added by refinement persist in
     /// the solver (they are assumption-independent consequences of the
     /// transitivity axiom), so repeated queries against one encoding
     /// amortize the refinement work.
@@ -528,7 +448,7 @@ impl Encoding {
             if self.solver.solve_with_assumptions(assumptions) == SolveResult::Unsat {
                 return SolveResult::Unsat;
             }
-            if self.mode == TransitivityMode::Eager || self.refine_transitivity() == 0 {
+            if self.refine_transitivity() == 0 {
                 return SolveResult::Sat;
             }
         }
@@ -558,7 +478,7 @@ impl Encoding {
             match self.solve_sat_bounded(assumptions, bounds, &mut spent)? {
                 SolveResult::Unsat => return Ok(SolveResult::Unsat),
                 SolveResult::Sat => {
-                    if self.mode == TransitivityMode::Eager || self.refine_transitivity() == 0 {
+                    if self.refine_transitivity() == 0 {
                         return Ok(SolveResult::Sat);
                     }
                     // Lemmas installed; the next round's installment loop
@@ -688,8 +608,8 @@ impl Encoding {
     }
 
     /// Enumerate models projected onto `projection` (see
-    /// [`Solver::for_each_model`]), using mode-aware solving so that in
-    /// lazy mode every reported model has passed the closure check.
+    /// [`Solver::for_each_model`]), solving through the refinement loop
+    /// so that every reported model has passed the closure check.
     ///
     /// Blocking clauses permanently constrain this encoding; callers that
     /// need to reuse it should enumerate on a clone.
@@ -741,31 +661,6 @@ impl Encoding {
     /// The relations whose current values are encoded.
     pub fn value_rels(&self) -> &[RelId] {
         &self.value_rels
-    }
-
-    /// Reconstruct the current instances of the encoded relations from a
-    /// projected model (as delivered by `for_each_model` over
-    /// [`Encoding::value_projection`]).
-    ///
-    /// A scoped encoding reports rows for its own entities only.
-    pub fn decode_current_instances(
-        &self,
-        spec: &Specification,
-        projected: &[bool],
-    ) -> Vec<NormalInstance> {
-        self.value_rels
-            .iter()
-            .map(|&rel| {
-                let mut out = NormalInstance::new(rel);
-                for eid in self.entities_in_scope(spec, rel) {
-                    out.push(Tuple::new(
-                        eid,
-                        self.decode_entity_row(spec, rel, eid, |ix| projected[ix]),
-                    ));
-                }
-                out
-            })
-            .collect()
     }
 
     fn decode_entity_row(
@@ -833,7 +728,7 @@ impl Encoding {
         debug_assert_eq!(indices.len(), values.len());
         let mut out = Vec::new();
         for &rel in rels {
-            for eid in self.entities_in_scope(spec, rel) {
+            for eid in self.entities_in_scope(rel) {
                 let row = self.decode_entity_row(spec, rel, eid, |ix| {
                     indices
                         .binary_search(&ix)
@@ -849,8 +744,8 @@ impl Encoding {
     /// The per-attribute chains of this encoding's entities under the
     /// solver's current model (valid after a `Sat` result from
     /// [`Encoding::solve`]): entries are `(rel, attr, eid, chain)` with
-    /// the chain ordered least → most current.  The engine merges chains
-    /// across components to assemble a full [`Completion`].
+    /// the chain ordered least → most current.  The chains of every
+    /// component together make a full [`Completion`].
     ///
     /// Unreferenced attributes have no order variables; their groups come
     /// back in tuple-id order, which is a valid chain because nothing in
@@ -861,7 +756,7 @@ impl Encoding {
             let rel = inst.rel();
             for a in 0..inst.arity() {
                 let attr = AttrId(a as u32);
-                for eid in self.entities_in_scope(spec, rel) {
+                for eid in self.entities_in_scope(rel) {
                     let group = inst.entity_group(eid);
                     // Count predecessors of each tuple under the model: in
                     // a total order this equals the tuple's position, which
@@ -882,35 +777,6 @@ impl Encoding {
             }
         }
         out
-    }
-
-    /// Decode the full completion witnessed by the solver's current model
-    /// (valid after a `Sat` result from [`Encoding::solve`]).
-    ///
-    /// Only meaningful on an unscoped encoding — a component encoding
-    /// covers a subset of the entities and cannot produce chains for the
-    /// rest (use [`Encoding::model_chains`] and assemble instead).
-    pub fn decode_completion(&self, spec: &Specification) -> Result<Completion, CurrencyError> {
-        debug_assert!(self.scope.is_none(), "decode_completion needs full scope");
-        let mut chains: BTreeMap<RelId, Vec<BTreeMap<Eid, Vec<TupleId>>>> = spec
-            .instances()
-            .iter()
-            .map(|inst| (inst.rel(), vec![BTreeMap::new(); inst.arity()]))
-            .collect();
-        for (rel, attr, eid, chain) in self.model_chains(spec) {
-            chains.get_mut(&rel).expect("known relation")[attr.index()].insert(eid, chain);
-        }
-        let rels: Result<Vec<RelCompletion>, CurrencyError> = spec
-            .instances()
-            .iter()
-            .map(|inst| {
-                RelCompletion::new(
-                    inst,
-                    chains.remove(&inst.rel()).expect("chains per relation"),
-                )
-            })
-            .collect();
-        Ok(Completion::new(rels?))
     }
 
     fn model_precedes(&self, rel: RelId, attr: AttrId, u: TupleId, v: TupleId) -> bool {
@@ -937,12 +803,12 @@ impl Encoding {
     fn alloc_vars(
         &mut self,
         spec: &Specification,
-        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        cells: &BTreeSet<(RelId, Eid)>,
         scratch: &mut CompileScratch,
     ) {
         let referenced = &scratch.referenced;
         let mut pairs = 0;
-        for_each_group(spec, cells, |rel, _, group| {
+        for_each_group(spec, cells, |rel, group| {
             let n = group.len();
             let attrs = referenced.iter().filter(|&&(r, _)| r == rel).count();
             pairs += attrs * (n * n.saturating_sub(1) / 2);
@@ -962,7 +828,7 @@ impl Encoding {
         }
         self.order_vars.reserve_exact(pairs);
         self.solver.reserve_vars(pairs + indicators);
-        for_each_group(spec, cells, |rel, _, group| {
+        for_each_group(spec, cells, |rel, group| {
             for a in 0..spec.instance(rel).arity() {
                 let attr = AttrId(a as u32);
                 if !is_marked(referenced, (rel, attr)) {
@@ -980,45 +846,14 @@ impl Encoding {
         self.order_vars.sort_unstable_by_key(|&(key, _)| key);
     }
 
-    fn add_transitivity(
-        &mut self,
-        spec: &Specification,
-        cells: Option<&BTreeSet<(RelId, Eid)>>,
-        referenced: &[(RelId, AttrId)],
-    ) {
-        for_each_group(spec, cells, |rel, _, group| {
-            for a in 0..spec.instance(rel).arity() {
-                let attr = AttrId(a as u32);
-                if !is_marked(referenced, (rel, attr)) {
-                    continue;
-                }
-                let n = group.len();
-                for i in 0..n {
-                    for j in 0..n {
-                        for k in 0..n {
-                            if i == j || j == k || i == k {
-                                continue;
-                            }
-                            let (x, y, z) = (group[i], group[j], group[k]);
-                            let xy = self.order_lit(rel, attr, x, y).expect("same entity");
-                            let yz = self.order_lit(rel, attr, y, z).expect("same entity");
-                            let xz = self.order_lit(rel, attr, x, z).expect("same entity");
-                            self.solver.add_clause(&[!xy, !yz, xz]);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
     /// Record the groups whose closure the lazy refinement loop checks.
     fn collect_lazy_groups(
         &mut self,
         spec: &Specification,
-        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        cells: &BTreeSet<(RelId, Eid)>,
         referenced: &[(RelId, AttrId)],
     ) {
-        for_each_group(spec, cells, |rel, _, group| {
+        for_each_group(spec, cells, |rel, group| {
             // Groups of < 3 tuples have no triangles to violate.
             if group.len() < 3 {
                 return;
@@ -1036,37 +871,39 @@ impl Encoding {
         });
     }
 
-    fn add_initial_orders(&mut self, spec: &Specification, cells: Option<&BTreeSet<(RelId, Eid)>>) {
-        match cells {
-            None => {
-                for inst in spec.instances() {
-                    let rel = inst.rel();
-                    for a in 0..inst.arity() {
-                        let attr = AttrId(a as u32);
-                        for (u, v) in inst.order(attr).iter() {
-                            let lit = self
-                                .order_lit(rel, attr, u, v)
-                                .expect("validated: same entity, irreflexive");
-                            self.solver.add_clause(&[lit]);
+    /// Ground every triangle `x≺y ∧ y≺z → x≺z` of every lazy group up
+    /// front, leaving no group to the closure check: the eager
+    /// transitivity of the reference encodings.
+    fn ground_triangles(&mut self) {
+        for g in std::mem::take(&mut self.lazy_groups) {
+            for &x in &g.tuples {
+                for &y in &g.tuples {
+                    for &z in &g.tuples {
+                        if x == y || y == z || x == z {
+                            continue;
                         }
+                        let lit = |u, v| self.order_lit(g.rel, g.attr, u, v).expect("same entity");
+                        let clause = [!lit(x, y), !lit(y, z), lit(x, z)];
+                        self.solver.add_clause(&clause);
                     }
                 }
             }
-            // Scoped: range-scan each scope group's outgoing pairs rather
-            // than filtering every relation's full pair set.
-            Some(cells) => {
-                for &(rel, eid) in cells {
-                    let inst = spec.instance(rel);
-                    for a in 0..inst.arity() {
-                        let attr = AttrId(a as u32);
-                        for &t in inst.entity_group(eid) {
-                            for (u, v) in inst.order(attr).pairs_from(t) {
-                                let lit = self
-                                    .order_lit(rel, attr, u, v)
-                                    .expect("validated: same entity, irreflexive");
-                                self.solver.add_clause(&[lit]);
-                            }
-                        }
+        }
+    }
+
+    /// Range-scan each scope group's outgoing pairs rather than filtering
+    /// every relation's full pair set.
+    fn add_initial_orders(&mut self, spec: &Specification, cells: &BTreeSet<(RelId, Eid)>) {
+        for &(rel, eid) in cells {
+            let inst = spec.instance(rel);
+            for a in 0..inst.arity() {
+                let attr = AttrId(a as u32);
+                for &t in inst.entity_group(eid) {
+                    for (u, v) in inst.order(attr).pairs_from(t) {
+                        let lit = self
+                            .order_lit(rel, attr, u, v)
+                            .expect("validated: same entity, irreflexive");
+                        self.solver.add_clause(&[lit]);
                     }
                 }
             }
@@ -1114,7 +951,7 @@ impl Encoding {
     fn add_value_indicators(
         &mut self,
         spec: &Specification,
-        cells: Option<&BTreeSet<(RelId, Eid)>>,
+        cells: &BTreeSet<(RelId, Eid)>,
         rel: RelId,
         scratch: &mut CompileScratch,
     ) {
@@ -1197,6 +1034,27 @@ impl Encoding {
     }
 }
 
+/// The completion of `spec` made of `chains`, entries `(rel, attr, eid,
+/// chain)` as [`Encoding::model_chains`] reports them, which must cover
+/// every cell of the specification.
+pub(crate) fn completion_from_chains(
+    spec: &Specification,
+    chains: impl IntoIterator<Item = (RelId, AttrId, Eid, Vec<TupleId>)>,
+) -> Result<Completion, CurrencyError> {
+    let mut per_rel: Vec<Vec<BTreeMap<Eid, Vec<TupleId>>>> = spec
+        .instances()
+        .iter()
+        .map(|inst| vec![BTreeMap::new(); inst.arity()])
+        .collect();
+    for (rel, attr, eid, chain) in chains {
+        per_rel[rel.index()][attr.index()].insert(eid, chain);
+    }
+    let rels = (spec.instances().iter().zip(per_rel))
+        .map(|(inst, chains)| RelCompletion::new(inst, chains))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Completion::new(rels))
+}
+
 /// Mark `key` in a sorted, duplicate-free list.
 fn mark(list: &mut Vec<(RelId, AttrId)>, key: (RelId, AttrId)) {
     if let Err(at) = list.binary_search(&key) {
@@ -1228,54 +1086,37 @@ fn sort_by_value(
     boundaries + usize::from(!group.is_empty())
 }
 
-/// The entities of `rel` an encoding covers: a component's own cells of
-/// `rel` (a range scan), or every entity of the relation.
-fn entities_of<'s>(
-    spec: &'s Specification,
-    cells: Option<&'s BTreeSet<(RelId, Eid)>>,
-    rel: RelId,
-) -> impl Iterator<Item = Eid> + 's {
-    let (scoped, whole) = match cells {
-        Some(cells) => (
-            Some(
-                cells
-                    .range((rel, Eid(u64::MIN))..=(rel, Eid(u64::MAX)))
-                    .map(|&(_, eid)| eid),
-            ),
-            None,
-        ),
-        None => (None, Some(spec.instance(rel).entities())),
-    };
-    scoped
-        .into_iter()
-        .flatten()
-        .chain(whole.into_iter().flatten())
+/// The entities of `rel` among `cells` (a range scan).
+fn entities_of(cells: &BTreeSet<(RelId, Eid)>, rel: RelId) -> impl Iterator<Item = Eid> + '_ {
+    cells
+        .range((rel, Eid(u64::MIN))..=(rel, Eid(u64::MAX)))
+        .map(|&(_, eid)| eid)
 }
 
 /// [`entities_of`] with each entity's group.
 fn groups_of<'s>(
     spec: &'s Specification,
-    cells: Option<&'s BTreeSet<(RelId, Eid)>>,
+    cells: &'s BTreeSet<(RelId, Eid)>,
     rel: RelId,
 ) -> impl Iterator<Item = (Eid, &'s [TupleId])> + 's {
     let inst = spec.instance(rel);
-    entities_of(spec, cells, rel).map(move |eid| (eid, inst.entity_group(eid)))
+    entities_of(cells, rel).map(move |eid| (eid, inst.entity_group(eid)))
 }
 
-/// Visit every `(relation, entity, group)` an encoding covers, relations
-/// ascending and entities ascending within each — the order variables
-/// are allocated in.  Construction cost then scales with the component,
-/// not the specification (the engine builds one encoding *per*
-/// component, so a full-spec scan here would make engine construction
-/// O(components × spec)).
+/// Visit every `(relation, group)` of `cells`, relations ascending and
+/// entities ascending within each — the order variables are allocated
+/// in.  Construction cost then scales with the component, not the
+/// specification (the engine builds one encoding *per* component, so a
+/// full-spec scan here would make engine construction O(components ×
+/// spec)).
 fn for_each_group<'s>(
     spec: &'s Specification,
-    cells: Option<&'s BTreeSet<(RelId, Eid)>>,
-    mut f: impl FnMut(RelId, Eid, &'s [TupleId]),
+    cells: &'s BTreeSet<(RelId, Eid)>,
+    mut f: impl FnMut(RelId, &'s [TupleId]),
 ) {
     for inst in spec.instances() {
-        for (eid, group) in groups_of(spec, cells, inst.rel()) {
-            f(inst.rel(), eid, group);
+        for (_, group) in groups_of(spec, cells, inst.rel()) {
+            f(inst.rel(), group);
         }
     }
 }
@@ -1350,24 +1191,22 @@ impl CompileScratch {
 pub struct ComponentCompiler<'s> {
     spec: &'s Specification,
     value_rels: &'s [RelId],
-    mode: TransitivityMode,
+    /// Ground every transitivity triangle up front; only the reference
+    /// encodings of the differential tests do.
+    eager: bool,
     grounders: Vec<EntityGrounder<'s>>,
     copies: Vec<CopyGroups<'s>>,
 }
 
 impl<'s> ComponentCompiler<'s> {
     /// A compiler for components of `spec` with value indicators for
-    /// `value_rels`.  The caller is expected to have validated the
-    /// specification.
-    pub fn new(
-        spec: &'s Specification,
-        value_rels: &'s [RelId],
-        mode: TransitivityMode,
-    ) -> ComponentCompiler<'s> {
+    /// `value_rels` and lazy transitivity.  The caller is expected to
+    /// have validated the specification.
+    pub fn new(spec: &'s Specification, value_rels: &'s [RelId]) -> ComponentCompiler<'s> {
         ComponentCompiler {
             spec,
             value_rels,
-            mode,
+            eager: false,
             grounders: spec
                 .constraints()
                 .iter()
@@ -1401,7 +1240,7 @@ impl<'s> ComponentCompiler<'s> {
         for grounder in &self.grounders {
             let rel = grounder.constraint().rel();
             let inst = self.spec.instance(rel);
-            for eid in entities_of(self.spec, Some(cells), rel) {
+            for eid in entities_of(cells, rel) {
                 let from = scratch.rules.len();
                 grounder.ground_entity_into(inst, eid, &mut scratch.rules);
                 scratch.rules.sort_dedup_from(from);
@@ -1415,7 +1254,7 @@ impl<'s> ComponentCompiler<'s> {
         }
         for (cf, groups) in self.spec.copies().iter().zip(&self.copies) {
             let sig = cf.signature();
-            for te in entities_of(self.spec, Some(cells), sig.target) {
+            for te in entities_of(cells, sig.target) {
                 groups.for_each_obligation_of_target(te, |source_edge, target_edge| {
                     scratch.obligations.push(Obligation {
                         source_rel: sig.source,
@@ -1429,11 +1268,26 @@ impl<'s> ComponentCompiler<'s> {
         Encoding::assemble(
             self.spec,
             self.value_rels,
-            Some(component.clone()),
-            self.mode,
+            component.clone(),
+            self.eager,
             falsum,
             scratch,
         )
+    }
+}
+
+#[cfg(any(test, feature = "oracle"))]
+impl<'s> ComponentCompiler<'s> {
+    /// [`ComponentCompiler::new`] with transitivity grounded in `mode`.
+    pub fn with_mode(
+        spec: &'s Specification,
+        value_rels: &'s [RelId],
+        mode: TransitivityMode,
+    ) -> ComponentCompiler<'s> {
+        ComponentCompiler {
+            eager: mode == TransitivityMode::Eager,
+            ..ComponentCompiler::new(spec, value_rels)
+        }
     }
 }
 
@@ -1458,14 +1312,40 @@ pub struct EncodingShape {
     pub clauses: Vec<Vec<Lit>>,
     /// Lazily closure-checked groups: `(relation, attribute, tuples)`.
     pub lazy_groups: Vec<(RelId, AttrId, Vec<TupleId>)>,
-    /// The covered cells (`None` = the whole specification).
-    pub scope: Option<BTreeSet<(RelId, Eid)>>,
+    /// The covered cells.
+    pub scope: BTreeSet<(RelId, Eid)>,
     /// [`Encoding::has_ground_falsum`].
     pub ground_falsum: bool,
 }
 
 #[cfg(any(test, feature = "oracle"))]
 impl Encoding {
+    /// The whole-specification reference encoding: the compile of one
+    /// component holding every live cell, with transitivity grounded in
+    /// `mode` and value indicators for `value_rels`.  Unlike an engine's
+    /// component, it keeps a premise-free falsum as the empty clause.
+    /// Fails if the specification is structurally invalid
+    /// ([`Specification::validate`]).
+    pub fn whole_spec(
+        spec: &Specification,
+        value_rels: &[RelId],
+        mode: TransitivityMode,
+    ) -> Result<Encoding, CurrencyError> {
+        spec.validate()?;
+        let cells = (spec.instances().iter())
+            .flat_map(|inst| inst.entities().map(move |eid| (inst.rel(), eid)))
+            .collect();
+        let compiler = ComponentCompiler::with_mode(spec, value_rels, mode);
+        let mut enc = compiler.compile(
+            &Arc::new(Component { cells }),
+            &mut CompileScratch::default(),
+        );
+        if enc.ground_falsum {
+            enc.solver.add_clause(&[]);
+        }
+        Ok(enc)
+    }
+
     /// This encoding's [`EncodingShape`].
     pub fn shape(&self) -> EncodingShape {
         EncodingShape {
@@ -1484,13 +1364,13 @@ impl Encoding {
                 .iter()
                 .map(|g| (g.rel, g.attr, g.tuples.clone()))
                 .collect(),
-            scope: self.scope.as_ref().map(|c| c.cells.clone()),
+            scope: self.scope.cells.clone(),
             ground_falsum: self.ground_falsum,
         }
     }
 }
 
-/// Mode-aware model source: `solve` runs the lazy refinement loop, so
+/// Refining model source: `solve` runs the lazy refinement loop, so
 /// the shared enumeration protocol ([`enumerate_projected`]) only ever
 /// sees closure-checked models.
 impl ModelSource for Encoding {
@@ -1540,6 +1420,7 @@ impl ModelSource for BoundedSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::TransitivityMode::{Eager, Lazy};
     use currency_core::{Catalog, CmpOp, DenialConstraint, RelationSchema, Term};
     use currency_sat::SolveResult;
 
@@ -1573,7 +1454,7 @@ mod tests {
         let (spec, r, t0, t1) = salary_spec();
         // Value indicators reference the attribute (distinct values), so
         // its pair variable exists despite the absence of constraints.
-        let mut enc = Encoding::new(&spec, &[r]).unwrap();
+        let mut enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         assert_eq!(enc.solve(), SolveResult::Sat);
         let l = enc.order_lit(r, A, t0, t1).unwrap();
         assert_eq!(enc.solve_with_assumptions(&[l]), SolveResult::Sat);
@@ -1584,7 +1465,7 @@ mod tests {
     fn denial_constraint_forces_direction() {
         let (mut spec, r, t0, t1) = salary_spec();
         spec.add_constraint(monotone(r)).unwrap();
-        let mut enc = Encoding::new(&spec, &[]).unwrap();
+        let mut enc = Encoding::whole_spec(&spec, &[], Eager).unwrap();
         let l = enc.order_lit(r, A, t0, t1).unwrap();
         // t0 (50) must precede t1 (80).
         assert_eq!(enc.solve_with_assumptions(&[!l]), SolveResult::Unsat);
@@ -1597,7 +1478,7 @@ mod tests {
         spec.instance_mut(r).add_order(A, t0, t1).unwrap();
         spec.instance_mut(r).add_order(A, t1, t0).unwrap();
         // validate() rejects the cyclic order before encoding.
-        assert!(Encoding::new(&spec, &[]).is_err());
+        assert!(Encoding::whole_spec(&spec, &[], Eager).is_err());
     }
 
     fn three_tuple_spec() -> (Specification, RelId, Vec<TupleId>) {
@@ -1616,12 +1497,11 @@ mod tests {
 
     #[test]
     fn transitivity_is_enforced_in_both_modes() {
-        for mode in [TransitivityMode::Eager, TransitivityMode::Lazy] {
+        for mode in [Eager, Lazy] {
             let (spec, r, ts) = three_tuple_spec();
             // Value indicators reference the attribute (three distinct
             // values), so the order variables exist.
-            let mut enc = Encoding::with_mode(&spec, &[r], mode).unwrap();
-            assert_eq!(enc.mode(), mode);
+            let mut enc = Encoding::whole_spec(&spec, &[r], mode).unwrap();
             let l01 = enc.order_lit(r, A, ts[0], ts[1]).unwrap();
             let l12 = enc.order_lit(r, A, ts[1], ts[2]).unwrap();
             let l20 = enc.order_lit(r, A, ts[2], ts[0]).unwrap();
@@ -1642,8 +1522,8 @@ mod tests {
     #[test]
     fn lazy_mode_grounds_fewer_clauses_and_reports_lemmas() {
         let (spec, r, _) = three_tuple_spec();
-        let mut eager = Encoding::with_mode(&spec, &[r], TransitivityMode::Eager).unwrap();
-        let mut lazy = Encoding::with_mode(&spec, &[r], TransitivityMode::Lazy).unwrap();
+        let mut eager = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
+        let mut lazy = Encoding::whole_spec(&spec, &[r], Lazy).unwrap();
         assert_eq!(
             eager.num_vars(),
             lazy.num_vars(),
@@ -1682,19 +1562,19 @@ mod tests {
         // Constraint touches attribute A only; B is uniform, so with no
         // value relations nothing references either attribute except A.
         spec.add_constraint(monotone(r)).unwrap();
-        let enc = Encoding::new(&spec, &[]).unwrap();
+        let enc = Encoding::whole_spec(&spec, &[], Eager).unwrap();
         assert_eq!(enc.num_vars(), 1, "one pair on A, none on B");
         assert!(enc.order_lit(r, A, t0, t1).is_some());
         assert!(enc.order_lit(r, AttrId(1), t0, t1).is_none());
         // With value indicators, the uniform B still needs no vars.
-        let enc2 = Encoding::new(&spec, &[r]).unwrap();
+        let enc2 = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         assert!(enc2.order_lit(r, AttrId(1), t0, t1).is_none());
     }
 
     #[test]
     fn fully_unconstrained_spec_encodes_to_nothing() {
         let (spec, r, t0, t1) = salary_spec();
-        let mut enc = Encoding::new(&spec, &[]).unwrap();
+        let mut enc = Encoding::whole_spec(&spec, &[], Eager).unwrap();
         assert_eq!(enc.num_vars(), 0);
         assert_eq!(enc.solve(), SolveResult::Sat);
         assert!(enc.order_lit(r, A, t0, t1).is_none());
@@ -1703,7 +1583,7 @@ mod tests {
     #[test]
     fn order_lit_orientation() {
         let (spec, r, t0, t1) = salary_spec();
-        let enc = Encoding::new(&spec, &[r]).unwrap();
+        let enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         let fwd = enc.order_lit(r, A, t0, t1).unwrap();
         let bwd = enc.order_lit(r, A, t1, t0).unwrap();
         assert_eq!(fwd, !bwd);
@@ -1713,7 +1593,7 @@ mod tests {
     #[test]
     fn value_indicators_enumerate_current_instances() {
         let (spec, r, _, _) = salary_spec();
-        let mut enc = Encoding::new(&spec, &[r]).unwrap();
+        let mut enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         assert_eq!(enc.value_projection().len(), 2, "two candidate values");
         let projection = enc.value_projection().to_vec();
         let mut outcomes = Vec::new();
@@ -1738,8 +1618,8 @@ mod tests {
                 spec.add_constraint(monotone(r)).unwrap();
             }
             let mut counts = Vec::new();
-            for mode in [TransitivityMode::Eager, TransitivityMode::Lazy] {
-                let mut enc = Encoding::with_mode(&spec, &[r], mode).unwrap();
+            for mode in [Eager, Lazy] {
+                let mut enc = Encoding::whole_spec(&spec, &[r], mode).unwrap();
                 let projection = enc.value_projection().to_vec();
                 let mut models = Vec::new();
                 enc.for_each_model(&projection, 100, |m| {
@@ -1757,7 +1637,7 @@ mod tests {
     fn decode_current_instance_respects_constraints() {
         let (mut spec, r, _, _) = salary_spec();
         spec.add_constraint(monotone(r)).unwrap();
-        let mut enc = Encoding::new(&spec, &[r]).unwrap();
+        let mut enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         let projection = enc.value_projection().to_vec();
         let mut instances = Vec::new();
         enc.for_each_model(&projection, 100, |m| {
@@ -1765,19 +1645,19 @@ mod tests {
             true
         });
         assert_eq!(instances.len(), 1, "constraint pins the current value");
-        let dbs = enc.decode_current_instances(&spec, &instances[0]);
-        assert_eq!(dbs.len(), 1);
-        assert!(dbs[0].contains(&Tuple::new(Eid(1), vec![Value::int(80)])));
+        let (indices, _) = enc.restricted_projection(&[r]);
+        let rows = enc.decode_restricted(&spec, &[r], &indices, &instances[0]);
+        assert_eq!(rows, [(r, Tuple::new(Eid(1), vec![Value::int(80)]))]);
     }
 
     #[test]
     fn decode_completion_is_consistent() {
-        for mode in [TransitivityMode::Eager, TransitivityMode::Lazy] {
+        for mode in [Eager, Lazy] {
             let (mut spec, r, t0, t1) = salary_spec();
             spec.add_constraint(monotone(r)).unwrap();
-            let mut enc = Encoding::with_mode(&spec, &[], mode).unwrap();
+            let mut enc = Encoding::whole_spec(&spec, &[], mode).unwrap();
             assert_eq!(enc.solve(), SolveResult::Sat);
-            let completion = enc.decode_completion(&spec).unwrap();
+            let completion = completion_from_chains(&spec, enc.model_chains(&spec)).unwrap();
             assert!(completion.is_consistent_for(&spec), "{mode:?}");
             assert!(completion.rel(r).precedes(A, t0, t1), "{mode:?}");
         }
@@ -1793,9 +1673,9 @@ mod tests {
                 .push_tuple(Tuple::new(Eid(1), vec![Value::int(7)]))
                 .unwrap();
         }
-        let enc = Encoding::new(&spec, &[r]).unwrap();
+        let enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         assert!(enc.value_projection().is_empty());
-        let dbs = enc.decode_current_instances(&spec, &[]);
-        assert!(dbs[0].contains(&Tuple::new(Eid(1), vec![Value::int(7)])));
+        let rows = enc.decode_restricted(&spec, &[r], &[], &[]);
+        assert_eq!(rows, [(r, Tuple::new(Eid(1), vec![Value::int(7)]))]);
     }
 }

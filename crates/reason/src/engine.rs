@@ -52,10 +52,10 @@
 //!
 //! Queries run over the same borrowed view of the state as the
 //! snapshots' queries (see [`crate::snapshot`]), so each query path
-//! exists once.  The monolithic one-shot path (`Encoding::new` over the
-//! whole specification) remains available as the `*_monolithic`
-//! functions in the problem modules and is differentially tested against
-//! the engine.
+//! exists once.  Every encoding the engine holds covers one component
+//! and enforces transitivity lazily; the whole-specification reference
+//! path the engine is differentially tested against (the `*_monolithic`
+//! functions) is built only with the `oracle` feature.
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
@@ -326,7 +326,7 @@ impl CurrencyEngine {
         let partition = Partition::of(&spec);
         let obs = EngineObs::new();
         let mut compile_scratch = CompileScratch::default();
-        let compiler = ComponentCompiler::new(&spec, &value_rels, opts.transitivity);
+        let compiler = ComponentCompiler::new(&spec, &value_rels);
         let bounds = Bounds::from_options(opts);
         let slots: PagedVec<SlotView> = run_indexed_with(
             effective_threads(opts),
@@ -347,7 +347,7 @@ impl CurrencyEngine {
         .into_iter()
         .collect();
         let mut engine = CurrencyEngine {
-            vacant: Arc::new(Encoding::vacant(&value_rels, opts.transitivity)),
+            vacant: Arc::new(Encoding::vacant(&value_rels)),
             spec: Arc::new(spec),
             value_rels,
             generation: partition.slots() as u64,
@@ -493,8 +493,7 @@ impl CurrencyEngine {
         self.generation += plan.rebuilt.len() as u64;
         let compiled: Vec<SlotView> = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
-            let compiler =
-                ComponentCompiler::new(&self.spec, &self.value_rels, self.opts.transitivity);
+            let compiler = ComponentCompiler::new(&self.spec, &self.value_rels);
             let bounds = Bounds::from_options(&self.opts);
             let (partition, rebuilt, obs) = (self.partition.as_ref(), &plan.rebuilt, &self.obs);
             run_indexed_with(
@@ -1140,8 +1139,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_eager_engines_agree_and_surface_lemma_stats() {
-        use crate::TransitivityMode;
+    fn lazy_engine_agrees_with_eager_reference_and_surfaces_lemma_stats() {
+        use crate::encode::{CompileScratch, ComponentCompiler};
+        use crate::oracle::TransitivityMode::Eager;
+        use crate::oracle::{cop_exact_monolithic, cps_exact_monolithic, dcip_exact_monolithic};
+        use currency_sat::Enumeration;
         let (mut spec, r) = multi_entity_spec();
         spec.add_constraint(monotone(r)).unwrap();
         // A third tuple per entity so transitivity has triangles to check.
@@ -1150,35 +1152,40 @@ mod tests {
                 .push_tuple(Tuple::new(Eid(e), vec![Value::int(15 + e as i64)]))
                 .unwrap();
         }
-        let eager_opts = Options {
-            transitivity: TransitivityMode::Eager,
-            ..Options::default()
-        };
-        let lazy_opts = Options {
-            transitivity: TransitivityMode::Lazy,
-            ..Options::default()
-        };
-        let eager = CurrencyEngine::new(&spec, &eager_opts).unwrap();
-        let lazy = CurrencyEngine::new(&spec, &lazy_opts).unwrap();
+        let lazy = CurrencyEngine::new(&spec, &Options::default()).unwrap();
         // Variable allocation is mode-independent (parity), clause counts
         // are not (lazy omits the eager triangle grounding).
-        assert_eq!(eager.stats().vars, lazy.stats().vars);
-        assert!(lazy.stats().clauses < eager.stats().clauses);
-        assert_eq!(eager.cps().unwrap(), lazy.cps().unwrap());
+        let value_rels = [r];
+        let eager = ComponentCompiler::with_mode(&spec, &value_rels, Eager);
+        let mut scratch = CompileScratch::default();
+        let partition = lazy.partition();
+        let eager_slots: Vec<Encoding> = (0..partition.slots())
+            .map(|ix| eager.compile(partition.component(ix), &mut scratch))
+            .collect();
+        let sum = |count: fn(&Encoding) -> usize| eager_slots.iter().map(count).sum::<usize>();
+        assert_eq!(lazy.stats().vars, sum(Encoding::num_vars));
+        assert!(lazy.stats().clauses < sum(Encoding::num_clauses));
+        assert_eq!(lazy.cps().unwrap(), cps_exact_monolithic(&spec).unwrap());
         for u in 0..9u32 {
             for v in 0..9u32 {
                 let q = CurrencyOrderQuery::single(r, A, TupleId(u), TupleId(v));
-                assert_eq!(eager.cop(&q).unwrap(), lazy.cop(&q).unwrap(), "{u} ≺ {v}");
+                let want = cop_exact_monolithic(&spec, &q).unwrap();
+                assert_eq!(lazy.cop(&q).unwrap(), want, "{u} ≺ {v}");
             }
         }
-        assert_eq!(eager.dcip(r).unwrap(), lazy.dcip(r).unwrap());
+        let opts = Options::default();
         assert_eq!(
-            eager.current_instances(r).unwrap().len(),
-            lazy.current_instances(r).unwrap().len(),
+            lazy.dcip(r).unwrap(),
+            dcip_exact_monolithic(&spec, r, &opts).unwrap()
+        );
+        let mut whole = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
+        let projection = whole.value_projection().to_vec();
+        assert_eq!(
+            Enumeration::Complete(lazy.current_instances(r).unwrap().len()),
+            whole.for_each_model(&projection, opts.max_models, |_| true),
             "realizable current-instance counts must match"
         );
         // The aggregated stats surface the new solver counters.
-        assert_eq!(eager.stats().sat.lemmas_added, 0, "eager never lemmatizes");
         let _ = lazy.stats().sat.lemmas_added; // present and aggregated
     }
 

@@ -18,7 +18,7 @@
 //! * **SAT-based exact solvers** ([`encode`]): consistent completions are
 //!   encoded as propositional models over *order variables* (one Boolean
 //!   per unordered same-entity tuple pair per attribute), with structural
-//!   totality/antisymmetry, ground transitivity clauses, grounded denial
+//!   totality/antisymmetry, lazily checked transitivity, grounded denial
 //!   constraints, and copy-compatibility implications.  Current instances
 //!   are enumerated through projected All-SAT over *value indicator*
 //!   variables.  The engine is `currency-sat`'s CDCL solver.
@@ -35,8 +35,6 @@
 //!   edges, constraints, copy extensions), re-partitions incrementally
 //!   and recompiles only the touched components — see [`engine`] and
 //!   [`partition`].
-//!   The pre-partitioning whole-specification path is kept as the
-//!   `*_monolithic` functions for differential testing.
 //!
 //!   The engine is the one writer of every front door.  For
 //!   read-mostly concurrent serving, [`CurrencyEngine::snapshot`] freezes
@@ -49,9 +47,11 @@
 //!   builds the caching/rate-limited front door on top; the durable
 //!   store and the sharded engine never take a snapshot, so their writes
 //!   copy no page.
-//! * **Enumeration reference solvers** ([`enumerate`]): brute-force
-//!   iteration over all completions, used as ground truth in differential
-//!   tests and the ablation benchmarks.
+//! * **Reference solvers** (`oracle` and `enumerate`, built only with
+//!   the `oracle` feature): the whole-specification encoding behind the
+//!   `*_monolithic` functions, eager transitivity, and brute-force
+//!   iteration over all completions — ground truth for the differential
+//!   tests and the benchmark's reference rows, never a production path.
 //! * **PTIME special-case algorithms** (paper §6): the fixpoint
 //!   computation of certain orders `PO∞` ([`po_infinity`], Theorem 6.1),
 //!   the `poss(S)` algorithm for SP queries ([`certain_answers_sp`],
@@ -69,6 +69,7 @@ mod cps;
 mod dcip;
 pub mod encode;
 pub mod engine;
+#[cfg(any(test, feature = "oracle"))]
 pub mod enumerate;
 mod error;
 pub mod explain;
@@ -83,16 +84,10 @@ pub mod shard;
 pub mod snapshot;
 mod sp_ptime;
 
-pub use ccqa::{
-    ccqa, ccqa_exact, ccqa_exact_monolithic, certain_answers, certain_answers_exact,
-    certain_answers_exact_monolithic, CertainAnswers,
-};
-pub use cop::{cop, cop_exact, cop_exact_monolithic, cop_ptime, CurrencyOrderQuery};
-pub use cps::{
-    cps, cps_enumerate, cps_exact, cps_exact_monolithic, cps_ptime, witness_completion,
-    witness_completion_monolithic,
-};
-pub use dcip::{dcip, dcip_exact, dcip_exact_monolithic, dcip_ptime};
+pub use ccqa::{ccqa, ccqa_exact, certain_answers, certain_answers_exact, CertainAnswers};
+pub use cop::{cop, cop_exact, cop_ptime, CurrencyOrderQuery};
+pub use cps::{cps, cps_exact, cps_ptime, witness_completion};
+pub use dcip::{dcip, dcip_exact, dcip_ptime};
 pub use encode::Bounds;
 pub use engine::{ApplyReport, CurrencyEngine, EngineStats};
 pub use error::ReasonError;
@@ -143,32 +138,6 @@ pub struct Spent {
     pub propagations: u64,
 }
 
-/// How the transitivity axiom of the order encoding is grounded (see
-/// [`encode`]).
-///
-/// Transitivity is the only cubic part of the reduction: an entity group
-/// of `n` tuples has `n·(n-1)·(n-2)` ordered triangles per attribute.
-/// Eager grounding emits them all up front; lazy grounding solves without
-/// them, checks each candidate model's order relation for transitivity
-/// violations with a closure walk, installs only the violated triangles
-/// as lemmas ([`currency_sat::Solver::add_lemma`]) and re-solves —
-/// converging in a handful of refinement rounds while typically grounding
-/// a tiny fraction of the triangles.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransitivityMode {
-    /// Ground all `O(n³)` triangle clauses up front.  Predictable and
-    /// marginally faster on tiny entity groups (≲ 8 tuples) or when a
-    /// query enumerates *many* models over one component (each model
-    /// re-checks closure); infeasible for large groups.
-    Eager,
-    /// Encode only order variables, initial orders and constraints; add
-    /// violated triangle clauses as lemmas between solver calls.  Lemmas
-    /// persist in cached per-component solvers, so refinement work
-    /// amortizes across queries.  The default.
-    #[default]
-    Lazy,
-}
-
 /// Pause budget for one incremental-compaction step
 /// ([`engine::CurrencyEngine::compact_step`] and the auto-compaction
 /// policy, see [`Options::auto_compact_budget`]).
@@ -213,13 +182,18 @@ impl Default for CompactBudget {
 /// asked questions whose answer requires visiting exponentially many
 /// projected models or extensions.  `Options` bounds that work so callers
 /// get a [`ReasonError::BudgetExceeded`] instead of an unbounded run.
+///
+/// Transitivity has no option: the engines always enforce it lazily
+/// (see [`encode`]), which the `scaling` section of `bench_engine`
+/// measures against eager grounding.
 #[derive(Clone, Copy, Debug)]
 pub struct Options {
     /// Maximum number of projected models visited per All-SAT enumeration.
     ///
     /// The [`engine::CurrencyEngine`] applies this bound per entity
     /// component *and* to the composed cross-component product, so a
-    /// budget that held for the monolithic path keeps holding.
+    /// budget that held for one whole-specification enumeration keeps
+    /// holding.
     pub max_models: usize,
     /// Maximum number of copy-function extensions examined per CPP/BCP
     /// check.
@@ -229,10 +203,6 @@ pub struct Options {
     /// `0` (the default) means "use the machine's available parallelism";
     /// `1` forces sequential operation.
     pub threads: usize,
-    /// How transitivity is grounded ([`TransitivityMode::Lazy`] by
-    /// default).  The monolithic `*_monolithic` reference paths always
-    /// ground eagerly and are differentially tested against both modes.
-    pub transitivity: TransitivityMode,
     /// Auto-compaction threshold: while the specification's accumulated
     /// retraction tombstones are at or above this count, every
     /// [`engine::CurrencyEngine::apply`] runs **one bounded compaction
@@ -296,7 +266,6 @@ impl Default for Options {
             max_models: 1_000_000,
             max_extensions: 1_000_000,
             threads: 0,
-            transitivity: TransitivityMode::default(),
             auto_compact_tombstones: 0,
             auto_compact_budget: None,
             solve_limits: SolveLimits::default(),

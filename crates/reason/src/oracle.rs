@@ -1,44 +1,210 @@
 //! Reference implementations for differential tests (built under
-//! `cfg(test)` and the `oracle` feature only).
+//! `cfg(test)` and the `oracle` feature only; the release library
+//! compiles none of it).
 //!
-//! Components used to be grounded by the partition: every constraint per
-//! cell ([`currency_core::DenialConstraint::ground_entity`]) and every
-//! copy function's obligations per region
-//! ([`currency_core::CopyFunction::obligations_for_region`]), stored on
-//! the component and walked again by the encoder.  The engines now
-//! ground at compile time ([`crate::encode::ComponentCompiler`]).  This
-//! module keeps the old grounding as the reference the streamed compile
-//! is checked against:
-//!
-//! * [`reference_encoding`] grounds a component the old way and hands
+//! * **The whole-specification path**: the `*_monolithic` functions
+//!   decide CPS, COP, DCIP and CCQA and find a witness on one encoding of
+//!   the whole specification ([`Encoding::whole_spec`], the compile of
+//!   one component holding every cell) with every transitivity triangle
+//!   grounded up front ([`TransitivityMode::Eager`]).  The engines
+//!   partition the specification and enforce transitivity lazily; these
+//!   do neither.
+//! * **The old grounding**: components used to be grounded by the
+//!   partition, every constraint per cell
+//!   ([`currency_core::DenialConstraint::ground_entity`]) and every copy
+//!   function's obligations per region
+//!   ([`currency_core::CopyFunction::obligations_for_region`]).  The
+//!   engines now ground at compile time
+//!   ([`crate::encode::ComponentCompiler`]).
+//!   [`reference_encoding`] grounds a component the old way and hands
 //!   the artifacts to the same CNF construction, so the two encodings
 //!   agree ([`Encoding::shape`]) exactly when the two groundings yield
 //!   the same rules and obligations in the same order;
-//! * [`reference_components`] is the partition by definition: a
+//!   [`reference_components`] is the partition by definition: a
 //!   union–find over every enumerated obligation.
-//!
-//! It also holds the differential harness every front door is checked
-//! with:
-//!
-//! * [`certain_answers_enumerate`] is the certain-answers oracle by
-//!   enumeration of `Mod(S)` (the CPS one is [`crate::cps_enumerate`]);
-//! * [`Agreement`] asks a fresh [`CurrencyEngine`] CPS, all-pairs COP,
+//! * **Enumeration of `Mod(S)`** ([`crate::enumerate`]):
+//!   [`cps_enumerate`] and [`certain_answers_enumerate`] are the CPS and
+//!   certain-answers oracles by brute force.
+//! * **The differential harness** every front door is checked with:
+//!   [`Agreement`] asks a fresh [`CurrencyEngine`] CPS, all-pairs COP,
 //!   DCIP and the certain answers of every relation, checks those
 //!   answers against the enumeration of `Mod(S)` when it fits a budget,
 //!   and then asserts that any [`ShardReader`] answers alike.
 
-use crate::encode::{CompileScratch, Encoding, Obligation};
+use crate::encode::{completion_from_chains, CompileScratch, Encoding, Obligation};
 use crate::enumerate::for_each_consistent_completion;
 use crate::partition::Component;
 use crate::shard::ShardReader;
-use crate::{
-    CertainAnswers, CurrencyEngine, CurrencyOrderQuery, Options, ReasonError, TransitivityMode,
+use crate::{CertainAnswers, CurrencyEngine, CurrencyOrderQuery, Options, ReasonError};
+use currency_core::{
+    lst, AttrId, Completion, Eid, NormalInstance, RelId, Specification, TupleId, Value,
 };
-use currency_core::{lst, AttrId, Eid, NormalInstance, RelId, Specification, TupleId, Value};
 use currency_query::{Database, Query, SpQuery};
+use currency_sat::{Enumeration, SolveResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::sync::Arc;
+
+/// How a reference encoding grounds the transitivity axiom (see
+/// [`crate::encode`]).
+///
+/// Transitivity is the only cubic part of the reduction: an entity group
+/// of `n` tuples has `n·(n-1)·(n-2)` ordered triangles per attribute.
+/// The engines always ground it lazily: they solve without the
+/// triangles, check each candidate model's order relation with a
+/// closure walk, install only the violated triangles as lemmas
+/// ([`currency_sat::Solver::add_lemma`]) and re-solve.  Eager grounding
+/// emits every triangle up front; it survives as the reference the lazy
+/// loop is checked against and as `bench_engine`'s `scaling` contrast.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TransitivityMode {
+    /// Ground all `O(n³)` triangle clauses up front.
+    Eager,
+    /// Add violated triangle clauses as lemmas between solver calls.
+    Lazy,
+}
+
+/// The encoding every `*_monolithic` function decides on: the whole
+/// specification, transitivity grounded eagerly.
+fn monolithic(spec: &Specification, value_rels: &[RelId]) -> Result<Encoding, ReasonError> {
+    Ok(Encoding::whole_spec(
+        spec,
+        value_rels,
+        TransitivityMode::Eager,
+    )?)
+}
+
+/// CPS on one whole-specification encoding.
+pub fn cps_exact_monolithic(spec: &Specification) -> Result<bool, ReasonError> {
+    Ok(monolithic(spec, &[])?.solve() == SolveResult::Sat)
+}
+
+/// A witness completion decoded from one whole-specification encoding;
+/// `Ok(None)` means the specification is inconsistent.
+pub fn witness_completion_monolithic(
+    spec: &Specification,
+) -> Result<Option<Completion>, ReasonError> {
+    let mut enc = monolithic(spec, &[])?;
+    if enc.solve() == SolveResult::Unsat {
+        return Ok(None);
+    }
+    let completion = completion_from_chains(spec, enc.model_chains(spec))?;
+    debug_assert!(completion.is_consistent_for(spec));
+    Ok(Some(completion))
+}
+
+/// COP on one whole-specification encoding: each pair must be entailed,
+/// i.e. the encoding plus the negated pair must be unsatisfiable.
+pub fn cop_exact_monolithic(
+    spec: &Specification,
+    ot: &CurrencyOrderQuery,
+) -> Result<bool, ReasonError> {
+    let mut enc = monolithic(spec, &[])?;
+    if enc.solve() == SolveResult::Unsat {
+        return Ok(true); // Mod(S) = ∅: vacuously certain
+    }
+    for &(attr, lesser, greater) in &ot.pairs {
+        match enc.order_lit(ot.rel, attr, lesser, greater) {
+            None => return Ok(false), // reflexive or cross-entity: never holds
+            Some(l) => {
+                if enc.solve_with_assumptions(&[!l]) == SolveResult::Sat {
+                    return Ok(false);
+                }
+            }
+        }
+    }
+    Ok(true)
+}
+
+/// The realizable current instances of `rels` (one instance per
+/// relation, in `rels` order), at most `stop_after` of them, by projected
+/// All-SAT over one whole-specification encoding.  Refused with
+/// [`ReasonError::BudgetExceeded`] labelled `what` past
+/// [`Options::max_models`].
+fn monolithic_instances(
+    spec: &Specification,
+    rels: &[RelId],
+    opts: &Options,
+    what: &'static str,
+    stop_after: usize,
+) -> Result<Vec<Vec<NormalInstance>>, ReasonError> {
+    let mut enc = monolithic(spec, rels)?;
+    let (indices, vars) = enc.restricted_projection(rels);
+    let mut models: Vec<Vec<bool>> = Vec::new();
+    let enumeration = enc.for_each_model(&vars, opts.max_models, |m| {
+        models.push(m.to_vec());
+        models.len() < stop_after
+    });
+    if let Enumeration::LimitReached(n) = enumeration {
+        return Err(ReasonError::BudgetExceeded {
+            what,
+            budget: opts.max_models,
+            spent: n,
+        });
+    }
+    let decode = |m: &Vec<bool>| {
+        let mut instances: Vec<NormalInstance> =
+            rels.iter().map(|&rel| NormalInstance::new(rel)).collect();
+        for (rel, row) in enc.decode_restricted(spec, rels, &indices, m) {
+            let at = rels.iter().position(|&r| r == rel).expect("requested");
+            instances[at].push(row);
+        }
+        instances
+    };
+    Ok(models.iter().map(decode).collect())
+}
+
+/// DCIP on one whole-specification encoding: at most one realizable
+/// current instance of `rel`.  Two distinct projected models are two
+/// distinct instances, so the enumeration stops after two.
+pub fn dcip_exact_monolithic(
+    spec: &Specification,
+    rel: RelId,
+    opts: &Options,
+) -> Result<bool, ReasonError> {
+    let what = "current-instance enumeration (DCIP)";
+    let instances = monolithic_instances(spec, &[rel], opts, what, 2)?;
+    Ok(instances.windows(2).all(|w| w[0][0].set_eq(&w[1][0])))
+}
+
+/// The certain current answers of `query` on one whole-specification
+/// encoding: the intersection of its answers over every realizable
+/// current instance of the query's relations.
+pub fn certain_answers_exact_monolithic(
+    spec: &Specification,
+    query: &Query,
+    opts: &Options,
+) -> Result<CertainAnswers, ReasonError> {
+    let rels: Vec<RelId> = query.body().relations().into_iter().collect();
+    let what = "current-instance enumeration (CCQA)";
+    let mut acc = None;
+    for instances in monolithic_instances(spec, &rels, opts, what, usize::MAX)? {
+        intersect(&mut acc, query.eval(&Database::new(&instances)));
+    }
+    Ok(certain(acc))
+}
+
+/// CCQA on one whole-specification encoding.
+pub fn ccqa_exact_monolithic(
+    spec: &Specification,
+    query: &Query,
+    tuple: &[Value],
+    opts: &Options,
+) -> Result<bool, ReasonError> {
+    Ok(certain_answers_exact_monolithic(spec, query, opts)?.contains(tuple))
+}
+
+/// CPS by brute-force enumeration of `Mod(S)`, refused with
+/// [`ReasonError::BudgetExceeded`] when the candidate space exceeds
+/// `limit`.
+pub fn cps_enumerate(spec: &Specification, limit: usize) -> Result<bool, ReasonError> {
+    let mut found = false;
+    for_each_consistent_completion(spec, limit, |_| {
+        found = true;
+        false // one witness suffices
+    })?;
+    Ok(found)
+}
 
 /// Compile `component` of `spec` from the partition-side reference
 /// grounding: each constraint's rules per cell in cell order (a
@@ -100,8 +266,8 @@ pub fn reference_encoding(
     Encoding::assemble(
         spec,
         value_rels,
-        Some(component.clone()),
-        mode,
+        component.clone(),
+        mode == TransitivityMode::Eager,
         falsum,
         &mut scratch,
     )

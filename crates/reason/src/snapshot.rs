@@ -46,15 +46,13 @@
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
-use crate::encode::{Bounds, Encoding};
+use crate::encode::{completion_from_chains, Bounds, Encoding};
 use crate::engine::{effective_threads, run_indexed};
 use crate::error::ReasonError;
 use crate::partition::Partition;
 use crate::{Options, SolveLimits};
 use currency_core::cow::PagedVec;
-use currency_core::{
-    Completion, Eid, NormalInstance, RelCompletion, RelId, Specification, Tuple, TupleId, Value,
-};
+use currency_core::{Completion, NormalInstance, RelId, Specification, Tuple, Value};
 use currency_obs::{Counter, Gauge, MetricsRegistry};
 use currency_query::{Database, Query};
 use currency_sat::{Enumeration, SolveResult};
@@ -104,11 +102,12 @@ pub(crate) struct View<'a> {
 }
 
 impl View<'_> {
-    /// **COP** — one assumption solve per pair against `scratch`'s
-    /// private copy of the pair's component.  Vacuously true when the
-    /// specification is inconsistent (paper convention).  The verdict is
-    /// passed in decided: the writer decides it on the same scratch, so
-    /// it must do so before lending the scratch out.
+    /// **COP** — per pair, the level-zero value of its literal in the
+    /// shared slot encoding, else one assumption solve against
+    /// `scratch`'s private copy of the pair's component.  Vacuously true
+    /// when the specification is inconsistent (paper convention).  The
+    /// verdict is passed in decided: the writer decides it on the same
+    /// scratch, so it must do so before lending the scratch out.
     pub(crate) fn cop(
         &self,
         ot: &CurrencyOrderQuery,
@@ -134,10 +133,28 @@ impl View<'_> {
                 .partition
                 .component_of(ot.rel, lt.eid)
                 .expect("every entity has a component");
-            let enc = scratch.encoding(ix, &self.slots[ix]);
-            let Some(l) = enc.order_lit(ot.rel, attr, lesser, greater) else {
+            let slot = &self.slots[ix];
+            let Some(l) = slot.enc.order_lit(ot.rel, attr, lesser, greater) else {
                 return Ok(false);
             };
+            // An expired deadline interrupts here, as a solve would, so
+            // what a deadline allows never depends on what level zero
+            // happens to decide.
+            if bounds.expired() {
+                return Err(ReasonError::Interrupted {
+                    spent: crate::Spent::default(),
+                });
+            }
+            // Every solve returns at level zero, so the shared encoding
+            // holds the literals its component entails outright: true is
+            // certain, false is not (the component has a model).  Only an
+            // open literal takes a private copy.
+            match slot.enc.level0_value(l) {
+                Some(true) => continue,
+                Some(false) => return Ok(false),
+                None => {}
+            }
+            let enc = scratch.encoding(ix, slot);
             if enc.solve_bounded_with_assumptions(&[!l], &bounds)? == SolveResult::Sat {
                 return Ok(false);
             }
@@ -282,34 +299,14 @@ impl View<'_> {
         }
         let per_slot = run_indexed(effective_threads(&self.opts), self.slots.len(), |ix| {
             // Re-solve without assumptions so the model is a plain
-            // completion model; in lazy mode this also re-runs the
-            // closure refinement so the model is transitive.
+            // completion model; this also re-runs the closure refinement
+            // so the model is transitive.
             let mut enc = (*self.slots[ix].enc).clone();
             let sat = enc.solve();
             debug_assert_eq!(sat, SolveResult::Sat, "component known satisfiable");
             Ok(enc.model_chains(self.spec))
         })?;
-        let mut chains: BTreeMap<RelId, Vec<BTreeMap<Eid, Vec<TupleId>>>> = self
-            .spec
-            .instances()
-            .iter()
-            .map(|inst| (inst.rel(), vec![BTreeMap::new(); inst.arity()]))
-            .collect();
-        for (rel, attr, eid, chain) in per_slot.into_iter().flatten() {
-            chains.get_mut(&rel).expect("known relation")[attr.index()].insert(eid, chain);
-        }
-        let rels: Result<Vec<RelCompletion>, _> = self
-            .spec
-            .instances()
-            .iter()
-            .map(|inst| {
-                RelCompletion::new(
-                    inst,
-                    chains.remove(&inst.rel()).expect("chains per relation"),
-                )
-            })
-            .collect();
-        let completion = Completion::new(rels?);
+        let completion = completion_from_chains(self.spec, per_slot.into_iter().flatten())?;
         debug_assert!(completion.is_consistent_for(self.spec));
         Ok(Some(completion))
     }
@@ -870,7 +867,7 @@ mod tests {
     use super::*;
     use crate::engine::CurrencyEngine;
     use currency_core::{
-        AttrId, Catalog, CmpOp, DenialConstraint, RelationSchema, SpecDelta, Term,
+        AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelationSchema, SpecDelta, Term, TupleId,
     };
     use currency_query::{Atom, Formula, QueryBuilder, Term as QTerm};
 
@@ -896,6 +893,25 @@ mod tests {
             .then_order(1, A, 0)
             .build()
             .unwrap()
+    }
+
+    /// `entities` entities of two readings each (ids `2e` and `2e + 1`)
+    /// and no constraint, compiled: every pair is open at level zero, so
+    /// COP solves on scratch (and answers `false`).
+    fn unconstrained_engine(entities: u64) -> (CurrencyEngine, RelId) {
+        let mut cat = Catalog::new();
+        let r = cat.add(RelationSchema::new("R", &["A"]));
+        let mut spec = Specification::new(cat);
+        for e in 0..entities {
+            for v in [10, 20] {
+                let reading = Tuple::new(Eid(e), vec![Value::int(v)]);
+                spec.instance_mut(r).push_tuple(reading).unwrap();
+            }
+        }
+        (
+            CurrencyEngine::new_owned(spec, &Options::default()).unwrap(),
+            r,
+        )
     }
 
     /// The three-entity spec under the monotone constraint, compiled.
@@ -1070,11 +1086,43 @@ mod tests {
     }
 
     #[test]
+    fn level_zero_cops_need_no_scratch() {
+        let entities = 8u32;
+        let (spec, t) = large_spec(u64::from(entities));
+        let mut engine =
+            CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
+        let snap = engine.snapshot();
+        let mut reader = SnapshotReader::new(snap.clone());
+        // `large_spec` stores entity e's ten readings at ids 10e..10e+9.
+        for e in 0..entities {
+            let ix = snap.partition.component_of(t, Eid(e.into())).unwrap();
+            let enc = &snap.slots[ix].enc;
+            for (u, v) in
+                (10 * e..10 * e + 10).flat_map(|u| (10 * e..10 * e + 10).map(move |v| (u, v)))
+            {
+                // The scratch path: an assumption solve on a private copy.
+                let scratch = enc
+                    .order_lit(t, A, TupleId(u), TupleId(v))
+                    .is_some_and(|l| {
+                        (**enc).clone().solve_with_assumptions(&[!l]) == SolveResult::Unsat
+                    });
+                let q = CurrencyOrderQuery::single(t, A, TupleId(u), TupleId(v));
+                assert_eq!(reader.cop(&q).unwrap(), scratch, "{u} ≺ {v}");
+            }
+        }
+        assert_eq!(
+            reader.scratch_clones(),
+            0,
+            "unit propagation decided every pair"
+        );
+    }
+
+    #[test]
     fn reader_scratch_refreshes_in_place_after_epoch_change() {
-        let (mut engine, r) = monotone_engine();
+        let (mut engine, r) = unconstrained_engine(3);
         let mut reader = SnapshotReader::new(engine.snapshot());
         let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-        assert!(reader.cop(&q).unwrap());
+        assert!(!reader.cop(&q).unwrap());
         assert_eq!(reader.scratch_clones(), 1);
         // Rebuild entity 0's component with a new most-current tuple.
         let mut delta = SpecDelta::new();
@@ -1082,7 +1130,7 @@ mod tests {
         let report = engine.apply(&delta).unwrap();
         let new_id = report.inserted[0].1;
         reader.pin(engine.snapshot());
-        assert!(reader
+        assert!(!reader
             .cop(&CurrencyOrderQuery::single(r, A, TupleId(1), new_id))
             .unwrap());
         assert_eq!(reader.scratch_clones(), 1, "no fresh allocation");
@@ -1092,16 +1140,16 @@ mod tests {
 
     #[test]
     fn reader_scratch_survives_deltas_to_other_slots() {
-        let (mut engine, r) = monotone_engine();
+        let (mut engine, r) = unconstrained_engine(3);
         let mut reader = SnapshotReader::new(engine.snapshot());
         let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-        assert!(reader.cop(&q).unwrap());
+        assert!(!reader.cop(&q).unwrap());
         // A delta to entity 2 recompiles entity 2's slot only.
         let mut delta = SpecDelta::new();
         delta.insert_tuple(r, Tuple::new(Eid(2), vec![Value::int(40)]));
         engine.apply(&delta).unwrap();
         reader.pin(engine.snapshot());
-        assert!(reader.cop(&q).unwrap());
+        assert!(!reader.cop(&q).unwrap());
         assert_eq!(reader.cop(&q).unwrap(), engine.cop(&q).unwrap());
         assert_eq!(reader.scratch_clones(), 1);
         assert_eq!(
@@ -1114,14 +1162,11 @@ mod tests {
     #[test]
     fn reader_scratch_stays_bounded() {
         let entities = SCRATCH_SLOTS as u32 + 44;
-        let (spec, t) = large_spec(u64::from(entities));
-        let mut engine =
-            CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
+        let (mut engine, r) = unconstrained_engine(u64::from(entities));
         let mut reader = SnapshotReader::new(engine.snapshot());
-        // `large_spec` stores entity e's ten readings at ids 10e..10e+9.
         for e in 0..entities {
-            let q = CurrencyOrderQuery::single(t, A, TupleId(10 * e), TupleId(10 * e + 9));
-            assert!(reader.cop(&q).unwrap(), "entity {e}");
+            let q = CurrencyOrderQuery::single(r, A, TupleId(2 * e), TupleId(2 * e + 1));
+            assert!(!reader.cop(&q).unwrap(), "entity {e}");
             assert!(reader.scratch.slots.len() <= SCRATCH_SLOTS);
         }
         // Full at 256 slots: each later slot took over an evicted entry.
@@ -1245,7 +1290,7 @@ mod tests {
 
     #[test]
     fn reader_budget_override_interrupts_then_clears() {
-        let (mut engine, r) = monotone_engine();
+        let (mut engine, r) = unconstrained_engine(3);
         let mut reader = SnapshotReader::new(engine.snapshot());
         // A zero-work per-request budget interrupts every solve-backed path
         // with the typed error, never a wrong verdict.
@@ -1297,7 +1342,7 @@ mod tests {
 
     #[test]
     fn reader_escalating_budgets_converge_warm() {
-        let (mut engine, r) = monotone_engine();
+        let (mut engine, r) = unconstrained_engine(3);
         let snap = engine.snapshot();
         let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
         let oracle = SnapshotReader::new(snap.clone()).cop(&q).unwrap();

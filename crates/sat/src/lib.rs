@@ -24,8 +24,9 @@
 //! * theory-lemma installation ([`Solver::add_lemma`]) feeding the lazy
 //!   transitivity refinement loop in `currency-reason`.
 //!
-//! A deliberately naive DPLL solver ([`solve_dpll`]) serves as a reference
-//! implementation for differential testing.
+//! A deliberately naive DPLL solver (the `dpll` module, compiled only
+//! under `cfg(test)`) serves as the reference the unit tests check the
+//! CDCL solver against.
 //!
 //! No external SAT crate is used: none is in the project's allowed offline
 //! dependency set, and the engine is small enough to be in-scope substrate
@@ -45,13 +46,13 @@
 //! assert!(s.model_value(b));
 //! ```
 
+#[cfg(test)]
 mod dpll;
 mod heap;
 mod luby;
 mod solver;
 mod types;
 
-pub use dpll::solve_dpll;
 pub use luby::luby;
 pub use solver::{
     enumerate_projected, Enumeration, Limits, ModelSource, SolveOutcome, SolveResult, Solver,

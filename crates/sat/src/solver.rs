@@ -433,6 +433,18 @@ impl Solver {
         &self.trail
     }
 
+    /// The value the clauses force on `l` at decision level zero:
+    /// `Some(true)` if `l` is entailed, `Some(false)` if `!l` is, `None`
+    /// if level zero leaves it open.  Every solve returns at level zero,
+    /// so between solves this reads the solver's level-zero trail.
+    pub fn level0_value(&self, l: Lit) -> Option<bool> {
+        match self.value_lit(l) {
+            LBool::Undef => None,
+            _ if self.level[l.var().index()] != 0 => None,
+            value => Some(value == LBool::True),
+        }
+    }
+
     /// The literals of every stored clause (length ≥ 2; original clauses
     /// first, learnt ones after), in storage order.
     pub fn clause_lits(&self) -> impl Iterator<Item = &[Lit]> + '_ {

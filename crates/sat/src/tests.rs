@@ -1,8 +1,8 @@
 //! Solver-level tests: unit tests for CDCL behaviour and differential tests
 //! against the naive DPLL oracle on random instances.
 
-use crate::dpll::evaluate;
-use crate::{solve_dpll, Enumeration, Lit, SolveResult, Solver, Var};
+use crate::dpll::{evaluate, solve_dpll};
+use crate::{Enumeration, Lit, SolveResult, Solver, Var};
 
 fn build(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
     let mut s = Solver::new();

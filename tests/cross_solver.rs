@@ -14,10 +14,10 @@
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::{AttrId, RelId, Value};
 use data_currency::query::{SpCondition, SpQuery};
+use data_currency::reason::oracle::{certain_answers_enumerate, cps_enumerate};
 use data_currency::reason::{
-    certain_answers_exact, certain_answers_sp, cop_exact, cps_enumerate, cps_exact, cps_ptime,
-    dcip_exact, dcip_ptime, oracle::certain_answers_enumerate, po_infinity, CurrencyOrderQuery,
-    Options,
+    certain_answers_exact, certain_answers_sp, cop_exact, cps_exact, cps_ptime, dcip_exact,
+    dcip_ptime, po_infinity, CurrencyOrderQuery, Options,
 };
 use proptest::prelude::*;
 

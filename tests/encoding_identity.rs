@@ -23,6 +23,9 @@
 //!
 //! must have equal shapes, and the partition's components must be the
 //! reference components (a union–find over every enumerated obligation).
+//! On one seed in five the streamed and reference compiles with every
+//! transitivity triangle grounded up front (the eager mode only the
+//! reference encodings use) must have equal shapes too.
 //!
 //! 10k seeds in release, 100 under the debug profile, from the shared
 //! generator (`datagen::random::random_delta`) and seed range
@@ -33,8 +36,8 @@ use data_currency::datagen::random::{
 };
 use data_currency::model::{AttrId, Eid, RelId, Specification, Value};
 use data_currency::reason::encode::{CompileScratch, ComponentCompiler};
-use data_currency::reason::oracle::{reference_components, reference_encoding};
-use data_currency::reason::{CompactBudget, CurrencyEngine, Options, TransitivityMode};
+use data_currency::reason::oracle::{reference_components, reference_encoding, TransitivityMode};
+use data_currency::reason::{CompactBudget, CurrencyEngine, Options};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -87,19 +90,22 @@ struct Coverage {
 }
 
 /// Every live slot: engine encoding, streamed compile and reference
-/// compile agree; the partition is the reference partition.
+/// compile agree; the partition is the reference partition.  With
+/// `eager`, the streamed and reference compiles with every triangle
+/// grounded up front must agree too.
 fn check(
     engine: &CurrencyEngine,
     scratch: &mut CompileScratch,
     coverage: &mut Coverage,
+    eager: bool,
     seed: u64,
     step: usize,
 ) {
     let spec = engine.spec();
     let value_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
-    let mode = engine.options().transitivity;
     let partition = engine.partition();
-    let compiler = ComponentCompiler::new(spec, &value_rels, mode);
+    let compiler = ComponentCompiler::new(spec, &value_rels);
+    let eager_compiler = ComponentCompiler::with_mode(spec, &value_rels, TransitivityMode::Eager);
     let mut components = Vec::new();
     for slot in 0..partition.slots() {
         let component = partition.component(slot);
@@ -107,7 +113,15 @@ fn check(
             continue;
         }
         components.push(component.cells.clone());
-        let mut reference_enc = reference_encoding(spec, &value_rels, component, mode);
+        if eager {
+            assert_eq!(
+                eager_compiler.compile(component, scratch).shape(),
+                reference_encoding(spec, &value_rels, component, TransitivityMode::Eager).shape(),
+                "seed {seed} step {step} slot {slot}: eager streamed compile"
+            );
+        }
+        let mut reference_enc =
+            reference_encoding(spec, &value_rels, component, TransitivityMode::Lazy);
         let reference = reference_enc.shape();
         let streamed = compiler.compile(component, scratch).shape();
         assert_eq!(
@@ -131,18 +145,14 @@ fn check(
 fn identity_round(seed: u64, coverage: &mut Coverage) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_c0de);
     let opts = Options {
-        transitivity: if seed.is_multiple_of(5) {
-            TransitivityMode::Eager
-        } else {
-            TransitivityMode::Lazy
-        },
         // Tombstones are reclaimed by the explicit steps below only.
         auto_compact_tombstones: 0,
         ..Options::default()
     };
+    let eager = seed.is_multiple_of(5);
     let mut engine = CurrencyEngine::new_owned(spec_for(seed), &opts).expect("valid spec");
     let mut scratch = CompileScratch::default();
-    check(&engine, &mut scratch, coverage, seed, 0);
+    check(&engine, &mut scratch, coverage, eager, seed, 0);
     for step in 1..=STEPS {
         if rng.gen_range(0..4u32) == 0 {
             let budget = CompactBudget {
@@ -157,7 +167,7 @@ fn identity_round(seed: u64, coverage: &mut Coverage) {
             let delta = random_delta(&[engine.spec()], &MIX, &mut rng);
             engine.apply(&delta).expect("admissible delta");
         }
-        check(&engine, &mut scratch, coverage, seed, step);
+        check(&engine, &mut scratch, coverage, eager, seed, step);
     }
 }
 
@@ -195,7 +205,7 @@ fn falsum_components_compile_identically() {
         .expect("valid constraint");
     let engine = CurrencyEngine::new_owned(spec, &Options::default()).expect("valid spec");
     let mut scratch = CompileScratch::default();
-    check(&engine, &mut scratch, &mut Coverage::default(), 1, 0);
+    check(&engine, &mut scratch, &mut Coverage::default(), true, 1, 0);
     let partition = engine.partition();
     let falsum = (0..partition.slots()).any(|slot| engine.slot_shape(slot).ground_falsum);
     let violating = engine

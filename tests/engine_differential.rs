@@ -11,12 +11,17 @@
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::{AttrId, Eid, RelId, Value};
 use data_currency::query::Query;
-use data_currency::reason::{
-    ccqa_exact, ccqa_exact_monolithic, certain_answers_exact, certain_answers_exact_monolithic,
-    cop_exact, cop_exact_monolithic, cps_enumerate, cps_exact, cps_exact_monolithic, dcip_exact,
-    dcip_exact_monolithic, encode::Encoding, oracle::certain_answers_enumerate, witness_completion,
-    witness_completion_monolithic, CurrencyEngine, CurrencyOrderQuery, Options, TransitivityMode,
+use data_currency::reason::encode::{CompileScratch, ComponentCompiler, Encoding};
+use data_currency::reason::oracle::{
+    ccqa_exact_monolithic, certain_answers_enumerate, certain_answers_exact_monolithic,
+    cop_exact_monolithic, cps_enumerate, cps_exact_monolithic, dcip_exact_monolithic,
+    witness_completion_monolithic, TransitivityMode,
 };
+use data_currency::reason::{
+    ccqa_exact, certain_answers_exact, cop_exact, cps_exact, dcip_exact, witness_completion,
+    CurrencyEngine, CurrencyOrderQuery, Options,
+};
+use data_currency::sat::Enumeration;
 use proptest::prelude::*;
 
 const T: RelId = RelId(0);
@@ -153,24 +158,28 @@ proptest! {
 
     #[test]
     fn lazy_and_eager_transitivity_agree(seed in 0u64..10_000) {
-        // The acceptance sweep: lazy and eager grounding must produce
-        // identical CPS/COP/DCIP verdicts, identical certain answers, and
-        // identical realizable-current-instance counts on every seed.
+        // The acceptance sweep: the lazy engine and the eager reference
+        // encodings must produce identical CPS/COP/DCIP verdicts,
+        // identical certain answers, and identical realizable-current-
+        // instance counts on every seed.
         let spec = random_spec(&config(seed, true, seed % 2 == 0));
-        let mode_opts = |transitivity| Options { transitivity, ..Options::default() };
-        let lazy = CurrencyEngine::new(&spec, &mode_opts(TransitivityMode::Lazy)).unwrap();
-        let eager = CurrencyEngine::new(&spec, &mode_opts(TransitivityMode::Eager)).unwrap();
+        let lazy = CurrencyEngine::new(&spec, &Options::default()).unwrap();
+        let all_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
         // Var-count parity: order-variable allocation (with unreferenced
         // attributes pruned) is mode-independent, both per component and
         // monolithically; component-scoped pruning is at least as sharp as
         // the whole-specification encoding's (a rule references an
         // attribute only within its own component), never sharper the
         // other way.
-        prop_assert_eq!(lazy.stats().vars, eager.stats().vars, "seed {}", seed);
-        let all_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
-        let mono_eager = Encoding::new(&spec, &all_rels).unwrap();
-        let mono_lazy =
-            Encoding::with_mode(&spec, &all_rels, TransitivityMode::Lazy).unwrap();
+        let eager = ComponentCompiler::with_mode(&spec, &all_rels, TransitivityMode::Eager);
+        let mut scratch = CompileScratch::default();
+        let partition = lazy.partition();
+        let eager_vars: usize = (0..partition.slots())
+            .map(|ix| eager.compile(partition.component(ix), &mut scratch).num_vars())
+            .sum();
+        prop_assert_eq!(lazy.stats().vars, eager_vars, "seed {}", seed);
+        let mono_eager = Encoding::whole_spec(&spec, &all_rels, TransitivityMode::Eager).unwrap();
+        let mono_lazy = Encoding::whole_spec(&spec, &all_rels, TransitivityMode::Lazy).unwrap();
         prop_assert_eq!(
             mono_eager.num_vars(),
             mono_lazy.num_vars(),
@@ -178,7 +187,7 @@ proptest! {
         );
         prop_assert!(lazy.stats().vars <= mono_eager.num_vars(), "seed {}", seed);
         // CPS.
-        prop_assert_eq!(lazy.cps().unwrap(), eager.cps().unwrap(), "seed {}", seed);
+        prop_assert_eq!(lazy.cps().unwrap(), cps_exact_monolithic(&spec).unwrap(), "seed {}", seed);
         // COP over every pair of the target relation.
         let inst = spec.instance(T);
         for a in 0..inst.arity() {
@@ -193,28 +202,31 @@ proptest! {
                     );
                     prop_assert_eq!(
                         lazy.cop(&q).unwrap(),
-                        eager.cop(&q).unwrap(),
+                        cop_exact_monolithic(&spec, &q).unwrap(),
                         "seed {} attr {:?} {} ≺ {}", seed, attr, u, v
                     );
                 }
             }
         }
         // DCIP, certain answers, and model counts per relation.
+        let opts = Options::default();
         let q = value_query(T, inst.arity());
         prop_assert_eq!(
             lazy.certain_answers(&q).unwrap(),
-            eager.certain_answers(&q).unwrap(),
+            certain_answers_exact_monolithic(&spec, &q, &opts).unwrap(),
             "seed {}", seed
         );
         for &rel in &all_rels {
             prop_assert_eq!(
                 lazy.dcip(rel).unwrap(),
-                eager.dcip(rel).unwrap(),
+                dcip_exact_monolithic(&spec, rel, &opts).unwrap(),
                 "seed {} rel {:?}", seed, rel
             );
+            let (_, vars) = mono_eager.restricted_projection(&[rel]);
+            let eager_count = mono_eager.clone().for_each_model(&vars, opts.max_models, |_| true);
             prop_assert_eq!(
-                lazy.current_instances(rel).unwrap().len(),
-                eager.current_instances(rel).unwrap().len(),
+                Enumeration::Complete(lazy.current_instances(rel).unwrap().len()),
+                eager_count,
                 "seed {} rel {:?} model count", seed, rel
             );
         }

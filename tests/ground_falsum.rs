@@ -11,9 +11,11 @@ use data_currency::datagen::random::{monotone, value_falsum};
 use data_currency::model::{
     AttrId, Catalog, Eid, RelId, RelationSchema, SpecDelta, Specification, Tuple, TupleId, Value,
 };
+use data_currency::reason::oracle::{
+    cop_exact_monolithic, cps_exact_monolithic, dcip_exact_monolithic,
+};
 use data_currency::reason::{
-    cop_exact_monolithic, cps_exact_monolithic, dcip_exact_monolithic, CompactBudget,
-    CurrencyEngine, CurrencyOrderQuery, EngineSnapshot, Options, SnapshotReader,
+    CompactBudget, CurrencyEngine, CurrencyOrderQuery, EngineSnapshot, Options, SnapshotReader,
 };
 use data_currency::serve::{CurrencyServe, ServeOptions};
 use std::sync::Arc;
