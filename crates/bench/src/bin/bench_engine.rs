@@ -6,6 +6,10 @@
 //! bench_engine [--fast] [--check] [--out PATH]
 //! ```
 //!
+//! The binary needs `currency-bench`'s `oracle` feature (its reference
+//! rows run the whole-specification paths): `cargo run --release -p
+//! currency-bench --features oracle --bin bench_engine -- --fast --check`.
+//!
 //! * `--fast` — CI smoke shape: fewer samples, smaller sweeps (the
 //!   `paper` section drops the largest size of every sweep), eager
 //!   grounding skipped, the large and sharded workloads downscaled

@@ -228,16 +228,14 @@ impl Encoding {
     }
 
     /// The construction pass over the ground rules and obligations
-    /// buffered in `scratch`: order variables, transitivity groups (with
-    /// `eager`, every triangle grounded up front instead), initial
-    /// orders, one clause per rule and per obligation, then the value
-    /// indicators.  Every compile fills the buffers its own way and ends
-    /// here.
+    /// buffered in `scratch`: order variables, transitivity groups,
+    /// initial orders, one clause per rule and per obligation, then the
+    /// value indicators.  Every compile fills the buffers its own way
+    /// and ends here.
     pub(crate) fn assemble(
         spec: &Specification,
         value_rels: &[RelId],
         scope: Arc<Component>,
-        eager: bool,
         ground_falsum: bool,
         scratch: &mut CompileScratch,
     ) -> Encoding {
@@ -258,9 +256,6 @@ impl Encoding {
         enc.referenced_attrs(spec, cells, scratch);
         enc.alloc_vars(spec, cells, scratch);
         enc.collect_lazy_groups(spec, cells, &scratch.referenced);
-        if eager {
-            enc.ground_triangles();
-        }
         enc.add_initial_orders(spec, cells);
         enc.add_ground_rules(scratch);
         enc.add_obligations(scratch);
@@ -871,26 +866,6 @@ impl Encoding {
         });
     }
 
-    /// Ground every triangle `x≺y ∧ y≺z → x≺z` of every lazy group up
-    /// front, leaving no group to the closure check: the eager
-    /// transitivity of the reference encodings.
-    fn ground_triangles(&mut self) {
-        for g in std::mem::take(&mut self.lazy_groups) {
-            for &x in &g.tuples {
-                for &y in &g.tuples {
-                    for &z in &g.tuples {
-                        if x == y || y == z || x == z {
-                            continue;
-                        }
-                        let lit = |u, v| self.order_lit(g.rel, g.attr, u, v).expect("same entity");
-                        let clause = [!lit(x, y), !lit(y, z), lit(x, z)];
-                        self.solver.add_clause(&clause);
-                    }
-                }
-            }
-        }
-    }
-
     /// Range-scan each scope group's outgoing pairs rather than filtering
     /// every relation's full pair set.
     fn add_initial_orders(&mut self, spec: &Specification, cells: &BTreeSet<(RelId, Eid)>) {
@@ -1191,9 +1166,6 @@ impl CompileScratch {
 pub struct ComponentCompiler<'s> {
     spec: &'s Specification,
     value_rels: &'s [RelId],
-    /// Ground every transitivity triangle up front; only the reference
-    /// encodings of the differential tests do.
-    eager: bool,
     grounders: Vec<EntityGrounder<'s>>,
     copies: Vec<CopyGroups<'s>>,
 }
@@ -1206,7 +1178,6 @@ impl<'s> ComponentCompiler<'s> {
         ComponentCompiler {
             spec,
             value_rels,
-            eager: false,
             grounders: spec
                 .constraints()
                 .iter()
@@ -1269,7 +1240,6 @@ impl<'s> ComponentCompiler<'s> {
             self.spec,
             self.value_rels,
             component.clone(),
-            self.eager,
             falsum,
             scratch,
         )
@@ -1277,17 +1247,21 @@ impl<'s> ComponentCompiler<'s> {
 }
 
 #[cfg(any(test, feature = "oracle"))]
-impl<'s> ComponentCompiler<'s> {
-    /// [`ComponentCompiler::new`] with transitivity grounded in `mode`.
-    pub fn with_mode(
-        spec: &'s Specification,
-        value_rels: &'s [RelId],
+impl ComponentCompiler<'_> {
+    /// [`ComponentCompiler::compile`] with transitivity grounded in
+    /// `mode`: eagerly, every triangle is added once the compile is done
+    /// ([`Encoding::ground_triangles`]).
+    pub fn compile_in(
+        &self,
+        component: &Arc<Component>,
         mode: TransitivityMode,
-    ) -> ComponentCompiler<'s> {
-        ComponentCompiler {
-            eager: mode == TransitivityMode::Eager,
-            ..ComponentCompiler::new(spec, value_rels)
+        scratch: &mut CompileScratch,
+    ) -> Encoding {
+        let mut enc = self.compile(component, scratch);
+        if mode == TransitivityMode::Eager {
+            enc.ground_triangles();
         }
+        enc
     }
 }
 
@@ -1335,15 +1309,37 @@ impl Encoding {
         let cells = (spec.instances().iter())
             .flat_map(|inst| inst.entities().map(move |eid| (inst.rel(), eid)))
             .collect();
-        let compiler = ComponentCompiler::with_mode(spec, value_rels, mode);
-        let mut enc = compiler.compile(
+        let mut enc = ComponentCompiler::new(spec, value_rels).compile_in(
             &Arc::new(Component { cells }),
+            mode,
             &mut CompileScratch::default(),
         );
         if enc.ground_falsum {
             enc.solver.add_clause(&[]);
         }
         Ok(enc)
+    }
+
+    /// Ground every triangle `x≺y ∧ y≺z → x≺z` of every lazy group,
+    /// leaving no group to the closure check: the eager transitivity of
+    /// the reference encodings, added to a freshly compiled encoding.
+    /// The solver stores a triangle simplified against the level-zero
+    /// assignment, and not at all once level zero satisfies it.
+    pub(crate) fn ground_triangles(&mut self) {
+        for g in std::mem::take(&mut self.lazy_groups) {
+            for &x in &g.tuples {
+                for &y in &g.tuples {
+                    for &z in &g.tuples {
+                        if x == y || y == z || x == z {
+                            continue;
+                        }
+                        let lit = |u, v| self.order_lit(g.rel, g.attr, u, v).expect("same entity");
+                        let clause = [!lit(x, y), !lit(y, z), lit(x, z)];
+                        self.solver.add_clause(&clause);
+                    }
+                }
+            }
+        }
     }
 
     /// This encoding's [`EncodingShape`].

@@ -1146,28 +1146,32 @@ mod tests {
         use currency_sat::Enumeration;
         let (mut spec, r) = multi_entity_spec();
         spec.add_constraint(monotone(r)).unwrap();
-        // A third tuple per entity so transitivity has triangles to check.
+        // Three more tuples per entity with one value between the others:
+        // their mutual orders are open, so transitivity has triangles that
+        // level zero does not decide.
         for e in 0..3u64 {
-            spec.instance_mut(r)
-                .push_tuple(Tuple::new(Eid(e), vec![Value::int(15 + e as i64)]))
-                .unwrap();
+            for _ in 0..3 {
+                spec.instance_mut(r)
+                    .push_tuple(Tuple::new(Eid(e), vec![Value::int(15 + e as i64)]))
+                    .unwrap();
+            }
         }
         let lazy = CurrencyEngine::new(&spec, &Options::default()).unwrap();
         // Variable allocation is mode-independent (parity), clause counts
-        // are not (lazy omits the eager triangle grounding).
+        // are not (lazy omits the triangles eager grounding adds).
         let value_rels = [r];
-        let eager = ComponentCompiler::with_mode(&spec, &value_rels, Eager);
+        let compiler = ComponentCompiler::new(&spec, &value_rels);
         let mut scratch = CompileScratch::default();
         let partition = lazy.partition();
         let eager_slots: Vec<Encoding> = (0..partition.slots())
-            .map(|ix| eager.compile(partition.component(ix), &mut scratch))
+            .map(|ix| compiler.compile_in(partition.component(ix), Eager, &mut scratch))
             .collect();
         let sum = |count: fn(&Encoding) -> usize| eager_slots.iter().map(count).sum::<usize>();
         assert_eq!(lazy.stats().vars, sum(Encoding::num_vars));
         assert!(lazy.stats().clauses < sum(Encoding::num_clauses));
         assert_eq!(lazy.cps().unwrap(), cps_exact_monolithic(&spec).unwrap());
-        for u in 0..9u32 {
-            for v in 0..9u32 {
+        for u in 0..15u32 {
+            for v in 0..15u32 {
                 let q = CurrencyOrderQuery::single(r, A, TupleId(u), TupleId(v));
                 let want = cop_exact_monolithic(&spec, &q).unwrap();
                 assert_eq!(lazy.cop(&q).unwrap(), want, "{u} ≺ {v}");

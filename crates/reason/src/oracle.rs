@@ -263,14 +263,11 @@ pub fn reference_encoding(
             }
         }
     }
-    Encoding::assemble(
-        spec,
-        value_rels,
-        component.clone(),
-        mode == TransitivityMode::Eager,
-        falsum,
-        &mut scratch,
-    )
+    let mut enc = Encoding::assemble(spec, value_rels, component.clone(), falsum, &mut scratch);
+    if mode == TransitivityMode::Eager {
+        enc.ground_triangles();
+    }
+    enc
 }
 
 /// The entity components of `spec` by definition: every live cell, with

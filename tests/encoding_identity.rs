@@ -105,7 +105,6 @@ fn check(
     let value_rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();
     let partition = engine.partition();
     let compiler = ComponentCompiler::new(spec, &value_rels);
-    let eager_compiler = ComponentCompiler::with_mode(spec, &value_rels, TransitivityMode::Eager);
     let mut components = Vec::new();
     for slot in 0..partition.slots() {
         let component = partition.component(slot);
@@ -115,7 +114,9 @@ fn check(
         components.push(component.cells.clone());
         if eager {
             assert_eq!(
-                eager_compiler.compile(component, scratch).shape(),
+                compiler
+                    .compile_in(component, TransitivityMode::Eager, scratch)
+                    .shape(),
                 reference_encoding(spec, &value_rels, component, TransitivityMode::Eager).shape(),
                 "seed {seed} step {step} slot {slot}: eager streamed compile"
             );
