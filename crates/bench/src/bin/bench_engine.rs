@@ -168,8 +168,9 @@ const LARGE_BASE_ENTITIES: usize = 2_500;
 /// the same 1×-vs-4× shape at a fraction of the build time).
 const LARGE_BASE_ENTITIES_FAST: usize = 400;
 
-/// Insert+retract churn pairs run against each large-scale engine before
-/// the compaction section, growing a dead region big enough that the
+/// Insert+retract churn pairs applied to the base specification of the
+/// update rebuild baseline and of each large-scale compaction scale: a
+/// fixed dead region, the same on every run, big enough that the
 /// budgeted drain takes several bounded steps (and the monolithic sweep
 /// reclaims something worth pricing).
 const LARGE_COMPACT_CHURN: usize = 20_000;
@@ -402,6 +403,18 @@ struct CompactScale {
     /// The serving writer's compacted specification is wire-byte-identical
     /// to the reference sweep's.
     serve_identical: bool,
+}
+
+/// Apply `pairs` insert+retract pairs of `insert` to `engine`: each
+/// insert is retracted at once, leaving exactly `pairs` tombstones.
+fn churn_block(engine: &mut CurrencyEngine, insert: &SpecDelta, pairs: usize) {
+    for _ in 0..pairs {
+        let report = engine.apply(insert).unwrap();
+        let (rel, id) = report.inserted[0];
+        engine
+            .apply(&scenarios::update_remove_delta(rel, id))
+            .unwrap();
+    }
 }
 
 fn parse_args() -> Args {
@@ -1084,13 +1097,18 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Update workload: a 1-tuple delta against a prebuilt engine vs a
-    // full rebuild of the same specification.  Each insert is paired
-    // with its retraction, so the *live* instance is steady-state (group
-    // sizes, components and solver work never grow); retraction
-    // tombstones do accumulate one id slot per iteration, which both the
-    // incremental path and the rebuild baseline (built from the same
-    // spec) carry equally.
+    // full rebuild of the specification.  Each insert is paired with its
+    // retraction, so the *live* instance is steady-state (group sizes,
+    // components and solver work never grow); retraction tombstones do
+    // accumulate one id slot per iteration of the time-windowed loop, so
+    // the rebuild baseline starts instead from the base spec plus the
+    // fixed churn block, the same specification on every run.
     // ------------------------------------------------------------------
+    let churn = if args.fast {
+        LARGE_COMPACT_CHURN_FAST
+    } else {
+        LARGE_COMPACT_CHURN
+    };
     eprintln!("update: entities = {UPDATE_ENTITIES}");
     let update_spec = scenarios::amortized_spec(UPDATE_ENTITIES);
     let opts = Options::default();
@@ -1113,11 +1131,14 @@ fn main() {
         std::hint::black_box(engine.cps().unwrap());
     });
     // The full-rebuild baseline answers the same question (post-delta
-    // CPS) by recompiling every component from the updated spec.
+    // CPS) by recompiling every component of the churned spec.
+    let mut churned = CurrencyEngine::new(&update_spec, &opts).unwrap();
+    churn_block(&mut churned, &insert, churn);
     let rebuild = measure(samples, warmup, window, || {
-        let fresh = CurrencyEngine::new(engine.spec(), &opts).unwrap();
+        let fresh = CurrencyEngine::new(churned.spec(), &opts).unwrap();
         std::hint::black_box(fresh.cps().unwrap());
     });
+    drop(churned);
     // `apply` measured two delta+query rounds per iteration; halve it so
     // the ratio compares one delta against one rebuild.
     let per_delta_ns = apply.median_ns / 2.0;
@@ -1140,8 +1161,9 @@ fn main() {
     // Large-scale update workload: the same insert+retract delta pair
     // against prebuilt engines at 1× and 4× spec size (entities, copy
     // mappings, components all scale together).  The delta path is
-    // O(dirty region), so per-delta time must stay flat; afterwards one
-    // compact() reclaims the measurement loop's retraction tombstones.
+    // O(dirty region), so per-delta time must stay flat.  The compaction
+    // rows then start from the base spec plus the fixed churn block, so
+    // every run reclaims the same slots.
     // ------------------------------------------------------------------
     let large_base = if args.fast {
         LARGE_BASE_ENTITIES_FAST
@@ -1159,7 +1181,7 @@ fn main() {
         let mappings = spec.total_copy_size();
         let opts = Options::default();
         let mut engine =
-            CurrencyEngine::with_value_rels_owned(spec, &[], &opts).expect("valid spec");
+            CurrencyEngine::with_value_rels_owned(spec.clone(), &[], &opts).expect("valid spec");
         engine.cps().unwrap();
         let components = engine.stats().components;
         let insert = scenarios::large_insert_delta();
@@ -1176,21 +1198,13 @@ fn main() {
         });
         let per_delta_ns = apply.median_ns / 2.0;
         large_per_delta.push(per_delta_ns);
-        // Grow a dead region worth draining: the measurement loop left
-        // one tombstone per iteration; the churn loop adds a contiguous
-        // block of them (each insert is retracted immediately).
-        let churn = if args.fast {
-            LARGE_COMPACT_CHURN_FAST
-        } else {
-            LARGE_COMPACT_CHURN
-        };
-        for _ in 0..churn {
-            let report = engine.apply(&insert).unwrap();
-            let (rel, id) = report.inserted[0];
-            engine
-                .apply(&scenarios::update_remove_delta(rel, id))
-                .unwrap();
-        }
+        // A dead region worth draining, the same on every run: the base
+        // spec plus the churn block, not the measured engine, whose loop
+        // left one tombstone per (time-windowed) iteration.
+        drop(engine);
+        let mut engine =
+            CurrencyEngine::with_value_rels_owned(spec, &[], &opts).expect("valid spec");
+        churn_block(&mut engine, &insert, churn);
         // Four sweeps over the same dirty specification: the core-layer
         // reference (`Specification::compact`, the oracle), the budgeted
         // incremental drain on a twin engine, the serving front door's

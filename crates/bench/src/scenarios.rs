@@ -8,7 +8,7 @@ use currency_core::{
 use currency_datagen::random::{monotone, random_spec, RandomSpecConfig};
 use currency_query::{Query, SpQuery};
 #[cfg(feature = "oracle")]
-use currency_reason::encode::{Encoding, SolveResult};
+use currency_reason::encode::{Bounds, Encoding, SolveResult};
 #[cfg(feature = "oracle")]
 use currency_reason::oracle::TransitivityMode;
 use currency_reason::{CurrencyEngine, CurrencyOrderQuery, Options};
@@ -225,12 +225,17 @@ pub fn big_group_workload(spec: &Specification) -> CurrencyEngine {
 #[cfg(feature = "oracle")]
 pub fn big_group_eager(spec: &Specification) -> Encoding {
     let mut enc = Encoding::whole_spec(spec, &[], TransitivityMode::Eager).expect("valid spec");
-    assert_eq!(enc.solve(), SolveResult::Sat, "spec is consistent");
+    let unbounded = Bounds::default();
+    assert_eq!(
+        enc.solve(&[], &unbounded),
+        Ok(SolveResult::Sat),
+        "spec is consistent"
+    );
     let l = enc
         .order_lit(T, AttrId(0), TupleId(0), TupleId(1))
         .expect("a constrained pair");
-    let refuted = enc.solve_with_assumptions(&[!l]);
-    assert_eq!(refuted, SolveResult::Unsat, "0 ≺ 1 is forced");
+    let refuted = enc.solve(&[!l], &unbounded);
+    assert_eq!(refuted, Ok(SolveResult::Unsat), "0 ≺ 1 is forced");
     enc
 }
 

@@ -99,6 +99,8 @@ pub use instance::{NormalInstance, Tuple};
 pub use order::{linear_extensions, OrderRelation};
 pub use render::{render_instance, render_spec, render_temporal};
 pub use schema::{AttrId, Catalog, RelId, RelationSchema};
-pub use spec::{CompactReport, CompactSlice, CompactStepReport, Specification};
+#[cfg(any(test, feature = "oracle"))]
+pub use spec::CompactReport;
+pub use spec::{CompactSlice, CompactStepReport, Specification};
 pub use temporal::TemporalInstance;
 pub use value::{Eid, TupleId, Value};

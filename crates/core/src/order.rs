@@ -100,9 +100,11 @@ impl OrderRelation {
     }
 
     /// Rewrite every stored id through a translation table (old id →
-    /// new id), as produced by [`crate::TemporalInstance::compact`].
+    /// new id), as produced by the reference sweep
+    /// (`TemporalInstance::compact`, behind the `oracle` feature).
     /// Every stored id must survive the remap — removal already sheds a
     /// tuple's pairs, so a compacting instance never holds dead ids here.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn remap(&mut self, remap: &[Option<TupleId>]) {
         self.pairs = self
             .iter()

@@ -13,7 +13,9 @@ use crate::value::TupleId;
 ///
 /// This is the output of the reference sweep that the step path
 /// ([`CompactStepReport`]) is differentially tested against; equality
-/// compares the full translation tables.
+/// compares the full translation tables.  Built only with the `oracle`
+/// feature (and in this crate's tests), like the sweep.
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactReport {
     /// Total tombstone slots reclaimed across all instances.
@@ -27,6 +29,7 @@ pub struct CompactReport {
     pub remap: Vec<Vec<Option<TupleId>>>,
 }
 
+#[cfg(any(test, feature = "oracle"))]
 impl CompactReport {
     /// Translate an old tuple id (`None` if the tuple had been removed;
     /// an empty/absent table is the identity).
@@ -320,7 +323,10 @@ impl Specification {
     /// over the old ids (compiled encodings, partitions) must be
     /// rebuilt.  The engines compact through the slice executor
     /// ([`Specification::compact_slice`]) instead; this sweep is the
-    /// independent reference their drains must match byte for byte.
+    /// independent reference their drains must match byte for byte, and
+    /// is built only with the `oracle` feature (and in this crate's
+    /// tests).
+    #[cfg(any(test, feature = "oracle"))]
     pub fn compact(&mut self) -> CompactReport {
         let mut report = CompactReport {
             reclaimed: 0,
@@ -365,9 +371,9 @@ impl Specification {
 
     /// Execute the next canonical slice of an incremental compaction
     /// sweep, scanning at most `max_scan` slots: the bounded counterpart
-    /// of [`Specification::compact`], costing O(scan + moved region)
-    /// instead of O(specification).  Returns `None` when there is
-    /// nothing left to reclaim.
+    /// of the reference sweep `Specification::compact`, costing
+    /// O(scan + moved region) instead of O(specification).  Returns
+    /// `None` when there is nothing left to reclaim.
     ///
     /// Relations drain lowest [`RelId`] first.  Between slices the
     /// specification is a *valid* specification over a dense-enough id
@@ -375,9 +381,10 @@ impl Specification {
     /// rewritten in lockstep for exactly the moved tuples — so deltas
     /// and queries interleave freely with slices.  Once every slice has
     /// run (`slices` drain to `None`), the specification is
-    /// byte-identical to what one [`Specification::compact`] call would
-    /// have produced; `compact` stays the reference implementation the
-    /// incremental path is differentially tested against.
+    /// byte-identical to what one `Specification::compact` call would
+    /// have produced; `compact` (behind the `oracle` feature) stays the
+    /// reference implementation the incremental path is differentially
+    /// tested against.
     ///
     /// **The moved ids invalidate external holders** exactly like a
     /// monolithic compaction — translate through the returned slice's

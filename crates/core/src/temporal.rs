@@ -29,10 +29,10 @@ use std::collections::BTreeMap;
 /// entity groups, so a tombstoned tuple simply stops existing; only
 /// [`TemporalInstance::len`] still counts the slot (it is the id
 /// allocator's high-water mark).  Sustained insert/retract churn grows
-/// the instance by one slot per removal; [`TemporalInstance::compact`]
-/// reclaims the tombstone slots by remapping the surviving ids densely —
-/// an explicitly invalidating operation every id holder must mirror
-/// (see [`crate::Specification::compact`]).
+/// the instance by one slot per removal; compaction reclaims the
+/// tombstone slots by remapping the surviving ids densely — an
+/// explicitly invalidating operation every id holder must mirror (see
+/// [`crate::Specification::compact_slice`]).
 ///
 /// ## Sharing
 ///
@@ -126,8 +126,8 @@ impl TemporalInstance {
         self.tuples.len() - self.tombstones
     }
 
-    /// Number of tombstoned slots (reclaimable by
-    /// [`TemporalInstance::compact`]).
+    /// Number of tombstoned slots (reclaimable by compaction, see
+    /// [`crate::Specification::compact_slice`]).
     pub fn tombstones(&self) -> usize {
         self.tombstones
     }
@@ -313,7 +313,10 @@ impl TemporalInstance {
     /// by applications.  Use [`crate::Specification::compact`] (which
     /// remaps the copy functions and hands back the tables) or
     /// `CurrencyEngine::compact` (which also rebuilds the compiled
-    /// components) rather than calling this directly.
+    /// components) rather than calling this directly.  Part of the
+    /// reference sweep, so built only with the `oracle` feature (and in
+    /// this crate's tests).
+    #[cfg(any(test, feature = "oracle"))]
     pub fn compact(&mut self) -> (usize, Vec<Option<TupleId>>) {
         let slots = self.tuples.len();
         if self.tombstones == 0 {
@@ -384,7 +387,7 @@ impl TemporalInstance {
     /// against a diverged instance fails cleanly instead of corrupting
     /// slots.  Use [`crate::Specification::compact_slice`] /
     /// [`crate::Specification::compact_slice_at`] rather than calling
-    /// this directly: like [`TemporalInstance::compact`], a slice
+    /// this directly: like a full compaction, a slice
     /// invalidates external holders of the moved ids, and the
     /// specification layer keeps copy functions in lockstep.
     pub(crate) fn compact_slice_at(

@@ -23,10 +23,12 @@
 //!
 //! Models of this CNF are exactly the consistent completions of the
 //! specification (`Mod(S)`), so CPS is one [`Encoding::solve`] call and
-//! COP is an entailment query under one assumption.  Those calls loop —
+//! COP is an entailment query under one assumption.  That call loops —
 //! solve, closure-check, lemmatize — until the model is transitive or the
 //! instance is refuted; the lemmas are sound consequences of the
-//! transitivity axiom.  The reference encodings of the differential
+//! transitivity axiom.  It runs under work [`Bounds`] (the default bounds
+//! nothing), so every solve of the engine can stop on a budget or a
+//! deadline.  The reference encodings of the differential
 //! tests (`crate::oracle`, behind the `oracle` feature) can instead
 //! ground every triangle eagerly; both decide the same problems.
 //!
@@ -55,9 +57,7 @@ use currency_core::{
 };
 /// The verdict of [`Encoding::solve`].
 pub use currency_sat::SolveResult;
-use currency_sat::{
-    enumerate_projected, Enumeration, Limits, Lit, ModelSource, SolveOutcome, Solver, Var,
-};
+use currency_sat::{enumerate_projected, Enumeration, Lit, ModelSource, SolveOutcome, Solver, Var};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,12 +69,13 @@ use std::time::Instant;
 const DEADLINE_CHUNK: u64 = 512;
 
 /// The work bounds of one query, distilled from [`Options`]: a per-solve
-/// budget plus an absolute wall-clock deadline.
+/// budget plus an absolute wall-clock deadline.  The default bounds
+/// nothing: a solve under it is never interrupted.
 ///
-/// Bounded solves run in conflict installments (warm resume between
-/// installments makes chunking semantically identical to one long solve),
-/// so the deadline is observed without time syscalls inside the solver's
-/// hot loop.
+/// Under a deadline, solves run in conflict installments (warm resume
+/// between installments makes chunking semantically identical to one
+/// long solve), so the deadline is observed without time syscalls inside
+/// the solver's hot loop.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Bounds {
     /// Per-SAT-call work budget.
@@ -90,12 +91,6 @@ impl Bounds {
             limits: opts.solve_limits,
             deadline: opts.deadline,
         }
-    }
-
-    /// `true` if nothing bounds the work: solves take the zero-overhead
-    /// unbounded path.
-    pub fn is_unbounded(&self) -> bool {
-        self.limits.is_unbounded() && self.deadline.is_none()
     }
 
     /// `true` once the wall-clock deadline has passed.
@@ -141,17 +136,16 @@ struct LazyGroup {
 /// encoding of the differential tests is the compile of one component
 /// holding every cell.
 ///
-/// Callers must reach satisfiability through [`Encoding::solve`],
-/// [`Encoding::solve_with_assumptions`] or [`Encoding::for_each_model`]
-/// rather than the raw solver: those wrappers run the refinement loop
-/// that makes a `Sat` answer trustworthy.
+/// Callers must reach satisfiability through [`Encoding::solve`] or
+/// [`Encoding::for_each_model`] rather than the raw solver: they run the
+/// refinement loop that makes a `Sat` answer trustworthy.
 #[derive(Debug)]
 pub struct Encoding {
     /// The solver loaded with the specification's clauses.  Private so
     /// that satisfiability can only be reached through the refining
-    /// wrappers ([`Encoding::solve`], [`Encoding::solve_with_assumptions`],
-    /// [`Encoding::for_each_model`]) — a raw solver `Sat` without the
-    /// closure-refinement loop could decode a non-transitive order.
+    /// [`Encoding::solve`] and [`Encoding::for_each_model`] — a raw
+    /// solver `Sat` without the closure-refinement loop could decode a
+    /// non-transitive order.
     solver: Solver,
     /// `((rel, attr, u, v), var)` with `u < v`: the order variable of the
     /// pair (`true` ⇔ `u ≺ v`).  Sorted by key once construction has
@@ -424,69 +418,44 @@ impl Encoding {
     // Solving (refining)
     // ------------------------------------------------------------------
 
-    /// Check satisfiability, running the lazy refinement loop.
+    /// Check satisfiability under assumed literals and work [`Bounds`],
+    /// running the lazy refinement loop: solve, closure-check, install
+    /// every violated triangle as a lemma, until the model is transitive
+    /// or the instance is refuted.
     ///
-    /// After `Sat`, the solver's model is guaranteed transitive on every
-    /// encoded group, so decode helpers ([`Encoding::model_chains`]) are
-    /// safe.
-    pub fn solve(&mut self) -> SolveResult {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Check satisfiability under assumed literals, running the lazy
-    /// refinement loop.  Lemmas added by refinement persist in
-    /// the solver (they are assumption-independent consequences of the
-    /// transitivity axiom), so repeated queries against one encoding
-    /// amortize the refinement work.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        loop {
-            if self.solver.solve_with_assumptions(assumptions) == SolveResult::Unsat {
-                return SolveResult::Unsat;
-            }
-            if self.refine_transitivity() == 0 {
-                return SolveResult::Sat;
-            }
-        }
-    }
-
-    /// [`Encoding::solve`] under work [`Bounds`].
-    pub fn solve_bounded(&mut self, bounds: &Bounds) -> Result<SolveResult, ReasonError> {
-        self.solve_bounded_with_assumptions(&[], bounds)
-    }
-
-    /// [`Encoding::solve_with_assumptions`] under work [`Bounds`]: the
-    /// refinement loop and every SAT decision inside it check the budget
-    /// and the deadline, surfacing [`ReasonError::Interrupted`] instead of
-    /// running unbounded.  Interrupts never yield a wrong verdict, and all
-    /// learnt state (learnt clauses *and* transitivity lemmas) survives
-    /// them, so a retry resumes warm.
-    pub fn solve_bounded_with_assumptions(
+    /// After `Sat`, the solver's model is transitive on every encoded
+    /// group, so decode helpers ([`Encoding::model_chains`]) are safe.
+    /// Every SAT decision of the loop checks the budget and the deadline
+    /// and surfaces [`ReasonError::Interrupted`] instead of running on;
+    /// [`Bounds::default`] never interrupts.  Interrupts never yield a
+    /// wrong verdict, and all learnt state survives them: learnt clauses,
+    /// and the lemmas, which are assumption-independent consequences of
+    /// the transitivity axiom.  Repeated queries and retries against one
+    /// encoding therefore resume warm.
+    pub fn solve(
         &mut self,
         assumptions: &[Lit],
         bounds: &Bounds,
     ) -> Result<SolveResult, ReasonError> {
-        if bounds.is_unbounded() {
-            return Ok(self.solve_with_assumptions(assumptions));
-        }
         let mut spent = Spent::default();
         loop {
-            match self.solve_sat_bounded(assumptions, bounds, &mut spent)? {
-                SolveResult::Unsat => return Ok(SolveResult::Unsat),
-                SolveResult::Sat => {
-                    if self.refine_transitivity() == 0 {
-                        return Ok(SolveResult::Sat);
-                    }
-                    // Lemmas installed; the next round's installment loop
-                    // re-checks the deadline before re-solving.
-                }
+            if self.solve_sat_bounded(assumptions, bounds, &mut spent)? == SolveResult::Unsat {
+                return Ok(SolveResult::Unsat);
             }
+            if self.refine_transitivity() == 0 {
+                return Ok(SolveResult::Sat);
+            }
+            // Lemmas installed; the next round's installment loop
+            // re-checks the deadline before re-solving.
         }
     }
 
     /// One raw SAT decision under `bounds`, run in conflict installments
     /// so the wall-clock deadline is consulted between installments
     /// rather than inside the search loop.  `spent` accumulates across
-    /// installments (and across refinement rounds of one bounded call).
+    /// installments (and across refinement rounds of one solve).  With
+    /// neither budget nor deadline this is exactly one unbounded solver
+    /// call.
     fn solve_sat_bounded(
         &mut self,
         assumptions: &[Lit],
@@ -511,10 +480,9 @@ impl Encoding {
             } else {
                 conflicts_left
             };
-            let limits = Limits {
+            let limits = SolveLimits {
                 max_conflicts: chunk,
                 max_props: props_left,
-                stop: None,
             };
             let before = self.solver.stats();
             let outcome = self
@@ -603,8 +571,13 @@ impl Encoding {
     }
 
     /// Enumerate models projected onto `projection` (see
-    /// [`Solver::for_each_model`]), solving through the refinement loop
-    /// so that every reported model has passed the closure check.
+    /// [`Solver::for_each_model`]) under work [`Bounds`], each model found
+    /// by [`Encoding::solve`] so that it has passed the closure check.
+    /// A budget exhaustion or deadline expiry surfaces as
+    /// [`ReasonError::Interrupted`]: the models already delivered to `f`
+    /// were real, but the space was not exhausted.  The per-solve budget
+    /// applies to each model-finding solve; the deadline bounds the
+    /// enumeration as a whole.
     ///
     /// Blocking clauses permanently constrain this encoding; callers that
     /// need to reuse it should enumerate on a clone.
@@ -612,35 +585,15 @@ impl Encoding {
         &mut self,
         projection: &[Var],
         limit: usize,
-        f: impl FnMut(&[bool]) -> bool,
-    ) -> Enumeration {
-        enumerate_projected(self, projection, limit, f)
-    }
-
-    /// [`Encoding::for_each_model`] under work [`Bounds`]: each solve of
-    /// the All-SAT loop is bounded, and a budget exhaustion or deadline
-    /// expiry surfaces as [`ReasonError::Interrupted`] (the models already
-    /// delivered to `f` were real, but the space was not exhausted).
-    ///
-    /// The per-solve budget applies to each model-finding solve
-    /// individually; the deadline bounds the enumeration as a whole.
-    pub fn for_each_model_bounded(
-        &mut self,
-        projection: &[Var],
-        limit: usize,
         bounds: &Bounds,
         f: impl FnMut(&[bool]) -> bool,
     ) -> Result<Enumeration, ReasonError> {
-        if bounds.is_unbounded() {
-            return Ok(self.for_each_model(projection, limit, f));
-        }
         let mut src = BoundedSource {
             enc: self,
             bounds: *bounds,
             interrupted: None,
         };
-        let e = enumerate_projected(&mut src, projection, limit, f);
-        match e {
+        match enumerate_projected(&mut src, projection, limit, f) {
             Enumeration::Interrupted(_) => {
                 Err(src.interrupted.take().expect("interrupt was recorded"))
             }
@@ -1366,25 +1319,10 @@ impl Encoding {
     }
 }
 
-/// Refining model source: `solve` runs the lazy refinement loop, so
-/// the shared enumeration protocol ([`enumerate_projected`]) only ever
-/// sees closure-checked models.
-impl ModelSource for Encoding {
-    fn solve(&mut self) -> SolveOutcome {
-        Encoding::solve(self).into()
-    }
-
-    fn model_value(&self, v: Var) -> bool {
-        self.solver.model_value(v)
-    }
-
-    fn block(&mut self, clause: &[Lit]) -> bool {
-        self.solver.add_clause(clause)
-    }
-}
-
-/// A [`ModelSource`] that answers each solve under [`Bounds`], recording
-/// the typed interrupt so [`Encoding::for_each_model_bounded`] can
+/// The refining model source: each solve is one [`Encoding::solve`]
+/// under [`Bounds`], so the shared enumeration protocol
+/// ([`enumerate_projected`]) only ever sees closure-checked models.  It
+/// records the typed interrupt so [`Encoding::for_each_model`] can
 /// re-raise it once [`enumerate_projected`] unwinds.
 struct BoundedSource<'e> {
     enc: &'e mut Encoding,
@@ -1394,7 +1332,7 @@ struct BoundedSource<'e> {
 
 impl ModelSource for BoundedSource<'_> {
     fn solve(&mut self) -> SolveOutcome {
-        match self.enc.solve_bounded_with_assumptions(&[], &self.bounds) {
+        match self.enc.solve(&[], &self.bounds) {
             Ok(SolveResult::Sat) => SolveOutcome::Sat,
             Ok(SolveResult::Unsat) => SolveOutcome::Unsat,
             Err(e) => {
@@ -1419,8 +1357,29 @@ mod tests {
     use crate::oracle::TransitivityMode::{Eager, Lazy};
     use currency_core::{Catalog, CmpOp, DenialConstraint, RelationSchema, Term};
     use currency_sat::SolveResult;
+    use std::time::Duration;
 
     const A: AttrId = AttrId(0);
+
+    /// [`Encoding::solve`] under no bound.
+    fn solve(enc: &mut Encoding, assumptions: &[Lit]) -> SolveResult {
+        enc.solve(assumptions, &Bounds::default())
+            .expect("no bound, no interrupt")
+    }
+
+    /// Every model projected onto the value indicators, under no bound.
+    fn value_models(enc: &mut Encoding) -> Vec<Vec<bool>> {
+        let projection = enc.value_projection().to_vec();
+        let mut models = Vec::new();
+        let done = enc
+            .for_each_model(&projection, 100, &Bounds::default(), |m| {
+                models.push(m.to_vec());
+                true
+            })
+            .expect("no bound, no interrupt");
+        assert!(matches!(done, Enumeration::Complete(_)));
+        models
+    }
 
     fn salary_spec() -> (Specification, RelId, TupleId, TupleId) {
         let mut cat = Catalog::new();
@@ -1451,10 +1410,10 @@ mod tests {
         // Value indicators reference the attribute (distinct values), so
         // its pair variable exists despite the absence of constraints.
         let mut enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
-        assert_eq!(enc.solve(), SolveResult::Sat);
+        assert_eq!(solve(&mut enc, &[]), SolveResult::Sat);
         let l = enc.order_lit(r, A, t0, t1).unwrap();
-        assert_eq!(enc.solve_with_assumptions(&[l]), SolveResult::Sat);
-        assert_eq!(enc.solve_with_assumptions(&[!l]), SolveResult::Sat);
+        assert_eq!(solve(&mut enc, &[l]), SolveResult::Sat);
+        assert_eq!(solve(&mut enc, &[!l]), SolveResult::Sat);
     }
 
     #[test]
@@ -1464,8 +1423,8 @@ mod tests {
         let mut enc = Encoding::whole_spec(&spec, &[], Eager).unwrap();
         let l = enc.order_lit(r, A, t0, t1).unwrap();
         // t0 (50) must precede t1 (80).
-        assert_eq!(enc.solve_with_assumptions(&[!l]), SolveResult::Unsat);
-        assert_eq!(enc.solve_with_assumptions(&[l]), SolveResult::Sat);
+        assert_eq!(solve(&mut enc, &[!l]), SolveResult::Unsat);
+        assert_eq!(solve(&mut enc, &[l]), SolveResult::Sat);
     }
 
     #[test]
@@ -1503,12 +1462,12 @@ mod tests {
             let l20 = enc.order_lit(r, A, ts[2], ts[0]).unwrap();
             // A directed cycle must be unsatisfiable.
             assert_eq!(
-                enc.solve_with_assumptions(&[l01, l12, l20]),
+                solve(&mut enc, &[l01, l12, l20]),
                 SolveResult::Unsat,
                 "{mode:?}"
             );
             assert_eq!(
-                enc.solve_with_assumptions(&[l01, l12, !l20]),
+                solve(&mut enc, &[l01, l12, !l20]),
                 SolveResult::Sat,
                 "{mode:?}"
             );
@@ -1526,16 +1485,13 @@ mod tests {
             "variable allocation is mode-independent"
         );
         assert!(lazy.num_clauses() < eager.num_clauses());
-        assert_eq!(eager.solve(), SolveResult::Sat);
-        assert_eq!(lazy.solve(), SolveResult::Sat);
+        assert_eq!(solve(&mut eager, &[]), SolveResult::Sat);
+        assert_eq!(solve(&mut lazy, &[]), SolveResult::Sat);
         // The cycle check forces refinement work at some point.
         let l01 = lazy.order_lit(r, A, TupleId(0), TupleId(1)).unwrap();
         let l12 = lazy.order_lit(r, A, TupleId(1), TupleId(2)).unwrap();
         let l20 = lazy.order_lit(r, A, TupleId(2), TupleId(0)).unwrap();
-        assert_eq!(
-            lazy.solve_with_assumptions(&[l01, l12, l20]),
-            SolveResult::Unsat
-        );
+        assert_eq!(solve(&mut lazy, &[l01, l12, l20]), SolveResult::Unsat);
         assert!(
             lazy.solver_stats().lemmas_added > 0,
             "refuting a cycle requires triangle lemmas"
@@ -1572,7 +1528,7 @@ mod tests {
         let (spec, r, t0, t1) = salary_spec();
         let mut enc = Encoding::whole_spec(&spec, &[], Eager).unwrap();
         assert_eq!(enc.num_vars(), 0);
-        assert_eq!(enc.solve(), SolveResult::Sat);
+        assert_eq!(solve(&mut enc, &[]), SolveResult::Sat);
         assert!(enc.order_lit(r, A, t0, t1).is_none());
     }
 
@@ -1591,12 +1547,7 @@ mod tests {
         let (spec, r, _, _) = salary_spec();
         let mut enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         assert_eq!(enc.value_projection().len(), 2, "two candidate values");
-        let projection = enc.value_projection().to_vec();
-        let mut outcomes = Vec::new();
-        enc.for_each_model(&projection, 100, |m| {
-            outcomes.push(m.to_vec());
-            true
-        });
+        let outcomes = value_models(&mut enc);
         // Unconstrained: both 50 and 80 can be the current salary.
         assert_eq!(outcomes.len(), 2);
         for m in &outcomes {
@@ -1616,12 +1567,7 @@ mod tests {
             let mut counts = Vec::new();
             for mode in [Eager, Lazy] {
                 let mut enc = Encoding::whole_spec(&spec, &[r], mode).unwrap();
-                let projection = enc.value_projection().to_vec();
-                let mut models = Vec::new();
-                enc.for_each_model(&projection, 100, |m| {
-                    models.push(m.to_vec());
-                    true
-                });
+                let mut models = value_models(&mut enc);
                 models.sort();
                 counts.push(models);
             }
@@ -1634,12 +1580,7 @@ mod tests {
         let (mut spec, r, _, _) = salary_spec();
         spec.add_constraint(monotone(r)).unwrap();
         let mut enc = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
-        let projection = enc.value_projection().to_vec();
-        let mut instances = Vec::new();
-        enc.for_each_model(&projection, 100, |m| {
-            instances.push(m.to_vec());
-            true
-        });
+        let instances = value_models(&mut enc);
         assert_eq!(instances.len(), 1, "constraint pins the current value");
         let (indices, _) = enc.restricted_projection(&[r]);
         let rows = enc.decode_restricted(&spec, &[r], &indices, &instances[0]);
@@ -1652,7 +1593,7 @@ mod tests {
             let (mut spec, r, t0, t1) = salary_spec();
             spec.add_constraint(monotone(r)).unwrap();
             let mut enc = Encoding::whole_spec(&spec, &[], mode).unwrap();
-            assert_eq!(enc.solve(), SolveResult::Sat);
+            assert_eq!(solve(&mut enc, &[]), SolveResult::Sat);
             let completion = completion_from_chains(&spec, enc.model_chains(&spec)).unwrap();
             assert!(completion.is_consistent_for(&spec), "{mode:?}");
             assert!(completion.rel(r).precedes(A, t0, t1), "{mode:?}");
@@ -1673,5 +1614,60 @@ mod tests {
         assert!(enc.value_projection().is_empty());
         let rows = enc.decode_restricted(&spec, &[r], &[], &[]);
         assert_eq!(rows, [(r, Tuple::new(Eid(1), vec![Value::int(7)]))]);
+    }
+
+    #[test]
+    fn past_deadline_interrupts_before_any_work() {
+        let (mut spec, r, _) = three_tuple_spec();
+        spec.add_constraint(monotone(r)).unwrap();
+        let mut enc = Encoding::whole_spec(&spec, &[r], Lazy).unwrap();
+        let l = enc.order_lit(r, A, TupleId(0), TupleId(1)).unwrap();
+        let past = Bounds {
+            deadline: Some(Instant::now()),
+            ..Bounds::default()
+        };
+        let before = format!("{:?}", enc.solver_stats());
+        let interrupted = ReasonError::Interrupted {
+            spent: Spent::default(),
+        };
+        assert_eq!(enc.solve(&[], &past), Err(interrupted.clone()));
+        assert_eq!(enc.solve(&[!l], &past), Err(interrupted.clone()));
+        let projection = enc.value_projection().to_vec();
+        let mut visited = 0;
+        let enumerated = enc.for_each_model(&projection, 100, &past, |_| {
+            visited += 1;
+            true
+        });
+        assert_eq!(enumerated, Err(interrupted));
+        assert_eq!(visited, 0);
+        assert_eq!(
+            format!("{:?}", enc.solver_stats()),
+            before,
+            "an expired deadline stops every path before the solver runs"
+        );
+    }
+
+    #[test]
+    fn default_bounds_never_interrupt() {
+        // A lazy encoding needs refinement rounds and conflicts to refute
+        // a cycle; under no bound every round runs to a verdict, and a
+        // far deadline (the chunked installment path) agrees.
+        let (spec, r, ts) = three_tuple_spec();
+        let far = Bounds {
+            deadline: Some(Instant::now() + Duration::from_secs(3600)),
+            ..Bounds::default()
+        };
+        for bounds in [Bounds::default(), far] {
+            let mut enc = Encoding::whole_spec(&spec, &[r], Lazy).unwrap();
+            let l01 = enc.order_lit(r, A, ts[0], ts[1]).unwrap();
+            let l12 = enc.order_lit(r, A, ts[1], ts[2]).unwrap();
+            let l20 = enc.order_lit(r, A, ts[2], ts[0]).unwrap();
+            assert_eq!(enc.solve(&[l01, l12, l20], &bounds), Ok(SolveResult::Unsat));
+            assert_eq!(enc.solve(&[l01, l12], &bounds), Ok(SolveResult::Sat));
+            assert!(enc.solver_stats().lemmas_added > 0);
+            let projection = enc.value_projection().to_vec();
+            let enumerated = enc.for_each_model(&projection, 100, &bounds, |_| true);
+            assert_eq!(enumerated, Ok(Enumeration::Complete(3)));
+        }
     }
 }

@@ -228,7 +228,7 @@ fn compile_slot(
 ) -> SlotView {
     let mut enc = compiler.compile(component, scratch);
     let clock = obs.clock();
-    let outcome = enc.solve_bounded(bounds);
+    let outcome = enc.solve(&[], bounds);
     // A fresh encoding's absolute counters are the solve's delta.
     obs.record_solve(clock, &SolverStats::default(), &enc.solver_stats());
     SlotView {
@@ -583,7 +583,8 @@ impl CurrencyEngine {
     /// tuples actually moved are re-derived and recompiled, and a
     /// trailing dead block truncates without rebuilding anything.  The
     /// result is byte-identical to the core reference sweep
-    /// ([`Specification::compact`]), which stays the independently
+    /// (`Specification::compact`, behind `currency-core`'s `oracle`
+    /// feature), which stays the independently
     /// implemented oracle the step path is differentially tested
     /// against.  It counts as one step in [`EngineStats::compact_steps`].
     /// With no tombstones this is a no-op: nothing is rebuilt and the
@@ -607,7 +608,7 @@ impl CurrencyEngine {
     /// step is O(slots scanned) plus the dirty-region rebuild, the
     /// specification is fully valid and queryable between steps, and a
     /// drained sequence of steps leaves the specification byte-identical
-    /// to the reference sweep ([`Specification::compact`]).  Components
+    /// to the reference sweep (`Specification::compact`).  Components
     /// none of whose tuples moved keep their cached encodings, learnt
     /// clauses and satisfiability verdicts exactly as
     /// [`CurrencyEngine::apply`] does for clean components.  A step that
@@ -761,7 +762,10 @@ impl CurrencyEngine {
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         for slot in std::mem::take(&mut self.undecided) {
             let view = &mut self.slots[slot];
-            let sat = Arc::make_mut(&mut view.enc).solve() == SolveResult::Sat;
+            let sat = Arc::make_mut(&mut view.enc)
+                .solve(&[], &Bounds::default())
+                .expect("no bound, no interrupt")
+                == SolveResult::Sat;
             view.sat = Some(sat);
             self.unsat += usize::from(!sat);
         }
@@ -1185,8 +1189,10 @@ mod tests {
         let mut whole = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         let projection = whole.value_projection().to_vec();
         assert_eq!(
-            Enumeration::Complete(lazy.current_instances(r).unwrap().len()),
-            whole.for_each_model(&projection, opts.max_models, |_| true),
+            Ok(Enumeration::Complete(
+                lazy.current_instances(r).unwrap().len()
+            )),
+            whole.for_each_model(&projection, opts.max_models, &Bounds::default(), |_| true),
             "realizable current-instance counts must match"
         );
         // The aggregated stats surface the new solver counters.
@@ -1721,6 +1727,10 @@ mod tests {
         ));
         assert!(matches!(
             engine.current_instances(r),
+            Err(ReasonError::Interrupted { .. })
+        ));
+        assert!(matches!(
+            engine.witness_completion(),
             Err(ReasonError::Interrupted { .. })
         ));
         // The interrupted slots stayed undecided: the same spec under an

@@ -87,6 +87,8 @@ mod sp_ptime;
 pub use ccqa::{ccqa, ccqa_exact, certain_answers, certain_answers_exact, CertainAnswers};
 pub use cop::{cop, cop_exact, cop_ptime, CurrencyOrderQuery};
 pub use cps::{cps, cps_exact, cps_ptime, witness_completion};
+/// The per-SAT-call work budget (see [`Options::solve_limits`]).
+pub use currency_sat::SolveLimits;
 pub use dcip::{dcip, dcip_exact, dcip_ptime};
 pub use encode::Bounds;
 pub use engine::{ApplyReport, CurrencyEngine, EngineStats};
@@ -103,30 +105,6 @@ pub use shard::{
 };
 pub use snapshot::{EngineSnapshot, SnapshotCell, SnapshotReader};
 pub use sp_ptime::{ccqa_sp, certain_answers_sp, poss_instance};
-
-/// Per-call SAT work budget threaded down to `currency-sat`.
-///
-/// Unlike [`Options::max_models`] (which bounds how many *models* an
-/// enumeration may visit), these bound the work of each individual SAT
-/// decision — the knob that matters when a single solve is the thing that
-/// refuses to terminate.  Exhaustion surfaces as
-/// [`ReasonError::Interrupted`]; cached per-component solvers keep their
-/// learnt state, so retrying the same query grants the search another
-/// installment and it resumes warm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolveLimits {
-    /// Interrupt a solve after this many conflicts.
-    pub max_conflicts: Option<u64>,
-    /// Interrupt a solve after this many unit propagations.
-    pub max_props: Option<u64>,
-}
-
-impl SolveLimits {
-    /// `true` if no per-solve budget is set.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_conflicts.is_none() && self.max_props.is_none()
-    }
-}
 
 /// Work actually performed before an interrupt, reported in
 /// [`ReasonError::Interrupted`] so callers can size the retry budget.
@@ -230,10 +208,14 @@ pub struct Options {
     /// [`engine::CurrencyEngine::compact_step`] calls honor both bounds
     /// (the durability layer logs whatever slices actually ran).
     pub auto_compact_budget: Option<CompactBudget>,
-    /// Per-SAT-call work budget (unbounded by default).  Checked by every
-    /// engine/snapshot solve path; exhaustion surfaces as
-    /// [`ReasonError::Interrupted`] and leaves the touched component
-    /// undecided — never mis-cached as unsat.
+    /// Per-SAT-call work budget (unbounded by default).  Unlike
+    /// [`Options::max_models`], which bounds how many *models* an
+    /// enumeration may visit, it bounds the work of each SAT decision.
+    /// Checked by every engine/snapshot solve path; exhaustion surfaces
+    /// as [`ReasonError::Interrupted`] and leaves the touched component
+    /// undecided — never mis-cached as unsat.  Cached per-component
+    /// solvers keep their learnt state, so retrying the same query grants
+    /// the search another installment and it resumes warm.
     pub solve_limits: SolveLimits,
     /// Wall-clock deadline for a whole query (`None` = no deadline).
     /// Bounded solves run in conflict installments so the deadline is

@@ -31,7 +31,7 @@
 //!   answers against the enumeration of `Mod(S)` when it fits a budget,
 //!   and then asserts that any [`ShardReader`] answers alike.
 
-use crate::encode::{completion_from_chains, CompileScratch, Encoding, Obligation};
+use crate::encode::{completion_from_chains, Bounds, CompileScratch, Encoding, Obligation};
 use crate::enumerate::for_each_consistent_completion;
 use crate::partition::Component;
 use crate::shard::ShardReader;
@@ -76,7 +76,7 @@ fn monolithic(spec: &Specification, value_rels: &[RelId]) -> Result<Encoding, Re
 
 /// CPS on one whole-specification encoding.
 pub fn cps_exact_monolithic(spec: &Specification) -> Result<bool, ReasonError> {
-    Ok(monolithic(spec, &[])?.solve() == SolveResult::Sat)
+    Ok(monolithic(spec, &[])?.solve(&[], &Bounds::default())? == SolveResult::Sat)
 }
 
 /// A witness completion decoded from one whole-specification encoding;
@@ -85,7 +85,7 @@ pub fn witness_completion_monolithic(
     spec: &Specification,
 ) -> Result<Option<Completion>, ReasonError> {
     let mut enc = monolithic(spec, &[])?;
-    if enc.solve() == SolveResult::Unsat {
+    if enc.solve(&[], &Bounds::default())? == SolveResult::Unsat {
         return Ok(None);
     }
     let completion = completion_from_chains(spec, enc.model_chains(spec))?;
@@ -100,14 +100,14 @@ pub fn cop_exact_monolithic(
     ot: &CurrencyOrderQuery,
 ) -> Result<bool, ReasonError> {
     let mut enc = monolithic(spec, &[])?;
-    if enc.solve() == SolveResult::Unsat {
+    if enc.solve(&[], &Bounds::default())? == SolveResult::Unsat {
         return Ok(true); // Mod(S) = ∅: vacuously certain
     }
     for &(attr, lesser, greater) in &ot.pairs {
         match enc.order_lit(ot.rel, attr, lesser, greater) {
             None => return Ok(false), // reflexive or cross-entity: never holds
             Some(l) => {
-                if enc.solve_with_assumptions(&[!l]) == SolveResult::Sat {
+                if enc.solve(&[!l], &Bounds::default())? == SolveResult::Sat {
                     return Ok(false);
                 }
             }
@@ -131,10 +131,10 @@ fn monolithic_instances(
     let mut enc = monolithic(spec, rels)?;
     let (indices, vars) = enc.restricted_projection(rels);
     let mut models: Vec<Vec<bool>> = Vec::new();
-    let enumeration = enc.for_each_model(&vars, opts.max_models, |m| {
+    let enumeration = enc.for_each_model(&vars, opts.max_models, &Bounds::default(), |m| {
         models.push(m.to_vec());
         models.len() < stop_after
-    });
+    })?;
     if let Enumeration::LimitReached(n) = enumeration {
         return Err(ReasonError::BudgetExceeded {
             what,

@@ -155,7 +155,7 @@ impl View<'_> {
                 None => {}
             }
             let enc = scratch.encoding(ix, slot);
-            if enc.solve_bounded_with_assumptions(&[!l], &bounds)? == SolveResult::Sat {
+            if enc.solve(&[!l], &bounds)? == SolveResult::Sat {
                 return Ok(false);
             }
         }
@@ -164,8 +164,8 @@ impl View<'_> {
 
     /// **DCIP** — do all completions agree on the current instance of
     /// `rel`?  Enumerates at most two rel-projected models per touched
-    /// component, on throwaway clones of the slot encodings, and stops at
-    /// the first component with two.
+    /// component ([`View::component_models`]) and stops at the first
+    /// component with two.
     pub(crate) fn dcip(
         &self,
         rel: RelId,
@@ -175,28 +175,9 @@ impl View<'_> {
         if !consistent()? {
             return Ok(true); // vacuously deterministic
         }
-        let bounds = Bounds::from_options(&self.opts);
         for ix in self.partition.components_touching(rel) {
-            let shared = &self.slots[ix].enc;
-            let (_, vars) = shared.restricted_projection(&[rel]);
-            if vars.is_empty() {
-                continue; // every completion yields the same rows
-            }
-            let mut enc = (**shared).clone();
-            let mut count = 0usize;
-            let enumeration =
-                enc.for_each_model_bounded(&vars, self.opts.max_models, &bounds, |_| {
-                    count += 1;
-                    count < 2
-                })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what: "current-instance enumeration (DCIP)",
-                    budget: self.opts.max_models,
-                    spent: n,
-                });
-            }
-            if count >= 2 {
+            let what = "current-instance enumeration (DCIP)";
+            if self.component_models(ix, &[rel], 2, what)?.models.len() >= 2 {
                 return Ok(false); // one nondeterministic component decides
             }
         }
@@ -297,12 +278,13 @@ impl View<'_> {
         if !consistent {
             return Ok(None);
         }
+        let bounds = Bounds::from_options(&self.opts);
         let per_slot = run_indexed(effective_threads(&self.opts), self.slots.len(), |ix| {
             // Re-solve without assumptions so the model is a plain
             // completion model; this also re-runs the closure refinement
             // so the model is transitive.
             let mut enc = (*self.slots[ix].enc).clone();
-            let sat = enc.solve();
+            let sat = enc.solve(&[], &bounds)?;
             debug_assert_eq!(sat, SolveResult::Sat, "component known satisfiable");
             Ok(enc.model_chains(self.spec))
         })?;
@@ -312,10 +294,10 @@ impl View<'_> {
     }
 
     /// Enumerate each listed component's projected models over `rels`
-    /// (parallel under [`Options::threads`], on throwaway clones of the
-    /// slot encodings).  Both the per-component model count and the
-    /// composed product are bounded by [`Options::max_models`]; `what`
-    /// labels the budget error.
+    /// ([`View::component_models`], parallel under [`Options::threads`]).
+    /// Both the per-component model count and the composed product are
+    /// bounded by [`Options::max_models`]; `what` labels the budget
+    /// error.
     fn enumerate_component_models(
         &self,
         rels: &[RelId],
@@ -324,36 +306,7 @@ impl View<'_> {
     ) -> Result<Vec<ComponentModels>, ReasonError> {
         let max_models = self.opts.max_models;
         let per_comp = run_indexed(effective_threads(&self.opts), comps.len(), |k| {
-            let ix = comps[k];
-            let shared = &self.slots[ix].enc;
-            let (indices, vars) = shared.restricted_projection(rels);
-            if vars.is_empty() {
-                // One realizable outcome: the component's fixed rows.
-                return Ok(ComponentModels {
-                    comp: ix,
-                    indices,
-                    models: vec![Vec::new()],
-                });
-            }
-            let bounds = Bounds::from_options(&self.opts);
-            let mut enc = (**shared).clone();
-            let mut models: Vec<Vec<bool>> = Vec::new();
-            let enumeration = enc.for_each_model_bounded(&vars, max_models, &bounds, |m| {
-                models.push(m.to_vec());
-                true
-            })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what,
-                    budget: max_models,
-                    spent: n,
-                });
-            }
-            Ok(ComponentModels {
-                comp: ix,
-                indices,
-                models,
-            })
+            self.component_models(comps[k], rels, usize::MAX, what)
         })?;
         // Guard the composed cross-component product against the budget.
         let mut product: usize = 1;
@@ -368,6 +321,47 @@ impl View<'_> {
             }
         }
         Ok(per_comp)
+    }
+
+    /// The models of component `ix` projected onto the value indicators
+    /// of `rels`, at most `stop_after` of them: projected All-SAT under
+    /// the view's bounds on a throwaway clone of the slot encoding.  A
+    /// component with no such indicator has one model, its fixed rows.
+    /// An enumeration past [`Options::max_models`] is refused with
+    /// [`ReasonError::BudgetExceeded`] labelled `what`.
+    fn component_models(
+        &self,
+        ix: usize,
+        rels: &[RelId],
+        stop_after: usize,
+        what: &'static str,
+    ) -> Result<ComponentModels, ReasonError> {
+        let shared = &self.slots[ix].enc;
+        let (indices, vars) = shared.restricted_projection(rels);
+        let mut models: Vec<Vec<bool>> = Vec::new();
+        if vars.is_empty() {
+            models.push(Vec::new());
+        } else {
+            let max_models = self.opts.max_models;
+            let bounds = Bounds::from_options(&self.opts);
+            let mut enc = (**shared).clone();
+            let enumeration = enc.for_each_model(&vars, max_models, &bounds, |m| {
+                models.push(m.to_vec());
+                models.len() < stop_after
+            })?;
+            if let Enumeration::LimitReached(n) = enumeration {
+                return Err(ReasonError::BudgetExceeded {
+                    what,
+                    budget: max_models,
+                    spent: n,
+                });
+            }
+        }
+        Ok(ComponentModels {
+            comp: ix,
+            indices,
+            models,
+        })
     }
 
     /// Run `f` on the decoded rows of every combination of per-component
@@ -485,7 +479,7 @@ impl SolverScratch {
         if let Some(sat) = entry.sat {
             return Ok(sat);
         }
-        let sat = entry.enc.solve_bounded(bounds)? == SolveResult::Sat;
+        let sat = entry.enc.solve(&[], bounds)? == SolveResult::Sat;
         entry.sat = Some(sat);
         Ok(sat)
     }
@@ -1104,7 +1098,7 @@ mod tests {
                 let scratch = enc
                     .order_lit(t, A, TupleId(u), TupleId(v))
                     .is_some_and(|l| {
-                        (**enc).clone().solve_with_assumptions(&[!l]) == SolveResult::Unsat
+                        (**enc).clone().solve(&[!l], &Bounds::default()) == Ok(SolveResult::Unsat)
                     });
                 let q = CurrencyOrderQuery::single(t, A, TupleId(u), TupleId(v));
                 assert_eq!(reader.cop(&q).unwrap(), scratch, "{u} ≺ {v}");

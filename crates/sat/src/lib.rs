@@ -18,7 +18,10 @@
 //!   [`SolverStats::learnt_deleted`],
 //! * VSIDS-style activity heuristics with a lazy binary heap,
 //! * Luby restarts and phase saving,
-//! * solving under assumptions,
+//! * solving under assumptions and a cooperative work budget
+//!   ([`Solver::solve_limited_with_assumptions`] under [`SolveLimits`];
+//!   the default budget is no bound, and [`Solver::solve`] is that call
+//!   with no assumptions),
 //! * model enumeration projected onto a variable subset (All-SAT with
 //!   blocking clauses),
 //! * theory-lemma installation ([`Solver::add_lemma`]) feeding the lazy
@@ -35,14 +38,20 @@
 //! ## Example
 //!
 //! ```
-//! use currency_sat::{Solver, SolveResult};
+//! use currency_sat::{SolveLimits, SolveOutcome, Solver};
 //!
 //! let mut s = Solver::new();
 //! let a = s.new_var();
 //! let b = s.new_var();
 //! s.add_clause(&[a.pos(), b.pos()]);
 //! s.add_clause(&[a.neg(), b.pos()]);
-//! assert_eq!(s.solve(), SolveResult::Sat);
+//! // A budget of zero conflicts interrupts before any search: never a
+//! // verdict, and a retry resumes warm.
+//! let starved = SolveLimits { max_conflicts: Some(0), max_props: None };
+//! assert_eq!(s.solve_limited_with_assumptions(&[], &starved), SolveOutcome::Interrupted);
+//! // The default budget is no bound.
+//! let unbounded = SolveLimits::default();
+//! assert_eq!(s.solve_limited_with_assumptions(&[a.pos()], &unbounded), SolveOutcome::Sat);
 //! assert!(s.model_value(b));
 //! ```
 
@@ -55,7 +64,7 @@ mod types;
 
 pub use luby::luby;
 pub use solver::{
-    enumerate_projected, Enumeration, Limits, ModelSource, SolveOutcome, SolveResult, Solver,
+    enumerate_projected, Enumeration, ModelSource, SolveLimits, SolveOutcome, SolveResult, Solver,
     SolverStats,
 };
 pub use types::{Lit, Var};

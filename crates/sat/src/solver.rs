@@ -17,8 +17,6 @@
 use crate::heap::ActivityHeap;
 use crate::luby::luby;
 use crate::types::{LBool, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -30,7 +28,8 @@ pub enum SolveResult {
     Unsat,
 }
 
-/// Outcome of a budgeted [`Solver::solve_limited`] call: the two verdicts
+/// Outcome of a budgeted [`Solver::solve_limited_with_assumptions`] call:
+/// the two verdicts
 /// of [`SolveResult`] plus the honest third answer a bounded search needs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolveOutcome {
@@ -39,8 +38,8 @@ pub enum SolveOutcome {
     Sat,
     /// The clauses (under the given assumptions, if any) are unsatisfiable.
     Unsat,
-    /// A [`Limits`] budget ran out (or the stop flag was raised) before
-    /// the search decided the instance.  **Never a verdict**: the instance
+    /// A [`SolveLimits`] budget ran out before the search decided the
+    /// instance.  **Never a verdict**: the instance
     /// may be either satisfiable or unsatisfiable.  All state learnt so
     /// far — learnt clauses, variable activities, saved phases — is kept,
     /// so calling again with a fresh budget resumes the search warm
@@ -57,28 +56,27 @@ impl From<SolveResult> for SolveOutcome {
     }
 }
 
-/// Cooperative work budget for one [`Solver::solve_limited`] call.
+/// Cooperative work budget for one
+/// [`Solver::solve_limited_with_assumptions`] call: the one budget type
+/// of the workspace (`currency-reason` threads it through its `Options`
+/// and `Bounds`).
 ///
-/// All fields measure work *within the call* (spent counters start at
+/// Both fields measure work *within the call* (spent counters start at
 /// zero each call), so a caller granting installments of `n` conflicts
 /// per call hands out exactly `n` more units of work each retry.  The
 /// default is fully unbounded — identical to [`Solver::solve`].
-#[derive(Clone, Debug, Default)]
-pub struct Limits {
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveLimits {
     /// Interrupt after this many conflicts within the call.
     pub max_conflicts: Option<u64>,
     /// Interrupt after this many unit propagations within the call.
     pub max_props: Option<u64>,
-    /// Externally raised stop flag, polled once per search-loop
-    /// iteration (`Relaxed`; raising it interrupts promptly but not
-    /// instantaneously).
-    pub stop: Option<Arc<AtomicBool>>,
 }
 
-impl Limits {
+impl SolveLimits {
     /// `true` if no budget is set: the solve cannot be interrupted.
     pub fn is_unbounded(&self) -> bool {
-        self.max_conflicts.is_none() && self.max_props.is_none() && self.stop.is_none()
+        self.max_conflicts.is_none() && self.max_props.is_none()
     }
 }
 
@@ -617,22 +615,17 @@ impl Solver {
     /// modified (beyond learnt clauses, which are logical consequences,
     /// and learnt-clause deletions, which only drop redundant ones).
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        match self.solve_limited_with_assumptions(assumptions, &Limits::default()) {
+        match self.solve_limited_with_assumptions(assumptions, &SolveLimits::default()) {
             SolveOutcome::Sat => SolveResult::Sat,
             SolveOutcome::Unsat => SolveResult::Unsat,
             SolveOutcome::Interrupted => unreachable!("unbounded solve cannot be interrupted"),
         }
     }
 
-    /// Check satisfiability under a cooperative work budget.
-    pub fn solve_limited(&mut self, limits: &Limits) -> SolveOutcome {
-        self.solve_limited_with_assumptions(&[], limits)
-    }
-
     /// Check satisfiability under the given assumed literals and a
     /// cooperative work budget.
     ///
-    /// Once the budget is spent (or the stop flag is raised) the search
+    /// Once the budget is spent the search
     /// exits with [`SolveOutcome::Interrupted`] — never a wrong Sat/Unsat
     /// verdict.  The budget counts work performed **within this call**,
     /// and everything learnt before the interrupt (learnt clauses,
@@ -641,7 +634,7 @@ impl Solver {
     pub fn solve_limited_with_assumptions(
         &mut self,
         assumptions: &[Lit],
-        limits: &Limits,
+        limits: &SolveLimits,
     ) -> SolveOutcome {
         if !self.ok {
             return SolveOutcome::Unsat;
@@ -664,11 +657,7 @@ impl Solver {
                 && (limits.max_conflicts.is_some_and(|m| conflicts_spent >= m)
                     || limits
                         .max_props
-                        .is_some_and(|m| self.stats.propagations - props_base >= m)
-                    || limits
-                        .stop
-                        .as_ref()
-                        .is_some_and(|s| s.load(Ordering::Relaxed)))
+                        .is_some_and(|m| self.stats.propagations - props_base >= m))
             {
                 self.cancel_until(0);
                 return SolveOutcome::Interrupted;

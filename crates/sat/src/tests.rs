@@ -823,72 +823,44 @@ fn clone_and_clone_from_yield_independent_equivalent_solvers() {
 
 #[test]
 fn unbounded_limits_are_recognized() {
-    use crate::Limits;
-    assert!(Limits::default().is_unbounded());
-    assert!(!Limits {
+    use crate::SolveLimits;
+    assert!(SolveLimits::default().is_unbounded());
+    assert!(!SolveLimits {
         max_conflicts: Some(1),
         ..Default::default()
     }
     .is_unbounded());
-    assert!(!Limits {
+    assert!(!SolveLimits {
         max_props: Some(1),
         ..Default::default()
     }
     .is_unbounded());
-    assert!(!Limits {
-        stop: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
-            false
-        ))),
-        ..Default::default()
-    }
-    .is_unbounded());
-}
-
-#[test]
-fn raised_stop_flag_interrupts_before_any_work() {
-    use crate::{Limits, SolveOutcome};
-    let mut rng = XorShift(0x5702_f1a6_0000_0001);
-    let clauses = random_3sat(&mut rng, 8, 30);
-    let mut s = build(8, &clauses);
-    let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-    let limits = Limits {
-        stop: Some(flag.clone()),
-        ..Default::default()
-    };
-    let before = s.stats().decisions;
-    assert_eq!(s.solve_limited(&limits), SolveOutcome::Interrupted);
-    assert_eq!(s.stats().decisions, before, "interrupt must precede search");
-    // Lowering the flag lets the same call signature finish the solve.
-    flag.store(false, std::sync::atomic::Ordering::Relaxed);
-    let finished = s.solve_limited(&limits);
-    assert_ne!(finished, SolveOutcome::Interrupted);
-    assert_eq!(
-        finished == SolveOutcome::Sat,
-        solve_dpll(8, &clauses).is_some()
-    );
 }
 
 #[test]
 fn propagation_budget_interrupts_mid_search() {
-    use crate::{Limits, SolveOutcome};
+    use crate::{SolveLimits, SolveOutcome};
     // A chain a -> b -> c -> d forces propagations once `a` is decided.
     let mut s = Solver::new();
     let vars: Vec<Var> = (0..8).map(|_| s.new_var()).collect();
     for w in vars.windows(2) {
         s.add_clause(&[w[0].neg(), w[1].pos()]);
     }
-    let limits = Limits {
+    let limits = SolveLimits {
         max_props: Some(1),
         ..Default::default()
     };
-    assert_eq!(s.solve_limited(&limits), SolveOutcome::Interrupted);
+    assert_eq!(
+        s.solve_limited_with_assumptions(&[], &limits),
+        SolveOutcome::Interrupted
+    );
     // Unbounded retry resumes and completes.
     assert_eq!(s.solve(), SolveResult::Sat);
 }
 
 #[test]
 fn escalating_conflict_budgets_never_flip_the_verdict() {
-    use crate::{Limits, SolveOutcome};
+    use crate::{SolveLimits, SolveOutcome};
     // Warm resume: retry the SAME solver with budgets 1, 2, 4, ... and
     // assert the first decided outcome equals the unbounded verdict.
     let mut rng = XorShift(0x1717_c0de_beef_0042);
@@ -900,12 +872,11 @@ fn escalating_conflict_budgets_never_flip_the_verdict() {
         let mut s = build(num_vars, &clauses);
         let mut budget = 1u64;
         let decided = loop {
-            let limits = Limits {
+            let limits = SolveLimits {
                 max_conflicts: Some(budget),
                 max_props: Some(budget * 16),
-                ..Default::default()
             };
-            match s.solve_limited(&limits) {
+            match s.solve_limited_with_assumptions(&[], &limits) {
                 SolveOutcome::Interrupted => {
                     s.debug_check_invariants().unwrap();
                     budget *= 2;

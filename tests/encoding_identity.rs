@@ -35,7 +35,7 @@ use data_currency::datagen::random::{
     pinned_seeds, random_delta, random_spec, value_falsum, DeltaMix, RandomSpecConfig,
 };
 use data_currency::model::{AttrId, Eid, RelId, Specification, Value};
-use data_currency::reason::encode::{CompileScratch, ComponentCompiler};
+use data_currency::reason::encode::{Bounds, CompileScratch, ComponentCompiler};
 use data_currency::reason::oracle::{reference_components, reference_encoding, TransitivityMode};
 use data_currency::reason::{CompactBudget, CurrencyEngine, Options};
 use rand::rngs::SmallRng;
@@ -129,7 +129,9 @@ fn check(
             streamed, reference,
             "seed {seed} step {step} slot {slot}: streamed compile"
         );
-        reference_enc.solve();
+        reference_enc
+            .solve(&[], &Bounds::default())
+            .expect("no bound, no interrupt");
         assert_eq!(
             engine.slot_shape(slot),
             reference_enc.clone().shape(),

@@ -11,7 +11,7 @@
 use data_currency::datagen::random::{random_spec, RandomSpecConfig};
 use data_currency::model::{AttrId, Eid, RelId, Value};
 use data_currency::query::Query;
-use data_currency::reason::encode::{CompileScratch, ComponentCompiler, Encoding};
+use data_currency::reason::encode::{Bounds, CompileScratch, ComponentCompiler, Encoding};
 use data_currency::reason::oracle::{
     ccqa_exact_monolithic, certain_answers_enumerate, certain_answers_exact_monolithic,
     cop_exact_monolithic, cps_enumerate, cps_exact_monolithic, dcip_exact_monolithic,
@@ -187,7 +187,10 @@ proptest! {
         let max_models = Options::default().max_models;
         for &rel in &all_rels {
             let (_, vars) = mono_eager.restricted_projection(&[rel]);
-            let eager_count = mono_eager.clone().for_each_model(&vars, max_models, |_| true);
+            let eager_count = mono_eager
+                .clone()
+                .for_each_model(&vars, max_models, &Bounds::default(), |_| true)
+                .unwrap();
             prop_assert_eq!(
                 Enumeration::Complete(lazy.current_instances(rel).unwrap().len()),
                 eager_count,

@@ -7,15 +7,22 @@
 //! propagations.  Each bounded round either returns a verdict or
 //! [`ReasonError::Interrupted`]; the **first** verdict a bounded run
 //! produces must equal the unbounded oracle verdict — interruption must
-//! not leak a partial solver state into a wrong answer on resume.
+//! not leak a partial solver state into a wrong answer on resume.  Every
+//! surface also answers once under a far deadline and no budget, the
+//! path that solves in conflict installments and resumes warm between
+//! them, and must match the oracle there too.
+//!
+//! The seeds are `pinned_seeds(24, 10_000)` (from `CHAOS_SEED`) plus
+//! random proptest draws.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use data_currency::datagen::random::{pinned_seeds, random_spec, RandomSpecConfig};
 use data_currency::model::{AttrId, RelId, TupleId};
 use data_currency::query::{Query, SpQuery};
 use data_currency::reason::{
     CurrencyEngine, CurrencyOrderQuery, Options, ReasonError, SnapshotReader, SolveLimits,
 };
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 const T: RelId = RelId(0);
 
@@ -75,8 +82,8 @@ where
     }
 }
 
-/// One full seed: oracle verdicts unbounded, then escalation on every
-/// decision surface.
+/// One full seed: oracle verdicts unbounded, one pass under a far
+/// deadline, then escalation on every decision surface.
 fn soundness_round(seed: u64) -> u32 {
     let spec = random_spec(&config(seed));
     let opts = Options::default();
@@ -100,6 +107,29 @@ fn soundness_round(seed: u64) -> u32 {
                 oracle_cop.push((ot.clone(), oracle.cop(&ot).expect("unbounded")));
             }
         }
+    }
+
+    // A far deadline and no budget: each solve runs in installments of
+    // conflicts with the clock read between them, and must finish with
+    // the oracle's verdict.
+    let mut chunked = SnapshotReader::new(snap.clone());
+    chunked.set_deadline(Some(Instant::now() + Duration::from_secs(3600)));
+    assert_eq!(
+        chunked.dcip(T).as_ref(),
+        Ok(&oracle_dcip),
+        "dcip (seed {seed})"
+    );
+    assert_eq!(
+        chunked.certain_answers(&q).as_ref(),
+        Ok(&oracle_answers),
+        "certain_answers (seed {seed})"
+    );
+    for (ot, expect) in &oracle_cop {
+        assert_eq!(
+            chunked.cop(ot).as_ref(),
+            Ok(expect),
+            "cop {ot:?} (seed {seed})"
+        );
     }
 
     // The bounded reader is *reused* across escalation rounds and across
@@ -130,13 +160,14 @@ proptest! {
     }
 }
 
-/// Pinned seeds for CI, with a meta-assertion: across the fixed slice at
-/// least one round actually got interrupted, so the escalation path
-/// (not just the trivially-converging one) is exercised.
+/// The pinned seed range (24 seeds in debug, 10 000 in release), with a
+/// meta-assertion: across the range at least one round actually got
+/// interrupted, so the escalation path (not just the trivially-converging
+/// one) is exercised.
 #[test]
 fn pinned_seeds_exercise_the_interrupted_path() {
     let mut interrupted = 0u32;
-    for seed in 0..24u64 {
+    for seed in pinned_seeds(24, 10_000) {
         interrupted += soundness_round(seed);
     }
     assert!(
