@@ -21,14 +21,18 @@
 //! Sections, in run order:
 //!
 //! * `amortized` — 32 COP queries plus one certain-answer query: fresh
-//!   engine, prebuilt engine, per-call re-encoding;
+//!   engine, prebuilt engine, per-call re-encoding, and the encoding
+//!   clones a snapshot reader's COPs take per COP (recorded, not
+//!   guarded);
 //! * `update` — a 1-tuple delta against a prebuilt engine vs a rebuild;
 //! * `large` — the same delta at 1× and 4× `large_spec`, then `compact()`;
 //! * `serve_large` — that delta through `CurrencyServe::apply` at 1× and
-//!   4×, with copied pages and per-component footprints;
+//!   4×, with copied pages and per-component footprints, and the
+//!   encoding clones a snapshot reader takes for a COP stream;
 //! * `compaction` — budgeted drain vs the reference sweep at both scales;
 //! * `durability` — durable vs in-memory apply, then recovery vs re-apply;
-//! * `sharded` — 8-shard apply flatness, recovery race, CPS differential;
+//! * `sharded` — 8-shard apply flatness, parallel vs sequential recovery,
+//!   CPS differential;
 //! * `serve` — multi-reader qps with the answer cache off, then a
 //!   repeated-query cache run;
 //! * `robustness` — starvation-budget COP and an overload burst;
@@ -49,6 +53,8 @@
 //! * `large_rebuilt_ok` — a large-spec delta recompiles ≤ 1 component;
 //! * `large_component_bytes_ok` — ≤ [`LARGE_COMPONENT_BYTES_LIMIT`], equal at 1× and 4×;
 //! * `large_partition_bytes_ok` — ≤ [`LARGE_PARTITION_BYTES_LIMIT`], equal at 1× and 4×;
+//! * `large_cop_copies_ok` — first-vs-last-reading COPs both ways on every
+//!   `large_spec` entity, at 1× and 4×, clone no encoding;
 //! * `compact_pause_ok` — every budgeted step under [`COMPACT_MAX_PAUSE_MS`];
 //! * `compact_flat_ok` — drain cost per reclaimed slot 4×/1× ≤ [`COMPACT_FLAT_FACTOR`];
 //! * `compact_exact_ok` — the drain is byte-identical to the reference;
@@ -65,7 +71,6 @@
 //! * `sharded_flat_ok` — sharded per-delta apply 10×/1× ≤ [`SHARDED_FLAT_FACTOR`];
 //! * `sharded_recovery_ok` — parallel vs sequential open ≥ [`SHARDED_RECOVERY_SPEEDUP_MIN`] (≥ [`SHARDED_RECOVERY_MIN_CORES`] cores), else ≥ [`SHARDED_RECOVERY_COLLAPSE_FLOOR`];
 //! * `sharded_replay_ok` — sharded recovery replays every logged delta;
-//! * `sharded_trusted_ok` — trusted replay matches the validated open;
 //! * `sharded_diff_ok` — zero scatter-gather CPS disagreements;
 //! * `paper_ptime_agrees_ok` — every PTIME row answers as its exact counterpart;
 //! * `paper_reduction_poly_ok` — every gadget sweep's vars and clauses stay [`within_cubic`].
@@ -1067,7 +1072,7 @@ fn main() {
             }
             std::hint::black_box(engine.certain_answers(&q).unwrap());
         });
-        let prebuilt_engine = CurrencyEngine::new(&spec, &opts).unwrap();
+        let mut prebuilt_engine = CurrencyEngine::new(&spec, &opts).unwrap();
         prebuilt_engine.cps().unwrap();
         let prebuilt = measure(samples, warmup, window, || {
             for query in &queries {
@@ -1081,13 +1086,20 @@ fn main() {
             }
             std::hint::black_box(certain_answers_exact_monolithic(&spec, &q, &opts).unwrap());
         });
+        // Only a COP whose literal level zero leaves open clones its
+        // component; the share of such COPs in the batch.
+        let mut reader = SnapshotReader::new(prebuilt_engine.snapshot());
+        for query in &queries {
+            std::hint::black_box(reader.cop(query).unwrap());
+        }
+        let copies_per_cop = reader.scratch_clones() as f64 / queries.len() as f64;
         let _ = write!(json, "    {{\"entities\": {entities}, \"engine\": ");
         push_measurement(&mut json, &engine);
         json.push_str(", \"prebuilt\": ");
         push_measurement(&mut json, &prebuilt);
         json.push_str(", \"reencode\": ");
         push_measurement(&mut json, &reencode);
-        json.push('}');
+        let _ = write!(json, ", \"copies_per_cop\": {copies_per_cop:.3}}}");
         if ix + 1 < entity_sweep.len() {
             json.push(',');
         }
@@ -1319,7 +1331,10 @@ fn main() {
     // The two scales race in paired, order-alternated rounds so drift
     // lands on both sides.  The time cannot see a small O(spec) term, so
     // the count of pages and page-table chunks a pair copies must also
-    // be the same at both scales.
+    // be the same at both scales.  Before the deltas, a snapshot reader
+    // answers one COP each way between every entity's first and last
+    // reading: unit propagation decides every `large_spec` pair, so the
+    // stream must clone no encoding.
     // ------------------------------------------------------------------
     eprintln!(
         "serve_large: entities = {large_base} vs {} (paired)",
@@ -1350,6 +1365,22 @@ fn main() {
     );
     let component_bytes = [bytes_1x[0], bytes_4x[0]];
     let partition_bytes = [bytes_1x[1], bytes_4x[1]];
+    let cop_copies = |(writer, _): &(CurrencyServe, u64), entities: usize| {
+        let mut reader = SnapshotReader::new(writer.snapshot());
+        let per = scenarios::LARGE_TUPLES_PER_ENTITY as u32;
+        for e in 0..entities as u32 {
+            let (first, last) = (TupleId(per * e), TupleId(per * e + per - 1));
+            for (u, v) in [(first, last), (last, first)] {
+                let q = CurrencyOrderQuery::single(scenarios::T, AttrId(0), u, v);
+                std::hint::black_box(reader.cop(&q).unwrap());
+            }
+        }
+        reader.scratch_clones()
+    };
+    let large_cop_copies = [
+        cop_copies(&serve_1x, large_base),
+        cop_copies(&serve_4x, large_base * 4),
+    ];
     let insert = scenarios::large_insert_delta();
     let serve_pairs = |(writer, copied): &mut (CurrencyServe, u64)| {
         for _ in 0..SERVE_LARGE_PAIRS_PER_ROUND {
@@ -1378,7 +1409,8 @@ fn main() {
          \"serve_per_delta_ns\": [{:.0}, {:.0}], \
          \"max_pages_copied_per_pair\": [{}, {}], \"ratio_4x_over_1x\": {serve_large_ratio:.2}, \
          \"encoding_bytes_per_component\": [{}, {}], \
-         \"partition_bytes_per_component\": [{}, {}]}},",
+         \"partition_bytes_per_component\": [{}, {}], \
+         \"cop_copies\": [{}, {}]}},",
         large_base * 4,
         serve_per_delta(&serve_1x_pairs),
         serve_per_delta(&serve_4x_pairs),
@@ -1388,6 +1420,8 @@ fn main() {
         component_bytes[1],
         partition_bytes[0],
         partition_bytes[1],
+        large_cop_copies[0],
+        large_cop_copies[1],
     );
 
     // ------------------------------------------------------------------
@@ -1587,7 +1621,7 @@ fn main() {
     // Sharded scale-out workload (ShardedEngine / ShardedStore): (a)
     // per-delta apply + scatter-CPS flatness from the 10k-entity
     // baseline to the 100k-entity point on an 8-way engine; (b) parallel
-    // vs sequential vs trusted-replay recovery of an 8-shard durable
+    // vs sequential recovery of an 8-shard durable
     // store; (c) the 10k-seed CPS differential sweep against the
     // unsharded engine (deterministic: zero disagreements).
     // ------------------------------------------------------------------
@@ -1662,7 +1696,7 @@ fn main() {
     let sharded_ratio = sharded_per_delta[1] / sharded_per_delta[0];
     let _ = write!(json, "  ], \"flat_ratio\": {sharded_ratio:.2},\n  ");
     // (b) Recovery race: a logged history of single-shard inserts spread
-    // round-robin over the entities, then the three open paths.  fsync
+    // round-robin over the entities, then the two open paths.  fsync
     // and rotation are off, so every logged delta replays and the race
     // measures per-shard engine rebuild + replay, not the disk.
     let sharded_rec_entities = if args.fast {
@@ -1716,52 +1750,11 @@ fn main() {
         sharded_replayed = s.recoveries().iter().map(|r| r.deltas_replayed).sum();
         std::hint::black_box(s.shards());
     });
-    // Validated-sequential vs trusted-replay opens race in paired,
-    // order-alternating rounds: measuring them as two back-to-back
-    // series let environment drift (allocator/page-cache state warming
-    // across the section) land entirely on whichever open ran last,
-    // once even pushing the reported trusted "speedup" below 1× for a
-    // strictly-less-work code path.  The per-round ratio cancels the
-    // shared drift; its median is the speedup.
-    let trusted_opts = StoreOptions {
-        trusted_replay: true,
-        ..sharded_store_opts
-    };
-    let (sharded_seq_open, sharded_trusted_open, sharded_trusted_speedup) = measure_paired(
-        samples,
-        1,
-        || {
-            let s = ShardedStore::open_sequential(&sharded_dir, &opts, sharded_store_opts)
-                .expect("clean store");
-            std::hint::black_box(s.shards());
-        },
-        || {
-            let s = ShardedStore::open_sequential(&sharded_dir, &opts, trusted_opts)
-                .expect("clean store");
-            std::hint::black_box(s.shards());
-        },
-    );
-    // The guarded half is deterministic: the trusted open must replay
-    // exactly the records the validated open replays and land on
-    // byte-identical shard specifications.  (The wall ratio above is
-    // too short a race on small runners to hold a floor.)
-    let replay_outcome = |store_opts: StoreOptions| {
-        let s =
-            ShardedStore::open_sequential(&sharded_dir, &opts, store_opts).expect("clean store");
-        let replayed: Vec<usize> = s
-            .recoveries()
-            .iter()
-            .map(|r| r.deltas_replayed + r.compact_steps_replayed)
-            .collect();
-        let specs: Vec<Vec<u8>> = (0..s.shards())
-            .map(|shard| wire::encode_spec(s.shard(shard).spec()))
-            .collect();
-        (replayed, specs)
-    };
-    let (validated_replayed, validated_specs) = replay_outcome(sharded_store_opts);
-    let (trusted_replayed, trusted_specs) = replay_outcome(trusted_opts);
-    let sharded_trusted_same_replay = trusted_replayed == validated_replayed;
-    let sharded_trusted_identical = trusted_specs == validated_specs;
+    let sharded_seq_open = measure(samples, warmup, window, || {
+        let s = ShardedStore::open_sequential(&sharded_dir, &opts, sharded_store_opts)
+            .expect("clean store");
+        std::hint::black_box(s.shards());
+    });
     let _ = std::fs::remove_dir_all(&sharded_dir);
     let sharded_recovery_speedup = sharded_seq_open.median_ns / sharded_par_open.median_ns;
     let _ = write!(
@@ -1773,12 +1766,9 @@ fn main() {
     push_measurement(&mut json, &sharded_par_open);
     json.push_str(", \"sequential_open\": ");
     push_measurement(&mut json, &sharded_seq_open);
-    json.push_str(", \"trusted_open\": ");
-    push_measurement(&mut json, &sharded_trusted_open);
     let _ = write!(
         json,
-        ", \"parallel_speedup\": {sharded_recovery_speedup:.2}, \
-         \"trusted_speedup\": {sharded_trusted_speedup:.2}}},\n  "
+        ", \"parallel_speedup\": {sharded_recovery_speedup:.2}}},\n  "
     );
     // (c) Differential sweep: scatter-gather CPS must agree with the
     // unsharded engine on every seed of the property suites' space.
@@ -2152,6 +2142,7 @@ fn main() {
     let partition_bytes_1x = partition_bytes[0];
     let large_partition_bytes_ok = partition_bytes_1x <= LARGE_PARTITION_BYTES_LIMIT
         && partition_bytes_1x == partition_bytes[1];
+    let large_cop_copies_ok = large_cop_copies == [0, 0];
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
     let compact_exact_ok = compact_identical && compact_parity;
@@ -2182,7 +2173,6 @@ fn main() {
         sharded_recovery_speedup >= SHARDED_RECOVERY_COLLAPSE_FLOOR
     };
     let sharded_replay_ok = sharded_replayed == sharded_rec_deltas;
-    let sharded_trusted_ok = sharded_trusted_same_replay && sharded_trusted_identical;
     let sharded_diff_ok = sharded_diff_disagreements == 0;
     // Every guard, in the module doc's order.
     let guards = [
@@ -2195,6 +2185,7 @@ fn main() {
         ("large_rebuilt_ok", large_rebuilt_ok),
         ("large_component_bytes_ok", large_component_bytes_ok),
         ("large_partition_bytes_ok", large_partition_bytes_ok),
+        ("large_cop_copies_ok", large_cop_copies_ok),
         ("compact_pause_ok", compact_pause_ok),
         ("compact_flat_ok", compact_flat_ok),
         ("compact_exact_ok", compact_exact_ok),
@@ -2211,7 +2202,6 @@ fn main() {
         ("sharded_flat_ok", sharded_flat_ok),
         ("sharded_recovery_ok", sharded_recovery_ok),
         ("sharded_replay_ok", sharded_replay_ok),
-        ("sharded_trusted_ok", sharded_trusted_ok),
         ("sharded_diff_ok", sharded_diff_ok),
         ("paper_ptime_agrees_ok", paper_disagreements.is_empty()),
         ("paper_reduction_poly_ok", paper_superpoly.is_empty()),
@@ -2234,6 +2224,7 @@ fn main() {
          \"large_component_bytes_limit\": {LARGE_COMPONENT_BYTES_LIMIT}, \
          \"large_partition_bytes\": {partition_bytes_1x}, \
          \"large_partition_bytes_limit\": {LARGE_PARTITION_BYTES_LIMIT}, \
+         \"large_cop_copies\": [{}, {}], \
          \"compact_max_step_ns\": {compact_max_step_ns:.0}, \
          \"compact_max_pause_ms\": {COMPACT_MAX_PAUSE_MS}, \
          \"compact_step_flat_ratio\": {compact_step_flat_ratio:.2}, \
@@ -2267,13 +2258,11 @@ fn main() {
          \"sharded_recovery_speedup_min\": {SHARDED_RECOVERY_SPEEDUP_MIN:.1}, \
          \"sharded_recovery_enforced\": {sharded_recovery_enforced}, \
          \"sharded_recovery_collapse_floor\": {SHARDED_RECOVERY_COLLAPSE_FLOOR:.2}, \
-         \"sharded_trusted_speedup\": {sharded_trusted_speedup:.2}, \
-         \"sharded_trusted_same_replay\": {sharded_trusted_same_replay}, \
-         \"sharded_trusted_byte_identical\": {sharded_trusted_identical}, \
          \"sharded_replayed\": {sharded_replayed}, \
          \"sharded_replay_expected\": {sharded_rec_deltas}, \
          \"sharded_diff_seeds\": {sharded_diff_seeds}, \
-         \"sharded_diff_disagreements\": {sharded_diff_disagreements}, "
+         \"sharded_diff_disagreements\": {sharded_diff_disagreements}, ",
+        large_cop_copies[0], large_cop_copies[1],
     );
     for (name, ok) in &guards {
         let _ = write!(check, "\"{name}\": {ok}, ");

@@ -139,7 +139,13 @@ struct LazyGroup {
 /// Callers must reach satisfiability through [`Encoding::solve`] or
 /// [`Encoding::for_each_model`] rather than the raw solver: they run the
 /// refinement loop that makes a `Sat` answer trustworthy.
-#[derive(Debug)]
+///
+/// Cloning an encoding clones the whole cached solver (learnt clauses and
+/// lazy-transitivity lemmas included), so the clone answers exactly like
+/// the original while staying fully private: every query solves on a
+/// throwaway clone of a shared slot encoding and drops it when it
+/// returns.
+#[derive(Clone, Debug)]
 pub struct Encoding {
     /// The solver loaded with the specification's clauses.  Private so
     /// that satisfiability can only be reached through the refining
@@ -166,40 +172,6 @@ pub struct Encoding {
     /// unconditional contradiction, kept out of the clauses and reported
     /// to the writer instead (see [`Encoding::has_ground_falsum`]).
     ground_falsum: bool,
-}
-
-/// Cloning an encoding clones the whole cached solver (learnt clauses and
-/// lazy-transitivity lemmas included), so the clone answers exactly like
-/// the original while staying fully private — the basis for per-reader
-/// solver scratch ([`crate::snapshot::SnapshotReader`]) and throwaway
-/// All-SAT enumeration.  Hand-rolled so `clone_from` reuses the
-/// destination's buffers (see [`currency_sat::Solver`]'s `Clone`):
-/// refreshing a reader's scratch encoding after an epoch change costs
-/// memcpys, not an allocation per clause.
-impl Clone for Encoding {
-    fn clone(&self) -> Self {
-        Encoding {
-            solver: self.solver.clone(),
-            order_vars: self.order_vars.clone(),
-            value_choices: self.value_choices.clone(),
-            value_projection: self.value_projection.clone(),
-            value_rels: self.value_rels.clone(),
-            scope: self.scope.clone(),
-            lazy_groups: self.lazy_groups.clone(),
-            ground_falsum: self.ground_falsum,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.solver.clone_from(&source.solver);
-        self.order_vars.clone_from(&source.order_vars);
-        self.value_choices.clone_from(&source.value_choices);
-        self.value_projection.clone_from(&source.value_projection);
-        self.value_rels.clone_from(&source.value_rels);
-        self.scope.clone_from(&source.scope);
-        self.lazy_groups.clone_from(&source.lazy_groups);
-        self.ground_falsum = source.ground_falsum;
-    }
 }
 
 impl Encoding {

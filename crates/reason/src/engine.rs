@@ -14,10 +14,9 @@
 //!   a failed write); [`CurrencyEngine::cps`] re-tries it;
 //! * **solve incrementally** — the aggregate verdict is a count of
 //!   unsatisfiable slots plus the set of undecided ones, so a CPS at
-//!   steady state is a field read.  Entailment queries (COP) run as
-//!   assumption-based calls against a private copy of only the component
-//!   a pair touches, kept in the engine's one solver scratch, where
-//!   learnt clauses accumulate across queries;
+//!   steady state is a field read.  Entailment queries (COP) read the
+//!   pair's literal at level zero and otherwise run an assumption-based
+//!   call on a throwaway clone of only the component the pair touches;
 //! * **enumerate locally** — current-instance enumeration projects onto
 //!   one component's value indicators at a time, so order differences in
 //!   unrelated components never multiply the model count, and All-SAT
@@ -63,7 +62,7 @@ use crate::encode::{Bounds, CompileScratch, ComponentCompiler, Encoding};
 use crate::error::ReasonError;
 use crate::obs::EngineObs;
 use crate::partition::{Component, Partition, RefreshPlan, RefreshScratch};
-use crate::snapshot::{EngineSnapshot, SlotView, SolverScratch, View};
+use crate::snapshot::{EngineSnapshot, SlotView, View};
 use crate::{CompactBudget, Options};
 use currency_core::cow::{pages_copied, PagedVec};
 use currency_core::{
@@ -75,7 +74,7 @@ use currency_query::Query;
 use currency_sat::{SolveResult, SolverStats};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Aggregate counters across an engine's component solvers.
@@ -224,7 +223,6 @@ fn compile_slot(
     scratch: &mut CompileScratch,
     bounds: &Bounds,
     obs: &EngineObs,
-    gen: u64,
 ) -> SlotView {
     let mut enc = compiler.compile(component, scratch);
     let clock = obs.clock();
@@ -234,7 +232,6 @@ fn compile_slot(
     SlotView {
         enc: Arc::new(enc.clone()),
         sat: outcome.ok().map(|r| r == SolveResult::Sat),
-        gen,
     }
 }
 
@@ -242,11 +239,10 @@ fn compile_slot(
 /// writer.
 ///
 /// Construction cost is paid once; queries touch only the components they
-/// involve.  All query methods take `&self`: COP solves on a private
-/// copy of the pair's component kept in the engine's one solver scratch
-/// (behind a single lock, so COPs on one engine run one at a time), and
-/// every other query reads the shared slot encodings and enumerates on
-/// throwaway clones.  Concurrent readers take an [`EngineSnapshot`]
+/// involve.  All query methods take `&self` and hold no lock: every query
+/// reads the shared slot encodings and solves or enumerates only on
+/// throwaway clones, so queries on one engine run concurrently.  Readers
+/// that must not wait for the writer take an [`EngineSnapshot`]
 /// ([`CurrencyEngine::snapshot`]) each and query it through their own
 /// [`crate::SnapshotReader`].
 pub struct CurrencyEngine {
@@ -270,13 +266,8 @@ pub struct CurrencyEngine {
     falsum_slots: usize,
     /// Slots whose compile-time solve the bounds interrupted.
     undecided: BTreeSet<usize>,
-    /// The last compile generation handed to a slot.
-    generation: u64,
     epoch: u64,
     opts: Options,
-    /// The private solver copies COP (and the re-solve of an undecided
-    /// slot) run on.
-    scratch: Mutex<SolverScratch>,
     /// Metric handles + trace recorder (see [`EngineObs`]); also the
     /// only store of the lifetime counts [`CurrencyEngine::stats`]
     /// reports.
@@ -334,14 +325,7 @@ impl CurrencyEngine {
             &mut compile_scratch,
             |scratch, ix| {
                 let component = partition.component(ix);
-                Ok(compile_slot(
-                    &compiler,
-                    component,
-                    scratch,
-                    &bounds,
-                    &obs,
-                    ix as u64 + 1,
-                ))
+                Ok(compile_slot(&compiler, component, scratch, &bounds, &obs))
             },
         )?
         .into_iter()
@@ -350,7 +334,6 @@ impl CurrencyEngine {
             vacant: Arc::new(Encoding::vacant(&value_rels)),
             spec: Arc::new(spec),
             value_rels,
-            generation: partition.slots() as u64,
             partition: Arc::new(partition),
             refresh_scratch: RefreshScratch::default(),
             compile_scratch,
@@ -360,7 +343,6 @@ impl CurrencyEngine {
             undecided: BTreeSet::new(),
             epoch: 1,
             opts: *opts,
-            scratch: Mutex::default(),
             obs,
         };
         for slot in 0..engine.slots.len() {
@@ -392,8 +374,8 @@ impl CurrencyEngine {
     /// and re-solved, in parallel under [`Options::threads`], and patched
     /// **in place** — slots are stable, so every clean component's
     /// compiled CNF, learnt clauses, transitivity lemmas and verdict
-    /// survive without being moved or remapped, and so do the scratch
-    /// copies COP solved on.  Everything `apply` does is O(dirty region).
+    /// survive without being moved or remapped.  Everything `apply` does
+    /// is O(dirty region).
     ///
     /// The write bumps [`CurrencyEngine::epoch`] once (its auto-compaction
     /// step included).
@@ -489,8 +471,6 @@ impl CurrencyEngine {
         // Compile and solve the rebuilt slots (in parallel when the fleet
         // warrants it) *before* patching any state, so the fallible step
         // cannot leave the engine half-updated.
-        let first_gen = self.generation + 1;
-        self.generation += plan.rebuilt.len() as u64;
         let compiled: Vec<SlotView> = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
             let compiler = ComponentCompiler::new(&self.spec, &self.value_rels);
@@ -502,10 +482,7 @@ impl CurrencyEngine {
                 &mut self.compile_scratch,
                 |scratch, k| {
                     let component = partition.component(rebuilt[k]);
-                    let gen = first_gen + k as u64;
-                    Ok(compile_slot(
-                        &compiler, component, scratch, &bounds, obs, gen,
-                    ))
+                    Ok(compile_slot(&compiler, component, scratch, &bounds, obs))
                 },
             )?
         };
@@ -516,7 +493,6 @@ impl CurrencyEngine {
             self.slots[slot] = SlotView {
                 enc: self.vacant.clone(),
                 sat: Some(true),
-                gen: 0,
             };
         }
         for (&slot, view) in plan.rebuilt.iter().zip(compiled) {
@@ -856,29 +832,12 @@ impl CurrencyEngine {
         }
     }
 
-    /// Lock the solver scratch, surviving mutex poisoning.
-    ///
-    /// A query that panics while holding the lock (a budget assertion, a
-    /// debug invariant) poisons it; without recovery every later COP
-    /// would panic too, which is fatal for a long-lived engine.  A panic
-    /// mid-solve may leave a private copy half-updated, so recovery drops
-    /// every copy: the next query clones afresh from the slots, which no
-    /// query ever writes.
-    fn scratch(&self) -> MutexGuard<'_, SolverScratch> {
-        self.scratch.lock().unwrap_or_else(|poisoned| {
-            self.scratch.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.clear();
-            guard
-        })
-    }
-
     /// **CPS** — is the specification consistent?  A field read unless
     /// a slot's compile-time solve was interrupted: each such slot is
-    /// re-tried on a private copy under [`Options::solve_limits`] /
-    /// deadline (resuming warm from the compile's learnt state), and an
-    /// interrupt surfaces as [`ReasonError::Interrupted`], never as a
-    /// verdict.
+    /// re-tried on a throwaway clone under [`Options::solve_limits`] /
+    /// deadline (starting from the slot's compiled state, learnt clauses
+    /// included), and an interrupt surfaces as
+    /// [`ReasonError::Interrupted`], never as a verdict.
     pub fn cps(&self) -> Result<bool, ReasonError> {
         if self.falsum_slots > 0 || self.unsat > 0 {
             return Ok(false);
@@ -887,9 +846,9 @@ impl CurrencyEngine {
             return Ok(true);
         }
         let bounds = Bounds::from_options(&self.opts);
-        let mut scratch = self.scratch();
         for &slot in &self.undecided {
-            if !scratch.decide(slot, &self.slots[slot], &bounds)? {
+            let mut enc = (*self.slots[slot].enc).clone();
+            if enc.solve(&[], &bounds)? != SolveResult::Sat {
                 return Ok(false);
             }
         }
@@ -898,11 +857,12 @@ impl CurrencyEngine {
 
     /// **COP** — is every pair of the candidate order certain?  Vacuously
     /// true when the specification is inconsistent (paper convention);
-    /// otherwise one assumption-based solve per pair, against a private
-    /// copy of only the pair's component.
+    /// otherwise, per pair, the level-zero value of its literal or one
+    /// assumption-based solve on a throwaway clone of only the pair's
+    /// component.
     pub fn cop(&self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
         let consistent = self.cps()?;
-        self.view().cop(ot, consistent, &mut self.scratch())
+        self.view().cop(ot, consistent, &mut 0)
     }
 
     /// **DCIP** — do all completions agree on the current instance of
@@ -1637,28 +1597,6 @@ mod tests {
         // The counts are the registry's; the histograms stayed off.
         assert_eq!(engine.obs().applies_total.get(), 4);
         assert_eq!(engine.obs().apply_ns.count(), 0);
-    }
-
-    #[test]
-    fn poisoned_scratch_lock_recovers() {
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let engine = CurrencyEngine::new(&spec, &Options::default()).unwrap();
-        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-        assert!(engine.cop(&q).unwrap(), "warms one private copy");
-        // Poison the scratch lock by panicking while holding it.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = engine.scratch.lock().unwrap();
-            panic!("simulated query panic");
-        }));
-        assert!(result.is_err());
-        assert!(engine.scratch.is_poisoned());
-        // Every query path still works: the lock recovers and the private
-        // copies are cloned afresh from the slots.
-        assert!(engine.cps().unwrap());
-        assert!(engine.cop(&q).unwrap());
-        assert!(engine.witness_completion().unwrap().is_some());
-        assert!(!engine.scratch.is_poisoned(), "poison cleared");
     }
 
     #[test]

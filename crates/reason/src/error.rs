@@ -20,7 +20,7 @@ pub enum ReasonError {
     /// A cooperative work budget ([`crate::Options::solve_limits`] or
     /// [`crate::Options::deadline`]) interrupted the query before it was
     /// decided.  Never a verdict: the touched component stays undecided
-    /// and a retry resumes the search warm.
+    /// and a retry starts again from the component's compiled state.
     Interrupted {
         /// Solver work performed before the interrupt.
         spent: crate::Spent,

@@ -41,8 +41,8 @@
 //!   its compiled state into an immutable [`EngineSnapshot`] in O(top
 //!   level) ([`snapshot`]); a front door publishes snapshots through a
 //!   [`SnapshotCell`], and any number of [`SnapshotReader`]s answer
-//!   CPS/COP/DCIP/CCQA against their pinned epoch with per-reader solver
-//!   scratch and zero shared locks.  The engine and its snapshots share
+//!   CPS/COP/DCIP/CCQA against their pinned epoch with zero shared locks,
+//!   solving only on throwaway clones.  The engine and its snapshots share
 //!   one implementation of every query.  The `currency-serve` crate
 //!   builds the caching/rate-limited front door on top; the durable
 //!   store and the sharded engine never take a snapshot, so their writes
@@ -213,9 +213,10 @@ pub struct Options {
     /// enumeration may visit, it bounds the work of each SAT decision.
     /// Checked by every engine/snapshot solve path; exhaustion surfaces
     /// as [`ReasonError::Interrupted`] and leaves the touched component
-    /// undecided — never mis-cached as unsat.  Cached per-component
-    /// solvers keep their learnt state, so retrying the same query grants
-    /// the search another installment and it resumes warm.
+    /// undecided — never mis-cached as unsat.  The interrupted solve ran
+    /// on a throwaway clone, so a retry of the same query starts again
+    /// from the component's compiled state (its compile-time learnt
+    /// clauses included) with a fresh installment.
     pub solve_limits: SolveLimits,
     /// Wall-clock deadline for a whole query (`None` = no deadline).
     /// Bounded solves run in conflict installments so the deadline is

@@ -21,21 +21,15 @@
 //!   lock-then-clone-the-`Arc`, held for nanoseconds and recoverable
 //!   from poisoning, so a crashed reader can neither wedge the publish
 //!   path nor corrupt the published view (snapshots are immutable).
-//! * [`SnapshotReader`] — a reader's pinned view plus **per-reader
-//!   solver scratch**: assumption solves (COP) clone the component's
-//!   encoding into private scratch instead of locking a shared solver,
-//!   so N readers never block each other or the writer, and learnt
-//!   clauses still amortize across one reader's query stream.  A scratch
-//!   entry is stamped with its slot's compile generation and refreshed in
-//!   place (`Encoding::clone_from`, which reuses its buffers) only once
-//!   the writer has recompiled that slot.
+//! * [`SnapshotReader`] — a reader's pinned view plus its per-request
+//!   deadline and work budget.
 //!
 //! DCIP, certain answers, current instances, model enumeration, decode,
 //! the witness and COP are written once, over the borrowed `View` of a
 //! specification, partition, slot vector and options that the writer
-//! and its snapshots share.  COP solves on the one scratch type,
-//! `SolverScratch`: each reader owns one and the writer keeps one behind
-//! a single lock.
+//! and its snapshots share.  Every query only reads the shared slot
+//! encodings; a solve runs on a throwaway clone that the query drops
+//! when it returns, so N readers and the writer never block each other.
 //!
 //! The serving front door (answer cache, rate limiting, stats) lives on
 //! top of this module in the `currency-serve` crate.
@@ -56,14 +50,13 @@ use currency_core::{Completion, NormalInstance, RelId, Specification, Tuple, Val
 use currency_obs::{Counter, Gauge, MetricsRegistry};
 use currency_query::{Database, Query};
 use currency_sat::{Enumeration, SolveResult};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One component slot of the writer and of every snapshot: the compiled
 /// encoding (solved at compile time, so its learnt clauses are baked
-/// in), its verdict, and the compile generation that produced it.
+/// in) and its verdict.
 #[derive(Clone)]
 pub(crate) struct SlotView {
     pub(crate) enc: Arc<Encoding>,
@@ -71,9 +64,6 @@ pub(crate) struct SlotView {
     /// solve was interrupted by the writer's bounds.  Every slot of a
     /// snapshot is decided.
     pub(crate) sat: Option<bool>,
-    /// Writer-wide compile generation of `enc`: scratch copies stamped
-    /// with it stay valid until the writer recompiles the slot.
-    pub(crate) gen: u64,
 }
 
 /// One component's contribution to a product enumeration: the component
@@ -103,16 +93,14 @@ pub(crate) struct View<'a> {
 
 impl View<'_> {
     /// **COP** — per pair, the level-zero value of its literal in the
-    /// shared slot encoding, else one assumption solve against
-    /// `scratch`'s private copy of the pair's component.  Vacuously true
-    /// when the specification is inconsistent (paper convention).  The
-    /// verdict is passed in decided: the writer decides it on the same
-    /// scratch, so it must do so before lending the scratch out.
+    /// shared slot encoding, else one assumption solve on a throwaway
+    /// clone of the pair's component, counted into `copies`.  Vacuously
+    /// true when the specification is inconsistent (paper convention).
     pub(crate) fn cop(
         &self,
         ot: &CurrencyOrderQuery,
         consistent: bool,
-        scratch: &mut SolverScratch,
+        copies: &mut u64,
     ) -> Result<bool, ReasonError> {
         if !consistent {
             return Ok(true); // Mod(S) = ∅: vacuously certain
@@ -133,8 +121,8 @@ impl View<'_> {
                 .partition
                 .component_of(ot.rel, lt.eid)
                 .expect("every entity has a component");
-            let slot = &self.slots[ix];
-            let Some(l) = slot.enc.order_lit(ot.rel, attr, lesser, greater) else {
+            let shared = &self.slots[ix].enc;
+            let Some(l) = shared.order_lit(ot.rel, attr, lesser, greater) else {
                 return Ok(false);
             };
             // An expired deadline interrupts here, as a solve would, so
@@ -148,14 +136,14 @@ impl View<'_> {
             // Every solve returns at level zero, so the shared encoding
             // holds the literals its component entails outright: true is
             // certain, false is not (the component has a model).  Only an
-            // open literal takes a private copy.
-            match slot.enc.level0_value(l) {
+            // open literal is solved, on a clone.
+            match shared.level0_value(l) {
                 Some(true) => continue,
                 Some(false) => return Ok(false),
                 None => {}
             }
-            let enc = scratch.encoding(ix, slot);
-            if enc.solve(&[!l], &bounds)? == SolveResult::Sat {
+            *copies += 1;
+            if (**shared).clone().solve(&[!l], &bounds)? == SolveResult::Sat {
                 return Ok(false);
             }
         }
@@ -433,109 +421,14 @@ impl View<'_> {
     }
 }
 
-/// Slots a [`SolverScratch`] keeps private encodings for.  A full
-/// scratch evicts an entry and lends its buffers to the newcomer, so a
-/// long-lived reader that visits every component of a large
-/// specification holds at most this many encoding clones.
-const SCRATCH_SLOTS: usize = 256;
-
-/// One scratch entry: a private clone of a slot's encoding, stamped with
-/// the slot's compile generation, plus the verdict of an undecided
-/// slot once this copy decided it.
-struct ScratchSlot {
-    gen: u64,
-    enc: Encoding,
-    sat: Option<bool>,
-}
-
-/// Private solver copies of component encodings — what COP's assumption
-/// solves (and the writer's re-solves of undecided slots) run on, so
-/// the shared slot encodings are only ever read.  Learnt clauses
-/// accumulate in each copy across queries.  An entry goes stale only
-/// when its slot's compile generation changes; it is then refreshed in
-/// place (`Encoding::clone_from` reuses its buffers).
-#[derive(Default)]
-pub(crate) struct SolverScratch {
-    slots: HashMap<usize, ScratchSlot>,
-    clones: u64,
-    refreshes: u64,
-}
-
-impl SolverScratch {
-    /// The private copy of slot `ix`, cloned or refreshed on demand.
-    pub(crate) fn encoding(&mut self, ix: usize, view: &SlotView) -> &mut Encoding {
-        &mut self.entry(ix, view).enc
-    }
-
-    /// Decide an undecided slot on its private copy under `bounds`; the
-    /// verdict is kept until the slot is recompiled.
-    pub(crate) fn decide(
-        &mut self,
-        ix: usize,
-        view: &SlotView,
-        bounds: &Bounds,
-    ) -> Result<bool, ReasonError> {
-        let entry = self.entry(ix, view);
-        if let Some(sat) = entry.sat {
-            return Ok(sat);
-        }
-        let sat = entry.enc.solve(&[], bounds)? == SolveResult::Sat;
-        entry.sat = Some(sat);
-        Ok(sat)
-    }
-
-    /// Drop every private copy (after a panic mid-solve may have left
-    /// one half-updated).
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    fn entry(&mut self, ix: usize, view: &SlotView) -> &mut ScratchSlot {
-        if self.slots.len() >= SCRATCH_SLOTS && !self.slots.contains_key(&ix) {
-            // Full: the newcomer takes over an evicted entry's buffers.
-            let evicted = *self
-                .slots
-                .keys()
-                .next()
-                .expect("a full scratch has entries");
-            let mut s = self.slots.remove(&evicted).expect("key just listed");
-            s.enc.clone_from(&view.enc);
-            s.gen = view.gen;
-            s.sat = None;
-            self.clones += 1;
-            return self.slots.entry(ix).or_insert(s);
-        }
-        match self.slots.entry(ix) {
-            Entry::Occupied(entry) => {
-                let s = entry.into_mut();
-                if s.gen != view.gen {
-                    s.enc.clone_from(&view.enc);
-                    s.gen = view.gen;
-                    s.sat = None;
-                    self.refreshes += 1;
-                }
-                s
-            }
-            Entry::Vacant(entry) => {
-                self.clones += 1;
-                entry.insert(ScratchSlot {
-                    gen: view.gen,
-                    enc: (*view.enc).clone(),
-                    sat: None,
-                })
-            }
-        }
-    }
-}
-
 /// An immutable, shareable view of a compiled specification at one epoch
 /// ([`CurrencyEngine::snapshot`](crate::engine::CurrencyEngine::snapshot)).
 ///
 /// Everything a query needs — spec, partition, per-component encodings
-/// with their cached solver state — is frozen behind `Arc`s.  Query
-/// methods that never mutate solver state live here and take `&self`
-/// with no locking; entailment queries (COP) need a mutable solver and
-/// live on [`SnapshotReader`], which keeps private scratch.
+/// with their cached solver state — is frozen behind `Arc`s.  Queries
+/// take `&self` with no locking and solve only on throwaway clones; COP
+/// is asked through a [`SnapshotReader`], which layers its per-request
+/// deadline and budget over the snapshot's options.
 ///
 /// Live snapshots are counted by the writer's
 /// `currency_snapshot_epochs_live` gauge: up when one is built, down
@@ -722,27 +615,22 @@ impl SnapshotCell {
     }
 }
 
-/// A reader: a pinned snapshot plus per-reader solver scratch.
+/// A reader: a pinned snapshot plus its per-request overrides.
 ///
-/// Queries that need a mutable solver (COP's assumption solves) clone
-/// the touched component's encoding into the reader's own scratch on
-/// first use and keep querying that private copy — learnt clauses
-/// accumulate there, amortizing across the reader's stream, and no
-/// shared state is ever locked or written.  [`SnapshotReader::pin`]
-/// moves the reader to a newer snapshot; a scratch entry whose slot the
-/// writer recompiled in between is refreshed lazily in place
-/// (`Encoding::clone_from` reuses its buffers) the next time its slot
-/// is queried, and every other entry keeps its learnt clauses.  Scratch
-/// holds at most 256 slots; past that, a new slot takes over an evicted
-/// entry's buffers.
+/// Every query reads the pinned snapshot's shared slot encodings and
+/// solves on a throwaway clone, so no shared state is ever locked or
+/// written.  [`SnapshotReader::pin`] moves the reader to a newer
+/// snapshot.
 pub struct SnapshotReader {
     snap: Arc<EngineSnapshot>,
-    scratch: SolverScratch,
     /// Per-request wall-clock deadline layered over the snapshot's
     /// options for every query until changed.
     deadline: Option<Instant>,
     /// Per-solve budget override layered over the snapshot's options.
     solve_limits: Option<SolveLimits>,
+    /// Encoding clones this reader's COPs took (see
+    /// [`SnapshotReader::scratch_clones`]).
+    copies: u64,
 }
 
 impl SnapshotReader {
@@ -750,9 +638,9 @@ impl SnapshotReader {
     pub fn new(snap: Arc<EngineSnapshot>) -> SnapshotReader {
         SnapshotReader {
             snap,
-            scratch: SolverScratch::default(),
             deadline: None,
             solve_limits: None,
+            copies: 0,
         }
     }
 
@@ -789,8 +677,6 @@ impl SnapshotReader {
     }
 
     /// Re-pin to `snap` (typically a fresh [`SnapshotCell::load`]).
-    /// Scratch survives; entries whose slot was recompiled since are
-    /// refreshed on their next use.
     pub fn pin(&mut self, snap: Arc<EngineSnapshot>) {
         self.snap = snap;
     }
@@ -805,16 +691,19 @@ impl SnapshotReader {
         &self.snap
     }
 
-    /// Slot encodings copied into scratch for a slot it did not hold,
-    /// over this reader's lifetime.
+    /// Slot encodings this reader's COPs cloned to solve an open
+    /// literal, over the reader's lifetime.  Kept for the repository
+    /// benchmark's per-layer report until its next definition change
+    /// (ROADMAP item 1).
     pub fn scratch_clones(&self) -> u64 {
-        self.scratch.clones
+        self.copies
     }
 
-    /// Stale scratch encodings refreshed in place after the writer
-    /// recompiled their slot.
+    /// Always 0: no clone outlives its query, so none is ever refreshed.
+    /// Kept for the repository benchmark's per-layer report until its
+    /// next definition change (ROADMAP item 1).
     pub fn scratch_refreshes(&self) -> u64 {
-        self.scratch.refreshes
+        0
     }
 
     /// **CPS** at the pinned epoch (precomputed; a field read).
@@ -822,13 +711,13 @@ impl SnapshotReader {
         self.snap.cps()
     }
 
-    /// **COP** at the pinned epoch: one assumption solve per pair
-    /// against this reader's private scratch clone of the pair's
-    /// component.
+    /// **COP** at the pinned epoch: per pair, the level-zero value of
+    /// its literal, else one assumption solve on a throwaway clone of the
+    /// pair's component.
     pub fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
-        let opts = self.effective_options();
-        let snap = &self.snap;
-        snap.view(opts).cop(ot, snap.consistent, &mut self.scratch)
+        let consistent = self.snap.consistent;
+        let view = self.snap.view(self.effective_options());
+        view.cop(ot, consistent, &mut self.copies)
     }
 
     /// **DCIP** at the pinned epoch (see [`EngineSnapshot::dcip`]).
@@ -891,7 +780,7 @@ mod tests {
 
     /// `entities` entities of two readings each (ids `2e` and `2e + 1`)
     /// and no constraint, compiled: every pair is open at level zero, so
-    /// COP solves on scratch (and answers `false`).
+    /// COP solves on a clone (and answers `false`).
     fn unconstrained_engine(entities: u64) -> (CurrencyEngine, RelId) {
         let mut cat = Catalog::new();
         let r = cat.add(RelationSchema::new("R", &["A"]));
@@ -965,7 +854,6 @@ mod tests {
         let mut pinned = SnapshotReader::new(engine.snapshot());
         let epoch_before = pinned.epoch();
         let spec_before = pinned.snapshot().spec_arc();
-        // Warm the pinned reader's scratch so the delta cannot reach it.
         let q01 = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
         assert!(pinned.cop(&q01).unwrap());
         // The delta contradicts entity 0's order: post-delta CPS is false.
@@ -986,11 +874,26 @@ mod tests {
         assert_eq!(pinned.epoch(), epoch_before + 1);
         assert!(!pinned.cps(), "conflicting edge refutes entity 0");
         assert!(pinned.cop(&q01).unwrap(), "vacuously certain");
-        assert_eq!(pinned.scratch_refreshes(), 0, "cps/vacuous cop never solve");
-        // A pair in a reused component must refresh the scratch lazily.
+        assert_matches_engine(&mut pinned, r);
         let q23 = CurrencyOrderQuery::single(r, A, TupleId(2), TupleId(3));
         let mut fresh = SnapshotReader::new(engine.snapshot());
         assert!(fresh.cop(&q23).unwrap());
+
+        // Open literals: a re-pinned reader answers like a fresh engine
+        // after a delta rebuilt the queried slot and after a delta to
+        // another slot.
+        let (mut engine, r) = unconstrained_engine(3);
+        let mut reader = SnapshotReader::new(engine.snapshot());
+        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
+        assert!(!reader.cop(&q).unwrap());
+        for e in [0, 2] {
+            let mut delta = SpecDelta::new();
+            delta.insert_tuple(r, Tuple::new(Eid(e), vec![Value::int(30)]));
+            engine.apply(&delta).unwrap();
+            reader.pin(engine.snapshot());
+            assert_eq!(reader.cop(&q).unwrap(), engine.cop(&q).unwrap());
+            assert_matches_engine(&mut reader, r);
+        }
     }
 
     /// The bench's large-scale shape: `entities` target entities of ten
@@ -1094,14 +997,14 @@ mod tests {
             for (u, v) in
                 (10 * e..10 * e + 10).flat_map(|u| (10 * e..10 * e + 10).map(move |v| (u, v)))
             {
-                // The scratch path: an assumption solve on a private copy.
-                let scratch = enc
+                // The solve path: an assumption solve on a clone.
+                let solved = enc
                     .order_lit(t, A, TupleId(u), TupleId(v))
                     .is_some_and(|l| {
                         (**enc).clone().solve(&[!l], &Bounds::default()) == Ok(SolveResult::Unsat)
                     });
                 let q = CurrencyOrderQuery::single(t, A, TupleId(u), TupleId(v));
-                assert_eq!(reader.cop(&q).unwrap(), scratch, "{u} ≺ {v}");
+                assert_eq!(reader.cop(&q).unwrap(), solved, "{u} ≺ {v}");
             }
         }
         assert_eq!(
@@ -1112,60 +1015,77 @@ mod tests {
     }
 
     #[test]
-    fn reader_scratch_refreshes_in_place_after_epoch_change() {
-        let (mut engine, r) = unconstrained_engine(3);
-        let mut reader = SnapshotReader::new(engine.snapshot());
-        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-        assert!(!reader.cop(&q).unwrap());
-        assert_eq!(reader.scratch_clones(), 1);
-        // Rebuild entity 0's component with a new most-current tuple.
-        let mut delta = SpecDelta::new();
-        delta.insert_tuple(r, Tuple::new(Eid(0), vec![Value::int(30)]));
-        let report = engine.apply(&delta).unwrap();
-        let new_id = report.inserted[0].1;
-        reader.pin(engine.snapshot());
-        assert!(!reader
-            .cop(&CurrencyOrderQuery::single(r, A, TupleId(1), new_id))
-            .unwrap());
-        assert_eq!(reader.scratch_clones(), 1, "no fresh allocation");
-        assert_eq!(reader.scratch_refreshes(), 1, "refreshed in place");
-        assert_matches_engine(&mut reader, r);
+    fn engine_cops_run_concurrently() {
+        let entities = 6u32;
+        let (engine, r) = unconstrained_engine(u64::from(entities));
+        let queries: Vec<CurrencyOrderQuery> = (0..2 * entities)
+            .flat_map(|u| {
+                let e = u / 2;
+                (2 * e..2 * e + 2)
+                    .filter(move |&v| v != u)
+                    .map(move |v| CurrencyOrderQuery::single(r, A, TupleId(u), TupleId(v)))
+            })
+            .collect();
+        let want: Vec<bool> = queries.iter().map(|q| engine.cop(q).unwrap()).collect();
+        assert!(want.iter().all(|&v| !v), "every pair is open");
+        let (engine, queries) = (&engine, &queries);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait(); // every thread's COPs overlap
+                        let mut got = Vec::new();
+                        for round in 0..8 {
+                            for k in 0..queries.len() {
+                                let k = (k + t + round) % queries.len();
+                                got.push((k, engine.cop(&queries[k]).unwrap()));
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (k, verdict) in worker.join().unwrap() {
+                    assert_eq!(verdict, want[k], "query {k}");
+                }
+            }
+        });
     }
 
     #[test]
-    fn reader_scratch_survives_deltas_to_other_slots() {
-        let (mut engine, r) = unconstrained_engine(3);
+    fn cop_leaves_shared_slots_untouched() {
+        let (mut engine, r) = unconstrained_engine(4);
+        let shapes = |engine: &CurrencyEngine| -> Vec<_> {
+            (0..engine.stats().components)
+                .map(|ix| engine.slot_shape(ix))
+                .collect()
+        };
+        let before = shapes(&engine);
         let mut reader = SnapshotReader::new(engine.snapshot());
-        let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-        assert!(!reader.cop(&q).unwrap());
-        // A delta to entity 2 recompiles entity 2's slot only.
-        let mut delta = SpecDelta::new();
-        delta.insert_tuple(r, Tuple::new(Eid(2), vec![Value::int(40)]));
-        engine.apply(&delta).unwrap();
-        reader.pin(engine.snapshot());
-        assert!(!reader.cop(&q).unwrap());
-        assert_eq!(reader.cop(&q).unwrap(), engine.cop(&q).unwrap());
-        assert_eq!(reader.scratch_clones(), 1);
-        assert_eq!(
-            reader.scratch_refreshes(),
-            0,
-            "the clean slot kept its copy"
-        );
-    }
-
-    #[test]
-    fn reader_scratch_stays_bounded() {
-        let entities = SCRATCH_SLOTS as u32 + 44;
-        let (mut engine, r) = unconstrained_engine(u64::from(entities));
-        let mut reader = SnapshotReader::new(engine.snapshot());
-        for e in 0..entities {
-            let q = CurrencyOrderQuery::single(r, A, TupleId(2 * e), TupleId(2 * e + 1));
-            assert!(!reader.cop(&q).unwrap(), "entity {e}");
-            assert!(reader.scratch.slots.len() <= SCRATCH_SLOTS);
+        // One interrupted COP first: a zero-work budget stops the solve
+        // mid-way on its clone.
+        let q01 = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
+        reader.set_solve_limits(Some(SolveLimits {
+            max_conflicts: Some(0),
+            max_props: Some(0),
+        }));
+        assert!(matches!(
+            reader.cop(&q01),
+            Err(ReasonError::Interrupted { .. })
+        ));
+        reader.set_solve_limits(None);
+        // Then a burst of open-literal COPs through both doors.
+        for u in 0..8u32 {
+            let v = u ^ 1;
+            let q = CurrencyOrderQuery::single(r, A, TupleId(u), TupleId(v));
+            assert!(!reader.cop(&q).unwrap());
+            assert!(!engine.cop(&q).unwrap());
         }
-        // Full at 256 slots: each later slot took over an evicted entry.
-        assert_eq!(reader.scratch.slots.len(), SCRATCH_SLOTS);
-        assert_eq!(reader.scratch_clones(), u64::from(entities));
+        assert_eq!(reader.scratch_clones(), 9, "one clone per open COP");
+        assert_eq!(shapes(&engine), before);
     }
 
     #[test]
@@ -1309,9 +1229,8 @@ mod tests {
             reader.current_instances(r),
             Err(ReasonError::Interrupted { .. })
         ));
-        // Clearing the override resumes on the same scratch state and the
-        // answers match a live engine — the interruption left nothing
-        // corrupted behind.
+        // Clearing the override, the answers match a live engine — the
+        // interruption left nothing corrupted behind.
         reader.set_solve_limits(None);
         assert_matches_engine(&mut reader, r);
     }
@@ -1335,13 +1254,13 @@ mod tests {
     }
 
     #[test]
-    fn reader_escalating_budgets_converge_warm() {
+    fn reader_escalating_budgets_converge() {
         let (mut engine, r) = unconstrained_engine(3);
         let snap = engine.snapshot();
         let q = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
         let oracle = SnapshotReader::new(snap.clone()).cop(&q).unwrap();
-        // One reader retries the same query with doubling budgets; scratch
-        // encodings persist across attempts, so each retry resumes warm.
+        // One reader retries the same query with doubling budgets; each
+        // retry solves from the slot's compiled state.
         let mut reader = SnapshotReader::new(snap);
         let mut budget: u64 = 1;
         loop {
@@ -1361,7 +1280,6 @@ mod tests {
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
-        assert_eq!(reader.scratch_clones(), 1, "retries reuse one scratch");
     }
 
     #[test]

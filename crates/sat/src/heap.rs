@@ -11,26 +11,11 @@
 
 use crate::types::Var;
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ActivityHeap {
     /// Binary max-heap of `(activity, var)` entries; may contain duplicates
     /// and stale activities.
     entries: Vec<(f64, Var)>,
-}
-
-/// Hand-rolled so that `clone_from` reuses the existing heap allocation
-/// (the derive's default `clone_from` re-allocates); see
-/// [`crate::Solver`]'s `Clone` impl for why that matters.
-impl Clone for ActivityHeap {
-    fn clone(&self) -> Self {
-        ActivityHeap {
-            entries: self.entries.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.entries.clone_from(&source.entries);
-    }
 }
 
 impl ActivityHeap {

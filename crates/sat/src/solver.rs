@@ -160,7 +160,7 @@ impl std::iter::Sum for SolverStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Clause {
     lits: Vec<Lit>,
     /// Learnt (eligible for database reduction) vs original.
@@ -169,29 +169,6 @@ struct Clause {
     lbd: u32,
     /// Bump-and-decay activity, used to rank deletable learnt clauses.
     activity: f64,
-}
-
-/// Hand-rolled so that `Vec<Clause>::clone_from` (which is element-wise)
-/// reuses each destination clause's literal buffer instead of
-/// re-allocating it.  That matters only for solvers that store many
-/// clauses; a component decided at level zero stores none, and its
-/// refresh cost is the per-variable arrays.
-impl Clone for Clause {
-    fn clone(&self) -> Self {
-        Clause {
-            lits: self.lits.clone(),
-            learnt: self.learnt,
-            lbd: self.lbd,
-            activity: self.activity,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.lits.clone_from(&source.lits);
-        self.learnt = source.learnt;
-        self.lbd = source.lbd;
-        self.activity = source.activity;
-    }
 }
 
 /// A watch-list entry: the watching clause plus a *blocking literal* — any
@@ -271,16 +248,11 @@ pub struct Solver {
 
 /// Cloning a solver copies its entire state — clause database, learnt
 /// clauses, watches, activities — so a clone answers exactly like the
-/// original while staying fully private (the basis for per-reader solver
-/// scratch in concurrent serving).
-///
-/// The impl is hand-rolled for `clone_from`: refreshing an existing
-/// scratch solver from a shared one reuses every buffer the scratch
-/// already owns (per-variable arrays, trail, heap, and the clause and
-/// watch buffers of a solver that stores clauses), so a reader that
-/// re-pins a new snapshot epoch pays memcpys instead of fresh
-/// allocations.  A solver without stored clauses has no watch tables, so
-/// its refresh copies the per-variable arrays and nothing else.
+/// original while staying fully private (the basis for solving a query
+/// on a throwaway copy of a shared solver).  Hand-rolled only to leave
+/// out `add_buf`, which is not solver state.  A solver without stored
+/// clauses has no watch tables, so its clone copies the per-variable
+/// arrays and nothing else.
 impl Clone for Solver {
     fn clone(&self) -> Self {
         Solver {
@@ -308,31 +280,6 @@ impl Clone for Solver {
             model: self.model.clone(),
             stats: self.stats,
         }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.clauses.clone_from(&source.clauses);
-        self.watches.clone_from(&source.watches);
-        self.bin_watches.clone_from(&source.bin_watches);
-        self.assign.clone_from(&source.assign);
-        self.level.clone_from(&source.level);
-        self.reason.clone_from(&source.reason);
-        self.activity.clone_from(&source.activity);
-        self.phase.clone_from(&source.phase);
-        self.seen.clone_from(&source.seen);
-        self.trail.clone_from(&source.trail);
-        self.trail_lim.clone_from(&source.trail_lim);
-        self.qhead = source.qhead;
-        self.heap.clone_from(&source.heap);
-        self.var_inc = source.var_inc;
-        self.cla_inc = source.cla_inc;
-        self.lbd_stamp.clone_from(&source.lbd_stamp);
-        self.lbd_counter = source.lbd_counter;
-        self.num_learnts = source.num_learnts;
-        self.max_learnts = source.max_learnts;
-        self.ok = source.ok;
-        self.model.clone_from(&source.model);
-        self.stats = source.stats;
     }
 }
 

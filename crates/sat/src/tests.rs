@@ -774,11 +774,12 @@ fn enumeration_counts_match_dpll_model_count() {
 
 #[test]
 fn clone_and_clone_from_yield_independent_equivalent_solvers() {
-    // Per-reader scratch relies on two properties of `Clone`: the copy
-    // answers exactly like the original (clause database, learnt clauses
-    // and phases included), and work done on the copy never leaks back.
+    // Solving on throwaway copies relies on two properties of `Clone`:
+    // the copy answers exactly like the original (clause database, learnt
+    // clauses and phases included), and work done on the copy never leaks
+    // back.
     let mut rng = XorShift(0xfeed_f00d_dead_beef);
-    let mut recycled = Solver::new(); // refreshed via clone_from each round
+    let mut recycled = Solver::new(); // overwritten via clone_from each round
     for round in 0..60 {
         let num_vars = 4 + (round % 5);
         let num_clauses = 2 + (rng.below(3 * num_vars as u64) as usize);
@@ -786,7 +787,7 @@ fn clone_and_clone_from_yield_independent_equivalent_solvers() {
         let mut shared = build(num_vars, &clauses);
         let shared_result = shared.solve(); // accumulate learnt state first
         let mut fresh = shared.clone();
-        recycled.clone_from(&shared); // reuses the previous round's buffers
+        recycled.clone_from(&shared); // replaces the previous round's state
         assert_eq!(fresh.num_vars(), shared.num_vars(), "round {round}");
         assert_eq!(fresh.num_clauses(), shared.num_clauses(), "round {round}");
         assert_eq!(

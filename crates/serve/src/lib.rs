@@ -17,9 +17,9 @@
 //!   stored under `(request, epoch)`, so a cache entry is fresh exactly
 //!   until the next publication and invalidation is free — a writer
 //!   bump makes every stale entry miss; stale entries are retained as
-//!   the degraded-serving reserve.  Misses are evaluated against the handle's
-//!   private [`SnapshotReader`] solver scratch (no shared locks) and
-//!   then cached for every other handle.
+//!   the degraded-serving reserve.  Misses are evaluated through the
+//!   handle's own [`SnapshotReader`] (no shared locks; solves run on
+//!   throwaway clones) and then cached for every other handle.
 //! * Admission is controlled by an optional lock-free token-bucket
 //!   [`RateLimit`], and every counter is an atomic on the stack's one
 //!   metrics registry ([`ServeStats`] is a view over it), so stats
@@ -485,12 +485,13 @@ impl CurrencyServe {
     }
 }
 
-/// A per-thread reader handle: pinned snapshot, private solver scratch,
+/// A per-thread reader handle: pinned snapshot, per-request overrides,
 /// shared cache and counters.
 ///
-/// Queries take `&mut self` (the scratch learns clauses); hand each
-/// thread its own clone.  Cloning is cheap — the new handle shares the
-/// cache and counters and starts with empty scratch.
+/// Queries take `&mut self` (each re-pins the reader and sets its
+/// deadline); hand each thread its own clone.  Cloning is cheap — the
+/// new handle shares the cache and counters and pins the latest
+/// published snapshot.
 pub struct ServeHandle {
     reader: SnapshotReader,
     shared: Arc<ServeShared>,
@@ -509,9 +510,8 @@ impl ServeHandle {
     /// Answer `req` at the latest published epoch under the service's
     /// default per-request budget: admission checks (rate limit,
     /// in-flight cap), cache lookup, breaker admission, then (on a
-    /// miss) a deadline-bounded evaluation against this handle's
-    /// private scratch — strictly outside any shared lock — and cache
-    /// fill.  A timed-out solve degrades to the newest stale cached
+    /// miss) a deadline-bounded evaluation through this handle's reader
+    /// — strictly outside any shared lock — and cache fill.  A timed-out solve degrades to the newest stale cached
     /// answer when one exists.
     pub fn query(&mut self, req: &ServeRequest) -> Result<ServeAnswer, ServeError> {
         self.query_deadline(req, self.shared.request_timeout)
@@ -602,9 +602,9 @@ impl ServeHandle {
         }
     }
 
-    /// Evaluate `req` against the pinned snapshot with this handle's
-    /// private scratch.  The reader's per-request deadline (set by the
-    /// caller) bounds every solve below.
+    /// Evaluate `req` against the pinned snapshot through this handle's
+    /// reader.  The reader's per-request deadline (set by the caller)
+    /// bounds every solve below.
     fn evaluate(&mut self, req: &ServeRequest) -> Result<ServeAnswer, ReasonError> {
         Ok(match req {
             ServeRequest::Cps => ServeAnswer::Bool(self.reader.cps()),

@@ -55,8 +55,7 @@ pub struct ShardedServe {
 }
 
 /// A per-thread scatter-gather reader: one [`ServeHandle`] per shard,
-/// each with its own pinned snapshot, solver scratch, and shared
-/// per-shard cache.  Clone one per reader thread.
+/// each with its own pinned snapshot and shared per-shard cache.  Clone one per reader thread.
 pub type ShardedServeHandle = Scatter<ServeHandle>;
 
 impl ShardedServe {

@@ -91,18 +91,6 @@ pub struct StoreOptions {
     /// `keep_snapshots - 1` fallbacks for checksum-failure recovery).
     /// Clamped to at least 1.  Default: 2.
     pub keep_snapshots: usize,
-    /// Skip the per-record [`SpecDelta::validate`] re-simulation during
-    /// recovery replay.  Every logged delta *was* validated before it was
-    /// appended, and the log's CRC framing already proves the bytes are
-    /// the ones that were written — so for a log nothing else ever
-    /// touches, re-validation only re-proves what the checksum proved.
-    /// The replay's structural defenses all stay on: sequence contiguity,
-    /// compaction-step verification, and the engine's own `apply`
-    /// (which still rejects a truly inconsistent record).  Default
-    /// `false` — the validating path remains the paranoid default; turn
-    /// this on for recovery-latency-sensitive reopens of trusted
-    /// directories (the sharded parallel-recovery path benchmarks both).
-    pub trusted_replay: bool,
 }
 
 impl Default for StoreOptions {
@@ -112,7 +100,6 @@ impl Default for StoreOptions {
             group_commit: 1,
             sync_data: true,
             keep_snapshots: 2,
-            trusted_replay: false,
         }
     }
 }
@@ -369,14 +356,10 @@ impl DurableEngine {
                 Record::Delta { seq, delta } => {
                     // Re-validate through the same admissibility path the
                     // live `apply` uses; a delta that no longer validates
-                    // means snapshot and log diverged.  Under
-                    // `trusted_replay` the CRC stands in for this check —
-                    // see [`StoreOptions::trusted_replay`].
-                    if !store_opts.trusted_replay {
-                        delta
-                            .validate(engine.spec())
-                            .map_err(|source| StoreError::ReplayInvalid { seq, source })?;
-                    }
+                    // means snapshot and log diverged.
+                    delta
+                        .validate(engine.spec())
+                        .map_err(|source| StoreError::ReplayInvalid { seq, source })?;
                     // Replayed deltas must not *initiate* steps: the log
                     // records the steps the original run took.
                     engine.apply_replayed(&delta)?;

@@ -161,25 +161,15 @@ fn main() {
     let store = ShardedStore::open(&dir, &opts, store_opts).expect("parallel recovery");
     let replayed: usize = store.recoveries().iter().map(|r| r.deltas_replayed).sum();
     println!("[tick 5] ✓ {SHARDS} shards recovered in parallel, {replayed} deltas replayed");
-    let sequential = ShardedStore::open_sequential(
-        &dir,
-        &opts,
-        StoreOptions {
-            // A recovery-speed lever: skip per-delta re-validation and
-            // lean on the WAL's CRC framing — the log only ever holds
-            // deltas that were admissible when written.
-            trusted_replay: true,
-            ..store_opts
-        },
-    )
-    .expect("sequential recovery");
+    let sequential =
+        ShardedStore::open_sequential(&dir, &opts, store_opts).expect("sequential recovery");
     for (k, pre) in pre_crash.iter().enumerate() {
         let recovered = encode_spec(store.shard(k).spec());
         assert_eq!(&recovered, pre, "shard {k} lost state");
         assert_eq!(
             &encode_spec(sequential.shard(k).spec()),
             pre,
-            "trusted sequential recovery diverged on shard {k}"
+            "sequential recovery diverged on shard {k}"
         );
     }
     drop(sequential);

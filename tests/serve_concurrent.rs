@@ -9,8 +9,8 @@
 //! the specification it published at every epoch, and after the threads
 //! join each recorded `(epoch, request, answer)` triple is replayed
 //! against a reference engine built from the retained spec — torn reads,
-//! stale caches, or scratch leaking across epochs would all surface as a
-//! mismatch.
+//! stale caches, or solver state leaking across epochs would all surface
+//! as a mismatch.
 //!
 //! A second test crashes a reader thread mid-stream and checks the
 //! regression the snapshot layer promises: a dead (panicking) reader can
@@ -237,7 +237,7 @@ fn panicking_reader_cannot_poison_snapshots_or_wedge_the_writer() {
     let serve =
         Arc::new(CurrencyServe::new(spec, &Options::default(), &ServeOptions::default()).unwrap());
 
-    // A reader warms its scratch and cache entries, then dies mid-stream.
+    // A reader warms its cache entries, then dies mid-stream.
     let crasher = {
         let serve = serve.clone();
         std::thread::spawn(move || {
