@@ -27,10 +27,10 @@
 //! solve, closure-check, lemmatize — until the model is transitive or the
 //! instance is refuted; the lemmas are sound consequences of the
 //! transitivity axiom.  It runs under work [`Bounds`] (the default bounds
-//! nothing), so every solve of the engine can stop on a budget or a
-//! deadline.  The reference encodings of the differential
-//! tests (`crate::oracle`, behind the `oracle` feature) can instead
-//! ground every triangle eagerly; both decide the same problems.
+//! nothing), so a reader's query can stop on a budget or a deadline.
+//! The reference encodings of the differential tests (`crate::oracle`,
+//! behind the `oracle` feature) can instead ground every triangle
+//! eagerly; both decide the same problems.
 //!
 //! For the current-instance problems (DCIP, CCQA) the encoding can
 //! additionally materialize, per `(relation, entity, attribute)`:
@@ -50,7 +50,7 @@ use crate::error::ReasonError;
 #[cfg(any(test, feature = "oracle"))]
 use crate::oracle::TransitivityMode;
 use crate::partition::Component;
-use crate::{Options, SolveLimits, Spent};
+use crate::{SolveLimits, Spent};
 use currency_core::{
     AttrId, Completion, CopyGroups, CurrencyError, Eid, EntityGrounder, GroundBuffer, OrderEdge,
     RelCompletion, RelId, Specification, TemporalInstance, Tuple, TupleId, Value,
@@ -68,9 +68,11 @@ use std::time::Instant;
 /// is noise.
 const DEADLINE_CHUNK: u64 = 512;
 
-/// The work bounds of one query, distilled from [`Options`]: a per-solve
-/// budget plus an absolute wall-clock deadline.  The default bounds
-/// nothing: a solve under it is never interrupted.
+/// The work bounds of one query: a per-solve budget plus an absolute
+/// wall-clock deadline.  The default bounds nothing: a solve under it is
+/// never interrupted.  A [`crate::SnapshotReader`] carries the bounds of
+/// its queries; the writer and the engine's own queries solve under the
+/// default.
 ///
 /// Under a deadline, solves run in conflict installments (warm resume
 /// between installments makes chunking semantically identical to one
@@ -85,14 +87,6 @@ pub struct Bounds {
 }
 
 impl Bounds {
-    /// The bounds carried by an [`Options`].
-    pub fn from_options(opts: &Options) -> Bounds {
-        Bounds {
-            limits: opts.solve_limits,
-            deadline: opts.deadline,
-        }
-    }
-
     /// `true` once the wall-clock deadline has passed.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)

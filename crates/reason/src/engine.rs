@@ -7,16 +7,13 @@
 //! * **compile once** — each entity component's CNF is built a single time
 //!   ([`crate::encode::ComponentCompiler`]), grounding the component's
 //!   constraints and copy obligations for its cells straight into its
-//!   solver, and solved right away under the engine's
-//!   [`Options::solve_limits`] / deadline, so the verdict, learnt clauses
-//!   and lazy-transitivity lemmas are baked into the slot.  A solve the
-//!   bounds interrupt leaves the slot *undecided* (never unsat, and never
-//!   a failed write); [`CurrencyEngine::cps`] re-tries it;
+//!   solver, and solved right away without bounds, so every slot carries
+//!   its verdict, learnt clauses and lazy-transitivity lemmas;
 //! * **solve incrementally** — the aggregate verdict is a count of
-//!   unsatisfiable slots plus the set of undecided ones, so a CPS at
-//!   steady state is a field read.  Entailment queries (COP) read the
-//!   pair's literal at level zero and otherwise run an assumption-based
-//!   call on a throwaway clone of only the component the pair touches;
+//!   unsatisfiable slots, so a CPS is a field read.  Entailment queries
+//!   (COP) read the pair's literal at level zero and otherwise run an
+//!   assumption-based call on a throwaway clone of only the component the
+//!   pair touches;
 //! * **enumerate locally** — current-instance enumeration projects onto
 //!   one component's value indicators at a time, so order differences in
 //!   unrelated components never multiply the model count, and All-SAT
@@ -51,9 +48,12 @@
 //!
 //! Queries run over the same borrowed view of the state as the
 //! snapshots' queries (see [`crate::snapshot`]), so each query path
-//! exists once.  Every encoding the engine holds covers one component
-//! and enforces transitivity lazily; the whole-specification reference
-//! path the engine is differentially tested against (the `*_monolithic`
+//! exists once.  The engine's own queries run unbounded; a caller that
+//! needs a deadline or a work budget sets it on a
+//! [`crate::SnapshotReader`], the one place a query is bounded.  Every
+//! encoding the engine holds covers one component and enforces
+//! transitivity lazily; the whole-specification reference path the
+//! engine is differentially tested against (the `*_monolithic`
 //! functions) is built only with the `oracle` feature.
 
 use crate::ccqa::CertainAnswers;
@@ -210,10 +210,9 @@ fn remapped_cells(spec: &Specification, slices: &[CompactSlice]) -> BTreeSet<(Re
     touched
 }
 
-/// Compile one component and solve it under `bounds` right away, so the
-/// slot carries its verdict, learnt clauses and lazy lemmas (an
-/// interrupted solve leaves the verdict undecided).  The slot keeps a
-/// clone: exactly sized, with the build's doubling buffers freed
+/// Compile one component and solve it right away without bounds, so the
+/// slot carries its verdict, learnt clauses and lazy lemmas.  The slot
+/// keeps a clone: exactly sized, with the build's doubling buffers freed
 /// together.  Slot encodings are only read and cloned from then on and
 /// live among encodings built at other times, so packing them keeps the
 /// heap from fragmenting on a long delta stream.
@@ -221,17 +220,18 @@ fn compile_slot(
     compiler: &ComponentCompiler<'_>,
     component: &Arc<Component>,
     scratch: &mut CompileScratch,
-    bounds: &Bounds,
     obs: &EngineObs,
 ) -> SlotView {
     let mut enc = compiler.compile(component, scratch);
     let clock = obs.clock();
-    let outcome = enc.solve(&[], bounds);
+    let outcome = enc
+        .solve(&[], &Bounds::default())
+        .expect("an unbounded solve is never interrupted");
     // A fresh encoding's absolute counters are the solve's delta.
     obs.record_solve(clock, &SolverStats::default(), &enc.solver_stats());
     SlotView {
         enc: Arc::new(enc.clone()),
-        sat: outcome.ok().map(|r| r == SolveResult::Sat),
+        sat: outcome == SolveResult::Sat,
     }
 }
 
@@ -264,8 +264,6 @@ pub struct CurrencyEngine {
     /// ([`Encoding::has_ground_falsum`]): while any exists the
     /// specification is inconsistent regardless of order choices.
     falsum_slots: usize,
-    /// Slots whose compile-time solve the bounds interrupted.
-    undecided: BTreeSet<usize>,
     epoch: u64,
     opts: Options,
     /// Metric handles + trace recorder (see [`EngineObs`]); also the
@@ -318,14 +316,13 @@ impl CurrencyEngine {
         let obs = EngineObs::new();
         let mut compile_scratch = CompileScratch::default();
         let compiler = ComponentCompiler::new(&spec, &value_rels);
-        let bounds = Bounds::from_options(opts);
         let slots: PagedVec<SlotView> = run_indexed_with(
             effective_threads(opts),
             partition.slots(),
             &mut compile_scratch,
             |scratch, ix| {
                 let component = partition.component(ix);
-                Ok(compile_slot(&compiler, component, scratch, &bounds, &obs))
+                Ok(compile_slot(&compiler, component, scratch, &obs))
             },
         )?
         .into_iter()
@@ -340,7 +337,6 @@ impl CurrencyEngine {
             slots,
             unsat: 0,
             falsum_slots: 0,
-            undecided: BTreeSet::new(),
             epoch: 1,
             opts: *opts,
             obs,
@@ -474,7 +470,6 @@ impl CurrencyEngine {
         let compiled: Vec<SlotView> = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
             let compiler = ComponentCompiler::new(&self.spec, &self.value_rels);
-            let bounds = Bounds::from_options(&self.opts);
             let (partition, rebuilt, obs) = (self.partition.as_ref(), &plan.rebuilt, &self.obs);
             run_indexed_with(
                 effective_threads(&self.opts),
@@ -482,7 +477,7 @@ impl CurrencyEngine {
                 &mut self.compile_scratch,
                 |scratch, k| {
                     let component = partition.component(rebuilt[k]);
-                    Ok(compile_slot(&compiler, component, scratch, &bounds, obs))
+                    Ok(compile_slot(&compiler, component, scratch, obs))
                 },
             )?
         };
@@ -492,7 +487,7 @@ impl CurrencyEngine {
             self.retire(slot);
             self.slots[slot] = SlotView {
                 enc: self.vacant.clone(),
-                sat: Some(true),
+                sat: true,
             };
         }
         for (&slot, view) in plan.rebuilt.iter().zip(compiled) {
@@ -515,13 +510,7 @@ impl CurrencyEngine {
     /// filled).
     fn admit(&mut self, slot: usize) {
         let view = &self.slots[slot];
-        match view.sat {
-            Some(false) => self.unsat += 1,
-            Some(true) => {}
-            None => {
-                self.undecided.insert(slot);
-            }
-        }
+        self.unsat += usize::from(!view.sat);
         self.falsum_slots += usize::from(view.enc.has_ground_falsum());
     }
 
@@ -529,13 +518,7 @@ impl CurrencyEngine {
     /// be replaced).
     fn retire(&mut self, slot: usize) {
         let view = &self.slots[slot];
-        match view.sat {
-            Some(false) => self.unsat -= 1,
-            Some(true) => {}
-            None => {
-                self.undecided.remove(&slot);
-            }
-        }
+        self.unsat -= usize::from(!view.sat);
         self.falsum_slots -= usize::from(view.enc.has_ground_falsum());
     }
 
@@ -726,25 +709,13 @@ impl CurrencyEngine {
         self.obs.deltas_replayed.add(deltas_replayed as u64);
     }
 
-    /// Freeze the current state into an immutable [`EngineSnapshot`].
-    ///
-    /// A slot whose compile-time solve the engine's bounds interrupted is
-    /// decided first, without bounds, so every snapshot carries a
-    /// verdict.  Otherwise this is O(top level): the snapshot shares the
-    /// engine's specification, partition and slot pages, and the engine's
-    /// next write copies only the chunks and pages it dirties.  The
-    /// snapshot is stamped with [`CurrencyEngine::epoch`], so two
-    /// snapshots with no write in between share an epoch.
+    /// Freeze the current state into an immutable [`EngineSnapshot`] in
+    /// O(top level), solving nothing: the snapshot shares the engine's
+    /// specification, partition and slot pages (every slot decided), and
+    /// the engine's next write copies only the chunks and pages it
+    /// dirties.  The snapshot is stamped with [`CurrencyEngine::epoch`],
+    /// so two snapshots with no write in between share an epoch.
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
-        for slot in std::mem::take(&mut self.undecided) {
-            let view = &mut self.slots[slot];
-            let sat = Arc::make_mut(&mut view.enc)
-                .solve(&[], &Bounds::default())
-                .expect("no bound, no interrupt")
-                == SolveResult::Sat;
-            view.sat = Some(sat);
-            self.unsat += usize::from(!sat);
-        }
         if self.obs.enabled() {
             self.obs.snapshot_epoch.set(self.epoch);
         }
@@ -829,30 +800,14 @@ impl CurrencyEngine {
             partition: &self.partition,
             slots: &self.slots,
             opts: self.opts,
+            bounds: Bounds::default(),
         }
     }
 
-    /// **CPS** — is the specification consistent?  A field read unless
-    /// a slot's compile-time solve was interrupted: each such slot is
-    /// re-tried on a throwaway clone under [`Options::solve_limits`] /
-    /// deadline (starting from the slot's compiled state, learnt clauses
-    /// included), and an interrupt surfaces as
-    /// [`ReasonError::Interrupted`], never as a verdict.
+    /// **CPS** — is the specification consistent?  Every slot is decided
+    /// when it is compiled, so this is a field read and never fails.
     pub fn cps(&self) -> Result<bool, ReasonError> {
-        if self.falsum_slots > 0 || self.unsat > 0 {
-            return Ok(false);
-        }
-        if self.undecided.is_empty() {
-            return Ok(true);
-        }
-        let bounds = Bounds::from_options(&self.opts);
-        for &slot in &self.undecided {
-            let mut enc = (*self.slots[slot].enc).clone();
-            if enc.solve(&[], &bounds)? != SolveResult::Sat {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(self.falsum_slots == 0 && self.unsat == 0)
     }
 
     /// **COP** — is every pair of the candidate order certain?  Vacuously
@@ -1600,26 +1555,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_decides_slots_the_bounds_interrupted() {
-        use crate::SolveLimits;
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let bounded = Options {
-            solve_limits: SolveLimits {
-                max_conflicts: Some(0),
-                max_props: Some(0),
-            },
-            ..Options::default()
-        };
-        let mut engine = CurrencyEngine::new(&spec, &bounded).unwrap();
-        assert!(matches!(engine.cps(), Err(ReasonError::Interrupted { .. })));
-        let snap = engine.snapshot();
-        assert!(snap.cps(), "the snapshot decided every slot without bounds");
-        assert_eq!(snap.epoch(), engine.epoch());
-        assert!(engine.cps().unwrap(), "and the engine keeps the verdicts");
-    }
-
-    #[test]
     fn thread_knob_is_respected() {
         let (spec, _) = multi_entity_spec();
         for threads in [1usize, 2, 8] {
@@ -1629,119 +1564,6 @@ mod tests {
             };
             let engine = CurrencyEngine::new(&spec, &opts).unwrap();
             assert!(engine.cps().unwrap());
-        }
-    }
-
-    #[test]
-    fn zero_budget_interrupts_every_query_path() {
-        use crate::SolveLimits;
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let bounded = Options {
-            solve_limits: SolveLimits {
-                max_conflicts: Some(0),
-                max_props: Some(0),
-            },
-            ..Options::default()
-        };
-        let engine = CurrencyEngine::new(&spec, &bounded).unwrap();
-        // Every solve-backed path surfaces the typed interrupt — never a
-        // verdict, never a panic.
-        assert!(matches!(engine.cps(), Err(ReasonError::Interrupted { .. })));
-        assert!(matches!(
-            engine.cop(&CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1))),
-            Err(ReasonError::Interrupted { .. })
-        ));
-        assert!(matches!(
-            engine.dcip(r),
-            Err(ReasonError::Interrupted { .. })
-        ));
-        let mut b = QueryBuilder::new();
-        let x = b.var();
-        let q = b.build(vec![x], Formula::Atom(Atom::new(r, vec![QTerm::Var(x)])));
-        assert!(matches!(
-            engine.certain_answers(&q),
-            Err(ReasonError::Interrupted { .. })
-        ));
-        assert!(matches!(
-            engine.current_instances(r),
-            Err(ReasonError::Interrupted { .. })
-        ));
-        assert!(matches!(
-            engine.witness_completion(),
-            Err(ReasonError::Interrupted { .. })
-        ));
-        // The interrupted slots stayed undecided: the same spec under an
-        // unbounded engine is satisfiable, so a cached "unsat" would be a
-        // soundness bug.
-        let unbounded = CurrencyEngine::new(&spec, &Options::default()).unwrap();
-        assert!(unbounded.cps().unwrap());
-        // Repeating the bounded query still interrupts (the cache did not
-        // absorb a wrong verdict from the earlier interruption).
-        assert!(matches!(engine.cps(), Err(ReasonError::Interrupted { .. })));
-    }
-
-    #[test]
-    fn expired_deadline_interrupts_and_generous_deadline_completes() {
-        use std::time::{Duration, Instant};
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let expired = Options {
-            deadline: Some(Instant::now()),
-            ..Options::default()
-        };
-        let engine = CurrencyEngine::new(&spec, &expired).unwrap();
-        assert!(matches!(engine.cps(), Err(ReasonError::Interrupted { .. })));
-        assert!(matches!(
-            engine.dcip(r),
-            Err(ReasonError::Interrupted { .. })
-        ));
-        let generous = Options {
-            deadline: Some(Instant::now() + Duration::from_secs(3600)),
-            ..Options::default()
-        };
-        let engine = CurrencyEngine::new(&spec, &generous).unwrap();
-        assert!(engine.cps().unwrap());
-        assert!(engine.dcip(r).unwrap());
-        assert!(engine
-            .cop(&CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)))
-            .unwrap());
-    }
-
-    #[test]
-    fn escalating_budgets_reach_the_unbounded_verdict() {
-        use crate::SolveLimits;
-        let (mut spec, r) = multi_entity_spec();
-        spec.add_constraint(monotone(r)).unwrap();
-        let oracle = CurrencyEngine::new(&spec, &Options::default())
-            .unwrap()
-            .cps()
-            .unwrap();
-        let mut budget: u64 = 1;
-        loop {
-            let opts = Options {
-                solve_limits: SolveLimits {
-                    max_conflicts: Some(budget),
-                    max_props: Some(budget * 64),
-                },
-                ..Options::default()
-            };
-            let engine = CurrencyEngine::new(&spec, &opts).unwrap();
-            match engine.cps() {
-                Ok(v) => {
-                    assert_eq!(v, oracle, "first decided verdict must match");
-                    break;
-                }
-                Err(ReasonError::Interrupted { spent }) => {
-                    assert!(
-                        spent.conflicts <= budget || spent.propagations > 0,
-                        "spent accounting is sane: {spent:?}"
-                    );
-                    budget *= 2;
-                    assert!(budget < 1 << 30, "budget escalation diverged");
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
         }
     }
 }

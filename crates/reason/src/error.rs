@@ -17,10 +17,11 @@ pub enum ReasonError {
         /// The amount actually spent when the guard fired (≥ `budget`).
         spent: usize,
     },
-    /// A cooperative work budget ([`crate::Options::solve_limits`] or
-    /// [`crate::Options::deadline`]) interrupted the query before it was
-    /// decided.  Never a verdict: the touched component stays undecided
-    /// and a retry starts again from the component's compiled state.
+    /// The query's bounds — a per-solve work budget or a wall-clock
+    /// deadline, set on a [`crate::SnapshotReader`] — stopped it before
+    /// it was decided.  Never a verdict: the interrupted solve ran on a
+    /// throwaway clone, so a retry starts again from the component's
+    /// compiled state.
     Interrupted {
         /// Solver work performed before the interrupt.
         spent: crate::Spent,
@@ -50,7 +51,7 @@ impl fmt::Display for ReasonError {
             ReasonError::Interrupted { spent } => {
                 write!(
                     f,
-                    "query interrupted by work budget after {} conflicts and {} propagations",
+                    "query interrupted by its work budget or deadline after {} conflicts and {} propagations",
                     spent.conflicts, spent.propagations
                 )
             }

@@ -47,6 +47,12 @@
 //!   builds the caching/rate-limited front door on top; the durable
 //!   store and the sharded engine never take a snapshot, so their writes
 //!   copy no page.
+//!
+//!   Bounds belong to the query: a [`SnapshotReader`] is the one place a
+//!   deadline or a per-solve work budget ([`SolveLimits`]) is set, and a
+//!   query it stops surfaces as [`ReasonError::Interrupted`], never as a
+//!   verdict.  [`Options`] carries no bound: the writer decides every
+//!   component it compiles, and the engine's own queries run unbounded.
 //! * **Reference solvers** (`oracle` and `enumerate`, built only with
 //!   the `oracle` feature): the whole-specification encoding behind the
 //!   `*_monolithic` functions, eager transitivity, and brute-force
@@ -87,7 +93,7 @@ mod sp_ptime;
 pub use ccqa::{ccqa, ccqa_exact, certain_answers, certain_answers_exact, CertainAnswers};
 pub use cop::{cop, cop_exact, cop_ptime, CurrencyOrderQuery};
 pub use cps::{cps, cps_exact, cps_ptime, witness_completion};
-/// The per-SAT-call work budget (see [`Options::solve_limits`]).
+/// The per-SAT-call work budget (see [`SnapshotReader::set_solve_limits`]).
 pub use currency_sat::SolveLimits;
 pub use dcip::{dcip, dcip_exact, dcip_ptime};
 pub use encode::Bounds;
@@ -164,6 +170,11 @@ impl Default for CompactBudget {
 /// Transitivity has no option: the engines always enforce it lazily
 /// (see [`encode`]), which the `scaling` section of `bench_engine`
 /// measures against eager grounding.
+///
+/// Bounds have no option: set them on a [`SnapshotReader`]
+/// ([`SnapshotReader::set_deadline`], [`SnapshotReader::set_solve_limits`]).
+/// The writer always decides the components it compiles, and the engine's
+/// own queries run unbounded.
 #[derive(Clone, Copy, Debug)]
 pub struct Options {
     /// Maximum number of projected models visited per All-SAT enumeration.
@@ -208,22 +219,6 @@ pub struct Options {
     /// [`engine::CurrencyEngine::compact_step`] calls honor both bounds
     /// (the durability layer logs whatever slices actually ran).
     pub auto_compact_budget: Option<CompactBudget>,
-    /// Per-SAT-call work budget (unbounded by default).  Unlike
-    /// [`Options::max_models`], which bounds how many *models* an
-    /// enumeration may visit, it bounds the work of each SAT decision.
-    /// Checked by every engine/snapshot solve path; exhaustion surfaces
-    /// as [`ReasonError::Interrupted`] and leaves the touched component
-    /// undecided — never mis-cached as unsat.  The interrupted solve ran
-    /// on a throwaway clone, so a retry of the same query starts again
-    /// from the component's compiled state (its compile-time learnt
-    /// clauses included) with a fresh installment.
-    pub solve_limits: SolveLimits,
-    /// Wall-clock deadline for a whole query (`None` = no deadline).
-    /// Bounded solves run in conflict installments so the deadline is
-    /// observed without any time syscalls inside the solver's hot loop,
-    /// and the CCQA/current-instance odometer re-checks it between
-    /// combination batches.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Options {
@@ -251,8 +246,6 @@ impl Default for Options {
             threads: 0,
             auto_compact_tombstones: 0,
             auto_compact_budget: None,
-            solve_limits: SolveLimits::default(),
-            deadline: None,
         }
     }
 }

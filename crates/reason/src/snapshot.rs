@@ -21,13 +21,15 @@
 //!   lock-then-clone-the-`Arc`, held for nanoseconds and recoverable
 //!   from poisoning, so a crashed reader can neither wedge the publish
 //!   path nor corrupt the published view (snapshots are immutable).
-//! * [`SnapshotReader`] — a reader's pinned view plus its per-request
-//!   deadline and work budget.
+//! * [`SnapshotReader`] — a reader's pinned view plus the bounds of its
+//!   queries: a per-request deadline and work budget.  It is the only
+//!   place a query is bounded, and every query at an epoch goes through
+//!   it.
 //!
 //! DCIP, certain answers, current instances, model enumeration, decode,
 //! the witness and COP are written once, over the borrowed `View` of a
-//! specification, partition, slot vector and options that the writer
-//! and its snapshots share.  Every query only reads the shared slot
+//! specification, partition, slot vector, options and bounds that the
+//! writer and its snapshots share.  Every query only reads the shared slot
 //! encodings; a solve runs on a throwaway clone that the query drops
 //! when it returns, so N readers and the writer never block each other.
 //!
@@ -55,15 +57,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One component slot of the writer and of every snapshot: the compiled
-/// encoding (solved at compile time, so its learnt clauses are baked
-/// in) and its verdict.
+/// encoding (solved without bounds at compile time, so its learnt
+/// clauses are baked in) and its verdict.
 #[derive(Clone)]
 pub(crate) struct SlotView {
     pub(crate) enc: Arc<Encoding>,
-    /// Satisfiability of the component; `None` while the compile-time
-    /// solve was interrupted by the writer's bounds.  Every slot of a
-    /// snapshot is decided.
-    pub(crate) sat: Option<bool>,
+    /// Satisfiability of the component.
+    pub(crate) sat: bool,
 }
 
 /// One component's contribution to a product enumeration: the component
@@ -80,8 +80,8 @@ struct ComponentModels {
 const COMBINATION_CHECK: u64 = 1024;
 
 /// The borrowed state every query runs over: the writer's and a
-/// snapshot's specification, partition, slots and options.  Each query
-/// path is written here once.
+/// snapshot's specification, partition, slots and options, plus the
+/// bounds of the query.  Each query path is written here once.
 #[derive(Clone, Copy)]
 pub(crate) struct View<'a> {
     pub(crate) spec: &'a Specification,
@@ -89,6 +89,7 @@ pub(crate) struct View<'a> {
     pub(crate) partition: &'a Partition,
     pub(crate) slots: &'a PagedVec<SlotView>,
     pub(crate) opts: Options,
+    pub(crate) bounds: Bounds,
 }
 
 impl View<'_> {
@@ -109,7 +110,6 @@ impl View<'_> {
             return Ok(ot.pairs.is_empty());
         }
         let inst = self.spec.instance(ot.rel);
-        let bounds = Bounds::from_options(&self.opts);
         for &(attr, lesser, greater) in &ot.pairs {
             let (Ok(lt), Ok(gt)) = (inst.tuple_checked(lesser), inst.tuple_checked(greater)) else {
                 return Ok(false); // unknown tuple: never certain
@@ -128,7 +128,7 @@ impl View<'_> {
             // An expired deadline interrupts here, as a solve would, so
             // what a deadline allows never depends on what level zero
             // happens to decide.
-            if bounds.expired() {
+            if self.bounds.expired() {
                 return Err(ReasonError::Interrupted {
                     spent: crate::Spent::default(),
                 });
@@ -143,7 +143,7 @@ impl View<'_> {
                 None => {}
             }
             *copies += 1;
-            if (**shared).clone().solve(&[!l], &bounds)? == SolveResult::Sat {
+            if (**shared).clone().solve(&[!l], &self.bounds)? == SolveResult::Sat {
                 return Ok(false);
             }
         }
@@ -266,13 +266,12 @@ impl View<'_> {
         if !consistent {
             return Ok(None);
         }
-        let bounds = Bounds::from_options(&self.opts);
         let per_slot = run_indexed(effective_threads(&self.opts), self.slots.len(), |ix| {
             // Re-solve without assumptions so the model is a plain
             // completion model; this also re-runs the closure refinement
             // so the model is transitive.
             let mut enc = (*self.slots[ix].enc).clone();
-            let sat = enc.solve(&[], &bounds)?;
+            let sat = enc.solve(&[], &self.bounds)?;
             debug_assert_eq!(sat, SolveResult::Sat, "component known satisfiable");
             Ok(enc.model_chains(self.spec))
         })?;
@@ -331,9 +330,8 @@ impl View<'_> {
             models.push(Vec::new());
         } else {
             let max_models = self.opts.max_models;
-            let bounds = Bounds::from_options(&self.opts);
             let mut enc = (**shared).clone();
-            let enumeration = enc.for_each_model(&vars, max_models, &bounds, |m| {
+            let enumeration = enc.for_each_model(&vars, max_models, &self.bounds, |m| {
                 models.push(m.to_vec());
                 models.len() < stop_after
             })?;
@@ -370,7 +368,7 @@ impl View<'_> {
         let mut pick = vec![0usize; per_comp.len()];
         let mut combos: u64 = 0;
         loop {
-            if let Some(d) = self.opts.deadline {
+            if let Some(d) = self.bounds.deadline {
                 if combos.is_multiple_of(COMBINATION_CHECK) && Instant::now() >= d {
                     return Err(ReasonError::Interrupted {
                         spent: crate::Spent::default(),
@@ -425,10 +423,10 @@ impl View<'_> {
 /// ([`CurrencyEngine::snapshot`](crate::engine::CurrencyEngine::snapshot)).
 ///
 /// Everything a query needs — spec, partition, per-component encodings
-/// with their cached solver state — is frozen behind `Arc`s.  Queries
-/// take `&self` with no locking and solve only on throwaway clones; COP
-/// is asked through a [`SnapshotReader`], which layers its per-request
-/// deadline and budget over the snapshot's options.
+/// with their cached solver state — is frozen behind `Arc`s.  CPS is a
+/// field read; every other query is asked through a [`SnapshotReader`],
+/// which bounds it with its per-request deadline and budget and solves
+/// only on throwaway clones, with no locking.
 ///
 /// Live snapshots are counted by the writer's
 /// `currency_snapshot_epochs_live` gauge: up when one is built, down
@@ -451,7 +449,7 @@ impl Drop for EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Freeze a writer's state (every slot decided) under `epoch`.
+    /// Freeze a writer's state under `epoch`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         epoch: u64,
@@ -500,52 +498,10 @@ impl EngineSnapshot {
         &self.partition
     }
 
-    /// The options the snapshot was compiled under.
-    pub fn options(&self) -> &Options {
-        &self.opts
-    }
-
     /// **CPS** — is the specification consistent?  Every slot is decided
-    /// before a snapshot is taken, so this is a field read.
+    /// when the writer compiles it, so this is a field read.
     pub fn cps(&self) -> bool {
         self.consistent
-    }
-
-    /// **DCIP** — do all completions agree on the current instance of
-    /// `rel`?  Enumerates at most two rel-projected models per touched
-    /// component on throwaway clones of the shared encodings.
-    pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        self.view(self.opts).dcip(rel, || Ok(self.consistent))
-    }
-
-    /// **CCQA** — is `tuple` a certain current answer of `query`?
-    pub fn ccqa(&self, query: &Query, tuple: &[Value]) -> Result<bool, ReasonError> {
-        Ok(self.certain_answers(query)?.contains(tuple))
-    }
-
-    /// The certain current answers of `query`, composed per component
-    /// against the snapshot's immutable encodings, with All-SAT blocking
-    /// clauses confined to throwaway clones.
-    pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        self.view(self.opts)
-            .certain_answers(query, || Ok(self.consistent))
-    }
-
-    /// The realizable current instances of `rel` (up to the model
-    /// budget), composed across components.
-    pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.view(self.opts)
-            .current_instances(rel, || Ok(self.consistent))
-    }
-
-    fn view(&self, opts: Options) -> View<'_> {
-        View {
-            spec: &self.spec,
-            value_rels: &self.value_rels,
-            partition: &self.partition,
-            slots: &self.slots,
-            opts,
-        }
     }
 }
 
@@ -615,19 +571,18 @@ impl SnapshotCell {
     }
 }
 
-/// A reader: a pinned snapshot plus its per-request overrides.
+/// A reader: a pinned snapshot plus the bounds of its queries.
 ///
 /// Every query reads the pinned snapshot's shared slot encodings and
 /// solves on a throwaway clone, so no shared state is ever locked or
 /// written.  [`SnapshotReader::pin`] moves the reader to a newer
-/// snapshot.
+/// snapshot.  The reader is the only place a query is bounded: a new
+/// reader's queries run unbounded until [`SnapshotReader::set_deadline`]
+/// or [`SnapshotReader::set_solve_limits`] bounds them.
 pub struct SnapshotReader {
     snap: Arc<EngineSnapshot>,
-    /// Per-request wall-clock deadline layered over the snapshot's
-    /// options for every query until changed.
-    deadline: Option<Instant>,
-    /// Per-solve budget override layered over the snapshot's options.
-    solve_limits: Option<SolveLimits>,
+    /// The deadline and per-solve budget of every following query.
+    bounds: Bounds,
     /// Encoding clones this reader's COPs took (see
     /// [`SnapshotReader::scratch_clones`]).
     copies: u64,
@@ -638,42 +593,37 @@ impl SnapshotReader {
     pub fn new(snap: Arc<EngineSnapshot>) -> SnapshotReader {
         SnapshotReader {
             snap,
-            deadline: None,
-            solve_limits: None,
+            bounds: Bounds::default(),
             copies: 0,
         }
     }
 
-    /// Set (or clear) the wall-clock deadline applied to every following
-    /// query on this reader.  A query that cannot finish in time returns
-    /// [`ReasonError::Interrupted`] — never a wrong verdict — and leaves
-    /// the reader usable; serving layers set this per request.
+    /// Set the wall-clock deadline of every following query on this
+    /// reader; `None` means no deadline.  A query that cannot finish in
+    /// time returns [`ReasonError::Interrupted`] — never a wrong verdict —
+    /// and leaves the reader usable; serving layers set this per request.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
+        self.bounds.deadline = deadline;
     }
 
-    /// Set (or clear) a per-solve work budget overriding the snapshot's
-    /// [`Options::solve_limits`] for every following query.
+    /// Set the per-solve work budget of every following query on this
+    /// reader; `None` means unbounded.  Exhaustion surfaces as
+    /// [`ReasonError::Interrupted`], like an expired deadline.
     pub fn set_solve_limits(&mut self, limits: Option<SolveLimits>) {
-        self.solve_limits = limits;
+        self.bounds.limits = limits.unwrap_or_default();
     }
 
-    /// The snapshot's options with this reader's per-request overrides
-    /// applied.
-    fn effective_options(&self) -> Options {
-        let mut opts = self.snap.opts;
-        if self.deadline.is_some() {
-            opts.deadline = self.deadline;
-        }
-        if let Some(limits) = self.solve_limits {
-            opts.solve_limits = limits;
-        }
-        opts
-    }
-
-    /// The pinned snapshot's view under the per-request overrides.
+    /// The pinned snapshot's view under this reader's bounds.
     fn view(&self) -> View<'_> {
-        self.snap.view(self.effective_options())
+        let snap = &*self.snap;
+        View {
+            spec: &snap.spec,
+            value_rels: &snap.value_rels,
+            partition: &snap.partition,
+            slots: &snap.slots,
+            opts: snap.opts,
+            bounds: self.bounds,
+        }
     }
 
     /// Re-pin to `snap` (typically a fresh [`SnapshotCell::load`]).
@@ -715,30 +665,37 @@ impl SnapshotReader {
     /// its literal, else one assumption solve on a throwaway clone of the
     /// pair's component.
     pub fn cop(&mut self, ot: &CurrencyOrderQuery) -> Result<bool, ReasonError> {
-        let consistent = self.snap.consistent;
-        let view = self.snap.view(self.effective_options());
-        view.cop(ot, consistent, &mut self.copies)
+        let mut copies = 0;
+        let result = self.view().cop(ot, self.snap.consistent, &mut copies);
+        self.copies += copies;
+        result
     }
 
-    /// **DCIP** at the pinned epoch (see [`EngineSnapshot::dcip`]).
+    /// **DCIP** at the pinned epoch: do all completions agree on the
+    /// current instance of `rel`?  Enumerates at most two rel-projected
+    /// models per touched component on throwaway clones of the shared
+    /// encodings.
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
         self.view().dcip(rel, || Ok(self.snap.consistent))
     }
 
-    /// **CCQA** at the pinned epoch (see [`EngineSnapshot::ccqa`]).
+    /// **CCQA** at the pinned epoch: is `tuple` a certain current answer
+    /// of `query`?
     pub fn ccqa(&self, query: &Query, tuple: &[Value]) -> Result<bool, ReasonError> {
         Ok(self.certain_answers(query)?.contains(tuple))
     }
 
-    /// Certain answers at the pinned epoch (see
-    /// [`EngineSnapshot::certain_answers`]).
+    /// The certain current answers of `query` at the pinned epoch,
+    /// composed per component against the snapshot's immutable
+    /// encodings, with All-SAT blocking clauses confined to throwaway
+    /// clones.
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
         self.view()
             .certain_answers(query, || Ok(self.snap.consistent))
     }
 
-    /// Realizable current instances at the pinned epoch (see
-    /// [`EngineSnapshot::current_instances`]).
+    /// The realizable current instances of `rel` at the pinned epoch (up
+    /// to the model budget), composed across components.
     pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
         self.view()
             .current_instances(rel, || Ok(self.snap.consistent))
@@ -1226,6 +1183,10 @@ mod tests {
             Err(ReasonError::Interrupted { .. })
         ));
         assert!(matches!(
+            reader.ccqa(&value_query(r), &[Value::int(10)]),
+            Err(ReasonError::Interrupted { .. })
+        ));
+        assert!(matches!(
             reader.current_instances(r),
             Err(ReasonError::Interrupted { .. })
         ));
@@ -1246,9 +1207,22 @@ mod tests {
             Err(ReasonError::Interrupted { .. })
         ));
         assert!(matches!(
+            reader.dcip(r),
+            Err(ReasonError::Interrupted { .. })
+        ));
+        assert!(matches!(
             reader.certain_answers(&value_query(r)),
             Err(ReasonError::Interrupted { .. })
         ));
+        assert!(matches!(
+            reader.ccqa(&value_query(r), &[Value::int(20)]),
+            Err(ReasonError::Interrupted { .. })
+        ));
+        assert!(matches!(
+            reader.current_instances(r),
+            Err(ReasonError::Interrupted { .. })
+        ));
+        // `None` means unbounded: the answers match a live engine.
         reader.set_deadline(None);
         assert_matches_engine(&mut reader, r);
     }

@@ -1168,29 +1168,4 @@ mod tests {
             assert_eq!(epochs_live(&serve), 1, "only the published epoch is held");
         }
     }
-
-    #[test]
-    fn zero_budget_writer_still_publishes_a_decided_snapshot() {
-        let (spec, r) = spec();
-        let zero = Options {
-            solve_limits: currency_reason::SolveLimits {
-                max_conflicts: Some(0),
-                max_props: Some(0),
-            },
-            ..Options::default()
-        };
-        let serve = CurrencyServe::new(spec, &zero, &ServeOptions::default()).unwrap();
-        assert!(
-            serve.snapshot().cps(),
-            "decided without the writer's bounds"
-        );
-        let mut delta = SpecDelta::new();
-        delta.add_order_edge(r, A, TupleId(1), TupleId(0));
-        let report = serve.apply(&delta).unwrap();
-        assert_eq!(report.epoch, serve.epoch());
-        assert!(
-            !serve.snapshot().cps(),
-            "the contradicting edge is decided too"
-        );
-    }
 }
