@@ -17,15 +17,19 @@
 //!   their clock reads entirely; the [`RingRecorder`] writes to
 //!   bounded per-thread ring buffers (overwrite-oldest) and
 //!   [`RingRecorder::drain`]s them as a timestamp-ordered event list.
+//! * [`clock`] — the [`Stamp`] timestamps hot paths time their phases
+//!   with: one counter read where the CPU has a cheap invariant one.
 //!
 //! Everything records through shared atomics: instrumentation sites
 //! hold `Arc` handles obtained once at registration and pay a handful
 //! of relaxed atomic read-modify-writes per observation — no locks,
 //! no allocation, no formatting until exposition time.
 
+pub mod clock;
 pub mod metrics;
 pub mod trace;
 
+pub use clock::Stamp;
 pub use metrics::{
     Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricsRegistry,
     MetricsSnapshot, SeriesSnapshot, SeriesValue,

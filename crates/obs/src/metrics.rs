@@ -117,9 +117,9 @@ fn bucket_lower(i: usize) -> u64 {
     }
 }
 
-/// A fixed log2-bucket histogram recorded with three relaxed atomic
-/// read-modify-writes per observation (bucket increment, sum add, max
-/// fetch-max).  Percentiles are estimated from the bucket counts with
+/// A fixed log2-bucket histogram recorded with two relaxed atomic
+/// read-modify-writes per observation (bucket increment, sum add) and
+/// a fetch-max when the observation is a new maximum.  Percentiles are estimated from the bucket counts with
 /// linear interpolation inside the owning bucket, so an estimate is
 /// always within the bucket's 2× width of the true order statistic.
 #[derive(Debug)]
@@ -145,7 +145,29 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The max only grows, so a value at or below the one seen needs
+        // no read-modify-write (a compare-exchange loop on x86).
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// [`Histogram::record`] without locked read-modify-writes, for a
+    /// histogram with one writer thread: an observation recorded
+    /// concurrently from another thread can be lost (memory stays safe).
+    #[inline]
+    pub fn record_single_writer(&self, v: u64) {
+        let add = |cell: &AtomicU64, n: u64| {
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            )
+        };
+        add(&self.buckets[bucket_of(v)], 1);
+        add(&self.sum, v);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Total number of observations.

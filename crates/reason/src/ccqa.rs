@@ -51,27 +51,18 @@ impl CertainAnswers {
 /// Compute the certain current answers with automatic dispatch: the PTIME
 /// `poss(S)` algorithm when the query is SP and the specification carries
 /// no denial constraints, the exact enumerating engine otherwise.
-pub fn certain_answers(
-    spec: &Specification,
-    query: &Query,
-    opts: &Options,
-) -> Result<CertainAnswers, ReasonError> {
+pub fn certain_answers(spec: &Specification, query: &Query) -> Result<CertainAnswers, ReasonError> {
     if spec.has_no_constraints() {
         if let Some(sp) = as_sp(query) {
             return sp_ptime::certain_answers_sp(spec, &sp);
         }
     }
-    certain_answers_exact(spec, query, opts)
+    certain_answers_exact(spec, query)
 }
 
 /// Decide whether `tuple` is a certain current answer (dispatching).
-pub fn ccqa(
-    spec: &Specification,
-    query: &Query,
-    tuple: &[Value],
-    opts: &Options,
-) -> Result<bool, ReasonError> {
-    Ok(certain_answers(spec, query, opts)?.contains(tuple))
+pub fn ccqa(spec: &Specification, query: &Query, tuple: &[Value]) -> Result<bool, ReasonError> {
+    Ok(certain_answers(spec, query)?.contains(tuple))
 }
 
 /// Decide CCQA with the exact engine regardless of query shape.
@@ -79,9 +70,8 @@ pub fn ccqa_exact(
     spec: &Specification,
     query: &Query,
     tuple: &[Value],
-    opts: &Options,
 ) -> Result<bool, ReasonError> {
-    Ok(certain_answers_exact(spec, query, opts)?.contains(tuple))
+    Ok(certain_answers_exact(spec, query)?.contains(tuple))
 }
 
 /// Compute certain current answers with the exact engine.  Routes through
@@ -92,10 +82,9 @@ pub fn ccqa_exact(
 pub fn certain_answers_exact(
     spec: &Specification,
     query: &Query,
-    opts: &Options,
 ) -> Result<CertainAnswers, ReasonError> {
     let rels: Vec<_> = query.body().relations().into_iter().collect();
-    CurrencyEngine::with_value_rels(spec, &rels, opts)?.certain_answers(query)
+    CurrencyEngine::with_value_rels(spec, &rels, &Options::default())?.certain_answers(query)
 }
 
 #[cfg(test)]
@@ -139,21 +128,21 @@ mod tests {
     fn q1_constraint_makes_80_certain() {
         let (spec, r) = mary_spec(true);
         let q = salary_query(r);
-        let ans = certain_answers(&spec, &q, &Options::default()).unwrap();
+        let ans = certain_answers(&spec, &q).unwrap();
         assert_eq!(
             ans.rows().unwrap(),
             &[vec![Value::int(80)]],
             "paper Example 1.1 Q1: Mary's current salary is 80k"
         );
-        assert!(ccqa(&spec, &q, &[Value::int(80)], &Options::default()).unwrap());
-        assert!(!ccqa(&spec, &q, &[Value::int(50)], &Options::default()).unwrap());
+        assert!(ccqa(&spec, &q, &[Value::int(80)]).unwrap());
+        assert!(!ccqa(&spec, &q, &[Value::int(50)]).unwrap());
     }
 
     #[test]
     fn without_constraint_nothing_is_certain() {
         let (spec, r) = mary_spec(false);
         let q = salary_query(r);
-        let ans = certain_answers_exact(&spec, &q, &Options::default()).unwrap();
+        let ans = certain_answers_exact(&spec, &q).unwrap();
         assert_eq!(ans.rows().unwrap().len(), 0);
     }
 
@@ -161,8 +150,8 @@ mod tests {
     fn dispatch_agrees_with_exact_on_sp_queries() {
         let (spec, r) = mary_spec(false);
         let q = salary_query(r);
-        let fast = certain_answers(&spec, &q, &Options::default()).unwrap();
-        let exact = certain_answers_exact(&spec, &q, &Options::default()).unwrap();
+        let fast = certain_answers(&spec, &q).unwrap();
+        let exact = certain_answers_exact(&spec, &q).unwrap();
         assert_eq!(fast, exact);
     }
 
@@ -173,7 +162,7 @@ mod tests {
             .add_order(SAL, TupleId(1), TupleId(0))
             .unwrap();
         let q = salary_query(r);
-        let ans = certain_answers_exact(&spec, &q, &Options::default()).unwrap();
+        let ans = certain_answers_exact(&spec, &q).unwrap();
         assert_eq!(ans, CertainAnswers::Inconsistent);
         assert!(ans.contains(&[Value::int(999)]), "vacuously certain");
     }
@@ -195,7 +184,7 @@ mod tests {
             .push_tuple(Tuple::new(Eid(2), vec![Value::int(80)]))
             .unwrap();
         let q = salary_query(r);
-        let ans = certain_answers_exact(&spec, &q, &Options::default()).unwrap();
+        let ans = certain_answers_exact(&spec, &q).unwrap();
         assert_eq!(ans.rows().unwrap(), &[vec![Value::int(80)]]);
     }
 
@@ -219,6 +208,6 @@ mod tests {
                 ])),
             ),
         );
-        assert!(ccqa(&spec, &q, &[], &Options::default()).unwrap());
+        assert!(ccqa(&spec, &q, &[]).unwrap());
     }
 }

@@ -14,11 +14,11 @@ use crate::Options;
 use currency_core::{AttrId, RelId, Specification};
 
 /// Decide DCIP with automatic engine dispatch.
-pub fn dcip(spec: &Specification, rel: RelId, opts: &Options) -> Result<bool, ReasonError> {
+pub fn dcip(spec: &Specification, rel: RelId) -> Result<bool, ReasonError> {
     if spec.has_no_constraints() {
         dcip_ptime(spec, rel)
     } else {
-        dcip_exact(spec, rel, opts)
+        dcip_exact(spec, rel)
     }
 }
 
@@ -27,8 +27,8 @@ pub fn dcip(spec: &Specification, rel: RelId, opts: &Options) -> Result<bool, Re
 /// at most one distinct instance exists.  Routes through a transient
 /// [`CurrencyEngine`], which enumerates per entity component; for repeated
 /// queries build the engine once instead.
-pub fn dcip_exact(spec: &Specification, rel: RelId, opts: &Options) -> Result<bool, ReasonError> {
-    CurrencyEngine::with_value_rels(spec, &[rel], opts)?.dcip(rel)
+pub fn dcip_exact(spec: &Specification, rel: RelId) -> Result<bool, ReasonError> {
+    CurrencyEngine::with_value_rels(spec, &[rel], &Options::default())?.dcip(rel)
 }
 
 /// Decide DCIP with the PTIME sink test (no denial constraints).
@@ -83,15 +83,15 @@ mod tests {
     #[test]
     fn unconstrained_distinct_values_are_nondeterministic() {
         let (spec, r) = spec_with(&[1, 2]);
-        assert!(!dcip(&spec, r, &Options::default()).unwrap());
-        assert!(!dcip_exact(&spec, r, &Options::default()).unwrap());
+        assert!(!dcip(&spec, r).unwrap());
+        assert!(!dcip_exact(&spec, r).unwrap());
     }
 
     #[test]
     fn equal_values_are_deterministic() {
         let (spec, r) = spec_with(&[7, 7]);
-        assert!(dcip(&spec, r, &Options::default()).unwrap());
-        assert!(dcip_exact(&spec, r, &Options::default()).unwrap());
+        assert!(dcip(&spec, r).unwrap());
+        assert!(dcip_exact(&spec, r).unwrap());
     }
 
     #[test]
@@ -100,8 +100,8 @@ mod tests {
         spec.instance_mut(r)
             .add_order(A, TupleId(0), TupleId(1))
             .unwrap();
-        assert!(dcip(&spec, r, &Options::default()).unwrap());
-        assert!(dcip_exact(&spec, r, &Options::default()).unwrap());
+        assert!(dcip(&spec, r).unwrap());
+        assert!(dcip_exact(&spec, r).unwrap());
     }
 
     #[test]
@@ -113,7 +113,7 @@ mod tests {
             .build()
             .unwrap();
         spec.add_constraint(dc).unwrap();
-        assert!(dcip(&spec, r, &Options::default()).unwrap());
+        assert!(dcip(&spec, r).unwrap());
     }
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
         spec.instance_mut(r)
             .add_order(A, TupleId(1), TupleId(0))
             .unwrap();
-        assert!(dcip(&spec, r, &Options::default()).unwrap());
+        assert!(dcip(&spec, r).unwrap());
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
             let (spec, r) = spec_with(vals);
             assert_eq!(
                 dcip_ptime(&spec, r).unwrap(),
-                dcip_exact(&spec, r, &Options::default()).unwrap(),
+                dcip_exact(&spec, r).unwrap(),
                 "vals = {vals:?}"
             );
         }

@@ -60,16 +60,16 @@ use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::encode::{Bounds, CompileScratch, ComponentCompiler, Encoding};
 use crate::error::ReasonError;
-use crate::obs::EngineObs;
+use crate::obs::{EngineObs, SolveSample};
 use crate::partition::{Component, Partition, RefreshPlan, RefreshScratch};
 use crate::snapshot::{EngineSnapshot, SlotView, View};
-use crate::{CompactBudget, Options};
+use crate::{CompactBudget, Options, MAX_MODELS};
 use currency_core::cow::{pages_copied, PagedVec};
 use currency_core::{
     CompactSlice, CompactStepReport, Completion, Eid, NormalInstance, RelId, SpecDelta,
     Specification, TupleId, Value,
 };
-use currency_obs::{SpanGuard, TraceEvent, TraceKind};
+use currency_obs::{SpanGuard, Stamp, TraceEvent, TraceKind};
 use currency_query::Query;
 use currency_sat::{SolveResult, SolverStats};
 use std::collections::BTreeSet;
@@ -215,24 +215,29 @@ fn remapped_cells(spec: &Specification, slices: &[CompactSlice]) -> BTreeSet<(Re
 /// keeps a clone: exactly sized, with the build's doubling buffers freed
 /// together.  Slot encodings are only read and cloned from then on and
 /// live among encodings built at other times, so packing them keeps the
-/// heap from fragmenting on a long delta stream.
+/// heap from fragmenting on a long delta stream.  The solve's sample
+/// goes back to the caller, which records it on the writer's thread.
 fn compile_slot(
     compiler: &ComponentCompiler<'_>,
     component: &Arc<Component>,
     scratch: &mut CompileScratch,
     obs: &EngineObs,
-) -> SlotView {
+) -> (SlotView, Option<SolveSample>) {
     let mut enc = compiler.compile(component, scratch);
     let clock = obs.clock();
     let outcome = enc
         .solve(&[], &Bounds::default())
         .expect("an unbounded solve is never interrupted");
     // A fresh encoding's absolute counters are the solve's delta.
-    obs.record_solve(clock, &SolverStats::default(), &enc.solver_stats());
-    SlotView {
+    let sample = clock.map(|start| SolveSample {
+        ns: start.elapsed_ns(),
+        stats: enc.solver_stats(),
+    });
+    let view = SlotView {
         enc: Arc::new(enc.clone()),
         sat: outcome == SolveResult::Sat,
-    }
+    };
+    (view, sample)
 }
 
 /// The compiled, query-ready form of a specification, and its only
@@ -265,6 +270,8 @@ pub struct CurrencyEngine {
     /// specification is inconsistent regardless of order choices.
     falsum_slots: usize,
     epoch: u64,
+    /// The writer's options, [`Options::threads`] resolved at
+    /// construction (never 0).
     opts: Options,
     /// Metric handles + trace recorder (see [`EngineObs`]); also the
     /// only store of the lifetime counts [`CurrencyEngine::stats`]
@@ -314,10 +321,14 @@ impl CurrencyEngine {
         let value_rels = Arc::new(value_rels.to_vec());
         let partition = Partition::of(&spec);
         let obs = EngineObs::new();
+        let opts = Options {
+            threads: effective_threads(opts.threads),
+            ..*opts
+        };
         let mut compile_scratch = CompileScratch::default();
         let compiler = ComponentCompiler::new(&spec, &value_rels);
         let slots: PagedVec<SlotView> = run_indexed_with(
-            effective_threads(opts),
+            opts.threads,
             partition.slots(),
             &mut compile_scratch,
             |scratch, ix| {
@@ -326,6 +337,10 @@ impl CurrencyEngine {
             },
         )?
         .into_iter()
+        .map(|(view, sample)| {
+            obs.record_solve(sample);
+            view
+        })
         .collect();
         let mut engine = CurrencyEngine {
             vacant: Arc::new(Encoding::vacant(&value_rels)),
@@ -338,7 +353,7 @@ impl CurrencyEngine {
             unsat: 0,
             falsum_slots: 0,
             epoch: 1,
-            opts: *opts,
+            opts,
             obs,
         };
         for slot in 0..engine.slots.len() {
@@ -400,7 +415,7 @@ impl CurrencyEngine {
         let recorder = self.obs.recorder().clone();
         let apply_span = SpanGuard::enter(&*recorder, "engine.apply", 0);
         let parent = apply_span.as_ref().map_or(0, SpanGuard::id);
-        let clock = self.obs.clock();
+        let start = self.obs.clock();
         let validate_span = SpanGuard::enter(&*recorder, "engine.validate", parent);
         // While a snapshot shares the spec `Arc`, `make_mut` copies its
         // top level and one pointer per chunk, so a rejected delta must
@@ -410,12 +425,12 @@ impl CurrencyEngine {
         }
         let effects = Arc::make_mut(&mut self.spec).apply_delta(delta)?;
         drop(validate_span);
-        self.obs.lap(clock, &self.obs.apply_validate_ns);
-        let plan = self.rebuild_touched(&effects.touched_cells, parent)?;
+        let validated = self.obs.clock();
+        let (plan, end) = self.rebuild_touched(&effects.touched_cells, parent, validated)?;
         self.obs.applies_total.inc();
-        if let Some(start) = clock {
-            self.obs.apply_ns.record(start.elapsed().as_nanos() as u64);
-        }
+        let obs = &self.obs;
+        obs.record_between(&obs.apply_validate_ns, start, validated);
+        obs.record_between(&obs.apply_ns, start, end);
         let mut report = ApplyReport {
             epoch: 0, // filled in below
             components_rebuilt: plan.rebuilt(),
@@ -447,14 +462,17 @@ impl CurrencyEngine {
     /// compaction step.  Refreshes the partition over the dirty region,
     /// compiles and solves the rebuilt slots, then patches the changed
     /// slots and the verdict counts in place; every clean component keeps
-    /// its slot untouched.
+    /// its slot untouched.  The refresh phase is timed from `start` (the
+    /// caller's last phase boundary) and the returned stamp ends the
+    /// recompile phase, so a caller timing the whole write reads the
+    /// clock once per phase boundary.
     fn rebuild_touched(
         &mut self,
         touched: &BTreeSet<(RelId, Eid)>,
         parent_span: u64,
-    ) -> Result<RefreshPlan, ReasonError> {
+        start: Option<Stamp>,
+    ) -> Result<(RefreshPlan, Option<Stamp>), ReasonError> {
         let recorder = self.obs.recorder().clone();
-        let clock = self.obs.clock();
         let plan = {
             let _span = SpanGuard::enter(&*recorder, "engine.refresh", parent_span);
             Arc::make_mut(&mut self.partition).refresh(
@@ -463,16 +481,16 @@ impl CurrencyEngine {
                 &mut self.refresh_scratch,
             )
         };
-        let clock = self.obs.lap(clock, &self.obs.apply_refresh_ns);
+        let refreshed = self.obs.clock();
         // Compile and solve the rebuilt slots (in parallel when the fleet
         // warrants it) *before* patching any state, so the fallible step
         // cannot leave the engine half-updated.
-        let compiled: Vec<SlotView> = {
+        let compiled: Vec<(SlotView, Option<SolveSample>)> = {
             let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
             let compiler = ComponentCompiler::new(&self.spec, &self.value_rels);
             let (partition, rebuilt, obs) = (self.partition.as_ref(), &plan.rebuilt, &self.obs);
             run_indexed_with(
-                effective_threads(&self.opts),
+                self.opts.threads,
                 rebuilt.len(),
                 &mut self.compile_scratch,
                 |scratch, k| {
@@ -481,7 +499,7 @@ impl CurrencyEngine {
                 },
             )?
         };
-        self.obs.lap(clock, &self.obs.apply_recompile_ns);
+        let recompiled = self.obs.clock();
         // Patch exactly the changed slots (infallible from here on).
         for &slot in &plan.freed {
             self.retire(slot);
@@ -490,7 +508,8 @@ impl CurrencyEngine {
                 sat: true,
             };
         }
-        for (&slot, view) in plan.rebuilt.iter().zip(compiled) {
+        for (&slot, (view, sample)) in plan.rebuilt.iter().zip(compiled) {
+            self.obs.record_solve(sample);
             if slot < self.slots.len() {
                 self.retire(slot);
                 self.slots[slot] = view;
@@ -501,9 +520,12 @@ impl CurrencyEngine {
             self.admit(slot);
         }
         debug_assert_eq!(self.slots.len(), plan.slots, "slot arrays aligned");
-        self.obs.components_rebuilt.add(plan.rebuilt() as u64);
-        self.obs.components_reused.add(plan.reused() as u64);
-        Ok(plan)
+        let obs = &self.obs;
+        obs.components_rebuilt.add(plan.rebuilt() as u64);
+        obs.components_reused.add(plan.reused() as u64);
+        obs.record_between(&obs.apply_refresh_ns, start, refreshed);
+        obs.record_between(&obs.apply_recompile_ns, refreshed, recompiled);
+        Ok((plan, recompiled))
     }
 
     /// Count a slot's verdicts into the aggregate (the slot was just
@@ -637,11 +659,8 @@ impl CurrencyEngine {
         let clock = self.obs.clock();
         let step = run_slices(Arc::make_mut(&mut self.spec), max_slots, quantum, deadline);
         self.finish_step(&step)?;
-        if let Some(start) = clock {
-            self.obs
-                .compact_step_pause_ns
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        let obs = &self.obs;
+        obs.record_between(&obs.compact_step_pause_ns, clock, obs.clock());
         Ok(step)
     }
 
@@ -687,7 +706,7 @@ impl CurrencyEngine {
         }
         let touched = remapped_cells(&self.spec, &step.slices);
         if !touched.is_empty() {
-            self.rebuild_touched(&touched, 0)?;
+            self.rebuild_touched(&touched, 0, self.obs.clock())?;
         }
         self.obs.compact_steps.inc();
         self.obs.slots_reclaimed.add(step.reclaimed as u64);
@@ -737,7 +756,7 @@ impl CurrencyEngine {
             self.partition.clone(),
             self.slots.clone(),
             self.falsum_slots == 0 && self.unsat == 0,
-            self.opts,
+            self.opts.threads,
             self.obs.snapshot_epochs_live.clone(),
         ))
     }
@@ -760,7 +779,8 @@ impl CurrencyEngine {
         &self.partition
     }
 
-    /// The engine's options.
+    /// The engine's options, with [`Options::threads`] resolved to the
+    /// worker count in use (never 0).
     pub fn options(&self) -> &Options {
         &self.opts
     }
@@ -799,7 +819,8 @@ impl CurrencyEngine {
             value_rels: &self.value_rels,
             partition: &self.partition,
             slots: &self.slots,
-            opts: self.opts,
+            threads: self.opts.threads,
+            max_models: MAX_MODELS,
             bounds: Bounds::default(),
         }
     }
@@ -839,8 +860,7 @@ impl CurrencyEngine {
     /// Realizable instances are enumerated **per component** and composed
     /// as a product, so the per-component All-SAT never pays for order
     /// choices in unrelated components.  Both the per-component model
-    /// count and the composed product are bounded by
-    /// [`Options::max_models`].
+    /// count and the composed product are bounded by [`MAX_MODELS`].
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
         self.view().certain_answers(query, || self.cps())
     }
@@ -859,13 +879,15 @@ impl CurrencyEngine {
     }
 }
 
-pub(crate) fn effective_threads(opts: &Options) -> usize {
-    if opts.threads == 0 {
+/// The worker count for a requested `threads` ([`Options::threads`]):
+/// `0` means the machine's available parallelism.
+fn effective_threads(threads: usize) -> usize {
+    if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     } else {
-        opts.threads
+        threads
     }
 }
 
@@ -1096,10 +1118,9 @@ mod tests {
                 assert_eq!(lazy.cop(&q).unwrap(), want, "{u} ≺ {v}");
             }
         }
-        let opts = Options::default();
         assert_eq!(
             lazy.dcip(r).unwrap(),
-            dcip_exact_monolithic(&spec, r, &opts).unwrap()
+            dcip_exact_monolithic(&spec, r).unwrap()
         );
         let mut whole = Encoding::whole_spec(&spec, &[r], Eager).unwrap();
         let projection = whole.value_projection().to_vec();
@@ -1107,7 +1128,7 @@ mod tests {
             Ok(Enumeration::Complete(
                 lazy.current_instances(r).unwrap().len()
             )),
-            whole.for_each_model(&projection, opts.max_models, &Bounds::default(), |_| true),
+            whole.for_each_model(&projection, MAX_MODELS, &Bounds::default(), |_| true),
             "realizable current-instance counts must match"
         );
         // The aggregated stats surface the new solver counters.

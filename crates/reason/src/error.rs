@@ -8,11 +8,12 @@ use std::fmt;
 pub enum ReasonError {
     /// The input specification is malformed (propagated from the model).
     Currency(CurrencyError),
-    /// An exact solver exceeded its [`crate::Options`] budget.
+    /// An exact query exceeded its enumeration budget
+    /// ([`crate::MAX_MODELS`] or [`crate::MAX_EXTENSIONS`]).
     BudgetExceeded {
         /// Which budget was exhausted.
         what: &'static str,
-        /// The configured budget that was exceeded.
+        /// The budget that was exceeded.
         budget: usize,
         /// The amount actually spent when the guard fired (≥ `budget`).
         spent: usize,

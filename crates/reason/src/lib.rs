@@ -53,6 +53,9 @@
 //!   query it stops surfaces as [`ReasonError::Interrupted`], never as a
 //!   verdict.  [`Options`] carries no bound: the writer decides every
 //!   component it compiles, and the engine's own queries run unbounded.
+//!   What one query may enumerate is fixed: [`MAX_MODELS`] projected
+//!   models and [`MAX_EXTENSIONS`] copy extensions, past which it is
+//!   refused with [`ReasonError::BudgetExceeded`].
 //! * **Reference solvers** (`oracle` and `enumerate`, built only with
 //!   the `oracle` feature): the whole-specification encoding behind the
 //!   `*_monolithic` functions, eager transitivity, and brute-force
@@ -160,12 +163,23 @@ impl Default for CompactBudget {
     }
 }
 
-/// Resource limits for the exact (enumeration-heavy) solvers.
+/// Maximum number of projected models one query visits in All-SAT.
 ///
-/// The general problems are Σᵖ₂-hard and worse; the exact solvers can be
-/// asked questions whose answer requires visiting exponentially many
-/// projected models or extensions.  `Options` bounds that work so callers
-/// get a [`ReasonError::BudgetExceeded`] instead of an unbounded run.
+/// The general problems are Σᵖ₂-hard and worse, so an exact query can
+/// need exponentially many realizable current instances.  The engine
+/// applies this budget to each entity component's enumeration *and* to
+/// the composed cross-component product of a CCQA or current-instance
+/// query; past it the query is refused with
+/// [`ReasonError::BudgetExceeded`], never answered wrongly.
+pub const MAX_MODELS: usize = 1_000_000;
+
+/// Maximum number of copy-function extensions one CPP/BCP check
+/// ([`cpp`], [`bcp`], [`bcp_sp`]) examines before it is refused with
+/// [`ReasonError::BudgetExceeded`].
+pub const MAX_EXTENSIONS: usize = 1_000_000;
+
+/// What the writer is built with: its worker threads and its
+/// auto-compaction policy.
 ///
 /// Transitivity has no option: the engines always enforce it lazily
 /// (see [`encode`]), which the `scaling` section of `bench_engine`
@@ -174,19 +188,10 @@ impl Default for CompactBudget {
 /// Bounds have no option: set them on a [`SnapshotReader`]
 /// ([`SnapshotReader::set_deadline`], [`SnapshotReader::set_solve_limits`]).
 /// The writer always decides the components it compiles, and the engine's
-/// own queries run unbounded.
-#[derive(Clone, Copy, Debug)]
+/// own queries run unbounded.  The model and extension budgets of one
+/// query are the constants [`MAX_MODELS`] and [`MAX_EXTENSIONS`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Options {
-    /// Maximum number of projected models visited per All-SAT enumeration.
-    ///
-    /// The [`engine::CurrencyEngine`] applies this bound per entity
-    /// component *and* to the composed cross-component product, so a
-    /// budget that held for one whole-specification enumeration keeps
-    /// holding.
-    pub max_models: usize,
-    /// Maximum number of copy-function extensions examined per CPP/BCP
-    /// check.
-    pub max_extensions: usize,
     /// Worker threads for the engine's component compilation and solves.
     ///
     /// `0` (the default) means "use the machine's available parallelism";
@@ -235,17 +240,5 @@ impl Options {
         self.auto_compact_budget
             .unwrap_or_default()
             .max_slots_per_step
-    }
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            max_models: 1_000_000,
-            max_extensions: 1_000_000,
-            threads: 0,
-            auto_compact_tombstones: 0,
-            auto_compact_budget: None,
-        }
     }
 }

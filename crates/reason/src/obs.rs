@@ -14,17 +14,20 @@
 //! counts are stored: [`EngineStats`] reads them, so they are bumped
 //! whether or not metrics are [`EngineObs::enabled`].
 //! The phase histograms and their clock reads are recorded only while
-//! enabled — a handful of relaxed atomic adds per apply, benchmarked
-//! ≤ 1.02× the disabled path.  Trace spans additionally require an
+//! enabled — six [`Stamp`] reads and eight histogram records per
+//! apply, benchmarked ≤ 1.02× the disabled path.  The engine is its
+//! histograms' one writer (compile workers hand their solve samples
+//! back), so it records with [`Histogram::record_single_writer`]; code
+//! outside the engine must not record into these handles.  Trace spans
+//! additionally require an
 //! attached [`Recorder`] whose `enabled()` is true (the default
 //! [`NoopRecorder`] keeps span emission compiled out of the hot path
 //! behind one branch).
 
 use crate::EngineStats;
-use currency_obs::{Counter, Gauge, Histogram, MetricsRegistry, NoopRecorder, Recorder};
+use currency_obs::{Counter, Gauge, Histogram, MetricsRegistry, NoopRecorder, Recorder, Stamp};
 use currency_sat::SolverStats;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Metric handles + trace recorder for one engine.
 ///
@@ -237,39 +240,40 @@ impl EngineObs {
     /// Start a phase clock — `None` (no clock read at all) when
     /// metrics are off.
     #[inline]
-    pub(crate) fn clock(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
+    pub(crate) fn clock(&self) -> Option<Stamp> {
+        self.enabled.then(Stamp::now)
     }
 
-    /// Record the elapsed time of `clock` into `hist` and return a
-    /// fresh clock for the next phase.
+    /// Record the time from `start` to `end` into `hist` (nothing when
+    /// metrics are off).
     #[inline]
-    pub(crate) fn lap(&self, clock: Option<Instant>, hist: &Histogram) -> Option<Instant> {
-        clock.map(|start| {
-            let now = Instant::now();
-            hist.record(now.duration_since(start).as_nanos() as u64);
-            now
-        })
-    }
-
-    /// Record one solve's duration and [`SolverStats`] delta.
-    #[inline]
-    pub(crate) fn record_solve(
+    pub(crate) fn record_between(
         &self,
-        clock: Option<Instant>,
-        before: &SolverStats,
-        after: &SolverStats,
+        hist: &Histogram,
+        start: Option<Stamp>,
+        end: Option<Stamp>,
     ) {
-        if let Some(start) = clock {
-            self.solve_ns.record(start.elapsed().as_nanos() as u64);
-            let delta = after.delta(before);
-            self.solver_conflicts.record(delta.conflicts);
-            self.solver_propagations.record(delta.propagations);
-            self.solver_lemmas.record(delta.lemmas_added);
+        if let (Some(start), Some(end)) = (start, end) {
+            hist.record_single_writer(end.ns_since(start));
         }
     }
+
+    /// Record one compile-time solve (nothing when metrics were off).
+    #[inline]
+    pub(crate) fn record_solve(&self, sample: Option<SolveSample>) {
+        if let Some(SolveSample { ns, stats }) = sample {
+            self.solve_ns.record_single_writer(ns);
+            self.solver_conflicts.record_single_writer(stats.conflicts);
+            self.solver_propagations
+                .record_single_writer(stats.propagations);
+            self.solver_lemmas.record_single_writer(stats.lemmas_added);
+        }
+    }
+}
+
+/// One compile-time solve's duration and counters, taken on the thread
+/// that solved and handed to the writer for [`EngineObs::record_solve`].
+pub(crate) struct SolveSample {
+    pub(crate) ns: u64,
+    pub(crate) stats: SolverStats,
 }

@@ -35,7 +35,7 @@ use crate::encode::{completion_from_chains, Bounds, CompileScratch, Encoding, Ob
 use crate::enumerate::for_each_consistent_completion;
 use crate::partition::Component;
 use crate::shard::ShardReader;
-use crate::{CertainAnswers, CurrencyEngine, CurrencyOrderQuery, Options, ReasonError};
+use crate::{CertainAnswers, CurrencyEngine, CurrencyOrderQuery, Options, ReasonError, MAX_MODELS};
 use currency_core::{
     lst, AttrId, Completion, Eid, NormalInstance, RelId, Specification, TupleId, Value,
 };
@@ -120,25 +120,24 @@ pub fn cop_exact_monolithic(
 /// relation, in `rels` order), at most `stop_after` of them, by projected
 /// All-SAT over one whole-specification encoding.  Refused with
 /// [`ReasonError::BudgetExceeded`] labelled `what` past
-/// [`Options::max_models`].
+/// [`MAX_MODELS`].
 fn monolithic_instances(
     spec: &Specification,
     rels: &[RelId],
-    opts: &Options,
     what: &'static str,
     stop_after: usize,
 ) -> Result<Vec<Vec<NormalInstance>>, ReasonError> {
     let mut enc = monolithic(spec, rels)?;
     let (indices, vars) = enc.restricted_projection(rels);
     let mut models: Vec<Vec<bool>> = Vec::new();
-    let enumeration = enc.for_each_model(&vars, opts.max_models, &Bounds::default(), |m| {
+    let enumeration = enc.for_each_model(&vars, MAX_MODELS, &Bounds::default(), |m| {
         models.push(m.to_vec());
         models.len() < stop_after
     })?;
     if let Enumeration::LimitReached(n) = enumeration {
         return Err(ReasonError::BudgetExceeded {
             what,
-            budget: opts.max_models,
+            budget: MAX_MODELS,
             spent: n,
         });
     }
@@ -157,13 +156,9 @@ fn monolithic_instances(
 /// DCIP on one whole-specification encoding: at most one realizable
 /// current instance of `rel`.  Two distinct projected models are two
 /// distinct instances, so the enumeration stops after two.
-pub fn dcip_exact_monolithic(
-    spec: &Specification,
-    rel: RelId,
-    opts: &Options,
-) -> Result<bool, ReasonError> {
+pub fn dcip_exact_monolithic(spec: &Specification, rel: RelId) -> Result<bool, ReasonError> {
     let what = "current-instance enumeration (DCIP)";
-    let instances = monolithic_instances(spec, &[rel], opts, what, 2)?;
+    let instances = monolithic_instances(spec, &[rel], what, 2)?;
     Ok(instances.windows(2).all(|w| w[0][0].set_eq(&w[1][0])))
 }
 
@@ -173,12 +168,11 @@ pub fn dcip_exact_monolithic(
 pub fn certain_answers_exact_monolithic(
     spec: &Specification,
     query: &Query,
-    opts: &Options,
 ) -> Result<CertainAnswers, ReasonError> {
     let rels: Vec<RelId> = query.body().relations().into_iter().collect();
     let what = "current-instance enumeration (CCQA)";
     let mut acc = None;
-    for instances in monolithic_instances(spec, &rels, opts, what, usize::MAX)? {
+    for instances in monolithic_instances(spec, &rels, what, usize::MAX)? {
         intersect(&mut acc, query.eval(&Database::new(&instances)));
     }
     Ok(certain(acc))
@@ -189,9 +183,8 @@ pub fn ccqa_exact_monolithic(
     spec: &Specification,
     query: &Query,
     tuple: &[Value],
-    opts: &Options,
 ) -> Result<bool, ReasonError> {
-    Ok(certain_answers_exact_monolithic(spec, query, opts)?.contains(tuple))
+    Ok(certain_answers_exact_monolithic(spec, query)?.contains(tuple))
 }
 
 /// CPS by brute-force enumeration of `Mod(S)`, refused with

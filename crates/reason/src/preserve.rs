@@ -26,7 +26,7 @@
 use crate::ccqa::{certain_answers, CertainAnswers};
 use crate::cps::cps;
 use crate::error::ReasonError;
-use crate::Options;
+use crate::MAX_EXTENSIONS;
 use currency_core::{Eid, RelId, Specification, TupleId, Value};
 use currency_query::Query;
 use std::collections::BTreeSet;
@@ -248,42 +248,35 @@ fn viable_slots(
 /// Decide **CPP**: are the copy functions currency preserving for the
 /// query?  (Paper Theorem 5.1: Πᵖ₃-complete for CQ; Πᵖ₂-complete in data
 /// complexity.)
-pub fn cpp(problem: &PreservationProblem, opts: &Options) -> Result<bool, ReasonError> {
-    let base = certain_answers(problem.spec, problem.query, opts)?;
+pub fn cpp(problem: &PreservationProblem) -> Result<bool, ReasonError> {
+    let base = certain_answers(problem.spec, problem.query)?;
     if base == CertainAnswers::Inconsistent {
         return Ok(false); // definition clause (a): Mod(S) must be nonempty
     }
     let slots = viable_slots(problem.spec, extension_slots(problem.spec, problem.sources))?;
     let mut seen: BTreeSet<Vec<[u64; 4]>> = BTreeSet::new();
-    let mut budget = opts.max_extensions;
+    let mut budget = MAX_EXTENSIONS;
     let mut changed = false;
-    for_each_choice(
-        &slots,
-        &mut Vec::new(),
-        0,
-        opts.max_extensions,
-        &mut budget,
-        &mut |actions| {
-            if actions.is_empty() {
-                return Ok(true); // ρ̄ itself is not in Ext(ρ̄)
-            }
-            let Some(ext) = apply_extension(problem.spec, actions) else {
-                return Ok(true);
-            };
-            if !seen.insert(extension_signature(problem.spec, &ext)) {
-                return Ok(true); // equivalent extension already checked
-            }
-            if !cps(&ext)? {
-                return Ok(true); // Mod(Sᵉ) = ∅: not quantified over
-            }
-            let ans = certain_answers(&ext, problem.query, opts)?;
-            if ans != base {
-                changed = true;
-                return Ok(false); // witness found: stop the enumeration
-            }
-            Ok(true)
-        },
-    )?;
+    for_each_choice(&slots, &mut Vec::new(), 0, &mut budget, &mut |actions| {
+        if actions.is_empty() {
+            return Ok(true); // ρ̄ itself is not in Ext(ρ̄)
+        }
+        let Some(ext) = apply_extension(problem.spec, actions) else {
+            return Ok(true);
+        };
+        if !seen.insert(extension_signature(problem.spec, &ext)) {
+            return Ok(true); // equivalent extension already checked
+        }
+        if !cps(&ext)? {
+            return Ok(true); // Mod(Sᵉ) = ∅: not quantified over
+        }
+        let ans = certain_answers(&ext, problem.query)?;
+        if ans != base {
+            changed = true;
+            return Ok(false); // witness found: stop the enumeration
+        }
+        Ok(true)
+    })?;
     Ok(!changed)
 }
 
@@ -330,42 +323,34 @@ pub fn maximum_extension(
 /// Decide **BCP**: does a currency preserving extension adding at most `k`
 /// mappings exist?  (Paper Theorem 5.3: Σᵖ₄-complete for CQ; Σᵖ₃-complete
 /// in data complexity.)
-pub fn bcp(problem: &PreservationProblem, k: usize, opts: &Options) -> Result<bool, ReasonError> {
+pub fn bcp(problem: &PreservationProblem, k: usize) -> Result<bool, ReasonError> {
     if !cps(problem.spec)? {
         return Ok(false);
     }
     let slots = viable_slots(problem.spec, extension_slots(problem.spec, problem.sources))?;
-    let mut budget = opts.max_extensions;
+    let mut budget = MAX_EXTENSIONS;
     let mut found = false;
-    for_each_bounded_choice(
-        &slots,
-        k,
-        &mut Vec::new(),
-        0,
-        opts.max_extensions,
-        &mut budget,
-        &mut |actions| {
-            if actions.is_empty() {
-                return Ok(true);
-            }
-            let Some(ext) = apply_extension(problem.spec, actions) else {
-                return Ok(true);
-            };
-            if !cps(&ext)? {
-                return Ok(true);
-            }
-            let sub = PreservationProblem {
-                spec: &ext,
-                sources: problem.sources,
-                query: problem.query,
-            };
-            if cpp(&sub, opts)? {
-                found = true;
-                return Ok(false);
-            }
-            Ok(true)
-        },
-    )?;
+    for_each_bounded_choice(&slots, k, &mut Vec::new(), 0, &mut budget, &mut |actions| {
+        if actions.is_empty() {
+            return Ok(true);
+        }
+        let Some(ext) = apply_extension(problem.spec, actions) else {
+            return Ok(true);
+        };
+        if !cps(&ext)? {
+            return Ok(true);
+        }
+        let sub = PreservationProblem {
+            spec: &ext,
+            sources: problem.sources,
+            query: problem.query,
+        };
+        if cpp(&sub)? {
+            found = true;
+            return Ok(false);
+        }
+        Ok(true)
+    })?;
     Ok(found)
 }
 
@@ -375,7 +360,6 @@ fn for_each_choice(
     slots: &[ExtensionSlot],
     chosen: &mut Vec<ExtensionSlot>,
     ix: usize,
-    limit: usize,
     budget: &mut usize,
     f: &mut impl FnMut(&[ExtensionSlot]) -> Result<bool, ReasonError>,
 ) -> Result<bool, ReasonError> {
@@ -383,18 +367,18 @@ fn for_each_choice(
         if *budget == 0 {
             return Err(ReasonError::BudgetExceeded {
                 what: "copy-function extension enumeration",
-                budget: limit,
-                spent: limit.saturating_add(1),
+                budget: MAX_EXTENSIONS,
+                spent: MAX_EXTENSIONS + 1,
             });
         }
         *budget -= 1;
         return f(chosen);
     }
-    if !for_each_choice(slots, chosen, ix + 1, limit, budget, f)? {
+    if !for_each_choice(slots, chosen, ix + 1, budget, f)? {
         return Ok(false);
     }
     chosen.push(slots[ix].clone());
-    let cont = for_each_choice(slots, chosen, ix + 1, limit, budget, f)?;
+    let cont = for_each_choice(slots, chosen, ix + 1, budget, f)?;
     chosen.pop();
     Ok(cont)
 }
@@ -405,7 +389,6 @@ fn for_each_bounded_choice(
     k: usize,
     chosen: &mut Vec<ExtensionSlot>,
     ix: usize,
-    limit: usize,
     budget: &mut usize,
     f: &mut impl FnMut(&[ExtensionSlot]) -> Result<bool, ReasonError>,
 ) -> Result<bool, ReasonError> {
@@ -413,19 +396,19 @@ fn for_each_bounded_choice(
         if *budget == 0 {
             return Err(ReasonError::BudgetExceeded {
                 what: "bounded copy-function extension enumeration",
-                budget: limit,
-                spent: limit.saturating_add(1),
+                budget: MAX_EXTENSIONS,
+                spent: MAX_EXTENSIONS + 1,
             });
         }
         *budget -= 1;
         return f(chosen);
     }
-    if !for_each_bounded_choice(slots, k, chosen, ix + 1, limit, budget, f)? {
+    if !for_each_bounded_choice(slots, k, chosen, ix + 1, budget, f)? {
         return Ok(false);
     }
     if chosen.len() < k {
         chosen.push(slots[ix].clone());
-        let cont = for_each_bounded_choice(slots, k, chosen, ix + 1, limit, budget, f)?;
+        let cont = for_each_bounded_choice(slots, k, chosen, ix + 1, budget, f)?;
         chosen.pop();
         if !cont {
             return Ok(false);
@@ -501,7 +484,7 @@ mod tests {
         };
         // Base certain answer: {10}.  Importing source tuple 20 creates a
         // second candidate with no order ⇒ answers become ∅.
-        assert!(!cpp(&problem, &Options::default()).unwrap());
+        assert!(!cpp(&problem).unwrap());
     }
 
     #[test]
@@ -520,7 +503,7 @@ mod tests {
             sources: &sources,
             query: &q,
         };
-        assert!(cpp(&problem, &Options::default()).unwrap());
+        assert!(cpp(&problem).unwrap());
     }
 
     #[test]
@@ -548,7 +531,7 @@ mod tests {
         };
         // With k = 2 the extension {map 10→10, import 20} is available and
         // currency preserving (source order 10 ≺ 20 pins the answer to 20).
-        assert!(bcp(&problem, 2, &Options::default()).unwrap());
+        assert!(bcp(&problem, 2).unwrap());
     }
 
     #[test]
@@ -561,7 +544,7 @@ mod tests {
             sources: &sources,
             query: &q,
         };
-        assert!(!bcp(&problem, 0, &Options::default()).unwrap());
+        assert!(!bcp(&problem, 0).unwrap());
     }
 
     #[test]
@@ -572,7 +555,7 @@ mod tests {
         // After saturation the current value of entity 1 is certain: 20
         // (source order imported through the mappings).
         let q = value_query(r);
-        let ans = certain_answers(&maxed, &q, &Options::default()).unwrap();
+        let ans = certain_answers(&maxed, &q).unwrap();
         assert_eq!(ans.rows().unwrap(), &[vec![Value::int(20)]]);
     }
 }

@@ -34,7 +34,7 @@
 use crate::error::ReasonError;
 use crate::preserve::{apply_extension, extension_slots, ExtensionSlot};
 use crate::sp_ptime::poss_instance;
-use crate::Options;
+use crate::MAX_EXTENSIONS;
 use currency_core::{Eid, RelId, Specification, Value};
 use currency_query::SpQuery;
 use std::collections::{BTreeMap, BTreeSet};
@@ -286,7 +286,6 @@ pub fn bcp_sp(
     sources: &BTreeSet<RelId>,
     query: &SpQuery,
     k: usize,
-    opts: &Options,
 ) -> Result<bool, ReasonError> {
     debug_assert!(
         spec.has_no_constraints(),
@@ -296,7 +295,7 @@ pub fn bcp_sp(
         return Ok(false);
     }
     let slots = extension_slots(spec, sources);
-    let mut budget = opts.max_extensions;
+    let mut budget = MAX_EXTENSIONS;
     let mut chosen: Vec<ExtensionSlot> = Vec::new();
     #[allow(clippy::too_many_arguments)] // local recursion carries its whole state
     fn recurse(
@@ -307,15 +306,14 @@ pub fn bcp_sp(
         k: usize,
         ix: usize,
         chosen: &mut Vec<ExtensionSlot>,
-        limit: usize,
         budget: &mut usize,
     ) -> Result<bool, ReasonError> {
         if !chosen.is_empty() {
             if *budget == 0 {
                 return Err(ReasonError::BudgetExceeded {
                     what: "bounded SP extension enumeration",
-                    budget: limit,
-                    spent: limit.saturating_add(1),
+                    budget: MAX_EXTENSIONS,
+                    spent: MAX_EXTENSIONS + 1,
                 });
             }
             *budget -= 1;
@@ -330,24 +328,14 @@ pub fn bcp_sp(
         }
         for j in ix..slots.len() {
             chosen.push(slots[j].clone());
-            if recurse(spec, sources, query, slots, k, j + 1, chosen, limit, budget)? {
+            if recurse(spec, sources, query, slots, k, j + 1, chosen, budget)? {
                 return Ok(true);
             }
             chosen.pop();
         }
         Ok(false)
     }
-    recurse(
-        spec,
-        sources,
-        query,
-        &slots,
-        k,
-        0,
-        &mut chosen,
-        opts.max_extensions,
-        &mut budget,
-    )
+    recurse(spec, sources, query, &slots, k, 0, &mut chosen, &mut budget)
 }
 
 /// Certain answers used by tests: the SP answer set.
@@ -426,8 +414,8 @@ mod tests {
     fn bcp_sp_finds_two_action_extension() {
         let (spec, r, s) = importing_spec();
         let sources: BTreeSet<RelId> = [s].into();
-        assert!(!bcp_sp(&spec, &sources, &identity(r), 0, &Options::default()).unwrap());
-        assert!(bcp_sp(&spec, &sources, &identity(r), 2, &Options::default()).unwrap());
+        assert!(!bcp_sp(&spec, &sources, &identity(r), 0).unwrap());
+        assert!(bcp_sp(&spec, &sources, &identity(r), 2).unwrap());
     }
 
     #[test]

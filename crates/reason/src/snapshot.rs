@@ -28,10 +28,11 @@
 //!
 //! DCIP, certain answers, current instances, model enumeration, decode,
 //! the witness and COP are written once, over the borrowed `View` of a
-//! specification, partition, slot vector, options and bounds that the
-//! writer and its snapshots share.  Every query only reads the shared slot
-//! encodings; a solve runs on a throwaway clone that the query drops
-//! when it returns, so N readers and the writer never block each other.
+//! specification, partition and slot vector that the writer and its
+//! snapshots share, plus the thread count and bounds of the query.
+//! Every query only reads the shared slot encodings; a solve runs on a
+//! throwaway clone that the query drops when it returns, so N readers
+//! and the writer never block each other.
 //!
 //! The serving front door (answer cache, rate limiting, stats) lives on
 //! top of this module in the `currency-serve` crate.
@@ -43,10 +44,10 @@
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
 use crate::encode::{completion_from_chains, Bounds, Encoding};
-use crate::engine::{effective_threads, run_indexed};
+use crate::engine::run_indexed;
 use crate::error::ReasonError;
 use crate::partition::Partition;
-use crate::{Options, SolveLimits};
+use crate::{SolveLimits, MAX_MODELS};
 use currency_core::cow::PagedVec;
 use currency_core::{Completion, NormalInstance, RelId, Specification, Tuple, Value};
 use currency_obs::{Counter, Gauge, MetricsRegistry};
@@ -80,15 +81,20 @@ struct ComponentModels {
 const COMBINATION_CHECK: u64 = 1024;
 
 /// The borrowed state every query runs over: the writer's and a
-/// snapshot's specification, partition, slots and options, plus the
-/// bounds of the query.  Each query path is written here once.
+/// snapshot's specification, partition and slots, plus the thread count,
+/// model budget and bounds of the query.  Each query path is written
+/// here once.
 #[derive(Clone, Copy)]
 pub(crate) struct View<'a> {
     pub(crate) spec: &'a Specification,
     pub(crate) value_rels: &'a [RelId],
     pub(crate) partition: &'a Partition,
     pub(crate) slots: &'a PagedVec<SlotView>,
-    pub(crate) opts: Options,
+    /// Worker threads, already resolved (never 0).
+    pub(crate) threads: usize,
+    /// [`MAX_MODELS`] on every production path; a unit test lowers it to
+    /// reach the per-component refusal.
+    pub(crate) max_models: usize,
     pub(crate) bounds: Bounds,
 }
 
@@ -179,8 +185,7 @@ impl View<'_> {
     /// Realizable instances are enumerated **per component** and composed
     /// as a product, so the per-component All-SAT never pays for order
     /// choices in unrelated components.  Both the per-component model
-    /// count and the composed product are bounded by
-    /// [`Options::max_models`].
+    /// count and the composed product are bounded by [`MAX_MODELS`].
     pub(crate) fn certain_answers(
         &self,
         query: &Query,
@@ -266,7 +271,7 @@ impl View<'_> {
         if !consistent {
             return Ok(None);
         }
-        let per_slot = run_indexed(effective_threads(&self.opts), self.slots.len(), |ix| {
+        let per_slot = run_indexed(self.threads, self.slots.len(), |ix| {
             // Re-solve without assumptions so the model is a plain
             // completion model; this also re-runs the closure refinement
             // so the model is transitive.
@@ -281,28 +286,26 @@ impl View<'_> {
     }
 
     /// Enumerate each listed component's projected models over `rels`
-    /// ([`View::component_models`], parallel under [`Options::threads`]).
+    /// ([`View::component_models`], parallel over the view's threads).
     /// Both the per-component model count and the composed product are
-    /// bounded by [`Options::max_models`]; `what` labels the budget
-    /// error.
+    /// bounded by [`MAX_MODELS`]; `what` labels the budget error.
     fn enumerate_component_models(
         &self,
         rels: &[RelId],
         comps: &[usize],
         what: &'static str,
     ) -> Result<Vec<ComponentModels>, ReasonError> {
-        let max_models = self.opts.max_models;
-        let per_comp = run_indexed(effective_threads(&self.opts), comps.len(), |k| {
+        let per_comp = run_indexed(self.threads, comps.len(), |k| {
             self.component_models(comps[k], rels, usize::MAX, what)
         })?;
         // Guard the composed cross-component product against the budget.
         let mut product: usize = 1;
         for cm in &per_comp {
             product = product.saturating_mul(cm.models.len().max(1));
-            if product > max_models {
+            if product > self.max_models {
                 return Err(ReasonError::BudgetExceeded {
                     what,
-                    budget: max_models,
+                    budget: self.max_models,
                     spent: product,
                 });
             }
@@ -314,7 +317,7 @@ impl View<'_> {
     /// of `rels`, at most `stop_after` of them: projected All-SAT under
     /// the view's bounds on a throwaway clone of the slot encoding.  A
     /// component with no such indicator has one model, its fixed rows.
-    /// An enumeration past [`Options::max_models`] is refused with
+    /// An enumeration past [`MAX_MODELS`] is refused with
     /// [`ReasonError::BudgetExceeded`] labelled `what`.
     fn component_models(
         &self,
@@ -329,16 +332,15 @@ impl View<'_> {
         if vars.is_empty() {
             models.push(Vec::new());
         } else {
-            let max_models = self.opts.max_models;
             let mut enc = (**shared).clone();
-            let enumeration = enc.for_each_model(&vars, max_models, &self.bounds, |m| {
+            let enumeration = enc.for_each_model(&vars, self.max_models, &self.bounds, |m| {
                 models.push(m.to_vec());
                 models.len() < stop_after
             })?;
             if let Enumeration::LimitReached(n) = enumeration {
                 return Err(ReasonError::BudgetExceeded {
                     what,
-                    budget: max_models,
+                    budget: self.max_models,
                     spent: n,
                 });
             }
@@ -438,7 +440,8 @@ pub struct EngineSnapshot {
     partition: Arc<Partition>,
     slots: PagedVec<SlotView>,
     consistent: bool,
-    opts: Options,
+    /// The writer's resolved worker threads.
+    threads: usize,
     live: Arc<Gauge>,
 }
 
@@ -458,7 +461,7 @@ impl EngineSnapshot {
         partition: Arc<Partition>,
         slots: PagedVec<SlotView>,
         consistent: bool,
-        opts: Options,
+        threads: usize,
         live: Arc<Gauge>,
     ) -> EngineSnapshot {
         live.add(1);
@@ -469,7 +472,7 @@ impl EngineSnapshot {
             partition,
             slots,
             consistent,
-            opts,
+            threads,
             live,
         }
     }
@@ -607,10 +610,10 @@ impl SnapshotReader {
     }
 
     /// Set the per-solve work budget of every following query on this
-    /// reader; `None` means unbounded.  Exhaustion surfaces as
-    /// [`ReasonError::Interrupted`], like an expired deadline.
-    pub fn set_solve_limits(&mut self, limits: Option<SolveLimits>) {
-        self.bounds.limits = limits.unwrap_or_default();
+    /// reader; [`SolveLimits::default`] means unbounded.  Exhaustion
+    /// surfaces as [`ReasonError::Interrupted`], like an expired deadline.
+    pub fn set_solve_limits(&mut self, limits: SolveLimits) {
+        self.bounds.limits = limits;
     }
 
     /// The pinned snapshot's view under this reader's bounds.
@@ -621,7 +624,8 @@ impl SnapshotReader {
             value_rels: &snap.value_rels,
             partition: &snap.partition,
             slots: &snap.slots,
-            opts: snap.opts,
+            threads: snap.threads,
+            max_models: MAX_MODELS,
             bounds: self.bounds,
         }
     }
@@ -706,6 +710,7 @@ impl SnapshotReader {
 mod tests {
     use super::*;
     use crate::engine::CurrencyEngine;
+    use crate::Options;
     use currency_core::{
         AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelationSchema, SpecDelta, Term, TupleId,
     };
@@ -1025,15 +1030,15 @@ mod tests {
         // One interrupted COP first: a zero-work budget stops the solve
         // mid-way on its clone.
         let q01 = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
-        reader.set_solve_limits(Some(SolveLimits {
+        reader.set_solve_limits(SolveLimits {
             max_conflicts: Some(0),
             max_props: Some(0),
-        }));
+        });
         assert!(matches!(
             reader.cop(&q01),
             Err(ReasonError::Interrupted { .. })
         ));
-        reader.set_solve_limits(None);
+        reader.set_solve_limits(SolveLimits::default());
         // Then a burst of open-literal COPs through both doors.
         for u in 0..8u32 {
             let v = u ^ 1;
@@ -1160,15 +1165,45 @@ mod tests {
     }
 
     #[test]
+    fn component_past_the_model_budget_is_refused() {
+        // One entity with ten distinct values: ten realizable current
+        // instances in one component, so a view whose budget is 4 refuses
+        // inside that component's All-SAT, before any product is formed.
+        let mut cat = Catalog::new();
+        let r = cat.add(RelationSchema::new("R", &["A"]));
+        let mut spec = Specification::new(cat);
+        for v in 0..10 {
+            spec.instance_mut(r)
+                .push_tuple(Tuple::new(Eid(0), vec![Value::int(v)]))
+                .unwrap();
+        }
+        let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
+        let reader = SnapshotReader::new(engine.snapshot());
+        let tight = View {
+            max_models: 4,
+            ..reader.view()
+        };
+        assert!(matches!(
+            tight.certain_answers(&value_query(r), || Ok(true)),
+            Err(ReasonError::BudgetExceeded { budget: 4, .. })
+        ));
+        // DCIP needs two models whatever the budget; at `MAX_MODELS` the
+        // reader answers: nothing is certain.
+        assert!(!tight.dcip(r, || Ok(true)).unwrap());
+        let answers = reader.certain_answers(&value_query(r)).unwrap();
+        assert!(answers.rows().unwrap().is_empty());
+    }
+
+    #[test]
     fn reader_budget_override_interrupts_then_clears() {
         let (mut engine, r) = unconstrained_engine(3);
         let mut reader = SnapshotReader::new(engine.snapshot());
         // A zero-work per-request budget interrupts every solve-backed path
         // with the typed error, never a wrong verdict.
-        reader.set_solve_limits(Some(SolveLimits {
+        reader.set_solve_limits(SolveLimits {
             max_conflicts: Some(0),
             max_props: Some(0),
-        }));
+        });
         let q01 = CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1));
         assert!(matches!(
             reader.cop(&q01),
@@ -1192,7 +1227,7 @@ mod tests {
         ));
         // Clearing the override, the answers match a live engine — the
         // interruption left nothing corrupted behind.
-        reader.set_solve_limits(None);
+        reader.set_solve_limits(SolveLimits::default());
         assert_matches_engine(&mut reader, r);
     }
 
@@ -1238,10 +1273,10 @@ mod tests {
         let mut reader = SnapshotReader::new(snap);
         let mut budget: u64 = 1;
         loop {
-            reader.set_solve_limits(Some(SolveLimits {
+            reader.set_solve_limits(SolveLimits {
                 max_conflicts: Some(budget),
                 max_props: Some(budget * 64),
-            }));
+            });
             match reader.cop(&q) {
                 Ok(v) => {
                     assert_eq!(v, oracle, "first decided verdict must match");

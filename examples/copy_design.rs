@@ -16,7 +16,7 @@
 use data_currency::datagen::scenarios;
 use data_currency::model::{Tuple, Value};
 use data_currency::reason::{
-    bcp, certain_answers, cpp, ecp, maximum_extension, Options, PreservationProblem,
+    bcp, certain_answers, cpp, ecp, maximum_extension, PreservationProblem,
 };
 use std::collections::BTreeSet;
 
@@ -25,10 +25,9 @@ fn main() {
     let e = scenarios::example_4_1();
     let q2 = e.q2().to_query(5);
     let sources: BTreeSet<_> = [e.mgr].into();
-    let opts = Options::default();
 
     // Baseline: the certain answer with the current copy function ρ.
-    let ans = certain_answers(&e.spec, &q2, &opts).unwrap();
+    let ans = certain_answers(&e.spec, &q2).unwrap();
     println!(
         "Q2 (Mary's current last name) under ρ = {{s3 ⇐ s′2}}: {:?}",
         ans.rows().unwrap()
@@ -40,7 +39,7 @@ fn main() {
         sources: &sources,
         query: &q2,
     };
-    let preserving = cpp(&problem, &opts).unwrap();
+    let preserving = cpp(&problem).unwrap();
     println!("ρ currency preserving for Q2: {preserving}");
     assert!(!preserving, "importing s′3 would flip the answer to Smith");
 
@@ -52,7 +51,7 @@ fn main() {
 
     // BCP: how many extra imports are needed?
     for k in 0..=2 {
-        let ok = bcp(&problem, k, &opts).unwrap();
+        let ok = bcp(&problem, k).unwrap();
         println!("  BCP with k = {k}: {ok}");
     }
 
@@ -73,7 +72,7 @@ fn main() {
         .unwrap();
     extended.copy_mut(0).set_mapping(t_new, e.sp[2]);
     extended.validate().unwrap();
-    let ans1 = certain_answers(&extended, &q2, &opts).unwrap();
+    let ans1 = certain_answers(&extended, &q2).unwrap();
     println!(
         "\nQ2 under ρ₁ = ρ ∪ {{t_new ⇐ s′3}}: {:?}",
         ans1.rows().unwrap()
@@ -83,7 +82,7 @@ fn main() {
         sources: &sources,
         query: &q2,
     };
-    let preserving1 = cpp(&problem1, &opts).unwrap();
+    let preserving1 = cpp(&problem1).unwrap();
     println!("ρ₁ currency preserving for Q2: {preserving1}");
     assert!(preserving1, "copying s′1 as well would change nothing");
 
@@ -96,7 +95,7 @@ fn main() {
         e.spec.instance(e.emp).len(),
         maxed.instance(e.emp).len(),
     );
-    let ans_max = certain_answers(&maxed, &q2, &opts).unwrap();
+    let ans_max = certain_answers(&maxed, &q2).unwrap();
     println!(
         "Q2 under the maximum extension: {:?}",
         ans_max.rows().unwrap()

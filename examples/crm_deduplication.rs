@@ -17,7 +17,7 @@ use data_currency::model::{
     Catalog, CmpOp, DenialConstraint, Eid, RelationSchema, Specification, Term, Tuple, Value,
 };
 use data_currency::query::{SpCondition, SpQuery};
-use data_currency::reason::{certain_answers, dcip, poss_instance, Options};
+use data_currency::reason::{certain_answers, dcip, poss_instance};
 
 const NAME: data_currency::model::AttrId = data_currency::model::AttrId(0);
 const EMAIL: data_currency::model::AttrId = data_currency::model::AttrId(1);
@@ -93,7 +93,7 @@ fn main() {
             conditions: vec![SpCondition::AttrConst(NAME, Value::str(who))],
         }
         .to_query(4);
-        let ans = certain_answers(&spec, &q, &Options::default()).unwrap();
+        let ans = certain_answers(&spec, &q).unwrap();
         let rows = ans.rows().unwrap();
         if rows.is_empty() {
             println!("  {who:<6} (entity {eid}): NOT certain — do not auto-mail");
@@ -108,7 +108,7 @@ fn main() {
     }
 
     // 2. Is the whole current instance deterministic?
-    let deterministic = dcip(&spec, cust, &Options::default()).unwrap();
+    let deterministic = dcip(&spec, cust).unwrap();
     println!("\nwhole Customer relation deterministic: {deterministic}");
     assert!(!deterministic, "Linus' email is genuinely ambiguous");
 

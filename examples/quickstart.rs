@@ -13,11 +13,11 @@ use data_currency::datagen::scenarios;
 use data_currency::datagen::scenarios::{dept_attrs, emp_attrs};
 use data_currency::model::Value;
 use data_currency::query::{classify, SpQuery};
-use data_currency::reason::{certain_answers, cop, cps, dcip, CurrencyOrderQuery, Options};
+use data_currency::reason::{certain_answers, cop, cps, dcip, CurrencyOrderQuery};
 
 fn show(label: &str, spec: &data_currency::model::Specification, q: &SpQuery, arity: usize) {
     let query = q.to_query(arity);
-    let ans = certain_answers(spec, &query, &Options::default()).expect("solvable");
+    let ans = certain_answers(spec, &query).expect("solvable");
     let rows = ans.rows().expect("consistent specification");
     let rendered: Vec<String> = rows
         .iter()
@@ -69,8 +69,8 @@ fn main() {
 
     // 4. Determinism of current instances (Example 3.3).
     println!("\ndeterministic current instances (Example 3.3):");
-    let emp_det = dcip(&f.spec, f.emp, &Options::default()).expect("DCIP decidable");
-    let dept_det = dcip(&f.spec, f.dept, &Options::default()).expect("DCIP decidable");
+    let emp_det = dcip(&f.spec, f.emp).expect("DCIP decidable");
+    let dept_det = dcip(&f.spec, f.dept).expect("DCIP decidable");
     println!("  Emp  deterministic: {emp_det}   (every completion yields {{s3, s4, s5}})");
     println!("  Dept deterministic: {dept_det}   (the manager's name varies with t3/t4)");
 

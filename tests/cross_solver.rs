@@ -17,7 +17,7 @@ use data_currency::query::{SpCondition, SpQuery};
 use data_currency::reason::oracle::{certain_answers_enumerate, cps_enumerate};
 use data_currency::reason::{
     certain_answers_exact, certain_answers_sp, cop_exact, cps_exact, cps_ptime, dcip_exact,
-    dcip_ptime, po_infinity, CurrencyOrderQuery, Options,
+    dcip_ptime, po_infinity, CurrencyOrderQuery,
 };
 use proptest::prelude::*;
 
@@ -95,7 +95,7 @@ proptest! {
         let spec = random_spec(&small_config(seed, false, seed % 2 == 0));
         prop_assert_eq!(
             dcip_ptime(&spec, T).unwrap(),
-            dcip_exact(&spec, T, &Options::default()).unwrap()
+            dcip_exact(&spec, T).unwrap()
         );
     }
 
@@ -103,7 +103,7 @@ proptest! {
     fn ccqa_sat_agrees_with_completion_enumeration(seed in 0u64..10_000) {
         let spec = random_spec(&small_config(seed, true, false));
         let q = SpQuery::identity(T, 2).to_query(2);
-        let sat = certain_answers_exact(&spec, &q, &Options::default()).unwrap();
+        let sat = certain_answers_exact(&spec, &q).unwrap();
         let brute = certain_answers_enumerate(&spec, &q, 2_000_000).unwrap();
         prop_assert_eq!(sat, brute, "seed {}", seed);
     }
@@ -118,7 +118,7 @@ proptest! {
         };
         let fast = certain_answers_sp(&spec, &sp).unwrap();
         let exact =
-            certain_answers_exact(&spec, &sp.to_query(2), &Options::default()).unwrap();
+            certain_answers_exact(&spec, &sp.to_query(2)).unwrap();
         prop_assert_eq!(fast, exact, "seed {}", seed);
     }
 }

@@ -19,7 +19,7 @@ use data_currency::reason::oracle::{
 };
 use data_currency::reason::{
     ccqa_exact, certain_answers_exact, cop_exact, cps_exact, dcip_exact, witness_completion,
-    CurrencyEngine, CurrencyOrderQuery, Options,
+    CurrencyEngine, CurrencyOrderQuery, Options, MAX_MODELS,
 };
 use data_currency::sat::Enumeration;
 use proptest::prelude::*;
@@ -107,10 +107,9 @@ proptest! {
     #[test]
     fn engine_dcip_matches_monolithic(seed in 0u64..10_000) {
         let spec = random_spec(&config(seed, true, seed % 3 == 0));
-        let opts = Options::default();
         prop_assert_eq!(
-            dcip_exact(&spec, T, &opts).unwrap(),
-            dcip_exact_monolithic(&spec, T, &opts).unwrap(),
+            dcip_exact(&spec, T).unwrap(),
+            dcip_exact_monolithic(&spec, T).unwrap(),
             "seed {}", seed
         );
     }
@@ -119,15 +118,14 @@ proptest! {
     fn engine_ccqa_matches_monolithic(seed in 0u64..10_000) {
         let spec = random_spec(&config(seed, true, seed % 2 == 0));
         let q = value_query(T, spec.instance(T).arity());
-        let opts = Options::default();
-        let engine = certain_answers_exact(&spec, &q, &opts).unwrap();
-        let mono = certain_answers_exact_monolithic(&spec, &q, &opts).unwrap();
+        let engine = certain_answers_exact(&spec, &q).unwrap();
+        let mono = certain_answers_exact_monolithic(&spec, &q).unwrap();
         prop_assert_eq!(&engine, &mono, "seed {}", seed);
         // Membership probes agree too (vacuous-truth convention included).
         let probe = vec![Value::int(0), Value::int(1)];
         prop_assert_eq!(
-            ccqa_exact(&spec, &q, &probe, &opts).unwrap(),
-            ccqa_exact_monolithic(&spec, &q, &probe, &opts).unwrap(),
+            ccqa_exact(&spec, &q, &probe).unwrap(),
+            ccqa_exact_monolithic(&spec, &q, &probe).unwrap(),
             "seed {}", seed
         );
     }
@@ -136,8 +134,7 @@ proptest! {
     fn engine_ccqa_matches_oracle(seed in 0u64..10_000) {
         let spec = random_spec(&oracle_config(seed, true, seed % 2 == 0));
         let q = value_query(T, spec.instance(T).arity());
-        let opts = Options::default();
-        let engine = certain_answers_exact(&spec, &q, &opts).unwrap();
+        let engine = certain_answers_exact(&spec, &q).unwrap();
         let brute = certain_answers_enumerate(&spec, &q, 2_000_000).unwrap();
         prop_assert_eq!(&engine, &brute, "seed {}", seed);
     }
@@ -184,12 +181,11 @@ proptest! {
         let mono_lazy = Encoding::whole_spec(&spec, &all_rels, TransitivityMode::Lazy).unwrap();
         prop_assert_eq!(mono_eager.num_vars(), mono_lazy.num_vars(), "seed {}", seed);
         prop_assert!(lazy.stats().vars <= mono_eager.num_vars(), "seed {}", seed);
-        let max_models = Options::default().max_models;
         for &rel in &all_rels {
             let (_, vars) = mono_eager.restricted_projection(&[rel]);
             let eager_count = mono_eager
                 .clone()
-                .for_each_model(&vars, max_models, &Bounds::default(), |_| true)
+                .for_each_model(&vars, MAX_MODELS, &Bounds::default(), |_| true)
                 .unwrap();
             prop_assert_eq!(
                 Enumeration::Complete(lazy.current_instances(rel).unwrap().len()),
@@ -223,15 +219,14 @@ proptest! {
             }
         }
         let q = value_query(T, inst.arity());
-        let opts = Options::default();
         prop_assert_eq!(
             engine.certain_answers(&q).unwrap(),
-            certain_answers_exact_monolithic(&spec, &q, &opts).unwrap(),
+            certain_answers_exact_monolithic(&spec, &q).unwrap(),
             "seed {}", seed
         );
         prop_assert_eq!(
             engine.dcip(T).unwrap(),
-            dcip_exact_monolithic(&spec, T, &opts).unwrap(),
+            dcip_exact_monolithic(&spec, T).unwrap(),
             "seed {}", seed
         );
     }
@@ -263,10 +258,9 @@ fn engine_dcip_agrees_for_copied_relation_too() {
     let src = RelId(1);
     for seed in 0..30u64 {
         let spec = random_spec(&config(seed, true, true));
-        let opts = Options::default();
         assert_eq!(
-            dcip_exact(&spec, src, &opts).unwrap(),
-            dcip_exact_monolithic(&spec, src, &opts).unwrap(),
+            dcip_exact(&spec, src).unwrap(),
+            dcip_exact_monolithic(&spec, src).unwrap(),
             "seed {seed}"
         );
     }

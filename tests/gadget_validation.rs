@@ -11,7 +11,7 @@
 use data_currency::datagen::gadgets;
 use data_currency::datagen::logic;
 use data_currency::reason::{
-    ccqa_exact, cop_exact, cpp, cps_exact, dcip_exact, Options, PreservationProblem,
+    ccqa_exact, cop_exact, cpp, cps_exact, dcip_exact, PreservationProblem,
 };
 
 #[test]
@@ -71,7 +71,7 @@ fn threesat_to_dcip_matches_oracle() {
         let f = logic::random_formula(vars, clauses, 3000 + seed);
         let expected_unsat = !logic::sat_cnf(&f);
         let gadget = gadgets::cop_3sat(&f);
-        let got = dcip_exact(&gadget.spec, gadget.rel, &Options::default()).expect("DCIP solvable");
+        let got = dcip_exact(&gadget.spec, gadget.rel).expect("DCIP solvable");
         assert_eq!(
             got, expected_unsat,
             "3SAT→DCIP mismatch (seed {seed}): {f:?}"
@@ -87,13 +87,7 @@ fn threesat_to_ccqa_matches_oracle() {
         let f = logic::random_formula(vars, clauses, 4000 + seed);
         let expected_unsat = !logic::sat_cnf(&f);
         let gadget = gadgets::ccqa_3sat(&f);
-        let got = ccqa_exact(
-            &gadget.spec,
-            &gadget.query,
-            &gadget.tuple,
-            &Options::default(),
-        )
-        .expect("CCQA solvable");
+        let got = ccqa_exact(&gadget.spec, &gadget.query, &gadget.tuple).expect("CCQA solvable");
         assert_eq!(
             got, expected_unsat,
             "3SAT→CCQA mismatch (seed {seed}): {f:?}"
@@ -115,7 +109,7 @@ fn forall_exists_3cnf_to_cpp_matches_oracle() {
             sources: &gadget.sources,
             query: &gadget.query,
         };
-        let got = cpp(&problem, &Options::default()).expect("CPP solvable");
+        let got = cpp(&problem).expect("CPP solvable");
         assert_eq!(got, expected, "∀∃3CNF→CPP mismatch (seed {seed}): {f:?}");
     }
 }

@@ -55,7 +55,7 @@ fn monolithic(spec: &Specification, r: RelId) -> Answers {
         cps_exact_monolithic(spec).unwrap(),
         cop_exact_monolithic(spec, &fwd).unwrap(),
         cop_exact_monolithic(spec, &rev).unwrap(),
-        dcip_exact_monolithic(spec, r, &Options::default()).unwrap(),
+        dcip_exact_monolithic(spec, r).unwrap(),
     )
 }
 

@@ -51,10 +51,10 @@ where
     let mut budget = 1u64;
     let mut interrupted_rounds = 0u32;
     loop {
-        reader.set_solve_limits(Some(SolveLimits {
+        reader.set_solve_limits(SolveLimits {
             max_conflicts: Some(budget),
             max_props: Some(budget),
-        }));
+        });
         match run(reader) {
             Ok(verdict) => {
                 assert_eq!(
@@ -62,7 +62,7 @@ where
                     "{what}: first bounded verdict (budget {budget}) diverged \
                      from the unbounded oracle (seed {seed})"
                 );
-                reader.set_solve_limits(None);
+                reader.set_solve_limits(SolveLimits::default());
                 return interrupted_rounds;
             }
             Err(ReasonError::Interrupted { spent }) => {

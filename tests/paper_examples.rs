@@ -12,13 +12,9 @@ use data_currency::datagen::scenarios::{self, dept_attrs, emp_attrs};
 use data_currency::model::{Tuple, Value};
 use data_currency::reason::{
     ccqa, certain_answers, cop, cpp, cps, dcip, maximum_extension, witness_completion,
-    CurrencyOrderQuery, Options, PreservationProblem,
+    CurrencyOrderQuery, PreservationProblem,
 };
 use std::collections::BTreeSet;
-
-fn opts() -> Options {
-    Options::default()
-}
 
 #[test]
 fn example_2_3_s0_is_consistent() {
@@ -32,17 +28,17 @@ fn example_2_3_s0_is_consistent() {
 fn example_1_1_q1_current_salary_is_80k() {
     let f = scenarios::fig1();
     let q = f.q1().to_query(5);
-    let ans = certain_answers(&f.spec, &q, &opts()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::int(80)]]);
-    assert!(ccqa(&f.spec, &q, &[Value::int(80)], &opts()).unwrap());
-    assert!(!ccqa(&f.spec, &q, &[Value::int(50)], &opts()).unwrap());
+    assert!(ccqa(&f.spec, &q, &[Value::int(80)]).unwrap());
+    assert!(!ccqa(&f.spec, &q, &[Value::int(50)]).unwrap());
 }
 
 #[test]
 fn example_1_1_q2_current_last_name_is_dupont() {
     let f = scenarios::fig1();
     let q = f.q2().to_query(5);
-    let ans = certain_answers(&f.spec, &q, &opts()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::str("Dupont")]]);
 }
 
@@ -50,7 +46,7 @@ fn example_1_1_q2_current_last_name_is_dupont() {
 fn example_1_1_q3_current_address_is_6_main_st() {
     let f = scenarios::fig1();
     let q = f.q3().to_query(5);
-    let ans = certain_answers(&f.spec, &q, &opts()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::str("6 Main St")]]);
 }
 
@@ -58,7 +54,7 @@ fn example_1_1_q3_current_address_is_6_main_st() {
 fn example_1_1_q4_current_budget_is_6000k() {
     let f = scenarios::fig1();
     let q = f.q4().to_query(4);
-    let ans = certain_answers(&f.spec, &q, &opts()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(
         ans.rows().unwrap(),
         &[vec![Value::int(6000)]],
@@ -72,7 +68,7 @@ fn example_2_4_current_emp_instance() {
     // attribute, and the singleton entities contribute themselves.
     let f = scenarios::fig1();
     let q = data_currency::query::SpQuery::identity(f.emp, 5).to_query(5);
-    let ans = certain_answers(&f.spec, &q, &opts()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     let rows = ans.rows().unwrap();
     let s3 = vec![
         Value::str("Mary"),
@@ -155,7 +151,7 @@ fn example_2_4_merged_luth_mixes_attributes() {
         .add_order(emp_attrs::SALARY, s5, s4)
         .unwrap();
     let q = data_currency::query::SpQuery::identity(emp, 5).to_query(5);
-    let ans = certain_answers(&spec, &q, &opts()).unwrap();
+    let ans = certain_answers(&spec, &q).unwrap();
     assert_eq!(
         ans.rows().unwrap(),
         &[vec![
@@ -195,7 +191,7 @@ fn example_2_2_copy_derived_orderings() {
 fn example_3_3_emp_is_deterministic() {
     let f = scenarios::fig1();
     assert!(
-        dcip(&f.spec, f.emp, &opts()).unwrap(),
+        dcip(&f.spec, f.emp).unwrap(),
         "S₀ is deterministic for current Emp instances (Example 3.3)"
     );
 }
@@ -204,7 +200,7 @@ fn example_3_3_emp_is_deterministic() {
 fn dept_is_not_deterministic() {
     // mgrFN of R&D differs between completions (t3 = Mary vs t4 = Ed).
     let f = scenarios::fig1();
-    assert!(!dcip(&f.spec, f.dept, &opts()).unwrap());
+    assert!(!dcip(&f.spec, f.dept).unwrap());
 }
 
 #[test]
@@ -225,7 +221,7 @@ fn example_4_1_rho_is_not_currency_preserving_for_q2() {
     let e = scenarios::example_4_1();
     let q2 = e.q2().to_query(5);
     // Base answer: Dupont.
-    let ans = certain_answers(&e.spec, &q2, &opts()).unwrap();
+    let ans = certain_answers(&e.spec, &q2).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::str("Dupont")]]);
     let sources: BTreeSet<_> = [e.mgr].into();
     let problem = PreservationProblem {
@@ -234,7 +230,7 @@ fn example_4_1_rho_is_not_currency_preserving_for_q2() {
         query: &q2,
     };
     assert!(
-        !cpp(&problem, &opts()).unwrap(),
+        !cpp(&problem).unwrap(),
         "importing s′3 changes Q2's certain answer to Smith (Example 4.1)"
     );
 }
@@ -261,7 +257,7 @@ fn example_4_1_rho1_is_currency_preserving_for_q2() {
     spec.validate().unwrap();
     let q2 = e.q2().to_query(5);
     // The answer under ρ₁ is Smith in every consistent completion.
-    let ans = certain_answers(&spec, &q2, &opts()).unwrap();
+    let ans = certain_answers(&spec, &q2).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::str("Smith")]]);
     let sources: BTreeSet<_> = [e.mgr].into();
     let problem = PreservationProblem {
@@ -270,7 +266,7 @@ fn example_4_1_rho1_is_currency_preserving_for_q2() {
         query: &q2,
     };
     assert!(
-        cpp(&problem, &opts()).unwrap(),
+        cpp(&problem).unwrap(),
         "copying more of Mgr (s′1) does not change Q2's answer (Example 4.1)"
     );
 }

@@ -8,8 +8,7 @@ use data_currency::datagen::random::{pinned_seeds, random_spec, RandomSpecConfig
 use data_currency::model::RelId;
 use data_currency::query::SpQuery;
 use data_currency::reason::{
-    bcp, bcp_sp, cpp, cpp_sp, cps, ecp, maximum_extension, Options, PreservationProblem,
-    ReasonError,
+    bcp, bcp_sp, cpp, cpp_sp, cps, ecp, maximum_extension, PreservationProblem, ReasonError,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -99,7 +98,7 @@ fn sweep(
 #[test]
 fn cpp_sp_agrees_with_exact_cpp() {
     sweep("cpp", |problem, sp, at| {
-        let exact = cpp(problem, &Options::default())?;
+        let exact = cpp(problem)?;
         let fast = cpp_sp(problem.spec, problem.sources, sp).expect("PTIME path");
         assert_eq!(fast, exact, "{at}");
         Ok(())
@@ -111,9 +110,8 @@ fn cpp_sp_agrees_with_exact_cpp() {
 fn bcp_sp_agrees_with_exact_bcp() {
     sweep("bcp", |problem, sp, at| {
         for k in 0..3 {
-            let exact = bcp(problem, k, &Options::default())?;
-            let opts = Options::default();
-            let fast = bcp_sp(problem.spec, problem.sources, sp, k, &opts).expect("PTIME path");
+            let exact = bcp(problem, k)?;
+            let fast = bcp_sp(problem.spec, problem.sources, sp, k).expect("PTIME path");
             assert_eq!(fast, exact, "{at}, k {k}");
         }
         Ok(())
@@ -141,7 +139,7 @@ proptest! {
         };
         // Proposition 5.2: the greedy maximum extension is currency
         // preserving for *every* query; check it for the identity query.
-        prop_assert!(cpp(&problem, &Options::default()).unwrap(), "seed {}", seed);
+        prop_assert!(cpp(&problem).unwrap(), "seed {}", seed);
     }
 
     #[test]
@@ -171,7 +169,7 @@ proptest! {
         };
         let mut prev = false;
         for k in 0..3 {
-            let now = bcp(&problem, k, &Options::default()).unwrap();
+            let now = bcp(&problem, k).unwrap();
             prop_assert!(!prev || now, "BCP answer must be monotone in k (seed {})", seed);
             prev = now;
         }

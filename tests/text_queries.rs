@@ -4,7 +4,7 @@
 use data_currency::datagen::scenarios;
 use data_currency::model::Value;
 use data_currency::query::{classify, parse_query, QueryClass};
-use data_currency::reason::{certain_answers, Options};
+use data_currency::reason::certain_answers;
 
 #[test]
 fn q1_as_text() {
@@ -15,7 +15,7 @@ fn q1_as_text() {
     )
     .unwrap();
     assert_eq!(classify(&q), QueryClass::Sp);
-    let ans = certain_answers(&f.spec, &q, &Options::default()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::int(80)]]);
 }
 
@@ -23,7 +23,7 @@ fn q1_as_text() {
 fn q4_as_text() {
     let f = scenarios::fig1();
     let q = parse_query(f.spec.catalog(), "Q(b) :- Dept(mfn, mln, maddr, b)").unwrap();
-    let ans = certain_answers(&f.spec, &q, &Options::default()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::int(6000)]]);
 }
 
@@ -37,7 +37,7 @@ fn join_query_across_relations() {
     )
     .unwrap();
     assert_eq!(classify(&q), QueryClass::Cq);
-    let ans = certain_answers(&f.spec, &q, &Options::default()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     // The R&D manager's identity is genuinely uncertain (Mary in t3's
     // world, Ed in t4's world, and no Emp record matches Ed Luth), so the
     // join has NO certain answers — exactly the kind of stale-data hazard
@@ -52,7 +52,7 @@ fn join_query_across_relations() {
     )
     .unwrap();
     assert_eq!(classify(&q2), QueryClass::Cq);
-    let ans2 = certain_answers(&f.spec, &q2, &Options::default()).unwrap();
+    let ans2 = certain_answers(&f.spec, &q2).unwrap();
     assert_eq!(ans2.rows().unwrap().len(), 1, "certainly true");
 }
 
@@ -65,7 +65,7 @@ fn boolean_fo_query() {
         "Q() :- exists fn ln addr sal st . Emp(fn, ln, addr, sal, st) and sal >= 80",
     )
     .unwrap();
-    let ans = certain_answers(&f.spec, &q, &Options::default()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap().len(), 1, "certainly true");
     // "Nobody currently earns more than 100."
     let q2 = parse_query(
@@ -74,7 +74,7 @@ fn boolean_fo_query() {
     )
     .unwrap();
     assert_eq!(classify(&q2), QueryClass::Fo);
-    let ans2 = certain_answers(&f.spec, &q2, &Options::default()).unwrap();
+    let ans2 = certain_answers(&f.spec, &q2).unwrap();
     assert_eq!(ans2.rows().unwrap().len(), 1, "certainly true");
 }
 
@@ -84,7 +84,7 @@ fn uncertain_text_query_yields_empty_answers() {
     // The R&D manager's first name is uncertain (Mary in t3's world, Ed in
     // t4's world).
     let q = parse_query(f.spec.catalog(), "Q(mfn) :- Dept(mfn, mln, maddr, b)").unwrap();
-    let ans = certain_answers(&f.spec, &q, &Options::default()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert!(ans.rows().unwrap().is_empty());
 }
 
@@ -97,6 +97,6 @@ fn eid_syntax_joins_on_entities() {
         "Q(e) :- Emp(#e, fn, ln, addr, sal, st) and fn = 'Mary'",
     )
     .unwrap();
-    let ans = certain_answers(&f.spec, &q, &Options::default()).unwrap();
+    let ans = certain_answers(&f.spec, &q).unwrap();
     assert_eq!(ans.rows().unwrap(), &[vec![Value::int(f.mary.0 as i64)]]);
 }
