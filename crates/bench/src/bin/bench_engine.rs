@@ -27,8 +27,8 @@
 //! * `update` — a 1-tuple delta against a prebuilt engine vs a rebuild;
 //! * `large` — the same delta at 1× and 4× `large_spec`, then `compact()`;
 //! * `serve_large` — that delta through `CurrencyServe::apply` at 1× and
-//!   4×, with copied pages and per-component footprints, and the
-//!   encoding clones a snapshot reader takes for a COP stream;
+//!   4×, with copied pages, per-component footprints and slot forms, and
+//!   the encoding clones a snapshot reader takes for a COP stream;
 //! * `compaction` — budgeted drain vs the reference sweep at both scales;
 //! * `durability` — durable vs in-memory apply, then recovery vs re-apply;
 //! * `sharded` — 8-shard apply flatness, parallel vs sequential recovery,
@@ -53,6 +53,7 @@
 //! * `large_rebuilt_ok` — a large-spec delta recompiles ≤ 1 component;
 //! * `large_component_bytes_ok` — ≤ [`LARGE_COMPONENT_BYTES_LIMIT`], equal at 1× and 4×;
 //! * `large_partition_bytes_ok` — ≤ [`LARGE_PARTITION_BYTES_LIMIT`], equal at 1× and 4×;
+//! * `large_decided_ok` — every `large_spec` component is published decided, at 1× and 4×;
 //! * `large_cop_copies_ok` — first-vs-last-reading COPs both ways on every
 //!   `large_spec` entity, at 1× and 4×, clone no encoding;
 //! * `compact_pause_ok` — every budgeted step under [`COMPACT_MAX_PAUSE_MS`];
@@ -75,7 +76,9 @@
 //! * `paper_ptime_agrees_ok` — every PTIME row answers as its exact counterpart;
 //! * `paper_reduction_poly_ok` — every gadget sweep's vars and clauses stay [`within_cubic`].
 
-use currency_bench::measure::{measure, measure_once, measure_paired, Measurement};
+use currency_bench::measure::{
+    measure, measure_once, measure_paired, Measurement, MIN_SPREAD_SAMPLES,
+};
 use currency_bench::scenarios;
 use currency_core::{wire, AttrId, Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value};
 use currency_datagen::gadgets::{
@@ -141,14 +144,14 @@ const UPDATE_ENTITIES: usize = 128;
 const LARGE_FLAT_FACTOR: f64 = 2.0;
 
 /// Footprint guard for `--check`: heap bytes of one published
-/// `large_spec` component encoding ([`EngineStats::encoding_bytes`] over
-/// the component count; every component of that spec has the same
-/// shape).  Unit propagation decides such a component at level zero, so
-/// it stores no clauses and must hold no watch tables: about 4 KiB of
-/// per-variable state and order-variable index.  Empty watch lists for
-/// its 90 variables alone would add 8.4 KiB.  Computed from capacities,
-/// so deterministic; it must also be the same figure at 1× and 4× scale.
-const LARGE_COMPONENT_BYTES_LIMIT: usize = 8 * 1024;
+/// `large_spec` component ([`EngineStats::encoding_bytes`] over the
+/// component count; every component of that spec has the same shape).
+/// Unit propagation decides such a component at level zero, so it is
+/// published without its solver (`large_decided_ok`): its 90-entry
+/// order-variable index (1 800 B) and a two-word model bitset, 1 816 B.
+/// Kept as a solver it held 4 104 B.  Computed from capacities, so
+/// deterministic; it must also be the same figure at 1× and 4× scale.
+const LARGE_COMPONENT_BYTES_LIMIT: usize = 2 * 1024;
 
 /// Footprint guard for `--check`: partition heap bytes per live
 /// `large_spec` component ([`EngineStats::partition_bytes`] over the
@@ -519,9 +522,17 @@ fn serve_sustained_qps(
 fn push_measurement(json: &mut String, m: &Measurement) {
     let _ = write!(
         json,
-        "{{\"median_ns\": {:.0}, \"min_ns\": {:.0}, \"mean_ns\": {:.0}, \
-         \"samples\": {}, \"iters\": {}}}",
-        m.median_ns, m.min_ns, m.mean_ns, m.samples, m.iters
+        "{{\"median_ns\": {:.0}, \"p25_ns\": {:.0}, \"p75_ns\": {:.0}, \
+         \"min_ns\": {:.0}, \"mean_ns\": {:.0}, \"samples\": {}, \"iters\": {}, \
+         \"few_samples\": {}}}",
+        m.median_ns,
+        m.p25_ns,
+        m.p75_ns,
+        m.min_ns,
+        m.mean_ns,
+        m.samples,
+        m.iters,
+        m.samples < MIN_SPREAD_SAMPLES
     );
 }
 
@@ -1302,8 +1313,10 @@ fn main() {
                 let _ = write!(
                     json,
                     ", \"compact_reclaimed\": {reclaimed}, \"compact_ns\": {:.0}, \
-                     \"compact_ns_per_reclaimed\": {per_reclaimed:.0}}}",
-                    c.median_ns
+                     \"compact_ns_per_reclaimed\": {per_reclaimed:.0}, \
+                     \"compact_few_samples\": {}}}",
+                    c.median_ns,
+                    c.samples < MIN_SPREAD_SAMPLES
                 );
             }
             None => {
@@ -1339,12 +1352,14 @@ fn main() {
         "serve_large: entities = {large_base} vs {} (paired)",
         large_base * 4
     );
-    // The published encodings before any delta are all of one shape, so
-    // the mean is each component's footprint.
+    // The published slots before any delta are all of one shape, so
+    // the mean is each component's footprint; each is decided, so the
+    // decided count is the component count.
     let per_component = |st: &EngineStats| {
         [
             st.encoding_bytes / st.components.max(1),
             st.partition_bytes / st.components.max(1),
+            usize::from(st.decided_components == st.components),
         ]
     };
     let serve_large_writer = |entities: usize| {
@@ -1364,6 +1379,7 @@ fn main() {
     );
     let component_bytes = [bytes_1x[0], bytes_4x[0]];
     let partition_bytes = [bytes_1x[1], bytes_4x[1]];
+    let all_decided = [bytes_1x[2] == 1, bytes_4x[2] == 1];
     let cop_copies = |(writer, _): &(CurrencyServe, u64), entities: usize| {
         let mut reader = SnapshotReader::new(writer.snapshot());
         let per = scenarios::LARGE_TUPLES_PER_ENTITY as u32;
@@ -1409,6 +1425,7 @@ fn main() {
          \"max_pages_copied_per_pair\": [{}, {}], \"ratio_4x_over_1x\": {serve_large_ratio:.2}, \
          \"encoding_bytes_per_component\": [{}, {}], \
          \"partition_bytes_per_component\": [{}, {}], \
+         \"all_decided\": [{}, {}], \
          \"cop_copies\": [{}, {}]}},",
         large_base * 4,
         serve_per_delta(&serve_1x_pairs),
@@ -1419,6 +1436,8 @@ fn main() {
         component_bytes[1],
         partition_bytes[0],
         partition_bytes[1],
+        all_decided[0],
+        all_decided[1],
         large_cop_copies[0],
         large_cop_copies[1],
     );
@@ -1430,6 +1449,7 @@ fn main() {
     // final specification, and per-reclaimed drain cost flat across the
     // 4× spec-size jump.
     // ------------------------------------------------------------------
+    // Each scale's timings are single runs, so every row is marked.
     json.push_str("  \"compaction\": {\"scales\": [\n");
     for (ix, cs) in compact_scales.iter().enumerate() {
         let per_reclaimed = cs.drain_ns / cs.reclaimed.max(1) as f64;
@@ -1439,7 +1459,8 @@ fn main() {
              \"max_step_ns\": {:.0}, \"drain_ns\": {:.0}, \
              \"drain_ns_per_reclaimed\": {per_reclaimed:.0}, \"reference_ns\": {:.0}, \
              \"byte_identical\": {}, \"reclaimed_parity\": {}, \
-             \"serve_compact_ns\": {:.0}, \"serve_byte_identical\": {}}}",
+             \"serve_compact_ns\": {:.0}, \"serve_byte_identical\": {}, \
+             \"few_samples\": true}}",
             cs.entities,
             cs.churn,
             cs.steps,
@@ -2141,6 +2162,7 @@ fn main() {
     let partition_bytes_1x = partition_bytes[0];
     let large_partition_bytes_ok = partition_bytes_1x <= LARGE_PARTITION_BYTES_LIMIT
         && partition_bytes_1x == partition_bytes[1];
+    let large_decided_ok = all_decided == [true, true];
     let large_cop_copies_ok = large_cop_copies == [0, 0];
     let compact_pause_ok = compact_max_step_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let compact_flat_ok = compact_step_flat_ratio <= COMPACT_FLAT_FACTOR;
@@ -2184,6 +2206,7 @@ fn main() {
         ("large_rebuilt_ok", large_rebuilt_ok),
         ("large_component_bytes_ok", large_component_bytes_ok),
         ("large_partition_bytes_ok", large_partition_bytes_ok),
+        ("large_decided_ok", large_decided_ok),
         ("large_cop_copies_ok", large_cop_copies_ok),
         ("compact_pause_ok", compact_pause_ok),
         ("compact_flat_ok", compact_flat_ok),
@@ -2223,6 +2246,7 @@ fn main() {
          \"large_component_bytes_limit\": {LARGE_COMPONENT_BYTES_LIMIT}, \
          \"large_partition_bytes\": {partition_bytes_1x}, \
          \"large_partition_bytes_limit\": {LARGE_PARTITION_BYTES_LIMIT}, \
+         \"large_all_decided\": [{}, {}], \
          \"large_cop_copies\": [{}, {}], \
          \"compact_max_step_ns\": {compact_max_step_ns:.0}, \
          \"compact_max_pause_ms\": {COMPACT_MAX_PAUSE_MS}, \
@@ -2261,7 +2285,7 @@ fn main() {
          \"sharded_replay_expected\": {sharded_rec_deltas}, \
          \"sharded_diff_seeds\": {sharded_diff_seeds}, \
          \"sharded_diff_disagreements\": {sharded_diff_disagreements}, ",
-        large_cop_copies[0], large_cop_copies[1],
+        all_decided[0], all_decided[1], large_cop_copies[0], large_cop_copies[1],
     );
     for (name, ok) in &guards {
         let _ = write!(check, "\"{name}\": {ok}, ");

@@ -2,7 +2,8 @@
 //! binary (`bench_engine`): each helper returns the numbers, so the
 //! binary can write `BENCH_engine.json`.  [`measure`] warms up, picks an
 //! iteration count that fills the per-sample window, takes `samples`
-//! samples and reports the median.
+//! samples and reports the median with its quartiles, so a reader can
+//! tell a move from the spread.
 
 use std::time::{Duration, Instant};
 
@@ -11,14 +12,40 @@ use std::time::{Duration, Instant};
 pub struct Measurement {
     /// Median nanoseconds per iteration across samples.
     pub median_ns: f64,
+    /// First quartile of the samples (ns per iteration).
+    pub p25_ns: f64,
+    /// Third quartile of the samples (ns per iteration).
+    pub p75_ns: f64,
     /// Fastest sample (ns per iteration).
     pub min_ns: f64,
     /// Mean nanoseconds per iteration across samples.
     pub mean_ns: f64,
-    /// Number of samples taken.
+    /// Number of samples taken; below [`MIN_SPREAD_SAMPLES`] the
+    /// quartiles say little about the spread.
     pub samples: usize,
     /// Iterations per sample.
     pub iters: u64,
+}
+
+/// Fewest samples whose quartiles describe a spread; the bench's JSON
+/// marks a measurement with fewer.
+pub const MIN_SPREAD_SAMPLES: usize = 5;
+
+impl Measurement {
+    /// The summary of `samples_ns` (ns per iteration, sorted ascending,
+    /// at least one), each sample `iters` iterations long.
+    fn of_sorted(samples_ns: &[f64], iters: u64) -> Measurement {
+        let n = samples_ns.len();
+        Measurement {
+            median_ns: samples_ns[n / 2],
+            p25_ns: samples_ns[n / 4],
+            p75_ns: samples_ns[(3 * n / 4).min(n - 1)],
+            min_ns: samples_ns[0],
+            mean_ns: samples_ns.iter().sum::<f64>() / n as f64,
+            samples: n,
+            iters,
+        }
+    }
 }
 
 /// Measure `routine`, amortizing cheap routines over enough iterations to
@@ -52,13 +79,7 @@ pub fn measure(
         samples_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
     samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Measurement {
-        median_ns: samples_ns[samples_ns.len() / 2],
-        min_ns: samples_ns[0],
-        mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
-        samples,
-        iters,
-    }
+    Measurement::of_sorted(&samples_ns, iters)
 }
 
 /// Measure two routines in paired, order-alternating rounds: each round
@@ -103,13 +124,7 @@ pub fn measure_paired(
     }
     let summarize = |mut v: Vec<f64>| -> Measurement {
         v.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-        Measurement {
-            median_ns: v[v.len() / 2],
-            min_ns: v[0],
-            mean_ns: v.iter().sum::<f64>() / v.len() as f64,
-            samples: v.len(),
-            iters: 1,
-        }
+        Measurement::of_sorted(&v, 1)
     };
     ratios.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
     let ratio = ratios[ratios.len() / 2];
@@ -121,14 +136,7 @@ pub fn measure_paired(
 pub fn measure_once(mut routine: impl FnMut()) -> Measurement {
     let start = Instant::now();
     routine();
-    let ns = start.elapsed().as_nanos() as f64;
-    Measurement {
-        median_ns: ns,
-        min_ns: ns,
-        mean_ns: ns,
-        samples: 1,
-        iters: 1,
-    }
+    Measurement::of_sorted(&[start.elapsed().as_nanos() as f64], 1)
 }
 
 #[cfg(test)]
@@ -149,8 +157,18 @@ mod tests {
         );
         assert!(calls > 0);
         assert!(m.median_ns > 0.0);
-        assert!(m.min_ns <= m.median_ns);
+        assert!(m.min_ns <= m.p25_ns && m.p25_ns <= m.median_ns);
+        assert!(m.median_ns <= m.p75_ns);
         assert_eq!(m.samples, 3);
+    }
+
+    #[test]
+    fn quartiles_bracket_the_median() {
+        let samples: Vec<f64> = (1..=8).map(f64::from).collect();
+        let m = Measurement::of_sorted(&samples, 1);
+        assert_eq!((m.p25_ns, m.median_ns, m.p75_ns), (3.0, 5.0, 7.0));
+        let one = Measurement::of_sorted(&[4.0], 1);
+        assert_eq!((one.p25_ns, one.median_ns, one.p75_ns), (4.0, 4.0, 4.0));
     }
 
     #[test]

@@ -120,6 +120,313 @@ struct LazyGroup {
     tuples: Vec<TupleId>,
 }
 
+/// What a compiled component's variables stand for: the order variable
+/// of every encoded pair, the current-value representation of every
+/// encoded cell, and the component whose cells those are.  An
+/// [`Encoding`] keeps one next to its solver; a [`Decided`] component
+/// keeps it next to its one model.  The read side of every query (pair
+/// lookup, projection, row decoding, chains) is written here once, over
+/// whichever assignment the holder supplies.
+#[derive(Clone, Debug)]
+pub(crate) struct VarMap {
+    /// `((rel, attr, u, v), var)` with `u < v`: the order variable of the
+    /// pair (`true` ⇔ `u ≺ v`).  Sorted by key once construction has
+    /// allocated every variable, and read by binary search.
+    order_vars: Vec<(OrderKey, Var)>,
+    /// Current-value representation per encoded cell.
+    value_choices: BTreeMap<(RelId, Eid, AttrId), ValueChoice>,
+    /// Projection variables for All-SAT over current instances.
+    value_projection: Vec<Var>,
+    /// The component whose cells this map covers, shared with the
+    /// partition.
+    scope: Arc<Component>,
+}
+
+impl VarMap {
+    fn new(scope: Arc<Component>) -> VarMap {
+        VarMap {
+            order_vars: Vec::new(),
+            value_choices: BTreeMap::new(),
+            value_projection: Vec::new(),
+            scope,
+        }
+    }
+
+    /// See [`Encoding::order_lit`].
+    pub(crate) fn order_lit(
+        &self,
+        rel: RelId,
+        attr: AttrId,
+        lesser: TupleId,
+        greater: TupleId,
+    ) -> Option<Lit> {
+        if lesser == greater {
+            return None;
+        }
+        let (a, b, positive) = if lesser < greater {
+            (lesser, greater, true)
+        } else {
+            (greater, lesser, false)
+        };
+        self.order_vars
+            .binary_search_by_key(&(rel, attr, a, b), |&(key, _)| key)
+            .ok()
+            .map(|ix| self.order_vars[ix].1.lit(positive))
+    }
+
+    /// This map's entities of `rel`: a range scan over its own (few)
+    /// cells instead of a filter over every entity of the relation —
+    /// decode cost then scales with the component, not the
+    /// specification.
+    fn entities_in_scope(&self, rel: RelId) -> impl Iterator<Item = Eid> + '_ {
+        entities_of(&self.scope.cells, rel)
+    }
+
+    fn decode_entity_row(
+        &self,
+        spec: &Specification,
+        rel: RelId,
+        eid: Eid,
+        indicator: impl Fn(usize) -> bool,
+    ) -> Vec<Value> {
+        let inst = spec.instance(rel);
+        (0..inst.arity())
+            .map(|a| {
+                let attr = AttrId(a as u32);
+                match self
+                    .value_choices
+                    .get(&(rel, eid, attr))
+                    .expect("cell encoded")
+                {
+                    ValueChoice::Fixed(v) => v.clone(),
+                    ValueChoice::Choice(options) => options
+                        .iter()
+                        .find(|(_, ix)| indicator(*ix))
+                        .map(|(v, _)| v.clone())
+                        .expect("exactly one value indicator true"),
+                }
+            })
+            .collect()
+    }
+
+    /// See [`Encoding::restricted_projection`].
+    pub(crate) fn restricted_projection(&self, rels: &[RelId]) -> (Vec<usize>, Vec<Var>) {
+        let mut indices: Vec<usize> = Vec::new();
+        for ((rel, _, _), choice) in &self.value_choices {
+            if !rels.contains(rel) {
+                continue;
+            }
+            if let ValueChoice::Choice(options) = choice {
+                indices.extend(options.iter().map(|(_, ix)| *ix));
+            }
+        }
+        indices.sort_unstable();
+        indices.dedup();
+        let vars = indices
+            .iter()
+            .map(|&ix| self.value_projection[ix])
+            .collect();
+        (indices, vars)
+    }
+
+    /// See [`Encoding::decode_restricted`].
+    pub(crate) fn decode_restricted(
+        &self,
+        spec: &Specification,
+        rels: &[RelId],
+        indices: &[usize],
+        values: &[bool],
+    ) -> Vec<(RelId, Tuple)> {
+        debug_assert_eq!(indices.len(), values.len());
+        let mut out = Vec::new();
+        for &rel in rels {
+            for eid in self.entities_in_scope(rel) {
+                let row = self.decode_entity_row(spec, rel, eid, |ix| {
+                    indices
+                        .binary_search(&ix)
+                        .map(|pos| values[pos])
+                        .unwrap_or(false)
+                });
+                out.push((rel, Tuple::new(eid, row)));
+            }
+        }
+        out
+    }
+
+    /// The per-attribute chains of this map's entities under the
+    /// transitive assignment `value` (see [`Encoding::model_chains`]).
+    fn chains(
+        &self,
+        spec: &Specification,
+        value: impl Fn(Var) -> bool,
+    ) -> Vec<(RelId, AttrId, Eid, Vec<TupleId>)> {
+        let precedes = |rel, attr, u, v| {
+            self.order_lit(rel, attr, u, v)
+                .is_some_and(|l| value(l.var()) == l.is_pos())
+        };
+        let mut out = Vec::new();
+        for inst in spec.instances() {
+            let rel = inst.rel();
+            for a in 0..inst.arity() {
+                let attr = AttrId(a as u32);
+                for eid in self.entities_in_scope(rel) {
+                    let group = inst.entity_group(eid);
+                    // Count predecessors of each tuple under the model: in
+                    // a total order this equals the tuple's position, which
+                    // avoids relying on sort-comparator transitivity.
+                    let mut rank: Vec<(usize, TupleId)> = group
+                        .iter()
+                        .map(|&t| {
+                            let preds = group
+                                .iter()
+                                .filter(|&&u| u != t && precedes(rel, attr, u, t))
+                                .count();
+                            (preds, t)
+                        })
+                        .collect();
+                    rank.sort_unstable();
+                    out.push((rel, attr, eid, rank.into_iter().map(|(_, t)| t).collect()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Heap bytes of the tables, counted as [`Encoding::heap_bytes`]
+    /// counts them (the scope is the partition's).
+    fn heap_bytes(&self) -> usize {
+        let choices: usize = self
+            .value_choices
+            .values()
+            .map(|c| match c {
+                ValueChoice::Fixed(_) => 0,
+                ValueChoice::Choice(options) => bytes(options),
+            })
+            .sum();
+        bytes(&self.order_vars)
+            + self.value_choices.len() * std::mem::size_of::<((RelId, Eid, AttrId), ValueChoice)>()
+            + choices
+            + bytes(&self.value_projection)
+    }
+
+    /// Release every vector's spare capacity.
+    fn shrink_to_fit(&mut self) {
+        self.order_vars.shrink_to_fit();
+        self.value_projection.shrink_to_fit();
+        for choice in self.value_choices.values_mut() {
+            if let ValueChoice::Choice(options) = choice {
+                options.shrink_to_fit();
+            }
+        }
+    }
+
+    /// `rest` with this map's fields filled in.
+    #[cfg(any(test, feature = "oracle"))]
+    fn shape(&self, rest: EncodingShape) -> EncodingShape {
+        EncodingShape {
+            order_vars: self.order_vars.clone(),
+            value_choices: self
+                .value_choices
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect(),
+            value_projection: self.value_projection.clone(),
+            scope: self.scope.cells.clone(),
+            ..rest
+        }
+    }
+}
+
+/// Heap bytes of a vector's buffer: capacity × element size.
+fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// A satisfiable component with exactly one model, found by unit
+/// propagation: its compile-time solve returned `Sat` with every
+/// variable assigned at decision level zero and no clause stored
+/// ([`Encoding::is_decided`]).  This is the root-level simplification
+/// of Eén & Sörensson ("An Extensible SAT-solver", SAT 2003) in its
+/// all-decided case, so the component keeps its [`VarMap`] and the model
+/// as a bitset, and no solver: every query reads its answer off the
+/// bitset and none solves.
+#[derive(Debug)]
+pub(crate) struct Decided {
+    map: VarMap,
+    num_vars: usize,
+    /// Bit `v` is variable `v`'s value in the model.
+    model: Vec<u64>,
+}
+
+impl Decided {
+    /// The component of a vacant slot: empty scope, no variables,
+    /// trivially satisfiable.  The engine parks one shared instance in
+    /// every slot the partition has vacated (see `Partition::refresh`),
+    /// so slot arrays never need `Option`s and a stale query against a
+    /// vacated slot degrades to a no-op.
+    pub(crate) fn vacant() -> Decided {
+        Decided {
+            map: VarMap::new(crate::partition::vacant()),
+            num_vars: 0,
+            model: Vec::new(),
+        }
+    }
+
+    /// What the component's variables stand for.
+    pub(crate) fn map(&self) -> &VarMap {
+        &self.map
+    }
+
+    /// Variable `v`'s value in the model.
+    pub(crate) fn value(&self, v: Var) -> bool {
+        let ix = v.index();
+        (self.model[ix / 64] >> (ix % 64)) & 1 == 1
+    }
+
+    /// Whether `l` holds in the model, the component's only one: true
+    /// means `l` is entailed, false that it is refuted.
+    pub(crate) fn holds(&self, l: Lit) -> bool {
+        self.value(l.var()) == l.is_pos()
+    }
+
+    /// Number of variables the compile allocated.
+    pub(crate) fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// The per-attribute chains of the component's entities in its model
+    /// (see [`Encoding::model_chains`]).
+    pub(crate) fn model_chains(
+        &self,
+        spec: &Specification,
+    ) -> Vec<(RelId, AttrId, Eid, Vec<TupleId>)> {
+        self.map.chains(spec, |v| self.value(v))
+    }
+
+    /// Heap bytes: the map's tables and the bitset, counted as
+    /// [`Encoding::heap_bytes`] counts them.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.map.heap_bytes() + bytes(&self.model)
+    }
+
+    /// This component's [`EncodingShape`]: its map, and as its trail the
+    /// model's literals sorted by variable.  It stores no clause, checks
+    /// no group and grounded no falsum.
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn shape(&self) -> EncodingShape {
+        self.map.shape(EncodingShape {
+            num_vars: self.num_vars,
+            trail: (0..self.num_vars)
+                .map(|ix| {
+                    let v = Var::from_index(ix);
+                    v.lit(self.value(v))
+                })
+                .collect(),
+            ..EncodingShape::default()
+        })
+    }
+}
+
 /// A specification's component compiled to CNF (see module docs).
 ///
 /// An encoding covers one entity component of its specification
@@ -147,19 +454,10 @@ pub struct Encoding {
     /// solver `Sat` without the closure-refinement loop could decode a
     /// non-transitive order.
     solver: Solver,
-    /// `((rel, attr, u, v), var)` with `u < v`: the order variable of the
-    /// pair (`true` ⇔ `u ≺ v`).  Sorted by key once construction has
-    /// allocated every variable, and read by binary search.
-    order_vars: Vec<(OrderKey, Var)>,
-    /// Current-value representation per encoded cell.
-    value_choices: BTreeMap<(RelId, Eid, AttrId), ValueChoice>,
-    /// Projection variables for All-SAT over current instances.
-    value_projection: Vec<Var>,
+    /// What the solver's variables stand for.
+    map: VarMap,
     /// Relations whose current values are encoded.
     value_rels: Vec<RelId>,
-    /// The component whose cells this encoding covers, shared with the
-    /// partition.
-    scope: Arc<Component>,
     /// Closure-checked groups (empty once every triangle is grounded).
     lazy_groups: Vec<LazyGroup>,
     /// A premise-free falsum rule was grounded in this component: an
@@ -169,21 +467,35 @@ pub struct Encoding {
 }
 
 impl Encoding {
-    /// The encoding of a vacant component slot: empty scope, no
-    /// variables, no clauses, trivially satisfiable.  The engine parks
-    /// one of these in a slot the partition has vacated (see
-    /// `Partition::refresh`), so slot arrays never need `Option`s and a
-    /// stale query against a vacated slot degrades to a no-op.
-    pub fn vacant(value_rels: &[RelId]) -> Encoding {
-        Encoding {
-            solver: Solver::new(),
-            order_vars: Vec::new(),
-            value_choices: BTreeMap::new(),
-            value_projection: Vec::new(),
-            value_rels: value_rels.to_vec(),
-            scope: crate::partition::vacant(),
-            lazy_groups: Vec::new(),
-            ground_falsum: false,
+    /// Whether this solved encoding is a decided component: its last
+    /// solve returned `Sat` (`sat`), it grounded no premise-free falsum,
+    /// its solver stores no clause and level zero assigns every
+    /// variable.  That assignment is then its only model, and it is
+    /// transitive because the solve's closure check passed it.
+    pub(crate) fn is_decided(&self, sat: bool) -> bool {
+        sat && !self.ground_falsum
+            && self.solver.num_clauses() == 0
+            && self.solver.trail().len() == self.solver.num_vars()
+    }
+
+    /// This encoding as a [`Decided`] component (see
+    /// [`Encoding::is_decided`]): the map moves out of the encoding and
+    /// is shrunk to size, the model becomes a bitset, and the solver and
+    /// the lazy groups are dropped.
+    pub(crate) fn into_decided(self) -> Decided {
+        debug_assert!(self.is_decided(true), "only a decided encoding converts");
+        let num_vars = self.solver.num_vars();
+        let mut model = vec![0u64; num_vars.div_ceil(64)];
+        for l in self.solver.trail().iter().filter(|l| l.is_pos()) {
+            let ix = l.var().index();
+            model[ix / 64] |= 1 << (ix % 64);
+        }
+        let mut map = self.map;
+        map.shrink_to_fit();
+        Decided {
+            map,
+            num_vars,
+            model,
         }
     }
 
@@ -201,17 +513,11 @@ impl Encoding {
     ) -> Encoding {
         let mut enc = Encoding {
             solver: Solver::new(),
-            order_vars: Vec::new(),
-            value_choices: BTreeMap::new(),
-            value_projection: Vec::new(),
+            map: VarMap::new(scope.clone()),
             value_rels: value_rels.to_vec(),
-            scope,
             lazy_groups: Vec::new(),
             ground_falsum,
         };
-        // A handle of our own on the scope, so the passes below can walk
-        // its cells while mutating the encoding.
-        let scope = enc.scope.clone();
         let cells = &scope.cells;
         enc.referenced_attrs(spec, cells, scratch);
         enc.alloc_vars(spec, cells, scratch);
@@ -294,14 +600,6 @@ impl Encoding {
         scratch.referenced = refd;
     }
 
-    /// This encoding's entities of `rel`: a range scan over its own (few)
-    /// cells instead of a filter over every entity of the relation —
-    /// decode cost then scales with the component, not the
-    /// specification.
-    fn entities_in_scope(&self, rel: RelId) -> impl Iterator<Item = Eid> + '_ {
-        entities_of(&self.scope.cells, rel)
-    }
-
     /// The literal asserting `lesser ≺_attr greater`, if the pair is
     /// same-entity on a referenced attribute (and thus has a variable).
     pub fn order_lit(
@@ -311,18 +609,12 @@ impl Encoding {
         lesser: TupleId,
         greater: TupleId,
     ) -> Option<Lit> {
-        if lesser == greater {
-            return None;
-        }
-        let (a, b, positive) = if lesser < greater {
-            (lesser, greater, true)
-        } else {
-            (greater, lesser, false)
-        };
-        self.order_vars
-            .binary_search_by_key(&(rel, attr, a, b), |&(key, _)| key)
-            .ok()
-            .map(|ix| self.order_vars[ix].1.lit(positive))
+        self.map.order_lit(rel, attr, lesser, greater)
+    }
+
+    /// What the solver's variables stand for.
+    pub(crate) fn map(&self) -> &VarMap {
+        &self.map
     }
 
     /// The value `l` is fixed to at decision level zero (see
@@ -341,24 +633,9 @@ impl Encoding {
     /// them).  Deterministic, so a footprint budget can be checked
     /// without an allocator hook.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * size_of::<T>()
-        }
-        let choices: usize = self
-            .value_choices
-            .values()
-            .map(|c| match c {
-                ValueChoice::Fixed(_) => 0,
-                ValueChoice::Choice(options) => bytes(options),
-            })
-            .sum();
         let lazy_tuples: usize = self.lazy_groups.iter().map(|g| bytes(&g.tuples)).sum();
         self.solver.heap_bytes()
-            + bytes(&self.order_vars)
-            + self.value_choices.len() * size_of::<((RelId, Eid, AttrId), ValueChoice)>()
-            + choices
-            + bytes(&self.value_projection)
+            + self.map.heap_bytes()
             + bytes(&self.value_rels)
             + bytes(&self.lazy_groups)
             + lazy_tuples
@@ -569,39 +846,12 @@ impl Encoding {
 
     /// The value-indicator projection (for [`Encoding::for_each_model`]).
     pub fn value_projection(&self) -> &[Var] {
-        &self.value_projection
+        &self.map.value_projection
     }
 
     /// The relations whose current values are encoded.
     pub fn value_rels(&self) -> &[RelId] {
         &self.value_rels
-    }
-
-    fn decode_entity_row(
-        &self,
-        spec: &Specification,
-        rel: RelId,
-        eid: Eid,
-        indicator: impl Fn(usize) -> bool,
-    ) -> Vec<Value> {
-        let inst = spec.instance(rel);
-        (0..inst.arity())
-            .map(|a| {
-                let attr = AttrId(a as u32);
-                match self
-                    .value_choices
-                    .get(&(rel, eid, attr))
-                    .expect("cell encoded")
-                {
-                    ValueChoice::Fixed(v) => v.clone(),
-                    ValueChoice::Choice(options) => options
-                        .iter()
-                        .find(|(_, ix)| indicator(*ix))
-                        .map(|(v, _)| v.clone())
-                        .expect("exactly one value indicator true"),
-                }
-            })
-            .collect()
     }
 
     /// The subset of [`Encoding::value_projection`] belonging to `rels`:
@@ -610,22 +860,7 @@ impl Encoding {
     /// projects onto these variables so that order differences in *other*
     /// relations do not multiply the model count.
     pub fn restricted_projection(&self, rels: &[RelId]) -> (Vec<usize>, Vec<Var>) {
-        let mut indices: Vec<usize> = Vec::new();
-        for ((rel, _, _), choice) in &self.value_choices {
-            if !rels.contains(rel) {
-                continue;
-            }
-            if let ValueChoice::Choice(options) = choice {
-                indices.extend(options.iter().map(|(_, ix)| *ix));
-            }
-        }
-        indices.sort_unstable();
-        indices.dedup();
-        let vars = indices
-            .iter()
-            .map(|&ix| self.value_projection[ix])
-            .collect();
-        (indices, vars)
+        self.map.restricted_projection(rels)
     }
 
     /// Decode the current rows of `rels` for this encoding's entities from
@@ -639,20 +874,7 @@ impl Encoding {
         indices: &[usize],
         values: &[bool],
     ) -> Vec<(RelId, Tuple)> {
-        debug_assert_eq!(indices.len(), values.len());
-        let mut out = Vec::new();
-        for &rel in rels {
-            for eid in self.entities_in_scope(rel) {
-                let row = self.decode_entity_row(spec, rel, eid, |ix| {
-                    indices
-                        .binary_search(&ix)
-                        .map(|pos| values[pos])
-                        .unwrap_or(false)
-                });
-                out.push((rel, Tuple::new(eid, row)));
-            }
-        }
-        out
+        self.map.decode_restricted(spec, rels, indices, values)
     }
 
     /// The per-attribute chains of this encoding's entities under the
@@ -665,46 +887,7 @@ impl Encoding {
     /// back in tuple-id order, which is a valid chain because nothing in
     /// scope constrains them.
     pub fn model_chains(&self, spec: &Specification) -> Vec<(RelId, AttrId, Eid, Vec<TupleId>)> {
-        let mut out = Vec::new();
-        for inst in spec.instances() {
-            let rel = inst.rel();
-            for a in 0..inst.arity() {
-                let attr = AttrId(a as u32);
-                for eid in self.entities_in_scope(rel) {
-                    let group = inst.entity_group(eid);
-                    // Count predecessors of each tuple under the model: in
-                    // a total order this equals the tuple's position, which
-                    // avoids relying on sort-comparator transitivity.
-                    let mut rank: Vec<(usize, TupleId)> = group
-                        .iter()
-                        .map(|&t| {
-                            let preds = group
-                                .iter()
-                                .filter(|&&u| u != t && self.model_precedes(rel, attr, u, t))
-                                .count();
-                            (preds, t)
-                        })
-                        .collect();
-                    rank.sort_unstable();
-                    out.push((rel, attr, eid, rank.into_iter().map(|(_, t)| t).collect()));
-                }
-            }
-        }
-        out
-    }
-
-    fn model_precedes(&self, rel: RelId, attr: AttrId, u: TupleId, v: TupleId) -> bool {
-        match self.order_lit(rel, attr, u, v) {
-            Some(l) => {
-                let val = self.solver.model_value(l.var());
-                if l.is_pos() {
-                    val
-                } else {
-                    !val
-                }
-            }
-            None => false,
-        }
+        self.map.chains(spec, |v| self.solver.model_value(v))
     }
 
     // ------------------------------------------------------------------
@@ -740,7 +923,7 @@ impl Encoding {
                 }
             }
         }
-        self.order_vars.reserve_exact(pairs);
+        self.map.order_vars.reserve_exact(pairs);
         self.solver.reserve_vars(pairs + indicators);
         for_each_group(spec, cells, |rel, group| {
             for a in 0..spec.instance(rel).arity() {
@@ -752,12 +935,12 @@ impl Encoding {
                     for j in (i + 1)..group.len() {
                         let (u, v) = (group[i].min(group[j]), group[i].max(group[j]));
                         let var = self.solver.new_var();
-                        self.order_vars.push(((rel, attr, u, v), var));
+                        self.map.order_vars.push(((rel, attr, u, v), var));
                     }
                 }
             }
         });
-        self.order_vars.sort_unstable_by_key(|&(key, _)| key);
+        self.map.order_vars.sort_unstable_by_key(|&(key, _)| key);
     }
 
     /// Record the groups whose closure the lazy refinement loop checks.
@@ -863,7 +1046,8 @@ impl Encoding {
                 // order): each run of equal values is one candidate.
                 let value_of = |pos: usize| inst.tuple(group[pos]).value(attr);
                 if sort_by_value(inst, group, attr, by_value) == 1 {
-                    self.value_choices
+                    self.map
+                        .value_choices
                         .insert((rel, eid, attr), ValueChoice::Fixed(value_of(0).clone()));
                     continue;
                 }
@@ -897,8 +1081,8 @@ impl Encoding {
                             .take_while(|&&pos| value_of(pos) == value)
                             .count();
                     let y = self.solver.new_var();
-                    let ix = self.value_projection.len();
-                    self.value_projection.push(y);
+                    let ix = self.map.value_projection.len();
+                    self.map.value_projection.push(y);
                     options.push((value.clone(), ix));
                     clause.clear();
                     clause.push(y.neg());
@@ -912,7 +1096,8 @@ impl Encoding {
                     self.solver.add_clause(clause);
                     run = end;
                 }
-                self.value_choices
+                self.map
+                    .value_choices
                     .insert((rel, eid, attr), ValueChoice::Choice(options));
             }
         }
@@ -1189,7 +1374,7 @@ impl ComponentCompiler<'_> {
 /// mean the same variables, the same level-zero assignment and the same
 /// stored clauses in the same order.
 #[cfg(any(test, feature = "oracle"))]
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EncodingShape {
     /// Solver variable count.
     pub num_vars: usize,
@@ -1199,7 +1384,8 @@ pub struct EncodingShape {
     pub value_choices: Vec<((RelId, Eid, AttrId), ValueChoice)>,
     /// Value-indicator projection variables.
     pub value_projection: Vec<Var>,
-    /// The solver's trail (level zero on an unsolved encoding).
+    /// The solver's trail (level zero on an unsolved encoding); for a
+    /// decided component, its model's literals sorted by variable.
     pub trail: Vec<Lit>,
     /// The stored clauses in storage order.
     pub clauses: Vec<Vec<Lit>>,
@@ -1263,15 +1449,8 @@ impl Encoding {
 
     /// This encoding's [`EncodingShape`].
     pub fn shape(&self) -> EncodingShape {
-        EncodingShape {
+        self.map.shape(EncodingShape {
             num_vars: self.solver.num_vars(),
-            order_vars: self.order_vars.clone(),
-            value_choices: self
-                .value_choices
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            value_projection: self.value_projection.clone(),
             trail: self.solver.trail().to_vec(),
             clauses: self.solver.clause_lits().map(<[Lit]>::to_vec).collect(),
             lazy_groups: self
@@ -1279,9 +1458,19 @@ impl Encoding {
                 .iter()
                 .map(|g| (g.rel, g.attr, g.tuples.clone()))
                 .collect(),
-            scope: self.scope.cells.clone(),
             ground_falsum: self.ground_falsum,
-        }
+            ..EncodingShape::default()
+        })
+    }
+
+    /// The [`EncodingShape`] of the slot this encoding is published as
+    /// after its compile-time solve returned `outcome`: a decided
+    /// component's shape if it converts ([`Decided::shape`]), else the
+    /// shape of the packed encoding.  The engine publishes its slots
+    /// through the same conversion, so a differential test can compare
+    /// an engine slot against a reference compile solved the same way.
+    pub fn published_shape(self, outcome: SolveResult) -> EncodingShape {
+        crate::snapshot::SlotView::publish(self, outcome == SolveResult::Sat).shape()
     }
 }
 

@@ -7,13 +7,16 @@
 //! * **compile once** — each entity component's CNF is built a single time
 //!   ([`crate::encode::ComponentCompiler`]), grounding the component's
 //!   constraints and copy obligations for its cells straight into its
-//!   solver, and solved right away without bounds, so every slot carries
-//!   its verdict, learnt clauses and lazy-transitivity lemmas;
+//!   solver, and solved right away without bounds.  A component whose
+//!   solve fixed every variable at level zero and stored no clause is
+//!   published *decided*: its variable map and its only model, no
+//!   solver.  Every other slot carries its solved encoding: verdict,
+//!   learnt clauses and lazy-transitivity lemmas;
 //! * **solve incrementally** — the aggregate verdict is a count of
 //!   unsatisfiable slots, so a CPS is a field read.  Entailment queries
-//!   (COP) read the pair's literal at level zero and otherwise run an
-//!   assumption-based call on a throwaway clone of only the component the
-//!   pair touches;
+//!   (COP) read the pair's literal in a decided component's model or at
+//!   level zero, and otherwise run an assumption-based call on a
+//!   throwaway clone of only the component the pair touches;
 //! * **enumerate locally** — current-instance enumeration projects onto
 //!   one component's value indicators at a time, so order differences in
 //!   unrelated components never multiply the model count, and All-SAT
@@ -58,7 +61,7 @@
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
-use crate::encode::{Bounds, CompileScratch, ComponentCompiler, Encoding};
+use crate::encode::{Bounds, CompileScratch, ComponentCompiler, Decided};
 use crate::error::ReasonError;
 use crate::obs::{EngineObs, SolveSample};
 use crate::partition::{Component, Partition, RefreshPlan, RefreshScratch};
@@ -77,20 +80,32 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Aggregate counters across an engine's component solvers.
+/// Aggregate counters across an engine's component slots.
+///
+/// A slot is published in one of two forms.  A component whose
+/// compile-time solve left every variable fixed at level zero and no
+/// clause stored is *decided*: the slot keeps its variable map and its
+/// one model, and no solver.  Every other component keeps its solved
+/// encoding.  The size fields say what each form contributes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// Number of entity components.
     pub components: usize,
+    /// Live components published decided; the other
+    /// `components - decided_components` keep a solver.
+    pub decided_components: usize,
     /// Number of `(relation, entity)` cells.
     pub cells: usize,
-    /// Total variables across component solvers.
+    /// Total variables the component compiles allocated, decided
+    /// components included.
     pub vars: usize,
-    /// Total clauses (original + learnt) across component solvers.
+    /// Total clauses (original + learnt) stored by the slots that keep a
+    /// solver; a decided component stores none.
     pub clauses: usize,
-    /// Heap bytes of the compiled component encodings, summed over the
-    /// slots ([`crate::encode::Encoding::heap_bytes`]): the compiled footprint,
-    /// which falls when a compaction frees slots.
+    /// Heap bytes of the published slots, computed from capacities: a
+    /// solver slot's encoding ([`crate::encode::Encoding::heap_bytes`]),
+    /// a decided slot's variable map and model bitset.  The compiled
+    /// footprint, which falls when a compaction frees slots.
     pub encoding_bytes: usize,
     /// Heap bytes of the entity partition
     /// ([`crate::partition::Partition::heap_bytes`]): its slots, its
@@ -118,7 +133,11 @@ pub struct EngineStats {
     pub recoveries: usize,
     /// Deltas re-applied from log suffixes across all recoveries.
     pub deltas_replayed: usize,
-    /// Aggregated CDCL counters of the slot encodings.
+    /// Aggregated CDCL counters of the slots that keep a solver.  A
+    /// decided slot contributes nothing: its solver is dropped when it is
+    /// published.  Every compile-time solve, decided ones included, is a
+    /// sample of the `currency_engine_solve_ns` and
+    /// `currency_engine_solver_*` histograms while metrics are on.
     pub sat: SolverStats,
 }
 
@@ -210,13 +229,13 @@ fn remapped_cells(spec: &Specification, slices: &[CompactSlice]) -> BTreeSet<(Re
     touched
 }
 
-/// Compile one component and solve it right away without bounds, so the
-/// slot carries its verdict, learnt clauses and lazy lemmas.  The slot
-/// keeps a clone: exactly sized, with the build's doubling buffers freed
-/// together.  Slot encodings are only read and cloned from then on and
-/// live among encodings built at other times, so packing them keeps the
-/// heap from fragmenting on a long delta stream.  The solve's sample
-/// goes back to the caller, which records it on the writer's thread.
+/// Compile one component, solve it right away without bounds and
+/// publish the slot ([`SlotView::publish`]): decided when unit
+/// propagation fixed its only model, else its solved encoding with its
+/// verdict, learnt clauses and lazy lemmas.  The conversion runs inside
+/// the timed solve, and the sample's end stamp is the last clock read of
+/// the compile; it goes back to the caller, which records it on the
+/// writer's thread.
 fn compile_slot(
     compiler: &ComponentCompiler<'_>,
     component: &Arc<Component>,
@@ -229,14 +248,16 @@ fn compile_slot(
         .solve(&[], &Bounds::default())
         .expect("an unbounded solve is never interrupted");
     // A fresh encoding's absolute counters are the solve's delta.
-    let sample = clock.map(|start| SolveSample {
-        ns: start.elapsed_ns(),
-        stats: enc.solver_stats(),
+    let stats = enc.solver_stats();
+    let view = SlotView::publish(enc, outcome == SolveResult::Sat);
+    let sample = clock.map(|start| {
+        let end = Stamp::now();
+        SolveSample {
+            ns: end.ns_since(start),
+            end,
+            stats,
+        }
     });
-    let view = SlotView {
-        enc: Arc::new(enc.clone()),
-        sat: outcome == SolveResult::Sat,
-    };
     (view, sample)
 }
 
@@ -245,7 +266,7 @@ fn compile_slot(
 ///
 /// Construction cost is paid once; queries touch only the components they
 /// involve.  All query methods take `&self` and hold no lock: every query
-/// reads the shared slot encodings and solves or enumerates only on
+/// reads the shared slots and solves or enumerates only on
 /// throwaway clones, so queries on one engine run concurrently.  Readers
 /// that must not wait for the writer take an [`EngineSnapshot`]
 /// ([`CurrencyEngine::snapshot`]) each and query it through their own
@@ -262,7 +283,7 @@ pub struct CurrencyEngine {
     /// Per-slot compiled state, aligned with the partition's slots
     /// (vacant slots hold the shared trivially satisfiable `vacant`).
     slots: PagedVec<SlotView>,
-    vacant: Arc<Encoding>,
+    vacant: Arc<Decided>,
     /// Slots whose encoding is known unsatisfiable.
     unsat: usize,
     /// Slots whose encoding grounded a premise-free falsum rule
@@ -343,7 +364,7 @@ impl CurrencyEngine {
         })
         .collect();
         let mut engine = CurrencyEngine {
-            vacant: Arc::new(Encoding::vacant(&value_rels)),
+            vacant: Arc::new(Decided::vacant()),
             spec: Arc::new(spec),
             value_rels,
             partition: Arc::new(partition),
@@ -465,7 +486,9 @@ impl CurrencyEngine {
     /// its slot untouched.  The refresh phase is timed from `start` (the
     /// caller's last phase boundary) and the returned stamp ends the
     /// recompile phase, so a caller timing the whole write reads the
-    /// clock once per phase boundary.
+    /// clock once per phase boundary.  When the rebuilt slots compile
+    /// inline, the last solve's end stamp is that boundary: nothing but
+    /// the hand-back runs after it on the writer's thread.
     fn rebuild_touched(
         &mut self,
         touched: &BTreeSet<(RelId, Eid)>,
@@ -499,14 +522,15 @@ impl CurrencyEngine {
                 },
             )?
         };
-        let recompiled = self.obs.clock();
+        let last_solve_end = compiled.last().and_then(|(_, sample)| sample.as_ref());
+        let recompiled = match last_solve_end {
+            Some(sample) if runs_inline(self.opts.threads, compiled.len()) => Some(sample.end),
+            _ => self.obs.clock(),
+        };
         // Patch exactly the changed slots (infallible from here on).
         for &slot in &plan.freed {
             self.retire(slot);
-            self.slots[slot] = SlotView {
-                enc: self.vacant.clone(),
-                sat: true,
-            };
+            self.slots[slot] = SlotView::Decided(self.vacant.clone());
         }
         for (&slot, (view, sample)) in plan.rebuilt.iter().zip(compiled) {
             self.obs.record_solve(sample);
@@ -532,16 +556,16 @@ impl CurrencyEngine {
     /// filled).
     fn admit(&mut self, slot: usize) {
         let view = &self.slots[slot];
-        self.unsat += usize::from(!view.sat);
-        self.falsum_slots += usize::from(view.enc.has_ground_falsum());
+        self.unsat += usize::from(!view.sat());
+        self.falsum_slots += usize::from(view.has_ground_falsum());
     }
 
     /// Take a slot's verdicts out of the aggregate (the slot is about to
     /// be replaced).
     fn retire(&mut self, slot: usize) {
         let view = &self.slots[slot];
-        self.unsat -= usize::from(!view.sat);
-        self.falsum_slots -= usize::from(view.enc.has_ground_falsum());
+        self.unsat -= usize::from(!view.sat());
+        self.falsum_slots -= usize::from(view.has_ground_falsum());
     }
 
     /// Close a write: count the pages it copied and, when it changed the
@@ -785,9 +809,9 @@ impl CurrencyEngine {
         &self.opts
     }
 
-    /// Aggregate counters: sizes and CDCL statistics from the slot
-    /// encodings, lifetime counts read from the engine's registry
-    /// ([`EngineObs`]).
+    /// Aggregate counters: sizes and CDCL statistics from the slots
+    /// (see [`EngineStats`] for what each form contributes), lifetime
+    /// counts read from the engine's registry ([`EngineObs`]).
     pub fn stats(&self) -> EngineStats {
         let mut stats = EngineStats {
             components: self.partition.len(),
@@ -796,24 +820,35 @@ impl CurrencyEngine {
             ..self.obs.stats()
         };
         for slot in self.slots.iter() {
-            stats.vars += slot.enc.num_vars();
-            stats.clauses += slot.enc.num_clauses();
-            stats.encoding_bytes += slot.enc.heap_bytes();
-            stats.sat += slot.enc.solver_stats();
+            match slot {
+                SlotView::Decided(decided) => {
+                    let live = !Arc::ptr_eq(decided, &self.vacant);
+                    stats.decided_components += usize::from(live);
+                    stats.vars += decided.num_vars();
+                    stats.encoding_bytes += decided.heap_bytes();
+                }
+                SlotView::Solver { enc, .. } => {
+                    stats.vars += enc.num_vars();
+                    stats.clauses += enc.num_clauses();
+                    stats.encoding_bytes += enc.heap_bytes();
+                    stats.sat += enc.solver_stats();
+                }
+            }
         }
         stats
     }
 
-    /// The [`crate::encode::EncodingShape`] of the encoding cached in
-    /// `slot` — for differential tests comparing the engine's compiled
-    /// state against a reference compile solved the same way.
+    /// The [`crate::encode::EncodingShape`] of the slot `slot` as
+    /// published — for differential tests comparing the engine's
+    /// compiled state against a reference compile solved and published
+    /// the same way ([`crate::encode::Encoding::published_shape`]).
     #[cfg(any(test, feature = "oracle"))]
     pub fn slot_shape(&self, slot: usize) -> crate::encode::EncodingShape {
-        self.slots[slot].enc.shape()
+        self.slots[slot].shape()
     }
 
     /// The query view of the current state.
-    fn view(&self) -> View<'_> {
+    pub(crate) fn view(&self) -> View<'_> {
         View {
             spec: &self.spec,
             value_rels: &self.value_rels,
@@ -902,6 +937,13 @@ where
     run_indexed_with(threads, n, &mut (), |(), ix| f(ix))
 }
 
+/// Whether [`run_indexed_with`] runs `n` jobs on the calling thread:
+/// thread spawn costs dwarf small jobs, so only real fleets fan out.
+fn runs_inline(threads: usize, n: usize) -> bool {
+    const MIN_PARALLEL_JOBS: usize = 16;
+    threads <= 1 || n < MIN_PARALLEL_JOBS
+}
+
 /// [`run_indexed`] with per-worker state: jobs run inline borrow the
 /// caller's `local`, and each spawned worker gets its own `S::default()`
 /// — how a writer lends its compile scratch to a batch.
@@ -916,9 +958,7 @@ where
     T: Send,
     F: Fn(&mut S, usize) -> Result<T, ReasonError> + Sync,
 {
-    // Thread spawn costs dwarf small jobs; only fan out for real fleets.
-    const MIN_PARALLEL_JOBS: usize = 16;
-    if threads <= 1 || n < MIN_PARALLEL_JOBS {
+    if runs_inline(threads, n) {
         return (0..n).map(|ix| f(local, ix)).collect();
     }
     let slots: Vec<Mutex<Option<Result<T, ReasonError>>>> =
@@ -1081,7 +1121,7 @@ mod tests {
 
     #[test]
     fn lazy_engine_agrees_with_eager_reference_and_surfaces_lemma_stats() {
-        use crate::encode::{CompileScratch, ComponentCompiler};
+        use crate::encode::{CompileScratch, ComponentCompiler, Encoding};
         use crate::oracle::TransitivityMode::Eager;
         use crate::oracle::{cop_exact_monolithic, cps_exact_monolithic, dcip_exact_monolithic};
         use currency_sat::Enumeration;

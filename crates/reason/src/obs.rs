@@ -14,8 +14,9 @@
 //! counts are stored: [`EngineStats`] reads them, so they are bumped
 //! whether or not metrics are [`EngineObs::enabled`].
 //! The phase histograms and their clock reads are recorded only while
-//! enabled — six [`Stamp`] reads and eight histogram records per
-//! apply, benchmarked ≤ 1.02× the disabled path.  The engine is its
+//! enabled — five [`Stamp`] reads and eight histogram records per
+//! apply that rebuilds one slot inline, benchmarked ≤ 1.02× the
+//! disabled path.  The engine is its
 //! histograms' one writer (compile workers hand their solve samples
 //! back), so it records with [`Histogram::record_single_writer`]; code
 //! outside the engine must not record into these handles.  Trace spans
@@ -261,7 +262,7 @@ impl EngineObs {
     /// Record one compile-time solve (nothing when metrics were off).
     #[inline]
     pub(crate) fn record_solve(&self, sample: Option<SolveSample>) {
-        if let Some(SolveSample { ns, stats }) = sample {
+        if let Some(SolveSample { ns, stats, .. }) = sample {
             self.solve_ns.record_single_writer(ns);
             self.solver_conflicts.record_single_writer(stats.conflicts);
             self.solver_propagations
@@ -275,5 +276,8 @@ impl EngineObs {
 /// that solved and handed to the writer for [`EngineObs::record_solve`].
 pub(crate) struct SolveSample {
     pub(crate) ns: u64,
+    /// When the solve (and the slot's publication) ended; on the
+    /// writer's thread it can end the recompile phase too.
+    pub(crate) end: Stamp,
     pub(crate) stats: SolverStats,
 }

@@ -1106,6 +1106,7 @@ impl<N: AsRef<CurrencyEngine>> Sharded<N> {
         let mut total = EngineStats::default();
         for s in &per_shard {
             total.components += s.components;
+            total.decided_components += s.decided_components;
             total.cells += s.cells;
             total.vars += s.vars;
             total.clauses += s.clauses;

@@ -2,15 +2,18 @@
 //! query path every front door answers through.
 //!
 //! The writer ([`CurrencyEngine`]) keeps its specification, partition and
-//! per-slot compiled encodings in copy-on-write containers
+//! per-slot published components in copy-on-write containers
 //! ([`currency_core::cow`]).  [`CurrencyEngine::snapshot`] freezes that
 //! state into an immutable, shareable view in O(top level), so a
 //! read-mostly fleet never blocks on the writer:
 //!
 //! * [`EngineSnapshot`] — one epoch's frozen view: the specification, the
-//!   entity partition, and every component's compiled encoding (learnt
-//!   clauses and lazy-transitivity lemmas included, since the writer
-//!   solves each rebuilt component when it compiles it).  All of it sits
+//!   entity partition, and every component's published slot.  The writer
+//!   solves each rebuilt component when it compiles it, and publishes it
+//!   *decided* when unit propagation fixed its only model (the variable
+//!   map and the model as a bitset, no solver) or else as its solved
+//!   encoding (learnt clauses and lazy-transitivity lemmas included).
+//!   All of it sits
 //!   behind `Arc`s and shared pages, so a snapshot is a handful of
 //!   pointer bumps to retain and queries on it take `&self` with **zero
 //!   locks**.  The writer's next delta copies only the chunks and pages
@@ -30,9 +33,10 @@
 //! the witness and COP are written once, over the borrowed `View` of a
 //! specification, partition and slot vector that the writer and its
 //! snapshots share, plus the thread count and bounds of the query.
-//! Every query only reads the shared slot encodings; a solve runs on a
-//! throwaway clone that the query drops when it returns, so N readers
-//! and the writer never block each other.
+//! Every query only reads the shared slots.  A decided slot answers from
+//! its model and is never solved; on any other slot a solve runs on a
+//! throwaway clone of the encoding that the query drops when it
+//! returns, so N readers and the writer never block each other.
 //!
 //! The serving front door (answer cache, rate limiting, stats) lives on
 //! top of this module in the `currency-serve` crate.
@@ -43,7 +47,7 @@
 
 use crate::ccqa::CertainAnswers;
 use crate::cop::CurrencyOrderQuery;
-use crate::encode::{completion_from_chains, Bounds, Encoding};
+use crate::encode::{completion_from_chains, Bounds, Decided, Encoding, VarMap};
 use crate::engine::run_indexed;
 use crate::error::ReasonError;
 use crate::partition::Partition;
@@ -57,14 +61,74 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One component slot of the writer and of every snapshot: the compiled
-/// encoding (solved without bounds at compile time, so its learnt
-/// clauses are baked in) and its verdict.
+/// One component slot of the writer and of every snapshot, published
+/// once the writer has compiled the component and solved it without
+/// bounds ([`SlotView::publish`]).
 #[derive(Clone)]
-pub(crate) struct SlotView {
-    pub(crate) enc: Arc<Encoding>,
+pub(crate) enum SlotView {
+    /// A satisfiable component whose only model unit propagation found:
+    /// its variable map and that model, no solver.  Queries read the
+    /// model and never solve.
+    Decided(Arc<Decided>),
+    /// Every other component (unsatisfiable, with a premise-free falsum,
+    /// or open at level zero): the solved encoding, its learnt clauses
+    /// and lemmas baked in, and its verdict.  Queries solve on throwaway
+    /// clones.
+    Solver { enc: Arc<Encoding>, sat: bool },
+}
+
+impl SlotView {
+    /// The slot a freshly compiled encoding is published as once its
+    /// compile-time solve returned `sat`: decided when it is
+    /// ([`Encoding::is_decided`]), else a clone of the encoding.  The
+    /// clone is exactly sized, with the build's doubling buffers freed
+    /// together: slot encodings are only read and cloned from then on
+    /// and live among encodings built at other times, so packing them
+    /// keeps the heap from fragmenting on a long delta stream.
+    pub(crate) fn publish(enc: Encoding, sat: bool) -> SlotView {
+        if enc.is_decided(sat) {
+            SlotView::Decided(Arc::new(enc.into_decided()))
+        } else {
+            SlotView::Solver {
+                enc: Arc::new(enc.clone()),
+                sat,
+            }
+        }
+    }
+
+    /// What the component's variables stand for.
+    pub(crate) fn map(&self) -> &VarMap {
+        match self {
+            SlotView::Decided(decided) => decided.map(),
+            SlotView::Solver { enc, .. } => enc.map(),
+        }
+    }
+
     /// Satisfiability of the component.
-    pub(crate) sat: bool,
+    pub(crate) fn sat(&self) -> bool {
+        match self {
+            SlotView::Decided(_) => true,
+            SlotView::Solver { sat, .. } => *sat,
+        }
+    }
+
+    /// [`Encoding::has_ground_falsum`]; a decided component grounded
+    /// none.
+    pub(crate) fn has_ground_falsum(&self) -> bool {
+        match self {
+            SlotView::Decided(_) => false,
+            SlotView::Solver { enc, .. } => enc.has_ground_falsum(),
+        }
+    }
+
+    /// The slot's [`EncodingShape`](crate::encode::EncodingShape).
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn shape(&self) -> crate::encode::EncodingShape {
+        match self {
+            SlotView::Decided(decided) => decided.shape(),
+            SlotView::Solver { enc, .. } => enc.shape(),
+        }
+    }
 }
 
 /// One component's contribution to a product enumeration: the component
@@ -99,10 +163,11 @@ pub(crate) struct View<'a> {
 }
 
 impl View<'_> {
-    /// **COP** — per pair, the level-zero value of its literal in the
-    /// shared slot encoding, else one assumption solve on a throwaway
-    /// clone of the pair's component, counted into `copies`.  Vacuously
-    /// true when the specification is inconsistent (paper convention).
+    /// **COP** — per pair, the literal's value in a decided component's
+    /// model or at level zero of a shared slot encoding, else one
+    /// assumption solve on a throwaway clone of the pair's component,
+    /// counted into `copies`.  Vacuously true when the specification is
+    /// inconsistent (paper convention).
     pub(crate) fn cop(
         &self,
         ot: &CurrencyOrderQuery,
@@ -127,8 +192,8 @@ impl View<'_> {
                 .partition
                 .component_of(ot.rel, lt.eid)
                 .expect("every entity has a component");
-            let shared = &self.slots[ix].enc;
-            let Some(l) = shared.order_lit(ot.rel, attr, lesser, greater) else {
+            let slot = &self.slots[ix];
+            let Some(l) = slot.map().order_lit(ot.rel, attr, lesser, greater) else {
                 return Ok(false);
             };
             // An expired deadline interrupts here, as a solve would, so
@@ -139,6 +204,13 @@ impl View<'_> {
                     spent: crate::Spent::default(),
                 });
             }
+            let shared = match slot {
+                // The component's only model: what holds in it is
+                // certain, what does not is refuted.
+                SlotView::Decided(decided) if decided.holds(l) => continue,
+                SlotView::Decided(_) => return Ok(false),
+                SlotView::Solver { enc, .. } => enc,
+            };
             // Every solve returns at level zero, so the shared encoding
             // holds the literals its component entails outright: true is
             // certain, false is not (the component has a model).  Only an
@@ -262,8 +334,9 @@ impl View<'_> {
     }
 
     /// A witness completion from `Mod(S)`, assembled from per-component
-    /// models solved on throwaway clones; `Ok(None)` means the
-    /// specification is inconsistent.
+    /// models: a decided component's own, every other one solved on a
+    /// throwaway clone; `Ok(None)` means the specification is
+    /// inconsistent.
     pub(crate) fn witness_completion(
         &self,
         consistent: bool,
@@ -272,10 +345,14 @@ impl View<'_> {
             return Ok(None);
         }
         let per_slot = run_indexed(self.threads, self.slots.len(), |ix| {
+            let shared = match &self.slots[ix] {
+                SlotView::Decided(decided) => return Ok(decided.model_chains(self.spec)),
+                SlotView::Solver { enc, .. } => enc,
+            };
             // Re-solve without assumptions so the model is a plain
             // completion model; this also re-runs the closure refinement
             // so the model is transitive.
-            let mut enc = (*self.slots[ix].enc).clone();
+            let mut enc = (**shared).clone();
             let sat = enc.solve(&[], &self.bounds)?;
             debug_assert_eq!(sat, SolveResult::Sat, "component known satisfiable");
             Ok(enc.model_chains(self.spec))
@@ -316,8 +393,9 @@ impl View<'_> {
     /// The models of component `ix` projected onto the value indicators
     /// of `rels`, at most `stop_after` of them: projected All-SAT under
     /// the view's bounds on a throwaway clone of the slot encoding.  A
-    /// component with no such indicator has one model, its fixed rows.
-    /// An enumeration past [`MAX_MODELS`] is refused with
+    /// component with no such indicator has one model, its fixed rows,
+    /// and so has a decided component: its model's projection.  An
+    /// enumeration past [`MAX_MODELS`] is refused with
     /// [`ReasonError::BudgetExceeded`] labelled `what`.
     fn component_models(
         &self,
@@ -326,23 +404,35 @@ impl View<'_> {
         stop_after: usize,
         what: &'static str,
     ) -> Result<ComponentModels, ReasonError> {
-        let shared = &self.slots[ix].enc;
-        let (indices, vars) = shared.restricted_projection(rels);
+        let slot = &self.slots[ix];
+        let (indices, vars) = slot.map().restricted_projection(rels);
         let mut models: Vec<Vec<bool>> = Vec::new();
-        if vars.is_empty() {
-            models.push(Vec::new());
-        } else {
-            let mut enc = (**shared).clone();
-            let enumeration = enc.for_each_model(&vars, self.max_models, &self.bounds, |m| {
-                models.push(m.to_vec());
-                models.len() < stop_after
-            })?;
-            if let Enumeration::LimitReached(n) = enumeration {
-                return Err(ReasonError::BudgetExceeded {
-                    what,
-                    budget: self.max_models,
-                    spent: n,
-                });
+        match slot {
+            _ if vars.is_empty() => models.push(Vec::new()),
+            SlotView::Decided(decided) => {
+                // An expired deadline interrupts here, as the enumeration
+                // would (see `View::cop`).
+                if self.bounds.expired() {
+                    return Err(ReasonError::Interrupted {
+                        spent: crate::Spent::default(),
+                    });
+                }
+                models.push(vars.iter().map(|&v| decided.value(v)).collect());
+            }
+            SlotView::Solver { enc, .. } => {
+                let mut enc = (**enc).clone();
+                let enumeration =
+                    enc.for_each_model(&vars, self.max_models, &self.bounds, |m| {
+                        models.push(m.to_vec());
+                        models.len() < stop_after
+                    })?;
+                if let Enumeration::LimitReached(n) = enumeration {
+                    return Err(ReasonError::BudgetExceeded {
+                        what,
+                        budget: self.max_models,
+                        spent: n,
+                    });
+                }
             }
         }
         Ok(ComponentModels {
@@ -380,7 +470,7 @@ impl View<'_> {
             }
             let mut rows: Vec<(RelId, Tuple)> = Vec::new();
             for (k, cm) in per_comp.iter().enumerate() {
-                rows.extend(self.slots[cm.comp].enc.decode_restricted(
+                rows.extend(self.slots[cm.comp].map().decode_restricted(
                     self.spec,
                     rels,
                     &cm.indices,
@@ -424,8 +514,9 @@ impl View<'_> {
 /// An immutable, shareable view of a compiled specification at one epoch
 /// ([`CurrencyEngine::snapshot`](crate::engine::CurrencyEngine::snapshot)).
 ///
-/// Everything a query needs — spec, partition, per-component encodings
-/// with their cached solver state — is frozen behind `Arc`s.  CPS is a
+/// Everything a query needs — spec, partition, the published slots
+/// (decided components' models, every other component's solved
+/// encoding) — is frozen behind `Arc`s.  CPS is a
 /// field read; every other query is asked through a [`SnapshotReader`],
 /// which bounds it with its per-request deadline and budget and solves
 /// only on throwaway clones, with no locking.
@@ -709,6 +800,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::{CompileScratch, ComponentCompiler};
     use crate::engine::CurrencyEngine;
     use crate::Options;
     use currency_core::{
@@ -881,6 +973,15 @@ mod tests {
         (spec, t)
     }
 
+    /// Whether two slots share one published component.
+    fn same_slot(a: &SlotView, b: &SlotView) -> bool {
+        match (a, b) {
+            (SlotView::Decided(a), SlotView::Decided(b)) => Arc::ptr_eq(a, b),
+            (SlotView::Solver { enc: a, .. }, SlotView::Solver { enc: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// Addresses of every copy-on-write page a snapshot holds.
     fn pages(snap: &EngineSnapshot) -> std::collections::HashSet<*const ()> {
         use currency_core::cow::Paged;
@@ -907,7 +1008,7 @@ mod tests {
             .slots
             .iter()
             .zip(after.slots.iter())
-            .filter(|(b, a)| Arc::ptr_eq(&b.enc, &a.enc))
+            .filter(|(b, a)| same_slot(b, a))
             .count();
         assert_eq!(shared, 2, "only the dirty component was recompiled");
 
@@ -952,18 +1053,26 @@ mod tests {
             CurrencyEngine::with_value_rels_owned(spec, &[], &Options::default()).unwrap();
         let snap = engine.snapshot();
         let mut reader = SnapshotReader::new(snap.clone());
+        let compiler = ComponentCompiler::new(&snap.spec, &[]);
+        let mut scratch = CompileScratch::default();
         // `large_spec` stores entity e's ten readings at ids 10e..10e+9.
         for e in 0..entities {
             let ix = snap.partition.component_of(t, Eid(e.into())).unwrap();
-            let enc = &snap.slots[ix].enc;
+            assert!(
+                matches!(snap.slots[ix], SlotView::Decided(_)),
+                "grounding decides entity {e}"
+            );
+            // The solve path on the component's solver form: an
+            // assumption solve on a clone of the solved compile.
+            let mut enc = compiler.compile(snap.partition.component(ix), &mut scratch);
+            enc.solve(&[], &Bounds::default()).unwrap();
             for (u, v) in
                 (10 * e..10 * e + 10).flat_map(|u| (10 * e..10 * e + 10).map(move |v| (u, v)))
             {
-                // The solve path: an assumption solve on a clone.
                 let solved = enc
                     .order_lit(t, A, TupleId(u), TupleId(v))
                     .is_some_and(|l| {
-                        (**enc).clone().solve(&[!l], &Bounds::default()) == Ok(SolveResult::Unsat)
+                        enc.clone().solve(&[!l], &Bounds::default()) == Ok(SolveResult::Unsat)
                     });
                 let q = CurrencyOrderQuery::single(t, A, TupleId(u), TupleId(v));
                 assert_eq!(reader.cop(&q).unwrap(), solved, "{u} ≺ {v}");
@@ -973,6 +1082,90 @@ mod tests {
             reader.scratch_clones(),
             0,
             "unit propagation decided every pair"
+        );
+    }
+
+    #[test]
+    fn decided_slots_answer_like_their_solver_form() {
+        // Three entities of three readings on two attributes, each
+        // attribute ordered by a monotone constraint (B against A):
+        // grounding decides every pair and every current value.
+        const B: AttrId = AttrId(1);
+        let mut cat = Catalog::new();
+        let r = cat.add(RelationSchema::new("R", &["A", "B"]));
+        let mut spec = Specification::new(cat);
+        for e in 0..3 {
+            for (a, b) in [(10, 9), (20, 7), (30, 5)] {
+                let reading = Tuple::new(Eid(e), vec![Value::int(a + e as i64), Value::int(b)]);
+                spec.instance_mut(r).push_tuple(reading).unwrap();
+            }
+        }
+        spec.add_constraint(monotone(r)).unwrap();
+        let on_b = DenialConstraint::builder(r, 2)
+            .when_cmp(Term::attr(0, B), CmpOp::Gt, Term::attr(1, B))
+            .then_order(1, B, 0)
+            .build()
+            .unwrap();
+        spec.add_constraint(on_b).unwrap();
+        let engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
+        let decided = engine.view();
+        // The same components in solver form: each compiled and solved
+        // without bounds, and published whole.
+        let compiler = ComponentCompiler::new(decided.spec, decided.value_rels);
+        let mut scratch = CompileScratch::default();
+        let solver_slots: PagedVec<SlotView> = (0..decided.slots.len())
+            .map(|ix| {
+                assert!(
+                    matches!(decided.slots[ix], SlotView::Decided(_)),
+                    "slot {ix} is published decided"
+                );
+                let mut enc = compiler.compile(decided.partition.component(ix), &mut scratch);
+                let sat = enc.solve(&[], &Bounds::default()).unwrap() == SolveResult::Sat;
+                SlotView::Solver {
+                    enc: Arc::new(enc),
+                    sat,
+                }
+            })
+            .collect();
+        let solver = View {
+            slots: &solver_slots,
+            ..decided
+        };
+        let n = decided.spec.instance(r).len() as u32;
+        for attr in [A, B] {
+            for u in 0..n {
+                for v in 0..n {
+                    let q = CurrencyOrderQuery::single(r, attr, TupleId(u), TupleId(v));
+                    assert_eq!(
+                        decided.cop(&q, true, &mut 0).unwrap(),
+                        solver.cop(&q, true, &mut 0).unwrap(),
+                        "{attr:?}: {u} ≺ {v}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            decided.dcip(r, || Ok(true)).unwrap(),
+            solver.dcip(r, || Ok(true)).unwrap()
+        );
+        let mut b = QueryBuilder::new();
+        let (x, y) = (b.var(), b.var());
+        let rows = b.build(
+            vec![x, y],
+            Formula::Atom(Atom::new(r, vec![QTerm::Var(x), QTerm::Var(y)])),
+        );
+        let answers = decided.certain_answers(&rows, || Ok(true)).unwrap();
+        assert_eq!(answers.rows().unwrap().len(), 3, "one current row each");
+        assert_eq!(answers, solver.certain_answers(&rows, || Ok(true)).unwrap());
+        let instances = |view: &View| -> Vec<Vec<Tuple>> {
+            let found = view.current_instances(r, || Ok(true)).unwrap();
+            found.iter().map(NormalInstance::normalized).collect()
+        };
+        assert_eq!(instances(&decided), instances(&solver));
+        // The witness is made of every slot's chains.
+        assert_eq!(
+            decided.witness_completion(true).unwrap(),
+            solver.witness_completion(true).unwrap()
         );
     }
 

@@ -17,9 +17,12 @@
 //!
 //! * a fresh streamed compile (from one scratch shared across the whole
 //!   seed) and the reference compile, both unsolved, and
-//! * the engine's cached encoding (compiled from its own reused scratch
-//!   and solved at compile time) and the reference compile after the
-//!   same solve and the same packing clone
+//! * the engine's published slot (compiled from its own reused scratch,
+//!   solved at compile time and published) and the reference compile
+//!   after the same solve, published through the same conversion
+//!   (`Encoding::published_shape`): a decided component's variable map
+//!   and model, its level-zero literals sorted by variable, else the
+//!   packed clone of the whole encoding
 //!
 //! must have equal shapes, and the partition's components must be the
 //! reference components (a union–find over every enumerated obligation).
@@ -85,6 +88,7 @@ fn spec_for(seed: u64) -> Specification {
 #[derive(Default)]
 struct Coverage {
     linked_components: usize,
+    decided_components: usize,
     falsum_components: usize,
     reclaimed: usize,
 }
@@ -129,17 +133,18 @@ fn check(
             streamed, reference,
             "seed {seed} step {step} slot {slot}: streamed compile"
         );
-        reference_enc
+        let outcome = reference_enc
             .solve(&[], &Bounds::default())
             .expect("no bound, no interrupt");
         assert_eq!(
             engine.slot_shape(slot),
-            reference_enc.clone().shape(),
+            reference_enc.published_shape(outcome),
             "seed {seed} step {step} slot {slot}: engine encoding"
         );
         coverage.linked_components += usize::from(component.cells.len() > 1);
         coverage.falsum_components += usize::from(reference.ground_falsum);
     }
+    coverage.decided_components += engine.stats().decided_components;
     components.sort();
     let expected: Vec<BTreeSet<(RelId, Eid)>> = reference_components(spec);
     assert_eq!(components, expected, "seed {seed} step {step}: partition");
@@ -181,6 +186,7 @@ fn sweep(seeds: std::ops::Range<u64>) {
         identity_round(seed, &mut coverage);
     }
     assert!(coverage.linked_components > 0, "no copy-linked component");
+    assert!(coverage.decided_components > 0, "no decided component");
     assert!(coverage.falsum_components > 0, "no falsum component");
     assert!(coverage.reclaimed > 0, "no compaction reclaimed a slot");
 }

@@ -7,8 +7,12 @@
 //! functions merge target and source entities into shared components, so
 //! the partitions these cases exercise are non-trivial (fewer components
 //! than cells, more than one component overall).
+//!
+//! The engine publishes a component that unit propagation decides
+//! without its solver, so its queries read a bitset instead of solving.
+//! The pinned sweep counts both slot forms and requires both.
 
-use data_currency::datagen::random::{random_spec, RandomSpecConfig};
+use data_currency::datagen::random::{pinned_seeds, random_spec, RandomSpecConfig};
 use data_currency::model::{AttrId, Eid, RelId, Value};
 use data_currency::query::Query;
 use data_currency::reason::encode::{Bounds, CompileScratch, ComponentCompiler, Encoding};
@@ -282,4 +286,57 @@ fn engine_handles_unknown_entities_gracefully() {
         engine.cop(&q).unwrap(),
         cop_exact_monolithic(&spec, &q).unwrap()
     );
+}
+
+/// The pinned seed range (`pinned_seeds`, so CI replays one range):
+/// every seed's engine answers CPS, all-pairs COP on every attribute,
+/// DCIP and certain answers like the monolithic reference, and the range
+/// reaches components published decided as well as components that keep
+/// their solver.
+#[test]
+fn pinned_sweep_covers_decided_and_solver_slots() {
+    let (mut decided, mut solver) = (0usize, 0usize);
+    for seed in pinned_seeds(64, 2_000) {
+        let spec = random_spec(&config(seed, !seed.is_multiple_of(4), seed % 2 == 0));
+        let engine = CurrencyEngine::new(&spec, &Options::default()).unwrap();
+        let stats = engine.stats();
+        decided += stats.decided_components;
+        solver += stats.components - stats.decided_components;
+        assert_eq!(
+            engine.cps().unwrap(),
+            cps_exact_monolithic(&spec).unwrap(),
+            "seed {seed}"
+        );
+        let inst = spec.instance(T);
+        for a in 0..inst.arity() {
+            for u in 0..inst.len() as u32 {
+                for v in 0..inst.len() as u32 {
+                    let q = CurrencyOrderQuery::single(
+                        T,
+                        AttrId(a as u32),
+                        data_currency::model::TupleId(u),
+                        data_currency::model::TupleId(v),
+                    );
+                    assert_eq!(
+                        engine.cop(&q).unwrap(),
+                        cop_exact_monolithic(&spec, &q).unwrap(),
+                        "seed {seed} attr {a} {u} ≺ {v}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            engine.dcip(T).unwrap(),
+            dcip_exact_monolithic(&spec, T).unwrap(),
+            "seed {seed}"
+        );
+        let q = value_query(T, inst.arity());
+        assert_eq!(
+            engine.certain_answers(&q).unwrap(),
+            certain_answers_exact_monolithic(&spec, &q).unwrap(),
+            "seed {seed}"
+        );
+    }
+    assert!(decided > 0, "no component was published decided");
+    assert!(solver > 0, "no component kept its solver");
 }
