@@ -46,7 +46,7 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Span/event discriminator.
     pub kind: TraceKind,
-    /// Static site name (e.g. `"engine.apply"`, `"breaker.open"`).
+    /// Static site name (e.g. `"engine.apply"`, `"serve.stale"`).
     pub name: &'static str,
     /// Span id (0 for plain events emitted outside a span).
     pub span: u64,

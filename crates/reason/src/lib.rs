@@ -44,7 +44,7 @@
 //!   CPS/COP/DCIP/CCQA against their pinned epoch with zero shared locks,
 //!   solving only on throwaway clones.  The engine and its snapshots share
 //!   one implementation of every query.  The `currency-serve` crate
-//!   builds the caching/rate-limited front door on top; the durable
+//!   builds the caching, load-shedding front door on top; the durable
 //!   store and the sharded engine never take a snapshot, so their writes
 //!   copy no page.
 //!

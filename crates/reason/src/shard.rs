@@ -600,7 +600,7 @@ pub trait ShardNode {
 /// One shard's reader: what [`Scatter`] asks each shard.  Implemented
 /// by `&CurrencyEngine`, by [`SnapshotReader`], by `Scatter` itself and
 /// by `currency-serve`'s handle, whose answers go through its cache,
-/// breaker and deadline.
+/// in-flight cap and deadline.
 pub trait ShardReader {
     /// The reader's error; a refused query surfaces as
     /// [`ReasonError::UnsupportedQuery`] through it.

@@ -38,7 +38,7 @@
 //! throwaway clone of the encoding that the query drops when it
 //! returns, so N readers and the writer never block each other.
 //!
-//! The serving front door (answer cache, rate limiting, stats) lives on
+//! The serving front door (answer cache, load shedding, stats) lives on
 //! top of this module in the `currency-serve` crate.
 //!
 //! [`CurrencyEngine`]: crate::engine::CurrencyEngine

@@ -6,8 +6,8 @@
 //! invalidates the whole cache for free — no flush, no generation sweep,
 //! no writer involvement.  Stale entries are **retained**: they are the
 //! graceful-degradation reserve ([`AnswerCache::get_any`]) served when a
-//! query times out or its breaker is open, and they are pruned only when
-//! a full shard needs room (stale-epoch entries are evicted first).
+//! query times out, and they are pruned only when a full shard needs
+//! room (stale-epoch entries are evicted first).
 
 use crate::{ServeAnswer, ServeRequest};
 use currency_obs::{Counter, MetricsRegistry};
@@ -35,10 +35,9 @@ pub(crate) struct AnswerCache {
 
 impl AnswerCache {
     /// `capacity == 0` disables caching entirely (every lookup misses,
-    /// inserts are dropped).  The degraded-event counter registers on
-    /// `registry`.
+    /// inserts are dropped); `shards` is at least 1.  The degraded-event
+    /// counter registers on `registry`.
     pub(crate) fn new(capacity: usize, shards: usize, registry: &MetricsRegistry) -> AnswerCache {
-        let shards = shards.max(1);
         AnswerCache {
             shards: if capacity == 0 {
                 Vec::new()

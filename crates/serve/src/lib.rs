@@ -18,32 +18,29 @@
 //!   until the next publication and invalidation is free — a writer
 //!   bump makes every stale entry miss; stale entries are retained as
 //!   the degraded-serving reserve.  Misses are evaluated through the
-//!   handle's own [`SnapshotReader`] (no shared locks; solves run on
-//!   throwaway clones) and then cached for every other handle.
-//! * Admission is controlled by an optional lock-free token-bucket
-//!   [`RateLimit`], and every counter is an atomic on the stack's one
-//!   metrics registry ([`ServeStats`] is a view over it), so stats
-//!   scrapes never block queries — and vice versa.
+//!   handle's own [`SnapshotReader`] (solves run on throwaway clones)
+//!   and then cached for every other handle.  Past the pin, a miss
+//!   takes no lock but its answer-cache shard's (and the slow-query
+//!   log's, when that is on and the query ran over its threshold).
+//! * Every counter is an atomic on the stack's one metrics registry
+//!   ([`ServeStats`] is a view over it), so stats scrapes never block
+//!   queries — and vice versa.
 //!
 //! ## Bounded work
 //!
-//! Every query admitted past the front door carries a **work budget**:
-//! a wall-clock deadline ([`ServeOptions::request_timeout`], default
-//! 30 s) threaded down to the SAT solver, which checks it cooperatively
-//! and returns a typed interrupt — never a wrong verdict.  Around the
-//! budget sit three guard rails:
+//! Every query that misses the cache carries a **deadline**:
+//! [`REQUEST_TIMEOUT`] by default, or the caller's own through
+//! [`ServeHandle::query_within`].  It is threaded down to the SAT
+//! solver, which checks it cooperatively and returns a typed interrupt
+//! — never a wrong verdict.  Two guard rails sit around it:
 //!
 //! * **Load shedding** — at most [`ServeOptions::max_inflight`] queries
-//!   solve concurrently; excess arrivals fast-fail with
-//!   [`ServeError::Overloaded`] *before* touching a solver.
-//! * **A per-shape circuit breaker** — after
-//!   [`ServeOptions::breaker_threshold`] consecutive timeouts on one
-//!   canonicalized request, that shape fast-fails
-//!   ([`ServeError::BreakerOpen`]) for an exponentially growing backoff,
-//!   then admits one half-open probe.
-//! * **Graceful degradation** — a timed-out or breaker-rejected query
-//!   is answered from the newest cached answer for the same request at
-//!   *any* epoch when one exists, tagged [`ServeAnswer::Stale`].
+//!   solve concurrently; a miss past the cap fast-fails with
+//!   [`ServeError::Overloaded`] *before* touching a solver.  A fresh
+//!   cache hit solves nothing and is never shed.
+//! * **Graceful degradation** — a timed-out query is answered from the
+//!   newest cached answer for the same request at *any* epoch when one
+//!   exists, tagged [`ServeAnswer::Stale`].
 //!
 //! ```
 //! use currency_serve::{CurrencyServe, ServeOptions};
@@ -65,18 +62,14 @@
 //! assert_eq!(serve.stats().cache_hits, 1);
 //! ```
 
-mod breaker;
 mod cache;
 mod obs;
-mod rate_limit;
 mod sharded;
 mod stats;
 
-pub use rate_limit::RateLimit;
 pub use sharded::{ShardedServe, ShardedServeHandle, ShardedServeStats};
 pub use stats::ServeStats;
 
-use breaker::{Admit, Breaker};
 use cache::AnswerCache;
 use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
 use currency_obs::{MetricsRegistry, Recorder};
@@ -87,13 +80,20 @@ use currency_reason::{
     ReasonError, Spent,
 };
 use obs::{kind_index, ServeObs};
-use rate_limit::TokenBucket;
 use stats::InflightGuard;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The wall-clock budget of a [`ServeHandle::query`] that misses the
+/// cache.  [`ServeHandle::query_within`] sets a query's own.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Answer-cache shards: more shards, less lock contention between
+/// concurrent misses.
+const CACHE_SHARDS: usize = 8;
 
 /// A servable query, canonicalized: requests that are `==` (and hash
 /// alike) are the same cache entry.  `Query` compares structurally on
@@ -120,11 +120,10 @@ pub enum ServeAnswer {
     Bool(bool),
     /// Result of a [`ServeRequest::CertainAnswers`] request.
     Answers(CertainAnswers),
-    /// A degraded answer: the solve timed out (or the shape's breaker
-    /// was open) and the newest cached answer for the same request was
-    /// served instead.  `epoch` is the epoch that answer was computed
-    /// at — older than the live epoch, so the caller can decide whether
-    /// stale-but-fast is acceptable.
+    /// A degraded answer: the solve timed out and the newest cached
+    /// answer for the same request was served instead.  `epoch` is the
+    /// epoch that answer was computed at — older than the live epoch, so
+    /// the caller can decide whether stale-but-fast is acceptable.
     Stale {
         /// Epoch the wrapped answer was computed at.
         epoch: u64,
@@ -153,14 +152,9 @@ impl ServeAnswer {
 /// Errors surfaced by the serving layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The rate limiter rejected the query; retry after backoff.
-    RateLimited,
-    /// The in-flight cap was reached: the query was shed before any
-    /// solving started.  Retry after backoff.
+    /// The in-flight cap was reached: the query missed the cache and was
+    /// shed before any solving started.  Retry after backoff.
     Overloaded,
-    /// This request shape's circuit breaker is open (consecutive
-    /// timeouts) and no cached answer exists to degrade to.
-    BreakerOpen,
     /// The underlying decision procedure failed.  A
     /// [`ReasonError::Interrupted`] here means the per-request budget
     /// expired and no stale answer existed to degrade to.
@@ -170,11 +164,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::RateLimited => write!(f, "query rejected by rate limiter"),
             ServeError::Overloaded => write!(f, "query shed: in-flight cap reached"),
-            ServeError::BreakerOpen => {
-                write!(f, "circuit breaker open for this request shape")
-            }
             ServeError::Reason(e) => write!(f, "{e}"),
         }
     }
@@ -183,7 +173,7 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::RateLimited | ServeError::Overloaded | ServeError::BreakerOpen => None,
+            ServeError::Overloaded => None,
             ServeError::Reason(e) => Some(e),
         }
     }
@@ -196,32 +186,15 @@ impl From<ReasonError> for ServeError {
 }
 
 /// Configuration of the serving layer (the underlying solvers are
-/// configured separately, through [`currency_reason::Options`]).
+/// configured separately, through [`currency_reason::Options`]; a
+/// query's deadline is [`REQUEST_TIMEOUT`] or its caller's own).
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
-    /// Answer-cache capacity in entries across all shards; `0` disables
-    /// caching.
+    /// Answer-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Number of independent cache shards (more shards, less lock
-    /// contention between concurrent misses; clamped to ≥ 1).
-    pub cache_shards: usize,
-    /// Admission control; `None` admits everything.
-    pub rate_limit: Option<RateLimit>,
-    /// Per-request wall-clock budget threaded down to the solver;
-    /// `None` disables the deadline (unbounded solves).  Overridable
-    /// per query with [`ServeHandle::query_within`].
-    pub request_timeout: Option<Duration>,
-    /// Maximum queries solving concurrently; excess arrivals are shed
-    /// with [`ServeError::Overloaded`].  `0` means unlimited.
+    /// Maximum queries solving concurrently; a cache miss past the cap
+    /// is shed with [`ServeError::Overloaded`].  `0` means unlimited.
     pub max_inflight: usize,
-    /// Consecutive timeouts on one request shape that open its circuit
-    /// breaker.  `0` disables the breaker.
-    pub breaker_threshold: u32,
-    /// Backoff after the breaker first opens; doubles after each failed
-    /// half-open probe.
-    pub breaker_backoff: Duration,
-    /// Ceiling for the exponential breaker backoff.
-    pub breaker_max_backoff: Duration,
     /// Retain requests slower than this in the slow-query log
     /// ([`CurrencyServe::slow_queries`]); `None` (the default) disables
     /// the log.
@@ -234,13 +207,7 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             cache_capacity: 4096,
-            cache_shards: 8,
-            rate_limit: None,
-            request_timeout: Some(Duration::from_secs(30)),
             max_inflight: 0,
-            breaker_threshold: 3,
-            breaker_backoff: Duration::from_millis(100),
-            breaker_max_backoff: Duration::from_secs(5),
             slow_query_threshold: None,
             slow_query_capacity: 128,
         }
@@ -266,8 +233,6 @@ pub struct SlowQuery {
 struct ServeShared {
     cell: SnapshotCell,
     cache: AnswerCache,
-    limiter: Option<TokenBucket>,
-    breaker: Breaker,
     /// Queries currently being evaluated: admission state the
     /// in-flight cap is enforced on ([`InflightGuard`]), not a counter.
     inflight: AtomicU64,
@@ -275,7 +240,6 @@ struct ServeShared {
     slow_queries: Mutex<VecDeque<SlowQuery>>,
     slow_query_threshold: Option<Duration>,
     slow_query_capacity: usize,
-    request_timeout: Option<Duration>,
     max_inflight: usize,
 }
 
@@ -334,19 +298,12 @@ impl CurrencyServe {
         let registry = engine.obs().registry().clone();
         let shared = Arc::new(ServeShared {
             cell: SnapshotCell::new(engine.snapshot(), &registry),
-            cache: AnswerCache::new(opts.cache_capacity, opts.cache_shards, &registry),
-            limiter: opts.rate_limit.map(TokenBucket::new),
-            breaker: Breaker::new(
-                opts.breaker_threshold,
-                opts.breaker_backoff,
-                opts.breaker_max_backoff,
-            ),
+            cache: AnswerCache::new(opts.cache_capacity, CACHE_SHARDS, &registry),
             inflight: AtomicU64::new(0),
             obs: ServeObs::new(registry),
             slow_queries: Mutex::new(VecDeque::new()),
             slow_query_threshold: opts.slow_query_threshold,
             slow_query_capacity: opts.slow_query_capacity.max(1),
-            request_timeout: opts.request_timeout,
             max_inflight: opts.max_inflight,
         });
         CurrencyServe {
@@ -427,14 +384,12 @@ impl CurrencyServe {
             queries: cache_hits + cache_misses + stale_served,
             cache_hits,
             cache_misses,
-            rate_limited: obs.rate_limited.get(),
+            rate_limited: 0,
             inflight: self.shared.inflight.load(Ordering::Relaxed),
             shed: obs.shed.get(),
             timeouts: obs.timeouts.get(),
             stale_served,
-            breaker_trips: obs.breaker_trips.get(),
-            breaker_rejects: obs.breaker_rejects.get(),
-            breakers_open: self.shared.breaker.open_count(),
+            breaker_rejects: 0,
             degraded_events: self.shared.cache.degraded_events()
                 + self.shared.cell.degraded_events(),
             cached_entries: self.shared.cache.len(),
@@ -455,10 +410,9 @@ impl CurrencyServe {
         self.metrics().snapshot().render_prometheus()
     }
 
-    /// Attach a trace recorder: breaker transitions and stale-serve
-    /// degradations are emitted as structured
-    /// [`currency_obs::TraceEvent`]s, and the writer engine's apply
-    /// phases record spans into the same sink.  Pass a
+    /// Attach a trace recorder: stale-serve degradations are emitted
+    /// as structured [`currency_obs::TraceEvent`]s, and the writer
+    /// engine's apply phases record spans into the same sink.  Pass a
     /// [`currency_obs::RingRecorder`] and drain it to inspect the
     /// stream.
     pub fn set_recorder(&self, recorder: Arc<dyn Recorder>) {
@@ -507,92 +461,55 @@ impl Clone for ServeHandle {
 }
 
 impl ServeHandle {
-    /// Answer `req` at the latest published epoch under the service's
-    /// default per-request budget: admission checks (rate limit,
-    /// in-flight cap), cache lookup, breaker admission, then (on a
-    /// miss) a deadline-bounded evaluation through this handle's reader
-    /// — strictly outside any shared lock — and cache fill.  A timed-out solve degrades to the newest stale cached
-    /// answer when one exists.
+    /// Answer `req` at the latest published epoch: cache lookup, then
+    /// (on a miss) in-flight admission, an evaluation through this
+    /// handle's reader bounded by [`REQUEST_TIMEOUT`] — strictly outside
+    /// any shared lock — and cache fill.  A timed-out solve degrades to
+    /// the newest stale cached answer when one exists.
     pub fn query(&mut self, req: &ServeRequest) -> Result<ServeAnswer, ServeError> {
-        self.query_deadline(req, self.shared.request_timeout)
+        self.query_within(req, Some(REQUEST_TIMEOUT))
     }
 
-    /// [`query`](ServeHandle::query) with an explicit per-request
-    /// budget: `Some(d)` overrides the configured
-    /// [`ServeOptions::request_timeout`], `None` removes the deadline
-    /// for this request (an explicit opt-in to unbounded work).
+    /// [`query`](ServeHandle::query) with this request's own budget:
+    /// `Some(d)` replaces [`REQUEST_TIMEOUT`], `None` removes the
+    /// deadline (an explicit opt-in to unbounded work).
     pub fn query_within(
-        &mut self,
-        req: &ServeRequest,
-        timeout: Option<Duration>,
-    ) -> Result<ServeAnswer, ServeError> {
-        self.query_deadline(req, timeout)
-    }
-
-    fn query_deadline(
         &mut self,
         req: &ServeRequest,
         timeout: Option<Duration>,
     ) -> Result<ServeAnswer, ServeError> {
         let shared = self.shared.clone();
         let kind = kind_index(req);
-        if let Some(limiter) = &shared.limiter {
-            if !limiter.try_acquire() {
-                shared.obs.rate_limited.inc();
-                return Err(ServeError::RateLimited);
-            }
-        }
-        // Overload shedding: fail fast before pinning a snapshot or
-        // touching a solver, so a saturated service stays responsive.
-        let Some(_inflight) = InflightGuard::try_enter(&shared.inflight, shared.max_inflight)
-        else {
-            shared.obs.shed.inc();
-            return Err(ServeError::Overloaded);
-        };
         let start = Instant::now();
         self.reader.pin(shared.cell.load());
         let epoch = self.reader.epoch();
-        // A fresh cache hit costs no solve: it bypasses the breaker and
-        // the deadline entirely.
+        // A fresh cache hit costs no solve: no cap or deadline applies.
         if let Some(ans) = shared.cache.get(req, epoch) {
             shared.obs.cache_hits.inc();
             shared.obs.latency_ns[kind].record(saturating_elapsed_ns(start));
             return Ok(ans);
         }
-        match shared.breaker.admit(req) {
-            Admit::Allow => {}
-            Admit::Probe => shared.obs.event("breaker.half_open", 0),
-            Admit::Reject => {
-                shared.obs.breaker_rejects.inc();
-                return match self.serve_stale(&shared, req, start) {
-                    Some(stale) => Ok(stale),
-                    None => Err(ServeError::BreakerOpen),
-                };
-            }
-        }
+        // Overload shedding: fail fast before touching a solver, so a
+        // saturated service stays responsive.
+        let Some(_inflight) = InflightGuard::try_enter(&shared.inflight, shared.max_inflight)
+        else {
+            shared.obs.shed.inc();
+            return Err(ServeError::Overloaded);
+        };
         self.reader.set_deadline(timeout.map(|t| start + t));
         let result = self.evaluate(req);
         self.reader.set_deadline(None);
         match result {
             Ok(ans) => {
-                if shared.breaker.record_success(req) {
-                    shared.obs.event("breaker.closed", 0);
-                }
                 shared.cache.insert(req, epoch, ans.clone());
                 shared.obs.cache_misses.inc();
                 shared.obs.latency_ns[kind].record(saturating_elapsed_ns(start));
                 shared.note_slow(req, epoch, start.elapsed(), None);
                 Ok(ans)
             }
-            Err(err @ ReasonError::Interrupted { .. }) => {
+            Err(err @ ReasonError::Interrupted { spent }) => {
                 shared.obs.timeouts.inc();
-                if shared.breaker.record_timeout(req) {
-                    shared.obs.breaker_trips.inc();
-                    shared.obs.event("breaker.open", 0);
-                }
-                if let ReasonError::Interrupted { spent } = &err {
-                    shared.note_slow(req, epoch, start.elapsed(), Some(*spent));
-                }
+                shared.note_slow(req, epoch, start.elapsed(), Some(spent));
                 match self.serve_stale(&shared, req, start) {
                     Some(stale) => Ok(stale),
                     None => Err(ServeError::Reason(err)),
@@ -802,25 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_limiter_rejects_beyond_burst() {
-        let opts = ServeOptions {
-            rate_limit: Some(RateLimit {
-                burst: 2,
-                per_sec: 0,
-            }),
-            ..ServeOptions::default()
-        };
-        let (serve, _) = serve(&opts);
-        let mut h = serve.handle();
-        assert!(h.cps().is_ok());
-        assert!(h.cps().is_ok());
-        assert_eq!(h.cps(), Err(ServeError::RateLimited));
-        let stats = serve.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.rate_limited, 1);
-    }
-
-    #[test]
     fn disabled_cache_still_answers_correctly() {
         let opts = ServeOptions {
             cache_capacity: 0,
@@ -846,7 +744,7 @@ mod tests {
         assert!(matches!(err, ServeError::Reason(_)));
         assert!(err.to_string().contains("value indicators"));
         assert!(std::error::Error::source(&err).is_some());
-        assert!(std::error::Error::source(&ServeError::RateLimited).is_none());
+        assert!(std::error::Error::source(&ServeError::Overloaded).is_none());
         // Errors are not cached: the next identical request re-evaluates.
         assert!(h.dcip(r).is_err());
         assert_eq!(serve.stats().cached_entries, 0);
@@ -887,17 +785,20 @@ mod tests {
         let (serve, r) = serve(&ServeOptions::default());
         let mut h = serve.handle();
         let req = ServeRequest::Cop(CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)));
-        let err = h.query_within(&req, Some(Duration::ZERO)).unwrap_err();
-        assert!(
-            matches!(err, ServeError::Reason(ReasonError::Interrupted { .. })),
-            "expired budget surfaces the typed interrupt, got {err:?}"
-        );
+        for _ in 0..4 {
+            let err = h.query_within(&req, Some(Duration::ZERO)).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Reason(ReasonError::Interrupted { .. })),
+                "expired budget surfaces the typed interrupt, got {err:?}"
+            );
+        }
         let stats = serve.stats();
-        assert_eq!(stats.timeouts, 1);
+        assert_eq!(stats.timeouts, 4);
         assert_eq!(stats.stale_served, 0);
         assert_eq!(stats.queries, 0, "rejections are not answered queries");
-        // A later unbounded query gets the true verdict: the interrupt
-        // cached nothing wrong.
+        // A later unbounded query gets the true verdict, however many
+        // interrupts came before: the bound is the query's own, and the
+        // interrupts cached nothing wrong.
         assert!(h.query_within(&req, None).unwrap().as_bool().unwrap());
     }
 
@@ -930,104 +831,6 @@ mod tests {
         let fresh = h.query(&req).unwrap();
         assert_eq!(fresh, ServeAnswer::Bool(true));
         assert!(!fresh.is_stale());
-    }
-
-    #[test]
-    fn breaker_opens_after_consecutive_timeouts_and_probes_shut() {
-        let opts = ServeOptions {
-            cache_capacity: 0, // no stale reserve: rejects surface
-            breaker_threshold: 2,
-            breaker_backoff: Duration::from_secs(3600),
-            breaker_max_backoff: Duration::from_secs(3600),
-            ..ServeOptions::default()
-        };
-        let (serve, r) = serve(&opts);
-        let mut h = serve.handle();
-        let req = ServeRequest::Cop(CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)));
-        for _ in 0..2 {
-            assert!(matches!(
-                h.query_within(&req, Some(Duration::ZERO)).unwrap_err(),
-                ServeError::Reason(ReasonError::Interrupted { .. })
-            ));
-        }
-        // Third arrival never reaches a solver: the breaker is open and
-        // there is no cache to degrade to.
-        assert_eq!(
-            h.query_within(&req, Some(Duration::ZERO)).unwrap_err(),
-            ServeError::BreakerOpen
-        );
-        // An unbounded retry is rejected too — the breaker guards the
-        // shape, not the budget.
-        assert_eq!(
-            h.query_within(&req, None).unwrap_err(),
-            ServeError::BreakerOpen
-        );
-        // Other shapes are unaffected.
-        assert!(h.cps().unwrap());
-        let stats = serve.stats();
-        assert_eq!(stats.timeouts, 2);
-        assert_eq!(stats.breaker_trips, 1);
-        assert_eq!(stats.breaker_rejects, 2);
-        assert_eq!(stats.breakers_open, 1);
-    }
-
-    #[test]
-    fn breaker_recovers_through_a_half_open_probe() {
-        let opts = ServeOptions {
-            cache_capacity: 0,
-            breaker_threshold: 1,
-            breaker_backoff: Duration::from_millis(1),
-            breaker_max_backoff: Duration::from_millis(8),
-            ..ServeOptions::default()
-        };
-        let (serve, r) = serve(&opts);
-        let mut h = serve.handle();
-        let req = ServeRequest::Cop(CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)));
-        assert!(h.query_within(&req, Some(Duration::ZERO)).is_err());
-        assert_eq!(serve.stats().breakers_open, 1);
-        std::thread::sleep(Duration::from_millis(3));
-        // Backoff elapsed: the next query is the half-open probe; with a
-        // real budget it completes and closes the breaker.
-        assert!(h.query_within(&req, None).unwrap().as_bool().unwrap());
-        let stats = serve.stats();
-        assert_eq!(stats.breakers_open, 0);
-        assert!(h.query(&req).is_ok(), "shape healthy again");
-    }
-
-    #[test]
-    fn breaker_rejection_still_degrades_to_stale() {
-        let opts = ServeOptions {
-            breaker_threshold: 1,
-            breaker_backoff: Duration::from_secs(3600),
-            breaker_max_backoff: Duration::from_secs(3600),
-            ..ServeOptions::default()
-        };
-        let (serve, r) = serve(&opts);
-        let mut h = serve.handle();
-        let req = ServeRequest::Cop(CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)));
-        assert_eq!(h.query(&req).unwrap(), ServeAnswer::Bool(true));
-        let epoch_then = serve.epoch();
-        let mut delta = SpecDelta::new();
-        delta.insert_tuple(r, Tuple::new(Eid(1), vec![Value::int(99)]));
-        serve.apply(&delta).unwrap();
-        // Trip the breaker (timeout degrades to stale already)...
-        assert!(h
-            .query_within(&req, Some(Duration::ZERO))
-            .unwrap()
-            .is_stale());
-        // ...and while open, requests keep getting the stale answer
-        // instead of hard-failing.
-        let ans = h.query_within(&req, None).unwrap();
-        assert_eq!(
-            ans,
-            ServeAnswer::Stale {
-                epoch: epoch_then,
-                answer: Box::new(ServeAnswer::Bool(true)),
-            }
-        );
-        let stats = serve.stats();
-        assert_eq!(stats.stale_served, 2);
-        assert_eq!(stats.breaker_rejects, 1);
     }
 
     #[test]
@@ -1086,16 +889,20 @@ mod tests {
             max_inflight: 2,
             ..ServeOptions::default()
         };
-        let (serve, _) = serve(&opts);
+        let (serve, r) = serve(&opts);
         let mut h = serve.handle();
+        assert!(h.dcip(r).unwrap());
         // Take both slots on the shared gauge, as two solving queries
-        // would: the next arrival must shed, deterministically.
+        // would: the next miss must shed, deterministically, while a
+        // cached answer solves nothing and is still served.
         let gauge = &serve.shared.inflight;
         let a = InflightGuard::try_enter(gauge, 2).expect("slot 1");
         let b = InflightGuard::try_enter(gauge, 2).expect("slot 2");
+        assert!(h.dcip(r).unwrap(), "a cache hit is never shed");
         assert_eq!(h.cps(), Err(ServeError::Overloaded));
-        assert_eq!(serve.stats().shed, 1);
-        assert_eq!(serve.stats().queries, 0, "a shed query is not answered");
+        let stats = serve.stats();
+        assert_eq!((stats.shed, stats.cache_hits), (1, 1));
+        assert_eq!(stats.queries, 2, "a shed query is not answered");
         let snap = serve.metrics().snapshot();
         assert!(matches!(
             snap.find("currency_serve_shed_total", &[]),

@@ -8,8 +8,7 @@
 //! scrape shows the whole stack.  These counters are the only store of
 //! the serve counts: [`crate::ServeStats`] is read from them.
 //!
-//! Rare, structurally interesting moments (breaker transitions,
-//! stale-serve degradations) are additionally emitted as structured
+//! Stale-serve degradations are additionally emitted as structured
 //! [`TraceEvent`]s through an attachable [`Recorder`] — the default
 //! no-op recorder makes the emission a locked `Arc` clone plus one
 //! branch, off the per-query hot path entirely.
@@ -52,9 +51,6 @@ pub(crate) struct ServeObs {
     pub(crate) stale_served: Arc<Counter>,
     pub(crate) shed: Arc<Counter>,
     pub(crate) timeouts: Arc<Counter>,
-    pub(crate) rate_limited: Arc<Counter>,
-    pub(crate) breaker_trips: Arc<Counter>,
-    pub(crate) breaker_rejects: Arc<Counter>,
     /// Epochs between the live snapshot and the newest stale answer
     /// served — how far behind degraded answers are running.
     pub(crate) epoch_lag: Arc<Gauge>,
@@ -94,18 +90,6 @@ impl ServeObs {
                 "currency_serve_timeouts_total",
                 "Solves interrupted by the per-request deadline",
             ),
-            rate_limited: counter(
-                "currency_serve_rate_limited_total",
-                "Queries rejected by the rate limiter",
-            ),
-            breaker_trips: counter(
-                "currency_serve_breaker_trips_total",
-                "Circuit-breaker open transitions (re-opens included)",
-            ),
-            breaker_rejects: counter(
-                "currency_serve_breaker_rejects_total",
-                "Queries rejected by an open circuit breaker",
-            ),
             epoch_lag: registry.gauge(
                 "currency_serve_epoch_lag",
                 "Epochs between the live snapshot and the last stale answer served",
@@ -124,8 +108,8 @@ impl ServeObs {
         *self.recorder.lock().unwrap_or_else(PoisonError::into_inner) = recorder;
     }
 
-    /// Emit a structured trace event (breaker transition, stale serve)
-    /// when a recorder is attached and enabled.
+    /// Emit a structured trace event (a stale serve) when a recorder is
+    /// attached and enabled.
     pub(crate) fn event(&self, name: &'static str, value: u64) {
         let recorder = self
             .recorder

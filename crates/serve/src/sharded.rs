@@ -2,9 +2,9 @@
 //! shard, scatter-gather queries over all of them.
 //!
 //! Each shard keeps the full single-shard serving stack — epoch-published
-//! snapshots, the epoch-keyed answer cache, rate limiting, load shedding,
-//! and the per-shape circuit breaker — so a hot or degraded shard sheds
-//! and degrades *by itself* while the others keep answering fresh.
+//! snapshots, the epoch-keyed answer cache, the in-flight cap and the
+//! stale-serve fallback — so a hot or degraded shard sheds and degrades
+//! *by itself* while the others keep answering fresh.
 //! Aggregate queries are [`currency_reason::shard::Scatter`] over the
 //! per-shard [`ServeHandle`]s — the same scatter-gather the sharded
 //! engine and store run, including its refusal of certain-answer
@@ -149,14 +149,10 @@ impl ShardedServe {
             total.queries = total.queries.saturating_add(s.queries);
             total.cache_hits = total.cache_hits.saturating_add(s.cache_hits);
             total.cache_misses = total.cache_misses.saturating_add(s.cache_misses);
-            total.rate_limited = total.rate_limited.saturating_add(s.rate_limited);
             total.inflight = total.inflight.saturating_add(s.inflight);
             total.shed = total.shed.saturating_add(s.shed);
             total.timeouts = total.timeouts.saturating_add(s.timeouts);
             total.stale_served = total.stale_served.saturating_add(s.stale_served);
-            total.breaker_trips = total.breaker_trips.saturating_add(s.breaker_trips);
-            total.breaker_rejects = total.breaker_rejects.saturating_add(s.breaker_rejects);
-            total.breakers_open = total.breakers_open.saturating_add(s.breakers_open);
             total.degraded_events = total.degraded_events.saturating_add(s.degraded_events);
             total.cached_entries = total.cached_entries.saturating_add(s.cached_entries);
         }

@@ -23,7 +23,10 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Queries that went to a solver (and then populated the cache).
     pub cache_misses: u64,
-    /// Queries rejected by the rate limiter.
+    /// Always 0: serving has no rate limiter.  Kept, like
+    /// `SnapshotReader::scratch_refreshes`, because the repository
+    /// benchmark reads it; it goes with that benchmark's next change
+    /// (ROADMAP item 1).
     pub rate_limited: u64,
     /// Queries currently being evaluated.
     pub inflight: u64,
@@ -32,16 +35,13 @@ pub struct ServeStats {
     /// Queries whose solve was interrupted by the per-request deadline
     /// or work budget.
     pub timeouts: u64,
-    /// Timed-out or breaker-rejected queries answered from an older
-    /// epoch's cached answer (tagged [`crate::ServeAnswer::Stale`]).
+    /// Timed-out queries answered from an older epoch's cached answer
+    /// (tagged [`crate::ServeAnswer::Stale`]).
     pub stale_served: u64,
-    /// Circuit-breaker open transitions (including re-opens after a
-    /// failed half-open probe).
-    pub breaker_trips: u64,
-    /// Queries rejected because their request shape's breaker was open.
+    /// Always 0: serving has no circuit breaker.  Kept, like
+    /// [`rate_limited`](ServeStats::rate_limited), for the repository
+    /// benchmark until its next change (ROADMAP item 1).
     pub breaker_rejects: u64,
-    /// Request shapes whose breaker is currently open.
-    pub breakers_open: usize,
     /// Lock-poisoning recoveries absorbed by the serving stack (snapshot
     /// cell + answer-cache shards): each is a crashed reader somewhere
     /// that degraded service without taking it down.

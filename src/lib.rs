@@ -22,9 +22,9 @@
 //!   the `Vfs` seam with the `ChaosVfs` fault-injection harness.
 //! * [`serve`] (`currency-serve`) — concurrent query serving: epoch-published
 //!   snapshot views, the `CurrencyServe` front door with an epoch-keyed
-//!   answer cache, rate limiting, per-request solve deadlines, overload
-//!   shedding, a per-shape circuit breaker with stale-serve degradation,
-//!   lock-free serving stats, and the sharded `ShardedServe` front door.
+//!   answer cache, per-request solve deadlines, an in-flight cap that
+//!   sheds cache misses, stale-serve degradation on timeout, lock-free
+//!   serving stats, and the sharded `ShardedServe` front door.
 //! * [`obs`] (`currency-obs`) — observability: lock-free counters,
 //!   gauges, and log2-bucket histograms in a `MetricsRegistry` with
 //!   Prometheus/JSON exposition, plus structured span/event tracing
@@ -55,7 +55,6 @@ pub mod prelude {
     pub use currency_query::{CmpOp as QueryCmpOp, Formula, Query, QueryClass, Term as QueryTerm};
     pub use currency_reason::*;
     pub use currency_serve::{
-        CurrencyServe, RateLimit, ServeAnswer, ServeError, ServeHandle, ServeOptions, ServeRequest,
-        ServeStats,
+        CurrencyServe, ServeAnswer, ServeError, ServeHandle, ServeOptions, ServeRequest, ServeStats,
     };
 }
