@@ -251,6 +251,7 @@ pub fn big_group_eager(spec: &Specification) -> Encoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use currency_reason::CompactBudget;
 
     #[test]
     fn big_group_spec_is_consistent_and_scaling_workload_runs() {
@@ -306,7 +307,10 @@ mod tests {
             .apply(&update_remove_delta(rel, id))
             .expect("valid delta");
         assert_eq!(report.components_rebuilt, 1);
-        let reclaimed = engine.compact().expect("compactable").reclaimed;
+        let reclaimed = engine
+            .compact_step(&CompactBudget::UNBOUNDED)
+            .expect("compactable")
+            .reclaimed;
         assert_eq!(reclaimed, 1, "the retraction's tombstone");
         assert!(engine.cps().expect("in budget"));
     }

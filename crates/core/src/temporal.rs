@@ -312,7 +312,7 @@ impl TemporalInstance {
     /// invalidated** — copy-function mappings, cached encodings, ids kept
     /// by applications.  Use [`crate::Specification::compact`] (which
     /// remaps the copy functions and hands back the tables) or
-    /// `CurrencyEngine::compact` (which also rebuilds the compiled
+    /// `CurrencyEngine::compact_step` (which also rebuilds the compiled
     /// components) rather than calling this directly.  Part of the
     /// reference sweep, so built only with the `oracle` feature (and in
     /// this crate's tests).

@@ -166,11 +166,6 @@ impl WireWriter {
     pub fn put_len(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
-
-    /// Append raw bytes with no framing (callers frame themselves).
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
 }
 
 /// Bounds-checked little-endian reader over a byte slice.

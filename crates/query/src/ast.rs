@@ -236,11 +236,6 @@ impl Query {
     pub fn num_vars(&self) -> u32 {
         self.num_vars
     }
-
-    /// `true` if the query has no head variables.
-    pub fn is_boolean(&self) -> bool {
-        self.head.is_empty()
-    }
 }
 
 /// Queries compare (and hash) by their **canonical key**: the head and

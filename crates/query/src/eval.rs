@@ -52,13 +52,6 @@ impl<'a> Database<'a> {
         }
     }
 
-    /// Index instances given as references.
-    pub fn from_refs(instances: &[&'a NormalInstance]) -> Database<'a> {
-        Database {
-            by_rel: instances.iter().map(|i| (i.rel(), *i)).collect(),
-        }
-    }
-
     /// The instance of a relation, if bound.
     pub fn instance(&self, rel: RelId) -> Option<&'a NormalInstance> {
         self.by_rel.get(&rel).copied()

@@ -36,9 +36,10 @@
 //!   components the engine holds;
 //! * **compact in steps** — retraction tombstones accumulate one dead
 //!   tuple slot each ([`currency_core::TemporalInstance::remove_tuple`]);
-//!   [`CurrencyEngine::compact_step`] reclaims them in bounded slices,
-//!   remapping tuple ids and recompiling only the components whose tuples
-//!   moved.  [`CurrencyEngine::compact`] is the same step with no bound;
+//!   [`CurrencyEngine::compact_step`] reclaims them in slices bounded by
+//!   a slot budget, remapping tuple ids and recompiling only the
+//!   components whose tuples moved; [`CompactBudget::UNBOUNDED`] drains
+//!   every tombstone in one step;
 //! * **snapshot** — the specification, the partition and the slot vector
 //!   are paged copy-on-write containers ([`currency_core::cow`]).
 //!   [`CurrencyEngine::snapshot`] freezes them into an immutable
@@ -78,7 +79,6 @@ use currency_sat::{SolveResult, SolverStats};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Aggregate counters across an engine's component slots.
 ///
@@ -120,10 +120,9 @@ pub struct EngineStats {
     /// applied deltas.
     pub components_reused: usize,
     /// Compaction steps performed over the engine's lifetime
-    /// ([`CurrencyEngine::compact_step`] and [`CurrencyEngine::compact`],
-    /// whether explicit or triggered by the
-    /// [`Options::auto_compact_tombstones`] policy).  Steps that found
-    /// nothing to reclaim are not counted.
+    /// ([`CurrencyEngine::compact_step`], whether explicit or triggered
+    /// by the [`Options::auto_compact_tombstones`] policy).  Steps that
+    /// found nothing to reclaim are not counted.
     pub compact_steps: usize,
     /// Tombstone tuple slots reclaimed across all compaction steps.
     pub slots_reclaimed: usize,
@@ -170,33 +169,20 @@ pub struct ApplyReport {
     pub compact_step: Option<CompactStepReport>,
 }
 
-/// Internal scan granularity of one compaction slice: a step's slot
-/// budget is consumed in slices of at most this many slots, so the
-/// wall-clock deadline of [`CurrencyEngine::compact_step`] is consulted
-/// at least once per `SLICE_QUANTUM` slots scanned.
-const SLICE_QUANTUM: usize = 1024;
-
-/// Execute one compaction step's slices on `spec`: slices of at most
-/// `quantum` slots until `max_slots` are scanned, `deadline` passes, or
-/// the specification is drained.  The deadline is checked between
-/// slices and at least one slice always runs, so progress is
-/// guaranteed.
-fn run_slices(
-    spec: &mut Specification,
-    max_slots: usize,
-    quantum: usize,
-    deadline: Option<Instant>,
-) -> CompactStepReport {
+/// Execute one compaction step's slices on `spec` until `max_slots` are
+/// scanned or the specification is drained.  Each slice is as wide as
+/// the remaining budget, so a budget covering a relation's dead region
+/// sweeps it in one slice; at least one slice always runs, so progress
+/// is guaranteed.
+fn run_slices(spec: &mut Specification, max_slots: usize) -> CompactStepReport {
     let mut step = CompactStepReport::default();
     let max_slots = max_slots.max(1);
     let mut scanned = 0usize;
     while scanned < max_slots {
-        if let Some(d) = deadline {
-            if !step.slices.is_empty() && Instant::now() >= d {
-                break;
-            }
-        }
-        let Some(slice) = spec.compact_slice(quantum.min(max_slots - scanned)) else {
+        // Slots are u32-indexed, so a u32::MAX window always reaches the
+        // end of the relation (and cannot overflow the bounds arithmetic).
+        let width = (max_slots - scanned).min(u32::MAX as usize);
+        let Some(slice) = spec.compact_slice(width) else {
             break; // drained mid-step
         };
         // `max(1)` keeps a degenerate zero-width slice from stalling the
@@ -464,14 +450,11 @@ impl CurrencyEngine {
         // Auto-compaction policy: once retraction tombstones accumulate
         // past the configured threshold, each apply runs one slot-bounded
         // step rather than letting the id space grow until someone calls
-        // `compact()`.  The remap rides along in the report so callers
+        // `compact_step`.  The remap rides along in the report so callers
         // can translate the ids they hold (the `inserted` list included).
-        // The pause bound deliberately does not apply here, so the step
-        // is a pure function of the specification and the options and a
-        // log replay reproduces it exactly.
         if fire_auto && self.opts.auto_compact_due(&self.spec) {
-            let max_slots = self.opts.auto_compact_slots();
-            report.compact_step = Some(self.compact_step_inner(max_slots, SLICE_QUANTUM, None)?);
+            let budget = self.opts.auto_compact_budget.unwrap_or_default();
+            report.compact_step = Some(self.compact_step_inner(&budget)?);
         }
         report.pages_copied = self.finish_write(copied_before, true);
         report.epoch = self.epoch;
@@ -577,90 +560,39 @@ impl CurrencyEngine {
         copied
     }
 
-    /// Reclaim every tombstone slot of the specification: one compaction
-    /// step with no slot bound and no deadline.
+    /// Run **one compaction step**: reclaim tombstone slots in
+    /// per-relation slices until the budget's slot bound is met or the
+    /// specification is fully drained — then rebuild only the components
+    /// whose tuples the step actually remapped.
     ///
-    /// Long churn streams grow one dead tuple slot per retraction (ids
-    /// must stay stable between compactions); this hands the memory back
-    /// and re-densifies the id space.  The sweep runs one full-width
-    /// slice per relation through the same slice executor as
-    /// [`CurrencyEngine::compact_step`], so only the components whose
-    /// tuples actually moved are re-derived and recompiled, and a
-    /// trailing dead block truncates without rebuilding anything.  The
-    /// result is byte-identical to the core reference sweep
-    /// (`Specification::compact`, behind `currency-core`'s `oracle`
-    /// feature), which stays the independently
-    /// implemented oracle the step path is differentially tested
-    /// against.  It counts as one step in [`EngineStats::compact_steps`].
-    /// With no tombstones this is a no-op: nothing is rebuilt and the
-    /// epoch stays.
-    ///
-    /// Externally held [`TupleId`]s are invalidated; translate them
-    /// through [`CompactStepReport::new_id`].
-    pub fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
-        // Slots are u32-indexed, so a u32::MAX window always reaches the
-        // end of the relation (and cannot overflow the bounds arithmetic).
-        self.step(usize::MAX, u32::MAX as usize, None)
-    }
-
-    /// Run **one bounded compaction step**: reclaim tombstone slots in
-    /// per-relation slices until the budget's slot bound is met, its
-    /// pause deadline expires, or the specification is fully drained —
-    /// then rebuild only the components whose tuples the step actually
-    /// remapped.
-    ///
-    /// [`CurrencyEngine::compact`] is the same step with no bound: each
-    /// step is O(slots scanned) plus the dirty-region rebuild, the
+    /// A step is a pure function of the specification and the budget, so
+    /// two engines in one state given one budget run the same slices.
+    /// Each step is O(slots scanned) plus the dirty-region rebuild, the
     /// specification is fully valid and queryable between steps, and a
-    /// drained sequence of steps leaves the specification byte-identical
-    /// to the reference sweep (`Specification::compact`).  Components
-    /// none of whose tuples moved keep their cached encodings, learnt
-    /// clauses and satisfiability verdicts exactly as
-    /// [`CurrencyEngine::apply`] does for clean components.  A step that
-    /// reclaimed anything is one write: it bumps the epoch once, so an
-    /// id is valid for precisely the epochs between the steps that
-    /// created and remapped it.
+    /// drained sequence of steps — or one [`CompactBudget::UNBOUNDED`]
+    /// step — leaves the specification byte-identical to the reference
+    /// sweep (`Specification::compact`, behind `currency-core`'s `oracle`
+    /// feature), which stays the independently implemented oracle the
+    /// step path is differentially tested against.  A trailing dead
+    /// block truncates without rebuilding anything, and components none
+    /// of whose tuples moved keep their cached encodings, learnt clauses
+    /// and satisfiability verdicts exactly as [`CurrencyEngine::apply`]
+    /// does for clean components.  A step that reclaimed anything is one
+    /// write: it bumps the epoch once and counts in
+    /// [`EngineStats::compact_steps`], so an id is valid for precisely
+    /// the epochs between the steps that created and remapped it.
     ///
     /// Only the tuple ids listed in the returned report's slices are
     /// invalidated; translate held ids through
     /// [`CompactStepReport::new_id`].  `done` on the report means no
-    /// tombstones remain.  With no tombstones the step is a free no-op.
-    ///
-    /// The deadline is best-effort and checked between slices, so a step
-    /// can overshoot `max_pause` by at most one slice quantum; at least
-    /// one slice always runs, so progress is guaranteed.  Callers that
-    /// need bit-reproducible steps (log replay) should use
-    /// [`CurrencyEngine::compact_step_slots`], which is a pure function
-    /// of the specification.
+    /// tombstones remain.  With no tombstones the step is a free no-op:
+    /// nothing is rebuilt and the epoch stays.
     pub fn compact_step(
         &mut self,
         budget: &CompactBudget,
     ) -> Result<CompactStepReport, ReasonError> {
-        let deadline = Instant::now() + budget.max_pause;
-        self.step(budget.max_slots_per_step, SLICE_QUANTUM, Some(deadline))
-    }
-
-    /// [`CurrencyEngine::compact_step`] bounded by slot count only — a
-    /// deterministic function of the specification, with no wall-clock
-    /// dependence.  This is what the [`Options::auto_compact_tombstones`]
-    /// policy runs after an apply, and what durability wrappers use when
-    /// a replayed log ends mid-compaction.
-    pub fn compact_step_slots(
-        &mut self,
-        max_slots: usize,
-    ) -> Result<CompactStepReport, ReasonError> {
-        self.step(max_slots, SLICE_QUANTUM, None)
-    }
-
-    /// One compaction step as a write of its own.
-    fn step(
-        &mut self,
-        max_slots: usize,
-        quantum: usize,
-        deadline: Option<Instant>,
-    ) -> Result<CompactStepReport, ReasonError> {
         let copied_before = pages_copied();
-        let step = self.compact_step_inner(max_slots, quantum, deadline)?;
+        let step = self.compact_step_inner(budget)?;
         self.finish_write(copied_before, !step.slices.is_empty());
         Ok(step)
     }
@@ -668,9 +600,7 @@ impl CurrencyEngine {
     /// One step through [`run_slices`], then the dirty-region rebuild.
     fn compact_step_inner(
         &mut self,
-        max_slots: usize,
-        quantum: usize,
-        deadline: Option<Instant>,
+        budget: &CompactBudget,
     ) -> Result<CompactStepReport, ReasonError> {
         if self.spec.total_tombstones() == 0 {
             // Nothing to reclaim: no copy, no rebuild, no counter
@@ -681,7 +611,7 @@ impl CurrencyEngine {
             });
         }
         let clock = self.obs.clock();
-        let step = run_slices(Arc::make_mut(&mut self.spec), max_slots, quantum, deadline);
+        let step = run_slices(Arc::make_mut(&mut self.spec), budget.max_slots_per_step);
         self.finish_step(&step)?;
         let obs = &self.obs;
         obs.record_between(&obs.compact_step_pause_ns, clock, obs.clock());
@@ -1291,7 +1221,7 @@ mod tests {
         }
         assert!(engine.cps().unwrap());
         assert_eq!(engine.spec().instance(r).len(), 11, "6 live + 5 dead");
-        let report = engine.compact().unwrap();
+        let report = engine.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert_eq!(report.reclaimed, 5);
         // The tuple vector shrank; ids are dense again.
         assert_eq!(engine.spec().instance(r).len(), 6);
@@ -1307,10 +1237,10 @@ mod tests {
         }
         assert_eq!(engine.dcip(r).unwrap(), fresh.dcip(r).unwrap());
         let stats = engine.stats();
-        assert_eq!(stats.compact_steps, 1, "compact() is one step");
+        assert_eq!(stats.compact_steps, 1, "an unbounded step is one step");
         assert_eq!(stats.slots_reclaimed, 5);
         // Nothing left to reclaim: no rebuild, no counter bump.
-        let noop = engine.compact().unwrap();
+        let noop = engine.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert_eq!(noop.reclaimed, 0);
         assert!(noop.done && noop.slices.is_empty());
         assert_eq!(noop.new_id(r, TupleId(2)), Some(TupleId(2)));
@@ -1327,7 +1257,7 @@ mod tests {
         let mut delta = SpecDelta::new();
         delta.remove_tuple(r, TupleId(0));
         engine.apply(&delta).unwrap();
-        let report = engine.compact().unwrap();
+        let report = engine.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert_eq!(report.reclaimed, 1);
         // Old ids shift down by one; the constraint still orders entity 1.
         let old_pair = (TupleId(2), TupleId(3));
@@ -1424,6 +1354,10 @@ mod tests {
         assert_eq!(engine.dcip(r).unwrap(), fresh.dcip(r).unwrap());
     }
 
+    fn slots(max_slots_per_step: usize) -> CompactBudget {
+        CompactBudget { max_slots_per_step }
+    }
+
     /// Churn helper: `rounds` insert+retract pairs against `eid`,
     /// leaving one tombstone slot per round.
     fn churn(engine: &mut CurrencyEngine, r: RelId, eid: u64, rounds: usize) {
@@ -1451,7 +1385,7 @@ mod tests {
         }
         let mut reference = whole.spec().clone();
         let reference_report = reference.compact();
-        let unbounded = whole.compact().unwrap();
+        let unbounded = whole.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert_eq!(unbounded.reclaimed, reference_report.reclaimed);
         assert_eq!(
             currency_core::wire::encode_spec(whole.spec()),
@@ -1463,7 +1397,7 @@ mod tests {
         let mut reclaimed = 0;
         let mut steps = 0;
         loop {
-            let step = sliced.compact_step_slots(2).unwrap();
+            let step = sliced.compact_step(&slots(2)).unwrap();
             reclaimed += step.reclaimed;
             assert_eq!(sliced.cps().unwrap(), whole.cps().unwrap());
             if step.done {
@@ -1492,8 +1426,56 @@ mod tests {
             }
         }
         // Drained: further steps are free no-ops.
-        let idle = sliced.compact_step_slots(8).unwrap();
+        let idle = sliced.compact_step(&slots(8)).unwrap();
         assert!(idle.done && idle.slices.is_empty());
+    }
+
+    #[test]
+    fn a_step_is_a_pure_function_of_its_budget() {
+        let mut cat = Catalog::new();
+        let r = cat.add(RelationSchema::new("R", &["A"]));
+        let mut spec = Specification::new(cat);
+        let live = 3500u32;
+        for e in 0..live {
+            spec.instance_mut(r)
+                .push_tuple(Tuple::new(Eid(e as u64), vec![Value::int(e as i64)]))
+                .unwrap();
+        }
+        // Every tenth slot dies, the first one included, so the dead
+        // region spans the whole relation.
+        for id in (0..live).step_by(10) {
+            spec.instance_mut(r).remove_tuple(TupleId(id)).unwrap();
+        }
+        let mut engine = CurrencyEngine::new(&spec, &Options::default()).unwrap();
+        let step = engine.compact_step(&CompactBudget::default()).unwrap();
+        assert_eq!(
+            step.slices.len(),
+            1,
+            "a budget covering the relation's dead region runs one slice"
+        );
+        assert!(step.done);
+        assert_eq!(step.reclaimed, 350);
+
+        // Two engines over one churned specification, driven by the same
+        // budgets, run the same slices and land on the same bytes.
+        let mut a = CurrencyEngine::new(&spec, &Options::default()).unwrap();
+        let mut b = CurrencyEngine::new(&spec, &Options::default()).unwrap();
+        for max_slots_per_step in [1, 7, 300, 1024].into_iter().cycle() {
+            let step = a.compact_step(&slots(max_slots_per_step)).unwrap();
+            assert_eq!(step, b.compact_step(&slots(max_slots_per_step)).unwrap());
+            assert_eq!(
+                currency_core::wire::encode_spec(a.spec()),
+                currency_core::wire::encode_spec(b.spec())
+            );
+            if step.done {
+                break;
+            }
+        }
+        assert_eq!(
+            currency_core::wire::encode_spec(a.spec()),
+            currency_core::wire::encode_spec(engine.spec()),
+            "small and wide steps drain to the same specification"
+        );
     }
 
     #[test]
@@ -1503,10 +1485,7 @@ mod tests {
         spec.add_constraint(monotone(r)).unwrap();
         let opts = Options {
             auto_compact_tombstones: 3,
-            auto_compact_budget: Some(CompactBudget {
-                max_slots_per_step: 2,
-                ..CompactBudget::default()
-            }),
+            auto_compact_budget: Some(slots(2)),
             ..Options::default()
         };
         let mut engine = CurrencyEngine::new_owned(spec, &opts).unwrap();
@@ -1567,7 +1546,7 @@ mod tests {
         churn(&mut replica, r, 0, 2);
         churn(&mut replica, r, 2, 2);
         loop {
-            let step = original.compact_step_slots(3).unwrap();
+            let step = original.compact_step(&slots(3)).unwrap();
             let replayed = replica.compact_apply_step(&step).unwrap();
             assert_eq!(replayed, step, "re-execution reproduces the logged step");
             assert_eq!(
@@ -1582,7 +1561,7 @@ mod tests {
         // A stale step (bounds from a state the spec has moved past)
         // must fail cleanly, not corrupt the replica.
         churn(&mut original, r, 1, 2);
-        let stale = original.compact_step_slots(1).unwrap();
+        let stale = original.compact_step(&slots(1)).unwrap();
         assert!(replica.compact_apply_step(&stale).is_err());
         assert!(replica.spec().validate().is_ok());
     }
@@ -1605,7 +1584,7 @@ mod tests {
         let mut engine = CurrencyEngine::new_owned(spec, &Options::default()).unwrap();
         engine.obs_mut().set_enabled(false);
         churn(&mut engine, r, 0, 2);
-        engine.compact().unwrap();
+        engine.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         let stats = engine.stats();
         assert_eq!(stats.updates_applied, 4);
         assert_eq!(stats.compact_steps, 1);

@@ -51,17 +51,6 @@ impl InconsistencyCore {
             })
             .collect()
     }
-
-    /// Indices of the copy functions in the core.
-    pub fn copy_indices(&self) -> Vec<usize> {
-        self.components
-            .iter()
-            .filter_map(|c| match c {
-                SpecComponent::Copy(i) => Some(*i),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// Rebuild `spec` keeping only the listed components (data tuples are

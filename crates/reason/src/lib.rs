@@ -125,39 +125,40 @@ pub struct Spent {
     pub propagations: u64,
 }
 
-/// Pause budget for one incremental-compaction step
+/// Work budget for one incremental-compaction step
 /// ([`engine::CurrencyEngine::compact_step`] and the auto-compaction
 /// policy, see [`Options::auto_compact_budget`]).
 ///
 /// A *step* executes canonical compaction slices
-/// ([`currency_core::Specification::compact_slice`]) until either bound
-/// trips: `max_slots_per_step` caps the slots scanned (the deterministic
-/// bound — the only one the auto policy uses, so log replay reproduces
-/// the same slices on any machine), `max_pause` caps wall-clock time for
-/// explicit maintenance calls.  Every step leaves the engine fully
+/// ([`currency_core::Specification::compact_slice`]) until it has scanned
+/// `max_slots_per_step` slots or the specification is drained.  The
+/// bound counts slots, never wall-clock time, so a step is a pure
+/// function of the specification and its budget: log replay reproduces
+/// the same slices on any machine.  Every step leaves the engine fully
 /// consistent and queryable; the sweep's progress lives in the
 /// specification itself, so steps may be spread across applies, threads
 /// of control, or process restarts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactBudget {
-    /// Wall-clock ceiling for one [`engine::CurrencyEngine::compact_step`]
-    /// call.  Checked between slices (a single slice's work is already
-    /// bounded by `max_slots_per_step`), ignored by the auto-step policy
-    /// for replay determinism.
-    pub max_pause: std::time::Duration,
-    /// Maximum slots scanned per step across all its slices.  The
-    /// deterministic work bound: a step over a specification state and a
-    /// slot budget always executes the same slices.
+    /// Maximum slots scanned per step across all its slices: a step over
+    /// a specification state and a slot budget always executes the same
+    /// slices.
     pub max_slots_per_step: usize,
 }
 
+impl CompactBudget {
+    /// No bound: one step drains every tombstone of the specification.
+    pub const UNBOUNDED: CompactBudget = CompactBudget {
+        max_slots_per_step: usize::MAX,
+    };
+}
+
 impl Default for CompactBudget {
-    /// 250 ms pause ceiling, 4096 scanned slots per step — small enough
-    /// to interleave with a live delta stream, large enough that a churn
-    /// backlog drains in a few hundred steps.
+    /// 4096 scanned slots per step — small enough to interleave with a
+    /// live delta stream, large enough that a churn backlog drains in a
+    /// few hundred steps.
     fn default() -> CompactBudget {
         CompactBudget {
-            max_pause: std::time::Duration::from_millis(250),
             max_slots_per_step: 4096,
         }
     }
@@ -206,7 +207,7 @@ pub struct Options {
     /// interleaves with the delta stream and no single apply pauses for
     /// O(specification).  `0` (the default) disables the policy;
     /// retraction-heavy streams then grow one dead id slot per removal
-    /// until an explicit `compact()` or `compact_step()` call.
+    /// until an explicit [`engine::CurrencyEngine::compact_step`] call.
     ///
     /// Replay determinism: engines recovered from a durability log
     /// (`currency-store`) must be reopened with the same threshold, or
@@ -214,15 +215,11 @@ pub struct Options {
     /// original run took them (the recovery path detects this and fails
     /// cleanly rather than diverging silently).
     pub auto_compact_tombstones: usize,
-    /// Slot bound of each auto step: at most
-    /// [`CompactBudget::max_slots_per_step`] slots are scanned per step.
-    /// `None` (the default) means [`CompactBudget::default`].
-    ///
-    /// The auto path deliberately ignores [`CompactBudget::max_pause`]:
-    /// a wall-clock cutoff would make the step's slice boundaries depend
-    /// on machine speed and break log-replay determinism.  Explicit
-    /// [`engine::CurrencyEngine::compact_step`] calls honor both bounds
-    /// (the durability layer logs whatever slices actually ran).
+    /// Slot budget of each auto step: at most
+    /// [`CompactBudget::max_slots_per_step`] slots are scanned per step,
+    /// so the step is a pure function of the specification and a log
+    /// replay reproduces it exactly.  `None` (the default) means
+    /// [`CompactBudget::default`].
     pub auto_compact_budget: Option<CompactBudget>,
 }
 
@@ -232,13 +229,5 @@ impl Options {
     /// [`Options::auto_compact_tombstones`]).
     pub fn auto_compact_due(&self, spec: &currency_core::Specification) -> bool {
         self.auto_compact_tombstones > 0 && spec.total_tombstones() >= self.auto_compact_tombstones
-    }
-
-    /// Slots one auto-compaction step may scan (see
-    /// [`Options::auto_compact_budget`]).
-    pub fn auto_compact_slots(&self) -> usize {
-        self.auto_compact_budget
-            .unwrap_or_default()
-            .max_slots_per_step
     }
 }

@@ -52,7 +52,10 @@
 //! [`Router::apply`] is the one routed apply (localize, validate and
 //! broadcast, poison on a part-way broadcast, commit placements) and
 //! [`Router::step`] the one per-shard compaction loop, both over
-//! [`ShardNode`]s.  A step failing on shard `k` returns the reports of
+//! [`ShardNode`]s.  A node has one compaction entry point,
+//! [`ShardNode::compact_step`], and every shard steps within the same
+//! [`CompactBudget`] ([`CompactBudget::UNBOUNDED`] drains each shard in
+//! one step).  A step failing on shard `k` returns the reports of
 //! shards `0..k` ([`ShardError::StepFailed`]), so the ids they remapped
 //! stay translatable.  [`Scatter`] is the one scatter-gather, over
 //! [`ShardReader`]s.  [`ShardedEngine`] is [`Sharded`] over engines;
@@ -589,8 +592,6 @@ pub trait ShardNode {
     fn spec(&self) -> Self::Spec<'_>;
     /// Apply a delta in the shard's local id space.
     fn apply(&mut self, delta: &SpecDelta) -> Result<Self::Report, Self::Error>;
-    /// Compact the shard fully (one unbounded step).
-    fn compact(&mut self) -> Result<CompactStepReport, Self::Error>;
     /// Run one bounded compaction step.
     fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, Self::Error>;
     /// The node's metrics registry.
@@ -758,14 +759,14 @@ impl Router {
         Ok(report)
     }
 
-    /// Run one compaction `step` on every node, one shard at a time:
-    /// each pause is shard-local, never global, and shards drain at
-    /// their own pace.  A failure on shard `k` returns the reports of
-    /// shards `0..k` in [`ShardError::StepFailed`].
+    /// Run one compaction step within `budget` on every node, one shard
+    /// at a time: each pause is shard-local, never global, and shards
+    /// drain at their own pace.  A failure on shard `k` returns the
+    /// reports of shards `0..k` in [`ShardError::StepFailed`].
     pub fn step<N: ShardNode>(
         &self,
         nodes: &mut [N],
-        mut step: impl FnMut(&mut N) -> Result<CompactStepReport, N::Error>,
+        budget: &CompactBudget,
     ) -> Result<ShardedCompactStepReport, ShardError<N::Error>> {
         if self.poisoned {
             return Err(ShardError::Poisoned);
@@ -775,7 +776,7 @@ impl Router {
             per_shard: Vec::with_capacity(nodes.len()),
         };
         for (shard, node) in nodes.iter_mut().enumerate() {
-            match step(node) {
+            match node.compact_step(budget) {
                 Ok(r) => completed.per_shard.push(r),
                 Err(source) => {
                     return Err(ShardError::StepFailed {
@@ -1037,22 +1038,16 @@ impl<N: ShardNode> Sharded<N> {
         self.router.apply(&mut self.nodes, delta)
     }
 
-    /// Compact every shard fully, one at a time — see [`Router::step`].
-    /// Shard-local ids are renumbered; translate global ids through the
-    /// returned report.
-    pub fn compact(&mut self) -> Result<ShardedCompactStepReport, ShardError<N::Error>> {
-        self.router.step(&mut self.nodes, N::compact)
-    }
-
     /// Run one bounded compaction step on every shard, one at a time —
-    /// see [`Router::step`].  The aggregate is done when
-    /// [`ShardedCompactStepReport::done`] reports every shard drained.
+    /// see [`Router::step`].  Shard-local ids are renumbered; translate
+    /// global ids through the returned report.  The aggregate is done
+    /// when [`ShardedCompactStepReport::done`] reports every shard
+    /// drained.
     pub fn compact_step(
         &mut self,
         budget: &CompactBudget,
     ) -> Result<ShardedCompactStepReport, ShardError<N::Error>> {
-        self.router
-            .step(&mut self.nodes, |node| node.compact_step(budget))
+        self.router.step(&mut self.nodes, budget)
     }
 
     /// Every shard's metrics merged into one snapshot, each series
@@ -1142,10 +1137,6 @@ impl ShardNode for CurrencyEngine {
 
     fn apply(&mut self, delta: &SpecDelta) -> Result<ApplyReport, ReasonError> {
         CurrencyEngine::apply(self, delta)
-    }
-
-    fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
-        CurrencyEngine::compact(self)
     }
 
     fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, ReasonError> {

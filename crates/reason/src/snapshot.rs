@@ -802,7 +802,7 @@ mod tests {
     use super::*;
     use crate::encode::{CompileScratch, ComponentCompiler};
     use crate::engine::CurrencyEngine;
-    use crate::Options;
+    use crate::{CompactBudget, Options};
     use currency_core::{
         AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelationSchema, SpecDelta, Term, TupleId,
     };
@@ -1258,16 +1258,22 @@ mod tests {
             engine.apply(&retract).unwrap();
             assert!(engine.snapshot().cps());
         }
-        let report = engine.compact().unwrap();
+        let report = engine.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert_eq!(report.reclaimed, 3);
         let mut reader = SnapshotReader::new(engine.snapshot());
         assert_matches_engine(&mut reader, r);
         // No tombstones left: compaction is a no-op and the epoch stays.
         let epoch = engine.epoch();
-        assert_eq!(engine.compact().unwrap().reclaimed, 0);
+        assert_eq!(
+            engine
+                .compact_step(&CompactBudget::UNBOUNDED)
+                .unwrap()
+                .reclaimed,
+            0
+        );
         assert_eq!(engine.epoch(), epoch);
         let stats = engine.stats();
-        assert_eq!(stats.compact_steps, 1, "compact() is one step");
+        assert_eq!(stats.compact_steps, 1, "an unbounded step is one step");
         assert_eq!(stats.slots_reclaimed, 3);
         assert_eq!(stats.updates_applied, 6);
     }
@@ -1283,7 +1289,7 @@ mod tests {
         let reference_report = reference.compact();
         let pinned = SnapshotReader::new(engine.snapshot());
         let epoch = engine.epoch();
-        let step = engine.compact().unwrap();
+        let step = engine.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert!(step.done);
         assert_eq!(engine.epoch(), epoch + 1, "one write, one epoch");
         assert_eq!(step.reclaimed, reference_report.reclaimed);

@@ -329,17 +329,12 @@ impl CurrencyServe {
         self.write(|engine| engine.apply(delta))
     }
 
-    /// Compact the writer's specification fully and publish it as one
-    /// new epoch (see [`CurrencyEngine::compact`]); with nothing to
-    /// reclaim nothing is published.
-    pub fn compact(&self) -> Result<CompactStepReport, ReasonError> {
-        self.write(CurrencyEngine::compact)
-    }
-
     /// Run one bounded compaction step and publish it as a new epoch
-    /// (see [`CurrencyEngine::compact_step`]).  In-flight queries keep
-    /// answering against their pinned pre-step snapshots; the writer is
-    /// held for one budget-bounded pause, never a full sweep.
+    /// (see [`CurrencyEngine::compact_step`]); with nothing to reclaim
+    /// nothing is published.  In-flight queries keep answering against
+    /// their pinned pre-step snapshots; the writer is held for one
+    /// budget-bounded pause ([`CompactBudget::UNBOUNDED`] drains the
+    /// whole specification in one).
     pub fn compact_step(&self, budget: &CompactBudget) -> Result<CompactStepReport, ReasonError> {
         self.write(|engine| engine.compact_step(budget))
     }

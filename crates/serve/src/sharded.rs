@@ -20,7 +20,9 @@
 //! that guards the shared [`Router`]: an entity-anchored delta publishes
 //! a new epoch on exactly one shard (the other shards' epochs — and
 //! cached answers — are untouched), a structure-only delta broadcasts to
-//! every shard.
+//! every shard.  [`ShardedServe::compact_step`] runs one step within one
+//! [`CompactBudget`] on every shard under the same lock
+//! ([`Router::step`]), each shard publishing its own epoch.
 
 use crate::{CurrencyServe, ServeError, ServeHandle, ServeOptions, ServeStats};
 use currency_core::{CompactStepReport, RelId, SpecDelta, Specification};
@@ -118,13 +120,6 @@ impl ShardedServe {
         self.with_writer(|router, serves| router.apply(serves, delta))
     }
 
-    /// Compact every shard's writer fully, one at a time — each pause is
-    /// shard-local, and each shard's readers keep serving their pinned
-    /// snapshots throughout.
-    pub fn compact(&self) -> Result<ShardedCompactStepReport, ShardError> {
-        self.with_writer(|router, serves| router.step(serves, |serve| serve.compact()))
-    }
-
     /// Run one bounded compaction step on every shard's writer, one at
     /// a time — each pause is shard-local and budget-bounded, each
     /// completed shard step publishes its own epoch, and every shard's
@@ -133,7 +128,7 @@ impl ShardedServe {
         &self,
         budget: &CompactBudget,
     ) -> Result<ShardedCompactStepReport, ShardError> {
-        self.with_writer(|router, serves| router.step(serves, |serve| serve.compact_step(budget)))
+        self.with_writer(|router, serves| router.step(serves, budget))
     }
 
     /// Per-shard + aggregate serving counters, lock-free.  Sums
@@ -190,10 +185,6 @@ impl ShardNode for &CurrencyServe {
 
     fn apply(&mut self, delta: &SpecDelta) -> Result<ApplyReport, ReasonError> {
         CurrencyServe::apply(self, delta)
-    }
-
-    fn compact(&mut self) -> Result<CompactStepReport, ReasonError> {
-        CurrencyServe::compact(self)
     }
 
     fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, ReasonError> {

@@ -20,12 +20,12 @@
 //! ## Compaction
 //!
 //! Every compaction is a logged step.  An explicit
-//! [`DurableEngine::compact_step`], an explicit [`DurableEngine::compact`]
-//! (one unbounded step) and each step the
+//! [`DurableEngine::compact_step`] (bounded by its slot budget, or
+//! unbounded with [`CompactBudget::UNBOUNDED`]) and each step the
 //! [`Options::auto_compact_tombstones`] policy takes inside an apply are
-//! all appended as one [`Record::CompactStep`] holding the step's slices.
-//! Replaying the suffix re-executes the *same* slices at the same point,
-//! so every later record's tuple ids resolve correctly.
+//! both appended as one [`Record::CompactStep`] holding the step's
+//! slices.  Replaying the suffix re-executes the *same* slices at the
+//! same point, so every later record's tuple ids resolve correctly.
 //!
 //! ## Recovery
 //!
@@ -48,11 +48,11 @@
 //!
 //! When the log grows past [`StoreOptions::snapshot_rotate_bytes`], the
 //! engine writes a fresh snapshot (temp-file + atomic rename), truncates
-//! the log, and prunes old snapshot generations — bounding both recovery
-//! time (replay length) and disk use.  The crash-safe order is
-//! flush-log → write-snapshot → truncate-log: a crash between the last
-//! two steps leaves a snapshot plus a log of already-covered records,
-//! which replay skips by sequence number.
+//! the log, and prunes all but the two newest snapshot generations —
+//! bounding both recovery time (replay length) and disk use.  The
+//! crash-safe order is flush-log → write-snapshot → truncate-log: a
+//! crash between the last two steps leaves a snapshot plus a log of
+//! already-covered records, which replay skips by sequence number.
 
 use crate::error::{io_err, StoreError};
 use crate::snapshot::{
@@ -87,11 +87,11 @@ pub struct StoreOptions {
     /// `fsync` file data at every flush point.  Default `true`; turn off
     /// for benchmarks and tests where the OS page cache is trusted.
     pub sync_data: bool,
-    /// Snapshot generations to retain after rotation (the newest plus
-    /// `keep_snapshots - 1` fallbacks for checksum-failure recovery).
-    /// Clamped to at least 1.  Default: 2.
-    pub keep_snapshots: usize,
 }
+
+/// Snapshot generations retained after rotation: the newest plus one
+/// fallback for checksum-failure recovery.
+const KEEP_SNAPSHOTS: usize = 2;
 
 impl Default for StoreOptions {
     fn default() -> StoreOptions {
@@ -99,7 +99,6 @@ impl Default for StoreOptions {
             snapshot_rotate_bytes: 1 << 20,
             group_commit: 1,
             sync_data: true,
-            keep_snapshots: 2,
         }
     }
 }
@@ -377,8 +376,9 @@ impl DurableEngine {
                     }
                     pending_step = false;
                     // Re-execute the logged slices verbatim — the step's
-                    // bounds capture exactly what ran, wall-clock budget
-                    // included, so replay needs no policy reconstruction.
+                    // bounds capture exactly what ran, whatever budget and
+                    // slice width the writer used, so replay needs no
+                    // policy reconstruction.
                     let actual = engine.compact_apply_step(&step).map_err(|e| {
                         StoreError::ReplayDiverged {
                             seq,
@@ -423,12 +423,13 @@ impl DurableEngine {
         wal.bind_metrics(engine.obs().registry());
         if pending_step {
             // The original run crashed between the final delta and its
-            // auto step record.  Run the deterministic slot-bounded step
-            // now — exactly what the original apply did in memory — and
-            // backfill its record; otherwise the next appended record
-            // would sit where the step belongs and every *later* open
-            // would refuse with `ReplayDiverged`.
-            let step = engine.compact_step_slots(engine_opts.auto_compact_slots())?;
+            // auto step record.  Run the slot-bounded step now — a pure
+            // function of the specification and the budget, so exactly
+            // what the original apply did in memory — and backfill its
+            // record; otherwise the next appended record would sit where
+            // the step belongs and every *later* open would refuse with
+            // `ReplayDiverged`.
+            let step = engine.compact_step(&engine_opts.auto_compact_budget.unwrap_or_default())?;
             seq += 1;
             wal.append_compact_step(seq, true, &step)?;
             wal.flush()?;
@@ -507,15 +508,6 @@ impl DurableEngine {
         Ok(report)
     }
 
-    /// Compact the engine fully ([`CurrencyEngine::compact`], one
-    /// unbounded step), logging it as one [`Record::CompactStep`] exactly
-    /// like [`DurableEngine::compact_step`] does.
-    pub fn compact(&mut self) -> Result<CompactStepReport, StoreError> {
-        self.check_poison()?;
-        let step = self.engine.compact()?;
-        self.log_step(step)
-    }
-
     /// Run one bounded compaction step
     /// ([`CurrencyEngine::compact_step`]), logging its slices as a
     /// [`Record::CompactStep`] so post-step replay stays id-correct.  A
@@ -531,12 +523,6 @@ impl DurableEngine {
     ) -> Result<CompactStepReport, StoreError> {
         self.check_poison()?;
         let step = self.engine.compact_step(budget)?;
-        self.log_step(step)
-    }
-
-    /// Log an explicit step the engine just ran.  A step that ran no
-    /// slice logs nothing.
-    fn log_step(&mut self, step: CompactStepReport) -> Result<CompactStepReport, StoreError> {
         if !step.slices.is_empty() {
             self.seq += 1;
             if let Err(e) = self.wal.append_compact_step(self.seq, false, &step) {
@@ -584,7 +570,7 @@ impl DurableEngine {
         )?;
         self.snapshot_seq = self.seq;
         self.wal.reset()?;
-        prune_snapshots_with(&*self.vfs, &self.dir, self.store_opts.keep_snapshots)?;
+        prune_snapshots_with(&*self.vfs, &self.dir, KEEP_SNAPSHOTS)?;
         Ok(())
     }
 
@@ -596,7 +582,7 @@ impl DurableEngine {
     }
 
     /// The wrapped engine, for queries (mutation must go through
-    /// [`DurableEngine::apply`] / [`DurableEngine::compact`], so only a
+    /// [`DurableEngine::apply`] / [`DurableEngine::compact_step`], so only a
     /// shared reference is handed out).
     pub fn engine(&self) -> &CurrencyEngine {
         &self.engine
@@ -808,7 +794,6 @@ mod tests {
         let store_opts = StoreOptions {
             snapshot_rotate_bytes: 256, // a few deltas per generation
             sync_data: false,
-            keep_snapshots: 2,
             ..StoreOptions::default()
         };
         let mut durable = DurableEngine::create(&dir, spec, &opts, store_opts).unwrap();
@@ -927,7 +912,7 @@ mod tests {
         let mut retract = SpecDelta::new();
         retract.remove_tuple(rel, id);
         durable.apply(&retract).unwrap();
-        let compact = durable.compact().unwrap();
+        let compact = durable.compact_step(&CompactBudget::UNBOUNDED).unwrap();
         assert_eq!(compact.reclaimed, 1);
         assert!(compact.done);
         // Post-compaction: an order edge between two remapped ids.
@@ -1046,7 +1031,7 @@ mod tests {
             Err(StoreError::Poisoned { .. })
         ));
         assert!(matches!(
-            durable.compact(),
+            durable.compact_step(&CompactBudget::UNBOUNDED),
             Err(StoreError::Poisoned { .. })
         ));
         assert!(matches!(
@@ -1142,7 +1127,7 @@ mod tests {
             Err(StoreError::Poisoned { .. })
         ));
         assert!(matches!(
-            durable.compact(),
+            durable.compact_step(&CompactBudget::UNBOUNDED),
             Err(StoreError::Poisoned { .. })
         ));
         assert!(durable.cps().unwrap(), "reads still answer");
@@ -1226,7 +1211,6 @@ mod tests {
             auto_compact_tombstones: 2,
             auto_compact_budget: Some(CompactBudget {
                 max_slots_per_step: max_slots,
-                ..CompactBudget::default()
             }),
             ..Options::default()
         }
@@ -1305,7 +1289,6 @@ mod tests {
         // a crash mid-compaction must recover to the intermediate state.
         let budget = CompactBudget {
             max_slots_per_step: 1,
-            ..CompactBudget::default()
         };
         let mut reclaimed = 0;
         let mut steps_logged = 0;

@@ -19,7 +19,7 @@
 //!   (no external dependencies — the same offline discipline as the
 //!   workspace's shims), rotated when the log grows past a threshold;
 //! * **[`DurableEngine`]** — the crash-recoverable wrapper routing
-//!   `apply`/`compact` through **log-then-apply** semantics and
+//!   `apply`/`compact_step` through **log-then-apply** semantics and
 //!   recovering on startup from the newest valid snapshot plus a log
 //!   suffix replay, each delta re-validated through the normal
 //!   [`SpecDelta::validate`] path.

@@ -335,10 +335,6 @@ impl ShardNode for DurableEngine {
         DurableEngine::apply(self, delta)
     }
 
-    fn compact(&mut self) -> Result<CompactStepReport, StoreError> {
-        DurableEngine::compact(self)
-    }
-
     fn compact_step(&mut self, budget: &CompactBudget) -> Result<CompactStepReport, StoreError> {
         DurableEngine::compact_step(self, budget)
     }

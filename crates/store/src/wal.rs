@@ -86,8 +86,7 @@ pub enum Record {
         delta: SpecDelta,
     },
     /// One **compaction step**'s slices, logged after the step ran:
-    /// every delta after this record speaks the post-step id space.  An
-    /// explicit full `compact()` is one unbounded step.
+    /// every delta after this record speaks the post-step id space.
     /// Replay re-executes the logged slice bounds verbatim (and verifies
     /// the outcome), so a recovered engine passes through the exact
     /// intermediate states of the original run — a crash between steps

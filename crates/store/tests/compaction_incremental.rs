@@ -5,7 +5,7 @@
 //! 1. **The reference sweep** — after an arbitrary interleaving of
 //!    deltas and budgeted steps, a full drain must land on the exact
 //!    wire-encoded bytes the core `Specification::compact` pass produces
-//!    (and so must the twin engine's unbounded `compact()` step), and the
+//!    (and so must the twin engine's one unbounded step), and the
 //!    reference translation tables must agree on where every live tuple
 //!    ended up.
 //! 2. **A fresh engine** — verdicts (CPS, all-pairs COP, DCIP, certain
@@ -135,7 +135,9 @@ fn run_seed(seed: u64) {
         // incremental engine only.
         for _ in 0..rng.below(3) {
             let step = inc
-                .compact_step_slots(1 + rng.below(4) as usize)
+                .compact_step(&CompactBudget {
+                    max_slots_per_step: 1 + rng.below(4) as usize,
+                })
                 .expect("bounded step succeeds mid-churn");
             for entry in live.iter_mut() {
                 entry.2 = step
@@ -152,7 +154,11 @@ fn run_seed(seed: u64) {
 
     // Referee 1: full drain vs the core reference sweep.
     loop {
-        let step = inc.compact_step_slots(1 + rng.below(8) as usize).unwrap();
+        let step = inc
+            .compact_step(&CompactBudget {
+                max_slots_per_step: 1 + rng.below(8) as usize,
+            })
+            .unwrap();
         for entry in live.iter_mut() {
             entry.2 = step.new_id(entry.0, entry.2).expect("live tuple survives");
         }
@@ -162,12 +168,14 @@ fn run_seed(seed: u64) {
     }
     let mut reference = mono.spec().clone();
     let report = reference.compact();
-    let unbounded = mono.compact().expect("unbounded compaction step");
+    let unbounded = mono
+        .compact_step(&CompactBudget::UNBOUNDED)
+        .expect("unbounded compaction step");
     assert_eq!(unbounded.reclaimed, report.reclaimed, "seed {seed}");
     assert_eq!(
         wire::encode_spec(mono.spec()),
         wire::encode_spec(&reference),
-        "seed {seed}: compact() is not byte-identical to the reference sweep"
+        "seed {seed}: the unbounded step is not byte-identical to the reference sweep"
     );
     assert_eq!(
         wire::encode_spec(inc.spec()),
@@ -238,7 +246,9 @@ fn step_reports_compose_across_interleavings() {
                 }
             }
             let step = engine
-                .compact_step_slots(1 + rng.below(3) as usize)
+                .compact_step(&CompactBudget {
+                    max_slots_per_step: 1 + rng.below(3) as usize,
+                })
                 .unwrap();
             composite.absorb(step);
         }
@@ -286,14 +296,12 @@ fn chaos_faults_at_step_boundaries_never_half_remap() {
         auto_compact_tombstones: 0,
         auto_compact_budget: Some(CompactBudget {
             max_slots_per_step: 2,
-            ..CompactBudget::default()
         }),
         ..Options::default()
     };
     let store_opts = StoreOptions::default(); // sync_data ON: every fault class is reachable
     let budget = CompactBudget {
         max_slots_per_step: 2,
-        ..CompactBudget::default()
     };
     let spec = random_spec(&small_cfg(chaos_seed % 97));
     let rels: Vec<RelId> = spec.instances().iter().map(|i| i.rel()).collect();

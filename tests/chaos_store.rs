@@ -29,7 +29,7 @@ use data_currency::datagen::random::{
 use data_currency::model::wire::encode_spec;
 use data_currency::model::{SpecDelta, Specification};
 use data_currency::reason::oracle::assert_agreement;
-use data_currency::reason::Options;
+use data_currency::reason::{CompactBudget, Options};
 use data_currency::store::{ChaosPlan, ChaosVfs, DurableEngine, StoreError, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -143,7 +143,10 @@ fn chaos_stream(
                     "post-fault mutation must be refused (seed {seed} step {step})"
                 );
                 assert!(
-                    matches!(durable.compact(), Err(StoreError::Poisoned { .. })),
+                    matches!(
+                        durable.compact_step(&CompactBudget::UNBOUNDED),
+                        Err(StoreError::Poisoned { .. })
+                    ),
                     "post-fault compaction must be refused (seed {seed} step {step})"
                 );
                 break;

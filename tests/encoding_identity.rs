@@ -44,7 +44,6 @@ use data_currency::reason::{CompactBudget, CurrencyEngine, Options};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 /// Writes (deltas or compaction steps) per seed.
 const STEPS: usize = 8;
@@ -164,7 +163,6 @@ fn identity_round(seed: u64, coverage: &mut Coverage) {
     for step in 1..=STEPS {
         if rng.gen_range(0..4u32) == 0 {
             let budget = CompactBudget {
-                max_pause: Duration::from_secs(60),
                 max_slots_per_step: rng.gen_range(1..4),
             };
             coverage.reclaimed += engine

@@ -13,7 +13,7 @@ use data_currency::datagen::random::{random_delta, random_spec, DeltaMix, Random
 use data_currency::model::{Eid, RelId, SpecDelta, Specification, Tuple, TupleId, Value};
 use data_currency::query::SpQuery;
 use data_currency::reason::oracle::assert_agreement;
-use data_currency::reason::{CurrencyEngine, Options};
+use data_currency::reason::{CompactBudget, CurrencyEngine, Options};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -118,7 +118,7 @@ proptest! {
         }
     }
 
-    // Churn + compaction: after every `compact()` the engine (remapped
+    // Churn + compaction: after every unbounded step the engine (remapped
     // ids, rebuilt components) must agree with a fresh engine *and* the
     // enumeration oracle on CPS, all-pairs COP, certain answers, and
     // model counts — and the tuple vectors must actually have shrunk.
@@ -139,7 +139,7 @@ proptest! {
                     .sum();
                 let slots_before: usize =
                     engine.spec().instances().iter().map(|i| i.len()).sum();
-                let report = engine.compact().expect("compaction succeeds");
+                let report = engine.compact_step(&CompactBudget::UNBOUNDED).expect("compaction succeeds");
                 prop_assert_eq!(report.reclaimed, tombstones, "seed {}", seed);
                 let slots_after: usize =
                     engine.spec().instances().iter().map(|i| i.len()).sum();

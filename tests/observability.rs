@@ -14,7 +14,9 @@ use data_currency::model::{
 use data_currency::obs::{
     MetricsSnapshot, Recorder, RingRecorder, SeriesValue, TraceEvent, TraceKind,
 };
-use data_currency::reason::{CurrencyEngine, CurrencyOrderQuery, EngineStats, Options};
+use data_currency::reason::{
+    CompactBudget, CurrencyEngine, CurrencyOrderQuery, EngineStats, Options,
+};
 use data_currency::serve::{
     CurrencyServe, ServeError, ServeOptions, ServeRequest, ServeStats, ShardedServe,
 };
@@ -488,8 +490,8 @@ fn engine_stats_equal_the_scrape() {
     writer.apply(&retract).unwrap();
     held.push(writer.snapshot());
     let retracted = [live.stats().encoding_bytes, writer.stats().encoding_bytes];
-    live.compact().unwrap();
-    writer.compact().unwrap();
+    live.compact_step(&CompactBudget::UNBOUNDED).unwrap();
+    writer.compact_step(&CompactBudget::UNBOUNDED).unwrap();
     held.push(writer.snapshot());
     assert_eq!(held.len(), 4);
     // The compiled footprint is in the same scrape: it is below its peak

@@ -34,7 +34,7 @@ use data_currency::model::{
     Catalog, Eid, RelId, RelationSchema, SpecDelta, Specification, Tuple, TupleId, Value,
 };
 use data_currency::reason::shard::{global_id, locate};
-use data_currency::reason::{Options, ShardError, ShardPlan};
+use data_currency::reason::{CompactBudget, Options, ShardError, ShardPlan};
 use data_currency::store::{ChaosPlan, ChaosVfs, Fault, ShardedStore, StoreError, StoreOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -412,9 +412,13 @@ fn failed_step_returns_completed_shards_reports() {
     let dry_dir = tmpdir("step-dry");
     let probe = Arc::new(ChaosVfs::new(ChaosPlan::new()));
     let mut dry = two_shard_tombstones(probe.clone(), &dry_dir);
-    dry.shard_mut(0).compact().expect("fault-free step");
+    dry.shard_mut(0)
+        .compact_step(&CompactBudget::UNBOUNDED)
+        .expect("fault-free step");
     let start = probe.ops();
-    dry.shard_mut(1).compact().expect("fault-free step");
+    dry.shard_mut(1)
+        .compact_step(&CompactBudget::UNBOUNDED)
+        .expect("fault-free step");
     let target = probe
         .trace()
         .iter()
@@ -429,7 +433,7 @@ fn failed_step_returns_completed_shards_reports() {
     // Shard 0's live reading sits at local id 1 behind its tombstone.
     let (live, retracted) = (global_id(2, 0, TupleId(1)), global_id(2, 0, TupleId(0)));
     let on_shard_1 = global_id(2, 1, TupleId(1));
-    match store.compact() {
+    match store.compact_step(&CompactBudget::UNBOUNDED) {
         Err(ShardError::StepFailed {
             shard: 1,
             source,

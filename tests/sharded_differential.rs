@@ -30,8 +30,8 @@ use data_currency::query::{parse_query, Query, SpQuery};
 use data_currency::reason::oracle::Agreement;
 use data_currency::reason::shard::locate;
 use data_currency::reason::{
-    CertainAnswers, CurrencyEngine, Options, ReasonError, ShardError, ShardPlan, Sharded,
-    ShardedEngine,
+    CertainAnswers, CompactBudget, CurrencyEngine, Options, ReasonError, ShardError, ShardPlan,
+    Sharded, ShardedEngine,
 };
 use data_currency::serve::{ServeError, ServeOptions, ShardedServe, ShardedServeHandle};
 use data_currency::store::{ShardedStore, StoreOptions};
@@ -316,9 +316,15 @@ fn differential_round(seed: u64, shards: usize) {
         .tuples()
         .map(|(id, t)| (id, t.clone()))
         .collect();
-    let report = mirror.sharded.compact().expect("compaction succeeds");
+    let report = mirror
+        .sharded
+        .compact_step(&CompactBudget::UNBOUNDED)
+        .expect("compaction succeeds");
     assert_eq!(
-        mirror.serve.compact().expect("compaction succeeds"),
+        mirror
+            .serve
+            .compact_step(&CompactBudget::UNBOUNDED)
+            .expect("compaction succeeds"),
         report,
         "sharded front doors compacted apart (seed {seed}, N={shards})"
     );
@@ -335,7 +341,10 @@ fn differential_round(seed: u64, shards: usize) {
     }
     // The unsharded engine compacts too, the id map follows both
     // reports, and every check holds again.
-    let un_report = mirror.unsharded.compact().expect("compaction succeeds");
+    let un_report = mirror
+        .unsharded
+        .compact_step(&CompactBudget::UNBOUNDED)
+        .expect("compaction succeeds");
     for (r, ids) in mirror.map.iter_mut().enumerate() {
         let rel = RelId(r as u32);
         let moved = |(&u, &g): (&TupleId, &TupleId)| {

@@ -39,7 +39,6 @@ use data_currency::reason::snapshot::SnapshotReader;
 use data_currency::reason::{CompactBudget, CurrencyEngine, Options};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// Every this many seeds, the source relation is padded past a page.
 const PADDED_EVERY: u64 = 16;
@@ -89,7 +88,6 @@ fn spec_for(seed: u64) -> Specification {
 #[test]
 fn every_published_epoch_stays_frozen() {
     let budget = CompactBudget {
-        max_pause: Duration::from_secs(60),
         max_slots_per_step: 2,
     };
     for seed in pinned_seeds(250, 10_000) {
@@ -182,7 +180,6 @@ fn large_spec_epochs_stay_frozen_across_chunks() {
     let base = large_spec(LARGE_ENTITIES as usize);
     assert!(base.instance(T).len() > PAGE_SIZE * PAGE_SIZE);
     let budget = CompactBudget {
-        max_pause: Duration::from_secs(60),
         max_slots_per_step: 64,
     };
     for seed in pinned_seeds(1, 4) {
