@@ -62,8 +62,7 @@
 //! * `compact_exact_ok` — the drain is byte-identical to the reference;
 //! * `serve_compact_ok` — an unbounded `CurrencyServe::compact_step` identical and under the pause bar;
 //! * `durable_overhead_ok` — durable apply ≤ [`DURABLE_OVERHEAD_FACTOR`]× in-memory;
-//! * `obs_noop_ok` — metrics with the no-op recorder ≤ [`OBS_NOOP_FACTOR`]×;
-//! * `obs_traced_ok` — metrics with a live recorder ≤ [`OBS_TRACED_FACTOR`]×;
+//! * `obs_noop_ok` — metrics on ≤ [`OBS_NOOP_FACTOR`]× metrics off;
 //! * `replay_count_ok` — recovery replays exactly the log suffix;
 //! * `recovery_ok` — recovery ≥ [`RECOVERY_SPEEDUP_MIN`]× faster than re-apply;
 //! * `serve_scaling_ok` — 8 vs 1 readers ≥ [`SERVE_SCALING_MIN`] (≥ [`SERVE_SCALING_MIN_CORES`] cores), else ≥ [`SERVE_COLLAPSE_FLOOR`];
@@ -88,7 +87,7 @@ use currency_datagen::gadgets::{
 use currency_datagen::logic::{random_betweenness, random_formula};
 use currency_datagen::random::{random_spec, RandomSpecConfig};
 use currency_datagen::scenarios::{example_4_1, fig1};
-use currency_obs::{HistogramSnapshot, RingRecorder};
+use currency_obs::HistogramSnapshot;
 use currency_query::{Query, SpCondition, SpQuery};
 use currency_reason::encode::Encoding;
 use currency_reason::oracle::{
@@ -233,24 +232,17 @@ const DURABILITY_SNAPSHOT_FRACTION: f64 = 0.8;
 /// cost while still absorbing per-round jitter.
 const DURABLE_OVERHEAD_FACTOR: f64 = 1.2;
 
-/// Observability overhead guard for `--check`: per-delta apply with the
-/// always-on metrics and the default no-op recorder must stay within
-/// this factor of the same engine with observability disabled.  The
-/// real cost is six timestamps (`currency_obs::Stamp`: one counter read
-/// each on x86-64) and eight single-writer histogram records per apply,
-/// about 0.5 µs per round of this loop on a 2-core x86-64 host.  The
-/// round is ~30 µs there, so the ratio reads ≈ 1.006-1.020 and the
-/// bound leaves little room: an apply that gets faster without its
-/// metrics getting cheaper can cross it.
+/// Observability overhead guard for `--check`: it prices metrics on
+/// against metrics off.  Per-delta apply with the always-on metrics
+/// must stay within this factor of the same engine after
+/// [`currency_reason::EngineObs::set_enabled`]`(false)`.  The real cost
+/// is five timestamps (`currency_obs::Stamp`: one counter read each on
+/// x86-64) and eight single-writer histogram records per apply that
+/// rebuilds one slot inline, about 0.5 µs per round of this loop on a
+/// 2-core x86-64 host.  The round is ~30 µs there, so the ratio reads
+/// ≈ 1.006-1.020 and the bound leaves little room: an apply that gets
+/// faster without its metrics getting cheaper can cross it.
 const OBS_NOOP_FACTOR: f64 = 1.02;
-
-/// Observability overhead guard with a live [`RingRecorder`] attached:
-/// full instrumentation — metrics plus span records into the sharded
-/// trace rings — must stay within this factor of the uninstrumented
-/// engine.  Tracing adds a mutexed ring push per span boundary (four
-/// spans per apply), so 1.10× bounds it while leaving the paired
-/// measurement room to breathe.
-const OBS_TRACED_FACTOR: f64 = 1.10;
 
 /// Recovery guard for `--check`: opening the store (newest snapshot +
 /// log-suffix replay) must beat re-applying the *full* delta history
@@ -2013,15 +2005,13 @@ fn main() {
     // ------------------------------------------------------------------
     // Observability overhead (currency-obs): the same per-delta
     // apply+CPS loop on identical engines, raced pairwise with the
-    // instrumentation toggled.  Two ratios: the always-on metrics with
-    // the default no-op recorder vs observability disabled (the price
-    // every user pays), and metrics plus a live RingRecorder draining
-    // span records vs disabled (the price of tracing).  Paired,
-    // order-alternated rounds for the same reason as the durable
-    // section: the honest ratios sit within a few percent of 1.0, where
-    // back-to-back series drift would swamp the signal.
+    // metrics toggled: the always-on metrics vs metrics off, the price
+    // every user pays.  Paired, order-alternated rounds for the same
+    // reason as the durable section: the honest ratio sits within a few
+    // percent of 1.0, where back-to-back series drift would swamp the
+    // signal.
     // ------------------------------------------------------------------
-    // The guards here are the tightest in the file (1.02×), so this
+    // The guard here is the tightest in the file (1.02×), so this
     // section buys extra rounds: the loop is ~100 µs, and a 4× longer
     // paired series keeps the median ratio stable against scheduler
     // noise that a 72-round series still lets through.
@@ -2040,45 +2030,28 @@ fn main() {
         std::hint::black_box(report.cells_touched);
     };
     let obs_opts = Options::default();
-    let obs_engine = |enabled: bool, traced: bool| {
+    let obs_engine = |enabled: bool| {
         let mut engine = CurrencyEngine::new_owned(obs_spec.clone(), &obs_opts).unwrap();
         engine.obs_mut().set_enabled(enabled);
-        if traced {
-            engine.obs_mut().set_recorder(RingRecorder::new(65_536));
-        }
         engine.cps().unwrap();
         engine
     };
-    let mut noop_engine = obs_engine(true, false);
-    let mut disabled_a = obs_engine(false, false);
+    let mut metrics_on = obs_engine(true);
+    let mut metrics_off = obs_engine(false);
     let (obs_noop_m, obs_disabled_m, obs_noop_over) = measure_paired(
         obs_rounds,
         8,
-        || obs_loop(&mut noop_engine),
-        || obs_loop(&mut disabled_a),
+        || obs_loop(&mut metrics_on),
+        || obs_loop(&mut metrics_off),
     );
-    let mut traced_engine = obs_engine(true, true);
-    let mut disabled_b = obs_engine(false, false);
-    let (obs_traced_m, _, obs_traced_over) = measure_paired(
-        obs_rounds,
-        8,
-        || obs_loop(&mut traced_engine),
-        || obs_loop(&mut disabled_b),
-    );
-    eprintln!(
-        "obs: metrics+noop {obs_noop_over:.3}x disabled, \
-         metrics+ring-traced {obs_traced_over:.3}x disabled"
-    );
+    eprintln!("obs: metrics on {obs_noop_over:.3}x metrics off");
     let _ = write!(
         json,
-        "  \"obs\": {{\"noop_over_disabled\": {obs_noop_over:.3}, \
-         \"traced_over_disabled\": {obs_traced_over:.3}, \"noop\": "
+        "  \"obs\": {{\"noop_over_disabled\": {obs_noop_over:.3}, \"noop\": "
     );
     push_measurement(&mut json, &obs_noop_m);
     json.push_str(", \"disabled\": ");
     push_measurement(&mut json, &obs_disabled_m);
-    json.push_str(", \"traced\": ");
-    push_measurement(&mut json, &obs_traced_m);
     json.push_str("},\n");
 
     // ------------------------------------------------------------------
@@ -2187,7 +2160,6 @@ fn main() {
         && serve_compact_max_ns <= (COMPACT_MAX_PAUSE_MS * 1_000_000) as f64;
     let durable_overhead_ok = durable_over_apply <= DURABLE_OVERHEAD_FACTOR;
     let obs_noop_ok = obs_noop_over <= OBS_NOOP_FACTOR;
-    let obs_traced_ok = obs_traced_over <= OBS_TRACED_FACTOR;
     let replay_count_ok = replayed == expected_suffix;
     let recovery_ok =
         recovery_speedup >= RECOVERY_SPEEDUP_MIN && open.median_ns <= RECOVERY_WALL_NS;
@@ -2230,7 +2202,6 @@ fn main() {
         ("serve_compact_ok", serve_compact_ok),
         ("durable_overhead_ok", durable_overhead_ok),
         ("obs_noop_ok", obs_noop_ok),
-        ("obs_traced_ok", obs_traced_ok),
         ("replay_count_ok", replay_count_ok),
         ("recovery_ok", recovery_ok),
         ("serve_scaling_ok", serve_scaling_ok),
@@ -2276,8 +2247,6 @@ fn main() {
          \"durable_overhead_factor\": {DURABLE_OVERHEAD_FACTOR:.1}, \
          \"obs_noop_over_disabled\": {obs_noop_over:.3}, \
          \"obs_noop_factor\": {OBS_NOOP_FACTOR:.2}, \
-         \"obs_traced_over_disabled\": {obs_traced_over:.3}, \
-         \"obs_traced_factor\": {OBS_TRACED_FACTOR:.2}, \
          \"recovery_replayed\": {replayed}, \
          \"recovery_expected_suffix\": {expected_suffix}, \
          \"recovery_speedup\": {recovery_speedup:.2}, \

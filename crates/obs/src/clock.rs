@@ -8,6 +8,7 @@
 //! the `Instant` clock.
 
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A point in time, only for measuring a duration with
 /// [`Stamp::ns_since`].
@@ -21,7 +22,7 @@ impl Stamp {
         Stamp(if scale().is_some() {
             tsc()
         } else {
-            crate::now_ns()
+            instant_ns()
         })
     }
 
@@ -40,6 +41,13 @@ impl Stamp {
     pub fn elapsed_ns(self) -> u64 {
         Stamp::now().ns_since(self)
     }
+}
+
+/// Nanoseconds on the `Instant` clock since its first read in this
+/// process: the stamp where the counter is not used.
+fn instant_ns() -> u64 {
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// Nanoseconds per counter tick in 32.32 fixed point, or `None` when
@@ -70,7 +78,7 @@ fn tsc() -> u64 {
 #[cfg(target_arch = "x86_64")]
 fn calibrate() -> Option<u64> {
     use std::arch::x86_64::__cpuid;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
     let invariant =
         __cpuid(0x8000_0000).eax >= 0x8000_0007 && __cpuid(0x8000_0007).edx & (1 << 8) != 0;
     let cost = |read: &dyn Fn()| {

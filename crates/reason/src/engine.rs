@@ -73,7 +73,7 @@ use currency_core::{
     CompactSlice, CompactStepReport, Completion, Eid, NormalInstance, RelId, SpecDelta,
     Specification, TupleId, Value,
 };
-use currency_obs::{SpanGuard, Stamp, TraceEvent, TraceKind};
+use currency_obs::Stamp;
 use currency_query::Query;
 use currency_sat::{SolveResult, SolverStats};
 use std::collections::BTreeSet;
@@ -280,9 +280,8 @@ pub struct CurrencyEngine {
     /// The writer's options, [`Options::threads`] resolved at
     /// construction (never 0).
     opts: Options,
-    /// Metric handles + trace recorder (see [`EngineObs`]); also the
-    /// only store of the lifetime counts [`CurrencyEngine::stats`]
-    /// reports.
+    /// Metric handles (see [`EngineObs`]); also the only store of the
+    /// lifetime counts [`CurrencyEngine::stats`] reports.
     obs: EngineObs,
 }
 
@@ -369,13 +368,12 @@ impl CurrencyEngine {
         Ok(engine)
     }
 
-    /// The engine's observability bundle (metric handles, recorder).
+    /// The engine's observability bundle (its metric handles).
     pub fn obs(&self) -> &EngineObs {
         &self.obs
     }
 
-    /// Mutable access for wiring: attach a trace recorder or switch
-    /// the histograms off.
+    /// Mutable access for wiring: switch the histograms off.
     pub fn obs_mut(&mut self) -> &mut EngineObs {
         &mut self.obs
     }
@@ -419,11 +417,7 @@ impl CurrencyEngine {
         fire_auto: bool,
     ) -> Result<ApplyReport, ReasonError> {
         let copied_before = pages_copied();
-        let recorder = self.obs.recorder().clone();
-        let apply_span = SpanGuard::enter(&*recorder, "engine.apply", 0);
-        let parent = apply_span.as_ref().map_or(0, SpanGuard::id);
         let start = self.obs.clock();
-        let validate_span = SpanGuard::enter(&*recorder, "engine.validate", parent);
         // While a snapshot shares the spec `Arc`, `make_mut` copies its
         // top level and one pointer per chunk, so a rejected delta must
         // be caught first; otherwise `apply_delta` validates by itself.
@@ -431,9 +425,8 @@ impl CurrencyEngine {
             delta.validate(&self.spec)?;
         }
         let effects = Arc::make_mut(&mut self.spec).apply_delta(delta)?;
-        drop(validate_span);
         let validated = self.obs.clock();
-        let (plan, end) = self.rebuild_touched(&effects.touched_cells, parent, validated)?;
+        let (plan, end) = self.rebuild_touched(&effects.touched_cells, validated)?;
         self.obs.applies_total.inc();
         let obs = &self.obs;
         obs.record_between(&obs.apply_validate_ns, start, validated);
@@ -475,24 +468,18 @@ impl CurrencyEngine {
     fn rebuild_touched(
         &mut self,
         touched: &BTreeSet<(RelId, Eid)>,
-        parent_span: u64,
         start: Option<Stamp>,
     ) -> Result<(RefreshPlan, Option<Stamp>), ReasonError> {
-        let recorder = self.obs.recorder().clone();
-        let plan = {
-            let _span = SpanGuard::enter(&*recorder, "engine.refresh", parent_span);
-            Arc::make_mut(&mut self.partition).refresh(
-                &self.spec,
-                touched,
-                &mut self.refresh_scratch,
-            )
-        };
+        let plan = Arc::make_mut(&mut self.partition).refresh(
+            &self.spec,
+            touched,
+            &mut self.refresh_scratch,
+        );
         let refreshed = self.obs.clock();
         // Compile and solve the rebuilt slots (in parallel when the fleet
         // warrants it) *before* patching any state, so the fallible step
         // cannot leave the engine half-updated.
         let compiled: Vec<(SlotView, Option<SolveSample>)> = {
-            let _span = SpanGuard::enter(&*recorder, "engine.recompile", parent_span);
             let compiler = ComponentCompiler::new(&self.spec, &self.value_rels);
             let (partition, rebuilt, obs) = (self.partition.as_ref(), &plan.rebuilt, &self.obs);
             run_indexed_with(
@@ -660,7 +647,7 @@ impl CurrencyEngine {
         }
         let touched = remapped_cells(&self.spec, &step.slices);
         if !touched.is_empty() {
-            self.rebuild_touched(&touched, 0, self.obs.clock())?;
+            self.rebuild_touched(&touched, self.obs.clock())?;
         }
         self.obs.compact_steps.inc();
         self.obs.slots_reclaimed.add(step.reclaimed as u64);
@@ -691,17 +678,6 @@ impl CurrencyEngine {
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         if self.obs.enabled() {
             self.obs.snapshot_epoch.set(self.epoch);
-        }
-        let recorder = self.obs.recorder();
-        if recorder.enabled() {
-            recorder.record(TraceEvent {
-                ts_ns: currency_obs::now_ns(),
-                kind: TraceKind::Event,
-                name: "snapshot.publish",
-                span: 0,
-                parent: 0,
-                value: self.epoch,
-            });
         }
         Arc::new(EngineSnapshot::new(
             self.epoch,
@@ -810,7 +786,7 @@ impl CurrencyEngine {
     /// `rel`?  Enumerates at most two rel-projected models per touched
     /// component, on throwaway solver clones.
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        self.view().dcip(rel, || self.cps())
+        self.view().dcip(rel, self.cps()?)
     }
 
     /// **CCQA** — is `tuple` a certain current answer of `query`?
@@ -827,7 +803,7 @@ impl CurrencyEngine {
     /// choices in unrelated components.  Both the per-component model
     /// count and the composed product are bounded by [`MAX_MODELS`].
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        self.view().certain_answers(query, || self.cps())
+        self.view().certain_answers(query, self.cps()?)
     }
 
     /// A witness completion from `Mod(S)`, assembled from per-component
@@ -840,7 +816,7 @@ impl CurrencyEngine {
     /// The realizable current instances of `rel` (up to the model budget),
     /// composed across components.  Exposed for diagnostics and tests.
     pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.view().current_instances(rel, || self.cps())
+        self.view().current_instances(rel, self.cps()?)
     }
 }
 

@@ -1,6 +1,5 @@
-//! Engine-side observability: the metric handles and trace recorder the
-//! writer ([`CurrencyEngine`](crate::engine::CurrencyEngine)) records
-//! through.
+//! Engine-side observability: the metric handles the writer
+//! ([`CurrencyEngine`](crate::engine::CurrencyEngine)) records through.
 //!
 //! Every engine creates one [`EngineObs`] on its own
 //! [`MetricsRegistry`] and keeps it for its whole life.  Wrapper layers
@@ -19,18 +18,14 @@
 //! disabled path.  The engine is its
 //! histograms' one writer (compile workers hand their solve samples
 //! back), so it records with [`Histogram::record_single_writer`]; code
-//! outside the engine must not record into these handles.  Trace spans
-//! additionally require an
-//! attached [`Recorder`] whose `enabled()` is true (the default
-//! [`NoopRecorder`] keeps span emission compiled out of the hot path
-//! behind one branch).
+//! outside the engine must not record into these handles.
 
 use crate::EngineStats;
-use currency_obs::{Counter, Gauge, Histogram, MetricsRegistry, NoopRecorder, Recorder, Stamp};
+use currency_obs::{Counter, Gauge, Histogram, MetricsRegistry, Stamp};
 use currency_sat::SolverStats;
 use std::sync::Arc;
 
-/// Metric handles + trace recorder for one engine.
+/// Metric handles for one engine.
 ///
 /// The handle set names the phases of the apply path (validate /
 /// refresh / recompile / solve), the per-solve
@@ -39,7 +34,6 @@ use std::sync::Arc;
 /// durations are nanoseconds (`_ns`-suffixed families).
 pub struct EngineObs {
     registry: Arc<MetricsRegistry>,
-    recorder: Arc<dyn Recorder>,
     enabled: bool,
     /// Whole-apply duration (validate through rebuild, excluding
     /// auto-compaction).
@@ -91,7 +85,6 @@ impl std::fmt::Debug for EngineObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineObs")
             .field("enabled", &self.enabled)
-            .field("tracing", &self.recorder.enabled())
             .finish()
     }
 }
@@ -103,13 +96,12 @@ impl Default for EngineObs {
 }
 
 impl EngineObs {
-    /// A fresh bundle on its own registry, metrics on, tracing off.
+    /// A fresh bundle on its own registry, metrics on.
     pub fn new() -> EngineObs {
         let registry = Arc::new(MetricsRegistry::new());
         let histogram = |name, help| registry.histogram(name, help, &[]);
         let counter = |name, help| registry.counter(name, help, &[]);
         EngineObs {
-            recorder: Arc::new(NoopRecorder),
             enabled: true,
             apply_ns: histogram(
                 "currency_engine_apply_ns",
@@ -213,17 +205,6 @@ impl EngineObs {
     /// stack this engine sits in.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Attach a trace recorder (spans and events flow to it whenever
-    /// it reports `enabled()`).
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// The attached recorder.
-    pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
     }
 
     /// Switch histogram recording on/off.  Off skips the clock reads

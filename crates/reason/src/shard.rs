@@ -1016,7 +1016,7 @@ impl<N: ShardNode> Sharded<N> {
     }
 
     /// Shard `k`'s node, mutably, for per-shard upkeep such as flushing
-    /// a log or attaching a trace recorder.  A delta applied through it
+    /// a log.  A delta applied through it
     /// bypasses routing: use [`Sharded::apply`] for deltas.
     pub fn shard_mut(&mut self, shard: usize) -> &mut N {
         &mut self.nodes[shard]

@@ -232,13 +232,9 @@ impl View<'_> {
     /// `rel`?  Enumerates at most two rel-projected models per touched
     /// component ([`View::component_models`]) and stops at the first
     /// component with two.
-    pub(crate) fn dcip(
-        &self,
-        rel: RelId,
-        consistent: impl FnOnce() -> Result<bool, ReasonError>,
-    ) -> Result<bool, ReasonError> {
+    pub(crate) fn dcip(&self, rel: RelId, consistent: bool) -> Result<bool, ReasonError> {
         self.require_value_rel(rel)?;
-        if !consistent()? {
+        if !consistent {
             return Ok(true); // vacuously deterministic
         }
         for ix in self.partition.components_touching(rel) {
@@ -261,13 +257,13 @@ impl View<'_> {
     pub(crate) fn certain_answers(
         &self,
         query: &Query,
-        consistent: impl FnOnce() -> Result<bool, ReasonError>,
+        consistent: bool,
     ) -> Result<CertainAnswers, ReasonError> {
         let rels: Vec<RelId> = query.body().relations().into_iter().collect();
         for &rel in &rels {
             self.require_value_rel(rel)?;
         }
-        if !consistent()? {
+        if !consistent {
             return Ok(CertainAnswers::Inconsistent);
         }
         let mut touched: Vec<usize> = rels
@@ -311,10 +307,10 @@ impl View<'_> {
     pub(crate) fn current_instances(
         &self,
         rel: RelId,
-        consistent: impl FnOnce() -> Result<bool, ReasonError>,
+        consistent: bool,
     ) -> Result<Vec<NormalInstance>, ReasonError> {
         self.require_value_rel(rel)?;
-        if !consistent()? {
+        if !consistent {
             return Ok(Vec::new());
         }
         let rels = [rel];
@@ -771,7 +767,7 @@ impl SnapshotReader {
     /// models per touched component on throwaway clones of the shared
     /// encodings.
     pub fn dcip(&self, rel: RelId) -> Result<bool, ReasonError> {
-        self.view().dcip(rel, || Ok(self.snap.consistent))
+        self.view().dcip(rel, self.snap.consistent)
     }
 
     /// **CCQA** at the pinned epoch: is `tuple` a certain current answer
@@ -785,15 +781,13 @@ impl SnapshotReader {
     /// encodings, with All-SAT blocking clauses confined to throwaway
     /// clones.
     pub fn certain_answers(&self, query: &Query) -> Result<CertainAnswers, ReasonError> {
-        self.view()
-            .certain_answers(query, || Ok(self.snap.consistent))
+        self.view().certain_answers(query, self.snap.consistent)
     }
 
     /// The realizable current instances of `rel` at the pinned epoch (up
     /// to the model budget), composed across components.
     pub fn current_instances(&self, rel: RelId) -> Result<Vec<NormalInstance>, ReasonError> {
-        self.view()
-            .current_instances(rel, || Ok(self.snap.consistent))
+        self.view().current_instances(rel, self.snap.consistent)
     }
 }
 
@@ -1145,8 +1139,8 @@ mod tests {
             }
         }
         assert_eq!(
-            decided.dcip(r, || Ok(true)).unwrap(),
-            solver.dcip(r, || Ok(true)).unwrap()
+            decided.dcip(r, true).unwrap(),
+            solver.dcip(r, true).unwrap()
         );
         let mut b = QueryBuilder::new();
         let (x, y) = (b.var(), b.var());
@@ -1154,11 +1148,11 @@ mod tests {
             vec![x, y],
             Formula::Atom(Atom::new(r, vec![QTerm::Var(x), QTerm::Var(y)])),
         );
-        let answers = decided.certain_answers(&rows, || Ok(true)).unwrap();
+        let answers = decided.certain_answers(&rows, true).unwrap();
         assert_eq!(answers.rows().unwrap().len(), 3, "one current row each");
-        assert_eq!(answers, solver.certain_answers(&rows, || Ok(true)).unwrap());
+        assert_eq!(answers, solver.certain_answers(&rows, true).unwrap());
         let instances = |view: &View| -> Vec<Vec<Tuple>> {
-            let found = view.current_instances(r, || Ok(true)).unwrap();
+            let found = view.current_instances(r, true).unwrap();
             found.iter().map(NormalInstance::normalized).collect()
         };
         assert_eq!(instances(&decided), instances(&solver));
@@ -1383,12 +1377,12 @@ mod tests {
             ..reader.view()
         };
         assert!(matches!(
-            tight.certain_answers(&value_query(r), || Ok(true)),
+            tight.certain_answers(&value_query(r), true),
             Err(ReasonError::BudgetExceeded { budget: 4, .. })
         ));
         // DCIP needs two models whatever the budget; at `MAX_MODELS` the
         // reader answers: nothing is certain.
-        assert!(!tight.dcip(r, || Ok(true)).unwrap());
+        assert!(!tight.dcip(r, true).unwrap());
         let answers = reader.certain_answers(&value_query(r)).unwrap();
         assert!(answers.rows().unwrap().is_empty());
     }

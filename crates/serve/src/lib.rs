@@ -72,7 +72,7 @@ pub use stats::ServeStats;
 
 use cache::AnswerCache;
 use currency_core::{CompactStepReport, RelId, SpecDelta, Specification, Value};
-use currency_obs::{MetricsRegistry, Recorder};
+use currency_obs::MetricsRegistry;
 use currency_query::Query;
 use currency_reason::snapshot::{EngineSnapshot, SnapshotCell, SnapshotReader};
 use currency_reason::{
@@ -405,20 +405,6 @@ impl CurrencyServe {
         self.metrics().snapshot().render_prometheus()
     }
 
-    /// Attach a trace recorder: stale-serve degradations are emitted
-    /// as structured [`currency_obs::TraceEvent`]s, and the writer
-    /// engine's apply phases record spans into the same sink.  Pass a
-    /// [`currency_obs::RingRecorder`] and drain it to inspect the
-    /// stream.
-    pub fn set_recorder(&self, recorder: Arc<dyn Recorder>) {
-        self.shared.obs.set_recorder(recorder.clone());
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .obs_mut()
-            .set_recorder(recorder);
-    }
-
     /// The slow-query log, oldest first — requests that ran over
     /// [`ServeOptions::slow_query_threshold`], with the epoch they ran
     /// at and (for interrupted solves) the work ledger they burned.
@@ -541,7 +527,6 @@ impl ServeHandle {
         shared.obs.stale_served.inc();
         let lag = self.reader.epoch().saturating_sub(stale_epoch);
         shared.obs.epoch_lag.set(lag);
-        shared.obs.event("serve.stale", lag);
         shared.obs.latency_ns[kind_index(req)].record(saturating_elapsed_ns(start));
         Some(ServeAnswer::Stale {
             epoch: stale_epoch,
@@ -899,10 +884,18 @@ mod tests {
         assert_eq!((stats.shed, stats.cache_hits), (1, 1));
         assert_eq!(stats.queries, 2, "a shed query is not answered");
         let snap = serve.metrics().snapshot();
-        assert!(matches!(
-            snap.find("currency_serve_shed_total", &[]),
-            Some(currency_obs::SeriesValue::Counter(1))
-        ));
+        for series in [
+            "currency_serve_shed_total",
+            "currency_serve_cache_hits_total",
+        ] {
+            assert!(
+                matches!(
+                    snap.find(series, &[]),
+                    Some(currency_obs::SeriesValue::Counter(1))
+                ),
+                "{series}"
+            );
+        }
         drop((a, b));
         assert!(h.cps().unwrap(), "released slots admit the query");
         assert_eq!(serve.stats().shed, 1);

@@ -1,4 +1,4 @@
-//! Metric handles and trace plumbing for the serving layer.
+//! Metric handles for the serving layer.
 //!
 //! Every [`crate::CurrencyServe`] owns one [`ServeObs`]: the serve-side
 //! series (latency histograms per query kind, cache hit/miss counters,
@@ -7,18 +7,10 @@
 //! [`currency_reason::EngineObs`] created with the engine — so one
 //! scrape shows the whole stack.  These counters are the only store of
 //! the serve counts: [`crate::ServeStats`] is read from them.
-//!
-//! Stale-serve degradations are additionally emitted as structured
-//! [`TraceEvent`]s through an attachable [`Recorder`] — the default
-//! no-op recorder makes the emission a locked `Arc` clone plus one
-//! branch, off the per-query hot path entirely.
 
 use crate::ServeRequest;
-use currency_obs::{
-    now_ns, Counter, Gauge, Histogram, MetricsRegistry, NoopRecorder, Recorder, TraceEvent,
-    TraceKind,
-};
-use std::sync::{Arc, Mutex, PoisonError};
+use currency_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use std::sync::Arc;
 
 /// The `query_kind` label values, indexed by [`kind_index`].
 pub(crate) const QUERY_KINDS: [&str; 5] = ["cps", "cop", "dcip", "certain_answers", "ccqa"];
@@ -37,9 +29,6 @@ pub(crate) fn kind_index(req: &ServeRequest) -> usize {
 /// One serving stack's metric handles (see module docs).
 pub(crate) struct ServeObs {
     registry: Arc<MetricsRegistry>,
-    /// Attachable trace sink; behind a mutex because the shared state is
-    /// immutable after construction and transitions are rare.
-    recorder: Mutex<Arc<dyn Recorder>>,
     /// End-to-end answer latency per query kind (hits, misses, and stale
     /// serves alike — the caller-observed cost).
     pub(crate) latency_ns: [Arc<Histogram>; 5],
@@ -95,36 +84,11 @@ impl ServeObs {
                 "Epochs between the live snapshot and the last stale answer served",
                 &[],
             ),
-            recorder: Mutex::new(Arc::new(NoopRecorder)),
             registry,
         }
     }
 
     pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    pub(crate) fn set_recorder(&self, recorder: Arc<dyn Recorder>) {
-        *self.recorder.lock().unwrap_or_else(PoisonError::into_inner) = recorder;
-    }
-
-    /// Emit a structured trace event (a stale serve) when a recorder is
-    /// attached and enabled.
-    pub(crate) fn event(&self, name: &'static str, value: u64) {
-        let recorder = self
-            .recorder
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if recorder.enabled() {
-            recorder.record(TraceEvent {
-                ts_ns: now_ns(),
-                kind: TraceKind::Event,
-                name,
-                span: 0,
-                parent: 0,
-                value,
-            });
-        }
     }
 }

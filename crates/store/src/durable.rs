@@ -56,8 +56,7 @@
 
 use crate::error::{io_err, StoreError};
 use crate::snapshot::{
-    list_snapshots_with, prune_snapshots_with, read_snapshot_with, sweep_tmp_snapshots_with,
-    write_snapshot_with,
+    list_snapshots, prune_snapshots, read_snapshot, sweep_tmp_snapshots, write_snapshot,
 };
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{Record, Wal};
@@ -180,24 +179,24 @@ impl DurableEngine {
         store_opts: StoreOptions,
     ) -> Result<DurableEngine, StoreError> {
         vfs.create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        if !list_snapshots_with(&*vfs, dir)?.is_empty() {
+        if !list_snapshots(&*vfs, dir)?.is_empty() {
             return Err(StoreError::AlreadyExists {
                 dir: dir.to_path_buf(),
             });
         }
-        sweep_tmp_snapshots_with(&*vfs, dir)?;
+        sweep_tmp_snapshots(&*vfs, dir)?;
         // Log before snapshot: a store "exists" once its base snapshot
         // does (the `AlreadyExists` check above), so the snapshot must be
         // the *last* artifact laid down — a crash in between leaves a
         // directory a retried `create` simply recreates, never a
         // half-store that both `create` and `open` refuse.
-        let mut wal = Wal::create_with(
+        let mut wal = Wal::create(
             &*vfs,
             &wal_path(dir),
             store_opts.group_commit,
             store_opts.sync_data,
         )?;
-        write_snapshot_with(&*vfs, dir, 0, &spec, store_opts.sync_data)?;
+        write_snapshot(&*vfs, dir, 0, &spec, store_opts.sync_data)?;
         let engine = CurrencyEngine::new_owned(spec, engine_opts)?;
         wal.bind_metrics(engine.obs().registry());
         Ok(DurableEngine {
@@ -240,7 +239,7 @@ impl DurableEngine {
         engine_opts: &Options,
         store_opts: StoreOptions,
     ) -> Result<DurableEngine, StoreError> {
-        let snaps = list_snapshots_with(&*vfs, dir)?;
+        let snaps = list_snapshots(&*vfs, dir)?;
         if snaps.is_empty() {
             return Err(StoreError::NoSnapshot {
                 dir: dir.to_path_buf(),
@@ -250,7 +249,7 @@ impl DurableEngine {
         // never renamed into a live name, so it holds no committed state
         // and accumulating them would leak a full spec encoding per
         // crashed rotation.
-        sweep_tmp_snapshots_with(&*vfs, dir)?;
+        sweep_tmp_snapshots(&*vfs, dir)?;
         // Newest snapshot that passes its checksum wins; older
         // generations are the fallback chain.  If every generation is
         // damaged, surface the newest one's error.  Falling back is only
@@ -262,7 +261,7 @@ impl DurableEngine {
         let mut max_skipped_seq = 0u64;
         let mut first_err = None;
         for (name_seq, path) in snaps.iter().rev() {
-            match read_snapshot_with(&*vfs, path) {
+            match read_snapshot(&*vfs, path) {
                 Ok(loaded) => {
                     snapshot = Some(loaded);
                     break;
@@ -277,7 +276,7 @@ impl DurableEngine {
         let Some((snapshot_seq, spec)) = snapshot else {
             return Err(first_err.expect("at least one snapshot was tried"));
         };
-        let opened = Wal::open_with(
+        let opened = Wal::open(
             &*vfs,
             &wal_path(dir),
             store_opts.group_commit,
@@ -561,7 +560,7 @@ impl DurableEngine {
 
     fn snapshot_inner(&mut self) -> Result<(), StoreError> {
         self.wal.flush()?;
-        write_snapshot_with(
+        write_snapshot(
             &*self.vfs,
             &self.dir,
             self.seq,
@@ -570,7 +569,7 @@ impl DurableEngine {
         )?;
         self.snapshot_seq = self.seq;
         self.wal.reset()?;
-        prune_snapshots_with(&*self.vfs, &self.dir, KEEP_SNAPSHOTS)?;
+        prune_snapshots(&*self.vfs, &self.dir, KEEP_SNAPSHOTS)?;
         Ok(())
     }
 
@@ -804,7 +803,7 @@ mod tests {
         }
         assert!(durable.snapshot_seq() > 0, "rotation happened");
         assert!(
-            list_snapshots(&dir).unwrap().len() <= 2,
+            list_snapshots(&RealVfs, &dir).unwrap().len() <= 2,
             "old generations pruned"
         );
         let live_bytes = encode_spec(durable.spec());
@@ -834,11 +833,11 @@ mod tests {
         durable.apply(&insert(r, 1, 60)).unwrap();
         durable.flush().unwrap();
         // A snapshot covering seq 2 exists but the log was NOT truncated.
-        write_snapshot(&dir, 2, durable.spec(), false).unwrap();
+        write_snapshot(&RealVfs, &dir, 2, durable.spec(), false).unwrap();
         let live_bytes = encode_spec(durable.spec());
         drop(durable);
         // Damage that newest snapshot's payload.
-        let snaps = list_snapshots(&dir).unwrap();
+        let snaps = list_snapshots(&RealVfs, &dir).unwrap();
         let newest = &snaps.last().unwrap().1;
         let mut bytes = std::fs::read(newest).unwrap();
         let last = bytes.len() - 1;
@@ -866,7 +865,7 @@ mod tests {
         durable.snapshot_now().unwrap(); // truncates the log at seq 1
         durable.apply(&insert(r, 1, 60)).unwrap(); // seq 2, in the log
         drop(durable);
-        let snaps = list_snapshots(&dir).unwrap();
+        let snaps = list_snapshots(&RealVfs, &dir).unwrap();
         let newest = snaps.last().unwrap().1.clone();
         let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
@@ -887,7 +886,7 @@ mod tests {
         durable.apply(&insert(r, 0, 50)).unwrap();
         durable.snapshot_now().unwrap();
         drop(durable);
-        let snaps = list_snapshots(&dir).unwrap();
+        let snaps = list_snapshots(&RealVfs, &dir).unwrap();
         let newest = snaps.last().unwrap().1.clone();
         let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
@@ -992,7 +991,7 @@ mod tests {
         // not-a-store and a retried `create` simply rebuilds.
         let dir = tmpdir("create-crash");
         std::fs::create_dir_all(&dir).unwrap();
-        drop(crate::wal::Wal::create(&dir.join("wal.log"), 1, false).unwrap());
+        drop(crate::wal::Wal::create(&RealVfs, &dir.join("wal.log"), 1, false).unwrap());
         assert!(matches!(
             DurableEngine::open(&dir, &Options::default(), fast()),
             Err(StoreError::NoSnapshot { .. })

@@ -24,7 +24,7 @@
 
 use crate::crc::{crc32_finish, crc32_update, CRC_INIT};
 use crate::error::{io_err, StoreError};
-use crate::vfs::{RealVfs, Vfs};
+use crate::vfs::Vfs;
 use currency_core::wire::{self, WIRE_VERSION};
 use currency_core::Specification;
 use std::path::{Path, PathBuf};
@@ -50,12 +50,7 @@ pub fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
 
 /// The `(seq, path)` of every snapshot file in `dir`, sorted ascending
 /// by covered sequence number (non-snapshot files are ignored).
-pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-    list_snapshots_with(&RealVfs, dir)
-}
-
-/// [`list_snapshots`] through an explicit [`Vfs`].
-pub fn list_snapshots_with(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+pub fn list_snapshots(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     let mut out = Vec::new();
     for path in vfs.read_dir(dir).map_err(|e| io_err(dir, e))? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -77,16 +72,6 @@ pub fn list_snapshots_with(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBu
 /// Write a snapshot covering log records up to and including `seq`,
 /// atomically (write to a temporary sibling, `fsync`, rename).
 pub fn write_snapshot(
-    dir: &Path,
-    seq: u64,
-    spec: &Specification,
-    sync_data: bool,
-) -> Result<PathBuf, StoreError> {
-    write_snapshot_with(&RealVfs, dir, seq, spec, sync_data)
-}
-
-/// [`write_snapshot`] through an explicit [`Vfs`].
-pub fn write_snapshot_with(
     vfs: &dyn Vfs,
     dir: &Path,
     seq: u64,
@@ -123,12 +108,7 @@ pub fn write_snapshot_with(
 
 /// Read and verify a snapshot, returning the covered sequence number and
 /// the decoded specification.
-pub fn read_snapshot(path: &Path) -> Result<(u64, Specification), StoreError> {
-    read_snapshot_with(&RealVfs, path)
-}
-
-/// [`read_snapshot`] through an explicit [`Vfs`].
-pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(u64, Specification), StoreError> {
+pub fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<(u64, Specification), StoreError> {
     let mut bytes = Vec::new();
     vfs.open_read_write(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
@@ -175,12 +155,7 @@ pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(u64, Specificat
 /// Delete orphaned `.cur.tmp` files (the residue of a crash between a
 /// snapshot's temp write and its atomic rename — never part of the
 /// committed state, but a full spec encoding each if left to pile up).
-pub fn sweep_tmp_snapshots(dir: &Path) -> Result<usize, StoreError> {
-    sweep_tmp_snapshots_with(&RealVfs, dir)
-}
-
-/// [`sweep_tmp_snapshots`] through an explicit [`Vfs`].
-pub fn sweep_tmp_snapshots_with(vfs: &dyn Vfs, dir: &Path) -> Result<usize, StoreError> {
+pub fn sweep_tmp_snapshots(vfs: &dyn Vfs, dir: &Path) -> Result<usize, StoreError> {
     let mut swept = 0;
     for path in vfs.read_dir(dir).map_err(|e| io_err(dir, e))? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -195,13 +170,8 @@ pub fn sweep_tmp_snapshots_with(vfs: &dyn Vfs, dir: &Path) -> Result<usize, Stor
 }
 
 /// Delete every snapshot older than the newest `keep` generations.
-pub fn prune_snapshots(dir: &Path, keep: usize) -> Result<usize, StoreError> {
-    prune_snapshots_with(&RealVfs, dir, keep)
-}
-
-/// [`prune_snapshots`] through an explicit [`Vfs`].
-pub fn prune_snapshots_with(vfs: &dyn Vfs, dir: &Path, keep: usize) -> Result<usize, StoreError> {
-    let snaps = list_snapshots_with(vfs, dir)?;
+pub fn prune_snapshots(vfs: &dyn Vfs, dir: &Path, keep: usize) -> Result<usize, StoreError> {
+    let snaps = list_snapshots(vfs, dir)?;
     let keep = keep.max(1);
     if snaps.len() <= keep {
         return Ok(0);
@@ -216,6 +186,7 @@ pub fn prune_snapshots_with(vfs: &dyn Vfs, dir: &Path, keep: usize) -> Result<us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
     use currency_core::{Catalog, Eid, RelationSchema, Tuple, Value};
     use std::fs;
 
@@ -243,8 +214,8 @@ mod tests {
     fn round_trip_preserves_seq_and_spec() {
         let dir = tmpdir("round-trip");
         let spec = sample_spec(3);
-        let path = write_snapshot(&dir, 42, &spec, false).unwrap();
-        let (seq, decoded) = read_snapshot(&path).unwrap();
+        let path = write_snapshot(&RealVfs, &dir, 42, &spec, false).unwrap();
+        let (seq, decoded) = read_snapshot(&RealVfs, &path).unwrap();
         assert_eq!(seq, 42);
         assert_eq!(wire::encode_spec(&decoded), wire::encode_spec(&spec));
     }
@@ -253,11 +224,11 @@ mod tests {
     fn listing_sorts_by_covered_seq_and_ignores_strangers() {
         let dir = tmpdir("list");
         for seq in [7u64, 3, 100] {
-            write_snapshot(&dir, seq, &sample_spec(1), false).unwrap();
+            write_snapshot(&RealVfs, &dir, seq, &sample_spec(1), false).unwrap();
         }
         fs::write(dir.join("wal.log"), b"not a snapshot").unwrap();
         fs::write(dir.join("snapshot-junk.cur"), b"unparsable name").unwrap();
-        let seqs: Vec<u64> = list_snapshots(&dir)
+        let seqs: Vec<u64> = list_snapshots(&RealVfs, &dir)
             .unwrap()
             .into_iter()
             .map(|(s, _)| s)
@@ -268,41 +239,41 @@ mod tests {
     #[test]
     fn corruption_is_detected_at_every_byte() {
         let dir = tmpdir("corrupt");
-        let path = write_snapshot(&dir, 1, &sample_spec(2), false).unwrap();
+        let path = write_snapshot(&RealVfs, &dir, 1, &sample_spec(2), false).unwrap();
         let good = fs::read(&path).unwrap();
         for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x20;
             fs::write(&path, &bad).unwrap();
             assert!(
-                read_snapshot(&path).is_err(),
+                read_snapshot(&RealVfs, &path).is_err(),
                 "undetected flip at byte {i} (the checksum covers seq, \
                  length and payload alike)"
             );
         }
         // Truncations error too.
         fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(read_snapshot(&path).is_err());
+        assert!(read_snapshot(&RealVfs, &path).is_err());
         fs::write(&path, &good[..10]).unwrap();
-        assert!(read_snapshot(&path).is_err());
+        assert!(read_snapshot(&RealVfs, &path).is_err());
     }
 
     #[test]
     fn pruning_keeps_the_newest_generations() {
         let dir = tmpdir("prune");
         for seq in 1..=5u64 {
-            write_snapshot(&dir, seq, &sample_spec(1), false).unwrap();
+            write_snapshot(&RealVfs, &dir, seq, &sample_spec(1), false).unwrap();
         }
-        assert_eq!(prune_snapshots(&dir, 2).unwrap(), 3);
-        let seqs: Vec<u64> = list_snapshots(&dir)
+        assert_eq!(prune_snapshots(&RealVfs, &dir, 2).unwrap(), 3);
+        let seqs: Vec<u64> = list_snapshots(&RealVfs, &dir)
             .unwrap()
             .into_iter()
             .map(|(s, _)| s)
             .collect();
         assert_eq!(seqs, vec![4, 5]);
-        assert_eq!(prune_snapshots(&dir, 2).unwrap(), 0, "idempotent");
+        assert_eq!(prune_snapshots(&RealVfs, &dir, 2).unwrap(), 0, "idempotent");
         // keep is clamped to at least one generation.
-        assert_eq!(prune_snapshots(&dir, 0).unwrap(), 1);
-        assert_eq!(list_snapshots(&dir).unwrap().len(), 1);
+        assert_eq!(prune_snapshots(&RealVfs, &dir, 0).unwrap(), 1);
+        assert_eq!(list_snapshots(&RealVfs, &dir).unwrap().len(), 1);
     }
 }

@@ -45,7 +45,7 @@
 
 use crate::crc::crc32;
 use crate::error::{io_err, StoreError};
-use crate::vfs::{RealVfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 use currency_core::wire::{self, WireError, WireReader, WireWriter, WIRE_VERSION};
 use currency_core::{CompactStepReport, SpecDelta};
 use currency_obs::{Counter, Histogram, MetricsRegistry};
@@ -204,15 +204,9 @@ struct WalObs {
 }
 
 impl Wal {
-    /// Create a fresh log at `path` (truncating anything there), writing
-    /// and syncing the header.
-    pub fn create(path: &Path, group_commit: usize, sync_data: bool) -> Result<Wal, StoreError> {
-        Wal::create_with(&RealVfs, path, group_commit, sync_data)
-    }
-
-    /// [`Wal::create`] through an explicit [`Vfs`] (fault injection,
-    /// alternative filesystems).
-    pub fn create_with(
+    /// Create a fresh log at `path` through `vfs` (truncating anything
+    /// there), writing and syncing the header.
+    pub fn create(
         vfs: &dyn Vfs,
         path: &Path,
         group_commit: usize,
@@ -243,15 +237,10 @@ impl Wal {
         })
     }
 
-    /// Open an existing log, parsing every frame: a torn tail is
+    /// Open an existing log through `vfs`, parsing every frame: a torn tail is
     /// truncated away, any other framing or checksum damage is refused
     /// (see module docs for the classification).
-    pub fn open(path: &Path, group_commit: usize, sync_data: bool) -> Result<WalOpen, StoreError> {
-        Wal::open_with(&RealVfs, path, group_commit, sync_data)
-    }
-
-    /// [`Wal::open`] through an explicit [`Vfs`].
-    pub fn open_with(
+    pub fn open(
         vfs: &dyn Vfs,
         path: &Path,
         group_commit: usize,
@@ -529,6 +518,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
     use currency_core::{Eid, SpecDelta};
     use currency_core::{RelId, Tuple, TupleId, Value};
 
@@ -550,7 +540,7 @@ mod tests {
     }
 
     fn fill(path: &Path, n: u64) -> Vec<Record> {
-        let mut wal = Wal::create(path, 1, false).unwrap();
+        let mut wal = Wal::create(&RealVfs, path, 1, false).unwrap();
         let mut records = Vec::new();
         for seq in 1..=n {
             let rec = Record::Delta {
@@ -568,7 +558,7 @@ mod tests {
     fn round_trips_records_in_order() {
         let path = tmp("round-trip");
         let written = fill(&path, 5);
-        let opened = Wal::open(&path, 1, false).unwrap();
+        let opened = Wal::open(&RealVfs, &path, 1, false).unwrap();
         assert_eq!(opened.torn_tail_bytes, 0);
         assert_eq!(opened.records.len(), 5);
         for (a, b) in opened.records.iter().zip(&written) {
@@ -600,7 +590,7 @@ mod tests {
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         std::fs::write(&path, &bytes).unwrap();
-        match Wal::open(&path, 1, false) {
+        match Wal::open(&RealVfs, &path, 1, false) {
             Err(StoreError::Wire(WireError::BadTag {
                 what: "log record",
                 tag: 1,
@@ -615,7 +605,7 @@ mod tests {
     #[test]
     fn group_commit_buffers_until_the_batch_fills() {
         let path = tmp("group-commit");
-        let mut wal = Wal::create(&path, 3, false).unwrap();
+        let mut wal = Wal::create(&RealVfs, &path, 3, false).unwrap();
         for seq in 1..=2 {
             wal.append(&Record::Delta {
                 seq,
@@ -626,7 +616,7 @@ mod tests {
         assert_eq!(wal.pending_records(), 2, "batch not yet full");
         // A reopen at this point sees nothing: the buffer never hit disk.
         drop(wal);
-        let opened = Wal::open(&path, 3, false).unwrap();
+        let opened = Wal::open(&RealVfs, &path, 3, false).unwrap();
         assert!(opened.records.is_empty(), "unflushed suffix lost, cleanly");
         // The third append fills the batch and flushes all three.
         let mut wal = opened.wal;
@@ -639,7 +629,10 @@ mod tests {
         }
         assert_eq!(wal.pending_records(), 0, "batch flushed at group size");
         drop(wal);
-        assert_eq!(Wal::open(&path, 3, false).unwrap().records.len(), 3);
+        assert_eq!(
+            Wal::open(&RealVfs, &path, 3, false).unwrap().records.len(),
+            3
+        );
     }
 
     #[test]
@@ -651,11 +644,11 @@ mod tests {
         // frame-header.
         for cut in [1u64, 4, 9, 12] {
             std::fs::write(&path, &full[..full.len() - cut as usize]).unwrap();
-            let opened = Wal::open(&path, 1, false).unwrap();
+            let opened = Wal::open(&RealVfs, &path, 1, false).unwrap();
             assert_eq!(opened.records.len(), 3, "prefix recovered (cut {cut})");
             assert!(opened.torn_tail_bytes > 0, "torn bytes reported");
             // The truncation is persistent: reopening is clean.
-            let again = Wal::open(&path, 1, false).unwrap();
+            let again = Wal::open(&RealVfs, &path, 1, false).unwrap();
             assert_eq!(again.torn_tail_bytes, 0);
             assert_eq!(again.records.len(), 3);
         }
@@ -667,7 +660,7 @@ mod tests {
         fill(&path, 3);
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let mut opened = Wal::open(&path, 1, false).unwrap();
+        let mut opened = Wal::open(&RealVfs, &path, 1, false).unwrap();
         assert_eq!(opened.records.len(), 2);
         opened
             .wal
@@ -677,7 +670,7 @@ mod tests {
             })
             .unwrap();
         opened.wal.flush().unwrap();
-        let again = Wal::open(&path, 1, false).unwrap();
+        let again = Wal::open(&RealVfs, &path, 1, false).unwrap();
         assert_eq!(again.records.len(), 3);
         assert_eq!(again.records[2].seq(), 3);
     }
@@ -692,7 +685,7 @@ mod tests {
         let o = WAL_HEADER_LEN as usize + FRAME_HEADER_LEN + 2;
         bad[o] ^= 0x40;
         std::fs::write(&path, &bad).unwrap();
-        match Wal::open(&path, 1, false) {
+        match Wal::open(&RealVfs, &path, 1, false) {
             Err(StoreError::Corrupt { offset, .. }) => {
                 assert_eq!(offset, WAL_HEADER_LEN, "first frame blamed");
             }
@@ -708,7 +701,7 @@ mod tests {
         bytes[0] = b'X';
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Wal::open(&path, 1, false),
+            Wal::open(&RealVfs, &path, 1, false),
             Err(StoreError::Corrupt { offset: 0, .. })
         ));
         // Version from the future.
@@ -717,7 +710,7 @@ mod tests {
         bytes[8] = 99;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Wal::open(&path, 1, false),
+            Wal::open(&RealVfs, &path, 1, false),
             Err(StoreError::UnsupportedVersion { found: 99, .. })
         ));
     }
@@ -726,7 +719,7 @@ mod tests {
     fn reset_truncates_to_the_header() {
         let path = tmp("reset");
         fill(&path, 4);
-        let mut opened = Wal::open(&path, 1, false).unwrap();
+        let mut opened = Wal::open(&RealVfs, &path, 1, false).unwrap();
         opened.wal.reset().unwrap();
         assert_eq!(opened.wal.total_len(), WAL_HEADER_LEN);
         opened
@@ -737,7 +730,7 @@ mod tests {
             })
             .unwrap();
         opened.wal.flush().unwrap();
-        let again = Wal::open(&path, 1, false).unwrap();
+        let again = Wal::open(&RealVfs, &path, 1, false).unwrap();
         assert_eq!(again.records.len(), 1);
         assert_eq!(again.records[0].seq(), 5);
     }

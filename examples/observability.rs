@@ -1,12 +1,11 @@
 //! Observability tour: a churning serving stack watched three ways.
 //!
 //! A writer streams deltas through [`CurrencyServe`] while a reader
-//! queries at every epoch; a [`RingRecorder`] taps the structured trace
-//! stream so the demo can print **live apply-phase timings** (validate /
-//! refresh / recompile spans reconstructed from span-start/span-end
-//! pairs) mid-churn; the slow-query log catches a deliberately
-//! zero-budget request; and the run closes with the full
-//! Prometheus-style metrics dump every front door exposes.
+//! queries at every epoch; the demo scrapes the metrics registry
+//! mid-churn to print **live apply-phase timings** (the validate /
+//! refresh / recompile histograms, count and p50); the slow-query log
+//! catches a deliberately zero-budget request; and the run closes with
+//! the full Prometheus-style metrics dump every front door exposes.
 //!
 //! Run with: `cargo run --example observability`
 
@@ -14,10 +13,9 @@ use data_currency::model::{
     AttrId, Catalog, CmpOp, DenialConstraint, Eid, RelId, RelationSchema, SpecDelta, Specification,
     Term, Tuple, TupleId, Value,
 };
-use data_currency::obs::{RingRecorder, TraceEvent, TraceKind};
+use data_currency::obs::MetricsSnapshot;
 use data_currency::reason::{CurrencyOrderQuery, Options};
 use data_currency::serve::{CurrencyServe, ServeOptions, ServeRequest};
-use std::collections::HashMap;
 use std::time::Duration;
 
 const A: AttrId = AttrId(0);
@@ -43,31 +41,16 @@ fn spec() -> (Specification, RelId) {
     (spec, r)
 }
 
-/// Reconstruct span durations from the raw trace stream and aggregate
-/// them per span name: pair each `SpanEnd` with the `SpanStart` that
-/// carries the same span id.
-fn phase_table(events: &[TraceEvent]) -> Vec<(&'static str, u64, u64)> {
-    let mut open: HashMap<u64, (&'static str, u64)> = HashMap::new();
-    let mut agg: HashMap<&'static str, (u64, u64)> = HashMap::new();
-    for e in events {
-        match e.kind {
-            TraceKind::SpanStart => {
-                open.insert(e.span, (e.name, e.ts_ns));
-            }
-            TraceKind::SpanEnd => {
-                if let Some((name, started)) = open.remove(&e.span) {
-                    let entry = agg.entry(name).or_insert((0, 0));
-                    entry.0 += 1;
-                    entry.1 += e.ts_ns.saturating_sub(started);
-                }
-            }
-            TraceKind::Event => {}
-        }
-    }
-    let mut rows: Vec<(&'static str, u64, u64)> =
-        agg.into_iter().map(|(n, (c, t))| (n, c, t)).collect();
-    rows.sort();
-    rows
+/// The writer's apply phases as scraped: each phase histogram's sample
+/// count and median, in nanoseconds.
+fn phase_table(snap: &MetricsSnapshot) -> Vec<(&'static str, u64, f64)> {
+    ["validate", "refresh", "recompile"]
+        .into_iter()
+        .map(|phase| {
+            let h = snap.merged_histogram(&format!("currency_engine_apply_{phase}_ns"));
+            (phase, h.count(), h.quantile(0.5))
+        })
+        .collect()
 }
 
 fn main() {
@@ -78,11 +61,9 @@ fn main() {
         ..ServeOptions::default()
     };
     let serve = CurrencyServe::new(spec, &Options::default(), &opts).expect("consistent spec");
-    let recorder = RingRecorder::new(4096);
-    serve.set_recorder(recorder.clone());
     let mut handle = serve.handle();
 
-    println!("== churn: 20 deltas, two queries per epoch, tracing on ==\n");
+    println!("== churn: 20 deltas, two queries per epoch ==\n");
     for step in 0..20u32 {
         let mut delta = SpecDelta::new();
         delta.insert_tuple(
@@ -98,16 +79,16 @@ fn main() {
             .cop(&CurrencyOrderQuery::single(r, A, TupleId(0), TupleId(1)))
             .expect("cop");
         if (step + 1) % 5 == 0 {
-            // Drain the ring mid-run: live apply-phase timings since the
-            // last drain, straight from the span stream.
+            // Scrape mid-run: live apply-phase timings since the start,
+            // from the same histograms the closing dump renders.
             println!(
                 "after epoch {}: cps={consistent} cop={ordered}",
                 serve.epoch()
             );
-            for (name, count, total_ns) in phase_table(&recorder.drain()) {
+            for (phase, count, p50_ns) in phase_table(&serve.metrics().snapshot()) {
                 println!(
-                    "  {name:<18} ×{count:<3} total {:>8.1}µs",
-                    total_ns as f64 / 1_000.0
+                    "  apply.{phase:<10} ×{count:<3} p50 {:>8.1}µs",
+                    p50_ns / 1_000.0
                 );
             }
             println!();

@@ -27,8 +27,7 @@
 //!   serving stats, and the sharded `ShardedServe` front door.
 //! * [`obs`] (`currency-obs`) — observability: lock-free counters,
 //!   gauges, and log2-bucket histograms in a `MetricsRegistry` with
-//!   Prometheus/JSON exposition, plus structured span/event tracing
-//!   behind an attachable `Recorder`.
+//!   Prometheus/JSON exposition, the stack's one telemetry path.
 //! * [`sat`] (`currency-sat`) — the CDCL SAT solver substrate.
 //! * [`datagen`] (`currency-datagen`) — paper scenarios, random
 //!   specification generators, and hardness-reduction gadgets.
